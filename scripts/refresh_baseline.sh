@@ -15,6 +15,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BASELINE=benchmarks/baselines/BENCH-quick-baseline.json
+mkdir -p "$(dirname "$BASELINE")"
 
 PYTHONPATH=src python -m repro bench --quick --json "$BASELINE"
 

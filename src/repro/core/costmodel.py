@@ -181,19 +181,25 @@ class CostModel:
             deserialize_us=copy_us,
         )
 
-    # -- staging tiers --------------------------------------------------------
-    def dram_transfer(self, nbytes: int) -> TransferEstimate:
-        """Touching ``nbytes`` already resident in local DRAM: one access
-        latency plus a memcpy — the floor every other tier is priced
-        against."""
-        return TransferEstimate(
-            bytes_moved=0,
-            serialize_us=0.0,
-            transfer_us=self.hierarchy.local_dram_us
-            + self.byte_copy_time_us(nbytes),
-            deserialize_us=0.0,
-        )
+    # -- the same totals as bare floats ---------------------------------------
+    # Placement scores every candidate and builds one; these add the same
+    # terms in the same order as the estimate each names, building nothing.
+    def object_time_us(self, nbytes: int, hops: int = 1) -> float:
+        """``object_transfer(nbytes, hops).total_us``."""
+        copy_us = self.byte_copy_time_us(nbytes)
+        return copy_us + self.wire_time_us(nbytes, hops) + copy_us
 
+    def stage_in_time_us(self, nbytes: int, hops: int, pooled: bool) -> float:
+        """``resolve_tier(nbytes, hops, pooled)[1].total_us``."""
+        copy_us = self.byte_copy_time_us(nbytes)
+        total = copy_us + (hops * self.link_latency_us
+                           + self.wire_time_us(nbytes, hops)) + copy_us
+        if pooled:
+            total = min(total, self.hierarchy.remote_memory_us
+                        + nbytes / (self.pool_bandwidth_gbps * 1e9 / 8 / 1e6))
+        return total
+
+    # -- staging tiers --------------------------------------------------------
     def pool_transfer(self, nbytes: int) -> TransferEstimate:
         """Staging ``nbytes`` through an intra-rack shared-memory pool:
         one far-memory access (``hierarchy.remote_memory_us``) plus
@@ -211,18 +217,15 @@ class CostModel:
         )
 
     def resolve_tier(self, nbytes: int, hops: int = 1,
-                     resident: bool = False,
                      pooled: bool = False) -> Tuple[str, TransferEstimate]:
-        """Cheapest staging tier for ``nbytes``: ``(tier, estimate)``.
+        """Cheapest staging tier for a non-resident ``nbytes``:
+        ``(tier, estimate)``.
 
-        ``resident`` short-circuits to the DRAM tier; otherwise the
-        network fetch competes with the pool tier when ``pooled`` says a
-        mapped copy is reachable.  The pool wins on small objects (no
-        per-hop request leg) and loses on bulk (its port streams below
-        NIC line rate), so the choice genuinely flips with size.
+        The network fetch competes with the pool tier when ``pooled``
+        says a mapped copy is reachable.  The pool wins on small objects
+        (no per-hop request leg) and loses on bulk (its port streams
+        below NIC line rate), so the choice genuinely flips with size.
         """
-        if resident:
-            return TIER_DRAM, self.dram_transfer(nbytes)
         tier, estimate = TIER_NETWORK, self.fetch_transfer(nbytes, hops)
         if pooled:
             via_pool = self.pool_transfer(nbytes)

@@ -170,34 +170,62 @@ class PlacementEngine:
         self.tracer = tracer if tracer is not None else Tracer()
         self.pool_oracle = pool_oracle
 
-    def set_pool_oracle(self, oracle: Optional[PoolOracle]) -> None:
-        """Install (or clear) the pool reachability oracle.  Without one
-        every non-resident input is priced as a network fetch, exactly
-        the pre-pool behaviour."""
-        self.pool_oracle = oracle
-
     # -- candidate evaluation ------------------------------------------------
     def _nearest_source(
         self, item: PlacementItem, node: str, distance: DistanceFn
     ) -> Tuple[str, int]:
-        """Closest replica of ``item`` to ``node`` (host name, hop count)."""
-        best = min(item.locations, key=lambda loc: distance(loc, node))
-        return best, distance(best, node)
+        """Closest replica of ``item`` to ``node`` (host name, hop count);
+        the first listed wins a tie."""
+        hops = [distance(loc, node) for loc in item.locations]
+        nearest = min(hops)
+        return item.locations[hops.index(nearest)], nearest
+
+    def _score(
+        self,
+        request: PlacementRequest,
+        node: NodeProfile,
+        distance: DistanceFn,
+        items: Tuple[PlacementItem, ...],
+    ) -> Optional[float]:
+        """``_evaluate(...).total_us``, or None where that is None, from
+        scalars alone: the same floats in the same order, nothing built.
+        ``decide`` scores every candidate and builds only the winner."""
+        name, cost = node.name, self.cost_model
+        staged_bytes, stage_in_us = 0, 0.0
+        for item in items:
+            if name in item.locations:
+                continue
+            if item.pinned:
+                return None
+            hops = min(distance(loc, name) for loc in item.locations)
+            pooled = (self.pool_oracle is not None
+                      and self.pool_oracle(name, item.ref.oid) is not None)
+            stage_in_us = max(stage_in_us, cost.stage_in_time_us(
+                item.size_bytes, max(hops, 1), pooled))
+            staged_bytes += item.size_bytes
+        if staged_bytes > node.capacity_bytes:
+            return None
+        queue_us = node.active_jobs * self.queue_penalty_us
+        compute_us = cost.compute_time_us(request.flops) / node.speed
+        result_hops = distance(name, request.invoker)
+        result_return_us = (
+            0.0 if result_hops == 0
+            else cost.object_time_us(request.result_bytes, result_hops))
+        if self.transfer_blind:
+            stage_in_us = result_return_us = 0.0
+        return stage_in_us + queue_us + compute_us + result_return_us
 
     def _evaluate(
         self,
         request: PlacementRequest,
         node: NodeProfile,
         distance: DistanceFn,
-        items: Optional[Tuple[PlacementItem, ...]] = None,
     ) -> Optional[PlacementDecision]:
-        if items is None:
-            items = (request.code,) + request.inputs
         movements: List[MovementPlan] = []
         staged_bytes = 0
         stage_in_us = 0.0
         tiers: Dict[str, int] = {}
-        for item in items:
+        for item in (request.code,) + request.inputs:
             if node.name in item.locations:
                 tiers[TIER_DRAM] = tiers.get(TIER_DRAM, 0) + 1
                 continue  # already resident
@@ -261,28 +289,28 @@ class PlacementEngine:
         if not candidates:
             self.tracer.count("placement.infeasible")
             raise PlacementError("no candidate nodes supplied")
-        best: Optional[PlacementDecision] = None
+        winner: Optional[NodeProfile] = None
+        best_total = 0.0
         considered: Dict[str, float] = {}
         # The item tuple is candidate-invariant; build it once, not per
-        # evaluated node (open-loop load makes decide() a hot path).
+        # scored node (open-loop load makes decide() a hot path).
         items = (request.code,) + request.inputs
         for node in candidates:
-            if not node.can_execute:
+            total = (self._score(request, node, distance, items)
+                     if node.can_execute else None)
+            if total is None:
                 self.tracer.count("placement.rejected")
                 continue
-            decision = self._evaluate(request, node, distance, items)
-            if decision is None:
-                self.tracer.count("placement.rejected")
-                continue
-            considered[node.name] = decision.total_us
-            if best is None or decision.total_us < best.total_us:
-                best = decision
-        if best is None:
+            considered[node.name] = total
+            if winner is None or total < best_total:
+                winner, best_total = node, total
+        if winner is None:
             self.tracer.count("placement.infeasible")
             raise PlacementError(
                 "no feasible execution node: every candidate lacks capacity, "
                 "permission, or a required pinned input"
             )
+        best = self._evaluate(request, winner, distance)
         best.considered = considered
         self.tracer.count("placement.decisions")
         self.tracer.sample("placement.est_total_us", best.total_us)

@@ -13,7 +13,7 @@ answers the two control-plane questions the schemes need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from ..obs.registry import MetricsRegistry
 from ..sim import NULL_TRACER, Simulator, Tracer
@@ -29,6 +29,14 @@ __all__ = [
     "build_line",
     "build_two_tier",
 ]
+
+
+class _Routes(NamedTuple):
+    """What one BFS from a root records for each node that reaches it."""
+
+    hops: Dict[str, int]  # links on the shortest path to the root
+    toward: Dict[str, str]  # the neighbour one step closer to the root
+    latency_us: Dict[str, float]  # link latency summed root-outward on it
 
 
 class Network:
@@ -59,7 +67,11 @@ class Network:
         # their own — see OBSERVABILITY.md.
         self.metrics = MetricsRegistry()
         self.metrics.register("net.links", self.tracer)
-        self._distance_cache: Dict[str, Dict[str, int]] = {}
+        # The path table: one BFS record per root asked about, walked on
+        # first use, dropped whole on a topology change; ``version`` counts
+        # those changes for layers that cache what they derive from it.
+        self._routes: Dict[str, _Routes] = {}
+        self.version = 0
 
     # -- construction ----------------------------------------------------
     def _register(self, node: Node) -> None:
@@ -68,7 +80,7 @@ class Network:
         self.nodes[node.name] = node
         kind = "host" if isinstance(node, Host) else "switch"
         self.metrics.register(f"net.{kind}.{node.name}", node.tracer)
-        self._distance_cache.clear()
+        self._topology_changed()
 
     def add_host(self, name: str) -> Host:
         """Create and register a host."""
@@ -104,8 +116,12 @@ class Network:
             tracer=self.tracer,
         )
         self.links.append(link)
-        self._distance_cache.clear()
+        self._topology_changed()
         return link
+
+    def _topology_changed(self) -> None:
+        self._routes.clear()
+        self.version += 1
 
     # -- lookup ------------------------------------------------------------
     def node(self, name: str) -> Node:
@@ -177,10 +193,12 @@ class Network:
         return [n for n in self.nodes.values() if isinstance(n, Switch)]
 
     # -- path queries --------------------------------------------------------
-    def _bfs(self, root_name: str) -> Tuple[Dict[str, int], Dict[str, str]]:
-        """Hop distances and BFS parents from ``root_name`` over all links."""
+    def _bfs(self, root_name: str) -> _Routes:
+        """Hop distance to, next node toward, and summed link latency to
+        ``root_name`` for every node that can reach it."""
         dist = {root_name: 0}
         parent: Dict[str, str] = {}
+        latency = {root_name: 0.0}
         queue = deque([root_name])
         while queue:
             current = queue.popleft()
@@ -190,23 +208,23 @@ class Network:
                 if neighbor not in dist:
                     dist[neighbor] = dist[current] + 1
                     parent[neighbor] = current
+                    latency[neighbor] = latency[current] + link.latency_us
                     queue.append(neighbor)
-        return dist, parent
+        return _Routes(dist, parent, latency)
+
+    def _routes_to(self, a: str, b: str) -> _Routes:
+        """The path table's record rooted at ``b``, walked on first use;
+        raises unless ``a`` can reach ``b``."""
+        routes = self._routes.get(b)
+        if routes is None:
+            routes = self._routes[b] = self._bfs(b)
+        if a not in routes.hops:
+            raise NodeError(f"no path from {a!r} to {b!r}")
+        return routes
 
     def hop_distance(self, a: str, b: str) -> int:
         """Number of links on the shortest path from ``a`` to ``b``."""
-        if a == b:
-            return 0
-        if a not in self._distance_cache:
-            self._distance_cache[a], _ = self._bfs(a)
-        dist = self._distance_cache[a].get(b)
-        if dist is None:
-            raise NodeError(f"no path from {a!r} to {b!r}")
-        return dist
-
-    def distance_fn(self):
-        """A ``(from, to) -> hops`` callable for the placement engine."""
-        return self.hop_distance
+        return 0 if a == b else self._routes_to(a, b).hops[a]
 
     def path_latency_us(self, a: str, b: str) -> float:
         """Sum of link propagation latencies along the shortest path.
@@ -214,17 +232,7 @@ class Network:
         Hop counts treat a 200 us edge uplink and a 5 us rack link as
         equal; placement estimates should not.
         """
-        route = self.path(a, b)
-        total = 0.0
-        for here, there in zip(route, route[1:]):
-            node = self.node(here)
-            for link in node.links:
-                if link.other(node).name == there:
-                    total += link.latency_us
-                    break
-            else:  # pragma: no cover - path() guarantees adjacency
-                raise NodeError(f"no link between {here!r} and {there!r}")
-        return total
+        return self._routes_to(a, b).latency_us[a]
 
     def port_toward(self, switch_name: str, target_name: str) -> int:
         """The egress port on ``switch_name`` for shortest-path traffic
@@ -232,10 +240,7 @@ class Network:
         switch = self.switch(switch_name)
         if switch_name == target_name:
             raise NodeError("a switch has no port toward itself")
-        _, parent = self._bfs(target_name)
-        if switch_name not in parent:
-            raise NodeError(f"no path from {switch_name!r} to {target_name!r}")
-        next_hop = parent[switch_name]  # one step closer to the target
+        next_hop = self._routes_to(switch_name, target_name).toward[switch_name]
         for port in range(switch.port_count):
             if switch.neighbor(port).name == next_hop:
                 return port
@@ -245,12 +250,10 @@ class Network:
 
     def path(self, a: str, b: str) -> List[str]:
         """Node names along the shortest path from ``a`` to ``b`` inclusive."""
-        _, parent = self._bfs(b)
-        if a != b and a not in parent:
-            raise NodeError(f"no path from {a!r} to {b!r}")
+        toward = self._routes_to(a, b).toward
         route = [a]
         while route[-1] != b:
-            route.append(parent[route[-1]])
+            route.append(toward[route[-1]])
         return route
 
 

@@ -249,6 +249,9 @@ class GlobalSpaceRuntime:
         # Registered shared-memory pools; feeds the placement estimator's
         # tier resolution (see attach_pool).
         self._pools: List[SharedMemoryPool] = []
+        # _effective_distance by (from, to), for one topology version.
+        self._hops: Dict[Tuple[str, str], int] = {}
+        self._hops_version = network.version
 
     # -- cluster construction ------------------------------------------------
     def add_node(self, host_name: str, speed: float = 1.0,
@@ -294,7 +297,7 @@ class GlobalSpaceRuntime:
         self._pools.append(pool)
         self.metrics.register(f"memproto.pool.{pool.name}", pool.tracer,
                               replace=True)
-        self.placement.set_pool_oracle(self._pool_oracle)
+        self.placement.pool_oracle = self._pool_oracle
 
     def _pool_oracle(self, node_name: str, oid: ObjectID) -> Optional[str]:
         """Name of a pool through which ``node_name`` can load ``oid``
@@ -347,6 +350,13 @@ class GlobalSpaceRuntime:
         scan.  Pass ``None`` to remove it."""
         self._locator = locator
 
+    def holders_by_distance(self, oid: ObjectID, to: str) -> List[str]:
+        """Replica holders of ``oid``, nearest to ``to`` first, equidistant
+        ones in name order: a bare distance key would leave ties to set
+        iteration, which varies with hash randomization across processes."""
+        hops = self.network.hop_distance
+        return sorted(self.holders(oid), key=lambda h: (hops(h, to), h))
+
     def nearest_holder(self, oid: ObjectID, to: str) -> str:
         """Closest replica holder to ``to`` by hop count.
 
@@ -357,8 +367,7 @@ class GlobalSpaceRuntime:
             hint = self._locator(oid, to)
             if hint is not None and hint in (self.locations.get(oid) or ()):
                 return hint
-        return min(self.holders(oid),
-                   key=lambda h: self.network.hop_distance(h, to))
+        return self.holders_by_distance(oid, to)[0]
 
     def _effective_distance(self, a: str, b: str) -> int:
         """Latency-weighted distance in equivalent cost-model hops.
@@ -366,12 +375,20 @@ class GlobalSpaceRuntime:
         The placement estimator prices a hop at
         ``cost_model.link_latency_us``; converting real path latency into
         equivalent hops makes a slow edge uplink count for what it costs
-        instead of counting as one cheap hop.
+        instead of counting as one cheap hop.  Placement asks for every
+        (replica, candidate) pair of every decision, so the rounded value
+        is kept until the network's topology version moves.
         """
         if a == b:
             return 0
-        latency = self.network.path_latency_us(a, b)
-        return max(1, round(latency / self.cost_model.link_latency_us))
+        if self._hops_version != self.network.version:
+            self._hops, self._hops_version = {}, self.network.version
+        hops = self._hops.get((a, b))
+        if hops is None:
+            latency = self.network.path_latency_us(a, b)
+            hops = self._hops[a, b] = max(
+                1, round(latency / self.cost_model.link_latency_us))
+        return hops
 
     def note_copy(self, oid: ObjectID, node_name: str) -> None:
         """Record that ``node_name`` now holds a replica of ``oid``."""

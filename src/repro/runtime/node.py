@@ -578,15 +578,8 @@ class ClusterNode:
             if fetch_span is not None:
                 fetch_span.finish(cached=True)
             return self.space.get(oid)
-        if holder is not None:
-            sources = [holder]
-        else:
-            # Tie-break equidistant holders by name: a bare distance key
-            # would fall back to set-iteration order, which varies with
-            # hash randomization across processes.
-            sources = sorted(
-                self.runtime.holders(oid),
-                key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
+        sources = ([holder] if holder is not None
+                   else self.runtime.holders_by_distance(oid, self.name))
         last_error = None
         for source in sources:
             if source == self.name:
@@ -624,15 +617,8 @@ class ClusterNode:
                     holder: Optional[str] = None):
         """Process: demand-read a range of a remote object, failing over
         across replicas on denial, staleness, or holder crash."""
-        if holder is not None:
-            sources = [holder]
-        else:
-            # Tie-break equidistant holders by name: a bare distance key
-            # would fall back to set-iteration order, which varies with
-            # hash randomization across processes.
-            sources = sorted(
-                self.runtime.holders(oid),
-                key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
+        sources = ([holder] if holder is not None
+                   else self.runtime.holders_by_distance(oid, self.name))
         last_error = None
         for source in sources:
             req_id, future = self._new_future()

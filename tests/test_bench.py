@@ -16,6 +16,7 @@ stays fast; the full catalogue is exercised by the CI bench job.
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -217,3 +218,14 @@ def test_cli_bench_compare_end_to_end(tmp_path, capsys):
     # A permissive threshold lets the same candidate through.
     assert main(["bench", "compare", str(base), str(cand),
                  "--threshold", "0.9"]) == 0
+
+
+def test_committed_baseline_gates_a_fresh_quick_run(tmp_path, capsys):
+    # The file CI's `bench compare` step names must be in the tree: an
+    # ignore pattern kept it out of every commit before PR 14, so the
+    # gate could only exit 2.
+    baseline = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                            "baselines", "BENCH-quick-baseline.json")
+    fresh = tmp_path / "BENCH.json"
+    assert main(["bench", "--quick", "--json", str(fresh)]) == 0
+    assert main(["bench", "compare", baseline, str(fresh)]) == 0

@@ -112,10 +112,70 @@ class TestNetworkQueries:
         with pytest.raises(NodeError):
             net.port_toward("s1", "s1")
 
-    def test_distance_fn_matches_method(self, sim):
-        net = build_star(sim, 3)
-        fn = net.distance_fn()
-        assert fn("h0", "h1") == net.hop_distance("h0", "h1")
+    def test_path_latency_sums_the_links_of_the_path(self, sim):
+        net = build_line(sim, 3, default_latency_us=5.0)
+        net.add_host("far")
+        net.connect("far", "s2", latency_us=200.0)
+        assert net.path("h0_0", "far") == ["h0_0", "s0", "s1", "s2", "far"]
+        assert net.path_latency_us("h0_0", "far") == 5.0 + 5.0 + 5.0 + 200.0
+        assert net.path_latency_us("far", "far") == 0.0
+
+
+def _answers(net, a, b, switch):
+    return (net.hop_distance(a, b), net.path(a, b), net.path_latency_us(a, b),
+            net.port_toward(switch, b))
+
+
+class TestPathTable:
+    """Every path query reads one lazily filled table; a topology change
+    must drop it, or the answers below go stale."""
+
+    def test_one_walk_per_root_serves_every_query(self, sim):
+        net = build_paper_topology(sim)
+        walks = []
+        bfs = net._bfs
+        net._bfs = lambda root: walks.append(root) or bfs(root)
+        for _ in range(3):
+            _answers(net, "driver", "resp1", "s1")
+            net.hop_distance("resp2", "resp1")
+        assert walks == ["resp1"]
+
+    def test_new_host_is_reachable_after_earlier_queries(self, sim):
+        net = build_star(sim, 2)
+        assert _answers(net, "h0", "h1", "s0") == (2, ["h0", "s0", "h1"], 10.0, 1)
+        version = net.version
+        net.add_host("h2")
+        with pytest.raises(NodeError):
+            net.hop_distance("h0", "h2")  # registered, not yet linked
+        net.connect("h2", "s0", latency_us=7.0)
+        assert net.version > version
+        assert _answers(net, "h0", "h2", "s0") == (2, ["h0", "s0", "h2"], 12.0, 2)
+
+    def test_shortcut_link_changes_every_answer(self, sim):
+        net = build_line(sim, 4, default_latency_us=5.0)
+        before = _answers(net, "h0_0", "h3_0", "s0")
+        assert before == (
+            5, ["h0_0", "s0", "s1", "s2", "s3", "h3_0"], 25.0,
+            net.port_toward("s0", "s1"))
+        net.connect("s0", "s3", latency_us=1.0)
+        after = _answers(net, "h0_0", "h3_0", "s0")
+        assert after == (3, ["h0_0", "s0", "s3", "h3_0"], 11.0,
+                         net.port_toward("s0", "s3"))
+        assert after[3] != before[3]
+
+    def test_unreachable_pairs_still_raise(self, sim):
+        net = build_star(sim, 2)
+        net.add_switch("island")
+        net.hop_distance("h0", "h1")  # fill the table first
+        for query in (net.hop_distance, net.path, net.path_latency_us):
+            with pytest.raises(NodeError):
+                query("h0", "island")
+            with pytest.raises(NodeError):
+                query("island", "h0")
+        with pytest.raises(NodeError):
+            net.port_toward("island", "h0")
+        with pytest.raises(NodeError):
+            net.path("h0", "nowhere")
 
 
 class TestHostDispatch:

@@ -2,6 +2,7 @@
 against brute-force evaluation, placement-engine invariants, and
 persistence/codec compositions."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -9,6 +10,7 @@ from repro.core import (
     NodeProfile,
     ObjectID,
     PlacementEngine,
+    PlacementError,
     PlacementItem,
     PlacementRequest,
 )
@@ -180,6 +182,108 @@ class TestPlacementProperties:
         ]
         heavier = engine.decide(request, loaded, _distance)
         assert heavier.total_us >= baseline.total_us
+
+
+# ---------------------------------------------------------------------------
+# decide() scores with scalars and builds only the winner; building every
+# candidate in full, as it did before, must give the same answer.
+# Values come from small sets so that totals and replica distances tie.
+# ---------------------------------------------------------------------------
+
+_HOSTS = ["n0", "n1", "n2", "n3", "n4"]
+_hosts = st.sampled_from(_HOSTS)
+
+
+def _items(number, pinned):
+    return st.builds(
+        PlacementItem, ref=st.just(_ref(number)),
+        size_bytes=st.sampled_from([0, 64, 4096, 1 << 16, 1 << 20]),
+        locations=st.lists(_hosts, min_size=1, max_size=3, unique=True).map(tuple),
+        pinned=pinned)
+
+
+tied_requests = st.builds(
+    PlacementRequest,
+    code=_items(1, st.just(False)),
+    inputs=st.tuples(*[
+        _items(n, st.sampled_from([False, False, False, True]))
+        for n in (2, 3, 4, 5)
+    ]).flatmap(lambda four: st.integers(1, 4).map(lambda n: four[:n])),
+    invoker=_hosts,
+    result_bytes=st.sampled_from([0, 256, 1 << 16]),
+    flops=st.sampled_from([0.0, 1e5, 1e8]),
+)
+
+tied_profiles = st.lists(
+    st.builds(
+        NodeProfile, name=_hosts,
+        speed=st.sampled_from([1.0, 1.0, 2.0]),
+        active_jobs=st.sampled_from([0, 0, 1, 2]),
+        capacity_bytes=st.sampled_from([1 << 16, 1 << 24, 1 << 40]),
+        can_execute=st.sampled_from([True, True, True, False])),
+    min_size=2, max_size=5, unique_by=lambda p: p.name)
+
+# Hops between distinct hosts, one per ordered pair: uniform (so that
+# candidates tie) or drawn pair by pair.  The pool tier undercuts a
+# network fetch from three hops up.
+hop_tables = st.one_of(
+    st.integers(1, 4).map(lambda h: [h] * 25),
+    st.lists(st.integers(1, 4), min_size=25, max_size=25))
+# The hosts attached to a pool and the object numbers mapped into it.
+pool_maps = st.one_of(st.none(), st.tuples(
+    st.sets(_hosts), st.sets(st.integers(1, 5))))
+
+
+def _decide_building_every_candidate(engine, request, candidates, distance):
+    """``PlacementEngine.decide`` as it was: a full ``_evaluate`` per
+    candidate, the cheapest kept."""
+    best, considered = None, {}
+    for node in candidates:
+        decision = (engine._evaluate(request, node, distance)
+                    if node.can_execute else None)
+        if decision is None:
+            engine.tracer.count("placement.rejected")
+            continue
+        considered[node.name] = decision.total_us
+        if best is None or decision.total_us < best.total_us:
+            best = decision
+    if best is None:
+        engine.tracer.count("placement.infeasible")
+        raise PlacementError("no feasible execution node")
+    best.considered = considered
+    engine.tracer.count("placement.decisions")
+    engine.tracer.sample("placement.est_total_us", best.total_us)
+    for tier, n in best.tiers.items():
+        engine.tracer.count(f"placement.tier.{tier}", n)
+    return best
+
+
+class TestScoreThenBuild:
+    @given(tied_requests, tied_profiles, hop_tables, pool_maps, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_decide_matches_building_every_candidate(
+            self, request, nodes, hops, pooled, blind):
+        def distance(a, b):
+            return 0 if a == b else hops[_HOSTS.index(a) * 5 + _HOSTS.index(b)]
+
+        oracle = None if pooled is None else (
+            lambda node, oid: "rack0" if node in pooled[0]
+            and oid.value in pooled[1] else None)
+        fast, full = (PlacementEngine(transfer_blind=blind, pool_oracle=oracle)
+                      for _ in range(2))
+        try:
+            expected = _decide_building_every_candidate(
+                full, request, nodes, distance)
+        except PlacementError:
+            with pytest.raises(PlacementError):
+                fast.decide(request, nodes, distance)
+        else:
+            # Dataclass equality: node, movements, tiers, the four phase
+            # estimates, total_us and the considered map, float for float.
+            assert fast.decide(request, nodes, distance) == expected
+        assert fast.tracer.counters.as_dict() == full.tracer.counters.as_dict()
+        assert (fast.tracer.series.samples("placement.est_total_us")
+                == full.tracer.series.samples("placement.est_total_us"))
 
 
 class TestPersistenceComposition:

@@ -1,9 +1,13 @@
 """Unit and integration tests for the global-space invocation runtime."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator
-from repro.net import build_star
+from repro.net import build_line, build_star
 from repro.runtime import (
     GlobalSpaceRuntime,
     MODE_EAGER,
@@ -75,6 +79,76 @@ class TestClusterSetup:
         # copy the bytes so the replica is real
         runtime.node("h1_0").space.insert(obj.clone())
         assert runtime.nearest_holder(obj.oid, "h2_0") == "h1_0"
+
+    def test_equidistant_holders_do_not_depend_on_the_hash_seed(self):
+        # With replicas on h1..h5 of a star every holder is two hops from
+        # h0; a bare distance key picked whichever the set yielded first.
+        script = (
+            "from repro.core import FunctionRegistry\n"
+            "from repro.net import build_star\n"
+            "from repro.runtime import GlobalSpaceRuntime\n"
+            "from repro.sim import Simulator\n"
+            "net = build_star(Simulator(seed=1), 6)\n"
+            "runtime = GlobalSpaceRuntime(net, FunctionRegistry())\n"
+            "for i in range(6): runtime.add_node(f'h{i}')\n"
+            "obj = runtime.create_object('h3', size=64)\n"
+            "for name in ('h5', 'h1', 'h4', 'h2'):\n"
+            "    runtime.note_copy(obj.oid, name)\n"
+            "print(runtime.nearest_holder(obj.oid, 'h0'),\n"
+            "      *runtime.holders_by_distance(obj.oid, 'h0'))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        answers = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            answers.add(done.stdout.strip())
+        assert answers == {"h1 h1 h2 h3 h4 h5"}
+
+    def test_effective_distance_follows_topology_changes(self):
+        sim = Simulator(seed=2)
+        net = build_line(sim, 4, default_latency_us=2.0)
+        runtime = GlobalSpaceRuntime(net, FunctionRegistry())
+        # Five 2 us links at the cost model's 2 us per hop.
+        assert runtime._effective_distance("h0_0", "h3_0") == 5
+        assert runtime._effective_distance("h0_0", "h0_0") == 0
+        net.connect("s0", "s3", latency_us=2.0)
+        assert runtime._effective_distance("h0_0", "h3_0") == 3
+        net.add_host("edge")
+        net.connect("edge", "s0", latency_us=200.0)
+        assert runtime._effective_distance("edge", "h0_0") == 101
+        assert runtime._effective_distance("h0_0", "h3_0") == 3
+
+    def test_placement_walks_each_root_once(self):
+        # 500 decisions over a 6-host star used to run ~28 BFS walks
+        # each; the path table needs one per node, ever.
+        sim = Simulator(seed=3)
+        net = build_star(sim, 6)
+        registry = FunctionRegistry()
+        runtime = GlobalSpaceRuntime(net, registry)
+        for i in range(6):
+            runtime.add_node(f"h{i}")
+        registry.register("noop")(lambda ctx, args: "ok")
+        _, code_ref = runtime.create_code("h0", "noop", text_size=256)
+        blobs = [runtime.create_object(f"h{i}", size=4096) for i in range(6)]
+        walks = []
+        bfs = net._bfs
+        net._bfs = lambda root: walks.append(root) or bfs(root)
+
+        def proc():
+            for i in range(500):
+                yield sim.spawn(runtime.invoke(
+                    f"h{i % 6}", code_ref,
+                    data_refs={"blob": GlobalRef(blobs[i % 5].oid, 0, "read")},
+                    flops=1e4))
+
+        sim.run_process(proc())
+        assert runtime.placement.tracer.counters.as_dict()[
+            "placement.decisions"] == 500
+        assert 0 < len(walks) <= len(net.nodes)
+        assert len(set(walks)) == len(walks)
 
     def test_drop_replica_guards_last_copy(self):
         sim, net, registry, runtime = make_cluster()
