@@ -21,7 +21,7 @@ scenarios stay byte-identical.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..sim import Simulator, Tracer
 from .packet import traffic_class
@@ -108,28 +108,52 @@ class LinkEnd:
     """One directed half of a link: ``node`` transmits into it and the
     packet emerges at ``peer`` after queueing + transmission + latency.
 
-    The wire is modelled directly as a *busy-until* horizon instead of a
-    queue-draining pump process: because transmission times are known at
-    enqueue time, each packet's completion instant can be computed
-    immediately and scheduled as a single event.  That replaces the
-    per-packet Store handoff + generator resumption + Timeout of the
-    process-based design with one kernel event, at identical FIFO
-    store-and-forward timing.
+    The wire is a *busy-until* horizon, not a queue-draining pump: the
+    instant a packet's last bit leaves is known when it is enqueued.  On
+    a FIFO end of a link that is loss-free and up, so is its arrival, and
+    the whole traversal is **one** kernel event, ``_arrive`` at
+    ``last_bit + latency_us``.  No event marks the last bit, so the
+    kernel's pending ``_arrive`` events are the record of what is on the
+    wire: ``bytes_carried``, ``packets_carried`` and ``queue_depth``
+    count those whose last bit has left by ``sim.now`` (one heap scan
+    per read: for tests and end-of-run accounting, not the packet path).
+
+    Loss, ``failed`` and ``latency_us`` are *sampled when the last bit
+    leaves*.  A link that is lossy or down at ``transmit``, and every
+    WRR pick (the arbiter needs the freed wire), takes two events,
+    ``_tx_done`` then ``_deliver``.  Setting one of the three on the
+    :class:`Link` hands the packets still serialising back to
+    ``_tx_done`` (:meth:`_unmerge`), so an outage or a loss burst that
+    starts mid-packet is seen there, with the RNG draws in the order
+    two events per packet would have made them.  A last bit that leaves
+    at the very instant of the change counts as still serialising.
+    Among events of one float instant an arrival ranks by its
+    ``transmit`` call, where ``_deliver`` ranked by the last-bit instant.
     """
 
-    __slots__ = ("link", "node", "peer", "port", "bytes_carried",
-                 "packets_carried", "_busy_until", "_in_flight", "_arb")
+    __slots__ = ("link", "node", "peer", "port", "_bytes_carried",
+                 "_packets_carried", "_busy_until", "_in_flight", "_arb")
 
     def __init__(self, link: "Link", node: "Node", peer: "Node", port: int):
         self.link = link
         self.node = node
         self.peer = peer
         self.port = port  # port index on the *receiving* node
-        self.bytes_carried = 0
-        self.packets_carried = 0
+        self._bytes_carried = 0
+        self._packets_carried = 0
         self._busy_until = 0.0
-        self._in_flight = 0
+        self._in_flight = 0  # accepted, with a last-bit event still to come
         self._arb: Optional[_WrrArbiter] = None
+
+    def _last_bit(self, packet: "Packet", now: float) -> float:
+        """Serialise ``packet`` behind whatever occupies the wire; the
+        instant its last bit leaves, as ``schedule(done - now)`` rounds it."""
+        start = self._busy_until
+        if start < now:
+            start = now
+        done = start + packet.size_bytes / self.link._bytes_per_us
+        self._busy_until = done
+        return now + (done - now)
 
     def transmit(self, packet: "Packet") -> None:
         """Enqueue for transmission (never blocks the sender)."""
@@ -145,19 +169,50 @@ class LinkEnd:
             return
         sim = link.sim
         now = sim.now
+        # _last_bit, written out: the one call per packet worth saving.
         start = self._busy_until
         if start < now:
             start = now
         done = start + packet.size_bytes / link._bytes_per_us
         self._busy_until = done
-        self._in_flight += 1
-        sim.schedule(done - now, self._tx_done, packet)
+        last_bit = now + (done - now)
+        if link.loss_rate > 0.0 or link.failed:
+            self._in_flight += 1
+            sim.schedule_at(last_bit, self._tx_done, packet)
+        else:
+            sim.schedule_at(last_bit + link.latency_us, self._arrive, packet,
+                            last_bit)
+
+    def _arrive(self, packet: "Packet", last_bit: float) -> None:
+        """One-event traversal: the last-bit accounts, then delivery.
+        ``last_bit`` rides in the event for ``_on_wire`` and ``_unmerge``."""
+        self._bytes_carried += packet.size_bytes
+        self._packets_carried += 1
+        packet.hops += 1
+        self.peer.receive(packet, self.port)
+
+    def _on_wire(self, serialising: bool) -> List["Packet"]:
+        """One-event packets yet to arrive whose last bit has left the
+        wire, or with ``serialising`` those where it has not."""
+        sim = self.link.sim
+        return [event.args[0] for event in sim.pending(self._arrive)
+                if (event.args[1] > sim.now) == serialising]
+
+    def _unmerge(self) -> None:
+        """Give the one-event packets still serialising their last-bit
+        event back, in the same-instant rank it would have had."""
+        sim = self.link.sim
+        for event in sim.pending(self._arrive):
+            packet, last_bit = event.args
+            if last_bit >= sim.now:
+                self._in_flight += 1
+                sim.reschedule(event, last_bit, self._tx_done, packet)
 
     def _tx_done(self, packet: "Packet") -> None:
         """The last bit has left the wire: account, maybe drop, propagate."""
         self._in_flight -= 1
-        self.bytes_carried += packet.size_bytes
-        self.packets_carried += 1
+        self._bytes_carried += packet.size_bytes
+        self._packets_carried += 1
         link = self.link
         if link._drop(packet):
             return
@@ -173,20 +228,14 @@ class LinkEnd:
         if packet is None:
             return
         arb.sending = True
-        link = self.link
-        sim = link.sim
-        now = sim.now
+        sim = self.link.sim
         # Serialize behind whatever already occupies the wire (a FIFO
         # packet accepted before arbitration was enabled, or a frame the
         # previous arbiter put in flight before a reconfigure).  In the
         # steady state the arbiter restarts exactly at the busy horizon,
         # so this is the original schedule.
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + packet.size_bytes / link._bytes_per_us
-        self._busy_until = done
-        sim.schedule(done - now, self._wrr_tx_done, packet, arb)
+        sim.schedule_at(self._last_bit(packet, sim.now), self._wrr_tx_done,
+                        packet, arb)
 
     def _wrr_tx_done(self, packet: "Packet", arb: _WrrArbiter) -> None:
         # ``arb`` is the arbiter that scheduled this transmission — it
@@ -194,8 +243,8 @@ class LinkEnd:
         # completion must not restart it; only the *current* discipline
         # gets the freed wire.
         self._in_flight -= 1
-        self.bytes_carried += packet.size_bytes
-        self.packets_carried += 1
+        self._bytes_carried += packet.size_bytes
+        self._packets_carried += 1
         link = self.link
         if link.tracer is not None:
             link.tracer.count(f"switch.wrr.tx.{traffic_class(packet)}")
@@ -209,19 +258,6 @@ class LinkEnd:
             return
         link.sim.schedule(link.latency_us, self._deliver, packet)
 
-    def _fifo_requeue(self, packet: "Packet") -> None:
-        """Busy-until FIFO scheduling for a packet whose ``_in_flight``
-        slot is already accounted (drained out of a retired arbiter)."""
-        link = self.link
-        sim = link.sim
-        now = sim.now
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + packet.size_bytes / link._bytes_per_us
-        self._busy_until = done
-        sim.schedule(done - now, self._tx_done, packet)
-
     def set_arbiter(self, arb: Optional[_WrrArbiter]) -> None:
         """Install (or, with ``None``, remove) the egress arbiter,
         draining any packets still queued in the old discipline into the
@@ -231,6 +267,7 @@ class LinkEnd:
         self._arb = arb
         if old is None:
             return
+        sim = self.link.sim
         drained = 0
         while True:
             packet = old.next_packet()
@@ -240,7 +277,9 @@ class LinkEnd:
             if arb is not None:
                 arb.enqueue(packet)
             else:
-                self._fifo_requeue(packet)
+                # FIFO again; its ``_in_flight`` slot is already counted.
+                sim.schedule_at(self._last_bit(packet, sim.now),
+                                self._tx_done, packet)
         if drained and self.link.tracer is not None:
             self.link.tracer.count("switch.wrr.drained", drained)
         if arb is not None and not arb.sending and arb.depth():
@@ -251,9 +290,21 @@ class LinkEnd:
         self.peer.receive(packet, self.port)
 
     @property
+    def bytes_carried(self) -> int:
+        """Bytes whose last bit has left the wire."""
+        return self._bytes_carried + sum(
+            packet.size_bytes for packet in self._on_wire(serialising=False))
+
+    @property
+    def packets_carried(self) -> int:
+        """Packets whose last bit has left the wire."""
+        return self._packets_carried + len(self._on_wire(serialising=False))
+
+    @property
     def queue_depth(self) -> int:
         """Packets queued behind the one currently on the wire."""
-        return self._in_flight - 1 if self._in_flight > 0 else 0
+        pending = self._in_flight + len(self._on_wire(serialising=True))
+        return pending - 1 if pending > 0 else 0
 
 
 class Link:
@@ -298,6 +349,14 @@ class Link:
         b._tx_ends[port_on_b] = self.end_ba
         self.a = a
         self.b = b
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        # Sampled when a packet's last bit leaves: the packets still
+        # serialising must see the new value there (LinkEnd._unmerge).
+        if name in ("loss_rate", "failed", "latency_us") and hasattr(self, "end_ba"):
+            self.end_ab._unmerge()
+            self.end_ba._unmerge()
 
     def transmission_time_us(self, size_bytes: int) -> float:
         """Serialization delay of ``size_bytes`` onto the wire."""

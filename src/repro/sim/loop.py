@@ -384,6 +384,9 @@ class Simulator:
         self._seq = itertools.count()
         self._cancelled_count = 0
         self._crashed_processes: List[Process] = []
+        # Callbacks run so far, brought up to date whenever ``run`` returns:
+        # the kernel's own cost counter, exact for a seed on any machine.
+        self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledEvent:
@@ -411,8 +414,33 @@ class Simulator:
             self._cancelled_count = 0
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``callback(*args)`` at absolute simulated time ``time``."""
-        return self.schedule(time - self.now, callback, *args)
+        """Run ``callback(*args)`` at absolute simulated time ``time``.
+
+        ``time`` itself is the event's instant; ``now + (time - now)``
+        can round one ulp away from it.
+        """
+        if time < self.now:
+            raise SimError(f"cannot schedule in the past (time={time}, now={self.now})")
+        seq = next(self._seq)
+        event = ScheduledEvent(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def reschedule(self, event: ScheduledEvent, time: float, callback: Callable,
+                   *args: Any) -> ScheduledEvent:
+        """Replace pending ``event`` by ``callback(*args)`` at absolute
+        ``time``, in the same-instant rank ``event`` was scheduled with:
+        the replacement runs where an event scheduled then would have."""
+        if time < self.now:
+            raise SimError(f"cannot schedule in the past (time={time}, now={self.now})")
+        event.cancel()
+        moved = ScheduledEvent(time, event.seq, callback, args, self)
+        heapq.heappush(self._heap, (time, event.seq, moved))
+        return moved
+
+    def pending(self, callback: Callable) -> List[ScheduledEvent]:
+        """The live events that will run ``callback`` (scans the heap)."""
+        return [entry[2] for entry in self._heap if entry[2].callback == callback]
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator; it takes its first step
@@ -444,32 +472,35 @@ class Simulator:
         crashed_processes = self._crashed_processes
         bounded = until is not None
         processed = 0
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
+        try:
+            while heap:
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    pop(heap)
+                    if self._cancelled_count > 0:
+                        self._cancelled_count -= 1
+                    continue
+                time = entry[0]
+                if bounded and time > until:
+                    self.now = until
+                    break
                 pop(heap)
-                if self._cancelled_count > 0:
-                    self._cancelled_count -= 1
-                continue
-            time = entry[0]
-            if bounded and time > until:
-                self.now = until
-                break
-            pop(heap)
-            self.now = time
-            event.callback(*event.args)
-            processed += 1
-            if processed > max_events:
-                raise SimError(f"exceeded max_events={max_events}; runaway simulation?")
-            if crashed_processes:
-                crashed = crashed_processes[0]
-                raise SimError(
-                    f"process {crashed.name!r} crashed at t={self.now:.3f}us"
-                ) from crashed.failed
-        else:
-            if bounded:
-                self.now = max(self.now, until)
+                self.now = time
+                event.callback(*event.args)
+                processed += 1
+                if processed > max_events:
+                    raise SimError(f"exceeded max_events={max_events}; runaway simulation?")
+                if crashed_processes:
+                    crashed = crashed_processes[0]
+                    raise SimError(
+                        f"process {crashed.name!r} crashed at t={self.now:.3f}us"
+                    ) from crashed.failed
+            else:
+                if bounded:
+                    self.now = max(self.now, until)
+        finally:
+            self.events_dispatched += processed
         return self.now
 
     def run_process(self, gen: Generator, name: str = "", until: Optional[float] = None) -> Any:

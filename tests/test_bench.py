@@ -16,7 +16,9 @@ stays fast; the full catalogue is exercised by the CI bench job.
 
 import copy
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -229,3 +231,23 @@ def test_committed_baseline_gates_a_fresh_quick_run(tmp_path, capsys):
     fresh = tmp_path / "BENCH.json"
     assert main(["bench", "--quick", "--json", str(fresh)]) == 0
     assert main(["bench", "compare", baseline, str(fresh)]) == 0
+
+
+def test_newest_trajectory_file_names_every_end_to_end_metric():
+    # scripts/record_bench.sh commits one BENCH_<n>.json per PR so the
+    # host-time trend can be read without re-measuring; the newest must
+    # still speak the vocabulary BENCHMARK.json declares.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    recorded = {int(m.group(1)): m.group(0) for m in
+                (re.fullmatch(r"BENCH_(\d+)\.json", f) for f in os.listdir(root))
+                if m}
+    assert recorded, "no BENCH_<n>.json at the repo root"
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        spec = json.load(handle)
+    with open(os.path.join(root, recorded[max(recorded)])) as handle:
+        run = json.load(handle)
+    for workload in spec["workloads"]:
+        metrics = run[workload["name"]]["end_to_end"]["metrics"]
+        for metric in spec["end_to_end"]:
+            value = metrics[metric["name"]]
+            assert math.isfinite(value) and value > 0, (workload, metric, value)

@@ -1,8 +1,11 @@
 """Unit tests for packets and links."""
 
+import random
+
 import pytest
 
 from repro.core import ObjectID
+from repro.faults import FaultInjector, FaultPlan
 from repro.net import (
     BROADCAST,
     HEADER_BYTES,
@@ -11,6 +14,7 @@ from repro.net import (
     Packet,
 )
 from repro.net.host import Host
+from repro.net.topology import Network, build_star
 from repro.sim import Timeout
 
 
@@ -160,6 +164,113 @@ class TestLink:
         stranger = Host(sim, "c")
         with pytest.raises(ValueError):
             link.other(stranger)
+
+
+class TestSampledAtLastBit:
+    """Loss and ``failed`` are sampled when a packet's last bit leaves
+    the wire, not when it is enqueued and not when it arrives: 1500 B on
+    a 0.05 Gbps link spend 240 us serialising, then 5 us propagating."""
+
+    LAST_BIT = 240.0
+
+    def _slow_link(self, sim, latency_us=5.0):
+        net = Network(sim, default_bandwidth_gbps=0.05,
+                      default_latency_us=latency_us)
+        net.tracer.keep_events = True
+        a, b = net.add_host("a"), net.add_host("b")
+        link = net.connect("a", "b")
+        arrivals = []
+        b.on("x", lambda p: arrivals.append((sim.now, p.payload["i"])))
+        return net, a, link, arrivals
+
+    def _send(self, a, count=1):
+        for i in range(count):
+            a.send(Packet(kind="x", src="a", dst="b", payload={"i": i},
+                          payload_bytes=1500 - HEADER_BYTES))
+
+    def test_failed_at_last_bit_drops_with_the_last_bit_stamp(self, sim):
+        net, a, link, arrivals = self._slow_link(sim)
+        self._send(a)
+        sim.schedule(100.0, link.fail)
+        sim.run()
+        assert arrivals == []
+        assert net.tracer.counters.get("link.dropped") == 1
+        drops = [e for e in net.tracer.events if e.category == "drop"]
+        assert [e.time for e in drops] == [self.LAST_BIT]
+        assert link.end_ab.packets_carried == 1  # it did occupy the wire
+
+    def test_outage_over_before_last_bit_is_not_seen(self, sim):
+        net, a, link, arrivals = self._slow_link(sim)
+        self._send(a)
+        sim.schedule(100.0, link.fail)
+        sim.schedule(150.0, link.recover)
+        sim.run()
+        assert arrivals == [(self.LAST_BIT + 5.0, 0)]
+        assert net.tracer.counters.get("link.dropped") == 0
+
+    def test_fail_during_propagation_is_not_seen(self, sim):
+        net, a, link, arrivals = self._slow_link(sim)
+        self._send(a)
+        sim.schedule(self.LAST_BIT + 2.0, link.fail)
+        sim.run()
+        assert arrivals == [(self.LAST_BIT + 5.0, 0)]
+
+    def test_loss_burst_starting_mid_packet_draws_in_last_bit_order(self, sim):
+        net, a, link, arrivals = self._slow_link(sim)
+        burst_from, burst_until, loss = 300.0, 1800.0, 0.5
+        FaultInjector(net, FaultPlan().loss_burst(
+            "a", "b", at=burst_from, duration_us=burst_until - burst_from,
+            loss=loss)).arm()
+        self._send(a, count=12)  # last bits at 240, 480, ..., 2880
+        sim.run()
+        replay = random.Random(sim.seed)
+        survivors = [i for i in range(12)
+                     if not (burst_from <= self.LAST_BIT * (i + 1) < burst_until
+                             and replay.random() < loss)]
+        assert 6 < len(survivors) < 12  # the burst took some, not all
+        assert [i for _, i in arrivals] == survivors
+        assert net.tracer.counters.get("link.dropped") == 12 - len(survivors)
+
+    def test_bursts_on_two_links_draw_in_transmit_order_at_one_instant(self, sim):
+        """h2 transmits before h1 at every instant, so at each shared
+        last-bit instant h2's draw comes first, whichever burst began first."""
+        net = build_star(sim, 3, default_bandwidth_gbps=0.05)
+        plan = FaultPlan()
+        plan.loss_burst("h1", "s0", at=1300.0, duration_us=10_000.0, loss=0.5)
+        plan.loss_burst("h2", "s0", at=1350.0, duration_us=10_000.0, loss=0.5)
+        FaultInjector(net, plan).arm()
+        arrived = []
+        net.host("h0").on("x", lambda p: arrived.append((p.src, p.payload["i"])))
+        for name in ("h1", "h2"):
+            net.host(name).on("warm", lambda p: None)
+        net.host("h0").broadcast("warm")  # the switch learns h0: no flooding
+        sim.run(until=1000.0)
+        for i in range(6):  # last bits at 1240, 1480, ..., 2440 on both uplinks
+            for sender in ("h2", "h1"):
+                net.host(sender).send(Packet(
+                    kind="x", src=sender, dst="h0", payload={"i": i},
+                    payload_bytes=1500 - HEADER_BYTES))
+        sim.run()
+        replay = random.Random(sim.seed)
+        survivors = [(sender, i) for i in range(6) for sender in ("h2", "h1")
+                     if i == 0 or replay.random() >= 0.5]
+        assert 2 < len(survivors) < 12
+        assert sorted(arrived) == sorted(survivors)
+
+    def test_accounts_between_last_bit_and_arrival(self, sim):
+        net, a, link, arrivals = self._slow_link(sim, latency_us=1000.0)
+        end = link.end_ab
+        self._send(a, count=2)
+        seen = []
+        for until in (100.0, 300.0, 500.0):
+            sim.run(until=until)
+            seen.append((end.bytes_carried, end.packets_carried,
+                         end.queue_depth, link.bytes_carried))
+        assert seen == [(0, 0, 1, 0), (1500, 1, 0, 1500), (3000, 2, 0, 3000)]
+        assert arrivals == []
+        sim.run()
+        assert [t for t, _ in arrivals] == [1240.0, 1480.0]
+        assert (end.bytes_carried, end.packets_carried, end.queue_depth) == (3000, 2, 0)
 
 
 class TestHostStamping:

@@ -62,6 +62,48 @@ class TestScheduling:
         assert seen == [5.0]
         assert sim.now == 20.0
 
+    def test_schedule_at_fires_on_the_float_asked_for(self, sim):
+        now, t = 1.1, 7.3
+        assert now + (t - now) != t  # a relative round trip lands one ulp off
+        seen = []
+        sim.schedule(now, lambda: sim.schedule_at(t, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [t]
+
+    def test_schedule_at_rejects_the_past_naming_the_time(self, sim):
+        sim.run(until=10.0)
+        with pytest.raises(SimError, match=r"time=4\.0, now=10\.0"):
+            sim.schedule_at(4.0, lambda: None)
+
+    def test_reschedule_keeps_the_rank_of_the_event_it_replaces(self, sim):
+        seen = []
+        first = sim.schedule(9.0, seen.append, "never")
+        sim.schedule(5.0, seen.append, "scheduled second")
+        sim.reschedule(first, 5.0, seen.append, "scheduled first")
+        with pytest.raises(SimError, match="time=-1.0"):
+            sim.reschedule(first, -1.0, seen.append, "past")
+        sim.run()
+        assert seen == ["scheduled first", "scheduled second"]
+        assert first.cancelled
+
+    def test_pending_lists_the_live_events_of_one_callback(self, sim):
+        mine, other = [].append, [].append
+        a = sim.schedule(1.0, mine, "a")
+        sim.schedule(2.0, other, "x")
+        sim.schedule(3.0, mine, "b").cancel()
+        assert sim.pending(mine) == [a]
+        sim.run()
+        assert sim.pending(mine) == []
+
+    def test_events_dispatched_accumulates_across_runs(self, sim):
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        sim.schedule(2.5, lambda: None).cancel()
+        sim.run(until=2.0)
+        assert sim.events_dispatched == 2
+        sim.run()
+        assert sim.events_dispatched == 3
+
     def test_pending_event_count_excludes_cancelled(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
