@@ -100,6 +100,10 @@ def test_both_remain_reliable_under_heavy_loss(outcomes, benchmark):
     bench_check(benchmark, check)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "inverted since PR 5: lightweight slows 27.2x at 20% loss, TCP-like "
+    "11.2x (ROADMAP item 3).  Strict, so fixing the model turns this red "
+    "until the mark is removed."))
 def test_loss_costs_more_on_tcp(outcomes, benchmark):
     def check():
         # Window collapse amplifies loss: TCP's completion time grows

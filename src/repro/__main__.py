@@ -10,7 +10,7 @@ Subcommands (``selfcheck`` is the default when none is given):
 * ``trace {quickstart,pipeline} [--seed N] [--out FILE]`` — runs an
   example workload and writes its invocation span trees as a Chrome
   ``trace_event`` file (open in chrome://tracing or Perfetto).
-* ``bench [--quick] [--filter PAT] [--json FILE] [--wall] [--list]`` —
+* ``bench [--quick] [--filter PAT] [--json FILE] [--list]`` —
   runs the deterministic benchmark catalogue and optionally writes a
   schema-versioned ``BENCH.json``; ``bench compare BASELINE CANDIDATE``
   diffs two result files and exits non-zero past the regression
@@ -178,8 +178,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if getattr(args, "bench_command", None) == "compare":
         return compare_files(args.baseline, args.candidate,
-                             threshold=args.threshold,
-                             wall_threshold=args.wall_threshold)
+                             threshold=args.threshold)
     if args.list:
         for name in scenario_names():
             print(name)
@@ -194,12 +193,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     records = run_scenarios(specs, seed=args.seed, quick=args.quick,
                             report=print)
     if args.json:
-        document = results_document(records, seed=args.seed, quick=args.quick,
-                                    include_wall=args.wall)
+        document = results_document(records, seed=args.seed, quick=args.quick)
         dump_document(document, args.json)
-        determinism = ("includes wall-clock fields (NOT byte-stable)"
-                       if args.wall else "deterministic for this seed")
-        print(f"wrote {args.json} ({determinism})")
+        print(f"wrote {args.json} (deterministic for this seed)")
     return 0
 
 
@@ -243,12 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(substring or glob)")
     bench.add_argument("--json", default=None, metavar="FILE",
                        help="write results to FILE (deterministic for a "
-                            "fixed seed unless --wall is given)")
+                            "fixed seed)")
     bench.add_argument("--seed", type=int, default=1,
                        help="simulation seed (default 1)")
-    bench.add_argument("--wall", action="store_true",
-                       help="include wall-clock fields in the JSON "
-                            "(breaks byte-stability)")
     bench.add_argument("--list", action="store_true",
                        help="list scenario names and exit")
     bench.set_defaults(fn=cmd_bench)
@@ -260,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--threshold", type=float, default=0.10,
                          help="max tolerated drop in the simulated rate "
                               "(default 0.10 = 10%%)")
-    compare.add_argument("--wall-threshold", type=float, default=0.30,
-                         help="max tolerated drop in the wall rate when "
-                              "both files carry one (default 0.30)")
     compare.set_defaults(fn=cmd_bench)
     return parser
 

@@ -9,7 +9,6 @@ catalogue, the JSON schema, and the thresholds CI applies.
 
 from .compare import (
     DEFAULT_THRESHOLD,
-    DEFAULT_WALL_THRESHOLD,
     CompareReport,
     ScenarioDelta,
     compare_documents,
@@ -46,5 +45,4 @@ __all__ = [
     "compare_documents",
     "compare_files",
     "DEFAULT_THRESHOLD",
-    "DEFAULT_WALL_THRESHOLD",
 ]

@@ -7,9 +7,6 @@ files written by the runner and reports, per scenario:
   throughput of the *modelled* system (more broadcasts per access,
   more retransmissions, more hops all push it down), gated by
   ``--threshold``;
-* the relative change in wall-clock ``ops_per_wall_sec`` when both
-  documents carry ``wall`` sections (``--wall-threshold``, looser,
-  since wall time is machine-noisy);
 * counter drifts, reported but never gated — they explain *why* a
   rate moved.
 
@@ -29,9 +26,6 @@ __all__ = ["CompareReport", "ScenarioDelta", "compare_documents", "compare_files
 #: Default gate on the deterministic simulated rate (10% slower fails).
 DEFAULT_THRESHOLD = 0.10
 
-#: Default gate on wall-clock rate when present (CI machines are noisy).
-DEFAULT_WALL_THRESHOLD = 0.30
-
 
 @dataclass
 class ScenarioDelta:
@@ -39,7 +33,6 @@ class ScenarioDelta:
 
     name: str
     sim_rate_change: Optional[float]  # relative; None when not comparable
-    wall_rate_change: Optional[float]
     counter_drift: Dict[str, int] = field(default_factory=dict)
     regressed: bool = False
     notes: List[str] = field(default_factory=list)
@@ -72,7 +65,6 @@ def compare_documents(
     baseline: dict,
     candidate: dict,
     threshold: float = DEFAULT_THRESHOLD,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
 ) -> CompareReport:
     """Diff two loaded result documents; pure function, no I/O."""
     base_scen = baseline["scenarios"]
@@ -85,24 +77,12 @@ def compare_documents(
             name=name,
             sim_rate_change=_rel_change(b.get("ops_per_sim_sec", 0.0),
                                         c.get("ops_per_sim_sec", 0.0)),
-            wall_rate_change=None,
         )
         if delta.sim_rate_change is not None and delta.sim_rate_change < -threshold:
             delta.regressed = True
             delta.notes.append(
                 f"simulated rate fell {-delta.sim_rate_change:.1%} "
                 f"(threshold {threshold:.0%})")
-        b_wall, c_wall = b.get("wall"), c.get("wall")
-        if b_wall and c_wall:
-            delta.wall_rate_change = _rel_change(
-                b_wall.get("ops_per_wall_sec", 0.0),
-                c_wall.get("ops_per_wall_sec", 0.0))
-            if (delta.wall_rate_change is not None
-                    and delta.wall_rate_change < -wall_threshold):
-                delta.regressed = True
-                delta.notes.append(
-                    f"wall rate fell {-delta.wall_rate_change:.1%} "
-                    f"(threshold {wall_threshold:.0%})")
         b_counters = b.get("counters", {})
         c_counters = c.get("counters", {})
         for key in sorted(set(b_counters) | set(c_counters)):
@@ -127,7 +107,6 @@ def compare_files(
     baseline_path: str,
     candidate_path: str,
     threshold: float = DEFAULT_THRESHOLD,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
     emit: Callable[[str], None] = print,
 ) -> int:
     """Load, diff, print a report, and return the process exit code."""
@@ -137,15 +116,12 @@ def compare_files(
     except (OSError, ValueError, BenchError) as exc:
         emit(f"compare: {exc}")
         return 2
-    report = compare_documents(baseline, candidate,
-                               threshold=threshold,
-                               wall_threshold=wall_threshold)
+    report = compare_documents(baseline, candidate, threshold=threshold)
     emit(f"comparing {baseline_path} (baseline) -> {candidate_path} (candidate)")
-    emit(f"  {'scenario':28s} {'sim rate':>8s} {'wall rate':>9s}")
+    emit(f"  {'scenario':28s} {'sim rate':>8s}")
     for delta in report.deltas:
         marker = "  REGRESSED" if delta.regressed else ""
-        emit(f"  {delta.name:28s} {_format_change(delta.sim_rate_change)} "
-             f"{_format_change(delta.wall_rate_change):>9s}{marker}")
+        emit(f"  {delta.name:28s} {_format_change(delta.sim_rate_change)}{marker}")
         for note in delta.notes:
             emit(f"      {note}")
         for key, drift in delta.counter_drift.items():

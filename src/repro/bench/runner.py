@@ -3,17 +3,12 @@
 Scenarios are registered by name (see :mod:`repro.bench.scenarios`) and
 each produces a :class:`ScenarioResult`: how many operations the run
 performed, how much simulated time elapsed, and which observability
-counters it wants recorded.  The runner wraps every scenario with a
-wall-clock measurement and assembles a schema-versioned document:
-
-* **deterministic fields** — ``ops``, ``sim_time_us``,
-  ``ops_per_sim_sec``, and ``counters`` depend only on the seed, so a
-  ``BENCH.json`` written without ``--wall`` is byte-identical across
-  same-seed runs (CI relies on this, and tests assert it);
-* **wall-clock fields** — ``ops_per_wall_sec`` and the
-  simulated-vs-wall ``sim_wall_ratio`` are always printed to stdout
-  and included in the JSON only under ``--wall``, since they vary
-  run-to-run.
+counters it wants recorded.  The runner assembles a schema-versioned
+document whose fields (``ops``, ``sim_time_us``, ``ops_per_sim_sec``,
+``counters``) depend only on the seed, so a ``BENCH.json`` is
+byte-identical across same-seed runs (CI relies on this, and tests
+assert it).  The runner never reads the host clock: host time is
+measured in one place, ``benchmarks/perf/``.
 
 The regression gate lives in :mod:`repro.bench.compare`, which diffs
 two such documents and exits non-zero past a threshold.  BENCHMARKS.md
@@ -23,7 +18,6 @@ documents the scenario catalogue and the schema.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Callable, Dict, List, Optional
@@ -132,65 +126,33 @@ def run_scenarios(
     quick: bool = False,
     report: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, dict]:
-    """Run ``specs`` in name order; returns ``{name: record}``.
-
-    Each record carries the deterministic fields plus a ``wall`` section
-    (stripped before deterministic serialization by
-    :func:`results_document` unless wall output was requested).
-    """
+    """Run ``specs`` in name order; returns ``{name: record}``."""
     records: Dict[str, dict] = {}
     for spec in specs:
-        start = time.perf_counter()
         result = spec.run(seed, quick)
-        wall_s = time.perf_counter() - start
-        sim_s = result.sim_time_us / 1e6
         record = {
             "description": spec.description,
             "ops": result.ops,
             "sim_time_us": round(result.sim_time_us, _ROUND),
             "ops_per_sim_sec": round(result.ops_per_sim_sec(), _ROUND),
             "counters": dict(sorted(result.counters.items())),
-            "wall": {
-                "wall_s": round(wall_s, 6),
-                "ops_per_wall_sec": round(result.ops / wall_s, _ROUND)
-                if wall_s > 0 else 0.0,
-                "sim_wall_ratio": round(sim_s / wall_s, 6)
-                if wall_s > 0 else 0.0,
-            },
         }
         records[spec.name] = record
         if report is not None:
-            wall = record["wall"]
             report(
                 f"  {spec.name:28s} {result.ops:>9d} ops  "
-                f"{wall['ops_per_wall_sec']:>14,.0f} ops/s wall  "
-                f"{record['ops_per_sim_sec']:>14,.0f} ops/s sim  "
-                f"(x{wall['sim_wall_ratio']:.2f} real-time)")
+                f"{record['ops_per_sim_sec']:>14,.0f} ops/s sim")
     return records
 
 
-def results_document(
-    records: Dict[str, dict],
-    seed: int,
-    quick: bool,
-    include_wall: bool = False,
-) -> dict:
-    """Assemble the schema-versioned document for serialization.
-
-    Without ``include_wall`` the document depends only on the seed and
-    the scenario set — byte-identical across runs.
-    """
-    scenarios = {}
-    for name, record in records.items():
-        entry = {k: v for k, v in record.items() if k != "wall"}
-        if include_wall:
-            entry["wall"] = record["wall"]
-        scenarios[name] = entry
+def results_document(records: Dict[str, dict], seed: int, quick: bool) -> dict:
+    """Assemble the schema-versioned document for serialization: it
+    depends only on the seed and the scenario set."""
     return {
         "schema": SCHEMA_VERSION,
         "seed": seed,
         "mode": "quick" if quick else "full",
-        "scenarios": scenarios,
+        "scenarios": dict(records),
     }
 
 

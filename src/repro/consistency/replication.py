@@ -9,10 +9,9 @@ point; the harness measures rounds-to-convergence and bytes shipped.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..sim import Future, Simulator, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 
@@ -20,8 +19,6 @@ __all__ = ["Replica", "gossip_round", "converge"]
 
 KIND_SYNC = "crdt.sync"
 KIND_SYNC_ACK = "crdt.sync_ack"
-
-_sync_ids = itertools.count(1)
 
 
 class Replica:
@@ -37,11 +34,10 @@ class Replica:
         self.sim: Simulator = host.sim
         self.crdt = crdt
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
         self.bytes_sent = 0
         self.merges = 0
         host.on(KIND_SYNC, self._on_sync)
-        host.on(KIND_SYNC_ACK, self._on_ack)
+        host.on(KIND_SYNC_ACK, host.complete)
 
     def _on_sync(self, packet: Packet) -> None:
         incoming = type(self.crdt).from_bytes(
@@ -52,34 +48,21 @@ class Replica:
         # Reply with our (now merged) state so one exchange symmetrizes.
         state = self.crdt.to_bytes()
         self.bytes_sent += len(state)
-        self.host.send(Packet(
-            kind=KIND_SYNC_ACK, src=self.host.name, dst=packet.src,
-            payload={"sync_id": packet.payload["sync_id"], "state": state},
-            payload_bytes=16 + len(state),
-        ))
-
-    def _on_ack(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["sync_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.host.send(packet.reply(
+            KIND_SYNC_ACK, {"state": state}, 16 + len(state)))
 
     def sync_with(self, peer: str):
         """Process: one symmetric state exchange with ``peer``.
 
         After it completes, both replicas hold the join of their states.
         """
-        sync_id = next(_sync_ids)
-        future = Future(self.sim, name=f"sync-{sync_id}")
-        self._pending[sync_id] = future
         state = self.crdt.to_bytes()
         self.bytes_sent += len(state)
         self.tracer.count("replica.sync_started")
-        self.host.send(Packet(
+        reply = yield self.host.request(Packet(
             kind=KIND_SYNC, src=self.host.name, dst=peer,
-            payload={"sync_id": sync_id, "state": state},
-            payload_bytes=16 + len(state),
+            payload={"state": state}, payload_bytes=16 + len(state),
         ))
-        reply = yield future
         incoming = type(self.crdt).from_bytes(
             reply.payload["state"], self.crdt.replica_id)
         self.crdt.merge(incoming)

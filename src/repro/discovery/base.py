@@ -17,7 +17,6 @@ Accesses read one cache line (64 B) from the target object, matching the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -61,8 +60,6 @@ KIND_RESOLVE_RSP = "shard.resolve_rsp"     # shard -> requester: holder + lease
 KIND_LEASE_INVALIDATE = "shard.lease_inval"  # shard -> lease holder: drop X
 
 ACCESS_BYTES = 64  # one cache line per access, per §3.2
-
-_find_ids = itertools.count(1)
 
 
 class DiscoveryError(Exception):
@@ -125,7 +122,7 @@ class ObjectHome:
         if oid is None or oid not in self.space:
             return  # not ours: stay silent
         self.tracer.count("home.find_answered")
-        payload = {"find_id": packet.payload["find_id"], "holder": self.host.name}
+        payload = {"holder": self.host.name}
         payload_bytes = 24
         if packet.payload.get("include_data"):
             obj = self.space.get(oid)
@@ -134,15 +131,11 @@ class ObjectHome:
             payload["data"] = obj.read(offset, length)
             payload["version"] = obj.version
             payload_bytes += length
-        self.host.send(Packet(
-            kind=KIND_FOUND, src=self.host.name, dst=packet.src, oid=oid,
-            payload=payload, payload_bytes=payload_bytes,
-        ))
+        self.host.send(packet.reply(KIND_FOUND, payload, payload_bytes))
 
     def _on_access(self, packet: Packet) -> None:
         oid = packet.oid
         assert oid is not None
-        req_id = packet.payload["req_id"]
         # Forwarded requests carry the original requester in reply_to;
         # spoofing it into src would poison switch learning tables.
         requester = packet.payload.get("reply_to") or packet.src
@@ -151,16 +144,13 @@ class ObjectHome:
             offset = packet.payload.get("offset", 0)
             length = min(packet.payload.get("length", ACCESS_BYTES), obj.size - offset)
             self.tracer.count("home.access_served")
-            self.host.send(Packet(
-                kind=KIND_ACCESS_RSP, src=self.host.name, dst=requester, oid=oid,
-                payload={
-                    "req_id": req_id,
-                    "holder": self.host.name,
-                    "data": obj.read(offset, length),
-                    "version": obj.version,
-                },
-                payload_bytes=24 + length,
-            ))
+            reply = packet.reply(KIND_ACCESS_RSP, {
+                "holder": self.host.name,
+                "data": obj.read(offset, length),
+                "version": obj.version,
+            }, 24 + length)
+            reply.dst = requester
+            self.host.send(reply)
             return
         if packet.dst is None:
             # Identity-routed request that reached us by switch-table
@@ -183,12 +173,11 @@ class ObjectHome:
             ))
             return
         self.tracer.count("home.access_nacked")
-        self.host.send(Packet(
-            kind=KIND_ACCESS_NACK, src=self.host.name, dst=requester, oid=oid,
-            payload={"req_id": req_id,
-                     "hint": hint if self.include_move_hints else None},
-            payload_bytes=24,
-        ))
+        reply = packet.reply(
+            KIND_ACCESS_NACK,
+            {"hint": hint if self.include_move_hints else None}, 24)
+        reply.dst = requester
+        self.host.send(reply)
 
 
 def move_object(oid: ObjectID, src: ObjectHome, dst: ObjectHome) -> None:

@@ -22,12 +22,11 @@ Three pieces (the advertisement ingress itself lives in
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 from ..core.objectid import ObjectID
 from ..obs.registry import MetricsRegistry
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from ..net.topology import Network
@@ -42,8 +41,6 @@ from .base import (
 )
 
 __all__ = ["DirectoryController", "SdnController", "IdentityAccessor", "advertise"]
-
-_req_ids = itertools.count(1)
 
 
 class DirectoryController:
@@ -164,32 +161,20 @@ class IdentityAccessor:
         self.tracer = tracer or Tracer()
         if metrics is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_ACCESS_RSP, self._on_rsp)
-        host.on(KIND_ACCESS_NACK, self._on_rsp)
-
-    def _on_rsp(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        host.on(KIND_ACCESS_RSP, host.complete)
+        host.on(KIND_ACCESS_NACK, host.complete)
 
     def access(self, oid: ObjectID, offset: int = 0, length: int = ACCESS_BYTES):
         """Process: read one cache line of ``oid``; returns AccessRecord."""
         record = AccessRecord(oid=oid, start_us=self.sim.now)
         for _ in range(self.max_retries):
-            req_id = next(_req_ids)
-            future = Future(self.sim, name=f"idacc-{req_id}")
-            self._pending[req_id] = future
-            self.host.send(Packet(
-                kind=KIND_ACCESS_REQ, src=self.host.name, dst=None, oid=oid,
-                payload={"req_id": req_id, "offset": offset, "length": length},
-                payload_bytes=24,
-            ))
             record.round_trips += 1
-            index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-            if index == 1:
+            reply = yield self.host.request(Packet(
+                kind=KIND_ACCESS_REQ, src=self.host.name, dst=None, oid=oid,
+                payload={"offset": offset, "length": length}, payload_bytes=24,
+            ), self.timeout_us)
+            if reply is None:
                 self.tracer.count("identity.timeout")
-                self._pending.pop(req_id, None)
                 continue
             if reply.kind == KIND_ACCESS_RSP:
                 record.ok = True

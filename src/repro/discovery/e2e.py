@@ -23,12 +23,11 @@ Protocol, as reproduced (interpretation documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..core.objectid import ObjectID
 from ..obs.registry import MetricsRegistry
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import BROADCAST, Packet
 from .base import (
@@ -43,9 +42,6 @@ from .base import (
 )
 
 __all__ = ["E2EResolver"]
-
-_req_ids = itertools.count(1)
-_find_ids = itertools.count(1)
 
 
 class E2EResolver:
@@ -65,45 +61,26 @@ class E2EResolver:
         if metrics is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
         self.cache: Dict[ObjectID, str] = {}
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_FOUND, self._on_found)
-        host.on(KIND_ACCESS_RSP, self._on_access_rsp)
-        host.on(KIND_ACCESS_NACK, self._on_access_nack)
-
-    # -- ingress ------------------------------------------------------------
-    def _complete(self, key: Tuple[str, int], value) -> None:
-        future = self._pending.pop(key, None)
-        if future is not None and not future.done:
-            future.set_result(value)
-
-    def _on_found(self, packet: Packet) -> None:
-        self._complete(("find", packet.payload["find_id"]), packet)
-
-    def _on_access_rsp(self, packet: Packet) -> None:
-        self._complete(("req", packet.payload["req_id"]), packet)
-
-    def _on_access_nack(self, packet: Packet) -> None:
-        self._complete(("req", packet.payload["req_id"]), packet)
+        host.on(KIND_FOUND, host.complete)
+        host.on(KIND_ACCESS_RSP, host.complete)
+        host.on(KIND_ACCESS_NACK, host.complete)
 
     # -- exchange helper ---------------------------------------------------
-    def _exchange(self, key, send_fn, record: AccessRecord):
-        """Process: send via ``send_fn`` and await the keyed reply,
-        retrying up to ``max_retries`` times on timeout.  Returns the
-        reply packet or None if every attempt timed out.
+    def _exchange(self, make_request: Callable[[], Packet], record: AccessRecord):
+        """Process: send ``make_request()`` and await its reply, retrying
+        (a fresh request each time, so only an answer to the attempt in
+        flight counts) up to ``max_retries`` times on timeout.  Returns
+        the reply packet or None if every attempt timed out.
 
         Each attempt is a full request/reply exchange on the wire, so
         ``round_trips`` is counted here, per send — counting once at the
         call site would under-report latency accounting under loss."""
         for _ in range(self.max_retries):
-            future = Future(self.sim, name=str(key))
-            self._pending[key] = future
-            send_fn()
             record.round_trips += 1
-            index, value = yield AnyOf([future, Timeout(self.timeout_us)])
-            if index == 0:
-                return value
+            reply = yield self.host.request(make_request(), self.timeout_us)
+            if reply is not None:
+                return reply
             self.tracer.count("e2e.timeout")
-            self._pending.pop(key, None)
         return None
 
     # -- the access operation ------------------------------------------------
@@ -125,16 +102,10 @@ class E2EResolver:
     def _access_via(self, holder: str, oid: ObjectID, offset: int, length: int,
                     record: AccessRecord):
         """Unicast access to a (possibly stale) holder."""
-        req_id = next(_req_ids)
-
-        def send():
-            self.host.send(Packet(
-                kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
-                payload={"req_id": req_id, "offset": offset, "length": length},
-                payload_bytes=24,
-            ))
-
-        reply = yield from self._exchange(("req", req_id), send, record)
+        reply = yield from self._exchange(lambda: Packet(
+            kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
+            payload={"offset": offset, "length": length}, payload_bytes=24,
+        ), record)
         if reply is None:
             return False
         if reply.kind == KIND_ACCESS_RSP:
@@ -162,23 +133,17 @@ class E2EResolver:
               record: AccessRecord, include_data: bool):
         """Broadcast a find; on ``include_data`` the reply doubles as the
         access response (the stale-retry fast path)."""
-        find_id = next(_find_ids)
-
-        def send():
+        def find():
             record.broadcasts += 1
             self.tracer.count("e2e.broadcast")
-            self.host.send(Packet(
+            return Packet(
                 kind=KIND_FIND, src=self.host.name, dst=BROADCAST, oid=oid,
-                payload={
-                    "find_id": find_id,
-                    "include_data": include_data,
-                    "offset": offset,
-                    "length": length,
-                },
+                payload={"include_data": include_data, "offset": offset,
+                         "length": length},
                 payload_bytes=24,
-            ))
+            )
 
-        reply = yield from self._exchange(("find", find_id), send, record)
+        reply = yield from self._exchange(find, record)
         if reply is None:
             return False
         self.cache[oid] = reply.payload["holder"]

@@ -24,12 +24,11 @@ sweeps.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 from ..core.objectid import ObjectID
 from ..obs.registry import MetricsRegistry
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .base import (
@@ -42,8 +41,6 @@ from .base import (
 )
 
 __all__ = ["HybridAccessor"]
-
-_req_ids = itertools.count(1)
 
 
 class HybridAccessor:
@@ -63,24 +60,8 @@ class HybridAccessor:
         if metrics is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
         self.cache: Dict[ObjectID, str] = {}
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_ACCESS_RSP, self._on_reply)
-        host.on(KIND_ACCESS_NACK, self._on_reply)
-
-    def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
-
-    def _send_request(self, oid: ObjectID, dst: Optional[str], offset: int,
-                      length: int) -> int:
-        req_id = next(_req_ids)
-        self.host.send(Packet(
-            kind=KIND_ACCESS_REQ, src=self.host.name, dst=dst, oid=oid,
-            payload={"req_id": req_id, "offset": offset, "length": length},
-            payload_bytes=24,
-        ))
-        return req_id
+        host.on(KIND_ACCESS_RSP, host.complete)
+        host.on(KIND_ACCESS_NACK, host.complete)
 
     def access(self, oid: ObjectID, offset: int = 0, length: int = ACCESS_BYTES):
         """Process: read one cache line of ``oid``; returns AccessRecord."""
@@ -94,14 +75,13 @@ class HybridAccessor:
             else:
                 self.tracer.count("hybrid.identity_routed")
                 dst = None  # identity-routed; switches resolve or flood
-            req_id = self._send_request(oid, dst, offset, length)
             record.round_trips += 1
-            future = Future(self.sim, name=f"hybrid-{req_id}")
-            self._pending[req_id] = future
-            index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-            if index == 1:
+            reply = yield self.host.request(Packet(
+                kind=KIND_ACCESS_REQ, src=self.host.name, dst=dst, oid=oid,
+                payload={"offset": offset, "length": length}, payload_bytes=24,
+            ), self.timeout_us)
+            if reply is None:
                 self.tracer.count("hybrid.timeout")
-                self._pending.pop(req_id, None)
                 cached = None  # drop to identity routing on retry
                 continue
             if reply.kind == KIND_ACCESS_RSP:

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.objectid import IDAllocator, ObjectID
 from ..core.space import ObjectSpace
 from ..obs.registry import MetricsRegistry
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer, summarize
+from ..sim import Simulator, Timeout, Tracer, summarize
 from ..net.host import Host
 from ..net.packet import Packet
 from ..net.topology import Network
@@ -75,9 +74,6 @@ __all__ = [
 ]
 
 SCHEME_SHARDED = "sharded"
-
-_resolve_ids = itertools.count(1)
-_access_ids = itertools.count(1)
 
 
 class ShardMap:
@@ -172,12 +168,8 @@ class ShardDirectory(DirectoryController):
     def _accepted(self, oid: ObjectID, owner: str, previous: Optional[str],
                   packet: Packet) -> None:
         self.tracer.count("shard.advertised")
-        adv_id = packet.payload.get("adv_id")
-        if adv_id is not None:
-            self.host.send(Packet(
-                kind=KIND_ADVERTISE_ACK, src=self.host.name, dst=packet.src,
-                oid=oid, payload={"adv_id": adv_id}, payload_bytes=16,
-            ))
+        if "req_id" in packet.payload:
+            self.host.send(packet.reply(KIND_ADVERTISE_ACK, payload_bytes=16))
         if previous is not None and previous != owner:
             self._invalidate_leases(oid)
 
@@ -198,21 +190,16 @@ class ShardDirectory(DirectoryController):
     def _on_resolve(self, packet: Packet) -> None:
         oid = packet.oid
         assert oid is not None
-        req_id = packet.payload["req_id"]
         owner = self.owner_of.get(oid)
         if owner is None:
             self.tracer.count("shard.resolve_unknown")
-            payload = {"req_id": req_id, "holder": None, "ttl_us": 0.0}
+            payload = {"holder": None, "ttl_us": 0.0}
         else:
             self.tracer.count("shard.resolved")
             self.leases.setdefault(oid, {})[packet.src] = \
                 self.sim.now + self.lease_ttl_us
-            payload = {"req_id": req_id, "holder": owner,
-                       "ttl_us": self.lease_ttl_us}
-        self.host.send(Packet(
-            kind=KIND_RESOLVE_RSP, src=self.host.name, dst=packet.src,
-            oid=oid, payload=payload, payload_bytes=24,
-        ))
+            payload = {"holder": owner, "ttl_us": self.lease_ttl_us}
+        self.host.send(packet.reply(KIND_RESOLVE_RSP, payload, 24))
 
 
 class ShardAdvertiser:
@@ -252,17 +239,10 @@ class ShardAdvertiser:
             metrics.register(
                 metrics_name or f"discovery.advertiser.{host.name}",
                 self.tracer, replace=True)
-        self._adv_ids = itertools.count(1)
-        self._pending: Dict[int, Future] = {}
         # Version per oid: bumping it retires the running monitor, so
         # advertise-after-move and withdraw are race-free.
         self._versions: Dict[ObjectID, int] = {}
-        host.on(KIND_ADVERTISE_ACK, self._on_ack)
-
-    def _on_ack(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["adv_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet.src)
+        host.on(KIND_ADVERTISE_ACK, host.complete)
 
     def advertise(self, oid: ObjectID) -> None:
         """Start (or restart) advertising ``oid`` as held by this host."""
@@ -301,19 +281,13 @@ class ShardAdvertiser:
             for _ in range(self.ack_retries):
                 if not self._current(oid, version):
                     return False
-                adv_id = next(self._adv_ids)
-                future = Future(self.sim, name=f"adv-{adv_id}")
-                self._pending[adv_id] = future
-                self.host.send(Packet(
+                ack = yield self.host.request(Packet(
                     kind=KIND_ADVERTISE, src=self.host.name, dst=shard,
-                    oid=oid,
-                    payload={"owner": self.host.name, "adv_id": adv_id},
+                    oid=oid, payload={"owner": self.host.name},
                     payload_bytes=24,
-                ))
-                index_won, _ = yield AnyOf([future, Timeout(self.ack_timeout_us)])
-                if index_won == 0:
+                ), self.ack_timeout_us)
+                if ack is not None:
                     return True
-                self._pending.pop(adv_id, None)
         return False
 
 
@@ -351,24 +325,11 @@ class LeaseCachingResolver:
         if metrics is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
         self.cache: Dict[ObjectID, Tuple[str, float]] = {}  # oid -> (holder, expiry)
-        self._pending: Dict[Tuple[str, int], Future] = {}
         self._seen: set = set()
-        host.on(KIND_RESOLVE_RSP, self._on_resolve_rsp)
-        host.on(KIND_ACCESS_RSP, self._on_access_rsp)
-        host.on(KIND_ACCESS_NACK, self._on_access_rsp)
+        host.on(KIND_RESOLVE_RSP, host.complete)
+        host.on(KIND_ACCESS_RSP, host.complete)
+        host.on(KIND_ACCESS_NACK, host.complete)
         host.on(KIND_LEASE_INVALIDATE, self._on_invalidate)
-
-    # -- ingress ------------------------------------------------------------
-    def _complete(self, key: Tuple[str, int], value) -> None:
-        future = self._pending.pop(key, None)
-        if future is not None and not future.done:
-            future.set_result(value)
-
-    def _on_resolve_rsp(self, packet: Packet) -> None:
-        self._complete(("res", packet.payload["req_id"]), packet)
-
-    def _on_access_rsp(self, packet: Packet) -> None:
-        self._complete(("req", packet.payload["req_id"]), packet)
 
     def _on_invalidate(self, packet: Packet) -> None:
         if packet.oid in self.cache:
@@ -431,19 +392,13 @@ class LeaseCachingResolver:
             if index > 0:
                 self.tracer.count("shard.failover")
             for _ in range(self.resolve_attempts):
-                req_id = next(_resolve_ids)
-                future = Future(self.sim, name=f"res-{req_id}")
-                self._pending[("res", req_id)] = future
-                self.host.send(Packet(
-                    kind=KIND_RESOLVE_REQ, src=self.host.name, dst=shard,
-                    oid=oid, payload={"req_id": req_id}, payload_bytes=24,
-                ))
                 record.round_trips += 1
-                index_won, reply = yield AnyOf(
-                    [future, Timeout(self.timeout_us)])
-                if index_won == 1:
+                reply = yield self.host.request(Packet(
+                    kind=KIND_RESOLVE_REQ, src=self.host.name, dst=shard,
+                    oid=oid, payload_bytes=24,
+                ), self.timeout_us)
+                if reply is None:
                     self.tracer.count("lease.timeout")
-                    self._pending.pop(("res", req_id), None)
                     continue
                 holder = reply.payload["holder"]
                 if holder is None:
@@ -457,20 +412,13 @@ class LeaseCachingResolver:
     def _access_once(self, holder: str, oid: ObjectID, offset: int,
                      length: int, record: AccessRecord):
         """Process: one unicast access exchange; returns the reply or None."""
-        req_id = next(_access_ids)
-        future = Future(self.sim, name=f"lacc-{req_id}")
-        self._pending[("req", req_id)] = future
-        self.host.send(Packet(
-            kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
-            payload={"req_id": req_id, "offset": offset, "length": length},
-            payload_bytes=24,
-        ))
         record.round_trips += 1
-        index_won, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index_won == 1:
+        reply = yield self.host.request(Packet(
+            kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
+            payload={"offset": offset, "length": length}, payload_bytes=24,
+        ), self.timeout_us)
+        if reply is None:
             self.tracer.count("lease.timeout")
-            self._pending.pop(("req", req_id), None)
-            return None
         return reply
 
     def locator(self) -> Callable[[ObjectID, str], Optional[str]]:

@@ -4,7 +4,8 @@ A :class:`Host` is the network attachment point a protocol stack (the
 discovery schemes, the memory protocol, the RPC baseline) registers its
 handlers on.  It mirrors the Twizzler NIC driver of §4 at the level the
 experiments need: per-kind dispatch, duplicate-broadcast suppression,
-and egress via the host's uplink.
+egress via the host's uplink, and the one request/reply exchange every
+protocol above shares (:meth:`Host.request` / :meth:`Host.complete`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from ..sim import Simulator, Store, Tracer
+from ..sim import ScheduledEvent, Simulator, Store, Tracer
+from ..sim.loop import Waitable
 from .node import Node, NodeError
 from .packet import BROADCAST, Packet
 
@@ -28,12 +30,45 @@ MTU_BYTES = 1500
 _DEDUPE_WINDOW = 4096
 
 
+class _Reply(Waitable):
+    """What :meth:`Host.request` returns: resumes the one process that
+    yields it with the reply packet, or ``None`` once the deadline passes."""
+
+    __slots__ = ("process", "timer")
+
+    def __init__(self) -> None:
+        self.process = None
+        self.timer: Optional[ScheduledEvent] = None
+
+    def _subscribe(self, sim: Simulator, process) -> None:
+        self.process = process
+
+
 class Host(Node):
-    """A host with one (or more) uplinks and a kind-dispatched ingress."""
+    """A host with one (or more) uplinks and a kind-dispatched ingress.
+
+    **The exchange.**  ``reply = yield host.request(packet, timeout_us)``
+    sends ``packet`` and waits for the packet that answers it; the reply
+    kind is registered once with ``host.on(KIND_X_RSP, host.complete)``
+    and the server echoes the request's ``req_id`` (:meth:`Packet.reply`
+    does).  A caller may rely on: at most one completion per request;
+    ``None`` at the deadline, with nothing left in the host's table; a
+    reply that arrives late, twice, or from a second answerer is dropped;
+    ``timeout_us=None`` waits for as long as the grant takes.  Nothing is
+    promised about the order in which different requests complete.  The
+    waitable must be yielded at once, by one process.
+
+    Out of scope: ``memproto/coherence.py`` (one grant frame answers
+    many ``req_id``s and a NACK raises into the waiter) and the credit
+    future in ``pubsub/bus.py``, which no packet answers.
+    """
 
     def __init__(self, sim: Simulator, name: str, tracer: Optional[Tracer] = None):
         super().__init__(sim, name, tracer)
         self._handlers: Dict[str, PacketHandler] = {}
+        # Outstanding requests by correlation id: the one table behind
+        # request()/complete().  Empty whenever the host is quiescent.
+        self._requests: Dict[int, _Reply] = {}
         self._default_handler: Optional[PacketHandler] = None
         self._seen_broadcasts: "OrderedDict[int, None]" = OrderedDict()
         self.failed = False
@@ -144,6 +179,40 @@ class Host(Node):
         )
         self.send(packet)
         return packet
+
+    # -- request/reply -------------------------------------------------------
+    def request(self, packet: Packet, timeout_us: Optional[float] = None) -> Waitable:
+        """Send ``packet`` as a request; yield the result for its reply.
+
+        The correlation id is the packet's own ``uid``, stamped into the
+        payload as ``req_id``: unique across hosts, so a relay (a load
+        balancer, a forwarding object home) can pass it through or key
+        on it.  The deadline timer is armed after the send.
+        """
+        req_id = packet.payload["req_id"] = packet.uid
+        waiter = self._requests[req_id] = _Reply()
+        self.send(packet)
+        if timeout_us is not None:
+            waiter.timer = self.sim.schedule(timeout_us, self._expire, req_id)
+        return waiter
+
+    def _expire(self, req_id: int) -> None:
+        self._requests.pop(req_id).process._resume(None)
+
+    def complete(self, packet: Packet) -> None:
+        """Handler for reply kinds: resume the request ``packet`` answers
+        (one zero-delay event later), or drop it if none is waiting."""
+        waiter = self._requests.pop(packet.payload["req_id"], None)
+        if waiter is None:
+            return
+        if waiter.timer is not None:
+            waiter.timer.cancel()
+        self.sim.schedule(0.0, waiter.process._resume, packet)
+
+    @property
+    def outstanding_requests(self) -> int:
+        """Requests sent and neither answered nor timed out yet."""
+        return len(self._requests)
 
     # -- ingress -----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:

@@ -137,13 +137,18 @@ class Packet:
 
     def reply(self, kind: str, payload: Optional[Dict[str, Any]] = None,
               payload_bytes: int = 0) -> "Packet":
-        """Build a unicast reply back to this packet's source."""
+        """Build the unicast answer to this request: back to its source,
+        about the same object, echoing the ``req_id`` the requester's
+        :meth:`Host.complete` matches on."""
+        body = dict(payload or {})
+        if "req_id" in self.payload:
+            body["req_id"] = self.payload["req_id"]
         return Packet(
             kind=kind,
             src=self.dst if self.dst not in (None, BROADCAST) else None,
             dst=self.src,
-            payload=dict(payload or {}),
-            payload_bytes=payload_bytes,
+            oid=self.oid,
+            payload=body, payload_bytes=payload_bytes,
         )
 
     def __repr__(self) -> str:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional
+from typing import Optional
 
-from ..sim import Future, Simulator, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .services import (
@@ -17,8 +16,6 @@ from .services import (
 )
 
 __all__ = ["SyncClient"]
-
-_req_ids = itertools.count(1)
 
 
 class SyncClient:
@@ -35,24 +32,15 @@ class SyncClient:
         self.sim: Simulator = host.sim
         self.service = service
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_SEQ_RSP, self._on_reply)
-        host.on(KIND_LOCK_GRANT, self._on_reply)
+        host.on(KIND_SEQ_RSP, host.complete)
+        host.on(KIND_LOCK_GRANT, host.complete)
 
-    def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
-
-    def _request(self, kind: str, payload: dict, payload_bytes: int = 24):
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"sync-{req_id}")
-        self._pending[req_id] = future
-        self.host.send(Packet(
+    def _request(self, kind: str, payload: dict):
+        """Waitable: the service's answer, however long the grant takes."""
+        return self.host.request(Packet(
             kind=kind, src=self.host.name, dst=self.service,
-            payload={"req_id": req_id, **payload}, payload_bytes=payload_bytes,
+            payload=payload, payload_bytes=24,
         ))
-        return future
 
     def next_sequence(self, stream: str = "default"):
         """Process: obtain the next ticket of ``stream``."""

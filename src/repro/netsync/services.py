@@ -77,11 +77,8 @@ class SwitchSequencer:
     def _on_request(self, packet: Packet) -> None:
         value = self.core.next_value(packet.payload["stream"])
         self.tracer.count("sequencer.ticket")
-        self.switch.send_from_service(Packet(
-            kind=KIND_SEQ_RSP, src=self.switch.name, dst=packet.src,
-            payload={"req_id": packet.payload["req_id"], "value": value},
-            payload_bytes=16,
-        ))
+        self.switch.send_from_service(
+            packet.reply(KIND_SEQ_RSP, {"value": value}, 16))
 
 
 class HostSequencer:
@@ -96,11 +93,7 @@ class HostSequencer:
     def _on_request(self, packet: Packet) -> None:
         value = self.core.next_value(packet.payload["stream"])
         self.tracer.count("sequencer.ticket")
-        self.host.send(Packet(
-            kind=KIND_SEQ_RSP, src=self.host.name, dst=packet.src,
-            payload={"req_id": packet.payload["req_id"], "value": value},
-            payload_bytes=16,
-        ))
+        self.host.send(packet.reply(KIND_SEQ_RSP, {"value": value}, 16))
 
 
 class _LockCore:

@@ -112,7 +112,7 @@ class LoadBalancer:
         self.proxy_delay_us = proxy_delay_us
         self.tracer = tracer or Tracer()
         self._next = 0
-        # call_id -> original caller, so replies can be relayed back.
+        # req_id -> original caller, so replies can be relayed back.
         self._inflight: Dict[int, str] = {}
         host.on(KIND_CALL, self._on_call)
         host.on(KIND_REPLY, self._on_reply)
@@ -124,7 +124,7 @@ class LoadBalancer:
 
     def _on_call(self, packet: Packet) -> None:
         self.tracer.count("lb.forwarded")
-        self._inflight[packet.payload["call_id"]] = packet.src
+        self._inflight[packet.payload["req_id"]] = packet.src
         backend = self._pick_backend()
         self.sim.schedule(self.proxy_delay_us, self._relay, packet, backend)
 
@@ -135,7 +135,7 @@ class LoadBalancer:
         ))
 
     def _on_reply(self, packet: Packet) -> None:
-        caller = self._inflight.pop(packet.payload["call_id"], None)
+        caller = self._inflight.pop(packet.payload["req_id"], None)
         if caller is None:
             self.tracer.count("lb.orphan_reply")
             return

@@ -21,13 +21,12 @@ computation to itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..core.objectid import ObjectID
-from ..sim import AnyOf, Future, Resource, Simulator, Timeout, Tracer
+from ..sim import Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .serializer import SerializationClock, decode, encode
@@ -37,8 +36,6 @@ __all__ = ["RemoteRef", "RefRpcServer", "RefRpcClient"]
 
 KIND_REFCALL = "refrpc.call"
 KIND_REFREPLY = "refrpc.reply"
-
-_call_ids = itertools.count(1)
 
 # Locator: oid -> (holder host name, object size in bytes).
 Locator = Callable[[ObjectID], Tuple[str, int]]
@@ -129,7 +126,6 @@ class RefRpcServer:
         return data, estimate.total_us if hops > 0 else 0.0
 
     def _serve(self, packet: Packet):
-        call_id = packet.payload["call_id"]
         wire_values = packet.payload["values"]
         ref_args: Dict[str, str] = packet.payload["refs"]
         yield self.workers.acquire()
@@ -147,28 +143,25 @@ class RefRpcServer:
                 yield Timeout(stage_in_us)
             entry = self._methods.get(packet.payload["method"])
             if entry is None:
-                self.host.send(self._reply(packet, call_id, False,
-                                           f"no such method {packet.payload['method']!r}"))
+                self.host.send(self._reply(
+                    packet, False, f"no such method {packet.payload['method']!r}"))
                 return
             fn, compute_us = entry
             yield Timeout(compute_us)
             try:
                 result = fn(**args)
             except Exception as exc:
-                self.host.send(self._reply(packet, call_id, False, str(exc)))
+                self.host.send(self._reply(packet, False, str(exc)))
                 return
             self.tracer.count("refrpc.served")
-            self.host.send(self._reply(packet, call_id, True, result))
+            self.host.send(self._reply(packet, True, result))
         finally:
             self.workers.release()
 
-    def _reply(self, packet: Packet, call_id: int, ok: bool, result: Any) -> Packet:
+    def _reply(self, packet: Packet, ok: bool, result: Any) -> Packet:
         wire = encode(result)
-        return Packet(
-            kind=KIND_REFREPLY, src=self.host.name, dst=packet.src,
-            payload={"call_id": call_id, "ok": ok, "result": wire},
-            payload_bytes=16 + len(wire),
-        )
+        return packet.reply(
+            KIND_REFREPLY, {"ok": ok, "result": wire}, 16 + len(wire))
 
 
 class RefRpcClient:
@@ -183,13 +176,7 @@ class RefRpcClient:
         self.timeout_us = timeout_us
         self.clock = clock if clock is not None else SerializationClock()
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_REFREPLY, self._on_reply)
-
-    def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["call_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        host.on(KIND_REFREPLY, host.complete)
 
     def call(self, endpoint: str, method: str, **args: Any):
         """Process: invoke ``method`` at ``endpoint``; :class:`RemoteRef`
@@ -198,18 +185,12 @@ class RefRpcClient:
         values, refs = _split_args(args)
         wire_values = encode(values)
         yield Timeout(self.clock.serialize_us(len(wire_values)))
-        call_id = next(_call_ids)
-        future = Future(self.sim, name=f"refrpc-{call_id}")
-        self._pending[call_id] = future
-        self.host.send(Packet(
+        reply = yield self.host.request(Packet(
             kind=KIND_REFCALL, src=self.host.name, dst=endpoint,
-            payload={"call_id": call_id, "method": method,
-                     "values": wire_values, "refs": refs},
+            payload={"method": method, "values": wire_values, "refs": refs},
             payload_bytes=24 + len(wire_values) + 24 * len(refs),
-        ))
-        index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index == 1:
-            self._pending.pop(call_id, None)
+        ), self.timeout_us)
+        if reply is None:
             raise RpcTimeout(f"{endpoint}.{method} timed out")
         wire_result = reply.payload["result"]
         yield Timeout(self.clock.deserialize_us(len(wire_result)))

@@ -15,10 +15,9 @@ bounded pool of worker slots so an overloaded Bob queues requests — the
 from __future__ import annotations
 
 import inspect
-import itertools
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..sim import AnyOf, Future, Resource, Simulator, Timeout, Tracer
+from ..sim import Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .serializer import SerializationClock, decode, encode
@@ -27,8 +26,6 @@ __all__ = ["RpcServer", "RpcClient", "RpcError", "RpcTimeout", "RpcMethod"]
 
 KIND_CALL = "rpc.call"
 KIND_REPLY = "rpc.reply"
-
-_call_ids = itertools.count(1)
 
 # handler(args) -> (result, compute_us); generators may yield sim waitables.
 RpcMethod = Callable[..., Any]
@@ -79,7 +76,6 @@ class RpcServer:
 
     def _serve(self, packet: Packet):
         method_name = packet.payload["method"]
-        call_id = packet.payload["call_id"]
         wire_args = packet.payload["args"]
         yield self.workers.acquire()
         try:
@@ -89,8 +85,8 @@ class RpcServer:
             args = decode(wire_args)
             entry = self._methods.get(method_name)
             if entry is None:
-                yield from self._reply_error(packet, call_id,
-                                             f"no such method {method_name!r}")
+                yield from self._reply_error(
+                    packet, f"no such method {method_name!r}")
                 return
             fn, cost_fn = entry
             yield Timeout(cost_fn(args))
@@ -102,28 +98,23 @@ class RpcServer:
                 else:
                     result = fn(**args)
             except Exception as exc:  # application fault -> RPC error reply
-                yield from self._reply_error(packet, call_id, str(exc))
+                yield from self._reply_error(packet, str(exc))
                 return
             wire_result = encode(result)
             yield Timeout(self.clock.serialize_us(len(wire_result)))
             self.tracer.count("rpc.served")
-            self.host.send(Packet(
-                kind=KIND_REPLY, src=self.host.name, dst=packet.src,
-                payload={"call_id": call_id, "ok": True, "result": wire_result},
-                payload_bytes=16 + len(wire_result),
-            ))
+            self.host.send(packet.reply(
+                KIND_REPLY, {"ok": True, "result": wire_result},
+                16 + len(wire_result)))
         finally:
             self.workers.release()
 
-    def _reply_error(self, packet: Packet, call_id: int, message: str):
+    def _reply_error(self, packet: Packet, message: str):
         self.tracer.count("rpc.faulted")
         wire = encode(message)
         yield Timeout(self.clock.serialize_us(len(wire)))
-        self.host.send(Packet(
-            kind=KIND_REPLY, src=self.host.name, dst=packet.src,
-            payload={"call_id": call_id, "ok": False, "result": wire},
-            payload_bytes=16 + len(wire),
-        ))
+        self.host.send(packet.reply(
+            KIND_REPLY, {"ok": False, "result": wire}, 16 + len(wire)))
 
 
 class RpcClient:
@@ -137,13 +128,7 @@ class RpcClient:
         self.timeout_us = timeout_us
         self.clock = clock if clock is not None else SerializationClock()
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
-        host.on(KIND_REPLY, self._on_reply)
-
-    def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["call_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        host.on(KIND_REPLY, host.complete)
 
     def call(self, endpoint: str, method: str, **args: Any):
         """Process: invoke ``method`` at ``endpoint`` with ``args``.
@@ -154,17 +139,12 @@ class RpcClient:
         start = self.sim.now
         wire_args = encode(args)
         yield Timeout(self.clock.serialize_us(len(wire_args)))
-        call_id = next(_call_ids)
-        future = Future(self.sim, name=f"rpc-{call_id}")
-        self._pending[call_id] = future
-        self.host.send(Packet(
+        reply = yield self.host.request(Packet(
             kind=KIND_CALL, src=self.host.name, dst=endpoint,
-            payload={"call_id": call_id, "method": method, "args": wire_args},
+            payload={"method": method, "args": wire_args},
             payload_bytes=24 + len(wire_args),
-        ))
-        index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index == 1:
-            self._pending.pop(call_id, None)
+        ), self.timeout_us)
+        if reply is None:
             self.tracer.count("rpc.timeout")
             raise RpcTimeout(f"{endpoint}.{method} timed out after {self.timeout_us}us")
         wire_result = reply.payload["result"]

@@ -50,7 +50,7 @@ from ..obs.keys import (
     SPAN_RETURN,
 )
 from ..obs.span import SpanRecorder
-from ..sim import AnyOf, Process, Resource, Simulator, Timeout, Tracer
+from ..sim import Process, Resource, Simulator, Timeout, Tracer
 from ..memproto.pool import SharedMemoryPool
 from ..net.packet import Packet
 from ..net.topology import Network
@@ -680,7 +680,7 @@ class GlobalSpaceRuntime:
                     else:
                         result = yield from self._remote_exec(
                             invoker, decision.node, code_ref.oid, stage,
-                            data_refs, values, compute_us, result_bytes,
+                            data_refs, values, compute_us,
                             decode_args=decode_args,
                             materialize=materialize_result, span=root,
                             deadline_us=policy.deadline_us,
@@ -764,7 +764,6 @@ class GlobalSpaceRuntime:
     def _remote_exec(self, invoker: str, executor: str, code_oid: ObjectID,
                      stage: List[ObjectID], data_refs: Dict[str, GlobalRef],
                      values: Dict[str, Any], compute_us: float,
-                     result_bytes: int,
                      decode_args: Optional[List[str]] = None,
                      materialize: bool = False, span=None,
                      deadline_us: Optional[float] = None,
@@ -778,17 +777,14 @@ class GlobalSpaceRuntime:
             # callers that do not bring a policy deadline still get the
             # node's request timeout.
             deadline_us = node.request_timeout_us
-        req_id, future = node._new_future()
         wire_values = encode(values)
         payload = {
-            "req_id": req_id,
             "code_oid": str(code_oid),
             "stage": [str(oid) for oid in stage],
             "refs": {name: (str(ref.oid), ref.offset, ref.mode)
                      for name, ref in data_refs.items()},
             "args": wire_values,
             "compute_us": compute_us,
-            "result_bytes": result_bytes,
             "decode": decode_args,
             "materialize": materialize,
         }
@@ -813,20 +809,17 @@ class GlobalSpaceRuntime:
                                         node=invoker, executor=executor)
             payload["span_parent"] = span.span_id
             payload["span_request"] = req_span.span_id
-        node.host.send(Packet(
+        reply = yield node.host.request(Packet(
             kind=m.KIND_EXEC_REQ, src=invoker, dst=executor,
             payload=payload,
             payload_bytes=m.EXEC_REQ_OVERHEAD_BYTES + len(wire_values)
             + 24 * len(data_refs),
-        ))
-        index, reply = yield AnyOf([future, Timeout(deadline_us)])
-        if index == 1:
+        ), deadline_us)
+        if reply is None:
             # Deadline expired with the request still outstanding: the
-            # executor (or the path to it) is gone or wedged.  Drop the
-            # pending future — a late reply finds nothing to resume —
-            # and surface a retryable attempt failure for the failover
-            # loop in :meth:`invoke`.
-            node._pending.pop(req_id, None)
+            # executor (or the path to it) is gone or wedged.  Surface a
+            # retryable attempt failure for the failover loop in
+            # :meth:`invoke`; a late reply finds nothing to resume.
             self.tracer.count(K_INVOKE_DEADLINE)
             if span is not None and not req_span.finished:
                 self.spans.finish(req_span, error="deadline")

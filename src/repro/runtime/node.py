@@ -23,7 +23,6 @@ Code functions are either plain callables ``fn(ctx, args) -> result``
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -40,7 +39,7 @@ from ..obs.keys import (
     SPAN_RETURN,
     SPAN_STAGE_IN,
 )
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer
+from ..sim import Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from ..rpc.serializer import decode, encode
@@ -52,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AdmissionPolicy", "AdmissionRejected", "ClusterNode",
            "ExecutionContext", "FetchTimeout", "NodeProxyBackend",
            "PRIORITY_HIGH", "PRIORITY_NORMAL", "RuntimeError_"]
-
-_req_ids = itertools.count(1)
 
 PRIORITY_NORMAL = "normal"
 PRIORITY_HIGH = "high"
@@ -195,7 +192,6 @@ class ClusterNode:
         self.admission = admission
         self._admitted = 0
         self._active_jobs = 0
-        self._pending: Dict[int, Future] = {}
         # Lazy-proxy table (PROXIES.md): one per node, shared by every
         # invocation that executes here, so prefetched images survive
         # across invocations exactly like staged replicas do.
@@ -227,77 +223,54 @@ class ClusterNode:
         self._active_jobs = value
         self.runtime._invalidate_profile(self.name)
 
-    # -- request/reply plumbing --------------------------------------------
-    def _new_future(self) -> tuple:
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"{self.name}-req{req_id}")
-        self._pending[req_id] = future
-        return req_id, future
-
     def _on_reply(self, packet: Packet) -> None:
         # Any reply is proof of life: clear the sender's suspicion (a
         # late reply after our deadline still rehabilitates the node).
         if packet.src is not None:
             self.runtime.health.clear(packet.src)
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.host.complete(packet)
 
     # -- server side ----------------------------------------------------------
     def _on_fetch_req(self, packet: Packet) -> None:
         oid = packet.oid
         assert oid is not None
-        req_id = packet.payload["req_id"]
         if (oid not in self.space
                 or not self.runtime.policies.allows_read(oid, packet.src)):
             if oid in self.space:
                 self.tracer.count("node.fetch_denied")
             self.tracer.count("node.fetch_nack")
-            self.host.send(Packet(
-                kind=m.KIND_FETCH_NACK, src=self.name, dst=packet.src, oid=oid,
-                payload={"req_id": req_id}, payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+            self.host.send(packet.reply(
+                m.KIND_FETCH_NACK, payload_bytes=m.RSP_OVERHEAD_BYTES))
             return
         wire = self.space.export_object(oid)
         self.tracer.count("node.fetch_served")
         # The object image rides the reply: payload_bytes makes the links
         # charge real transmission time for the full copy.
-        self.host.send(Packet(
-            kind=m.KIND_FETCH_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "wire": wire},
-            payload_bytes=m.RSP_OVERHEAD_BYTES + len(wire),
-        ))
+        self.host.send(packet.reply(
+            m.KIND_FETCH_RSP, {"wire": wire}, m.RSP_OVERHEAD_BYTES + len(wire)))
 
     def _on_read_req(self, packet: Packet) -> None:
         oid = packet.oid
         assert oid is not None
-        req_id = packet.payload["req_id"]
         if (oid not in self.space
                 or not self.runtime.policies.allows_read(oid, packet.src)):
             if oid in self.space:
                 self.tracer.count("node.read_denied")
-            self.host.send(Packet(
-                kind=m.KIND_READ_RSP, src=self.name, dst=packet.src, oid=oid,
-                payload={"req_id": req_id, "ok": False},
-                payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+            self.host.send(packet.reply(
+                m.KIND_READ_RSP, {"ok": False}, m.RSP_OVERHEAD_BYTES))
             return
         obj = self.space.get(oid)
         offset = packet.payload["offset"]
         length = min(packet.payload["length"], obj.size - offset)
         data = obj.read(offset, length)
         self.tracer.count("node.read_served")
-        self.host.send(Packet(
-            kind=m.KIND_READ_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "ok": True, "data": data,
-                     "version": obj.version},
-            payload_bytes=m.RSP_OVERHEAD_BYTES + length,
-        ))
+        self.host.send(packet.reply(
+            m.KIND_READ_RSP, {"ok": True, "data": data, "version": obj.version},
+            m.RSP_OVERHEAD_BYTES + length))
 
     def _on_write_req(self, packet: Packet) -> None:
         oid = packet.oid
         assert oid is not None
-        req_id = packet.payload["req_id"]
         ok = oid in self.space
         if ok:
             try:
@@ -309,11 +282,8 @@ class ClusterNode:
             obj = self.space.get(oid)
             obj.write(packet.payload["offset"], packet.payload["data"])
             self.tracer.count("node.write_served")
-        self.host.send(Packet(
-            kind=m.KIND_WRITE_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "ok": ok},
-            payload_bytes=m.RSP_OVERHEAD_BYTES,
-        ))
+        self.host.send(packet.reply(
+            m.KIND_WRITE_RSP, {"ok": ok}, m.RSP_OVERHEAD_BYTES))
 
     # -- admission control ---------------------------------------------------
     @property
@@ -353,19 +323,16 @@ class ClusterNode:
             span_request = packet.payload.get("span_request")
             if span_request is not None:
                 self.runtime.spans.finish_id(span_request)
-            self.host.send(Packet(
-                kind=m.KIND_EXEC_RSP, src=self.name, dst=packet.src,
-                payload={"req_id": packet.payload["req_id"], "ok": False,
-                         "result": encode("admission rejected"),
-                         "retryable": True, "admission_rejected": True,
-                         "retry_after_us": self.admission.retry_after_us},
-                payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+            self.host.send(packet.reply(
+                m.KIND_EXEC_RSP,
+                {"ok": False, "result": encode("admission rejected"),
+                 "retryable": True, "admission_rejected": True,
+                 "retry_after_us": self.admission.retry_after_us},
+                m.RSP_OVERHEAD_BYTES))
             return
         self.sim.spawn(self._serve_exec(packet), name=f"{self.name}-exec")
 
     def _serve_exec(self, packet: Packet):
-        req_id = packet.payload["req_id"]
         code_oid = ObjectID.from_hex(packet.payload["code_oid"])
         stage = [ObjectID.from_hex(text) for text in packet.payload["stage"]]
         refs = {
@@ -405,7 +372,7 @@ class ClusterNode:
             retryable = isinstance(exc, FetchTimeout)
         finally:
             self.release_admission()
-        payload = {"req_id": req_id, "ok": ok, "result": wire_result}
+        payload = {"ok": ok, "result": wire_result}
         if retryable:
             payload["retryable"] = True
         if parent is not None:
@@ -414,11 +381,8 @@ class ClusterNode:
             ret = self.runtime.spans.start(SPAN_RETURN, parent=parent,
                                            node=self.name, ok=ok)
             payload["ret_span"] = ret.span_id
-        self.host.send(Packet(
-            kind=m.KIND_EXEC_RSP, src=self.name, dst=packet.src,
-            payload=payload,
-            payload_bytes=m.RSP_OVERHEAD_BYTES + len(wire_result),
-        ))
+        self.host.send(packet.reply(
+            m.KIND_EXEC_RSP, payload, m.RSP_OVERHEAD_BYTES + len(wire_result)))
 
     def stage_and_execute(self, code_oid: ObjectID, stage, refs, values,
                           compute_us: float, decode_args=(),
@@ -561,13 +525,48 @@ class ClusterNode:
         return result
 
     # -- client-side primitives ------------------------------------------------
+    def _ask_holders(self, kind: str, oid: ObjectID, holder: Optional[str],
+                     fields: dict, payload_bytes: int, timeout_key: str):
+        """Process: put one ``kind`` request about ``oid`` to its replica
+        holders, nearest first (or to ``holder`` alone), until one serves
+        it; returns ``(source, reply)``.
+
+        A timeout (crashed holder: the §5 partial-failure case) suspects
+        the holder and a NACK or ``ok: False`` (stale or refusing holder)
+        does not; both fail over to the next replica, and the last error
+        is raised once none is left.
+        """
+        sources = ([holder] if holder is not None
+                   else self.runtime.holders_by_distance(oid, self.name))
+        last_error = None
+        for source in sources:
+            if source == self.name:
+                continue
+            reply = yield self.host.request(Packet(
+                kind=kind, src=self.name, dst=source, oid=oid,
+                payload=dict(fields), payload_bytes=payload_bytes,
+            ), self.request_timeout_us)
+            if reply is None:
+                self.tracer.count(timeout_key)
+                self.runtime.health.suspect(source)
+                last_error = FetchTimeout(
+                    f"{kind} of {oid.short()} to {source} timed out")
+            elif reply.kind == m.KIND_FETCH_NACK:
+                self.tracer.count("node.fetch_failover")
+                last_error = RuntimeError_(
+                    f"{source} no longer holds (or refuses) {oid.short()}")
+            elif not reply.payload.get("ok", True):
+                last_error = RuntimeError_(
+                    f"{source} could not serve {kind} of {oid.short()}")
+            else:
+                return source, reply
+        raise last_error if last_error is not None else RuntimeError_(
+            f"no source for object {oid.short()}")
+
     def fetch_object(self, oid: ObjectID, holder: Optional[str] = None,
                      span=None):
-        """Process: pull a full object image into our space.
-
-        Tries the nearest holder first; on a NACK or timeout (crashed or
-        stale holder — the §5 partial-failure case) it fails over to the
-        remaining replicas before giving up.  ``span`` (usually the
+        """Process: pull a full object image into our space, failing over
+        across replicas (:meth:`_ask_holders`).  ``span`` (usually the
         stage_in phase) parents a per-object fetch span.
         """
         fetch_span = None
@@ -578,83 +577,40 @@ class ClusterNode:
             if fetch_span is not None:
                 fetch_span.finish(cached=True)
             return self.space.get(oid)
-        sources = ([holder] if holder is not None
-                   else self.runtime.holders_by_distance(oid, self.name))
-        last_error = None
-        for source in sources:
-            if source == self.name:
-                continue
-            req_id, future = self._new_future()
-            self.host.send(Packet(
-                kind=m.KIND_FETCH_REQ, src=self.name, dst=source, oid=oid,
-                payload={"req_id": req_id}, payload_bytes=m.FETCH_REQ_BYTES,
-            ))
-            index, reply = yield AnyOf([future, Timeout(self.request_timeout_us)])
-            if index == 1:
-                self._pending.pop(req_id, None)
-                self.tracer.count("node.fetch_timeout")
-                self.runtime.health.suspect(source)
-                last_error = FetchTimeout(
-                    f"fetch of {oid.short()} from {source} timed out")
-                continue
-            if reply.kind == m.KIND_FETCH_NACK:
-                self.tracer.count("node.fetch_failover")
-                last_error = RuntimeError_(
-                    f"{source} no longer holds (or refuses) {oid.short()}")
-                continue
-            obj = self.space.import_object(reply.payload["wire"], replace=True)
-            self.tracer.count("node.fetched")
-            self.runtime.note_copy(oid, self.name)
+        try:
+            source, reply = yield from self._ask_holders(
+                m.KIND_FETCH_REQ, oid, holder, {}, m.FETCH_REQ_BYTES,
+                "node.fetch_timeout")
+        except RuntimeError_:
             if fetch_span is not None:
-                fetch_span.finish(source=source, bytes=obj.wire_size)
-            return obj
+                fetch_span.finish(error=True)
+            raise
+        obj = self.space.import_object(reply.payload["wire"], replace=True)
+        self.tracer.count("node.fetched")
+        self.runtime.note_copy(oid, self.name)
         if fetch_span is not None:
-            fetch_span.finish(error=True)
-        raise last_error if last_error is not None else RuntimeError_(
-            f"no source for object {oid.short()}")
+            fetch_span.finish(source=source, bytes=obj.wire_size)
+        return obj
 
     def remote_read(self, oid: ObjectID, offset: int, length: int,
                     holder: Optional[str] = None):
         """Process: demand-read a range of a remote object, failing over
         across replicas on denial, staleness, or holder crash."""
-        sources = ([holder] if holder is not None
-                   else self.runtime.holders_by_distance(oid, self.name))
-        last_error = None
-        for source in sources:
-            req_id, future = self._new_future()
-            self.host.send(Packet(
-                kind=m.KIND_READ_REQ, src=self.name, dst=source, oid=oid,
-                payload={"req_id": req_id, "offset": offset, "length": length},
-                payload_bytes=m.READ_REQ_BYTES,
-            ))
-            index, reply = yield AnyOf([future, Timeout(self.request_timeout_us)])
-            if index == 1:
-                self._pending.pop(req_id, None)
-                self.tracer.count("node.read_timeout")
-                self.runtime.health.suspect(source)
-                last_error = FetchTimeout(
-                    f"read of {oid.short()} from {source} timed out")
-                continue
-            if not reply.payload["ok"]:
-                last_error = RuntimeError_(
-                    f"{source} could not serve read of {oid.short()}")
-                continue
-            self.tracer.count("node.remote_read")
-            return reply.payload["data"]
-        raise last_error if last_error is not None else RuntimeError_(
-            f"no source for object {oid.short()}")
+        _source, reply = yield from self._ask_holders(
+            m.KIND_READ_REQ, oid, holder, {"offset": offset, "length": length},
+            m.READ_REQ_BYTES, "node.read_timeout")
+        self.tracer.count("node.remote_read")
+        return reply.payload["data"]
 
     def remote_write(self, oid: ObjectID, offset: int, data: bytes,
                      holder: Optional[str] = None):
         """Process: demand-write a range of a remote object."""
         source = holder if holder is not None else self.runtime.nearest_holder(oid, self.name)
-        req_id, future = self._new_future()
-        self.host.send(Packet(
+        reply = yield self.host.request(Packet(
             kind=m.KIND_WRITE_REQ, src=self.name, dst=source, oid=oid,
-            payload={"req_id": req_id, "offset": offset, "data": data},
+            payload={"offset": offset, "data": data},
             payload_bytes=m.READ_REQ_BYTES + len(data),
         ))
-        reply = yield future
         if not reply.payload["ok"]:
             raise RuntimeError_(f"{source} could not serve write of {oid.short()}")
         self.tracer.count("node.remote_write")

@@ -1,8 +1,17 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+
 import pytest
 
+from repro.net import Host
 from repro.sim import Simulator
+
+# The modules CI re-runs under shifted seeds (ci.yml: fault-seed-matrix).
+FAULT_MATRIX = {
+    "test_failures", "test_faults", "test_discovery_sharded", "test_memproto",
+    "test_proxies", "test_loadgen", "test_bus", "test_arbitration", "test_pool",
+}
 
 
 @pytest.fixture
@@ -14,3 +23,41 @@ def sim():
 def run(sim, gen, until=None):
     """Convenience: drive a generator process to completion."""
     return sim.run_process(gen, until=until)
+
+
+@contextlib.contextmanager
+def tracked_hosts():
+    """Collect every :class:`Host` constructed inside the block."""
+    hosts = []
+    original = Host.__init__
+
+    def tracking(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        hosts.append(self)
+
+    Host.__init__ = tracking
+    try:
+        yield hosts
+    finally:
+        Host.__init__ = original
+
+
+def leaked_requests(hosts):
+    """``host: count`` for hosts still waiting on a reply although their
+    simulator has nothing left to run.  A request with a deadline keeps
+    its timer in the heap, so what shows here is a wait that can never
+    end: the signature of a missing deadline."""
+    return {host.name: host.outstanding_requests for host in hosts
+            if host.outstanding_requests and host.sim.pending_event_count == 0}
+
+
+@pytest.fixture(autouse=True)
+def no_request_outlives_quiescence(request):
+    """Fault-matrix tests crash hosts and cut links mid-exchange; none
+    may leave a waiter parked on a reply that will never come."""
+    if request.module.__name__.rpartition(".")[2] not in FAULT_MATRIX:
+        yield
+        return
+    with tracked_hosts() as hosts:
+        yield
+    assert not leaked_requests(hosts)

@@ -2,9 +2,9 @@
 
 The bench subsystem's contract with CI is threefold (BENCHMARKS.md):
 
-* a ``BENCH.json`` written for a fixed seed without ``--wall`` is
-  byte-identical across runs — the determinism the compare gate and
-  the CI ``cmp`` step rely on;
+* a ``BENCH.json`` written for a fixed seed is byte-identical across
+  runs — the determinism the compare gate and the CI ``cmp`` step rely
+  on (the runner records nothing read from the host clock);
 * ``--filter`` selects scenarios by substring or glob and fails
   loudly on an empty selection;
 * ``bench compare`` exits 0 when clean, 1 past the regression
@@ -79,17 +79,13 @@ def test_different_seed_changes_seed_field_only_when_workload_is_fixed(tmp_path)
     assert doc_a["scenarios"] == doc_b["scenarios"]
 
 
-def test_wall_fields_excluded_by_default_included_on_request():
-    records = run_quick()
-    plain = results_document(records, seed=1, quick=True)
-    walled = results_document(records, seed=1, quick=True, include_wall=True)
-    entry = plain["scenarios"][QUICK_SET]
-    assert "wall" not in entry
+def test_records_carry_only_seed_deterministic_fields():
+    document = results_document(run_quick(), seed=1, quick=True)
+    entry = document["scenarios"][QUICK_SET]
+    assert set(entry) == {"description", "ops", "sim_time_us",
+                          "ops_per_sim_sec", "counters"}
     assert entry["ops"] > 0
     assert entry["ops_per_sim_sec"] > 0
-    wall = walled["scenarios"][QUICK_SET]["wall"]
-    assert wall["wall_s"] > 0
-    assert wall["ops_per_wall_sec"] > 0
 
 
 def test_load_document_round_trips_and_validates_schema(tmp_path):

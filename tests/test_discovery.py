@@ -157,9 +157,6 @@ class TestE2E:
         obj = homes["resp1"].space.create_object(size=256)
         obj.write(0, b"expected-bytes")
 
-        collected = {}
-        original = resolver._on_found
-
         def proc():
             record = yield sim.spawn(resolver.access(obj.oid))
             return record

@@ -193,7 +193,7 @@ class TestLeaseProtocol:
         assert bed.accessor.tracer.counters["lease.stale"] == 1
 
     def test_plain_advertise_is_accepted_without_ack(self):
-        # The unsharded `advertise()` helper carries no adv_id; a shard
+        # The unsharded `advertise()` helper carries no req_id; a shard
         # stores the entry and simply skips the ack.
         sim = Simulator(seed=_seed(16))
         net = build_star(sim, 2)

@@ -14,7 +14,8 @@ import os
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator, ObjectSpace
 from repro.discovery import E2EResolver, ObjectHome
 from repro.net import build_paper_topology, build_star
-from repro.runtime import GlobalSpaceRuntime, RuntimeError_
+from repro.obs.keys import K_HEALTH_CLEARED
+from repro.runtime import FetchTimeout, GlobalSpaceRuntime, RuntimeError_
 from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -217,3 +218,30 @@ class TestRuntimeFailover:
                 return "raised"
 
         assert sim.run_process(proc()) == "raised"
+
+    def test_late_reply_still_rehabilitates_a_suspected_holder(self):
+        # The round trip to n1 (two 5 us hops each way plus the switch)
+        # outlasts a 15 us deadline: the read times out and suspects
+        # n1, then the gs.read_rsp lands with nobody waiting for it.
+        # Any reply is proof of life, so it must clear the suspicion.
+        sim, net, registry, runtime = make_cluster()
+        obj = runtime.create_object("n1", size=512)
+        reader = runtime.node("n0")
+        reader.request_timeout_us = 15.0
+        seen = {}
+
+        def proc():
+            try:
+                yield from reader.remote_read(obj.oid, 0, 8)
+            except FetchTimeout:
+                seen["suspected_at_deadline"] = runtime.health.is_suspected("n1")
+                seen["deadline"] = sim.now
+
+        sim.run_process(proc())
+        assert seen == {"suspected_at_deadline": True, "deadline": 15.0}
+        assert sim.now > 15.0  # the run went on until the late reply landed
+        assert reader.host.tracer.counters["host.rx"] == 1
+        assert not runtime.health.is_suspected("n1")
+        assert runtime.health.penalty_jobs("n1") == 0
+        assert runtime.health.tracer.counters[K_HEALTH_CLEARED] == 1
+        assert reader.host.outstanding_requests == 0
