@@ -142,6 +142,7 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("node.write_served", "counter", "1", "Write requests served."),
     _k("node.write_denied", "counter", "1",
        "Write requests refused by the ACL."),
+    _k("node.write_timeout", "counter", "1", "Remote writes that timed out."),
     _k("node.remote_write", "counter", "1", "Remote writes completed."),
     _k("node.isolated_claim", "counter", "1",
        "Objects claimed for exclusive ownership by an isolated-mode "

@@ -168,7 +168,8 @@ class AdmissionPolicy:
 
 
 class FetchTimeout(RuntimeError_):
-    """A fetch or demand-read exhausted every replica without a reply.
+    """A fetch or demand-read exhausted every replica without a reply,
+    or a demand-write's holder did not answer.
 
     Distinguished from plain :class:`RuntimeError_` so an executor
     serving someone else's invocation can NACK it as *retryable*: the
@@ -604,13 +605,23 @@ class ClusterNode:
 
     def remote_write(self, oid: ObjectID, offset: int, data: bytes,
                      holder: Optional[str] = None):
-        """Process: demand-write a range of a remote object."""
+        """Process: demand-write a range of a remote object.
+
+        A holder that does not answer in time is suspected and the write
+        raises :class:`FetchTimeout`; it is not retried elsewhere (a
+        write redirected to a stale copy is divergence, not recovery).
+        """
         source = holder if holder is not None else self.runtime.nearest_holder(oid, self.name)
         reply = yield self.host.request(Packet(
             kind=m.KIND_WRITE_REQ, src=self.name, dst=source, oid=oid,
             payload={"offset": offset, "data": data},
             payload_bytes=m.READ_REQ_BYTES + len(data),
-        ))
+        ), self.request_timeout_us)
+        if reply is None:
+            self.tracer.count("node.write_timeout")
+            self.runtime.health.suspect(source)
+            raise FetchTimeout(
+                f"{m.KIND_WRITE_REQ} of {oid.short()} to {source} timed out")
         if not reply.payload["ok"]:
             raise RuntimeError_(f"{source} could not serve write of {oid.short()}")
         self.tracer.count("node.remote_write")

@@ -13,6 +13,7 @@ import os
 
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator, ObjectSpace
 from repro.discovery import E2EResolver, ObjectHome
+from repro.loadgen import LoadGenerator, TenantSpec
 from repro.net import build_paper_topology, build_star
 from repro.obs.keys import K_HEALTH_CLEARED
 from repro.runtime import FetchTimeout, GlobalSpaceRuntime, RuntimeError_
@@ -245,3 +246,48 @@ class TestRuntimeFailover:
         assert runtime.health.penalty_jobs("n1") == 0
         assert runtime.health.tracer.counters[K_HEALTH_CLEARED] == 1
         assert reader.host.outstanding_requests == 0
+
+    def test_write_to_crashed_holder_raises_at_the_deadline(self):
+        sim, net, registry, runtime = make_cluster()
+        obj = runtime.create_object("n1", size=512)
+        # A live replica elsewhere must not be written instead: a write
+        # redirected to a stale copy is divergence, not recovery.
+        runtime.node("n2").space.insert(obj.clone())
+        runtime.note_copy(obj.oid, "n2")
+        net.host("n1").fail()
+        writer = runtime.node("n0")
+
+        def proc():
+            try:
+                yield from writer.remote_write(obj.oid, 0, b"lost", holder="n1")
+            except FetchTimeout as exc:
+                return str(exc), sim.now
+
+        message, raised_at = sim.run_process(proc())
+        assert "timed out" in message
+        assert raised_at == writer.request_timeout_us == 2_000.0
+        assert writer.tracer.counters["node.write_timeout"] == 1
+        assert writer.tracer.counters["node.remote_write"] == 0
+        assert runtime.health.is_suspected("n1")
+        assert runtime.node("n2").space.get(obj.oid).read(0, 4) != b"lost"
+        assert writer.host.outstanding_requests == 0
+
+    def test_store_tenant_against_a_dead_home_fails_ops_and_frees_slots(self):
+        # Without a write deadline every store parked forever, one
+        # inflight slot each, until max_outstanding shed all that followed.
+        sim = Simulator(seed=_seed(9))
+        net = build_star(sim, 2)
+        runtime = GlobalSpaceRuntime(net)
+        runtime.add_node("h0").request_timeout_us = 500.0
+        runtime.add_node("h1")
+        net.host("h1").fail()
+        tenant = TenantSpec(name="w", client="h0", rate_per_sec=20_000.0,
+                            popularity="uniform", keyspace=64,
+                            mix=(("store", 1.0),), max_outstanding=8)
+        generator = LoadGenerator(runtime, [tenant], duration_us=20_000.0)
+        report = generator.run().tenants["w"]
+        assert generator._states[0].inflight == 0
+        assert report.failed > 8  # slots were reused after each deadline
+        assert report.completed == 0
+        assert report.offered == report.dropped + report.failed
+        assert net.host("h0").outstanding_requests == 0
