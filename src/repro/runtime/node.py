@@ -530,7 +530,7 @@ class ClusterNode:
                      fields: dict, payload_bytes: int, timeout_key: str):
         """Process: put one ``kind`` request about ``oid`` to its replica
         holders, nearest first (or to ``holder`` alone), until one serves
-        it; returns ``(source, reply)``.
+        it; returns its reply.
 
         A timeout (crashed holder: the §5 partial-failure case) suspects
         the holder and a NACK or ``ok: False`` (stale or refusing holder)
@@ -560,7 +560,7 @@ class ClusterNode:
                 last_error = RuntimeError_(
                     f"{source} could not serve {kind} of {oid.short()}")
             else:
-                return source, reply
+                return reply
         raise last_error if last_error is not None else RuntimeError_(
             f"no source for object {oid.short()}")
 
@@ -579,7 +579,7 @@ class ClusterNode:
                 fetch_span.finish(cached=True)
             return self.space.get(oid)
         try:
-            source, reply = yield from self._ask_holders(
+            reply = yield from self._ask_holders(
                 m.KIND_FETCH_REQ, oid, holder, {}, m.FETCH_REQ_BYTES,
                 "node.fetch_timeout")
         except RuntimeError_:
@@ -590,14 +590,14 @@ class ClusterNode:
         self.tracer.count("node.fetched")
         self.runtime.note_copy(oid, self.name)
         if fetch_span is not None:
-            fetch_span.finish(source=source, bytes=obj.wire_size)
+            fetch_span.finish(source=reply.src, bytes=obj.wire_size)
         return obj
 
     def remote_read(self, oid: ObjectID, offset: int, length: int,
                     holder: Optional[str] = None):
         """Process: demand-read a range of a remote object, failing over
         across replicas on denial, staleness, or holder crash."""
-        _source, reply = yield from self._ask_holders(
+        reply = yield from self._ask_holders(
             m.KIND_READ_REQ, oid, holder, {"offset": offset, "length": length},
             m.READ_REQ_BYTES, "node.read_timeout")
         self.tracer.count("node.remote_read")

@@ -7,13 +7,6 @@ import pytest
 from repro.net import Host
 from repro.sim import Simulator
 
-# The modules CI re-runs under shifted seeds (ci.yml: fault-seed-matrix).
-FAULT_MATRIX = {
-    "test_failures", "test_faults", "test_discovery_sharded", "test_memproto",
-    "test_proxies", "test_loadgen", "test_bus", "test_arbitration", "test_pool",
-}
-
-
 @pytest.fixture
 def sim():
     """A fresh seeded simulator per test."""
@@ -52,12 +45,10 @@ def leaked_requests(hosts):
 
 
 @pytest.fixture(autouse=True)
-def no_request_outlives_quiescence(request):
-    """Fault-matrix tests crash hosts and cut links mid-exchange; none
-    may leave a waiter parked on a reply that will never come."""
-    if request.module.__name__.rpartition(".")[2] not in FAULT_MATRIX:
-        yield
-        return
+def no_request_outlives_quiescence():
+    """Tests (the fault matrix above all) crash hosts and cut links
+    mid-exchange; none may leave a waiter parked on a reply that will
+    never come."""
     with tracked_hosts() as hosts:
         yield
     assert not leaked_requests(hosts)

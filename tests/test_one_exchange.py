@@ -3,7 +3,7 @@
 ``Host.request`` replaced ten private pending-future tables; these tests
 fail CI when an eleventh appears, or when a request is left without a
 deadline (it shows as a waiter that outlives its simulator's last
-event; ``tests/conftest.py`` holds the fault-matrix modules to the same
+event; ``tests/conftest.py`` holds every tier-1 test to the same
 rule after every test).
 """
 
