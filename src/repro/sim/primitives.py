@@ -3,7 +3,7 @@
 These are the building blocks the network substrate uses: message queues
 between NICs and protocol handlers (:class:`Store`), capacity-limited
 resources such as serving slots on a host (:class:`Resource`), and
-single-assignment futures for request/reply matching (:class:`Future`).
+single-assignment futures many processes may wait on (:class:`Future`).
 """
 
 from __future__ import annotations
@@ -179,11 +179,11 @@ class Resource:
 
 
 class Future(Waitable):
-    """Single-assignment result cell; the request/reply matching primitive.
+    """Single-assignment result cell any number of processes may yield on.
 
-    A protocol handler creates a Future keyed by a request id, the caller
-    yields on it, and the reply path calls :meth:`set_result` (or
-    :meth:`set_exception`) exactly once.
+    The producer calls :meth:`set_result` (or :meth:`set_exception`)
+    exactly once: a coherence grant, bus credit, a prefetch batch.  One
+    packet answering one packet is ``Host.request``, not a Future.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
