@@ -13,8 +13,9 @@ Three checks, each of which must pass for the vocabulary to be trusted:
    constant.
 3. **Emitted => documented.**  Every dotted key literal recorded on an
    instrumented hot path (``.count(``/``.sample(``/``.incr(``/
-   ``.record(`` call sites in the files listed below) must be in the
-   vocabulary, either exactly or via a ``<prefix>.*`` family.
+   ``.record(`` call sites and ``.cell(`` bind sites in the files listed
+   below) must be in the vocabulary, either exactly or via a
+   ``<prefix>.*`` family.
 
 A fourth check holds BENCHMARKS.md in the same discipline: the rows of
 its "## Scenario catalogue" table must list exactly the scenarios the
@@ -56,7 +57,7 @@ ROW_RE = re.compile(
 # Dotted key literal on a recording line ("host.tx_bytes", not "drop").
 KEY_LITERAL_RE = re.compile(r'"([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)"')
 
-RECORDING_CALLS = (".count(", ".sample(", ".incr(", ".record(")
+RECORDING_CALLS = (".count(", ".sample(", ".incr(", ".record(", ".cell(")
 
 # The hot paths the vocabulary claims to cover — the "emitted =>
 # documented" direction is scoped to these files (OBSERVABILITY.md's

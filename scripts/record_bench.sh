@@ -16,3 +16,10 @@ trap 'rm -rf "$out"' EXIT
 python3 benchmarks/perf/run.py --json "$out/bench.json"
 cp "$out/bench.json" "BENCH_$n.json"
 echo "recorded BENCH_$n.json"
+
+# Read it against the parent's point.  Print only: a PR may move
+# simulated metrics on purpose, and host time drifts between recordings.
+parent="BENCH_$((n - 1)).json"
+if [ -f "$parent" ]; then
+    python3 scripts/compare_bench.py "$parent" "BENCH_$n.json" || true
+fi

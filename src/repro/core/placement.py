@@ -168,6 +168,10 @@ class PlacementEngine:
         self.queue_penalty_us = queue_penalty_us
         self.transfer_blind = transfer_blind
         self.tracer = tracer if tracer is not None else Tracer()
+        # Counter cells of decide() (see Tracer): one per staging tier.
+        self._n_decisions = self.tracer.cell("placement.decisions")
+        self._n_tier = {tier: self.tracer.cell(f"placement.tier.{tier}")
+                        for tier in (TIER_DRAM, TIER_POOL, TIER_NETWORK)}
         self.pool_oracle = pool_oracle
 
     # -- candidate evaluation ------------------------------------------------
@@ -312,8 +316,8 @@ class PlacementEngine:
             )
         best = self._evaluate(request, winner, distance)
         best.considered = considered
-        self.tracer.count("placement.decisions")
+        self._n_decisions[0] += 1
         self.tracer.sample("placement.est_total_us", best.total_us)
         for tier, n in best.tiers.items():
-            self.tracer.count(f"placement.tier.{tier}", n)
+            self._n_tier[tier][0] += n
         return best

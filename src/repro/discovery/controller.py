@@ -182,6 +182,6 @@ class IdentityAccessor:
             # NACK: routes are mid-update after a movement; retry.
             self.tracer.count("identity.nack")
         record.end_us = self.sim.now
-        self.tracer.sample("identity.access_us", record.latency_us, self.sim.now)
+        self.tracer.sample("identity.access_us", record.latency_us)
         self.tracer.count("identity.access_ok" if record.ok else "identity.access_failed")
         return record

@@ -95,7 +95,7 @@ class E2EResolver:
             ok = yield from self._access_via(cached_holder, oid, offset, length, record)
         record.ok = ok
         record.end_us = self.sim.now
-        self.tracer.sample("e2e.access_us", record.latency_us, self.sim.now)
+        self.tracer.sample("e2e.access_us", record.latency_us)
         self.tracer.count("e2e.access_ok" if ok else "e2e.access_failed")
         return record
 

@@ -94,6 +94,6 @@ class HybridAccessor:
             self.cache.pop(oid, None)
             cached = reply.payload.get("hint")
         record.end_us = self.sim.now
-        self.tracer.sample("hybrid.access_us", record.latency_us, self.sim.now)
+        self.tracer.sample("hybrid.access_us", record.latency_us)
         self.tracer.count("hybrid.access_ok" if record.ok else "hybrid.access_failed")
         return record

@@ -367,7 +367,7 @@ class LeaseCachingResolver:
             self.tracer.count("lease.stale")
             self.cache.pop(oid, None)
         record.end_us = self.sim.now
-        self.tracer.sample("lease.access_us", record.latency_us, self.sim.now)
+        self.tracer.sample("lease.access_us", record.latency_us)
         self.tracer.count("lease.access_ok" if record.ok
                           else "lease.access_failed")
         return record

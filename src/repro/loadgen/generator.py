@@ -224,6 +224,7 @@ class _TenantState:
     """Mutable run state for one tenant (internal)."""
 
     __slots__ = ("spec", "rng", "arrivals", "popularity", "homes", "tracer",
+                 "n_offered", "n_completed", "n_materialized",
                  "code_ref", "ops", "cum_weights", "total_weight", "refs",
                  "inflight", "offered", "completed", "dropped", "failed",
                  "materialized", "overall", "by_op", "topic", "field_mod")
@@ -238,6 +239,10 @@ class _TenantState:
                                           spec.skew)
         self.homes = homes
         self.tracer = tracer
+        # Counter cells of the per-op path (see Tracer).
+        self.n_offered = tracer.cell("loadgen.offered")
+        self.n_completed = tracer.cell("loadgen.completed")
+        self.n_materialized = tracer.cell("loadgen.materialized")
         self.code_ref: Optional[GlobalRef] = None
         self.ops = [op for op, _ in spec.mix]
         weights = [weight for _, weight in spec.mix]
@@ -358,7 +363,7 @@ class LoadGenerator:
         so shedding never perturbs the tenant's random stream.
         """
         state.offered += 1
-        state.tracer.count("loadgen.offered")
+        state.n_offered[0] += 1
         op = state.sample_op()
         rank = state.popularity.sample(state.rng)
         if state.inflight >= state.spec.max_outstanding:
@@ -388,7 +393,7 @@ class LoadGenerator:
             ref = GlobalRef(obj.oid, 0, "write")
             state.refs[rank] = ref
             state.materialized += 1
-            state.tracer.count("loadgen.materialized")
+            state.n_materialized[0] += 1
         return ref
 
     # -- op kinds -------------------------------------------------------------
@@ -413,7 +418,7 @@ class LoadGenerator:
             state.tracer.count("loadgen.failed")
         else:
             state.completed += 1
-            state.tracer.count("loadgen.completed")
+            state.n_completed[0] += 1
             latency = self.sim.now - start
             state.overall.record(latency)
             state.by_op[op].record(latency)
@@ -469,7 +474,6 @@ class LoadGenerator:
     # -- reporting ------------------------------------------------------------
     def _settle(self) -> None:
         """Emit the percentile samples into each tenant's tracer."""
-        now = self.sim.now
         for state in self._states:
             kinds = [("all", state.overall)]
             kinds += [(op, state.by_op[op]) for op in sorted(state.by_op)]
@@ -477,11 +481,11 @@ class LoadGenerator:
                 if hist.count == 0:
                     continue
                 state.tracer.sample(f"loadgen.p50_us.{op}",
-                                    hist.percentile(50.0), now)
+                                    hist.percentile(50.0))
                 state.tracer.sample(f"loadgen.p99_us.{op}",
-                                    hist.percentile(99.0), now)
+                                    hist.percentile(99.0))
                 state.tracer.sample(f"loadgen.p999_us.{op}",
-                                    hist.percentile(99.9), now)
+                                    hist.percentile(99.9))
 
     def report(self) -> LoadReport:
         """The current :class:`LoadReport` (also returned by :meth:`run`)."""

@@ -148,6 +148,22 @@ class CoherenceAgent:
         self.sim: Simulator = host.sim
         self.home_map = home_map
         self.tracer = tracer or Tracer()
+        # Counter cells of the per-access path (see Tracer).
+        self._n_cache_hit = self.tracer.cell("coherence.cache_hit")
+        self._n_read_miss = self.tracer.cell("coherence.read_miss")
+        self._n_write_miss = self.tracer.cell("coherence.write_miss")
+        self._n_upgrade = self.tracer.cell("coherence.upgrade")
+        self._n_acquire_pkts = self.tracer.cell("coherence.batch.acquire_pkts")
+        self._n_probe = self.tracer.cell("coherence.probe")
+        self._n_probe_pkts = self.tracer.cell("coherence.batch.probe_pkts")
+        self._n_downgraded = self.tracer.cell("coherence.downgraded")
+        self._n_invalidated = self.tracer.cell("coherence.invalidated")
+        self._n_grant = self.tracer.cell("coherence.grant")
+        self._n_upgrade_ack = self.tracer.cell("coherence.upgrade_ack")
+        self._n_grant_pkts = self.tracer.cell("coherence.batch.grant_pkts")
+        self._n_evict_modified = self.tracer.cell("coherence.evict.modified")
+        self._n_evict_writeback = self.tracer.cell("coherence.evict.writeback")
+        self._n_evict_shared = self.tracer.cell("coherence.evict.shared")
         self.capacity_bytes = capacity_bytes
         self.shared_evict_policy = shared_evict_policy
         # LRU order: oldest entry first; hits move_to_end.
@@ -311,10 +327,10 @@ class CoherenceAgent:
         for callback in self._invalidation_listeners:
             callback(oid)
         if entry.perm == PERM_MODIFIED:
-            self.tracer.count("coherence.evict.modified")
+            self._n_evict_modified[0] += 1
             data: Optional[bytes] = None
             if entry.dirty:
-                self.tracer.count("coherence.evict.writeback")
+                self._n_evict_writeback[0] += 1
                 data = bytes(entry.data)
             req_id = next(_req_ids)
             self._evict_inflight[req_id] = oid
@@ -324,7 +340,7 @@ class CoherenceAgent:
                 self.host.name, self._home_of(oid), oid, req_id,
                 PERM_MODIFIED, data))
             return
-        self.tracer.count("coherence.evict.shared")
+        self._n_evict_shared[0] += 1
         if self.shared_evict_policy == EVICT_NOTIFY:
             req_id = next(_req_ids)
             self._evict_inflight[req_id] = oid
@@ -347,7 +363,7 @@ class CoherenceAgent:
             self.tracer.count("coherence.home_hit")
             return bytes(directory.data[offset : offset + length])
         if entry is not None:
-            self.tracer.count("coherence.cache_hit")
+            self._n_cache_hit[0] += 1
             self._touch(oid)
             self._check_range(oid, len(entry.data), offset, length)
             return bytes(entry.data[offset : offset + length])
@@ -358,7 +374,7 @@ class CoherenceAgent:
             self.tracer.count("coherence.pool_hit")
             chunk = yield from self._pool.load(oid, offset, length)
             return chunk
-        self.tracer.count("coherence.read_miss")
+        self._n_read_miss[0] += 1
         entry = yield from self._acquire(oid, PERM_SHARED)
         self._check_range(oid, len(entry.data), offset, length)
         return bytes(entry.data[offset : offset + length])
@@ -382,7 +398,7 @@ class CoherenceAgent:
                 # acquire/grant traffic.
                 results[index] = yield from self.read(oid, offset, length)
                 continue
-            self.tracer.count("coherence.read_miss")
+            self._n_read_miss[0] += 1
             req_id = next(_req_ids)
             future = Future(self.sim, name=f"scan-{req_id}")
             self._pending[req_id] = future
@@ -418,7 +434,7 @@ class CoherenceAgent:
                 continue
             entry = self._cache.get(oid)
             if entry is not None:
-                self.tracer.count("coherence.cache_hit")
+                self._n_cache_hit[0] += 1
                 self._touch(oid)
                 results[oid] = bytes(entry.data)
                 continue
@@ -435,7 +451,7 @@ class CoherenceAgent:
                 self.tracer.count("coherence.pool_hit")
                 results[oid] = yield from self._pool.load(oid)
                 continue
-            self.tracer.count("coherence.read_miss")
+            self._n_read_miss[0] += 1
             req_id = next(_req_ids)
             future = Future(self.sim, name=f"bulk-{req_id}")
             self._pending[req_id] = future
@@ -458,13 +474,13 @@ class CoherenceAgent:
         home = self._home_of(oid)
         entry = self._cache.get(oid)
         if entry is not None and entry.perm == PERM_MODIFIED:
-            self.tracer.count("coherence.cache_hit")
+            self._n_cache_hit[0] += 1
             self._touch(oid)
         elif entry is not None and entry.perm == PERM_SHARED and home != self.host.name:
             # §3.2's "upgrade access type": S -> M without re-shipping
             # the data we already hold (unless a concurrent writer
             # invalidated us while the upgrade was in flight).
-            self.tracer.count("coherence.upgrade")
+            self._n_upgrade[0] += 1
             entry = yield from self._upgrade(oid)
         elif home == self.host.name:
             # Home writes still invalidate remote copies first.
@@ -478,7 +494,7 @@ class CoherenceAgent:
             self.tracer.count("coherence.home_write")
             return
         else:
-            self.tracer.count("coherence.write_miss")
+            self._n_write_miss[0] += 1
             entry = yield from self._acquire(oid, PERM_MODIFIED)
         self._check_range(oid, len(entry.data), offset, len(data))
         entry.data[offset : offset + len(data)] = data
@@ -513,7 +529,7 @@ class CoherenceAgent:
     # -- requester side -----------------------------------------------------
     def _send_acquire(self, home: str, perm: str,
                       reqs: List[Dict[str, Any]]) -> None:
-        self.tracer.count("coherence.batch.acquire_pkts")
+        self._n_acquire_pkts[0] += 1
         if len(reqs) > 1:
             self.tracer.count("coherence.batch.multi_acquire")
         self.host.send(acquire_packet(self.host.name, home, perm, reqs))
@@ -651,7 +667,7 @@ class CoherenceAgent:
         self._collect[(oid, key)] = {"txn": txn, "waiting": set(to_probe),
                                      "downgrade_to": downgrade_to}
         for target in sorted(to_probe):
-            self.tracer.count("coherence.probe")
+            self._n_probe[0] += 1
             self._queue_probe(target, {"oid": oid, "req_key": list(key),
                                        "downgrade_to": downgrade_to})
 
@@ -667,7 +683,7 @@ class CoherenceAgent:
         probes = self._probe_out.pop(target, None)
         if not probes:
             return
-        self.tracer.count("coherence.batch.probe_pkts")
+        self._n_probe_pkts[0] += 1
         if len(probes) > 1:
             self.tracer.count("coherence.batch.multi_probe")
         self.host.send(probe_packet(self.host.name, target, probes))
@@ -698,10 +714,10 @@ class CoherenceAgent:
                 entry.perm = PERM_SHARED
                 entry.dirty = False
                 ack["kept_shared"] = True
-                self.tracer.count("coherence.downgraded")
+                self._n_downgraded[0] += 1
             else:
                 self._forget(oid)
-                self.tracer.count("coherence.invalidated")
+                self._n_invalidated[0] += 1
                 for callback in self._invalidation_listeners:
                     callback(oid)
             acks.append(ack)
@@ -754,9 +770,9 @@ class CoherenceAgent:
             directory.owner = requester
         else:
             directory.sharers.add(requester)
-        self.tracer.count("coherence.grant")
+        self._n_grant[0] += 1
         if upgrade_without_data:
-            self.tracer.count("coherence.upgrade_ack")
+            self._n_upgrade_ack[0] += 1
         entry = {
             "req_id": txn.req_id,
             "oid": oid,
@@ -789,7 +805,7 @@ class CoherenceAgent:
         grants = self._grant_out.pop(requester, None)
         if not grants:
             return
-        self.tracer.count("coherence.batch.grant_pkts")
+        self._n_grant_pkts[0] += 1
         if len(grants) > 1:
             self.tracer.count("coherence.batch.multi_grant")
         self.host.send(grant_packet(self.host.name, requester, grants))

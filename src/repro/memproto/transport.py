@@ -147,6 +147,15 @@ class _TransportBase:
         self.data_kind = data_kind
         self.ack_kind = ack_kind
         self.tracer = tracer or Tracer()
+        # Counter cells of the per-frame path (see Tracer).
+        self._n_mtu_flush = self.tracer.cell("transport.frame.mtu_flush")
+        self._n_frame_tx = self.tracer.cell("transport.frame.tx")
+        self._n_tx = self.tracer.cell("transport.tx")
+        self._n_ack_piggybacked = self.tracer.cell("transport.ack.piggybacked")
+        self._n_acked = self.tracer.cell("transport.acked")
+        self._n_sacked = self.tracer.cell("transport.sacked")
+        self._n_ack_tx = self.tracer.cell("transport.ack.tx")
+        self._n_delivered = self.tracer.cell("transport.delivered")
         self._tx: Dict[str, _PeerTx] = {}
         self._rx: Dict[str, _PeerRx] = {}
         self._handler: Optional[DeliveryHandler] = None
@@ -169,7 +178,7 @@ class _TransportBase:
         if tx.coalesce_bytes >= self._frame_budget:
             # The MTU budget is full: frame the full prefix now instead
             # of waiting out the deadline.
-            self.tracer.count("transport.frame.mtu_flush")
+            self._n_mtu_flush[0] += 1
             self._flush_frames(dst, tx, full_only=True)
         if tx.coalesce and tx.flush_event is None:
             tx.flush_event = self.sim.schedule(self.flush_us, self._on_flush, dst)
@@ -229,9 +238,8 @@ class _TransportBase:
             )
             tx.queued_at[seq] = self.sim.now
             tx.backlog.append(packet)
-            self.tracer.count("transport.frame.tx")
-            self.tracer.sample("transport.frame.msgs", float(len(entries)),
-                               self.sim.now)
+            self._n_frame_tx[0] += 1
+            self.tracer.sample("transport.frame.msgs", float(len(entries)))
         self._pump(dst, tx)
 
     # -- sender side: the window --------------------------------------------
@@ -250,11 +258,10 @@ class _TransportBase:
             # transport.delivery_us measures the wire (send -> ack), not
             # the backlog; the backlog wait is its own signal.
             tx.send_times[seq] = self.sim.now
-            self.tracer.sample("transport.queue_us", self.sim.now - queued,
-                               self.sim.now)
+            self.tracer.sample("transport.queue_us", self.sim.now - queued)
         timer = self.sim.schedule(self.rto_us, self._on_timeout, dst, seq)
         tx.inflight[seq] = (packet, timer)
-        self.tracer.count("transport.tx")
+        self._n_tx[0] += 1
         # Each (re)transmission is a distinct wire packet: fresh UID (so
         # switch duplicate suppression never eats a retransmission) and
         # fresh hop/TTL budget.  Protocol-level dedupe keys on seq.
@@ -262,7 +269,7 @@ class _TransportBase:
         ack = self._take_pending_ack(dst)
         if ack is not None:
             payload["ack"], payload["ack_epoch"], payload["ack_sack"] = ack
-            self.tracer.count("transport.ack.piggybacked")
+            self._n_ack_piggybacked[0] += 1
         fresh = Packet(
             kind=packet.kind,
             src=packet.src,
@@ -336,9 +343,9 @@ class _TransportBase:
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
                 self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at, self.sim.now)
-            self.tracer.count("transport.acked")
-            self.tracer.count("transport.sacked")
+                                   self.sim.now - sent_at)
+            self._n_acked[0] += 1
+            self._n_sacked[0] += 1
             self._on_ack_accounting(peer)
             freed += 1
         acked = sorted(seq for seq in tx.inflight if seq <= cum)
@@ -367,8 +374,8 @@ class _TransportBase:
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
                 self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at, self.sim.now)
-            self.tracer.count("transport.acked")
+                                   self.sim.now - sent_at)
+            self._n_acked[0] += 1
             self._on_ack_accounting(peer)
         if tx.recover >= 0:
             if cum >= tx.recover:
@@ -442,7 +449,7 @@ class _TransportBase:
             rx.ack_event.cancel()
             rx.ack_event = None
         rx.ack_owed = 0
-        self.tracer.count("transport.ack.tx")
+        self._n_ack_tx[0] += 1
         if delayed:
             self.tracer.count("transport.ack.delayed")
         sack = self._sack_list(rx)
@@ -495,7 +502,7 @@ class _TransportBase:
             rx.expected_seq += 1
             msgs = ready.payload["msgs"]
             sizes = ready.payload["nbytes"]
-            self.tracer.count("transport.delivered", len(msgs))
+            self._n_delivered[0] += len(msgs)
             if self._handler is not None:
                 for msg, nbytes in zip(msgs, sizes):
                     self._handler(src, msg, nbytes)

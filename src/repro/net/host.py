@@ -65,6 +65,13 @@ class Host(Node):
 
     def __init__(self, sim: Simulator, name: str, tracer: Optional[Tracer] = None):
         super().__init__(sim, name, tracer)
+        # Counter cells of the per-packet path (see Tracer).
+        self._n_tx = self.tracer.cell("host.tx")
+        self._n_tx_bytes = self.tracer.cell("host.tx_bytes")
+        self._n_tx_broadcast = self.tracer.cell("host.tx_broadcast")
+        self._n_rx = self.tracer.cell("host.rx")
+        self._n_rx_bytes = self.tracer.cell("host.rx_bytes")
+        self._n_promiscuous_rx = self.tracer.cell("host.promiscuous_rx")
         self._handlers: Dict[str, PacketHandler] = {}
         # Outstanding requests by correlation id: the one table behind
         # request()/complete().  Empty whenever the host is quiescent.
@@ -148,7 +155,7 @@ class Host(Node):
         if self.failed:
             self.tracer.count("host.dropped_while_failed")
             return
-        if self.port_count == 0:
+        if not self._tx_ends:
             raise NodeError(f"{self.name}: not attached to any link")
         # Stamp only genuinely unset fields: a packet legitimately
         # created at sim time 0.0 (or carrying an empty-string src) must
@@ -159,10 +166,10 @@ class Host(Node):
             packet.created_at = self.sim.now
         if packet.tclass is None and self.default_tclass is not None:
             packet.tclass = self.default_tclass
-        self.tracer.count("host.tx")
-        self.tracer.count("host.tx_bytes", packet.size_bytes)
+        self._n_tx[0] += 1
+        self._n_tx_bytes[0] += packet.size_bytes
         if packet.is_broadcast:
-            self.tracer.count("host.tx_broadcast")
+            self._n_tx_broadcast[0] += 1
         self.send_on_port(port, packet)
 
     def broadcast(self, kind: str, payload: Optional[dict] = None, payload_bytes: int = 0,
@@ -220,11 +227,11 @@ class Host(Node):
         if self.failed:
             self.tracer.count("host.dropped_while_failed")
             return
-        if self._partitioned_from(packet.src):
+        if self.partition_group is not None and self._partitioned_from(packet.src):
             self.tracer.count("host.dropped_partitioned")
             return
-        self.tracer.count("host.rx")
-        self.tracer.count("host.rx_bytes", packet.size_bytes)
+        self._n_rx[0] += 1
+        self._n_rx_bytes[0] += packet.size_bytes
         if packet.is_broadcast:
             if packet.src == self.name:
                 return  # our own broadcast echoed back through a loop
@@ -240,7 +247,7 @@ class Host(Node):
                 # drops it.
                 self.tracer.count("host.filtered")
                 return
-            self.tracer.count("host.promiscuous_rx")
+            self._n_promiscuous_rx[0] += 1
         handler = self._handlers.get(packet.kind)
         if handler is not None:
             handler(packet)

@@ -23,6 +23,12 @@ class Node:
     Ports are created by attaching links; ``receive`` is the ingress
     entry point subclasses override.  Every node owns a :class:`Tracer`
     so experiments can read per-node counters.
+
+    ``tracer`` is assigned here and never again: :class:`Host`,
+    :class:`Switch` and the protocol layers above bind the counter cells
+    of their per-packet sites right after it is set, so one swapped in
+    later would be bypassed.  Construct the node with the tracer it
+    should have.
     """
 
     def __init__(self, sim: Simulator, name: str, tracer: Optional[Tracer] = None):

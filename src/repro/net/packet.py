@@ -13,7 +13,9 @@ addressing regimes:
 
 Sizes are modelled, not real encodings: each packet declares its
 ``size_bytes`` so links charge transmission time without us paying the
-cost of actually packing headers.
+cost of actually packing headers.  The size is worked out once, at
+construction: every hop reads it two or three times (the wire, the byte
+counters).
 """
 
 from __future__ import annotations
@@ -74,8 +76,15 @@ class Packet:
 
     ``payload`` holds structured protocol fields (request ids, versions,
     object images...); ``payload_bytes`` is its modelled wire size.  The
-    total :attr:`size_bytes` adds the fixed header and, when the packet
-    is identity-routed, the object-ID field.
+    total ``size_bytes`` adds the fixed header and, when the packet
+    carries an object ID, the object-ID field.
+
+    ``size_bytes`` is fixed at construction from the two fields it
+    reads, ``payload_bytes`` and ``oid``, so neither may be assigned
+    afterwards (:meth:`clone_for_flood` and :meth:`reply` build a new
+    packet).  It is a plain attribute, not a dataclass field: ``==``
+    still compares the declared fields only.  ``dst`` *is* reassigned
+    (a forwarding object home), so :attr:`is_broadcast` stays a property.
     """
 
     kind: str
@@ -97,6 +106,9 @@ class Packet:
             raise ValueError(
                 f"packet {self.kind!r} needs a destination: host address or object ID"
             )
+        #: Total modelled wire size in bytes.
+        self.size_bytes = HEADER_BYTES + self.payload_bytes + (
+            OID_FIELD_BYTES if self.oid is not None else 0)
 
     @property
     def is_broadcast(self) -> bool:
@@ -107,14 +119,6 @@ class Packet:
     def is_identity_routed(self) -> bool:
         """True when routed on an object ID, not a host."""
         return self.dst is None and self.oid is not None
-
-    @property
-    def size_bytes(self) -> int:
-        """Total modelled wire size in bytes."""
-        size = HEADER_BYTES + self.payload_bytes
-        if self.oid is not None:
-            size += OID_FIELD_BYTES
-        return size
 
     def clone_for_flood(self) -> "Packet":
         """Per-egress copy used when a switch floods: shares the UID and

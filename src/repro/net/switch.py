@@ -59,6 +59,10 @@ class Switch(Node):
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(sim, name, tracer)
+        # Counter cells of the per-packet path (see Tracer).
+        self._n_rx = self.tracer.cell("switch.rx")
+        self._n_rx_bytes = self.tracer.cell("switch.rx_bytes")
+        self._n_tx = self.tracer.cell("switch.tx")
         if processing_delay_us < 0:
             raise ValueError("processing delay must be non-negative")
         if miss_behavior not in (MISS_FLOOD, MISS_DROP, MISS_PUNT):
@@ -127,7 +131,7 @@ class Switch(Node):
         ingress traffic (host table first, flood as a last resort)."""
         port = self.host_table.get(packet.dst)
         if port is not None:
-            self.tracer.count("switch.tx")
+            self._n_tx[0] += 1
             self.send_on_port(port, packet)
         else:
             # Register our own flood before emitting it: in a looped
@@ -147,9 +151,8 @@ class Switch(Node):
     # -- data plane ----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
         """Ingress entry point: dispatch one arriving packet."""
-        tracer = self.tracer
-        tracer.count("switch.rx")
-        tracer.count("switch.rx_bytes", packet.size_bytes)
+        self._n_rx[0] += 1
+        self._n_rx_bytes[0] += packet.size_bytes
         # Duplicate suppression FIRST, then learning: in a looped fabric,
         # flood copies of one packet arrive on several ports, and only the
         # first (which came via the shortest path) may teach the host
@@ -158,7 +161,7 @@ class Switch(Node):
         # learned entry a BFS-tree parent pointer toward the source, so
         # unicast replies can never loop.
         if packet.uid in self._seen_broadcasts or packet.uid in self._seen_unicast:
-            tracer.count("switch.dup_suppressed")
+            self.tracer.count("switch.dup_suppressed")
             return
         # Packets we will forward by exact host-table match follow the
         # learned BFS tree and cannot loop; keeping them out of the
@@ -208,7 +211,7 @@ class Switch(Node):
         elif port == in_port:
             self.tracer.count("switch.hairpin_drop")
         else:
-            self.tracer.count("switch.tx")
+            self._n_tx[0] += 1
             self.send_on_port(port, packet)
 
     def _forward_by_identity(self, packet: Packet, in_port: int) -> None:

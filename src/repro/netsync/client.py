@@ -46,14 +46,14 @@ class SyncClient:
         """Process: obtain the next ticket of ``stream``."""
         start = self.sim.now
         reply = yield self._request(KIND_SEQ_REQ, {"stream": stream})
-        self.tracer.sample("sync.seq_us", self.sim.now - start, self.sim.now)
+        self.tracer.sample("sync.seq_us", self.sim.now - start)
         return reply.payload["value"]
 
     def acquire_lock(self, name: str):
         """Process: block until the named lock is granted to us."""
         start = self.sim.now
         yield self._request(KIND_LOCK_ACQ, {"name": name})
-        self.tracer.sample("sync.lock_us", self.sim.now - start, self.sim.now)
+        self.tracer.sample("sync.lock_us", self.sim.now - start)
         return True
 
     def release_lock(self, name: str) -> None:

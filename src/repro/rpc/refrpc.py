@@ -195,7 +195,7 @@ class RefRpcClient:
         wire_result = reply.payload["result"]
         yield Timeout(self.clock.deserialize_us(len(wire_result)))
         result = decode(wire_result)
-        self.tracer.sample("refrpc.call_us", self.sim.now - start, self.sim.now)
+        self.tracer.sample("refrpc.call_us", self.sim.now - start)
         if not reply.payload["ok"]:
             raise RpcError(f"{endpoint}.{method}: {result}")
         return result

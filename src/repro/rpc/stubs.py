@@ -150,7 +150,7 @@ class RpcClient:
         wire_result = reply.payload["result"]
         yield Timeout(self.clock.deserialize_us(len(wire_result)))
         result = decode(wire_result)
-        self.tracer.sample("rpc.call_us", self.sim.now - start, self.sim.now)
+        self.tracer.sample("rpc.call_us", self.sim.now - start)
         if not reply.payload["ok"]:
             self.tracer.count("rpc.remote_fault")
             raise RpcError(f"{endpoint}.{method}: {result}")

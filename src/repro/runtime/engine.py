@@ -223,6 +223,10 @@ class GlobalSpaceRuntime:
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.health = health if health is not None else HealthLedger(self.sim)
         self.tracer = Tracer()
+        # Counter cells of invoke() (see Tracer); add_node binds the
+        # placed_at family's, one per node.
+        self._n_invocations = self.tracer.cell(K_INVOCATIONS)
+        self._n_placed_at: Dict[str, List[int]] = {}
         self.spans = SpanRecorder(self.sim)
         # The network owns the cluster-wide registry; the runtime joins
         # it (replace=True: a rebuilt runtime over a reused network wins).
@@ -268,6 +272,8 @@ class GlobalSpaceRuntime:
         space = ObjectSpace(self.allocator, host_name=host_name)
         node = ClusterNode(self, host, space, admission=admission)
         self.nodes[host_name] = node
+        self._n_placed_at[host_name] = self.tracer.cell(
+            f"{K_PLACED_AT}{host_name}")
         self.metrics.register(f"runtime.node.{host_name}", node.tracer,
                               replace=True)
         self.metrics.register(f"runtime.proxy.{host_name}",
@@ -644,8 +650,8 @@ class GlobalSpaceRuntime:
                                   considered=len(remaining),
                                   est_total_us=decision.total_us)
                 if attempt == 0:
-                    self.tracer.count(K_INVOCATIONS)
-                self.tracer.count(f"{K_PLACED_AT}{decision.node}")
+                    self._n_invocations[0] += 1
+                self._n_placed_at[decision.node][0] += 1
 
                 stage: List[ObjectID] = [code_ref.oid]
                 if eager_staging:
@@ -731,7 +737,7 @@ class GlobalSpaceRuntime:
                     self.spans.finish(span, error=type(exc).__name__)
             raise
         latency = self.sim.now - start
-        self.tracer.sample(K_INVOKE_US, latency, self.sim.now)
+        self.tracer.sample(K_INVOKE_US, latency)
         if attempt > 0:
             self.spans.finish(root, latency_us=latency,
                               executed_at=decision.node,

@@ -189,6 +189,12 @@ class ClusterNode:
         self.sim: Simulator = host.sim
         self.space = space
         self.tracer = tracer or Tracer()
+        # Counter cells of the per-op path (see Tracer).
+        self._n_read_served = self.tracer.cell("node.read_served")
+        self._n_write_served = self.tracer.cell("node.write_served")
+        self._n_exec = self.tracer.cell("node.exec")
+        self._n_remote_read = self.tracer.cell("node.remote_read")
+        self._n_remote_write = self.tracer.cell("node.remote_write")
         self.request_timeout_us = request_timeout_us
         self.admission = admission
         self._admitted = 0
@@ -264,7 +270,7 @@ class ClusterNode:
         offset = packet.payload["offset"]
         length = min(packet.payload["length"], obj.size - offset)
         data = obj.read(offset, length)
-        self.tracer.count("node.read_served")
+        self._n_read_served[0] += 1
         self.host.send(packet.reply(
             m.KIND_READ_RSP, {"ok": True, "data": data, "version": obj.version},
             m.RSP_OVERHEAD_BYTES + length))
@@ -282,7 +288,7 @@ class ClusterNode:
         if ok:
             obj = self.space.get(oid)
             obj.write(packet.payload["offset"], packet.payload["data"])
-            self.tracer.count("node.write_served")
+            self._n_write_served[0] += 1
         self.host.send(packet.reply(
             m.KIND_WRITE_RSP, {"ok": ok}, m.RSP_OVERHEAD_BYTES))
 
@@ -514,7 +520,7 @@ class ClusterNode:
         fn = self.runtime.registry.lookup(entry)
         ctx = ExecutionContext(self)
         self.active_jobs += 1
-        self.tracer.count("node.exec")
+        self._n_exec[0] += 1
         try:
             yield Timeout(compute_us)
             if inspect.isgeneratorfunction(fn):
@@ -600,7 +606,7 @@ class ClusterNode:
         reply = yield from self._ask_holders(
             m.KIND_READ_REQ, oid, holder, {"offset": offset, "length": length},
             m.READ_REQ_BYTES, "node.read_timeout")
-        self.tracer.count("node.remote_read")
+        self._n_remote_read[0] += 1
         return reply.payload["data"]
 
     def remote_write(self, oid: ObjectID, offset: int, data: bytes,
@@ -624,7 +630,7 @@ class ClusterNode:
                 f"{m.KIND_WRITE_REQ} of {oid.short()} to {source} timed out")
         if not reply.payload["ok"]:
             raise RuntimeError_(f"{source} could not serve write of {oid.short()}")
-        self.tracer.count("node.remote_write")
+        self._n_remote_write[0] += 1
         return True
 
     def __repr__(self) -> str:

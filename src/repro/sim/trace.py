@@ -2,7 +2,9 @@
 
 Every experiment in the benchmark harness reads its numbers from these
 collectors rather than from ad-hoc prints, so the same instrumentation
-feeds the unit tests and the figure-regeneration benches.
+feeds the unit tests and the figure-regeneration benches.  Counting on a
+per-packet path is a list-cell add at the site (:class:`Counter`); every
+other site calls :meth:`Tracer.count`.
 
 Tracers are the *local* collectors; the cluster-wide view lives one
 layer up in :mod:`repro.obs` — a ``MetricsRegistry`` names every tracer
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List
 
 __all__ = ["Counter", "SampleSeries", "Tracer", "NullTracer", "NULL_TRACER",
            "summarize", "percentile"]
@@ -91,58 +93,65 @@ def summarize(values: Iterable[float]) -> Summary:
 
 
 class Counter:
-    """A named bag of monotonically increasing integer counters."""
+    """A named bag of monotonically increasing integer counters.
+
+    Each value lives in a one-element list, its **cell**.  A per-packet
+    site binds :meth:`cell` once and pays ``cell[0] += n`` (no call, no
+    string hash); :meth:`incr` adds to the same cell.  A cell still at
+    zero is left out of :meth:`as_dict`, so binding early adds no key to
+    any snapshot, and :meth:`reset` zeroes cells in place, so a cell
+    bound before a reset still counts after it.
+    """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = defaultdict(int)
+        self._cells: Dict[str, List[int]] = defaultdict(lambda: [0])
+
+    def cell(self, key: str) -> List[int]:
+        """The one-element list holding ``key``'s value (made at zero)."""
+        return self._cells[key]
 
     def incr(self, key: str, amount: int = 1) -> None:
         """Add ``amount`` (non-negative) to ``key``."""
         if amount < 0:
             raise ValueError(f"counter increment must be non-negative: {amount}")
-        self._counts[key] += amount
+        self._cells[key][0] += amount
 
     def get(self, key: str) -> int:
         """Return the stored value for ``key`` (0 when absent — never
         ``None``, so results are safe to add and compare directly)."""
-        return self._counts.get(key, 0)
+        cell = self._cells.get(key)
+        return cell[0] if cell is not None else 0
 
     def as_dict(self) -> Dict[str, int]:
-        """Snapshot as a plain dictionary."""
-        return dict(self._counts)
+        """Snapshot of the non-zero counters as a plain dictionary."""
+        return {key: cell[0] for key, cell in self._cells.items() if cell[0]}
 
     def reset(self) -> None:
-        """Clear all recorded state."""
-        self._counts.clear()
+        """Zero every counter (bound cells stay bound)."""
+        for cell in self._cells.values():
+            cell[0] = 0
 
     def __getitem__(self, key: str) -> int:
         return self.get(key)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
         return f"Counter({body})"
 
 
 class SampleSeries:
-    """A named collection of float samples, optionally timestamped."""
+    """A named collection of float samples."""
 
     def __init__(self) -> None:
         self._samples: Dict[str, List[float]] = defaultdict(list)
-        self._stamped: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
 
-    def record(self, key: str, value: float, time: Optional[float] = None) -> None:
-        """Append one sample (optionally timestamped)."""
+    def record(self, key: str, value: float) -> None:
+        """Append one sample."""
         self._samples[key].append(value)
-        if time is not None:
-            self._stamped[key].append((time, value))
 
     def samples(self, key: str) -> List[float]:
         """Recorded samples for ``key`` (a copy)."""
         return list(self._samples.get(key, []))
-
-    def timeline(self, key: str) -> List[Tuple[float, float]]:
-        """(time, value) pairs recorded for ``key``."""
-        return list(self._stamped.get(key, []))
 
     def summary(self, key: str) -> Summary:
         """Statistical summary of ``key``'s samples."""
@@ -155,7 +164,6 @@ class SampleSeries:
     def reset(self) -> None:
         """Clear all recorded state."""
         self._samples.clear()
-        self._stamped.clear()
 
 
 @dataclass
@@ -172,6 +180,12 @@ class Tracer:
 
     Each network node and protocol layer owns (or shares) a Tracer; the
     benchmark harness interrogates it after the run.
+
+    Counters have two spellings over one store: ``count(key, n)`` for
+    the control plane and fault or error branches, and, for a site that
+    runs per packet or per operation, ``cell(key)`` bound once where the
+    owner assigns its tracer, then ``cell[0] += n`` (the rule and what
+    each costs: OBSERVABILITY.md, "What observing costs").
     """
 
     def __init__(self, keep_events: bool = False) -> None:
@@ -180,13 +194,21 @@ class Tracer:
         self.keep_events = keep_events
         self.events: List[TraceEvent] = []
 
-    def count(self, key: str, amount: int = 1) -> None:
-        """Increment the named counter."""
-        self.counters.incr(key, amount)
+    def cell(self, key: str) -> List[int]:
+        """The cell behind counter ``key`` (see :class:`Counter`)."""
+        return self.counters.cell(key)
 
-    def sample(self, key: str, value: float, time: Optional[float] = None) -> None:
+    def count(self, key: str, amount: int = 1) -> None:
+        """Increment the named counter.  One call deep (``Counter.incr``
+        written out): the benchmark's count of calls to this method is
+        the count of increments that did not go through a bound cell."""
+        if amount < 0:
+            raise ValueError(f"counter increment must be non-negative: {amount}")
+        self.counters._cells[key][0] += amount
+
+    def sample(self, key: str, value: float) -> None:
         """Record one sample under ``key``."""
-        self.series.record(key, value, time)
+        self.series.record(key, value)
 
     def event(self, time: float, category: str, **detail: Any) -> None:
         """Record a structured trace event."""
@@ -202,23 +224,28 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """A tracer that records nothing: the untraced-run fast path.
+    """A tracer that records nothing: what an untraced node is handed.
 
     Reads behave like an empty :class:`Tracer` (counters return 0,
-    series are empty), but every recording call is a bare no-op — no
-    dict writes, no string formatting, no event bookkeeping.  Hot paths
-    (link pumps, switch forwarding, kernel benchmarks) hand this to
-    nodes when measurement itself would distort the measurement; the
-    shared :data:`NULL_TRACER` singleton makes that allocation-free.
+    series are empty).  ``count``, ``sample`` and ``event`` are bare
+    no-ops, and :meth:`cell` hands out a scratch cell that belongs to no
+    counter, so a site that bound its cells runs the same ``cell[0] +=
+    n`` traced or untraced: the packet path has no "is tracing on"
+    branch, and an untraced node saves only what the cold ``count``
+    sites and the samples cost.  The shared :data:`NULL_TRACER`
+    singleton serves any number of nodes.
 
     The metrics registry skips null tracers when snapshotting, so an
     untraced node contributes no keys instead of a block of zeros.
     """
 
+    def cell(self, key: str) -> List[int]:
+        return [0]
+
     def count(self, key: str, amount: int = 1) -> None:
         pass
 
-    def sample(self, key: str, value: float, time: Optional[float] = None) -> None:
+    def sample(self, key: str, value: float) -> None:
         pass
 
     def event(self, time: float, category: str, **detail: Any) -> None:
@@ -226,5 +253,5 @@ class NullTracer(Tracer):
 
 
 #: Shared no-op tracer: safe to hand to any number of nodes at once
-#: because nothing is ever written to it.
+#: because nothing written through it is ever read back.
 NULL_TRACER = NullTracer()

@@ -83,12 +83,6 @@ class TestSampleSeries:
             series.record("lat", value)
         assert series.summary("lat").mean == pytest.approx(2.0)
 
-    def test_timeline_keeps_timestamps(self):
-        series = SampleSeries()
-        series.record("lat", 5.0, time=100.0)
-        series.record("lat", 7.0, time=200.0)
-        assert series.timeline("lat") == [(100.0, 5.0), (200.0, 7.0)]
-
     def test_keys_sorted(self):
         series = SampleSeries()
         series.record("b", 1.0)
