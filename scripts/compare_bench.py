@@ -2,6 +2,7 @@
 """Read two points of the host-time trajectory against each other.
 
     python3 scripts/compare_bench.py BENCH_16.json BENCH_17.json
+    python3 scripts/compare_bench.py --newest-below 19
 
 Per workload: every end-to-end metric as parent, change, ratio and where
 the change sits against the bound ``BENCHMARK.json`` fixes for it, in
@@ -14,16 +15,31 @@ Exit 0 when every fingerprint is equal, 1 when one differs, 2 on input
 it cannot read.  Host-time verdicts are printed, not gated: two files
 recorded an hour apart differ by the box's drift, so a claim needs the
 alternating pairs of ``benchmarks/perf/README.md``, not this table.
+
+``--newest-below N`` prints the committed point a new ``BENCH_N.json``
+should be read against, the highest-numbered ``BENCH_<m>.json`` with
+``m < N`` at the repo root (not every PR records one, so ``N - 1`` may
+not exist); exit 2 when there is none.  ``scripts/record_bench.sh`` asks.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-SPEC_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPEC_PATH = ROOT / "BENCHMARK.json"
+
+
+def newest_below(n: int, root: pathlib.Path = ROOT) -> Optional[pathlib.Path]:
+    """The highest-numbered ``BENCH_<m>.json`` under ``root`` with ``m < n``."""
+    points = {int(match.group(1)): path for path in root.glob("BENCH_*.json")
+              if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))}
+    earlier = [m for m in points if m < n]
+    return points[max(earlier)] if earlier else None
 
 
 def verdict(parent: float, change: float, better: str, bound: float) -> str:
@@ -74,6 +90,14 @@ def compare(parent: dict, change: dict, spec: dict) -> Tuple[List[str], Dict[str
 
 
 def main(argv: List[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--newest-below" and argv[1].isdigit():
+        point = newest_below(int(argv[1]))
+        if point is None:
+            print(f"compare_bench: no BENCH_<m>.json with m < {argv[1]}",
+                  file=sys.stderr)
+            return 2
+        print(point.name)
+        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ python3 benchmarks/perf/run.py --json "$out/bench.json"
 cp "$out/bench.json" "BENCH_$n.json"
 echo "recorded BENCH_$n.json"
 
-# Read it against the parent's point.  Print only: a PR may move
-# simulated metrics on purpose, and host time drifts between recordings.
-parent="BENCH_$((n - 1)).json"
-if [ -f "$parent" ]; then
+# Read it against the newest earlier point (not every PR records one, so
+# BENCH_<n-1>.json may not exist).  Print only: a PR may move simulated
+# metrics on purpose, and host time drifts between recordings.
+if parent=$(python3 scripts/compare_bench.py --newest-below "$n"); then
+    echo "reading BENCH_$n.json against $parent"
     python3 scripts/compare_bench.py "$parent" "BENCH_$n.json" || true
 fi

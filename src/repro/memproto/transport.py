@@ -28,19 +28,35 @@ data frames; a delayed-ack timer is the fallback when no reverse data
 shows up, and every ``ack_every``-th pending frame forces one out so a
 one-way stream never stalls on the timer.
 
-Loss recovery keeps the batched window from degenerating into
-go-back-N: acks carry a bounded **selective-ack block** naming the
-frames buffered past a hole (their timers stop, the window reopens),
-duplicate acks trigger a **fast retransmit** of the hole itself after
-``dupack_threshold`` repeats, and NewReno-style partial acks repair the
-next hole per RTT while inside a loss window.  The RTO remains the
-backstop for tail losses and lost repairs.
+Loss recovery is one rule, **transmission order**.  The sender keeps a
+peer's inflight frames in the order it last transmitted them.  Links are
+FIFO, unicast follows one learned path, and every packet a transport
+sends (data, ack, handshake) rides the same traffic class, so WRR egress
+cannot reorder a connection: what arrives, arrives in transmission
+order.  An ack that newly acknowledges a frame, cumulatively or through
+its bounded **selective-ack block**, standalone or piggybacked, was
+written after that frame arrived, so every frame transmitted *before*
+the latest-transmitted of the newly acknowledged ones and still
+unacknowledged did not arrive, and is retransmitted at once.  That finds
+a first loss on the first SACK past it, repairs every hole of a window
+on the same ack and finds a lost retransmission as soon as anything sent
+after it is acknowledged.  The per-frame RTO is left the one case no ack
+can prove: a frame with nothing sent after it.
+
+The rule would be unsound on a fabric that reorders (multipath, per-
+packet spraying, transport packets split across traffic classes).  Here
+it misfires only where an ack leaves a frame out although it arrived: a
+frame buffered beyond ``SACK_LIMIT``, more than 64 out of order, and a
+frame whose RTO fired although its first copy arrived, whose ack is read
+as naming the second copy.  (``rto_us`` below the loaded round trip
+sends every frame twice anyway.)  Either costs duplicates the receiver
+already discards.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import ScheduledEvent, Simulator, Tracer
 from ..net.host import MTU_BYTES, Host
@@ -61,7 +77,14 @@ class TransportError(Exception):
 
 
 class _PeerTx:
-    """Per-destination sender state shared by both transports."""
+    """Per-destination sender state shared by both transports.
+
+    ``inflight`` is kept in **transmission order**: a dict keeps
+    insertion order and a retransmission is popped before ``_transmit``
+    re-inserts it, so the frames ahead of an entry are the ones last
+    transmitted before it.  ``_accept_cum_ack`` reads loss off that
+    order (module docstring); a frame with nothing sent after it has
+    only its RTO, the timer held beside the packet."""
 
     def __init__(self) -> None:
         self.next_seq = 0
@@ -76,9 +99,6 @@ class _PeerTx:
         self.coalesce: List[Tuple[Dict[str, Any], int]] = []
         self.coalesce_bytes = 0
         self.flush_event: Optional[ScheduledEvent] = None
-        self.dup_acks = 0      # no-progress acks since the last cum advance
-        self.fast_done = -1    # last hole fast-retransmitted (once per hole)
-        self.recover = -1      # highest seq outstanding when loss was seen
 
 
 class _PeerRx:
@@ -106,7 +126,6 @@ class _TransportBase:
         delayed_ack_us: float = 50.0,
         ack_every: int = 2,
         reorder_window: int = 256,
-        dupack_threshold: int = 2,
         mtu_bytes: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -124,8 +143,6 @@ class _TransportBase:
             raise TransportError("ack_every must be at least 1")
         if reorder_window < 1:
             raise TransportError("reorder window must be at least 1")
-        if dupack_threshold < 1:
-            raise TransportError("dup-ack threshold must be at least 1")
         mtu = MTU_BYTES if mtu_bytes is None else mtu_bytes
         budget = mtu - HEADER_BYTES - _FRAME_HEADER_BYTES
         if budget < _MSG_HEADER_BYTES + 1:
@@ -138,10 +155,6 @@ class _TransportBase:
         self.delayed_ack_us = delayed_ack_us
         self.ack_every = ack_every
         self.reorder_window = reorder_window
-        # The simulated links are FIFO, so a duplicate ack is a strong
-        # loss signal; 2 tolerates one stray crossing.  Raise it if the
-        # fabric ever reorders.
-        self.dupack_threshold = dupack_threshold
         self.mtu_bytes = mtu
         self._frame_budget = budget
         self.data_kind = data_kind
@@ -172,7 +185,9 @@ class _TransportBase:
 
         The message coalesces with everything else queued toward ``dst``
         inside the flush deadline into one MTU-bounded frame."""
-        tx = self._tx.setdefault(dst, _PeerTx())
+        tx = self._tx.get(dst)
+        if tx is None:
+            tx = self._tx[dst] = _PeerTx()
         tx.coalesce.append((payload, payload_bytes))
         tx.coalesce_bytes += payload_bytes + _MSG_HEADER_BYTES
         if tx.coalesce_bytes >= self._frame_budget:
@@ -195,7 +210,8 @@ class _TransportBase:
         """Window growth hook, called once per newly acked frame."""
 
     def _on_timeout_accounting(self, dst: str) -> None:
-        """Window collapse hook, called once per retransmission timeout."""
+        """Window collapse hook, called once per loss event: an RTO, or
+        an ack that finds loss (however many frames it names)."""
 
     # -- sender side: framing -----------------------------------------------
     def _on_flush(self, dst: str) -> None:
@@ -283,14 +299,24 @@ class _TransportBase:
         tx = self._tx.get(dst)
         if tx is None or seq not in tx.inflight:
             return
+        self._on_timeout_accounting(dst)
+        self._retransmit(dst, tx, seq, overtaken=False)
+
+    def _retransmit(self, dst: str, tx: _PeerTx, seq: int,
+                    overtaken: bool) -> None:
+        """Transmit inflight ``seq`` again, to the end of the
+        transmission order: its RTO fired, or (``overtaken``) a frame
+        sent after it was acknowledged.  One budget covers both."""
         attempts = tx.attempts.get(seq, 0) + 1
         if attempts > self.max_retransmits:
             self._declare_peer_dead(dst, tx)
             return
         tx.attempts[seq] = attempts
-        packet, _ = tx.inflight.pop(seq)
+        packet, timer = tx.inflight.pop(seq)
         self.tracer.count("transport.retransmit")
-        self._on_timeout_accounting(dst)
+        if overtaken:
+            timer.cancel()
+            self.tracer.count("transport.fast_retransmit")
         self._transmit(dst, tx, packet)
 
     def _declare_peer_dead(self, dst: str, tx: _PeerTx) -> None:
@@ -313,9 +339,6 @@ class _TransportBase:
         tx.attempts.clear()
         tx.next_seq = 0
         tx.epoch += 1
-        tx.dup_acks = 0
-        tx.fast_done = -1
-        tx.recover = -1
         self._on_peer_dead(dst)
 
     def _on_peer_dead(self, dst: str) -> None:
@@ -323,7 +346,7 @@ class _TransportBase:
 
     # -- ack processing (standalone and piggybacked) -------------------------
     def _accept_cum_ack(self, peer: str, cum: int, epoch: int,
-                        standalone: bool, sack: Tuple[int, ...] = ()) -> None:
+                        standalone: bool, sack: Sequence[int] = ()) -> None:
         tx = self._tx.get(peer)
         if tx is None:
             return
@@ -331,86 +354,48 @@ class _TransportBase:
             self.tracer.count("transport.dup_ack")  # ack from a dead epoch
             return
         # Selectively-acked frames sit in the receiver's reorder buffer:
-        # they are delivered the instant the hole fills, so stop their
-        # retransmit timers and open the window for fresh frames.
-        freed = 0
-        for seq in sack:
-            entry = tx.inflight.pop(seq, None)
-            if entry is None:
-                continue
-            entry[1].cancel()
-            tx.attempts.pop(seq, None)
-            sent_at = tx.send_times.pop(seq, None)
-            if sent_at is not None:
-                self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at)
-            self._n_acked[0] += 1
-            self._n_sacked[0] += 1
-            self._on_ack_accounting(peer)
-            freed += 1
-        acked = sorted(seq for seq in tx.inflight if seq <= cum)
+        # they are delivered the instant the hole fills, so they leave
+        # the window like cumulatively acked ones.
+        sacked = set(sack)
+        order = list(tx.inflight)  # transmission order
+        acked = [seq for seq in order if seq <= cum or seq in sacked]
         if not acked:
-            if standalone and not freed:
+            if standalone:
                 self.tracer.count("transport.dup_ack")
-            # A no-progress ack while the next frame is inflight means
-            # the receiver is buffering past a hole: after three, repair
-            # the hole now (one RTT) instead of waiting out the RTO.
-            hole = cum + 1
-            if hole in tx.inflight and hole != tx.fast_done:
-                tx.dup_acks += 1
-                if tx.dup_acks >= self.dupack_threshold:
-                    tx.dup_acks = 0
-                    tx.fast_done = hole  # later dups for this hole are stale
-                    tx.recover = max(tx.inflight)
-                    self._fast_retransmit(peer, tx, hole)
-            if freed:
-                self._pump(peer, tx)
             return
-        tx.dup_acks = 0
         for seq in acked:
-            _, timer = tx.inflight.pop(seq)
-            timer.cancel()
+            tx.inflight.pop(seq)[1].cancel()
             tx.attempts.pop(seq, None)
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
                 self.tracer.sample("transport.delivery_us",
                                    self.sim.now - sent_at)
             self._n_acked[0] += 1
+            if seq > cum:
+                self._n_sacked[0] += 1
             self._on_ack_accounting(peer)
-        if tx.recover >= 0:
-            if cum >= tx.recover:
-                tx.recover = -1  # the whole loss window has been repaired
-            else:
-                # NewReno partial ack: progress inside the loss window
-                # exposes the next hole — repair it now rather than
-                # burning an RTO per hole.
-                hole = cum + 1
-                if hole in tx.inflight and hole != tx.fast_done:
-                    tx.fast_done = hole
-                    self._fast_retransmit(peer, tx, hole)
+        # The fabric is FIFO: whatever was transmitted before the
+        # latest-transmitted frame this ack names, and is not named with
+        # it, did not arrive.  Repair all of it now, as one loss event.
+        lost = sorted(seq for seq in order[:order.index(acked[-1])]
+                      if seq > cum and seq not in sacked)
+        if lost:
+            self._on_timeout_accounting(peer)
+            for seq in lost:
+                if seq not in tx.inflight:
+                    break  # budget spent: the peer was declared dead
+                self._retransmit(peer, tx, seq, overtaken=True)
         self._pump(peer, tx)
-
-    def _fast_retransmit(self, dst: str, tx: _PeerTx, seq: int) -> None:
-        attempts = tx.attempts.get(seq, 0) + 1
-        if attempts > self.max_retransmits:
-            self._declare_peer_dead(dst, tx)
-            return
-        tx.attempts[seq] = attempts
-        packet, timer = tx.inflight.pop(seq)
-        timer.cancel()
-        self.tracer.count("transport.retransmit")
-        self.tracer.count("transport.fast_retransmit")
-        self._on_timeout_accounting(dst)
-        self._transmit(dst, tx, packet)
 
     def _on_ack(self, packet: Packet) -> None:
         self._accept_cum_ack(packet.src, packet.payload["cum"],
                              packet.payload.get("epoch", 0), standalone=True,
-                             sack=tuple(packet.payload.get("sack", ())))
+                             sack=packet.payload.get("sack", ()))
 
     # -- receiver side: acks --------------------------------------------------
     # Cap on the out-of-order seqs reported per ack (keeps the modelled
-    # ack size bounded; anything beyond repairs via later acks or RTO).
+    # ack size bounded).  A frame buffered beyond it looks lost to the
+    # sender and comes again, a duplicate; later acks name it.
     SACK_LIMIT = 64
     _SACK_ENTRY_BYTES = 4
 
@@ -470,8 +455,10 @@ class _TransportBase:
             # Reverse-direction cumulative ack piggybacked on this frame.
             self._accept_cum_ack(src, payload["ack"],
                                  payload.get("ack_epoch", 0), standalone=False,
-                                 sack=tuple(payload.get("ack_sack", ())))
-        rx = self._rx.setdefault(src, _PeerRx())
+                                 sack=payload.get("ack_sack", ()))
+        rx = self._rx.get(src)
+        if rx is None:
+            rx = self._rx[src] = _PeerRx()
         seq = payload["seq"]
         epoch = payload.get("epoch", 0)
         if epoch > rx.epoch:
@@ -485,8 +472,8 @@ class _TransportBase:
             return
         if seq < rx.expected_seq or seq in rx.out_of_order:
             # Duplicate: our ack was lost or still pending — re-ack
-            # immediately (an RTO already burnt; don't let the delayed
-            # timer feed further retransmissions).
+            # immediately (a retransmission already burnt; don't let the
+            # delayed timer feed further ones).
             self.tracer.count("transport.dup_data")
             self._send_ack(src, rx, delayed=False)
             return
@@ -507,9 +494,9 @@ class _TransportBase:
                 for msg, nbytes in zip(msgs, sizes):
                     self._handler(src, msg, nbytes)
         if rx.out_of_order:
-            # A hole is open: ack immediately so the stalled cumulative
-            # ack reaches the sender as a dup-ack (its fast-retransmit
-            # signal), instead of batching behind the delayed-ack timer.
+            # A hole is open: ack immediately so the SACK block that
+            # names this frame (the sender's loss signal for everything
+            # it sent before it) does not wait out the delayed-ack timer.
             self._send_ack(src, rx, delayed=False)
         else:
             self._note_ack_owed(src, rx)
@@ -552,9 +539,11 @@ class LightweightTransport(_TransportBase):
 class TcpLikeTransport(_TransportBase):
     """TCP-flavoured baseline: handshake + slow start + Tahoe collapse.
 
-    Deliberately simplified (no fast retransmit, fixed RTO) — the point
-    of E9 is the *structural* overheads the paper names: connection
-    setup latency and windows that start from one segment.
+    Deliberately simplified (fixed RTO; loss detection is the base
+    class's, shared with the lightweight transport) — the point of E9
+    is the *structural* overheads the paper names: connection setup
+    latency and windows that start from one segment and collapse to one
+    on every loss event.
     """
 
     HANDSHAKE_SYN = "tcp.syn"

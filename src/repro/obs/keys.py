@@ -296,7 +296,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("transport.retransmit", "counter", "1",
        "Frames retransmitted (RTO and fast retransmit)."),
     _k("transport.fast_retransmit", "counter", "1",
-       "Holes repaired on triple duplicate acks, ahead of the RTO."),
+       "Frames retransmitted because a frame sent later was "
+       "acknowledged, ahead of the RTO."),
     _k("transport.acked", "counter", "1",
        "Frames confirmed delivered (cumulative or selective ack)."),
     _k("transport.sacked", "counter", "1",
@@ -310,7 +311,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("transport.delivered", "counter", "1",
        "Messages delivered in order, exactly once, to the handler."),
     _k("transport.dup_ack", "counter", "1",
-       "Standalone acks carrying no new cumulative progress."),
+       "Standalone acks that acknowledged no frame still inflight, "
+       "or came from a dead epoch."),
     _k("transport.dup_data", "counter", "1",
        "Duplicate data frames discarded (and re-acked)."),
     _k("transport.rx_overflow", "counter", "1",

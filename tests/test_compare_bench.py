@@ -59,3 +59,26 @@ def test_unreadable_input_exits_two(tmp_path, capsys):
     assert compare_bench.main([str(ROOT / "BENCH_16.json"),
                                str(tmp_path / "missing.json")]) == 2
     assert "cannot compare" in capsys.readouterr().err
+
+
+def test_newest_below_skips_the_gap_in_the_trajectory(capsys):
+    # No PR 18 point was recorded: BENCH_19.json reads against BENCH_17.
+    assert (ROOT / "BENCH_17.json").exists()
+    assert not (ROOT / "BENCH_18.json").exists()
+    assert compare_bench.newest_below(19) == ROOT / "BENCH_17.json"
+    assert compare_bench.newest_below(18) == ROOT / "BENCH_17.json"
+    assert compare_bench.newest_below(17) == ROOT / "BENCH_16.json"
+    assert compare_bench.main(["--newest-below", "19"]) == 0
+    assert capsys.readouterr().out.strip() == "BENCH_17.json"
+
+
+def test_newest_below_orders_by_number_and_ignores_other_files(tmp_path, capsys):
+    for name in ("BENCH_9.json", "BENCH_10.json", "BENCH_12.json",
+                 "BENCH_x.json", "BENCH_11.json.bak", "BENCHMARK.json"):
+        (tmp_path / name).write_text("{}")
+    assert compare_bench.newest_below(12, tmp_path).name == "BENCH_10.json"
+    assert compare_bench.newest_below(10, tmp_path).name == "BENCH_9.json"
+    assert compare_bench.newest_below(99, tmp_path).name == "BENCH_12.json"
+    assert compare_bench.newest_below(9, tmp_path) is None
+    assert compare_bench.main(["--newest-below", "1"]) == 2
+    assert "no BENCH_<m>.json" in capsys.readouterr().err

@@ -126,6 +126,31 @@ class TestLightweightTransport:
         sim.run_process(proc())
         assert tx.tracer.series.samples("transport.delivery_us")
 
+    def test_peer_records_are_built_once_per_peer(self, monkeypatch):
+        # send() and the data handler look a peer's record up and build
+        # it on a miss; ``setdefault(peer, _PeerTx())`` built one a call.
+        from repro.memproto import transport
+        built = {"_PeerTx": 0, "_PeerRx": 0}
+        for cls in (transport._PeerTx, transport._PeerRx):
+            def counting(self, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self)
+            monkeypatch.setattr(cls, "__init__", counting)
+        sim, tx, rx = _pair(seed=5)
+        echoes = []
+        rx.on_deliver(lambda src, payload, size: rx.send(src, payload, size))
+        tx.on_deliver(lambda src, payload, size: echoes.append(payload["i"]))
+
+        def proc():
+            for i in range(1000):
+                tx.send("h1", {"i": i}, 64)
+                yield Timeout(1.0)
+            yield Timeout(10_000)
+
+        sim.run_process(proc())
+        assert echoes == list(range(1000))
+        assert built == {"_PeerTx": 2, "_PeerRx": 2}  # one of each per end
+
     def test_validation(self):
         sim = Simulator(seed=6)
         net = build_star(sim, 1)
@@ -551,8 +576,6 @@ class TestFrameBatching:
             LightweightTransport(host, reorder_window=0)
         with pytest.raises(TransportError):
             LightweightTransport(host, mtu_bytes=40)  # below the headers
-        with pytest.raises(TransportError):
-            LightweightTransport(host, dupack_threshold=0)
 
     def test_probe_fanout_coalesces_per_target(self):
         # A batched acquire for two objects both dirty at the same
