@@ -84,12 +84,15 @@ class _PeerTx:
     re-inserts it, so the frames ahead of an entry are the ones last
     transmitted before it.  ``_accept_cum_ack`` reads loss off that
     order (module docstring); a frame with nothing sent after it has
-    only its RTO, the timer held beside the packet."""
+    only the timer.  Each entry holds the instant of that transmission,
+    so the first entry is always the next to expire and ``timer``, the
+    peer's one retransmission timer, only ever aims at it."""
 
     def __init__(self) -> None:
         self.next_seq = 0
         self.epoch = 0
-        self.inflight: Dict[int, Tuple[Packet, ScheduledEvent]] = {}
+        self.inflight: Dict[int, Tuple[Packet, float]] = {}  # seq -> (frame, sent at)
+        self.timer: Optional[ScheduledEvent] = None
         self.backlog: Deque[Packet] = deque()
         self.send_times: Dict[int, float] = {}   # seq -> first transmission
         self.queued_at: Dict[int, float] = {}    # seq -> backlog entry time
@@ -275,8 +278,9 @@ class _TransportBase:
             # the backlog; the backlog wait is its own signal.
             tx.send_times[seq] = self.sim.now
             self.tracer.sample("transport.queue_us", self.sim.now - queued)
-        timer = self.sim.schedule(self.rto_us, self._on_timeout, dst, seq)
-        tx.inflight[seq] = (packet, timer)
+        if tx.timer is None:  # the frame enters an empty window
+            tx.timer = self.sim.schedule(self.rto_us, self._on_timer, dst)
+        tx.inflight[seq] = (packet, self.sim.now)
         self._n_tx[0] += 1
         # Each (re)transmission is a distinct wire packet: fresh UID (so
         # switch duplicate suppression never eats a retransmission) and
@@ -295,12 +299,21 @@ class _TransportBase:
         )
         self.host.send(fresh)
 
-    def _on_timeout(self, dst: str, seq: int) -> None:
-        tx = self._tx.get(dst)
-        if tx is None or seq not in tx.inflight:
-            return
-        self._on_timeout_accounting(dst)
-        self._retransmit(dst, tx, seq, overtaken=False)
+    def _on_timer(self, dst: str) -> None:
+        """The peer's one timer: retransmit every head of the window
+        whose deadline has passed, then aim at the first that has not.
+        Armed by the frame that enters an empty window, it fires early
+        whenever that frame was acknowledged in time, and re-aims."""
+        tx = self._tx[dst]
+        while tx.inflight:
+            seq, (_, sent_at) = next(iter(tx.inflight.items()))
+            if sent_at + self.rto_us > self.sim.now:
+                tx.timer = self.sim.schedule_at(sent_at + self.rto_us,
+                                                self._on_timer, dst)
+                return
+            self._on_timeout_accounting(dst)
+            self._retransmit(dst, tx, seq, overtaken=False)
+        tx.timer = None
 
     def _retransmit(self, dst: str, tx: _PeerTx, seq: int,
                     overtaken: bool) -> None:
@@ -312,10 +325,9 @@ class _TransportBase:
             self._declare_peer_dead(dst, tx)
             return
         tx.attempts[seq] = attempts
-        packet, timer = tx.inflight.pop(seq)
+        packet, _ = tx.inflight.pop(seq)
         self.tracer.count("transport.retransmit")
         if overtaken:
-            timer.cancel()
             self.tracer.count("transport.fast_retransmit")
         self._transmit(dst, tx, packet)
 
@@ -325,11 +337,10 @@ class _TransportBase:
         starts a fresh epoch, so a recovered peer resynchronises instead
         of mistaking the new seq 0 for an ancient duplicate."""
         self.tracer.count("transport.peer_dead")
-        for _, timer in tx.inflight.values():
-            timer.cancel()
-        if tx.flush_event is not None:
-            tx.flush_event.cancel()
-            tx.flush_event = None
+        for event in (tx.timer, tx.flush_event):
+            if event is not None:
+                event.cancel()
+        tx.timer = tx.flush_event = None
         tx.inflight.clear()
         tx.backlog.clear()
         tx.coalesce.clear()
@@ -364,7 +375,7 @@ class _TransportBase:
                 self.tracer.count("transport.dup_ack")
             return
         for seq in acked:
-            tx.inflight.pop(seq)[1].cancel()
+            del tx.inflight[seq]
             tx.attempts.pop(seq, None)
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
@@ -386,6 +397,9 @@ class _TransportBase:
                     break  # budget spent: the peer was declared dead
                 self._retransmit(peer, tx, seq, overtaken=True)
         self._pump(peer, tx)
+        if not tx.inflight and tx.timer is not None:
+            tx.timer.cancel()  # the window drained: no run ends on an idle timer
+            tx.timer = None
 
     def _on_ack(self, packet: Packet) -> None:
         self._accept_cum_ack(packet.src, packet.payload["cum"],
@@ -584,9 +598,10 @@ class TcpLikeTransport(_TransportBase):
     def _send_syn(self, dst: str, attempt: int = 0) -> None:
         """Transmit a SYN and keep retrying until the SYNACK arrives
         (without this, a single lost handshake packet deadlocks the
-        connection forever under loss)."""
-        if self._connected.get(dst):
-            return
+        connection forever under loss).  No data is inflight before the
+        SYNACK, so the retry rides the peer's one timer."""
+        tx = self._tx[dst]
+        tx.timer = None
         if attempt >= self.MAX_SYN_RETRIES:
             self.tracer.count("transport.handshake_abandoned")
             # Forget the half-open state entirely: leaving it at False
@@ -600,7 +615,7 @@ class TcpLikeTransport(_TransportBase):
             kind=self.HANDSHAKE_SYN, src=self.host.name, dst=dst,
             payload_bytes=_ACK_BYTES,
         ))
-        self.sim.schedule(self.rto_us, self._send_syn, dst, attempt + 1)
+        tx.timer = self.sim.schedule(self.rto_us, self._send_syn, dst, attempt + 1)
 
     def _on_syn(self, packet: Packet) -> None:
         self.host.send(Packet(
@@ -614,6 +629,9 @@ class TcpLikeTransport(_TransportBase):
             self._connected[dst] = True
             tx = self._tx.get(dst)
             if tx is not None:
+                if tx.timer is not None:
+                    tx.timer.cancel()  # the SYN's retry
+                    tx.timer = None
                 self._pump(dst, tx)
 
     # -- congestion window -----------------------------------------------------
