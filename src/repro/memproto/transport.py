@@ -8,8 +8,8 @@ transmission, separated from the other features provided by TCP."
 Two transports implement the comparison for experiment E9:
 
 * :class:`LightweightTransport` — the paper's proposal: per-peer
-  sequence numbers, a fixed send window, per-frame retransmit timers,
-  receiver-side duplicate suppression.  No handshake, no slow start.
+  sequence numbers, a fixed send window, one retransmission timer per
+  peer, receiver-side duplicate suppression.  No handshake, no slow start.
 * :class:`TcpLikeTransport` — the incumbent baseline: a 1-RTT handshake
   per peer, slow-start congestion window growth from 1 segment, and
   timeout-triggered window collapse (Tahoe-style).
@@ -40,16 +40,29 @@ the latest-transmitted of the newly acknowledged ones and still
 unacknowledged did not arrive, and is retransmitted at once.  That finds
 a first loss on the first SACK past it, repairs every hole of a window
 on the same ack and finds a lost retransmission as soon as anything sent
-after it is acknowledged.  The per-frame RTO is left the one case no ack
-can prove: a frame with nothing sent after it.
+after it is acknowledged.  The timer is left the one case no ack can
+prove: a frame with nothing sent after it.
+
+There is **one timer per peer**, aimed at the head of the window (the
+frame transmitted longest ago) and cancelled when the window drains.
+Its deadline is measured: ``max(the frame's transmission, the last
+instant anything was heard from the peer) + srtt + 4 * rttvar +
+delayed_ack_us``, round trip and deviation smoothed over the acks of
+frames transmitted once (Karn's rule, RFC 6298 gains), plus the delay
+the peer may add to an ack.  ``rto_us`` is the first deadline, until a
+round trip is sampled, and the ceiling: nothing waits longer.  Anything
+heard restarts it, data or ack, progress or not, because a peer's acks
+queue behind its own bursts on its uplink and the round trip jumps
+fourfold at a stroke, yet a peer that is heard from has our ack in that
+queue.  It still misfires on a peer silent for longer than the deadline
+while it holds our ack, which costs duplicates the receiver discards.
 
 The rule would be unsound on a fabric that reorders (multipath, per-
 packet spraying, transport packets split across traffic classes).  Here
 it misfires only where an ack leaves a frame out although it arrived: a
 frame buffered beyond ``SACK_LIMIT``, more than 64 out of order, and a
-frame whose RTO fired although its first copy arrived, whose ack is read
-as naming the second copy.  (``rto_us`` below the loaded round trip
-sends every frame twice anyway.)  Either costs duplicates the receiver
+frame whose timer fired although its first copy arrived, whose ack is
+read as naming the second copy.  Either costs duplicates the receiver
 already discards.
 """
 
@@ -93,6 +106,9 @@ class _PeerTx:
         self.epoch = 0
         self.inflight: Dict[int, Tuple[Packet, float]] = {}  # seq -> (frame, sent at)
         self.timer: Optional[ScheduledEvent] = None
+        self.srtt: Optional[float] = None  # smoothed round trip, None until sampled
+        self.rttvar = 0.0
+        self.heard_at = 0.0  # last instant any frame or ack came from the peer
         self.backlog: Deque[Packet] = deque()
         self.send_times: Dict[int, float] = {}   # seq -> first transmission
         self.queued_at: Dict[int, float] = {}    # seq -> backlog entry time
@@ -279,7 +295,8 @@ class _TransportBase:
             tx.send_times[seq] = self.sim.now
             self.tracer.sample("transport.queue_us", self.sim.now - queued)
         if tx.timer is None:  # the frame enters an empty window
-            tx.timer = self.sim.schedule(self.rto_us, self._on_timer, dst)
+            tx.timer = self.sim.schedule_at(self._deadline(tx, self.sim.now),
+                                            self._on_timer, dst)
         tx.inflight[seq] = (packet, self.sim.now)
         self._n_tx[0] += 1
         # Each (re)transmission is a distinct wire packet: fresh UID (so
@@ -299,6 +316,16 @@ class _TransportBase:
         )
         self.host.send(fresh)
 
+    def _deadline(self, tx: _PeerTx, sent_at: float) -> float:
+        """When a frame transmitted at ``sent_at`` is given up for lost:
+        the measured silence (module docstring), ``rto_us`` at most and
+        ``rto_us`` exactly until a round trip has been sampled."""
+        if tx.srtt is None:
+            return sent_at + self.rto_us
+        return min(sent_at + self.rto_us,
+                   max(sent_at, tx.heard_at) + tx.srtt + 4.0 * tx.rttvar
+                   + self.delayed_ack_us)
+
     def _on_timer(self, dst: str) -> None:
         """The peer's one timer: retransmit every head of the window
         whose deadline has passed, then aim at the first that has not.
@@ -307,9 +334,9 @@ class _TransportBase:
         tx = self._tx[dst]
         while tx.inflight:
             seq, (_, sent_at) = next(iter(tx.inflight.items()))
-            if sent_at + self.rto_us > self.sim.now:
-                tx.timer = self.sim.schedule_at(sent_at + self.rto_us,
-                                                self._on_timer, dst)
+            deadline = self._deadline(tx, sent_at)
+            if deadline > self.sim.now:
+                tx.timer = self.sim.schedule_at(deadline, self._on_timer, dst)
                 return
             self._on_timeout_accounting(dst)
             self._retransmit(dst, tx, seq, overtaken=False)
@@ -348,6 +375,7 @@ class _TransportBase:
         tx.send_times.clear()
         tx.queued_at.clear()
         tx.attempts.clear()
+        tx.srtt = None
         tx.next_seq = 0
         tx.epoch += 1
         self._on_peer_dead(dst)
@@ -361,6 +389,7 @@ class _TransportBase:
         tx = self._tx.get(peer)
         if tx is None:
             return
+        tx.heard_at = self.sim.now
         if epoch != tx.epoch:
             self.tracer.count("transport.dup_ack")  # ack from a dead epoch
             return
@@ -376,11 +405,16 @@ class _TransportBase:
             return
         for seq in acked:
             del tx.inflight[seq]
-            tx.attempts.pop(seq, None)
+            once = tx.attempts.pop(seq, None) is None
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
-                self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at)
+                rtt = self.sim.now - sent_at
+                self.tracer.sample("transport.delivery_us", rtt)
+                if once and tx.srtt is None:
+                    tx.srtt, tx.rttvar = rtt, rtt / 2.0
+                elif once:  # Karn's rule: a retransmitted frame's ack is ambiguous
+                    tx.rttvar += (abs(tx.srtt - rtt) - tx.rttvar) / 4.0
+                    tx.srtt += (rtt - tx.srtt) / 8.0
             self._n_acked[0] += 1
             if seq > cum:
                 self._n_sacked[0] += 1
@@ -470,6 +504,8 @@ class _TransportBase:
             self._accept_cum_ack(src, payload["ack"],
                                  payload.get("ack_epoch", 0), standalone=False,
                                  sack=payload.get("ack_sack", ()))
+        elif src in self._tx:
+            self._tx[src].heard_at = self.sim.now
         rx = self._rx.get(src)
         if rx is None:
             rx = self._rx[src] = _PeerRx()
@@ -534,7 +570,8 @@ class _TransportBase:
 
 class LightweightTransport(_TransportBase):
     """The paper's lightweight reliable transmission: fixed window, no
-    handshake, no congestion machinery."""
+    handshake, no congestion machinery.  ``rto_us`` is the first
+    retransmission deadline and the ceiling of the measured one."""
 
     def __init__(self, host: Host, window: int = 32, rto_us: float = 200.0,
                  max_retransmits: int = 30, tracer: Optional[Tracer] = None,
@@ -553,11 +590,12 @@ class LightweightTransport(_TransportBase):
 class TcpLikeTransport(_TransportBase):
     """TCP-flavoured baseline: handshake + slow start + Tahoe collapse.
 
-    Deliberately simplified (fixed RTO; loss detection is the base
-    class's, shared with the lightweight transport) — the point of E9
-    is the *structural* overheads the paper names: connection setup
-    latency and windows that start from one segment and collapse to one
-    on every loss event.
+    Deliberately simplified (the timer, its measured deadline under the
+    ``rto_us`` ceiling and loss detection are the base class's, shared
+    with the lightweight transport) — the point of E9 is the
+    *structural* overheads the paper names: connection setup latency and
+    windows that start from one segment and collapse to one on every
+    loss event.
     """
 
     HANDSHAKE_SYN = "tcp.syn"

@@ -15,12 +15,16 @@ import cProfile
 import os
 import pstats
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.memproto import LightweightTransport, TcpLikeTransport, transport
 from repro.net import build_star
-from repro.sim import ScheduledEvent, Simulator
+from repro.sim import ScheduledEvent, Simulator, Timeout
 
-from .transport_script import (FRAME_BYTES, RTO_US, assert_quiet, scripted_pair,
-                               seed_for)
+from .transport_script import (DATA, FRAME_BYTES, RTO_US, assert_quiet,
+                               both_ways, drop_masks, scripted_pair,
+                               scripted_star, seed_for)
 
 
 def _never(src, cls, seq, nth, packet):
@@ -67,6 +71,144 @@ class TestNoTimerOutlivesItsWindow:
         assert tx.tracer.counters["transport.ack.tx"] == 0
         assert rx.tracer.counters["transport.ack.delayed"] == 1
         assert_quiet(sim, tx, rx)
+
+
+# ---------------------------------------------------------------------------
+# the deadline: measured, restarted by anything heard, rto_us at most
+# ---------------------------------------------------------------------------
+
+EXCHANGES = 50
+
+
+class _PingPong:
+    """h0 sends a request, h1 echoes it and the echo releases h0's next
+    request, on a scripted star that is otherwise idle: every ack but
+    the last rides a data frame, so the sampled round trips are steady.
+    Starts settled, ``EXCHANGES`` loss-free exchanges in."""
+
+    def __init__(self, seed, lose, **kwargs):
+        self.sim, net, self.script = scripted_star(seed, lose)
+        ends, _ = both_ways(net, rto_us=RTO_US, **kwargs)
+        self.h0, self.h1 = self.ends = ends["h0"], ends["h1"]
+        self.h1.on_deliver(lambda src, payload, size:
+                           self.h1.send(src, payload, size))
+        self.h0.on_deliver(self._on_echo)
+        self.sent = self.wanted = self.echoed = 0
+        self.run(EXCHANGES)
+        assert self.echoed == EXCHANGES
+        assert not any(dropped for *_, dropped in self.script.sent)
+        assert self.h0.tracer.counters["transport.ack.piggybacked"] == EXCHANGES - 1
+        self.peer = self.h0._tx["h1"]  # h0's sender state toward h1
+
+    def _request(self):
+        self.h0.send("h1", {"i": self.sent}, FRAME_BYTES)
+        self.sent += 1
+
+    def _on_echo(self, src, payload, size):
+        self.echoed += 1
+        if self.sent < self.wanted:
+            self._request()
+
+    def run(self, count):
+        """``count`` more exchanges, then on to quiescence."""
+        self.wanted += count
+        self._request()
+        self.sim.run()
+
+
+def _lose_h0_frame(seq, *nths):
+    return lambda src, cls, frame, nth, packet: (
+        (src, cls, frame) == ("h0", DATA, seq) and nth in nths)
+
+
+class TestMeasuredDeadline:
+    def test_a_lost_retransmission_alone_waits_the_measured_silence(self):
+        star = _PingPong(seed_for(14), _lose_h0_frame(EXCHANGES, 1, 2))
+        round_trips = star.h0.tracer.series.samples("transport.delivery_us")
+        assert len(round_trips) == EXCHANGES
+        star.run(1)
+        first, second, third = star.script.starts("h0", EXCHANGES)
+        # Later than any round trip seen, so an ack on its way is not
+        # pre-empted; well before the ceiling a fixed timer waits out.
+        assert second + max(round_trips) < third <= second + RTO_US - 50.0
+        assert first + max(round_trips) < second <= first + RTO_US - 50.0
+        counters = star.h0.tracer.counters
+        assert counters["transport.retransmit"] == 2
+        assert counters.get("transport.fast_retransmit") == 0
+        assert star.h1.tracer.counters.get("transport.dup_data") == 0
+        assert star.echoed == EXCHANGES + 1
+        assert_quiet(star.sim, *star.ends)
+
+    def test_the_ack_of_a_retransmitted_frame_is_not_a_sample(self):
+        star = _PingPong(seed_for(15), _lose_h0_frame(EXCHANGES, 1))
+        peer = star.peer
+        before = (peer.srtt, peer.rttvar)
+        star.run(1)  # acked on its second copy
+        assert len(star.script.starts("h0", EXCHANGES)) == 2
+        assert (peer.srtt, peer.rttvar) == before
+        star.run(1)  # a first copy is a sample again
+        assert (peer.srtt, peer.rttvar) != before
+        assert_quiet(star.sim, *star.ends)
+
+    def test_a_dead_peer_takes_its_estimate_with_it(self):
+        # Epoch 0's frame 50 never arrives.  The next epoch's first frame
+        # loses its first copy and, the estimate gone, waits rto_us exactly.
+        fresh = []  # epoch 1, frame 0: one entry a copy
+
+        def lose(src, cls, seq, nth, packet):
+            if (src, cls) != ("h0", DATA):
+                return False
+            if (packet.payload["epoch"], seq) == (1, 0):
+                fresh.append(nth)
+                return len(fresh) == 1
+            return (packet.payload["epoch"], seq) == (0, EXCHANGES)
+
+        star = _PingPong(seed_for(16), lose, max_retransmits=3)
+        peer = star.peer
+        assert peer.srtt is not None
+        star.run(1)
+        assert star.h0.tracer.counters["transport.peer_dead"] == 1
+        assert peer.srtt is None and peer.timer is None
+        star.run(1)
+        assert len(fresh) == 2
+        first, again = star.script.starts("h0", 0)[-2:]
+        assert again == pytest.approx(first + RTO_US, abs=1e-6)
+        assert peer.srtt is None  # acked on its second copy: no sample yet
+        assert star.echoed == EXCHANGES + 1  # the dead epoch's request is gone
+        assert_quiet(star.sim, *star.ends)
+
+    @settings(max_examples=120, deadline=None)
+    @given(mask=drop_masks, gap=st.sampled_from((0.0, 2.0, 30.0, 120.0)),
+           n=st.integers(min_value=1, max_value=16))
+    def test_no_frame_ever_waits_longer_than_rto_us(self, mask, gap, n):
+        def lose(src, cls, seq, nth, packet):
+            return (src, cls, seq, nth) in mask
+
+        sim, net, script = scripted_star(seed_for(17), lose)
+        ends, got = both_ways(net, rto_us=RTO_US)
+        sent = {name: {} for name in ends}  # seq -> instants transmitted
+        for name, end in ends.items():
+            def transmit(dst, tx, packet, log=sent[name], inner=end._transmit):
+                log.setdefault(packet.payload["seq"], []).append(sim.now)
+                inner(dst, tx, packet)
+            end._transmit = transmit
+
+        def stream(me, peer):
+            for i in range(n):
+                ends[me].send(peer, {"i": i}, FRAME_BYTES)
+                if gap:
+                    yield Timeout(gap)
+            yield Timeout(0.0)
+
+        sim.spawn(stream("h0", "h1"))
+        sim.spawn(stream("h1", "h0"))
+        sim.run()
+        assert got["h0"] == got["h1"] == list(range(n))
+        for log in sent.values():
+            for instants in log.values():
+                assert all(b - a <= RTO_US + 1e-6
+                           for a, b in zip(instants, instants[1:]))
+        assert_quiet(sim, *ends.values())
 
 
 # ---------------------------------------------------------------------------
