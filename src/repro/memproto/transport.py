@@ -332,6 +332,8 @@ class _TransportBase:
         Armed by the frame that enters an empty window, it fires early
         whenever that frame was acknowledged in time, and re-aims."""
         tx = self._tx[dst]
+        # tx.timer still holds the event that fired, so the
+        # retransmissions below arm nothing: this loop does the aiming.
         while tx.inflight:
             seq, (_, sent_at) = next(iter(tx.inflight.items()))
             deadline = self._deadline(tx, sent_at)

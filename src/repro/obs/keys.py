@@ -285,7 +285,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("lease.access_failed", "counter", "1", "Accesses that failed."),
     _k("lease.access_us", "series", "µs", "Per-access latency."),
     # ---- transport.* (memproto reliable transports) -------------------------
-    _k("transport.tx", "counter", "1", "Data frames sent (first transmission)."),
+    _k("transport.tx", "counter", "1",
+       "Data frames sent: every transmission, retransmissions included."),
     _k("transport.frame.tx", "counter", "1",
        "Frames assembled from the coalescing buffer."),
     _k("transport.frame.msgs", "series", "1",

@@ -2,8 +2,8 @@
 
 One rule: an ack that newly acknowledges a frame proves that every
 frame transmitted before it and still unacknowledged was lost, because
-the fabric is FIFO.  The per-frame RTO is left the frame with nothing
-sent after it.
+the fabric is FIFO.  The timer is left the frame with nothing sent
+after it (``test_transport_timers.py`` holds when it fires).
 
 Losses are scripted, not drawn (``transport_script.DropScript``).  Only
 the loss-free soak draws anything (sizes, bursts and gaps); its seed
@@ -21,7 +21,7 @@ from repro.sim import Simulator, Timeout
 
 from .transport_script import (ACK, DATA, FRAME_BYTES, RTO_US, assert_quiet,
                                both_ways, drop_masks, first_copies,
-                               scripted_pair, scripted_star, seed_for)
+                               masked_streams, scripted_pair, seed_for)
 
 
 class TestTransmissionOrderRule:
@@ -256,21 +256,7 @@ class TestAnyDropMask:
     @given(mask=drop_masks, gap=st.sampled_from((0.0, 2.0, 30.0, 120.0)),
            n=st.integers(min_value=1, max_value=16))
     def test_exactly_once_in_order_and_quiescent(self, mask, gap, n):
-        def lose(src, cls, seq, nth, packet):
-            return (src, cls, seq, nth) in mask
-
-        sim, net, script = scripted_star(seed_for(9), lose)
-        ends, got = both_ways(net, rto_us=RTO_US)
-
-        def stream(me, peer):
-            for i in range(n):
-                ends[me].send(peer, {"i": i}, FRAME_BYTES)
-                if gap:
-                    yield Timeout(gap)
-            yield Timeout(0.0)
-
-        sim.spawn(stream("h0", "h1"))
-        sim.spawn(stream("h1", "h0"))
+        sim, ends, got, script = masked_streams(seed_for(9), mask, gap, n)
         sim.run()
         assert got["h0"] == got["h1"] == list(range(n))
         assert_quiet(sim, *ends.values())

@@ -18,17 +18,13 @@ import pstats
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memproto import LightweightTransport, TcpLikeTransport, transport
-from repro.net import build_star
-from repro.sim import ScheduledEvent, Simulator, Timeout
+from repro.memproto import TcpLikeTransport, transport
+from repro.sim import ScheduledEvent, Simulator
 
 from .transport_script import (DATA, FRAME_BYTES, RTO_US, assert_quiet,
-                               both_ways, drop_masks, scripted_pair,
-                               scripted_star, seed_for)
-
-
-def _never(src, cls, seq, nth, packet):
-    return False
+                               both_ways, drop_masks, first_copies,
+                               masked_streams, scripted_pair, scripted_star,
+                               seed_for)
 
 
 def _ack_instants(end):
@@ -47,7 +43,7 @@ class TestNoTimerOutlivesItsWindow:
     def test_a_drained_window_leaves_no_event_at_once(self):
         # Two frames and ack_every=2: the second frame's arrival sends
         # the ack, so the receiver owes nothing and arms no delayed ack.
-        sim, tx, rx, script, got = scripted_pair(seed_for(11), _never)
+        sim, tx, rx, script, got = scripted_pair(seed_for(11), first_copies())
         acked = _ack_instants(tx)
         for i in range(2):
             tx.send("h1", {"i": i}, FRAME_BYTES)
@@ -62,7 +58,7 @@ class TestNoTimerOutlivesItsWindow:
     def test_a_tcp_like_pair_is_quiet_when_its_last_ack_arrives(self):
         # The SYN's retry must not outlive the SYNACK: one message, and
         # the run ends on the delayed ack's arrival, not at the RTO.
-        sim, tx, rx, script, got = scripted_pair(seed_for(12), _never,
+        sim, tx, rx, script, got = scripted_pair(seed_for(12), first_copies(),
                                                  TcpLikeTransport)
         acked = _ack_instants(tx)
         tx.send("h1", {"i": 0}, FRAME_BYTES)
@@ -82,9 +78,10 @@ EXCHANGES = 50
 
 class _PingPong:
     """h0 sends a request, h1 echoes it and the echo releases h0's next
-    request, on a scripted star that is otherwise idle: every ack but
-    the last rides a data frame, so the sampled round trips are steady.
-    Starts settled, ``EXCHANGES`` loss-free exchanges in."""
+    request, on a scripted star that is otherwise idle: one at a time,
+    every ack but the last rides a data frame, so the sampled round
+    trips are steady.  Starts settled, ``EXCHANGES`` loss-free
+    exchanges in."""
 
     def __init__(self, seed, lose, **kwargs):
         self.sim, net, self.script = scripted_star(seed, lose)
@@ -109,21 +106,18 @@ class _PingPong:
         if self.sent < self.wanted:
             self._request()
 
-    def run(self, count):
-        """``count`` more exchanges, then on to quiescence."""
+    def run(self, count, outstanding=1):
+        """``count`` more exchanges, ``outstanding`` at a time, then on
+        to quiescence."""
         self.wanted += count
-        self._request()
+        for _ in range(outstanding):
+            self._request()
         self.sim.run()
-
-
-def _lose_h0_frame(seq, *nths):
-    return lambda src, cls, frame, nth, packet: (
-        (src, cls, frame) == ("h0", DATA, seq) and nth in nths)
 
 
 class TestMeasuredDeadline:
     def test_a_lost_retransmission_alone_waits_the_measured_silence(self):
-        star = _PingPong(seed_for(14), _lose_h0_frame(EXCHANGES, 1, 2))
+        star = _PingPong(seed_for(14), first_copies(EXCHANGES, copies=(1, 2)))
         round_trips = star.h0.tracer.series.samples("transport.delivery_us")
         assert len(round_trips) == EXCHANGES
         star.run(1)
@@ -140,7 +134,7 @@ class TestMeasuredDeadline:
         assert_quiet(star.sim, *star.ends)
 
     def test_the_ack_of_a_retransmitted_frame_is_not_a_sample(self):
-        star = _PingPong(seed_for(15), _lose_h0_frame(EXCHANGES, 1))
+        star = _PingPong(seed_for(15), first_copies(EXCHANGES))
         peer = star.peer
         before = (peer.srtt, peer.rttvar)
         star.run(1)  # acked on its second copy
@@ -181,27 +175,13 @@ class TestMeasuredDeadline:
     @given(mask=drop_masks, gap=st.sampled_from((0.0, 2.0, 30.0, 120.0)),
            n=st.integers(min_value=1, max_value=16))
     def test_no_frame_ever_waits_longer_than_rto_us(self, mask, gap, n):
-        def lose(src, cls, seq, nth, packet):
-            return (src, cls, seq, nth) in mask
-
-        sim, net, script = scripted_star(seed_for(17), lose)
-        ends, got = both_ways(net, rto_us=RTO_US)
+        sim, ends, got, script = masked_streams(seed_for(17), mask, gap, n)
         sent = {name: {} for name in ends}  # seq -> instants transmitted
         for name, end in ends.items():
             def transmit(dst, tx, packet, log=sent[name], inner=end._transmit):
                 log.setdefault(packet.payload["seq"], []).append(sim.now)
                 inner(dst, tx, packet)
             end._transmit = transmit
-
-        def stream(me, peer):
-            for i in range(n):
-                ends[me].send(peer, {"i": i}, FRAME_BYTES)
-                if gap:
-                    yield Timeout(gap)
-            yield Timeout(0.0)
-
-        sim.spawn(stream("h0", "h1"))
-        sim.spawn(stream("h1", "h0"))
         sim.run()
         assert got["h0"] == got["h1"] == list(range(n))
         for log in sent.values():
@@ -220,63 +200,39 @@ OUTSTANDING = 32
 MAX_TIMER_EVENTS_PER_FRAME = 0.1
 
 
-def _profiled_echo() -> tuple:
-    """A loss-free closed-loop request/echo exchange under ``cProfile``:
-    the profile and the frames both ends sent."""
-    sim = Simulator(seed=seed_for(13))
-    net = build_star(sim, 2)
-    requester = LightweightTransport(net.host("h0"))
-    responder = LightweightTransport(net.host("h1"))
-    sent, echoed = [0], [0]
-
-    def request():
-        requester.send("h1", {"i": sent[0]}, 512)
-        sent[0] += 1
-
-    def on_echo(src, payload, nbytes):
-        echoed[0] += 1
-        if sent[0] < MESSAGES:
-            request()
-
-    responder.on_deliver(lambda src, payload, nbytes:
-                         responder.send(src, payload, nbytes))
-    requester.on_deliver(on_echo)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(OUTSTANDING):
-        request()
-    sim.run()
-    profiler.disable()
-    assert echoed[0] == MESSAGES
-    frames = 0
-    for end in (requester, responder):
-        counters = end.tracer.counters
-        assert counters.get("transport.retransmit") == 0
-        frames += counters["transport.frame.tx"]
-    assert sim.pending_event_count == 0
-    return pstats.Stats(profiler).stats, frames
-
-
-def _calls_from_transport(stats, callee, *callers) -> int:
-    """Calls of ``callee`` made by transport.py's functions ``callers``."""
-    code = callee.__code__
-    row = stats.get((code.co_filename, code.co_firstlineno, code.co_name))
-    if row is None:
-        return 0
+def _calls_from_transport(stats, callees, *callers) -> int:
+    """Calls of the functions ``callees`` made by transport.py's
+    functions ``callers``."""
     here = os.path.abspath(transport.__file__)
-    return sum(calls[0] for (filename, _, name), calls in row[4].items()
-               if os.path.abspath(filename) == here and name in callers)
+    total = 0
+    for callee in callees:
+        code = callee.__code__
+        row = stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        if row is not None:
+            total += sum(calls[0] for (filename, _, name), calls in row[4].items()
+                         if os.path.abspath(filename) == here and name in callers)
+    return total
 
 
 def test_the_retransmission_timer_stays_within_its_event_budget():
-    stats, frames = _profiled_echo()
-    armed = sum(_calls_from_transport(stats, schedule, "_transmit", "_on_timer")
-                for schedule in (Simulator.schedule, Simulator.schedule_at))
-    first_arms = sum(_calls_from_transport(stats, schedule, "_transmit")
-                     for schedule in (Simulator.schedule, Simulator.schedule_at))
+    """A loss-free closed-loop exchange, 2,000 messages with 32
+    outstanding, under ``cProfile``: one frame a message each way."""
+    star = _PingPong(seed_for(13), first_copies())
+    profiler = cProfile.Profile()
+    profiler.enable()
+    star.run(MESSAGES, outstanding=OUTSTANDING)
+    profiler.disable()
+    assert star.echoed == EXCHANGES + MESSAGES
+    for end in star.ends:
+        assert end.tracer.counters.get("transport.retransmit") == 0
+    assert_quiet(star.sim, *star.ends)
+    stats, frames = pstats.Stats(profiler).stats, 2 * MESSAGES
+    schedule = (Simulator.schedule, Simulator.schedule_at)
+    armed = _calls_from_transport(stats, schedule, "_transmit", "_on_timer")
     assert 0 < armed <= MAX_TIMER_EVENTS_PER_FRAME * frames, (armed, frames)
     # A frame entering an empty window arms the timer and the ack that
     # drains the window cancels it: one cancel a drain, none a frame.
-    cancelled = _calls_from_transport(stats, ScheduledEvent.cancel,
+    drained = _calls_from_transport(stats, schedule, "_transmit")
+    cancelled = _calls_from_transport(stats, [ScheduledEvent.cancel],
                                       "_accept_cum_ack", "_retransmit")
-    assert cancelled == first_arms, (cancelled, first_arms)
+    assert cancelled == drained, (cancelled, drained)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.memproto import LightweightTransport
 from repro.net import build_star
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
 RTO_US = 200.0
@@ -94,10 +94,11 @@ def both_ways(net, **kwargs):
     return ends, got
 
 
-def first_copies(*seqs):
-    """Lose the first transmission of each of h0's data frames ``seqs``."""
+def first_copies(*seqs, copies=(1,)):
+    """Lose the first transmission (the transmissions ``copies``) of each
+    of h0's data frames ``seqs``; of none, lose nothing."""
     return lambda src, cls, seq, nth, packet: (
-        (src, cls) == ("h0", DATA) and seq in seqs and nth == 1)
+        (src, cls) == ("h0", DATA) and seq in seqs and nth in copies)
 
 
 def assert_quiet(sim, *transports):
@@ -116,3 +117,23 @@ drop_masks = st.sets(
               st.integers(min_value=-1, max_value=15),
               st.integers(min_value=1, max_value=3)),
     max_size=14)
+
+
+def masked_streams(seed, mask, gap, n):
+    """h0 and h1 each stream ``n`` one-frame messages to the other,
+    ``gap`` apart, over a star that drops the ``(src, cls, seq, nth)``
+    in ``mask``.  Spawned, not yet run."""
+    sim, net, script = scripted_star(
+        seed, lambda src, cls, seq, nth, packet: (src, cls, seq, nth) in mask)
+    ends, got = both_ways(net, rto_us=RTO_US)
+
+    def stream(me, peer):
+        for i in range(n):
+            ends[me].send(peer, {"i": i}, FRAME_BYTES)
+            if gap:
+                yield Timeout(gap)
+        yield Timeout(0.0)
+
+    sim.spawn(stream("h0", "h1"))
+    sim.spawn(stream("h1", "h0"))
+    return sim, ends, got, script
