@@ -43,17 +43,22 @@ def run_coherent(write_fraction: float, seed: int = 37):
     agents["h0"].host_object(oid, b"\x00" * 64)
     writer = agents[f"h{N_READERS + 1}"]
     rng = sim.rng
+    read_us, write_us = [], []
 
     def reader(agent):
         for _ in range(OPS_PER_READER):
+            began = sim.now
             yield from agent.read(oid, 0, 8)
+            read_us.append(sim.now - began)
             yield Timeout(5.0)
         return None
 
     def writer_proc():
         for i in range(OPS_PER_READER):
             if rng.random() < write_fraction:
+                began = sim.now
                 yield from writer.write(oid, 0, i.to_bytes(8, "big"))
+                write_us.append(sim.now - began)
             yield Timeout(5.0)
         return None
 
@@ -65,7 +70,7 @@ def run_coherent(write_fraction: float, seed: int = 37):
     sim.run_process(proc())
     hits = sum(agents[f"h{i}"].tracer.counters["coherence.cache_hit"]
                for i in range(1, N_READERS + 1))
-    return sim.now, hits
+    return sim.now, hits, read_us, write_us
 
 
 def run_uncached(write_fraction: float, seed: int = 37):
@@ -109,12 +114,14 @@ def run_uncached(write_fraction: float, seed: int = 37):
 def sweep():
     results = {}
     for fraction in WRITE_FRACTIONS:
-        coherent_time, hits = run_coherent(fraction)
+        coherent_time, hits, read_us, write_us = run_coherent(fraction)
         uncached_time = run_uncached(fraction)
         results[fraction] = {
             "coherent_us": coherent_time,
             "uncached_us": uncached_time,
             "cache_hits": hits,
+            "read_us": sorted(read_us),
+            "write_us": sorted(write_us),
         }
     return results
 
@@ -124,13 +131,18 @@ def test_sharing_table(sweep, benchmark):
     rows = []
     total_reads = N_READERS * OPS_PER_READER
     for fraction, stats in sorted(sweep.items()):
+        reads, writes = stats["read_us"], stats["write_us"]
         rows.append([f"{fraction:.0%}", stats["coherent_us"],
                      stats["uncached_us"],
-                     100.0 * stats["cache_hits"] / total_reads])
+                     100.0 * stats["cache_hits"] / total_reads,
+                     len(writes), reads[int(0.9 * len(reads))], reads[-1],
+                     writes[len(writes) // 2] if writes else 0.0,
+                     writes[-1] if writes else 0.0])
     print_table(
         f"Shared-object access: MSI caching vs always-remote "
         f"({N_READERS} readers x {OPS_PER_READER} reads)",
-        ["write_mix", "coherent_us", "uncached_us", "hit_rate_%"],
+        ["write_mix", "coherent_us", "uncached_us", "hit_rate_%", "writes",
+         "read_p90_us", "read_max_us", "write_p50_us", "write_max_us"],
         rows,
     )
 
@@ -150,7 +162,17 @@ def test_invalidation_churn_erodes_hit_rate(sweep, benchmark):
     def check():
         hits = [sweep[f]["cache_hits"] for f in WRITE_FRACTIONS]
         assert hits == sorted(hits, reverse=True)
-        assert hits[-1] < hits[0] / 2
+        # What a write can cost: it takes the copy from every reader
+        # that holds one, so at least one hit between them (a write
+        # nobody would have read past is not churn) and at most one hit
+        # each.  The four-message protocol sat on the upper bound (its
+        # write took as long as a reader's refill, so every reader was
+        # always back in time to lose the copy again: 45 hits of 117,
+        # "under half"); a three-message write outruns the refill.
+        for fraction in WRITE_FRACTIONS:
+            lost = hits[0] - sweep[fraction]["cache_hits"]
+            writes = len(sweep[fraction]["write_us"])
+            assert writes <= lost <= N_READERS * writes
 
     bench_check(benchmark, check)
 

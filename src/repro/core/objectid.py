@@ -34,7 +34,7 @@ class ObjectID:
     (:data:`NULL_ID`).
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash")
 
     def __init__(self, value: int):
         if not isinstance(value, int):
@@ -42,6 +42,9 @@ class ObjectID:
         if not 0 <= value <= _ID_MASK:
             raise ValueError(f"ObjectID out of 128-bit range: {value:#x}")
         object.__setattr__(self, "_value", value)
+        # IDs key every cache, directory and location table: hash the
+        # 128-bit int once, not on every lookup.
+        object.__setattr__(self, "_hash", hash(value))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ObjectID is immutable")
@@ -85,7 +88,7 @@ class ObjectID:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ObjectID({self._value:#034x})"

@@ -9,8 +9,31 @@ object granularity:
 * every object has a **home** host holding the directory entry and the
   authoritative copy;
 * any host may **acquire** a Shared (read) or Modified (write) copy;
-* the home serializes conflicting acquisitions per object, probing and
-  invalidating remote copies as needed, collecting dirty data on the way.
+* the home serializes conflicting acquisitions per object and decides who
+  must give a copy up; the line itself goes the shortest way.
+
+An acquisition that meets another copy takes three messages, each shape
+one wait at the requester R (H the home, O the owner, S the sharers)::
+
+  directory says       messages on R's critical path        data rides
+  nobody / R itself    R>H acquire, H>R grant                H>R
+  owner O              R>H acquire, H>O probe, O>R grant     O>R (and O>H
+                       (O>H ack frees the line)              ack on M->S)
+  sharers S, a write   R>H acquire, H>S probe, S>R ack       H>R, unless
+                       (H>R grant at once, frees the line)   R upgrades
+
+The four-message shape (H collects the acks, then grants) remains where
+it must: O let the line go before the probe came, or R is H itself.
+
+**The hold rule.**  A grant from O reaches R by another path than H's
+next probe, and H names a writer the owner before its sharers' acks are
+in, so a probe can reach a host before the copy it is after.  Every
+probe therefore names the acquisition that made its target a holder,
+and a target still waiting on that acquisition holds the probe until
+one event after installing the copy (a Shared copy is installed as its
+grant arrives, a Modified one in the step that applies the store).  Any
+other probe is answered at once, as it always was: a target may itself
+be queued at the home behind the prober, and would wait for ever.
 
 The protocol rides on raw host-addressed packets (it provides its own
 request/ack matching), so it can be layered over either transport.
@@ -37,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.objectid import ObjectID
 from ..sim import Future, ScheduledEvent, Simulator, Tracer
@@ -87,23 +110,25 @@ class _CacheEntry:
 
     __slots__ = ("data", "perm", "dirty")
 
-    def __init__(self, data: bytearray, perm: str):
+    def __init__(self, data: bytearray, perm: str, dirty: bool = False):
         self.data = data
         self.perm = perm
-        self.dirty = False
+        self.dirty = dirty
 
 
 class _DirectoryEntry:
     """Home-side record: authoritative data + current copy holders."""
 
-    __slots__ = ("data", "sharers", "owner", "busy", "pending")
+    __slots__ = ("data", "sharers", "owner", "via", "busy", "pending")
 
     def __init__(self, data: bytearray):
         self.data = data
         self.sharers: Set[str] = set()
         self.owner: Optional[str] = None  # holder of the Modified copy
-        self.busy = False                 # a transaction is in flight
-        self.pending: deque = deque()     # queued _Txn acquisitions
+        self.via: Dict[str, int] = {}     # holder -> req_id that made it one
+        self.busy: Optional[_Txn] = None  # the transaction in flight
+        # Queued _Txn acquisitions, and a release put behind its own grant.
+        self.pending: deque = deque()
 
 
 class _Txn:
@@ -161,6 +186,9 @@ class CoherenceAgent:
         self._n_grant = self.tracer.cell("coherence.grant")
         self._n_upgrade_ack = self.tracer.cell("coherence.upgrade_ack")
         self._n_grant_pkts = self.tracer.cell("coherence.batch.grant_pkts")
+        self._n_forwarded = self.tracer.cell("coherence.forwarded")
+        self._n_probe_deferred = self.tracer.cell("coherence.probe_deferred")
+        self._n_ack_collected = self.tracer.cell("coherence.ack_collected")
         self._n_evict_modified = self.tracer.cell("coherence.evict.modified")
         self._n_evict_writeback = self.tracer.cell("coherence.evict.writeback")
         self._n_evict_shared = self.tracer.cell("coherence.evict.shared")
@@ -170,7 +198,12 @@ class CoherenceAgent:
         self._cache: "OrderedDict[ObjectID, _CacheEntry]" = OrderedDict()
         self._cache_bytes = 0
         self._directory: Dict[ObjectID, _DirectoryEntry] = {}
+        # One wait per acquisition, kept until the copy is installed: the
+        # grant and, for a write that met sharers, their invalidation acks
+        # ([acks still owed, grant]), plus the probes held for it meanwhile.
         self._pending: Dict[int, Future] = {}
+        self._owed: Dict[int, List[Any]] = {}
+        self._held: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
         # Capacity-eviction releases are fire-and-forget (no waiting
         # process), but a dirty eviction's data must stay reachable until
         # the home acks it: a probe racing the release finds the bytes
@@ -399,9 +432,7 @@ class CoherenceAgent:
                 results[index] = yield from self.read(oid, offset, length)
                 continue
             self._n_read_miss[0] += 1
-            req_id = next(_req_ids)
-            future = Future(self.sim, name=f"scan-{req_id}")
-            self._pending[req_id] = future
+            req_id, future = self._request("scan")
             by_home.setdefault(self._home_of(oid), []).append(
                 (index, oid, req_id, future))
         for home, wanted in by_home.items():
@@ -410,9 +441,7 @@ class CoherenceAgent:
             self._send_acquire(home, PERM_SHARED, reqs)
         for home, wanted in by_home.items():
             for index, oid, _, future in wanted:
-                granted = yield future
-                entry = self._install(
-                    oid, _CacheEntry(bytearray(granted["data"]), PERM_SHARED))
+                entry = yield future
                 self._check_range(oid, len(entry.data), offset, length)
                 results[index] = bytes(entry.data[offset : offset + length])
         return [results[i] for i in range(len(oids))]
@@ -452,9 +481,7 @@ class CoherenceAgent:
                 results[oid] = yield from self._pool.load(oid)
                 continue
             self._n_read_miss[0] += 1
-            req_id = next(_req_ids)
-            future = Future(self.sim, name=f"bulk-{req_id}")
-            self._pending[req_id] = future
+            req_id, future = self._request("bulk")
             by_home.setdefault(self._home_of(oid), []).append(
                 (oid, req_id, future))
         for home, wanted in by_home.items():
@@ -463,10 +490,7 @@ class CoherenceAgent:
             self._send_acquire(home, PERM_SHARED, reqs)
         for home, wanted in by_home.items():
             for oid, _, future in wanted:
-                granted = yield future
-                entry = self._install(
-                    oid, _CacheEntry(bytearray(granted["data"]), PERM_SHARED))
-                results[oid] = bytes(entry.data)
+                results[oid] = bytes((yield future).data)
         return results
 
     def write(self, oid: ObjectID, offset: int, data: bytes):
@@ -481,7 +505,7 @@ class CoherenceAgent:
             # the data we already hold (unless a concurrent writer
             # invalidated us while the upgrade was in flight).
             self._n_upgrade[0] += 1
-            entry = yield from self._upgrade(oid)
+            entry = yield from self._acquire(oid, PERM_MODIFIED, upgrade=True)
         elif home == self.host.name:
             # Home writes still invalidate remote copies first.
             directory = self._home_directory(oid)
@@ -505,9 +529,7 @@ class CoherenceAgent:
         entry = self._cache.get(oid)
         if entry is None:
             raise CoherenceError(f"{self.host.name} has no cached copy of {oid.short()}")
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"release-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self._request("release")
         self.host.send(release_packet(
             self.host.name, self._home_of(oid), oid, req_id, entry.perm,
             bytes(entry.data) if entry.dirty else None))
@@ -534,33 +556,63 @@ class CoherenceAgent:
             self.tracer.count("coherence.batch.multi_acquire")
         self.host.send(acquire_packet(self.host.name, home, perm, reqs))
 
-    def _acquire(self, oid: ObjectID, perm: str):
+    def _request(self, label: str) -> Tuple[int, Future]:
         req_id = next(_req_ids)
-        future = Future(self.sim, name=f"acquire-{req_id}")
-        self._pending[req_id] = future
-        self._send_acquire(self._home_of(oid), perm,
-                           [{"oid": oid, "req_id": req_id}])
-        granted = yield future
-        return self._install(oid, _CacheEntry(bytearray(granted["data"]), perm))
+        future = self._pending[req_id] = Future(
+            self.sim, name=f"{label}-{req_id}")
+        return req_id, future
 
-    def _upgrade(self, oid: ObjectID):
-        """Process: request S -> M; the grant carries data only if our
-        shared copy was invalidated while the request was in flight."""
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"upgrade-{req_id}")
-        self._pending[req_id] = future
-        self._send_acquire(self._home_of(oid), PERM_MODIFIED,
-                           [{"oid": oid, "req_id": req_id, "upgrade": True}])
-        granted = yield future
+    def _acquire(self, oid: ObjectID, perm: str, upgrade: bool = False):
+        """Process: one acquisition, one wait.  ``upgrade`` asks for
+        S -> M: the grant carries data only if our shared copy was
+        invalidated while the request was in flight."""
+        req_id, future = self._request("upgrade" if upgrade else "acquire")
+        req: Dict[str, Any] = {"oid": oid, "req_id": req_id}
+        if upgrade:
+            req["upgrade"] = True
+        self._send_acquire(self._home_of(oid), perm, [req])
+        got = yield future
+        # A Shared copy was installed as its grant arrived (_arrived); a
+        # Modified one is installed here, in the step that applies the
+        # store, so no eviction can come between the two.
+        return self._fill(got) if perm == PERM_MODIFIED else got
+
+    def _fill(self, granted: Dict[str, Any]) -> _CacheEntry:
+        """Install a granted copy (an upgrade that kept its data flips in
+        place) and answer, one event later, the probes held for it."""
+        oid = granted["oid"]
         entry = self._cache.get(oid)
-        if granted.get("data") is not None or entry is None:
-            # We lost the copy mid-flight: the home shipped fresh data.
-            entry = self._install(
-                oid, _CacheEntry(bytearray(granted["data"]), PERM_MODIFIED))
+        if granted["data"] is not None or entry is None:
+            entry = self._install(oid, _CacheEntry(
+                bytearray(granted["data"]), granted["perm"],
+                granted.get("dirty", False)))
         else:
             entry.perm = PERM_MODIFIED
             self._touch(oid)
+        del self._pending[granted["req_id"]]
+        for home, probe in self._held.pop(granted["req_id"], ()):
+            self.sim.schedule(0.0, self._probed, home, [probe])
         return entry
+
+    def _arrived(self, req_id: int, acks: int,
+                 grant: Optional[Dict[str, Any]] = None) -> None:
+        """A grant (which says how many invalidation acks the sharers owe
+        us) or one such ack (``acks=-1``) came in; complete the wait when
+        the grant and every ack have, in either order."""
+        future = self._pending.get(req_id)
+        if future is None:
+            self.tracer.count("coherence.orphan_grant" if grant
+                              else "coherence.orphan_probe_ack")
+            return
+        if acks or req_id in self._owed:
+            state = self._owed.setdefault(req_id, [0, None])
+            state[0] += acks
+            grant = state[1] = grant or state[1]
+            if state[0] or grant is None:
+                return
+            del self._owed[req_id]
+        future.set_result(
+            self._fill(grant) if grant["perm"] == PERM_SHARED else grant)
 
     def _home_local_barrier(self, oid: ObjectID, perm: str):
         """Recall/invalidate remote copies before a home-side access.
@@ -573,9 +625,7 @@ class CoherenceAgent:
         directory = self._home_directory(oid)
         if not directory.sharers and directory.owner is None:
             return
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"homebarrier-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self._request("homebarrier")
         txn = _Txn(self.host.name, req_id, perm, home_local=True)
         self._admit(oid, directory, txn)
         yield future
@@ -584,20 +634,20 @@ class CoherenceAgent:
 
     def _on_grant(self, packet: Packet) -> None:
         for entry in packet.payload["grants"]:
+            if not entry.get("nack"):
+                self._arrived(entry["req_id"], entry.get("acks", 0), entry)
+                continue
             future = self._pending.pop(entry["req_id"], None)
             if future is None:
                 self.tracer.count("coherence.orphan_grant")
                 continue
-            if entry.get("nack"):
-                # The home refused: it never hosted this object (stale
-                # home map).  Fault the waiting coroutine instead of
-                # leaving it parked on the future forever.
-                oid = entry["oid"]
-                future.set_exception(CoherenceError(
-                    f"acquire {entry['perm']} of {oid.short()} NACKed by "
-                    f"{packet.src}: not the home (stale home map?)"))
-                continue
-            future.set_result(entry)
+            # The home refused: it never hosted this object (stale home
+            # map).  Fault the waiting coroutine instead of leaving it
+            # parked on the future forever.
+            oid = entry["oid"]
+            future.set_exception(CoherenceError(
+                f"acquire {entry['perm']} of {oid.short()} NACKed by "
+                f"{packet.src}: not the home (stale home map?)"))
 
     def _on_release_ack(self, packet: Packet) -> None:
         req_id = packet.payload["req_id"]
@@ -641,35 +691,44 @@ class CoherenceAgent:
         if directory.busy:
             directory.pending.append(txn)
             return
-        directory.busy = True
+        directory.busy = txn
         self._start_transaction(oid, directory, txn)
 
     def _start_transaction(self, oid: ObjectID, directory: _DirectoryEntry,
                            txn: _Txn) -> None:
-        requester = txn.requester
-        perm = txn.perm
-        # Who must be probed before this grant is legal?
-        to_probe: Set[str] = set()
-        if perm == PERM_MODIFIED:
-            to_probe |= {s for s in directory.sharers if s != requester}
-            if directory.owner and directory.owner != requester:
-                to_probe.add(directory.owner)
-        else:  # Shared: only an exclusive owner conflicts
-            if directory.owner and directory.owner != requester:
-                to_probe.add(directory.owner)
-        if not to_probe:
-            self._grant(oid, directory, txn)
+        # Who stands between this request and a legal grant?  Either an
+        # exclusive owner (then nobody else holds a copy) or, for a
+        # write, the other sharers.
+        owner = directory.owner if directory.owner != txn.requester else None
+        others = [owner] if owner else sorted(
+            directory.sharers - {txn.requester}
+            if txn.perm == PERM_MODIFIED else ())
+        if owner is None and not (others and txn.home_local):
+            # Nobody, or sharers only: the home's bytes are good, so it
+            # grants at once and the requester collects the sharers' acks.
+            self._grant(oid, directory, txn, others)
             return
+        # The owner forwards the line to the requester and acks us; the
+        # home's own barrier (it keeps no copy to forward to) has every
+        # holder ack the home instead.  The line stays busy until then.
+        self._collect[(oid, (txn.requester, txn.req_id))] = {
+            "txn": txn, "waiting": set(others)}
+        for target in others:
+            self._probe(target, oid, directory, txn,
+                        forward=not txn.home_local)
+
+    def _probe(self, target: str, oid: ObjectID, directory: _DirectoryEntry,
+               txn: _Txn, **reply: bool) -> None:
+        """Queue one probe.  ``via`` names the acquisition that made
+        ``target`` a holder: its grant may not have come from us, so it
+        may still be on its way, and the target holds the probe for it."""
+        self._n_probe[0] += 1
         # A Shared acquisition only needs the exclusive owner *downgraded*
         # to Shared (with writeback); Modified needs everyone at Invalid.
-        downgrade_to = PERM_SHARED if perm == PERM_SHARED else "I"
-        key = (requester, txn.req_id)
-        self._collect[(oid, key)] = {"txn": txn, "waiting": set(to_probe),
-                                     "downgrade_to": downgrade_to}
-        for target in sorted(to_probe):
-            self._n_probe[0] += 1
-            self._queue_probe(target, {"oid": oid, "req_key": list(key),
-                                       "downgrade_to": downgrade_to})
+        self._queue_probe(target, {
+            "oid": oid, "req_key": [txn.requester, txn.req_id],
+            "downgrade_to": PERM_SHARED if txn.perm == PERM_SHARED else "I",
+            "via": directory.via.get(target), **reply})
 
     # -- probe fan-out batching ----------------------------------------------
     def _queue_probe(self, target: str, probe: Dict[str, Any]) -> None:
@@ -689,12 +748,28 @@ class CoherenceAgent:
         self.host.send(probe_packet(self.host.name, target, probes))
 
     def _on_probe(self, packet: Packet) -> None:
-        acks: List[Dict[str, Any]] = []
-        for probe in packet.payload["probes"]:
+        self._probed(packet.src, packet.payload["probes"])
+
+    def _probed(self, home: str, probes: List[Dict[str, Any]]) -> None:
+        acks: Dict[str, List[Dict[str, Any]]] = {}
+        for probe in probes:
+            if probe.get("via") in self._pending:
+                # The copy this probe is after is still on its way to us
+                # (its grant took another path than the probe): hold the
+                # probe until it is installed, or we would answer "not
+                # present" and then install a copy nobody can revoke.  A
+                # probe for an older copy is answered at once: our wait
+                # may be queued at the home behind the prober's.
+                self._n_probe_deferred[0] += 1
+                self._held.setdefault(probe["via"], []).append((home, probe))
+                continue
             oid = probe["oid"]
+            requester, req_id = probe["req_key"]
             downgrade_to = probe.get("downgrade_to", "I")
             entry = self._cache.get(oid)
             ack: Dict[str, Any] = {"oid": oid, "req_key": probe["req_key"]}
+            acks.setdefault(requester if probe.get("ack_requester") else home,
+                            []).append(ack)
             if entry is None:
                 # The directory thinks we hold a copy but we already let
                 # go of it (silent-drop eviction, or a release still in
@@ -705,9 +780,19 @@ class CoherenceAgent:
                 racing = self._evicting.get(oid)
                 if racing is not None:
                     ack["data"] = racing[1]
-                acks.append(ack)
                 continue
-            if entry.dirty:
+            handed_over = False
+            if probe.get("forward"):
+                # We own the line: send it (and, when we give it up, the
+                # duty to write it back) straight to the requester.
+                self._n_forwarded[0] += 1
+                ack["forwarded"] = True
+                handed_over = entry.dirty and downgrade_to == "I"
+                self._queue_grant(requester, {
+                    "req_id": req_id, "oid": oid, "data": bytes(entry.data),
+                    "perm": PERM_SHARED if downgrade_to == PERM_SHARED
+                    else PERM_MODIFIED, "dirty": handed_over})
+            if entry.dirty and not handed_over:
                 ack["data"] = bytes(entry.data)
             if downgrade_to == PERM_SHARED:
                 # M -> S: keep the (now clean) copy for future local reads.
@@ -720,8 +805,8 @@ class CoherenceAgent:
                 self._n_invalidated[0] += 1
                 for callback in self._invalidation_listeners:
                     callback(oid)
-            acks.append(ack)
-        self.host.send(probe_ack_packet(self.host.name, packet.src, acks))
+        for target, batch in acks.items():
+            self.host.send(probe_ack_packet(self.host.name, target, batch))
 
     def _on_probe_ack(self, packet: Packet) -> None:
         for ack in packet.payload["acks"]:
@@ -729,7 +814,10 @@ class CoherenceAgent:
             key = tuple(ack["req_key"])
             state = self._collect.get((oid, key))
             if state is None:
-                self.tracer.count("coherence.orphan_probe_ack")
+                # Not a transaction of ours: a sharer's invalidation ack
+                # for a write we are waiting on ourselves.
+                self._n_ack_collected[0] += 1
+                self._arrived(key[1], -1)
                 continue
             directory = self._directory[oid]
             if ack.get("present") is False:
@@ -750,35 +838,50 @@ class CoherenceAgent:
             state["waiting"].discard(packet.src)
             if not state["waiting"]:
                 del self._collect[(oid, key)]
-                self._grant(oid, directory, state["txn"])
+                if ack.get("forwarded"):
+                    self._name_holder(oid, directory, state["txn"])
+                    self._finish_transaction(oid, directory)
+                else:
+                    self._grant(oid, directory, state["txn"])
 
     # -- grant coalescing -----------------------------------------------------
-    def _grant(self, oid: ObjectID, directory: _DirectoryEntry,
-               txn: _Txn) -> None:
-        requester = txn.requester
-        perm = txn.perm
-        # An upgrade grant omits the data while the requester still holds
-        # a valid shared copy; if an earlier transaction invalidated it,
-        # ship fresh data (checked before we mutate the sharer set).
-        upgrade_without_data = txn.upgrade and requester in directory.sharers
-        if perm == PERM_MODIFIED:
+    def _name_holder(self, oid: ObjectID, directory: _DirectoryEntry,
+                     txn: _Txn) -> None:
+        if txn.perm == PERM_MODIFIED:
             # MSI stays authoritative over the pool: the mapping is
             # dropped before any writer can touch the data, so a pool
             # load can never observe post-grant bytes.
             self._pool_invalidate(oid)
-            directory.sharers.discard(requester)
-            directory.owner = requester
+            directory.sharers.clear()
+            directory.owner = txn.requester
         else:
-            directory.sharers.add(requester)
-        self._n_grant[0] += 1
-        if upgrade_without_data:
-            self._n_upgrade_ack[0] += 1
+            directory.sharers.add(txn.requester)
+        directory.via[txn.requester] = txn.req_id
+
+    def _grant(self, oid: ObjectID, directory: _DirectoryEntry,
+               txn: _Txn, ack_from: Sequence[str] = ()) -> None:
+        """Grant from the home's bytes.  Sharers in ``ack_from`` are told
+        to invalidate and ack the requester, which the grant tells how
+        many acks to wait for; the directory moves on at once."""
+        requester = txn.requester
+        # An upgrade grant omits the data while the requester still holds
+        # a valid shared copy; if an earlier transaction invalidated it,
+        # ship fresh data (checked before we mutate the sharer set).
+        upgrade_without_data = txn.upgrade and requester in directory.sharers
         entry = {
             "req_id": txn.req_id,
             "oid": oid,
-            "perm": perm,
+            "perm": txn.perm,
             "data": None if upgrade_without_data else bytes(directory.data),
         }
+        if ack_from:
+            entry["acks"] = len(ack_from)
+        for target in ack_from:
+            self._probe(target, oid, directory, txn, ack_requester=True)
+        self._name_holder(oid, directory, txn)
+        self._n_grant[0] += 1
+        if upgrade_without_data:
+            self._n_upgrade_ack[0] += 1
         if txn.home_local:
             # Local barrier: complete without touching the network.
             directory.owner = None
@@ -786,9 +889,8 @@ class CoherenceAgent:
             future = self._pending.pop(txn.req_id, None)
             if future is not None:
                 future.set_result(entry)
-            self._finish_transaction(oid, directory)
-            return
-        self._queue_grant(requester, entry)
+        else:
+            self._queue_grant(requester, entry)
         self._finish_transaction(oid, directory)
 
     def _queue_grant(self, requester: str, entry: Dict[str, Any]) -> None:
@@ -811,11 +913,14 @@ class CoherenceAgent:
         self.host.send(grant_packet(self.host.name, requester, grants))
 
     def _finish_transaction(self, oid: ObjectID, directory: _DirectoryEntry) -> None:
-        if directory.pending:
-            next_txn = directory.pending.popleft()
-            self._start_transaction(oid, directory, next_txn)
-        else:
-            directory.busy = False
+        directory.busy = None
+        while directory.pending and directory.busy is None:
+            waiting = directory.pending.popleft()
+            if isinstance(waiting, Packet):
+                self._on_release(waiting)
+            else:
+                directory.busy = waiting
+                self._start_transaction(oid, directory, waiting)
 
     def _on_release(self, packet: Packet) -> None:
         oid = packet.oid
@@ -823,6 +928,13 @@ class CoherenceAgent:
         directory = self._directory.get(oid)
         if directory is None:
             self.tracer.count("coherence.bad_home")
+            return
+        if directory.busy and directory.busy.requester == packet.src:
+            # The requester of the transfer in flight already lets the
+            # line go (the owner's grant reached it before the owner's
+            # ack reached us): record the transfer first, or its bytes
+            # would count as a stranger's and be dropped.
+            directory.pending.appendleft(packet)
             return
         if "data" in packet.payload and directory.owner in (None, packet.src):
             # Apply the writeback unless ownership has already moved on

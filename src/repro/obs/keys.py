@@ -346,8 +346,17 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("coherence.upgrade_ack", "counter", "1",
        "Upgrades granted without re-shipping data."),
     _k("coherence.grant", "counter", "1", "Acquisitions granted by the home."),
+    _k("coherence.forwarded", "counter", "1",
+       "Acquisitions granted by the line's owner, straight to the "
+       "requester, on the home's probe."),
     _k("coherence.probe", "counter", "1",
        "Probe/invalidate entries sent to copy holders."),
+    _k("coherence.probe_deferred", "counter", "1",
+       "Probes held at their target until the copy they name, still on "
+       "its way, was installed."),
+    _k("coherence.ack_collected", "counter", "1",
+       "Invalidation acks a writer received from sharers itself "
+       "(the home granted at once and moved on)."),
     _k("coherence.invalidated", "counter", "1",
        "Cached copies dropped in response to a probe."),
     _k("coherence.downgraded", "counter", "1",
@@ -366,7 +375,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("coherence.batch.multi_acquire", "counter", "1",
        "Acquire packets carrying more than one request."),
     _k("coherence.batch.grant_pkts", "counter", "1",
-       "Grant packets sent (each may answer many requests)."),
+       "Grant packets sent, by the home or by a forwarding owner (each "
+       "may answer many requests)."),
     _k("coherence.batch.multi_grant", "counter", "1",
        "Grant packets answering more than one request."),
     _k("coherence.batch.probe_pkts", "counter", "1",

@@ -599,14 +599,21 @@ class TestFrameBatching:
         chunks = sim.run_process(proc())
         assert chunks == [b"A", b"B"]  # the dirty bytes, not the zeros
         home = agents["h0"].tracer.counters
-        # Both downgrades rode one probe packet; both shared copies rode
-        # one grant packet back to the reader (the writes earlier each
-        # earned their own single-grant packet, hence three total).
+        # Both downgrades rode one probe packet.  The home sent only the
+        # two single-grant packets the writes earned earlier: the owner
+        # forwards both shared copies to the reader itself, in one grant
+        # packet, and writes the dirty bytes back on its one ack.
         assert home["coherence.probe"] == 2
         assert home["coherence.batch.probe_pkts"] == 1
         assert home["coherence.batch.multi_probe"] == 1
-        assert home["coherence.batch.grant_pkts"] == 3
-        assert home["coherence.batch.multi_grant"] == 1
+        assert home["coherence.batch.grant_pkts"] == 2
+        assert home["coherence.batch.multi_grant"] == 0
+        owner = agents["h1"].tracer.counters
+        assert owner["coherence.forwarded"] == 2
+        assert owner["coherence.batch.grant_pkts"] == 1
+        assert owner["coherence.batch.multi_grant"] == 1
+        for i, oid in enumerate(oids):
+            assert agents["h0"].authoritative_data(oid)[:1] == bytes([65 + i])
 
     def test_read_many_batches_acquires_and_grants(self):
         sim = Simulator(seed=_seed(37))
