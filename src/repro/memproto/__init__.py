@@ -16,18 +16,8 @@ from .messages import (
     MSG_GRANT,
     MSG_PROBE_ACK,
     MSG_PROBE_INVALIDATE,
-    MSG_READ_REQ,
-    MSG_READ_RSP,
     MSG_RELEASE,
     MSG_RELEASE_ACK,
-    MSG_UPGRADE_ACK,
-    MSG_UPGRADE_REQ,
-    MSG_WRITE_ACK,
-    MSG_WRITE_REQ,
-    read_request,
-    read_response,
-    write_ack,
-    write_request,
 )
 from .pool import (
     POOL_BANDWIDTH_GBPS,
@@ -40,22 +30,12 @@ from .transport import LightweightTransport, TcpLikeTransport, TransportError
 
 __all__ = [
     "CACHE_LINE_BYTES",
-    "MSG_READ_REQ",
-    "MSG_READ_RSP",
-    "MSG_WRITE_REQ",
-    "MSG_WRITE_ACK",
     "MSG_ACQUIRE",
     "MSG_GRANT",
     "MSG_PROBE_INVALIDATE",
     "MSG_PROBE_ACK",
     "MSG_RELEASE",
     "MSG_RELEASE_ACK",
-    "MSG_UPGRADE_REQ",
-    "MSG_UPGRADE_ACK",
-    "read_request",
-    "read_response",
-    "write_request",
-    "write_ack",
     "LightweightTransport",
     "TcpLikeTransport",
     "TransportError",

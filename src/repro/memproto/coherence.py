@@ -35,25 +35,43 @@ grant arrives, a Modified one in the step that applies the store).  Any
 other probe is answered at once, as it always was: a target may itself
 be queued at the home behind the prober, and would wait for ever.
 
-The protocol rides on raw host-addressed packets (it provides its own
-request/ack matching), so it can be layered over either transport.
+**One frame.**  All six kinds are ``coherence_packet(kind, src, dst,
+entries)``: raw host-addressed packets with the matching done here, so
+the frame can ride either transport.  An entry is a plain dict::
 
-The data plane is **batched at the packet boundary**: acquisitions for
-many objects travel in one acquire packet (:meth:`CoherenceAgent.read_many`
-for sequential-scan readers), the home coalesces grants completing at the
-same instant into one multi-oid grant reply, and the probe/invalidate
-fan-out of concurrent transactions coalesces per target into one
-multi-entry probe round (answered by one batched ack, dirty writebacks
-piggybacked per entry).
+  kind             an entry carries              and, when it applies
+  coh.acquire      oid, req_id, perm             upgrade (S -> M, no data)
+  coh.grant        oid, req_id, perm, data       acks owed, dirty, nack
+  coh.probe_inv    oid, req_key, downgrade_to,   forward (owner grants),
+                   via (the hold rule)           ack_requester
+  coh.probe_ack    oid, req_key                  data, forwarded,
+                                                 kept_shared, present=False
+  coh.release      req_id, perm (oid in header)  data (the copy was dirty)
+  coh.release_ack  req_id (oid in header)
 
-Caches are **capacity-bounded**: an agent constructed with
-``capacity_bytes`` evicts least-recently-used entries when an insert
-would exceed the bound.  Evicting a Modified line writes the data back
-to the home (a fire-and-forget release); evicting a Shared line follows
-the per-agent ``shared_evict_policy`` — ``notify`` releases the copy so
-the directory forgets the sharer, ``silent_drop`` just drops it and lets
-the directory discover the stale sharer on the next probe (the probe ack
-answers "not present" and the home prunes instead of hanging).
+Frames batch: a scan's acquisitions travel one acquire per home
+(:meth:`CoherenceAgent.read_many`), and the grants and probes one
+arrival fans out leave one frame per peer (``_queue`` / ``_flush``).
+
+**One wait, four tables.**  Every wait is the ``_Wait`` ``_request()``
+makes; the home's per-transaction state is the ``_Txn`` in
+``directory.busy``; an agent keeps nothing else but::
+
+  table        holds                                   emptied by
+  _pending     req_id -> wait (its grant, the acks     _fill, the release-ack,
+               owed, the probes held for it)           a barrier's grant, a NACK
+  _acquiring   oid -> the wait fetching that line,     _fill, a NACK
+               which later local accesses wait on
+  _evicting    oid -> (req_id, bytes) of a dirty       the release-ack naming
+               eviction a racing probe may need        that req_id
+  _out         (kind, peer) -> entries queued at       _flush, one zero-delay
+               this instant                            event later
+
+Caches are **capacity-bounded**: ``capacity_bytes`` evicts LRU lines on
+insert.  A Modified line is written back (a release nobody waits on); a
+Shared one follows ``shared_evict_policy``: ``notify`` releases it,
+``silent_drop`` lets the home find out on its next probe (the ack says
+"not present" and the home prunes instead of hanging).
 """
 
 from __future__ import annotations
@@ -63,23 +81,18 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.objectid import ObjectID
-from ..sim import Future, ScheduledEvent, Simulator, Tracer
+from ..sim import Future, Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .pool import SharedMemoryPool
 from .messages import (
-    COHERENCE_ENTRY_BYTES,
     MSG_ACQUIRE,
     MSG_GRANT,
     MSG_PROBE_ACK,
     MSG_PROBE_INVALIDATE,
     MSG_RELEASE,
     MSG_RELEASE_ACK,
-    acquire_packet,
-    grant_packet,
-    probe_ack_packet,
-    probe_packet,
-    release_packet,
+    coherence_packet,
 )
 
 __all__ = [
@@ -134,7 +147,8 @@ class _DirectoryEntry:
 class _Txn:
     """One admitted acquisition the home is processing."""
 
-    __slots__ = ("requester", "req_id", "perm", "upgrade", "home_local")
+    __slots__ = ("requester", "req_id", "perm", "upgrade", "home_local",
+                 "waiting")
 
     def __init__(self, requester: str, req_id: int, perm: str,
                  upgrade: bool = False, home_local: bool = False):
@@ -143,6 +157,19 @@ class _Txn:
         self.perm = perm
         self.upgrade = upgrade
         self.home_local = home_local
+        # Holders whose probe acks the home collects, while it is busy.
+        self.waiting: Optional[Set[str]] = None
+
+
+class _Wait(Future):
+    """The one wait of this module: an acquisition, a voluntary release
+    or a home barrier, in ``_pending`` under ``req_id`` until it is over."""
+
+    req_id = 0
+    owed = 0      # invalidation acks still to come (negative: before the grant)
+    grant: Optional[Dict[str, Any]] = None    # the grant entry, once it is in
+    held: Tuple[Tuple[str, Dict[str, Any]], ...] = ()  # (home, probe) held for it
+    store: Optional[Tuple[int, bytes]] = None  # a home barrier's (offset, data)
 
 
 class CoherenceAgent:
@@ -178,54 +205,48 @@ class CoherenceAgent:
         self._n_read_miss = self.tracer.cell("coherence.read_miss")
         self._n_write_miss = self.tracer.cell("coherence.write_miss")
         self._n_upgrade = self.tracer.cell("coherence.upgrade")
-        self._n_acquire_pkts = self.tracer.cell("coherence.batch.acquire_pkts")
         self._n_probe = self.tracer.cell("coherence.probe")
-        self._n_probe_pkts = self.tracer.cell("coherence.batch.probe_pkts")
         self._n_downgraded = self.tracer.cell("coherence.downgraded")
         self._n_invalidated = self.tracer.cell("coherence.invalidated")
         self._n_grant = self.tracer.cell("coherence.grant")
         self._n_upgrade_ack = self.tracer.cell("coherence.upgrade_ack")
-        self._n_grant_pkts = self.tracer.cell("coherence.batch.grant_pkts")
         self._n_forwarded = self.tracer.cell("coherence.forwarded")
         self._n_probe_deferred = self.tracer.cell("coherence.probe_deferred")
         self._n_ack_collected = self.tracer.cell("coherence.ack_collected")
         self._n_evict_modified = self.tracer.cell("coherence.evict.modified")
         self._n_evict_writeback = self.tracer.cell("coherence.evict.writeback")
         self._n_evict_shared = self.tracer.cell("coherence.evict.shared")
+        # The kinds that batch: frames sent, and the key counting those
+        # of more than one entry.
+        self._n_frames = {
+            MSG_ACQUIRE: (self.tracer.cell("coherence.batch.acquire_pkts"),
+                          "coherence.batch.multi_acquire"),
+            MSG_PROBE_INVALIDATE: (
+                self.tracer.cell("coherence.batch.probe_pkts"),
+                "coherence.batch.multi_probe"),
+            MSG_GRANT: (self.tracer.cell("coherence.batch.grant_pkts"),
+                        "coherence.batch.multi_grant"),
+        }
         self.capacity_bytes = capacity_bytes
         self.shared_evict_policy = shared_evict_policy
         # LRU order: oldest entry first; hits move_to_end.
         self._cache: "OrderedDict[ObjectID, _CacheEntry]" = OrderedDict()
         self._cache_bytes = 0
         self._directory: Dict[ObjectID, _DirectoryEntry] = {}
-        # One wait per acquisition, kept until the copy is installed: the
-        # grant and, for a write that met sharers, their invalidation acks
-        # ([acks still owed, grant]), plus the probes held for it meanwhile.
-        self._pending: Dict[int, Future] = {}
-        self._owed: Dict[int, List[Any]] = {}
-        self._held: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
-        # Capacity-eviction releases are fire-and-forget (no waiting
-        # process), but a dirty eviction's data must stay reachable until
-        # the home acks it: a probe racing the release finds the bytes
-        # here and piggybacks them on the probe ack, so the home never
-        # grants stale directory data.
+        # The four tables of the module docstring.  A dirty eviction's
+        # bytes stay in _evicting until the home acks the release: a probe
+        # racing it piggybacks them on its ack, so the home never grants
+        # stale directory data.
+        self._pending: Dict[int, _Wait] = {}
+        self._acquiring: Dict[ObjectID, _Wait] = {}
         self._evicting: Dict[ObjectID, Tuple[int, bytes]] = {}
-        self._evict_inflight: Dict[int, ObjectID] = {}
+        self._out: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         host.on(MSG_ACQUIRE, self._on_acquire)
         host.on(MSG_GRANT, self._on_grant)
         host.on(MSG_PROBE_INVALIDATE, self._on_probe)
         host.on(MSG_PROBE_ACK, self._on_probe_ack)
         host.on(MSG_RELEASE, self._on_release)
         host.on(MSG_RELEASE_ACK, self._on_release_ack)
-        # Home-side per-transaction scratch: (oid, req key) -> collection state.
-        self._collect: Dict[Tuple[ObjectID, Tuple[str, int]], Dict[str, Any]] = {}
-        # Same-instant coalescing buffers: probes per target, grants per
-        # requester.  Flushed by a zero-delay event, so everything a
-        # single arrival fans out to shares one wire packet per peer.
-        self._probe_out: Dict[str, List[Dict[str, Any]]] = {}
-        self._probe_flush: Dict[str, ScheduledEvent] = {}
-        self._grant_out: Dict[str, List[Dict[str, Any]]] = {}
-        self._grant_flush: Dict[str, ScheduledEvent] = {}
         # Upper layers (the proxy cache) that must hear about pushed
         # invalidations, so cached derivatives of our cache entries are
         # dropped the instant the protocol drops the entry itself.
@@ -302,16 +323,20 @@ class CoherenceAgent:
         return directory
 
     @staticmethod
-    def _check_range(oid: ObjectID, size: int, offset: int, length: int) -> None:
-        """Fault accesses outside the object's backing bytes.
+    def _check_range(oid: ObjectID, size: int, offset: int,
+                     length: Optional[int]) -> int:
+        """Fault accesses outside the object's backing bytes; returns the
+        end of the range (``length=None``: the end of the object).
 
         Slice assignment past the end of a ``bytearray`` silently grows
         it, so an unchecked store would resize the object instead of
         faulting like real memory."""
-        if offset < 0 or length < 0 or offset + length > size:
+        end = size if length is None else offset + length
+        if not 0 <= offset <= end <= size:
             raise CoherenceError(
-                f"range [{offset}:{offset + length}) out of bounds for "
+                f"range [{offset}:{end}) out of bounds for "
                 f"{oid.short()} ({size} bytes)")
+        return end
 
     # -- capacity-bounded cache management ------------------------------------
     @property
@@ -346,11 +371,15 @@ class CoherenceAgent:
         if self.capacity_bytes is None:
             return
         while self._cache_bytes > self.capacity_bytes:
-            victim = next(iter(self._cache))
-            if victim == keep:
-                # ``keep`` sits at MRU, so it can only be the LRU head
-                # when it is the sole entry: a single object larger than
-                # the whole cache stays resident until the next insert.
+            for victim in self._cache:
+                # Not the line just inserted, and not one a process of
+                # this host is upgrading: its data-less grant counts on
+                # the Shared copy.
+                if victim != keep and victim not in self._acquiring:
+                    break
+            else:
+                # Nothing to evict (a single object larger than the whole
+                # cache): it stays resident until the next insert.
                 return
             self._evict_one(victim)
 
@@ -361,160 +390,117 @@ class CoherenceAgent:
             callback(oid)
         if entry.perm == PERM_MODIFIED:
             self._n_evict_modified[0] += 1
-            data: Optional[bytes] = None
-            if entry.dirty:
-                self._n_evict_writeback[0] += 1
-                data = bytes(entry.data)
-            req_id = next(_req_ids)
-            self._evict_inflight[req_id] = oid
-            if data is not None:
-                self._evicting[oid] = (req_id, data)
-            self.host.send(release_packet(
-                self.host.name, self._home_of(oid), oid, req_id,
-                PERM_MODIFIED, data))
-            return
-        self._n_evict_shared[0] += 1
-        if self.shared_evict_policy == EVICT_NOTIFY:
-            req_id = next(_req_ids)
-            self._evict_inflight[req_id] = oid
-            self.host.send(release_packet(
-                self.host.name, self._home_of(oid), oid, req_id,
-                PERM_SHARED, None))
-        # silent_drop: say nothing — the directory keeps us as a sharer
-        # until its next probe comes back "not present" and it prunes.
+        else:
+            self._n_evict_shared[0] += 1
+            if self.shared_evict_policy != EVICT_NOTIFY:
+                # silent_drop: say nothing; the directory keeps us as a
+                # sharer until its next probe comes back "not present".
+                return
+        # A release nobody waits on: its ack only empties _evicting.
+        release: Dict[str, Any] = {"req_id": next(_req_ids), "perm": entry.perm}
+        if entry.dirty:
+            self._n_evict_writeback[0] += 1
+            release["data"] = bytes(entry.data)
+            self._evicting[oid] = (release["req_id"], release["data"])
+        self.host.send(coherence_packet(
+            MSG_RELEASE, self.host.name, self._home_of(oid), [release], oid))
 
     # -- public operations (generator processes) -------------------------------
-    def read(self, oid: ObjectID, offset: int, length: int):
-        """Process: acquire Shared (if needed) and return the bytes."""
+    def read(self, oid: ObjectID, offset: int = 0, length: Optional[int] = None):
+        """Process: acquire Shared (if needed) and return the bytes
+        (``length=None``: to the end of the object)."""
+        while oid in self._acquiring:
+            # Another process of this host is fetching the line: a second
+            # acquisition would be answered from bytes the first is about
+            # to make stale.  Wait for it, then look again.
+            yield self._acquiring[oid]
         entry = self._cache.get(oid)
-        if entry is None and self._home_of(oid) == self.host.name:
-            directory = self._home_directory(oid)
-            self._check_range(oid, len(directory.data), offset, length)
-            if directory.owner is not None:
-                # A remote Modified copy exists: recall it before reading.
-                yield from self._home_local_barrier(oid, PERM_SHARED)
-            self.tracer.count("coherence.home_hit")
-            return bytes(directory.data[offset : offset + length])
         if entry is not None:
             self._n_cache_hit[0] += 1
             self._touch(oid)
-            self._check_range(oid, len(entry.data), offset, length)
-            return bytes(entry.data[offset : offset + length])
-        if self._pool_read(oid):
+        elif self._home_of(oid) == self.host.name:
+            directory = self._home_directory(oid)
+            end = self._check_range(oid, len(directory.data), offset, length)
+            if directory.owner is not None:
+                # A remote Modified copy exists: recall it before reading.
+                yield from self._home_local_barrier(oid, directory, PERM_SHARED)
+            self.tracer.count("coherence.home_hit")
+            return bytes(directory.data[offset:end])
+        elif self._pool_read(oid):
             # Pool-mapped: one load through the rack pool, no packets.
             # No cache entry is installed (a load is a one-shot access,
             # not a cache fill), so we owe the directory nothing.
             self.tracer.count("coherence.pool_hit")
-            chunk = yield from self._pool.load(oid, offset, length)
-            return chunk
-        self._n_read_miss[0] += 1
-        entry = yield from self._acquire(oid, PERM_SHARED)
-        self._check_range(oid, len(entry.data), offset, length)
-        return bytes(entry.data[offset : offset + length])
+            return (yield from self._pool.load(oid, offset, length))
+        else:
+            self._n_read_miss[0] += 1
+            entry = yield from self._acquire(oid, PERM_SHARED)
+        return bytes(entry.data[
+            offset:self._check_range(oid, len(entry.data), offset, length)])
 
-    def read_many(self, oids: Iterable[ObjectID], offset: int, length: int):
-        """Process: read the same range of many objects, batching the
-        acquisitions per home into single multi-oid packets.
+    def read_many(self, oids: Iterable[ObjectID], offset: int = 0,
+                  length: Optional[int] = None):
+        """Process: read the same range of many objects (``length=None``:
+        each to its end), batching the acquisitions per home.
 
         A sequential-scan reader over N uncached, conflict-free objects
         with one home costs one acquire packet and one grant packet,
-        instead of N of each."""
+        instead of N of each.  A line named twice is fetched once."""
         oids = list(oids)
-        results: Dict[int, bytes] = {}
-        by_home: Dict[str, List[Tuple[int, ObjectID, int, Future]]] = {}
-        for index, oid in enumerate(oids):
-            entry = self._cache.get(oid)
-            if (entry is not None or self._home_of(oid) == self.host.name
-                    or self._pool_read(oid)):
-                # Cached, home-resident, or pool-mapped: the
-                # single-object path already serves these without
-                # acquire/grant traffic.
-                results[index] = yield from self.read(oid, offset, length)
+        results: Dict[ObjectID, bytes] = {}
+        by_home: Dict[str, List[Tuple[ObjectID, _Wait]]] = {}
+        for oid in dict.fromkeys(oids):
+            home = self._home_of(oid)
+            if (oid in self._cache or oid in self._acquiring
+                    or home == self.host.name or self._pool_read(oid)):
+                # Cached, being fetched, home-resident or pool-mapped: the
+                # single-object path serves these without a new acquire.
+                results[oid] = yield from self.read(oid, offset, length)
                 continue
             self._n_read_miss[0] += 1
-            req_id, future = self._request("scan")
-            by_home.setdefault(self._home_of(oid), []).append(
-                (index, oid, req_id, future))
+            wait = self._acquiring[oid] = self._request("scan")
+            by_home.setdefault(home, []).append((oid, wait))
         for home, wanted in by_home.items():
-            reqs = [{"oid": oid, "req_id": req_id}
-                    for _, oid, req_id, _ in wanted]
-            self._send_acquire(home, PERM_SHARED, reqs)
-        for home, wanted in by_home.items():
-            for index, oid, _, future in wanted:
-                entry = yield future
-                self._check_range(oid, len(entry.data), offset, length)
-                results[index] = bytes(entry.data[offset : offset + length])
-        return [results[i] for i in range(len(oids))]
+            self._flush(MSG_ACQUIRE, home, [
+                {"oid": oid, "req_id": wait.req_id, "perm": PERM_SHARED}
+                for oid, wait in wanted])
+        for wanted in by_home.values():
+            for oid, wait in wanted:
+                data = (yield wait).data
+                results[oid] = bytes(data[
+                    offset:self._check_range(oid, len(data), offset, length)])
+        return [results[oid] for oid in oids]
 
     def read_objects(self, oids: Iterable[ObjectID]):
-        """Process: read the *full images* of many objects, batching the
-        Shared acquisitions per home into single multi-oid packets.
-
-        Unlike :meth:`read_many` this takes no range — object sizes vary
-        and each grant carries the whole authoritative copy — which is
-        what the lazy-proxy resolver needs: one batched acquisition per
-        reachability-walk level, whatever the objects' sizes.  Returns
-        ``{oid: bytes}`` (duplicates collapse to one entry).
-        """
-        results: Dict[ObjectID, bytes] = {}
-        by_home: Dict[str, List[Tuple[ObjectID, int, Future]]] = {}
-        for oid in oids:
-            if oid in results:
-                continue
-            entry = self._cache.get(oid)
-            if entry is not None:
-                self._n_cache_hit[0] += 1
-                self._touch(oid)
-                results[oid] = bytes(entry.data)
-                continue
-            if self._home_of(oid) == self.host.name:
-                directory = self._home_directory(oid)
-                if directory.owner is not None:
-                    yield from self._home_local_barrier(oid, PERM_SHARED)
-                self.tracer.count("coherence.home_hit")
-                results[oid] = bytes(directory.data)
-                continue
-            if self._pool_read(oid):
-                # The proxy resolver's fast path: the whole image comes
-                # out of the rack pool in one load, no packets.
-                self.tracer.count("coherence.pool_hit")
-                results[oid] = yield from self._pool.load(oid)
-                continue
-            self._n_read_miss[0] += 1
-            req_id, future = self._request("bulk")
-            by_home.setdefault(self._home_of(oid), []).append(
-                (oid, req_id, future))
-        for home, wanted in by_home.items():
-            reqs = [{"oid": oid, "req_id": req_id}
-                    for oid, req_id, _ in wanted]
-            self._send_acquire(home, PERM_SHARED, reqs)
-        for home, wanted in by_home.items():
-            for oid, _, future in wanted:
-                results[oid] = bytes((yield future).data)
-        return results
+        """Process: the *full images* of many objects as ``{oid: bytes}``,
+        fetched like :meth:`read_many` (one batched acquisition per home,
+        whatever the objects' sizes): what the lazy-proxy resolver needs
+        per reachability-walk level."""
+        oids = list(oids)
+        return dict(zip(oids, (yield from self.read_many(oids))))
 
     def write(self, oid: ObjectID, offset: int, data: bytes):
         """Process: acquire Modified (if needed) and apply the store."""
+        while oid in self._acquiring:
+            yield self._acquiring[oid]      # as in read()
         home = self._home_of(oid)
         entry = self._cache.get(oid)
         if entry is not None and entry.perm == PERM_MODIFIED:
             self._n_cache_hit[0] += 1
             self._touch(oid)
-        elif entry is not None and entry.perm == PERM_SHARED and home != self.host.name:
+        elif entry is not None and home != self.host.name:
             # §3.2's "upgrade access type": S -> M without re-shipping
             # the data we already hold (unless a concurrent writer
             # invalidated us while the upgrade was in flight).
             self._n_upgrade[0] += 1
             entry = yield from self._acquire(oid, PERM_MODIFIED, upgrade=True)
         elif home == self.host.name:
-            # Home writes still invalidate remote copies first.
+            # Home writes still invalidate remote copies first; the store
+            # lands in the step that ends the barrier.
             directory = self._home_directory(oid)
             self._check_range(oid, len(directory.data), offset, len(data))
-            yield from self._home_local_barrier(oid, PERM_MODIFIED)
-            # A pool mapping would now serve stale bytes: drop it so
-            # rack readers fall back to the (coherent) packet path.
-            self._pool_invalidate(oid)
-            directory.data[offset : offset + len(data)] = data
+            yield from self._home_local_barrier(oid, directory, PERM_MODIFIED,
+                                                (offset, data))
             self.tracer.count("coherence.home_write")
             return
         else:
@@ -526,15 +512,16 @@ class CoherenceAgent:
 
     def writeback(self, oid: ObjectID):
         """Process: release a Modified copy back to the home (voluntary)."""
-        entry = self._cache.get(oid)
+        entry = self._forget(oid)
         if entry is None:
             raise CoherenceError(f"{self.host.name} has no cached copy of {oid.short()}")
-        req_id, future = self._request("release")
-        self.host.send(release_packet(
-            self.host.name, self._home_of(oid), oid, req_id, entry.perm,
-            bytes(entry.data) if entry.dirty else None))
-        self._forget(oid)
-        yield future
+        wait = self._request("release")
+        release: Dict[str, Any] = {"req_id": wait.req_id, "perm": entry.perm}
+        if entry.dirty:
+            release["data"] = bytes(entry.data)
+        self.host.send(coherence_packet(
+            MSG_RELEASE, self.host.name, self._home_of(oid), [release], oid))
+        yield wait
 
     def cached_perm(self, oid: ObjectID) -> Optional[str]:
         """The local cache permission for ``oid`` (S/M/None)."""
@@ -543,35 +530,50 @@ class CoherenceAgent:
 
     def authoritative_data(self, oid: ObjectID) -> bytes:
         """Home-side accessor for tests/benchmarks."""
-        directory = self._directory.get(oid)
-        if directory is None:
-            raise CoherenceError(f"{self.host.name} is not home of {oid.short()}")
-        return bytes(directory.data)
+        return bytes(self._home_directory(oid).data)
+
+    # -- frames out -----------------------------------------------------------
+    def _flush(self, kind: str, peer: str,
+               entries: Optional[List[Dict[str, Any]]] = None) -> None:
+        """One frame of a batching kind leaves for ``peer``: the batch
+        ``_queue`` holds for it, or ``entries`` that never waited."""
+        if entries is None:
+            entries = self._out.pop((kind, peer))
+        sent, multi = self._n_frames[kind]
+        sent[0] += 1
+        if len(entries) > 1:
+            self.tracer.count(multi)
+        self.host.send(coherence_packet(kind, self.host.name, peer, entries))
+
+    def _queue(self, kind: str, peer: str, entry: Dict[str, Any]) -> None:
+        """Coalesce the grants (or probes) of this instant toward one
+        peer into one frame: everything a single arrival fans out to
+        leaves a zero-delay event later, one wire packet per peer."""
+        batch = self._out.get((kind, peer))
+        if batch is None:
+            batch = self._out[(kind, peer)] = []
+            self.sim.schedule(0.0, self._flush, kind, peer)
+        batch.append(entry)
 
     # -- requester side -----------------------------------------------------
-    def _send_acquire(self, home: str, perm: str,
-                      reqs: List[Dict[str, Any]]) -> None:
-        self._n_acquire_pkts[0] += 1
-        if len(reqs) > 1:
-            self.tracer.count("coherence.batch.multi_acquire")
-        self.host.send(acquire_packet(self.host.name, home, perm, reqs))
-
-    def _request(self, label: str) -> Tuple[int, Future]:
+    def _request(self, label: str) -> _Wait:
+        """The one place a wait is made (and where its deadline will go)."""
         req_id = next(_req_ids)
-        future = self._pending[req_id] = Future(
-            self.sim, name=f"{label}-{req_id}")
-        return req_id, future
+        wait = self._pending[req_id] = _Wait(self.sim, f"{label}-{req_id}")
+        wait.req_id = req_id
+        return wait
 
     def _acquire(self, oid: ObjectID, perm: str, upgrade: bool = False):
         """Process: one acquisition, one wait.  ``upgrade`` asks for
         S -> M: the grant carries data only if our shared copy was
         invalidated while the request was in flight."""
-        req_id, future = self._request("upgrade" if upgrade else "acquire")
-        req: Dict[str, Any] = {"oid": oid, "req_id": req_id}
+        wait = self._acquiring[oid] = self._request(
+            "upgrade" if upgrade else "acquire")
+        req: Dict[str, Any] = {"oid": oid, "req_id": wait.req_id, "perm": perm}
         if upgrade:
             req["upgrade"] = True
-        self._send_acquire(self._home_of(oid), perm, [req])
-        got = yield future
+        self._flush(MSG_ACQUIRE, self._home_of(oid), [req])
+        got = yield wait
         # A Shared copy was installed as its grant arrived (_arrived); a
         # Modified one is installed here, in the step that applies the
         # store, so no eviction can come between the two.
@@ -579,8 +581,11 @@ class CoherenceAgent:
 
     def _fill(self, granted: Dict[str, Any]) -> _CacheEntry:
         """Install a granted copy (an upgrade that kept its data flips in
-        place) and answer, one event later, the probes held for it."""
+        place), end its wait and answer, one event later, the probes
+        held for it."""
         oid = granted["oid"]
+        wait = self._pending.pop(granted["req_id"])
+        del self._acquiring[oid]
         entry = self._cache.get(oid)
         if granted["data"] is not None or entry is None:
             entry = self._install(oid, _CacheEntry(
@@ -589,8 +594,7 @@ class CoherenceAgent:
         else:
             entry.perm = PERM_MODIFIED
             self._touch(oid)
-        del self._pending[granted["req_id"]]
-        for home, probe in self._held.pop(granted["req_id"], ()):
+        for home, probe in wait.held:
             self.sim.schedule(0.0, self._probed, home, [probe])
         return entry
 
@@ -599,92 +603,92 @@ class CoherenceAgent:
         """A grant (which says how many invalidation acks the sharers owe
         us) or one such ack (``acks=-1``) came in; complete the wait when
         the grant and every ack have, in either order."""
-        future = self._pending.get(req_id)
-        if future is None:
+        wait = self._pending.get(req_id)
+        if wait is None:
             self.tracer.count("coherence.orphan_grant" if grant
                               else "coherence.orphan_probe_ack")
             return
-        if acks or req_id in self._owed:
-            state = self._owed.setdefault(req_id, [0, None])
-            state[0] += acks
-            grant = state[1] = grant or state[1]
-            if state[0] or grant is None:
-                return
-            del self._owed[req_id]
-        future.set_result(
-            self._fill(grant) if grant["perm"] == PERM_SHARED else grant)
+        wait.owed += acks
+        grant = wait.grant = grant or wait.grant
+        if wait.owed == 0 and grant is not None:
+            wait.set_result(
+                self._fill(grant) if grant["perm"] == PERM_SHARED else grant)
 
-    def _home_local_barrier(self, oid: ObjectID, perm: str):
-        """Recall/invalidate remote copies before a home-side access.
+    def _home_local_barrier(self, oid: ObjectID, directory: _DirectoryEntry,
+                            perm: str, store: Optional[Tuple[int, bytes]] = None):
+        """Recall/invalidate remote copies before a home-side access, and
+        apply the home's ``store`` in the step that ends the barrier: the
+        next queued acquisition is granted in that same step, and must
+        ship the new bytes.
 
         Implemented by acquiring through our own directory via the same
         queued path remote requesters use, which keeps the serialization
         discipline in one place.  ``perm=S`` recalls an exclusive owner;
         ``perm=M`` also invalidates every sharer.
         """
-        directory = self._home_directory(oid)
-        if not directory.sharers and directory.owner is None:
-            return
-        req_id, future = self._request("homebarrier")
-        txn = _Txn(self.host.name, req_id, perm, home_local=True)
-        self._admit(oid, directory, txn)
-        yield future
-        # The grant for a home-local barrier carries no data we need.
-        self._forget(oid)
+        if directory.sharers or directory.owner is not None or directory.busy:
+            wait = self._request("homebarrier")
+            wait.store = store
+            self._admit(oid, directory, _Txn(self.host.name, wait.req_id, perm,
+                                             home_local=True))
+            yield wait
+        elif store is not None:
+            self._home_store(oid, directory, store)
+
+    def _home_store(self, oid: ObjectID, directory: _DirectoryEntry,
+                    store: Tuple[int, bytes]) -> None:
+        offset, data = store
+        # A pool mapping would now serve stale bytes: drop it so rack
+        # readers fall back to the (coherent) packet path.
+        self._pool_invalidate(oid)
+        directory.data[offset : offset + len(data)] = data
 
     def _on_grant(self, packet: Packet) -> None:
-        for entry in packet.payload["grants"]:
-            if not entry.get("nack"):
+        for entry in packet.payload["entries"]:
+            if "nack" not in entry:
                 self._arrived(entry["req_id"], entry.get("acks", 0), entry)
                 continue
-            future = self._pending.pop(entry["req_id"], None)
-            if future is None:
+            wait = self._pending.pop(entry["req_id"], None)
+            if wait is None:
                 self.tracer.count("coherence.orphan_grant")
                 continue
             # The home refused: it never hosted this object (stale home
-            # map).  Fault the waiting coroutine instead of leaving it
-            # parked on the future forever.
+            # map).  Fault the waiting coroutines instead of leaving them
+            # parked on the wait forever.
             oid = entry["oid"]
-            future.set_exception(CoherenceError(
+            del self._acquiring[oid]
+            wait.set_exception(CoherenceError(
                 f"acquire {entry['perm']} of {oid.short()} NACKed by "
                 f"{packet.src}: not the home (stale home map?)"))
 
     def _on_release_ack(self, packet: Packet) -> None:
-        req_id = packet.payload["req_id"]
-        oid = self._evict_inflight.pop(req_id, None)
-        if oid is not None:
-            # A fire-and-forget eviction release completed: the home has
-            # the data, so the race buffer can let go of it.
-            pending = self._evicting.get(oid)
-            if pending is not None and pending[0] == req_id:
-                del self._evicting[oid]
+        req_id = packet.payload["entries"][0]["req_id"]
+        wait = self._pending.pop(req_id, None)
+        if wait is not None:
+            wait.set_result(None)        # a voluntary writeback
             return
-        future = self._pending.pop(req_id, None)
-        if future is not None:
-            future.set_result(None)
+        racing = self._evicting.get(packet.oid)
+        if racing is not None and racing[0] == req_id:
+            # The home has this dirty eviction's bytes: the race buffer
+            # can let go of them.
+            del self._evicting[packet.oid]
 
     # -- home / directory side ------------------------------------------------
     def _on_acquire(self, packet: Packet) -> None:
-        perm = packet.payload["perm"]
-        for req in packet.payload["reqs"]:
+        for req in packet.payload["entries"]:
             oid = req["oid"]
             directory = self._directory.get(oid)
             if directory is None:
                 # Not our object (stale home map at the requester).  A
-                # silent drop would leave the requester's future pending
+                # silent drop would leave the requester's wait pending
                 # forever, so answer with a NACK grant entry instead.
                 self.tracer.count("coherence.bad_home")
-                self._queue_grant(packet.src, {
-                    "req_id": req["req_id"],
-                    "oid": oid,
-                    "perm": perm,
-                    "data": None,
-                    "nack": True,
-                })
+                self._queue(MSG_GRANT, packet.src, {
+                    "req_id": req["req_id"], "oid": oid, "perm": req["perm"],
+                    "data": None, "nack": True})
                 continue
-            txn = _Txn(packet.src, req["req_id"], perm,
-                       upgrade=bool(req.get("upgrade")))
-            self._admit(oid, directory, txn)
+            self._admit(oid, directory, _Txn(
+                packet.src, req["req_id"], req["perm"], "upgrade" in req))
 
     def _admit(self, oid: ObjectID, directory: _DirectoryEntry,
                txn: _Txn) -> None:
@@ -711,8 +715,7 @@ class CoherenceAgent:
         # The owner forwards the line to the requester and acks us; the
         # home's own barrier (it keeps no copy to forward to) has every
         # holder ack the home instead.  The line stays busy until then.
-        self._collect[(oid, (txn.requester, txn.req_id))] = {
-            "txn": txn, "waiting": set(others)}
+        txn.waiting = set(others)
         for target in others:
             self._probe(target, oid, directory, txn,
                         forward=not txn.home_local)
@@ -725,35 +728,19 @@ class CoherenceAgent:
         self._n_probe[0] += 1
         # A Shared acquisition only needs the exclusive owner *downgraded*
         # to Shared (with writeback); Modified needs everyone at Invalid.
-        self._queue_probe(target, {
+        self._queue(MSG_PROBE_INVALIDATE, target, {
             "oid": oid, "req_key": [txn.requester, txn.req_id],
             "downgrade_to": PERM_SHARED if txn.perm == PERM_SHARED else "I",
             "via": directory.via.get(target), **reply})
 
-    # -- probe fan-out batching ----------------------------------------------
-    def _queue_probe(self, target: str, probe: Dict[str, Any]) -> None:
-        self._probe_out.setdefault(target, []).append(probe)
-        if target not in self._probe_flush:
-            self._probe_flush[target] = self.sim.schedule(
-                0.0, self._flush_probes, target)
-
-    def _flush_probes(self, target: str) -> None:
-        self._probe_flush.pop(target, None)
-        probes = self._probe_out.pop(target, None)
-        if not probes:
-            return
-        self._n_probe_pkts[0] += 1
-        if len(probes) > 1:
-            self.tracer.count("coherence.batch.multi_probe")
-        self.host.send(probe_packet(self.host.name, target, probes))
-
     def _on_probe(self, packet: Packet) -> None:
-        self._probed(packet.src, packet.payload["probes"])
+        self._probed(packet.src, packet.payload["entries"])
 
     def _probed(self, home: str, probes: List[Dict[str, Any]]) -> None:
         acks: Dict[str, List[Dict[str, Any]]] = {}
         for probe in probes:
-            if probe.get("via") in self._pending:
+            wait = self._pending.get(probe["via"])
+            if wait is not None:
                 # The copy this probe is after is still on its way to us
                 # (its grant took another path than the probe): hold the
                 # probe until it is installed, or we would answer "not
@@ -761,14 +748,14 @@ class CoherenceAgent:
                 # probe for an older copy is answered at once: our wait
                 # may be queued at the home behind the prober's.
                 self._n_probe_deferred[0] += 1
-                self._held.setdefault(probe["via"], []).append((home, probe))
+                wait.held += ((home, probe),)
                 continue
             oid = probe["oid"]
             requester, req_id = probe["req_key"]
-            downgrade_to = probe.get("downgrade_to", "I")
+            downgrade_to = probe["downgrade_to"]
             entry = self._cache.get(oid)
             ack: Dict[str, Any] = {"oid": oid, "req_key": probe["req_key"]}
-            acks.setdefault(requester if probe.get("ack_requester") else home,
+            acks.setdefault(requester if "ack_requester" in probe else home,
                             []).append(ack)
             if entry is None:
                 # The directory thinks we hold a copy but we already let
@@ -788,7 +775,7 @@ class CoherenceAgent:
                 self._n_forwarded[0] += 1
                 ack["forwarded"] = True
                 handed_over = entry.dirty and downgrade_to == "I"
-                self._queue_grant(requester, {
+                self._queue(MSG_GRANT, requester, {
                     "req_id": req_id, "oid": oid, "data": bytes(entry.data),
                     "perm": PERM_SHARED if downgrade_to == PERM_SHARED
                     else PERM_MODIFIED, "dirty": handed_over})
@@ -806,20 +793,22 @@ class CoherenceAgent:
                 for callback in self._invalidation_listeners:
                     callback(oid)
         for target, batch in acks.items():
-            self.host.send(probe_ack_packet(self.host.name, target, batch))
+            self.host.send(coherence_packet(
+                MSG_PROBE_ACK, self.host.name, target, batch))
 
     def _on_probe_ack(self, packet: Packet) -> None:
-        for ack in packet.payload["acks"]:
+        for ack in packet.payload["entries"]:
             oid = ack["oid"]
-            key = tuple(ack["req_key"])
-            state = self._collect.get((oid, key))
-            if state is None:
-                # Not a transaction of ours: a sharer's invalidation ack
-                # for a write we are waiting on ourselves.
+            requester, req_id = ack["req_key"]
+            directory = self._directory.get(oid)
+            txn = directory.busy if directory is not None else None
+            if (txn is None or txn.req_id != req_id
+                    or txn.requester != requester):
+                # Not the transaction we are collecting for: a sharer's
+                # invalidation ack for a write we are waiting on ourselves.
                 self._n_ack_collected[0] += 1
-                self._arrived(key[1], -1)
+                self._arrived(req_id, -1)
                 continue
-            directory = self._directory[oid]
             if ack.get("present") is False:
                 # The holder silently dropped (or is releasing) its copy:
                 # prune the stale sharer/owner instead of hanging the
@@ -828,23 +817,22 @@ class CoherenceAgent:
                 self.tracer.count("coherence.probe_stale")
             if "data" in ack:  # dirty writeback piggybacked on the ack
                 directory.data[:] = ack["data"]
-            if ack.get("kept_shared"):
+            if "kept_shared" in ack:
                 # The owner downgraded M -> S: it stays a sharer.
                 directory.sharers.add(packet.src)
             else:
                 directory.sharers.discard(packet.src)
             if directory.owner == packet.src:
                 directory.owner = None
-            state["waiting"].discard(packet.src)
-            if not state["waiting"]:
-                del self._collect[(oid, key)]
-                if ack.get("forwarded"):
-                    self._name_holder(oid, directory, state["txn"])
-                    self._finish_transaction(oid, directory)
-                else:
-                    self._grant(oid, directory, state["txn"])
+            txn.waiting.discard(packet.src)
+            if txn.waiting:
+                continue
+            if "forwarded" in ack:
+                self._name_holder(oid, directory, txn)
+                self._finish_transaction(oid, directory)
+            else:
+                self._grant(oid, directory, txn)
 
-    # -- grant coalescing -----------------------------------------------------
     def _name_holder(self, oid: ObjectID, directory: _DirectoryEntry,
                      txn: _Txn) -> None:
         if txn.perm == PERM_MODIFIED:
@@ -868,14 +856,6 @@ class CoherenceAgent:
         # a valid shared copy; if an earlier transaction invalidated it,
         # ship fresh data (checked before we mutate the sharer set).
         upgrade_without_data = txn.upgrade and requester in directory.sharers
-        entry = {
-            "req_id": txn.req_id,
-            "oid": oid,
-            "perm": txn.perm,
-            "data": None if upgrade_without_data else bytes(directory.data),
-        }
-        if ack_from:
-            entry["acks"] = len(ack_from)
         for target in ack_from:
             self._probe(target, oid, directory, txn, ack_requester=True)
         self._name_holder(oid, directory, txn)
@@ -883,34 +863,22 @@ class CoherenceAgent:
         if upgrade_without_data:
             self._n_upgrade_ack[0] += 1
         if txn.home_local:
-            # Local barrier: complete without touching the network.
+            # Local barrier: it ends here, without touching the network,
+            # and the home's own store lands before the next grant.
             directory.owner = None
             directory.sharers.discard(self.host.name)
-            future = self._pending.pop(txn.req_id, None)
-            if future is not None:
-                future.set_result(entry)
+            wait = self._pending.pop(txn.req_id)
+            if wait.store is not None:
+                self._home_store(oid, directory, wait.store)
+            wait.set_result(None)
         else:
-            self._queue_grant(requester, entry)
+            entry = {"req_id": txn.req_id, "oid": oid, "perm": txn.perm,
+                     "data": None if upgrade_without_data
+                     else bytes(directory.data)}
+            if ack_from:
+                entry["acks"] = len(ack_from)
+            self._queue(MSG_GRANT, requester, entry)
         self._finish_transaction(oid, directory)
-
-    def _queue_grant(self, requester: str, entry: Dict[str, Any]) -> None:
-        """Coalesce grants completing at the same instant toward the
-        same requester into one multi-oid grant packet (the sequential
-        scan's reply-side half)."""
-        self._grant_out.setdefault(requester, []).append(entry)
-        if requester not in self._grant_flush:
-            self._grant_flush[requester] = self.sim.schedule(
-                0.0, self._flush_grants, requester)
-
-    def _flush_grants(self, requester: str) -> None:
-        self._grant_flush.pop(requester, None)
-        grants = self._grant_out.pop(requester, None)
-        if not grants:
-            return
-        self._n_grant_pkts[0] += 1
-        if len(grants) > 1:
-            self.tracer.count("coherence.batch.multi_grant")
-        self.host.send(grant_packet(self.host.name, requester, grants))
 
     def _finish_transaction(self, oid: ObjectID, directory: _DirectoryEntry) -> None:
         directory.busy = None
@@ -936,16 +904,15 @@ class CoherenceAgent:
             # would count as a stranger's and be dropped.
             directory.pending.appendleft(packet)
             return
-        if "data" in packet.payload and directory.owner in (None, packet.src):
+        release = packet.payload["entries"][0]
+        if "data" in release and directory.owner in (None, packet.src):
             # Apply the writeback unless ownership has already moved on
             # (an eviction release racing a probe that re-granted M): the
             # new owner's copy supersedes these bytes.
-            directory.data[:] = packet.payload["data"]
+            directory.data[:] = release["data"]
         directory.sharers.discard(packet.src)
         if directory.owner == packet.src:
             directory.owner = None
-        self.host.send(Packet(
-            kind=MSG_RELEASE_ACK, src=self.host.name, dst=packet.src, oid=oid,
-            payload={"req_id": packet.payload["req_id"]},
-            payload_bytes=COHERENCE_ENTRY_BYTES,
-        ))
+        self.host.send(coherence_packet(
+            MSG_RELEASE_ACK, self.host.name, packet.src,
+            [{"req_id": release["req_id"]}], oid))

@@ -1,15 +1,13 @@
-"""The bus-like network vocabulary: memory messages over packets.
+"""The bus-like network vocabulary: coherence messages over packets.
 
 §3.2: "There are a handful of message types, consisting of requests and
 replies for read or write operations, followed by an address, and an
 optional payload with data, where payload size is usually a cache line."
 Cache coherence adds exclusive-access, upgrade, and invalidate types
-(the TileLink-flavoured set).
-
-This module defines that vocabulary and the packet builders for it.  The
-address is a (object ID, offset) pair — identity, not location — so these
-packets can be identity-routed by switches or host-addressed once
-discovery has resolved a location.
+(the TileLink-flavoured set).  A load is an acquisition of a Shared
+copy, a store of a Modified one, an upgrade a flag on the acquisition:
+six kinds, one frame.  The address is an object ID (identity, not
+location); the frames are host-addressed to the object's home.
 """
 
 from __future__ import annotations
@@ -22,186 +20,44 @@ from ..net.packet import Packet
 __all__ = [
     "CACHE_LINE_BYTES",
     "COHERENCE_ENTRY_BYTES",
-    "MSG_READ_REQ",
-    "MSG_READ_RSP",
-    "MSG_WRITE_REQ",
-    "MSG_WRITE_ACK",
     "MSG_ACQUIRE",
     "MSG_GRANT",
     "MSG_RELEASE",
     "MSG_RELEASE_ACK",
     "MSG_PROBE_INVALIDATE",
     "MSG_PROBE_ACK",
-    "MSG_UPGRADE_REQ",
-    "MSG_UPGRADE_ACK",
-    "read_request",
-    "read_response",
-    "write_request",
-    "write_ack",
-    "acquire_packet",
-    "grant_packet",
-    "release_packet",
-    "probe_packet",
-    "probe_ack_packet",
+    "coherence_packet",
 ]
 
 CACHE_LINE_BYTES = 64
 
-# Uncached load/store vocabulary (TileLink-UL flavoured).
-MSG_READ_REQ = "mem.read_req"
-MSG_READ_RSP = "mem.read_rsp"
-MSG_WRITE_REQ = "mem.write_req"
-MSG_WRITE_ACK = "mem.write_ack"
-
 # Coherence vocabulary (TileLink-C flavoured).
 MSG_ACQUIRE = "coh.acquire"            # request a cached copy (shared or exclusive)
-MSG_GRANT = "coh.grant"                # home grants the copy (+data)
-MSG_RELEASE = "coh.release"            # writeback / downgrade, possibly with data
+MSG_GRANT = "coh.grant"                # the home (or the owner) hands the copy over
+MSG_RELEASE = "coh.release"            # writeback / eviction, possibly with data
 MSG_RELEASE_ACK = "coh.release_ack"
-MSG_PROBE_INVALIDATE = "coh.probe_inv" # home tells a sharer to drop its copy
+MSG_PROBE_INVALIDATE = "coh.probe_inv" # home tells a holder to downgrade or drop
 MSG_PROBE_ACK = "coh.probe_ack"
-MSG_UPGRADE_REQ = "coh.upgrade_req"    # S -> M without data movement
-MSG_UPGRADE_ACK = "coh.upgrade_ack"
 
-# Modelled payload byte counts for the non-data fields of each message.
-_ADDR_BYTES = 8  # 48-bit offset + op metadata; the 16B oid rides the oid field
-_REQID_BYTES = 8
-
-#: Modelled bytes for one coherence entry inside a batched packet: the
-#: 16B object ID plus request id / permission / flag metadata.  Batched
-#: acquire/grant/probe packets charge this per entry (plus any data), so
-#: an N-entry packet costs one wire header instead of N.
+#: Modelled bytes for one entry of a coherence frame: the 16B object ID
+#: plus request id / permission / flag metadata.  A frame charges this
+#: per entry (plus any data), so N entries cost one wire header, not N.
 COHERENCE_ENTRY_BYTES = 16
 
 
-def read_request(src: str, oid: ObjectID, offset: int, length: int,
-                 req_id: int, dst: Optional[str] = None) -> Packet:
-    """Load ``length`` bytes at (oid, offset).  ``dst=None`` makes it
-    identity-routed; a host name sends it point-to-point."""
-    return Packet(
-        kind=MSG_READ_REQ,
-        src=src,
-        dst=dst,
-        oid=oid,
-        payload={"offset": offset, "length": length, "req_id": req_id},
-        payload_bytes=_ADDR_BYTES + _REQID_BYTES,
-    )
+def coherence_packet(kind: str, src: str, dst: str,
+                     entries: List[Dict[str, Any]],
+                     oid: Optional[ObjectID] = None) -> Packet:
+    """The one frame of all six kinds: a list of entries, each a plain
+    dict (what an entry of each kind carries: ``coherence.py``), each
+    charged :data:`COHERENCE_ENTRY_BYTES` plus the bytes of its ``data``.
 
-
-def read_response(request: Packet, data: bytes, responder: str) -> Packet:
-    """Reply carrying the loaded bytes back to the requester."""
-    return Packet(
-        kind=MSG_READ_RSP,
-        src=responder,
-        dst=request.src,
-        payload={"req_id": request.payload["req_id"], "data": data},
-        payload_bytes=_REQID_BYTES + len(data),
-    )
-
-
-def write_request(src: str, oid: ObjectID, offset: int, data: bytes,
-                  req_id: int, dst: Optional[str] = None) -> Packet:
-    """Store ``data`` at (oid, offset)."""
-    return Packet(
-        kind=MSG_WRITE_REQ,
-        src=src,
-        dst=dst,
-        oid=oid,
-        payload={"offset": offset, "data": data, "req_id": req_id},
-        payload_bytes=_ADDR_BYTES + _REQID_BYTES + len(data),
-    )
-
-
-def write_ack(request: Packet, responder: str) -> Packet:
-    """Build the acknowledgement for a write request."""
-    return Packet(
-        kind=MSG_WRITE_ACK,
-        src=responder,
-        dst=request.src,
-        payload={"req_id": request.payload["req_id"]},
-        payload_bytes=_REQID_BYTES,
-    )
-
-
-# -- batched coherence packets ------------------------------------------------
-#
-# The coherence data plane batches at the packet boundary: one acquire
-# packet can request many objects (a sequential-scan reader), one grant
-# packet can answer many requests, and one probe packet can carry the
-# whole invalidation fan-in for a target.  Every entry is a plain dict so
-# handlers iterate without a second vocabulary.
-
-
-def acquire_packet(src: str, home: str, perm: str,
-                   reqs: List[Dict[str, Any]]) -> Packet:
-    """Request cached copies of every ``{"oid", "req_id"[, "upgrade"]}``
-    entry in ``reqs`` with permission ``perm`` from ``home``."""
-    return Packet(
-        kind=MSG_ACQUIRE,
-        src=src,
-        dst=home,
-        payload={"perm": perm, "reqs": reqs},
-        payload_bytes=COHERENCE_ENTRY_BYTES * len(reqs),
-    )
-
-
-def grant_packet(responder: str, requester: str,
-                 grants: List[Dict[str, Any]]) -> Packet:
-    """Answer one or more acquisitions; each ``{"req_id", "oid", "perm",
-    "data"}`` entry charges its data bytes (``data=None`` for an upgrade
-    grant that moves no data)."""
-    data_bytes = sum(len(g["data"]) for g in grants if g.get("data") is not None)
-    return Packet(
-        kind=MSG_GRANT,
-        src=responder,
-        dst=requester,
-        payload={"grants": grants},
-        payload_bytes=COHERENCE_ENTRY_BYTES * len(grants) + data_bytes,
-    )
-
-
-def release_packet(src: str, home: str, oid: ObjectID, req_id: int,
-                   perm: str, data: Optional[bytes] = None) -> Packet:
-    """Give a cached copy back to ``home``: a voluntary writeback or a
-    capacity eviction.  ``data`` rides along only when the copy is dirty
-    (a clean release just tells the directory to forget the holder)."""
-    payload: Dict[str, Any] = {"req_id": req_id, "perm": perm}
-    payload_bytes = COHERENCE_ENTRY_BYTES
-    if data is not None:
-        payload["data"] = data
-        payload_bytes += len(data)
-    return Packet(
-        kind=MSG_RELEASE,
-        src=src,
-        dst=home,
-        oid=oid,
-        payload=payload,
-        payload_bytes=payload_bytes,
-    )
-
-
-def probe_packet(home: str, target: str,
-                 probes: List[Dict[str, Any]]) -> Packet:
-    """Tell ``target`` to downgrade/invalidate every ``{"oid",
-    "req_key", "downgrade_to"}`` entry in one wire packet."""
-    return Packet(
-        kind=MSG_PROBE_INVALIDATE,
-        src=home,
-        dst=target,
-        payload={"probes": probes},
-        payload_bytes=COHERENCE_ENTRY_BYTES * len(probes),
-    )
-
-
-def probe_ack_packet(target: str, home: str,
-                     acks: List[Dict[str, Any]]) -> Packet:
-    """Acknowledge a (batched) probe; entries may carry dirty writeback
-    data and the ``kept_shared`` downgrade marker."""
-    data_bytes = sum(len(a["data"]) for a in acks if a.get("data") is not None)
-    return Packet(
-        kind=MSG_PROBE_ACK,
-        src=target,
-        dst=home,
-        payload={"acks": acks},
-        payload_bytes=COHERENCE_ENTRY_BYTES * len(acks) + data_bytes,
-    )
+    A release and its ack name their one line in the header (``oid``)
+    instead of the entry; every batched kind names a line per entry."""
+    payload_bytes = COHERENCE_ENTRY_BYTES * len(entries)
+    for entry in entries:
+        data = entry.get("data")
+        if data is not None:
+            payload_bytes += len(data)
+    return Packet(kind=kind, src=src, dst=dst, oid=oid,
+                  payload={"entries": entries}, payload_bytes=payload_bytes)

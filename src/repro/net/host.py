@@ -58,9 +58,9 @@ class Host(Node):
     promised about the order in which different requests complete.  The
     waitable must be yielded at once, by one process.
 
-    Out of scope: ``memproto/coherence.py`` (one grant frame answers
-    many ``req_id``s and a NACK raises into the waiter) and the credit
-    future in ``pubsub/bus.py``, which no packet answers.
+    Out of scope: ``memproto/coherence.py`` (its one wait takes a grant
+    and acks from several hosts, and a NACK raises into it) and the
+    credit future in ``pubsub/bus.py``, which no packet answers.
     """
 
     def __init__(self, sim: Simulator, name: str, tracer: Optional[Tracer] = None):

@@ -4,8 +4,10 @@ import contextlib
 
 import pytest
 
+from repro.memproto import CoherenceAgent
 from repro.net import Host
 from repro.sim import Simulator
+
 
 @pytest.fixture
 def sim():
@@ -19,20 +21,25 @@ def run(sim, gen, until=None):
 
 
 @contextlib.contextmanager
-def tracked_hosts():
-    """Collect every :class:`Host` constructed inside the block."""
-    hosts = []
-    original = Host.__init__
+def tracked(cls):
+    """Collect every instance of ``cls`` constructed inside the block."""
+    built = []
+    original = cls.__init__
 
     def tracking(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        hosts.append(self)
+        built.append(self)
 
-    Host.__init__ = tracking
+    cls.__init__ = tracking
     try:
-        yield hosts
+        yield built
     finally:
-        Host.__init__ = original
+        cls.__init__ = original
+
+
+def tracked_hosts():
+    """Collect every :class:`Host` constructed inside the block."""
+    return tracked(Host)
 
 
 def leaked_requests(hosts):
@@ -52,3 +59,28 @@ def no_request_outlives_quiescence():
     with tracked_hosts() as hosts:
         yield
     assert not leaked_requests(hosts)
+
+
+AGENT_TABLES = ("_pending", "_acquiring", "_out", "_evicting")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "hangs_until_item_9: pins the coherence wait that has no "
+        "deadline yet (ROADMAP item 9); exempt from the agent's quiescence "
+        "rule, and to be deleted with the hang")
+
+
+@pytest.fixture(autouse=True)
+def no_coherence_state_outlives_quiescence(request):
+    """The coherence agent is held to the same rule (ROADMAP item 9(ii)):
+    once its simulator has nothing left to run, every wait is over, no
+    line is being fetched, no frame is being batched and no eviction is
+    waiting for its ack."""
+    with tracked(CoherenceAgent) as agents:
+        yield
+    if request.node.get_closest_marker("hangs_until_item_9"):
+        return
+    leaked = {agent.host.name: [t for t in AGENT_TABLES if getattr(agent, t)]
+              for agent in agents if agent.sim.pending_event_count == 0}
+    assert not any(leaked.values()), leaked

@@ -24,7 +24,11 @@ from repro.memproto import (
     CoherenceAgent,
     EVICT_SILENT_DROP,
 )
-from repro.memproto.messages import MSG_GRANT, MSG_PROBE_ACK
+from repro.memproto.messages import (
+    MSG_GRANT,
+    MSG_PROBE_ACK,
+    MSG_PROBE_INVALIDATE,
+)
 from repro.net.topology import Network
 from repro.sim import Simulator, Timeout
 
@@ -86,9 +90,14 @@ N_OBJECTS = 6
 OPS_PER_WORKER = 60
 
 
-def _run_sweep_point(seed, capacity_lines, policy="notify"):
+def _run_sweep_point(seed, capacity_lines, policy="notify",
+                     procs_per_agent=1, home_works=False):
     """One configuration; returns (violations, agents).  A violation is
-    a sentence; an exception out of here is the protocol crashing."""
+    a sentence; an exception out of here is the protocol crashing.
+
+    Every worker agent hosts ``procs_per_agent`` processes, each with a
+    plan of its own; with ``home_works`` the home hosts as many, reading
+    and writing the objects it serves."""
     rng = random.Random(seed)
     latencies = [rng.choice(LATENCIES_US) for _ in range(1 + N_WORKERS)]
     capacity = capacity_lines and capacity_lines * OBJECT_BYTES
@@ -96,9 +105,11 @@ def _run_sweep_point(seed, capacity_lines, policy="notify"):
                               capacity_bytes=capacity,
                               shared_evict_policy=policy)
     home, workers = agents[0], agents[1:]
+    procs = [agent for agent in (agents if home_works else workers)
+             for _ in range(procs_per_agent)]
     plans = [[(rng.randrange(N_OBJECTS), rng.random() < 0.4,
                rng.choice((0.0, 1.0, 7.0, 40.0)))
-              for _ in range(OPS_PER_WORKER)] for _ in workers]
+              for _ in range(OPS_PER_WORKER)] for _ in procs]
     # stamp -> (began, ended) of the write that stored it; the initial
     # bytes of object k count as a write that ended before time began.
     writes = {k: {bytes([k]) * STAMP_BYTES: (-2.0, -1.0)}
@@ -120,14 +131,14 @@ def _run_sweep_point(seed, capacity_lines, policy="notify"):
             yield Timeout(think)
         finished.append(index)
 
-    for index, agent in enumerate(workers):
+    for index, agent in enumerate(procs):
         sim.spawn(worker(index, agent), name=f"worker-{index}")
     sim.run()
 
     violations = []
-    if len(finished) != len(workers):
+    if len(finished) != len(procs):
         violations.append(f"workers {sorted(finished)} finished of "
-                          f"{len(workers)}: an operation hangs")
+                          f"{len(procs)}: an operation hangs")
     for k, oid in enumerate(oids):
         owners = [a.host.name for a in workers
                   if a.cached_perm(oid) == PERM_MODIFIED]
@@ -169,29 +180,43 @@ SWEEP = [(seed, lines, policy)
                                (2, EVICT_SILENT_DROP))]
 
 
+def _assert_sweep_clean(procs_per_agent=1, home_works=False):
+    held = forwarded = collected = 0
+    for seed, lines, policy in SWEEP:
+        violations, agents = _run_sweep_point(
+            _seed(700 + seed), lines, policy, procs_per_agent, home_works)
+        assert not violations, (seed, lines, policy, violations[:3])
+        held += _total(agents, "coherence.probe_deferred")
+        forwarded += _total(agents, "coherence.forwarded")
+        collected += _total(agents, "coherence.ack_collected")
+    # The sweep must have met what it is for, not only the easy
+    # orderings.
+    assert held > 0 and forwarded > 0 and collected > 0
+
+
 class TestAsymmetricStarSweep:
     def test_load_store_contract_holds_on_every_interleaving(self):
-        held = forwarded = collected = 0
-        for seed, lines, policy in SWEEP:
-            violations, agents = _run_sweep_point(_seed(700 + seed), lines,
-                                                  policy)
-            assert not violations, (seed, lines, policy, violations[:3])
-            held += _total(agents, "coherence.probe_deferred")
-            forwarded += _total(agents, "coherence.forwarded")
-            collected += _total(agents, "coherence.ack_collected")
-        # The sweep must have met what it is for, not only the easy
-        # orderings.
-        assert held > 0 and forwarded > 0 and collected > 0
+        _assert_sweep_clean()
+
+    @pytest.mark.parametrize("procs_per_agent,home_works", [
+        (2, False), (3, False), (1, True), (2, True), (3, True)])
+    def test_contract_holds_for_many_processes_and_a_working_home(
+            self, procs_per_agent, home_works):
+        # What ROADMAP item 2 asks of the agent: every node hosts one
+        # process per operation in flight, and is a home and a client.
+        _assert_sweep_clean(procs_per_agent, home_works)
 
     def test_without_the_hold_rule_the_same_sweep_fails(self, monkeypatch):
         """Negative control: probes that name no acquisition are never
         held, and the contract breaks (or the agent crashes) at once."""
-        queue_probe = CoherenceAgent._queue_probe
+        queue = CoherenceAgent._queue
 
-        def unnamed(self, target, probe):
-            queue_probe(self, target, dict(probe, via=None))
+        def unnamed(self, kind, peer, entry):
+            if kind == MSG_PROBE_INVALIDATE:
+                entry = dict(entry, via=None)
+            queue(self, kind, peer, entry)
 
-        monkeypatch.setattr(CoherenceAgent, "_queue_probe", unnamed)
+        monkeypatch.setattr(CoherenceAgent, "_queue", unnamed)
         broken = 0
         for seed, lines, policy in SWEEP[:6]:
             try:
@@ -294,7 +319,7 @@ class TestScriptedRaces:
         # The home collected nothing and moved on when it granted.
         directory = home._directory[oid]
         assert directory.owner == "h3" and not directory.sharers
-        assert not home._collect and not h3._owed
+        assert not h3._pending
 
     def test_owner_that_evicted_the_line_falls_back_to_the_home(self):
         sim, (home, h1, h2), oids = _star(
@@ -340,6 +365,51 @@ class TestScriptedRaces:
         assert sim.run_process(script()) == _stamp(2)
         assert home._directory[a].owner is None
         assert not h2._evicting
+
+    def test_two_writers_on_one_agent_lose_no_store(self):
+        # Two processes of h1 store to disjoint halves of one line at the
+        # same instant.  The second must not acquire the line again: the
+        # home would answer from bytes the first is about to make stale,
+        # and that grant would overwrite the first store.
+        sim, (home, h1, h2), (oid,) = _star(_seed(717), [1.0] * 3)
+
+        def store(offset, value):
+            yield from h1.write(oid, offset, value)
+
+        def script():
+            first = sim.spawn(store(0, b"A" * STAMP_BYTES))
+            second = sim.spawn(store(STAMP_BYTES, b"B" * STAMP_BYTES))
+            yield first
+            yield second
+            line = yield from h2.read(oid, 0, 2 * STAMP_BYTES)
+            return line
+
+        assert sim.run_process(script()) == b"A" * 8 + b"B" * 8
+        assert h1.tracer.counters["coherence.write_miss"] == 1
+        assert h1.tracer.counters["coherence.cache_hit"] == 1
+        assert home.tracer.counters["coherence.grant"] == 1
+
+    def test_home_store_lands_before_the_next_grant(self):
+        # h1 holds the line Shared; the home writes (a barrier that
+        # invalidates h1) while h2's read is queued behind it.  h2 is
+        # granted in the step that ends the barrier, so the home's store
+        # must have landed by then.
+        sim, (home, h1, h2), (oid,) = _star(_seed(718), [5.0, 5.0, 1.0])
+
+        def reader():
+            yield Timeout(1.0)
+            return (yield from h2.read(oid, 0, STAMP_BYTES))
+
+        def script():
+            yield from h1.read(oid, 0, STAMP_BYTES)
+            queued = sim.spawn(reader())
+            yield from home.write(oid, 0, _stamp(7))
+            seen = yield queued
+            again = yield from h2.read(oid, 0, STAMP_BYTES)
+            return seen, again
+
+        assert sim.run_process(script()) == (_stamp(7), _stamp(7))
+        assert home._directory[oid].sharers == {"h2"}
 
     def test_batched_reads_over_forwarded_lines(self):
         sim, (home, h1, h2, h3), oids = _star(

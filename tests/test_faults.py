@@ -545,6 +545,7 @@ class TestCoherenceCrashRaces:
         sim.run_process(driver())
         return agents, oid, bool(finished)
 
+    @pytest.mark.hangs_until_item_9
     def test_holder_crash_after_release_sent_still_lands_at_home(self):
         # h1 crashes at t=25us: after the release left for the home,
         # before the ack could return.  The home must be durably updated.
@@ -552,6 +553,7 @@ class TestCoherenceCrashRaces:
         assert agents["h0"].authoritative_data(oid)[:5] == b"DIRTY"
         assert not finished  # the ack died at the crashed holder
 
+    @pytest.mark.hangs_until_item_9
     def test_home_crash_window_drops_the_release(self):
         # h0 (the home) is down when the release arrives: the writeback
         # is lost and the home keeps its pre-writeback bytes.

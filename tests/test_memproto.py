@@ -13,40 +13,34 @@ from repro.memproto import (
     PERM_SHARED,
     TcpLikeTransport,
     TransportError,
-    read_request,
-    read_response,
-    write_ack,
-    write_request,
+)
+from repro.memproto.messages import (
+    COHERENCE_ENTRY_BYTES,
+    MSG_GRANT,
+    MSG_RELEASE,
+    coherence_packet,
 )
 from repro.net import build_star
 from repro.sim import Simulator, Timeout
 
 
 class TestMessages:
-    def test_read_request_identity_routed_by_default(self):
+    def test_a_frame_charges_each_entry_and_the_data_it_carries(self):
         oid = IDAllocator(seed=1).allocate()
-        packet = read_request("a", oid, 0, 64, req_id=1)
-        assert packet.is_identity_routed
-
-    def test_read_request_can_be_host_addressed(self):
-        oid = IDAllocator(seed=1).allocate()
-        packet = read_request("a", oid, 0, 64, req_id=1, dst="b")
-        assert packet.dst == "b"
-
-    def test_read_response_carries_data(self):
-        oid = IDAllocator(seed=1).allocate()
-        request = read_request("a", oid, 0, 4, req_id=9, dst="b")
-        response = read_response(request, b"data", responder="b")
-        assert response.dst == "a"
-        assert response.payload["req_id"] == 9
-        assert response.payload_bytes >= 4
-
-    def test_write_roundtrip_fields(self):
-        oid = IDAllocator(seed=1).allocate()
-        request = write_request("a", oid, 8, b"xy", req_id=2, dst="b")
-        ack = write_ack(request, responder="b")
-        assert request.payload["data"] == b"xy"
-        assert ack.payload["req_id"] == 2
+        grants = [{"oid": oid, "req_id": 1, "perm": "S", "data": b"x" * 64},
+                  {"oid": oid, "req_id": 2, "perm": "M", "data": None},
+                  {"oid": oid, "req_id": 3, "perm": "S", "data": b"y" * 5}]
+        frame = coherence_packet(MSG_GRANT, "a", "b", grants)
+        assert frame.payload == {"entries": grants}
+        assert frame.payload_bytes == 3 * COHERENCE_ENTRY_BYTES + 64 + 5
+        assert coherence_packet(MSG_GRANT, "a", "b", []).payload_bytes == 0
+        # A release names its one line in the header, which the packet
+        # charges as its object-ID field.
+        bare = coherence_packet(MSG_RELEASE, "a", "b", [{"req_id": 4}])
+        named = coherence_packet(MSG_RELEASE, "a", "b", [{"req_id": 4}], oid)
+        assert bare.payload_bytes == named.payload_bytes == COHERENCE_ENTRY_BYTES
+        assert named.oid == oid and named.dst == "b"
+        assert named.size_bytes == bare.size_bytes + 16
 
     def test_cache_line_constant(self):
         assert CACHE_LINE_BYTES == 64

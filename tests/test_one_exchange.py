@@ -21,7 +21,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 # Where a ``Future`` is still the right tool: the kernel that defines
 # it, and three cells that no single reply packet completes.
 FUTURE_ALLOWED = {
-    "memproto/coherence.py",  # one grant frame answers many req_ids; NACKs raise
+    "memproto/coherence.py",  # its one _Wait: a grant and acks, from several hosts
     "pubsub/bus.py",          # publisher credit, released by consumer grants
     "core/proxies.py",        # a prefetch batch many dereferences wait on
 }

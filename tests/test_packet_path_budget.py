@@ -12,11 +12,15 @@ import cProfile
 import os
 import pstats
 
+from repro.core import IDAllocator
+from repro.memproto import CoherenceAgent
 from repro.net import Packet, build_star
 from repro.sim import Simulator, trace
 
 PACKETS = 200
 MAX_CALLS_PER_PACKET = 27
+MISSES = 200
+MAX_CALLS_PER_MISS = 96
 
 
 def _profiled_crossing() -> pstats.Stats:
@@ -48,6 +52,11 @@ def _profiled_crossing() -> pstats.Stats:
     return pstats.Stats(profiler)
 
 
+def _python_calls(stats) -> int:
+    return sum(row[1] for (filename, _, _), row in stats.items()
+               if os.path.isfile(filename))
+
+
 def test_known_unicast_stays_within_its_call_budget():
     stats = _profiled_crossing().stats
     trace_file = os.path.abspath(trace.__file__)
@@ -55,8 +64,37 @@ def test_known_unicast_stays_within_its_call_budget():
                   if os.path.abspath(filename) == trace_file}
     assert into_trace == {}
     assert not [key for key in stats if key[2] == "size_bytes"]
-    python_calls = sum(row[1] for (filename, _, _), row in stats.items()
-                       if os.path.isfile(filename))
-    assert python_calls / PACKETS <= MAX_CALLS_PER_PACKET, sorted(
+    assert _python_calls(stats) / PACKETS <= MAX_CALLS_PER_PACKET, sorted(
         (row[1] / PACKETS, name) for (filename, _, name), row in stats.items()
+        if os.path.isfile(filename))
+
+
+def test_plain_coherent_miss_stays_within_its_call_budget():
+    """One read miss nobody else holds: an acquire to the home, a grant
+    back, the copy installed.  Everything from ``agent.read`` to the
+    resumed reader, both packets' crossings included."""
+    sim = Simulator(seed=1)
+    net = build_star(sim, 2)
+    home_map = {}
+    home, reader = (CoherenceAgent(net.host(name), home_map)
+                    for name in ("h0", "h1"))
+    alloc = IDAllocator(seed=1)
+    oids = [alloc.allocate() for _ in range(MISSES + 1)]
+    for oid in oids:
+        home.host_object(oid, bytes(64))
+
+    def scan(wanted):
+        for oid in wanted:
+            yield from reader.read(oid, 0, 64)
+
+    sim.run_process(scan(oids[:1]))  # teaches the switch both ports
+    profiler = cProfile.Profile()
+    profiler.enable()
+    sim.run_process(scan(oids[1:]))
+    profiler.disable()
+    assert reader.tracer.counters.get("coherence.read_miss") == MISSES + 1
+    assert home.tracer.counters.get("coherence.batch.grant_pkts") == MISSES + 1
+    stats = pstats.Stats(profiler).stats
+    assert _python_calls(stats) / MISSES <= MAX_CALLS_PER_MISS, sorted(
+        (row[1] / MISSES, name) for (filename, _, name), row in stats.items()
         if os.path.isfile(filename))
