@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List
+from array import array
 
 __all__ = ["PopularitySampler", "ZipfSampler", "ParetoSampler",
            "UniformSampler", "make_popularity"]
@@ -61,7 +61,9 @@ class ZipfSampler(PopularitySampler):
             raise ValueError("alpha must be non-negative")
         self.alpha = float(alpha)
         weights = (1.0 / ((rank + 1) ** alpha) for rank in range(keyspace))
-        self._cumulative: List[float] = list(itertools.accumulate(weights))
+        # Packed doubles: the same values bisect finds in a list of
+        # floats, at 8 bytes a rank instead of 32.
+        self._cumulative = array("d", itertools.accumulate(weights))
         self._total = self._cumulative[-1]
 
     def sample(self, rng: random.Random) -> int:

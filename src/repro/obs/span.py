@@ -4,7 +4,7 @@ A :class:`Span` is one named phase of a larger operation — the placement
 decision inside an invocation, one stage-in fetch, the compute window —
 with start/end timestamps taken from the *simulation* clock, a parent
 link, and free-form tags.  The :class:`SpanRecorder` allocates span and
-trace identifiers and holds every span recorded during a run; the
+trace identifiers and holds the spans of the traces it retains; the
 exporters in :mod:`repro.obs.export` turn its contents into JSON lines
 or a Chrome ``trace_event`` file.
 
@@ -16,23 +16,36 @@ one recorder — a span may be *started* on one host and *finished* on
 another: that is how the ``request`` and ``return`` phases measure the
 wire legs of a remote execution.
 
+Memory is bounded by the traces in flight, not by the length of the
+run.  Every span of a trace is kept while its root is open.  Once the
+root finishes, the trace is kept only while it is among the last
+:data:`KEEP_RECENT` finished traces or among the :data:`KEEP_SLOWEST`
+slowest roots finished so far (the tail exemplars); every other trace
+is dropped whole.
+
 All durations are simulated microseconds; see OBSERVABILITY.md for the
 canonical span names and the unit rules.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from collections import deque
+from typing import (TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set,
+                    Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
 
 __all__ = ["Span", "SpanRecorder"]
 
+#: Finished traces kept because they are among the most recent.
+KEEP_RECENT = 256
+#: Finished traces kept because their roots are among the slowest so far.
+KEEP_SLOWEST = 32
 
-@dataclass
+
 class Span:
     """One named interval of simulated time, with a parent link and tags.
 
@@ -41,16 +54,23 @@ class Span:
     root span's ``error`` tag says how).
     """
 
-    span_id: int
-    name: str
-    trace_id: int
-    start_us: float
-    end_us: Optional[float] = None
-    parent_id: Optional[int] = None
-    node: str = ""
-    tags: Dict[str, Any] = field(default_factory=dict)
-    _recorder: Optional["SpanRecorder"] = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("span_id", "name", "trace_id", "start_us", "end_us",
+                 "parent_id", "node", "tags", "_recorder")
+
+    def __init__(self, span_id: int, name: str, trace_id: int,
+                 start_us: float, end_us: Optional[float] = None,
+                 parent_id: Optional[int] = None, node: str = "",
+                 tags: Optional[Dict[str, Any]] = None,
+                 _recorder: Optional["SpanRecorder"] = None):
+        self.span_id = span_id
+        self.name = name
+        self.trace_id = trace_id
+        self.start_us = start_us
+        self.end_us = end_us
+        self.parent_id = parent_id
+        self.node = node
+        self.tags = {} if tags is None else tags
+        self._recorder = _recorder
 
     @property
     def finished(self) -> bool:
@@ -84,19 +104,32 @@ class Span:
             "tags": dict(self.tags),
         }
 
+    def __repr__(self) -> str:
+        return (f"Span(span_id={self.span_id}, name={self.name!r}, "
+                f"trace_id={self.trace_id}, start_us={self.start_us}, "
+                f"end_us={self.end_us}, parent_id={self.parent_id}, "
+                f"node={self.node!r}, tags={self.tags!r})")
+
 
 class SpanRecorder:
-    """Allocates, stores, and indexes every span of one simulation.
+    """Allocates spans and keeps, indexed by trace, the traces it retains.
 
     One recorder per :class:`~repro.sim.Simulator` is the intended shape
     (the runtime owns one); timestamps always come from ``sim.now``, so
-    span ordering is exactly event-loop ordering.
+    span ordering is exactly event-loop ordering.  Which traces are kept
+    is stated in the module docstring; lookups see retained traces only.
     """
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self._spans: List[Span] = []
+        # Trace id -> its spans in start order; the first is the root.
+        self._traces: Dict[int, List[Span]] = {}
         self._by_id: Dict[int, Span] = {}
+        self._recent: Deque[int] = deque()
+        # Min-heap of (root duration, finish sequence, trace id).
+        self._slowest: List[Tuple[float, int, int]] = []
+        self._exemplars: Set[int] = set()
+        self._n_retired = 0
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
 
@@ -108,27 +141,27 @@ class SpanRecorder:
 
         ``parent`` may be a :class:`Span` or a span id (ids travel in
         packet payloads for cross-host phases).  ``trace_id`` defaults to
-        the parent's trace, or a fresh trace for a root span.
+        the parent's trace, or a fresh trace for a root span.  A child
+        whose trace has been dropped is returned but not kept.
         """
-        parent_span: Optional[Span] = None
-        if isinstance(parent, int):
-            parent_span = self.get(parent)
-        elif parent is not None:
-            parent_span = parent
-        if trace_id is None:
-            trace_id = (parent_span.trace_id if parent_span is not None
-                        else next(self._trace_ids))
-        span = Span(
-            span_id=next(self._span_ids),
-            name=name,
-            trace_id=trace_id,
-            start_us=self.sim.now,
-            parent_id=parent_span.span_id if parent_span is not None else None,
-            node=node,
-            tags=dict(tags),
-            _recorder=self,
-        )
-        self._spans.append(span)
+        if parent is None:
+            parent_id = None
+            if trace_id is None:
+                trace_id = next(self._trace_ids)
+        else:
+            if isinstance(parent, int):
+                parent = self._by_id[parent]
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
+        span = Span(next(self._span_ids), name, trace_id, self.sim.now,
+                    None, parent_id, node, tags, self)
+        trace = self._traces.get(trace_id)
+        if trace is None:
+            if parent_id is not None:
+                return span
+            trace = self._traces[trace_id] = []
+        trace.append(span)
         self._by_id[span.span_id] = span
         return span
 
@@ -140,33 +173,71 @@ class SpanRecorder:
         span.end_us = self.sim.now
         if tags:
             span.tags.update(tags)
+        if span.parent_id is None:
+            trace = self._traces.get(span.trace_id)
+            if trace is not None and trace[0] is span:
+                self._retire(span)
         return span
 
     def finish_id(self, span_id: int, **tags: Any) -> Span:
         """Close the span with id ``span_id`` (cross-host completion)."""
         return self.finish(self.get(span_id), **tags)
 
+    def _retire(self, root: Span) -> None:
+        """``root`` just finished: its trace joins the recent window and,
+        if slow enough, the exemplars; a trace that leaves the one and is
+        not in the other is dropped."""
+        trace_id = root.trace_id
+        self._n_retired += 1
+        self._recent.append(trace_id)
+        if len(self._recent) > KEEP_RECENT:
+            oldest = self._recent.popleft()
+            if oldest not in self._exemplars:
+                self._drop(oldest)
+        entry = (root.end_us - root.start_us, self._n_retired, trace_id)
+        if len(self._slowest) < KEEP_SLOWEST:
+            heapq.heappush(self._slowest, entry)
+            self._exemplars.add(trace_id)
+        elif entry[0] > self._slowest[0][0]:
+            _, seq, evicted = heapq.heapreplace(self._slowest, entry)
+            self._exemplars.discard(evicted)
+            self._exemplars.add(trace_id)
+            if seq <= self._n_retired - KEEP_RECENT:
+                self._drop(evicted)
+
+    def _drop(self, trace_id: int) -> None:
+        for span in self._traces.pop(trace_id):
+            del self._by_id[span.span_id]
+
     # -- lookup --------------------------------------------------------------
     def get(self, span_id: int) -> Span:
-        """Span by id; raises ``KeyError`` if unknown."""
+        """Span by id; raises ``KeyError`` if unknown or dropped."""
         return self._by_id[span_id]
 
+    def find(self, span_id: Optional[int]) -> Optional[Span]:
+        """Span by id, or ``None`` if unknown or dropped."""
+        return self._by_id.get(span_id)
+
     def spans(self, trace_id: Optional[int] = None) -> List[Span]:
-        """All spans (a copy), optionally restricted to one trace, in
+        """Retained spans (a copy), optionally restricted to one trace, in
         start order (creation order == simulator event order)."""
         if trace_id is None:
-            return list(self._spans)
-        return [s for s in self._spans if s.trace_id == trace_id]
+            return list(self._by_id.values())
+        return list(self._traces.get(trace_id, ()))
 
     def children(self, span: Union[Span, int]) -> List[Span]:
         """Direct children of ``span``, in start order."""
         span_id = span.span_id if isinstance(span, Span) else span
-        return [s for s in self._spans if s.parent_id == span_id]
+        owner = self._by_id.get(span_id)
+        if owner is None:
+            return []
+        return [s for s in self._traces[owner.trace_id]
+                if s.parent_id == span_id]
 
     def root(self, trace_id: int) -> Span:
         """The root span of a trace; raises if absent or ambiguous."""
-        roots = [s for s in self._spans
-                 if s.trace_id == trace_id and s.parent_id is None]
+        roots = [s for s in self._traces.get(trace_id, ())
+                 if s.parent_id is None]
         if not roots:
             raise KeyError(f"no root span for trace {trace_id}")
         if len(roots) > 1:
@@ -196,12 +267,15 @@ class SpanRecorder:
 
     def reset(self) -> None:
         """Drop every recorded span (id counters keep advancing)."""
-        self._spans.clear()
+        self._traces.clear()
         self._by_id.clear()
+        self._recent.clear()
+        self._slowest.clear()
+        self._exemplars.clear()
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._by_id)
 
     def __repr__(self) -> str:
-        open_count = sum(1 for s in self._spans if not s.finished)
-        return f"<SpanRecorder spans={len(self._spans)} open={open_count}>"
+        open_count = sum(1 for s in self._by_id.values() if not s.finished)
+        return f"<SpanRecorder spans={len(self._by_id)} open={open_count}>"

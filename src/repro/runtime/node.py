@@ -327,9 +327,7 @@ class ClusterNode:
             # Shed at the host boundary: an immediate retryable NACK
             # with a retry-after hint, instead of queueing over budget.
             self.tracer.count("bus.rejected")
-            span_request = packet.payload.get("span_request")
-            if span_request is not None:
-                self.runtime.spans.finish_id(span_request)
+            self._end_request_span(packet)
             self.host.send(packet.reply(
                 m.KIND_EXEC_RSP,
                 {"ok": False, "result": encode("admission rejected"),
@@ -338,6 +336,16 @@ class ClusterNode:
                 m.RSP_OVERHEAD_BYTES))
             return
         self.sim.spawn(self._serve_exec(packet), name=f"{self.name}-exec")
+
+    def _end_request_span(self, packet: Packet) -> bool:
+        """Close the request (wire) leg the invoker opened; False when it
+        is gone or already closed — the invoker passed its deadline and
+        closed it, or the trace was finished and dropped since."""
+        span = self.runtime.spans.find(packet.payload.get("span_request"))
+        if span is None or span.finished:
+            return False
+        self.runtime.spans.finish(span)
+        return True
 
     def _serve_exec(self, packet: Packet):
         code_oid = ObjectID.from_hex(packet.payload["code_oid"])
@@ -356,14 +364,12 @@ class ClusterNode:
             prefetch = PrefetchBudget(*prefetch)
         # Cross-host span plumbing: the invoker opened the root and the
         # request span; serving starts now, so the request (wire) leg
-        # ends here.  The recorder is shared through the runtime.
-        span_parent = packet.payload.get("span_parent")
-        span_request = packet.payload.get("span_request")
+        # ends here.  The recorder is shared through the runtime.  A
+        # request the invoker has given up on is served without spans,
+        # so it adds no phase (and no unfinished return) to the trace.
         parent = None
-        if span_parent is not None:
-            if span_request is not None:
-                self.runtime.spans.finish_id(span_request)
-            parent = self.runtime.spans.get(span_parent)
+        if self._end_request_span(packet):
+            parent = self.runtime.spans.get(packet.payload["span_parent"])
         isolated = packet.payload.get("isolated", False)
         try:
             result = yield from self.stage_and_execute(

@@ -267,9 +267,10 @@ class TestHealthLedger:
 # ---------------------------------------------------------------------------
 
 
-def make_cluster(seed, n_hosts=4, speeds=None):
+def make_cluster(seed, n_hosts=4, speeds=None, request_timeout_us=2_000.0,
+                 **star):
     sim = Simulator(seed=seed)
-    net = build_star(sim, n_hosts, prefix="n")
+    net = build_star(sim, n_hosts, prefix="n", **star)
     registry = FunctionRegistry()
 
     @registry.register("read_blob")
@@ -281,7 +282,7 @@ def make_cluster(seed, n_hosts=4, speeds=None):
     for i in range(n_hosts):
         name = f"n{i}"
         node = runtime.add_node(name, speed=(speeds or {}).get(name, 1.0))
-        node.request_timeout_us = 2_000.0  # fast failover in tests
+        node.request_timeout_us = request_timeout_us  # fast failover in tests
     return sim, net, registry, runtime
 
 
@@ -326,6 +327,34 @@ class TestResilientInvoke:
         assert runtime.health.is_suspected("n2")
         # The span tree closed cleanly despite the failed attempt.
         assert all(s.finished for s in runtime.spans.spans(result.invoke_id))
+
+    def test_executor_starting_after_the_deadline_serves_without_spans(self):
+        # On a slow fabric the request reaches the fast n2 after the
+        # invoker's 20 us deadline closed its request span.  n2 used to
+        # close it again and crash the simulation; it must serve the
+        # abandoned request without spans while n0 fails over to itself
+        # (staging the 64 KiB blob there takes ~10 ms on this fabric).
+        sim, net, registry, runtime = make_cluster(
+            _seed(19), n_hosts=3, speeds={"n2": 4.0},
+            request_timeout_us=100_000.0, default_bandwidth_gbps=0.05)
+        _, blob_ref = make_blob(runtime, holders=("n2",))
+        _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"blob": blob_ref},
+                retry=RetryPolicy(max_attempts=3, deadline_us=20.0)))
+            return result
+
+        result = sim.run_process(proc())
+        sim.run()  # let n2 finish serving the abandoned attempt
+        assert result.value == b"hello" and result.executed_at == "n0"
+        assert runtime.tracer.counters[K_INVOKE_DEADLINE] == 1
+        assert runtime.tracer.counters[K_INVOKE_FAILOVER] == 1
+        trace = runtime.spans.spans(result.invoke_id)
+        assert all(s.finished for s in trace)
+        assert {s.node for s in trace} == {"n0"}
+        assert len(runtime.spans) == len(trace)
 
     def test_suspected_node_avoided_on_next_invocation(self):
         sim, net, registry, runtime = make_cluster(_seed(14),

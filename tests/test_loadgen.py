@@ -120,6 +120,24 @@ def test_zipf_head_dominates_and_stays_in_range():
     assert head_share > 0.5  # a 1M keyspace, yet the head dominates
 
 
+@pytest.mark.parametrize("alpha", [0.9, 1.2])
+def test_zipf_draws_equal_a_list_backed_reference(alpha):
+    """The packed cumulative table draws exactly the ranks a list of
+    Python floats accumulated the same way would."""
+    import bisect
+    import itertools
+
+    keyspace = 100_000
+    sampler = ZipfSampler(keyspace, alpha=alpha)
+    cumulative = list(itertools.accumulate(
+        1.0 / ((rank + 1) ** alpha) for rank in range(keyspace)))
+    rng, ref_rng = random.Random(seed(21)), random.Random(seed(21))
+    draws = [sampler.sample(rng) for _ in range(20_000)]
+    expected = [bisect.bisect_left(cumulative, ref_rng.random() * cumulative[-1])
+                for _ in range(20_000)]
+    assert draws == expected
+
+
 def test_pareto_is_heavy_tailed_but_bounded():
     sampler = ParetoSampler(1_000_000, alpha=1.1)
     rng = random.Random(seed(9))

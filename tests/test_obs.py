@@ -16,6 +16,7 @@ from repro.obs import (SpanRecorder, chrome_trace_to_spans, snapshot_to_jsonl,
                        spans_to_jsonl, to_chrome_trace, write_chrome_trace)
 from repro.obs.keys import VOCABULARY, KeySpec, specs_by_name
 from repro.obs.registry import RegistryError
+from repro.obs.span import KEEP_RECENT, KEEP_SLOWEST
 from repro.sim import Timeout
 from repro.sim.trace import Tracer
 
@@ -326,6 +327,101 @@ class TestInvocationSpanTree:
         # The network registered its own tracers on the same registry.
         assert any(key.startswith("net.host.") for key in snap["counters"])
         assert snap["counters"]["net.host.n0:host.tx_bytes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Retention: memory bounded by the traces in flight, not the run length
+# ---------------------------------------------------------------------------
+
+# The slow invocation runs after the first KEEP_SLOWEST, so only its
+# latency can keep it, and before the last KEEP_RECENT.
+SLOW_AT = KEEP_SLOWEST + 8
+N_INVOKES = KEEP_SLOWEST + KEEP_RECENT + 48
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    sim, net, runtime, refs = _star_runtime()
+    _, code_ref = runtime.create_code("n0", "read5", text_size=256)
+
+    def main():
+        results = []
+        for i in range(N_INVOKES):
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs=refs,
+                flops=1e8 if i == SLOW_AT else 1e6))
+            results.append(result)
+        return results
+
+    return runtime, sim.run_process(main())
+
+
+class TestRetention:
+    def test_retained_spans_stay_under_the_bound(self, long_run):
+        runtime, results = long_run
+        kept = {s.trace_id for s in runtime.spans.spans()}
+        assert len(kept) <= KEEP_RECENT + KEEP_SLOWEST
+        dropped = [r for r in results if not runtime.spans.spans(r.invoke_id)]
+        assert len(dropped) >= N_INVOKES - KEEP_RECENT - KEEP_SLOWEST
+        widest = max(len(runtime.spans.spans(t)) for t in kept)
+        assert len(runtime.spans) <= (KEEP_RECENT + KEEP_SLOWEST) * widest
+
+    def test_last_traces_are_readable_and_tile_latency(self, long_run):
+        runtime, results = long_run
+        for result in results[-KEEP_RECENT:]:
+            phases = runtime.spans.phases(result.invoke_id)
+            assert math.isclose(sum(phases.values()), result.latency_us,
+                                rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_slowest_invocation_keeps_its_whole_tree(self, long_run):
+        runtime, results = long_run
+        slow = results[SLOW_AT]
+        assert slow.latency_us == max(r.latency_us for r in results)
+        trace = runtime.spans.spans(slow.invoke_id)
+        assert all(s.finished for s in trace)
+        tree = runtime.spans.tree(slow.invoke_id)
+        assert {c["name"] for c in tree["children"]} >= {
+            "placement", "stage_in", "queue", "compute", "return"}
+        phases = runtime.spans.phases(slow.invoke_id)
+        assert math.isclose(sum(phases.values()), slow.latency_us,
+                            rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_a_trace_with_an_open_root_is_never_dropped(self, sim):
+        rec = SpanRecorder(sim)
+
+        def flow():
+            held = rec.start("invoke")
+            child = rec.start("compute", parent=held)
+            for i in range(KEEP_RECENT + KEEP_SLOWEST + 10):
+                root = rec.start("invoke")
+                yield Timeout(float(i % 5))
+                rec.finish(root)
+            assert rec.spans(held.trace_id) == [held, child]
+            rec.finish(child)
+            rec.finish(held)
+            return held
+
+        held = drive(sim, flow())
+        assert rec.phases(held.trace_id) == {"compute": held.duration_us}
+        assert len({s.trace_id for s in rec.spans()}) <= KEEP_RECENT + KEEP_SLOWEST
+
+    def test_a_child_of_a_dropped_trace_is_not_kept(self, sim):
+        rec = SpanRecorder(sim)
+        first = rec.start("invoke")
+        rec.finish(first)  # zero-width: every later trace is slower
+
+        def flow():
+            for _ in range(KEEP_RECENT + KEEP_SLOWEST):
+                root = rec.start("invoke")
+                yield Timeout(1.0)
+                rec.finish(root)
+
+        drive(sim, flow())
+        assert rec.spans(first.trace_id) == []
+        before = len(rec)
+        late = rec.start("return", parent=first)
+        late.finish()
+        assert len(rec) == before and rec.find(late.span_id) is None
 
 
 # ---------------------------------------------------------------------------
