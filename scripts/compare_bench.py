@@ -43,13 +43,15 @@ def newest_below(n: int, root: pathlib.Path = ROOT) -> Optional[pathlib.Path]:
 
 
 def verdict(parent: float, change: float, better: str, bound: float) -> str:
-    """Where ``change`` sits against ``parent`` for one metric."""
+    """Where ``change`` sits against ``parent`` for one metric: a move
+    inside the bound reads as one either way, since the bound is what
+    noise alone may do."""
     if change == parent:
         return "equal"
     gain = (change - parent if better == "higher" else parent - change)
-    if gain > 0:
-        return "better"
-    return "within bound" if -gain <= bound * abs(parent) else "WORSE than bound"
+    if abs(gain) <= bound * abs(parent):
+        return "better, within bound" if gain > 0 else "within bound"
+    return "BETTER than bound" if gain > 0 else "WORSE than bound"
 
 
 def fingerprint_diff(parent: dict, change: dict) -> List[Tuple[str, str]]:

@@ -20,8 +20,9 @@ percentiles on small traces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List
+
+from ..sim.trace import nearest_rank
 
 __all__ = ["LatencyHistogram"]
 
@@ -110,13 +111,7 @@ class LatencyHistogram:
             raise ValueError("percentile must be in (0, 100]")
         if self.count == 0:
             return 0.0
-        # Nearest rank = ceil(p/100 * count), computed exactly over the
-        # decimal value of ``p``: float truncation of ``p * count``
-        # before the ceiling-divide under-computed the rank whenever the
-        # product had a fractional part (p=50.25 over 2 samples must be
-        # rank 2, not 1), and naive float division can over-shoot a rank
-        # at exact multiples (99.9 * 1000 must stay rank 999).
-        rank = max(1, int(-(-(Fraction(str(p)) * self.count) // 100)))
+        rank = nearest_rank(p, self.count)
         seen = 0
         for index, n in enumerate(self._counts):
             seen += n

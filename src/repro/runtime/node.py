@@ -453,7 +453,6 @@ class ClusterNode:
         rec = self.runtime.spans if span is not None else None
         stage_span = (rec.start(SPAN_STAGE_IN, parent=span, node=self.name)
                       if rec is not None else None)
-        staged = 0
         missing = [oid for oid in stage if oid not in self.space]
         if missing:
             fetches = [
@@ -461,8 +460,12 @@ class ClusterNode:
                                name=f"stage-{oid.short()}")
                 for oid in missing
             ]
-            yield AllOf(fetches)
-            staged += len(missing)
+            # A failed fetch is an outcome in AllOf's results: raise the
+            # first instead of running the function without its input.
+            for outcome in (yield AllOf(fetches)):
+                if isinstance(outcome, BaseException):
+                    raise outcome
+        staged = len(missing)
         args: Dict[str, Any] = dict(values)
         args.update(refs)
         for name in decode_args:
@@ -656,6 +659,8 @@ class ExecutionContext:
         self.node = node
         self.remote_reads = 0
         self.local_reads = 0
+        self.remote_writes = 0
+        self.local_writes = 0
 
     @property
     def here(self) -> str:
@@ -692,11 +697,11 @@ class ExecutionContext:
         self.node.runtime.policies.check_write(ref.oid, self.node.name)
         at = ref.offset + offset
         if ref.oid in self.node.space:
-            self.local_reads += 1
+            self.local_writes += 1
             yield Timeout(0.0)
             self.node.space.get(ref.oid).write(at, data)
             return True
-        self.remote_reads += 1
+        self.remote_writes += 1
         ok = yield from self.node.remote_write(ref.oid, at, data)
         return ok
 

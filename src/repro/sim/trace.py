@@ -17,32 +17,36 @@ OBSERVABILITY.md.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, Iterable, List
 
 __all__ = ["Counter", "SampleSeries", "Tracer", "NullTracer", "NULL_TRACER",
-           "summarize", "percentile"]
+           "summarize", "percentile", "nearest_rank"]
+
+
+def nearest_rank(pct: float, n: int) -> int:
+    """The 1-based nearest rank ``ceil(pct/100 * n)`` of ``n`` samples,
+    at least 1 (so p0 is the minimum).
+
+    Computed exactly over the decimal value of ``pct``: the float
+    product can land one rank high at exact multiples (99.9 of 1,000
+    must be rank 999, not 1,000) or, truncated first, one low (50.25 of
+    2 must be rank 2, not 1).
+    """
+    return max(1, -(-(Fraction(str(pct)) * n) // 100))
 
 
 def percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile of ``values`` (``pct`` in [0, 100]).
-
-    Nearest-rank means the result is always one of the samples: the
-    value at (1-based) rank ``ceil(pct/100 * n)`` in sorted order.  At
-    the ``pct == 0.0`` edge that formula would yield rank 0, which does
-    not exist, so p0 is defined as the minimum (rank 1) — consistent
-    with the rank floor applied everywhere else.
-    """
+    """Nearest-rank percentile of ``values`` (``pct`` in [0, 100]): the
+    sample at :func:`nearest_rank` in sorted order."""
     if not values:
         raise ValueError("percentile of empty series")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile out of range: {pct}")
-    ordered = sorted(values)
-    if pct == 0.0:
-        return ordered[0]
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return sorted(values)[nearest_rank(pct, len(values)) - 1]
 
 
 @dataclass
@@ -140,22 +144,23 @@ class Counter:
 
 
 class SampleSeries:
-    """A named collection of float samples."""
+    """A named collection of float samples, each key's held as raw
+    doubles in an ``array('d')``: 8 bytes a sample."""
 
     def __init__(self) -> None:
-        self._samples: Dict[str, List[float]] = defaultdict(list)
+        self._samples: Dict[str, array] = defaultdict(lambda: array("d"))
 
     def record(self, key: str, value: float) -> None:
-        """Append one sample."""
+        """Append one sample (stored as a float)."""
         self._samples[key].append(value)
 
     def samples(self, key: str) -> List[float]:
-        """Recorded samples for ``key`` (a copy)."""
-        return list(self._samples.get(key, []))
+        """Recorded samples for ``key`` (a new list)."""
+        return list(self._samples.get(key, ()))
 
     def summary(self, key: str) -> Summary:
         """Statistical summary of ``key``'s samples."""
-        return summarize(self._samples.get(key, []))
+        return summarize(self._samples.get(key, ()))
 
     def keys(self) -> List[str]:
         """Sorted recorded keys."""

@@ -46,13 +46,18 @@ def test_a_key_present_on_one_side_only_differs():
 
 def test_verdict_follows_the_better_direction():
     verdict = compare_bench.verdict
-    assert verdict(100.0, 120.0, "higher", 0.25) == "better"
+    assert verdict(100.0, 120.0, "higher", 0.25) == "better, within bound"
+    assert verdict(100.0, 130.0, "higher", 0.25) == "BETTER than bound"
     assert verdict(100.0, 80.0, "higher", 0.25) == "within bound"
     assert verdict(100.0, 70.0, "higher", 0.25) == "WORSE than bound"
-    assert verdict(10.0, 9.0, "lower", 0.25) == "better"
+    assert verdict(10.0, 9.0, "lower", 0.25) == "better, within bound"
+    assert verdict(10.0, 7.0, "lower", 0.25) == "BETTER than bound"
     assert verdict(10.0, 12.0, "lower", 0.25) == "within bound"
     assert verdict(10.0, 13.0, "lower", 0.25) == "WORSE than bound"
     assert verdict(1.0, 1.0, "higher", 0.001) == "equal"
+    # A claim the bound cannot tell from noise reads as one.
+    assert verdict(43.7, 40.0, "lower", 0.1) == "better, within bound"
+    assert verdict(43.7, 38.8, "lower", 0.1) == "BETTER than bound"
 
 
 def test_unreadable_input_exits_two(tmp_path, capsys):

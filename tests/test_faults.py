@@ -422,6 +422,38 @@ class TestResilientInvoke:
         assert runtime.health.is_suspected("n1")
         assert runtime.tracer.counters[K_INVOKE_DEADLINE] == 0
 
+    @pytest.mark.parametrize("code_at_executor", [False, True],
+                             ids=["two-fetches", "one-fetch"])
+    def test_failed_stage_in_ends_the_attempt(self, code_at_executor):
+        # The blob's only holder is dead.  n3 must give up on the stage-in
+        # fetch's timeout, not run the function without its input and pay
+        # a second timeout on the demand read, whether the blob is staged
+        # beside the code or alone (the code already at n3).
+        sim, net, registry, runtime = make_cluster(_seed(16))
+        _, blob_ref = make_blob(runtime, holders=("n1",))
+        code, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
+        if code_at_executor:
+            runtime.node("n3").space.insert(code.clone())
+            runtime.note_copy(code.oid, "n3")
+        net.host("n1").fail()
+
+        def proc():
+            try:
+                yield sim.spawn(runtime.invoke(
+                    "n0", code_ref, data_refs={"blob": blob_ref},
+                    candidates=["n3"],
+                    retry=RetryPolicy(max_attempts=1, deadline_us=500_000.0)))
+            except InvokeTimeout as exc:
+                return str(exc), sim.now
+
+        message, gave_up_at = sim.run_process(proc())
+        assert "retryable" in message and "gs.fetch_req" in message
+        executor = runtime.node("n3").tracer.counters
+        assert executor["node.fetch_timeout"] == 1
+        assert executor["node.exec"] == 0
+        assert executor["node.read_timeout"] == 0
+        assert gave_up_at < 2 * runtime.node("n3").request_timeout_us
+
     def test_happy_path_counters_stay_zero(self):
         sim, net, registry, runtime = make_cluster(_seed(17))
         _, blob_ref = make_blob(runtime, holders=("n1", "n2"))

@@ -270,6 +270,28 @@ class TestInvocation:
         assert remote_reads == 1
         assert blob.oid not in runtime.node("n2").space  # never staged
 
+    def test_writes_are_counted_as_writes_not_reads(self):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("write_local")
+        def write_local(ctx, args):
+            yield ctx.write(args["blob"], b"EFGH")
+            return (ctx.local_reads, ctx.remote_reads,
+                    ctx.local_writes, ctx.remote_writes)
+
+        blob = runtime.create_object("n2", size=4096)
+        _, code_ref = runtime.create_code("n2", "write_local", text_size=256)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n2", code_ref,
+                data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
+                mode=MODE_EAGER, candidates=["n2"]))
+            return result
+
+        assert sim.run_process(proc()).value == (0, 0, 1, 0)
+        assert blob.read(0, 4) == b"EFGH"
+
     def test_pinned_data_forces_local_execution(self):
         sim, net, registry, runtime = make_cluster(speeds={"n0": 0.1})
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Counter, SampleSeries, Tracer, percentile, summarize
+from repro.sim.trace import nearest_rank
 
 
 class TestPercentile:
@@ -25,6 +26,17 @@ class TestPercentile:
     def test_out_of_range_pct(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+
+    def test_rank_is_exact_at_a_multiple(self):
+        # 99.9 / 100 * 1000 is 999.0000000000001 in floats: its ceiling
+        # was rank 1000.
+        assert percentile(list(range(1, 1001)), 99.9) == 999
+
+    def test_rank_counts_a_fractional_product_up(self):
+        assert nearest_rank(99.9, 1000) == 999
+        assert nearest_rank(50.25, 2) == 2
+        assert nearest_rank(0.0, 5) == 1
+        assert nearest_rank(100.0, 5) == 5
 
 
 class TestSummarize:
@@ -94,6 +106,29 @@ class TestSampleSeries:
         series.record("x", 1.0)
         series.samples("x").append(99.0)
         assert series.samples("x") == [1.0]
+
+    def test_values_round_trip_exactly_in_order(self):
+        values = [0.1, 1e-300, 123456.789012345, 2.0 ** 60 + 0.5, 0.0, 7.25]
+        series = SampleSeries()
+        for value in values:
+            series.record("lat", value)
+        out = series.samples("lat")
+        assert out == values and type(out) is list
+        assert out is not series.samples("lat")
+        assert series.samples("missing") == []
+
+    def test_summary_equals_summarize_of_the_list(self):
+        values = [(i * 7919 % 1009) / 3.0 for i in range(1, 2001)]
+        series = SampleSeries()
+        for value in values:
+            series.record("lat", value)
+        assert series.summary("lat") == summarize(values)
+
+    def test_an_int_sample_comes_back_as_a_float(self):
+        series = SampleSeries()
+        series.record("n", 3)
+        (value,) = series.samples("n")
+        assert value == 3.0 and type(value) is float
 
 
 class TestTracer:
