@@ -46,9 +46,7 @@ from .proxies import (
     ProxyError,
     ReachabilityPrefetcher,
 )
-from .reachability import ReachabilityGraph, adjacency_prefetch, reachability_prefetch
 from .refs import MODE_OPAQUE, MODE_READ, MODE_WRITE, REF_WIRE_BYTES, GlobalRef, RefError
-from .persistence import PersistenceError, PersistentStore
 from .security import PUBLIC, AccessDenied, ObjectACL, PolicyRegistry
 from .space import ObjectSpace, SpaceError
 from .views import Field, LayoutError, StructLayout, StructView
@@ -88,8 +86,6 @@ __all__ = [
     "PolicyRegistry",
     "PUBLIC",
     "AccessDenied",
-    "PersistentStore",
-    "PersistenceError",
     "GlobalRef",
     "RefError",
     "REF_WIRE_BYTES",
@@ -102,10 +98,6 @@ __all__ = [
     "write_code_object",
     "read_code_entry",
     "code_ref",
-    # reachability / prefetch
-    "ReachabilityGraph",
-    "reachability_prefetch",
-    "adjacency_prefetch",
     # lazy proxies (PROXIES.md)
     "ObjectProxy",
     "ProxyCache",

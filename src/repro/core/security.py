@@ -20,7 +20,7 @@ needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Union
+from typing import Dict, FrozenSet, Iterable, Set, Union
 
 from .objectid import ObjectID
 
@@ -103,14 +103,6 @@ class PolicyRegistry:
         acl = ObjectACL(owner, _normalize(readers), _normalize(writers))
         self._acls[oid] = acl
         return acl
-
-    def acl_of(self, oid: ObjectID) -> Optional[ObjectACL]:
-        """The ACL for ``oid``, or None if unprotected."""
-        return self._acls.get(oid)
-
-    def is_protected(self, oid: ObjectID) -> bool:
-        """Whether ``oid`` has an ACL attached."""
-        return oid in self._acls
 
     # -- checks -------------------------------------------------------------
     def check_read(self, oid: ObjectID, principal: str) -> None:

@@ -83,11 +83,6 @@ class DirectoryController:
         advertisement wins."""
         return self.owner_of.get(oid) == owner
 
-    @property
-    def objects_tracked(self) -> int:
-        """Number of objects this directory knows about."""
-        return len(self.owner_of)
-
 
 class SdnController(DirectoryController):
     """Controller logic: advertisement ingress + switch table updates.

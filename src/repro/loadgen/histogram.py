@@ -127,10 +127,6 @@ class LatencyHistogram:
         """Exact mean of recorded samples (0.0 when empty)."""
         return self.total_us / self.count if self.count else 0.0
 
-    def nonzero_buckets(self) -> int:
-        """How many buckets hold at least one sample (introspection)."""
-        return sum(1 for n in self._counts if n)
-
     def __repr__(self) -> str:
         return (f"<LatencyHistogram n={self.count} "
                 f"p50={self.percentile(50):.1f}us "

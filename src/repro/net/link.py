@@ -396,14 +396,6 @@ class Link:
         self.end_ab.set_arbiter(_WrrArbiter(weights, quantum_bytes, default_weight))
         self.end_ba.set_arbiter(_WrrArbiter(weights, quantum_bytes, default_weight))
 
-    def end_from(self, node: "Node") -> LinkEnd:
-        """The transmit half owned by ``node``."""
-        if node is self.a:
-            return self.end_ab
-        if node is self.b:
-            return self.end_ba
-        raise ValueError(f"node {node.name!r} is not an endpoint of this link")
-
     @property
     def bytes_carried(self) -> int:
         """Total bytes transmitted across both directions."""

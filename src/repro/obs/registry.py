@@ -71,10 +71,6 @@ class MetricsRegistry:
         self._tracers[name] = tracer
         return tracer
 
-    def unregister(self, name: str) -> bool:
-        """Remove a registration; True if it existed."""
-        return self._tracers.pop(name, None) is not None
-
     def get(self, name: str) -> Tracer:
         """Tracer by name; raises ``KeyError`` if unknown."""
         return self._tracers[name]

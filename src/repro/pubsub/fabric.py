@@ -201,14 +201,6 @@ class PubSubFabric:
             payload=body, payload_bytes=size,
         ))
 
-    def deliver_local(self, host_name: str, topic: ObjectID,
-                      fields: Dict[str, int], payload: bytes,
-                      meta: Optional[Dict[str, Any]] = None) -> None:
-        """Deliver a publication to ``host_name``'s local subscriptions
-        without touching the network — the redelivery path uses this on
-        unicast arrival so accounting matches the multicast path."""
-        self._fan_out(host_name, topic, fields, payload, meta)
-
     def _make_ingress(self, host_name: str) -> Callable[[Packet], None]:
         def _ingress(packet: Packet) -> None:
             self._fan_out(host_name, packet.oid,

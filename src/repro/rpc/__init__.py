@@ -1,8 +1,7 @@
-"""The RPC baseline stack: serializer, stubs, middleware, and the
+"""The RPC baseline stack: serializer, stubs, and the
 Wang-et-al ref-RPC variant — everything the paper argues against,
 implemented faithfully enough to lose fairly."""
 
-from .middleware import LoadBalancer, ResolvingClient, ServiceRegistry
 from .refrpc import RefRpcClient, RefRpcServer, RemoteRef
 from .serializer import (
     SerializationClock,
@@ -23,9 +22,6 @@ __all__ = [
     "RpcClient",
     "RpcError",
     "RpcTimeout",
-    "ServiceRegistry",
-    "ResolvingClient",
-    "LoadBalancer",
     "RemoteRef",
     "RefRpcServer",
     "RefRpcClient",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..core.objectid import ObjectID
-from ..core.objects import MemObject
 from ..core.proxies import ObjectProxy, PrefetchBudget, ProxyCache
 from ..core.refs import GlobalRef
 from ..core.security import AccessDenied
@@ -741,9 +740,3 @@ class ExecutionContext:
         """Waitable: fetch the whole referenced object here (eager path)."""
         return self.node.sim.spawn(
             self.node.fetch_object(ref.oid), name=f"ctx-fetch-{self.node.name}")
-
-    def local_object(self, ref: GlobalRef) -> MemObject:
-        """Direct access to a resident object (raises if non-resident)."""
-        if ref.oid not in self.node.space:
-            raise RuntimeError_(f"object {ref.oid.short()} not resident on {self.here}")
-        return self.node.space.get(ref.oid)

@@ -158,11 +158,6 @@ class Signal(Waitable):
             self._sim.schedule(0.0, proc._throw, exc)
         return len(waiters)
 
-    @property
-    def waiter_count(self) -> int:
-        """Processes currently waiting on this signal."""
-        return len(self._waiters)
-
 
 class AllOf(Waitable):
     """Wait until every child waitable has completed.

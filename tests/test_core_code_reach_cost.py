@@ -1,4 +1,4 @@
-"""Unit tests for code objects, reachability/prefetch, and the cost model."""
+"""Unit tests for code objects and the cost model."""
 
 import pytest
 
@@ -10,10 +10,7 @@ from repro.core import (
     IDAllocator,
     LatencyHierarchy,
     ObjectSpace,
-    ReachabilityGraph,
-    adjacency_prefetch,
     code_ref,
-    reachability_prefetch,
     read_code_entry,
     write_code_object,
 )
@@ -94,87 +91,6 @@ class TestCodeObjects:
         obj = write_code_object(space, "mobile_fn", text_size=512)
         rebuilt = MemObject.from_wire(obj.to_wire())
         assert read_code_entry(rebuilt) == ("mobile_fn", 512)
-
-
-def _chain(space, n):
-    """a -> b -> c -> ... via FOT references."""
-    objects = [space.create_object(size=256) for _ in range(n)]
-    for i in range(n - 1):
-        at = objects[i].alloc(8)
-        objects[i].point_to(at, objects[i + 1], 0)
-    return objects
-
-
-class TestReachability:
-    def test_chain_reachable_in_order(self, space):
-        objects = _chain(space, 4)
-        graph = ReachabilityGraph.from_objects(objects)
-        order = graph.reachable(objects[0].oid)
-        assert order == [obj.oid for obj in objects]
-
-    def test_depth_limit(self, space):
-        objects = _chain(space, 5)
-        graph = ReachabilityGraph.from_objects(objects)
-        assert len(graph.reachable(objects[0].oid, max_depth=2)) == 3
-
-    def test_cycles_terminate(self, space):
-        objects = _chain(space, 3)
-        back = objects[2].alloc(8)
-        objects[2].point_to(back, objects[0], 0)
-        graph = ReachabilityGraph.from_objects(objects)
-        assert len(graph.reachable(objects[0].oid)) == 3
-
-    def test_unresolvable_is_frontier(self, space):
-        objects = _chain(space, 2)
-        graph = ReachabilityGraph.from_objects(objects[:1])  # tail unknown
-        order = graph.reachable(objects[0].oid)
-        assert order == [objects[0].oid, objects[1].oid]
-
-    def test_distances(self, space):
-        objects = _chain(space, 4)
-        graph = ReachabilityGraph.from_objects(objects)
-        distances = graph.distances(objects[0].oid)
-        assert distances[objects[3].oid] == 3
-
-    def test_invalidate_refreshes_edges(self, space):
-        objects = _chain(space, 2)
-        graph = ReachabilityGraph.from_objects(objects)
-        graph.successors(objects[1].oid)  # cache: no successors
-        extra = space.create_object(size=64)
-        at = objects[1].alloc(8)
-        objects[1].point_to(at, extra, 0)
-        assert graph.successors(objects[1].oid) == []
-        graph.invalidate(objects[1].oid)
-        assert graph.successors(objects[1].oid) == [extra.oid]
-
-    def test_reachability_prefetch_excludes_root(self, space):
-        objects = _chain(space, 5)
-        graph = ReachabilityGraph.from_objects(objects)
-        picks = reachability_prefetch(graph, objects[0].oid, depth=3, budget=10)
-        assert objects[0].oid not in picks
-        assert picks == [obj.oid for obj in objects[1:4]]
-
-    def test_reachability_prefetch_budget(self, space):
-        objects = _chain(space, 6)
-        graph = ReachabilityGraph.from_objects(objects)
-        assert len(reachability_prefetch(graph, objects[0].oid, depth=5, budget=2)) == 2
-
-    def test_adjacency_prefetch_prefers_later_neighbors(self, space):
-        objects = _chain(space, 5)
-        order = [obj.oid for obj in objects]
-        picks = adjacency_prefetch(order, order[2], budget=2)
-        assert picks == [order[3], order[1]]
-
-    def test_adjacency_prefetch_unknown_root(self, space):
-        objects = _chain(space, 2)
-        other = space.create_object(size=32)
-        assert adjacency_prefetch([obj.oid for obj in objects], other.oid, 2) == []
-
-    def test_prefetch_zero_budget(self, space):
-        objects = _chain(space, 3)
-        graph = ReachabilityGraph.from_objects(objects)
-        assert reachability_prefetch(graph, objects[0].oid, 2, 0) == []
-        assert adjacency_prefetch([o.oid for o in objects], objects[0].oid, 0) == []
 
 
 class TestCostModel:

@@ -1,6 +1,5 @@
 """Second wave of property-based tests: the subscription compiler
-against brute-force evaluation, placement-engine invariants, and
-persistence/codec compositions."""
+against brute-force evaluation and placement-engine invariants."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,24 +283,3 @@ class TestScoreThenBuild:
         assert fast.tracer.counters.as_dict() == full.tracer.counters.as_dict()
         assert (fast.tracer.series.samples("placement.est_total_us")
                 == full.tracer.series.samples("placement.est_total_us"))
-
-
-class TestPersistenceComposition:
-    @given(st.lists(st.binary(min_size=1, max_size=128), min_size=1,
-                    max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_checkpoint_restore_checkpoint_idempotent(self, payloads):
-        from repro.core import IDAllocator, ObjectSpace
-        from repro.core.persistence import PersistentStore
-
-        space = ObjectSpace(IDAllocator(seed=7), host_name="p")
-        for payload in payloads:
-            obj = space.create_object(size=256)
-            obj.write(0, payload)
-        first = PersistentStore()
-        first.checkpoint(space)
-        restored = ObjectSpace(host_name="r")
-        first.restore_into(restored)
-        second = PersistentStore()
-        second.checkpoint(restored)
-        assert first.to_blob() == second.to_blob()

@@ -5,17 +5,14 @@ import pytest
 from repro.core import IDAllocator
 from repro.net import build_star
 from repro.rpc import (
-    LoadBalancer,
     RefRpcClient,
     RefRpcServer,
     RemoteRef,
-    ResolvingClient,
     RpcClient,
     RpcError,
     RpcServer,
     RpcTimeout,
     SerializeError,
-    ServiceRegistry,
     decode,
     encode,
     encoded_size,
@@ -202,100 +199,6 @@ class TestRpcStubs:
 
         quick, slow = sim.run_process(proc())
         assert slow > quick + 800
-
-
-class TestMiddleware:
-    def _bed(self, seed=3):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 6)
-        registry = ServiceRegistry(net.host("h0"))
-        backend1 = RpcServer(net.host("h1"))
-        backend1.register("whoami", lambda: "h1")
-        backend2 = RpcServer(net.host("h2"))
-        backend2.register("whoami", lambda: "h2")
-        return sim, net, registry, backend1, backend2
-
-    def test_registry_resolution_round_robin(self):
-        sim, net, registry, b1, b2 = self._bed()
-        client = RpcClient(net.host("h3"))
-
-        def proc():
-            yield from client.call("h0", "register", service="s", backend="h1")
-            yield from client.call("h0", "register", service="s", backend="h2")
-            first = yield from client.call("h0", "resolve", service="s")
-            second = yield from client.call("h0", "resolve", service="s")
-            return {first, second}
-
-        assert sim.run_process(proc()) == {"h1", "h2"}
-
-    def test_unknown_service_faults(self):
-        sim, net, registry, b1, b2 = self._bed()
-        client = RpcClient(net.host("h3"))
-
-        def proc():
-            try:
-                yield from client.call("h0", "resolve", service="ghost")
-            except RpcError:
-                return "raised"
-
-        assert sim.run_process(proc()) == "raised"
-
-    def test_resolving_client_caches_endpoint(self):
-        sim, net, registry, b1, b2 = self._bed()
-        rc = ResolvingClient(net.host("h3"), "h0")
-
-        def proc():
-            yield from rc.client.call("h0", "register", service="s", backend="h1")
-            yield from rc.call("s", "whoami")
-            yield from rc.call("s", "whoami")
-            return rc.resolutions
-
-        assert sim.run_process(proc()) == 1
-
-    def test_resolution_adds_latency_to_first_call(self):
-        sim, net, registry, b1, b2 = self._bed()
-        rc = ResolvingClient(net.host("h3"), "h0")
-
-        def proc():
-            yield from rc.client.call("h0", "register", service="s", backend="h1")
-            start = sim.now
-            yield from rc.call("s", "whoami")
-            first = sim.now - start
-            start = sim.now
-            yield from rc.call("s", "whoami")
-            second = sim.now - start
-            return first, second
-
-        first, second = sim.run_process(proc())
-        assert first > second  # the indirection tax of §1
-
-    def test_load_balancer_round_robin_and_extra_hop(self):
-        sim, net, registry, b1, b2 = self._bed()
-        lb = LoadBalancer(net.host("h4"), backends=["h1", "h2"],
-                          proxy_delay_us=10.0)
-        client = RpcClient(net.host("h3"))
-        direct_client = RpcClient(net.host("h5"))
-
-        def proc():
-            a = yield from client.call("h4", "whoami")
-            b = yield from client.call("h4", "whoami")
-            start = sim.now
-            yield from client.call("h4", "whoami")
-            proxied = sim.now - start
-            start = sim.now
-            yield from direct_client.call("h1", "whoami")
-            direct = sim.now - start
-            return {a, b}, proxied, direct
-
-        spread, proxied, direct = sim.run_process(proc())
-        assert spread == {"h1", "h2"}
-        assert proxied > direct  # the balancer's latency cost
-
-    def test_lb_requires_backends(self):
-        sim = Simulator(seed=4)
-        net = build_star(sim, 1)
-        with pytest.raises(RpcError):
-            LoadBalancer(net.host("h0"), backends=[])
 
 
 class TestRefRpc:
