@@ -127,7 +127,7 @@ def kernel_cancel_churn(seed: int, scale: dict) -> ScenarioResult:
         n = min(batch, timers - scheduled)
         handles = [sim.schedule(1e9, noop) for _ in range(n)]
         for handle in handles:
-            handle.cancel()
+            sim.cancel(handle)
         scheduled += n
         sim.schedule(1.0, noop)
         sim.run(until=sim.now + 1.0)

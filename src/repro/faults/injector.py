@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.keys import K_FAULTS_INJECTED
-from ..sim import ScheduledEvent, Tracer
+from ..sim import Tracer
 from ..net.topology import Network
 from . import plan as p
 from .plan import FaultEvent, FaultPlan, FaultPlanError
@@ -35,7 +35,7 @@ class FaultInjector:
         self.plan = plan
         self.tracer = tracer if tracer is not None else Tracer()
         network.metrics.register("faults.injector", self.tracer, replace=True)
-        self._handles: List[ScheduledEvent] = []
+        self._handles: List[list] = []
         # Loss rates saved at degrade time so RESTORE puts back whatever
         # the link was configured with, not a hard-coded zero.
         self._saved_loss: Dict[Tuple[str, str], float] = {}
@@ -64,7 +64,7 @@ class FaultInjector:
         """Cancel every not-yet-fired event (already-applied faults
         stay applied)."""
         for handle in self._handles:
-            handle.cancel()
+            self.sim.cancel(handle)
         self._handles = []
 
     # -- event application -------------------------------------------------

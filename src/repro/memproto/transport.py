@@ -71,7 +71,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..sim import ScheduledEvent, Simulator, Tracer
+from ..sim import Simulator, Tracer
 from ..net.host import MTU_BYTES, Host
 from ..net.packet import HEADER_BYTES, Packet
 
@@ -105,7 +105,7 @@ class _PeerTx:
         self.next_seq = 0
         self.epoch = 0
         self.inflight: Dict[int, Tuple[Packet, float]] = {}  # seq -> (frame, sent at)
-        self.timer: Optional[ScheduledEvent] = None
+        self.timer: Optional[list] = None
         self.srtt: Optional[float] = None  # smoothed round trip, None until sampled
         self.rttvar = 0.0
         self.heard_at = 0.0  # last instant any frame or ack came from the peer
@@ -117,7 +117,7 @@ class _PeerTx:
         # the modelled bytes they will occupy inside a frame.
         self.coalesce: List[Tuple[Dict[str, Any], int]] = []
         self.coalesce_bytes = 0
-        self.flush_event: Optional[ScheduledEvent] = None
+        self.flush_event: Optional[list] = None
 
 
 class _PeerRx:
@@ -128,7 +128,7 @@ class _PeerRx:
         self.epoch = 0
         self.out_of_order: Dict[int, Packet] = {}
         self.ack_owed = 0  # frames heard since the last ack we emitted
-        self.ack_event: Optional[ScheduledEvent] = None
+        self.ack_event: Optional[list] = None
 
 
 class _TransportBase:
@@ -368,7 +368,7 @@ class _TransportBase:
         self.tracer.count("transport.peer_dead")
         for event in (tx.timer, tx.flush_event):
             if event is not None:
-                event.cancel()
+                self.sim.cancel(event)
         tx.timer = tx.flush_event = None
         tx.inflight.clear()
         tx.backlog.clear()
@@ -434,7 +434,7 @@ class _TransportBase:
                 self._retransmit(peer, tx, seq, overtaken=True)
         self._pump(peer, tx)
         if not tx.inflight and tx.timer is not None:
-            tx.timer.cancel()  # the window drained: no run ends on an idle timer
+            self.sim.cancel(tx.timer)  # the window drained: no run ends on an idle timer
             tx.timer = None
 
     def _on_ack(self, packet: Packet) -> None:
@@ -458,7 +458,7 @@ class _TransportBase:
         if rx is None or rx.ack_owed == 0:
             return None
         if rx.ack_event is not None:
-            rx.ack_event.cancel()
+            self.sim.cancel(rx.ack_event)
             rx.ack_event = None
         rx.ack_owed = 0
         return rx.expected_seq - 1, rx.epoch, self._sack_list(rx)
@@ -481,7 +481,7 @@ class _TransportBase:
 
     def _send_ack(self, src: str, rx: _PeerRx, delayed: bool) -> None:
         if rx.ack_event is not None:
-            rx.ack_event.cancel()
+            self.sim.cancel(rx.ack_event)
             rx.ack_event = None
         rx.ack_owed = 0
         self._n_ack_tx[0] += 1
@@ -670,7 +670,7 @@ class TcpLikeTransport(_TransportBase):
             tx = self._tx.get(dst)
             if tx is not None:
                 if tx.timer is not None:
-                    tx.timer.cancel()  # the SYN's retry
+                    self.sim.cancel(tx.timer)  # the SYN's retry
                     tx.timer = None
                 self._pump(dst, tx)
 

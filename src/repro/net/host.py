@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from ..sim import ScheduledEvent, Simulator, Store, Tracer
+from ..sim import Simulator, Store, Tracer
 from ..sim.loop import Waitable
 from .node import Node, NodeError
 from .packet import BROADCAST, Packet
@@ -38,7 +38,7 @@ class _Reply(Waitable):
 
     def __init__(self) -> None:
         self.process = None
-        self.timer: Optional[ScheduledEvent] = None
+        self.timer: Optional[list] = None
 
     def _subscribe(self, sim: Simulator, process) -> None:
         self.process = process
@@ -155,7 +155,8 @@ class Host(Node):
         if self.failed:
             self.tracer.count("host.dropped_while_failed")
             return
-        if not self._tx_ends:
+        ends = self._tx_ends
+        if not ends:
             raise NodeError(f"{self.name}: not attached to any link")
         # Stamp only genuinely unset fields: a packet legitimately
         # created at sim time 0.0 (or carrying an empty-string src) must
@@ -168,9 +169,12 @@ class Host(Node):
             packet.tclass = self.default_tclass
         self._n_tx[0] += 1
         self._n_tx_bytes[0] += packet.size_bytes
-        if packet.is_broadcast:
+        if packet.dst == BROADCAST:
             self._n_tx_broadcast[0] += 1
-        self.send_on_port(port, packet)
+        # Node.send_on_port, written out (the packet path's call budget).
+        if not 0 <= port < len(ends):
+            raise NodeError(f"{self.name}: no port {port} (have {len(ends)})")
+        ends[port].transmit(packet)
 
     def broadcast(self, kind: str, payload: Optional[dict] = None, payload_bytes: int = 0,
                   oid=None) -> Packet:
@@ -213,7 +217,7 @@ class Host(Node):
         if waiter is None:
             return
         if waiter.timer is not None:
-            waiter.timer.cancel()
+            self.sim.cancel(waiter.timer)
         self.sim.schedule(0.0, waiter.process._resume, packet)
 
     @property
@@ -232,7 +236,8 @@ class Host(Node):
             return
         self._n_rx[0] += 1
         self._n_rx_bytes[0] += packet.size_bytes
-        if packet.is_broadcast:
+        dst = packet.dst
+        if dst == BROADCAST:
             if packet.src == self.name:
                 return  # our own broadcast echoed back through a loop
             if packet.uid in self._seen_broadcasts:
@@ -241,7 +246,7 @@ class Host(Node):
             self._seen_broadcasts[packet.uid] = None
             if len(self._seen_broadcasts) > _DEDUPE_WINDOW:
                 self._seen_broadcasts.popitem(last=False)
-        elif packet.dst is not None and packet.dst != self.name:
+        elif dst is not None and dst != self.name:
             if not self.promiscuous:
                 # Flooded unknown-unicast for someone else: NIC filter
                 # drops it.

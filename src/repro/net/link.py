@@ -195,18 +195,18 @@ class LinkEnd:
         """One-event packets yet to arrive whose last bit has left the
         wire, or with ``serialising`` those where it has not."""
         sim = self.link.sim
-        return [event.args[0] for event in sim.pending(self._arrive)
-                if (event.args[1] > sim.now) == serialising]
+        return [entry[3][0] for entry in sim.pending(self._arrive)
+                if (entry[3][1] > sim.now) == serialising]
 
     def _unmerge(self) -> None:
         """Give the one-event packets still serialising their last-bit
         event back, in the same-instant rank it would have had."""
         sim = self.link.sim
-        for event in sim.pending(self._arrive):
-            packet, last_bit = event.args
+        for entry in sim.pending(self._arrive):
+            packet, last_bit = entry[3]
             if last_bit >= sim.now:
                 self._in_flight += 1
-                sim.reschedule(event, last_bit, self._tx_done, packet)
+                sim.reschedule(entry, last_bit, self._tx_done, packet)
 
     def _tx_done(self, packet: "Packet") -> None:
         """The last bit has left the wire: account, maybe drop, propagate."""

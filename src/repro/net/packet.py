@@ -70,7 +70,7 @@ DEFAULT_TTL = 32
 _packet_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(init=False)
 class Packet:
     """One simulated packet.
 
@@ -85,6 +85,12 @@ class Packet:
     packet).  It is a plain attribute, not a dataclass field: ``==``
     still compares the declared fields only.  ``dst`` *is* reassigned
     (a forwarding object home), so :attr:`is_broadcast` stays a property.
+
+    ``__init__`` is written by hand because every packet and every flood
+    copy is built through it: the generated one spent three Python calls
+    (itself, the ``uid`` factory and ``__post_init__``) where one does.
+    It takes the fields in declaration order and draws a ``uid`` only
+    when none is given, as the factory did.
     """
 
     kind: str
@@ -99,16 +105,32 @@ class Packet:
     created_at: Optional[float] = None  # None: stamped at first send
     tclass: Optional[str] = None  # explicit egress-arbitration class
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+    def __init__(self, kind: str, src: Optional[str], dst: Optional[str] = None,
+                 oid: Optional[ObjectID] = None,
+                 payload: Optional[Dict[str, Any]] = None, payload_bytes: int = 0,
+                 ttl: int = DEFAULT_TTL, uid: Optional[int] = None, hops: int = 0,
+                 created_at: Optional[float] = None,
+                 tclass: Optional[str] = None) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.oid = oid
+        self.payload = {} if payload is None else payload
+        self.payload_bytes = payload_bytes
+        self.ttl = ttl
+        self.uid = next(_packet_ids) if uid is None else uid
+        self.hops = hops
+        self.created_at = created_at
+        self.tclass = tclass
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-        if self.dst is None and self.oid is None:
+        if dst is None and oid is None:
             raise ValueError(
-                f"packet {self.kind!r} needs a destination: host address or object ID"
+                f"packet {kind!r} needs a destination: host address or object ID"
             )
         #: Total modelled wire size in bytes.
-        self.size_bytes = HEADER_BYTES + self.payload_bytes + (
-            OID_FIELD_BYTES if self.oid is not None else 0)
+        self.size_bytes = HEADER_BYTES + payload_bytes + (
+            OID_FIELD_BYTES if oid is not None else 0)
 
     @property
     def is_broadcast(self) -> bool:

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from ..core.objectid import ObjectID
 from ..sim import Simulator, Tracer
 from .node import Node
-from .packet import Packet
+from .packet import BROADCAST, Packet
 from .pipeline import MatchActionTable, SramModel, TOFINO_SRAM
 
 __all__ = ["Switch", "MISS_FLOOD", "MISS_DROP", "MISS_PUNT"]
@@ -160,22 +160,24 @@ class Switch(Node):
         # point back into the loop.  The first-copy rule makes every
         # learned entry a BFS-tree parent pointer toward the source, so
         # unicast replies can never loop.
-        if packet.uid in self._seen_broadcasts or packet.uid in self._seen_unicast:
+        uid = packet.uid
+        if uid in self._seen_broadcasts or uid in self._seen_unicast:
             self.tracer.count("switch.dup_suppressed")
             return
         # Packets we will forward by exact host-table match follow the
         # learned BFS tree and cannot loop; keeping them out of the
         # flood window stops heavy unicast from evicting live flood
         # UIDs (which would re-arm forwarding loops).
-        known_unicast = (
-            packet.dst is not None
-            and not packet.is_broadcast
-            and packet.dst != self.name
-            and packet.dst in self.host_table
-        )
-        self._register_seen(
-            self._seen_unicast if known_unicast else self._seen_broadcasts,
-            packet.uid)
+        dst = packet.dst
+        if (dst is not None and dst != BROADCAST and dst != self.name
+                and dst in self.host_table):
+            window = self._seen_unicast
+        else:
+            window = self._seen_broadcasts
+        # _register_seen, written out (the packet path's call budget).
+        window[uid] = None
+        if len(window) > _DEDUPE_WINDOW:
+            window.popitem(last=False)
         if packet.src:
             self.host_table[packet.src] = in_port
         if self.processing_delay_us > 0:
@@ -188,10 +190,11 @@ class Switch(Node):
             self.tracer.count("switch.ttl_expired")
             return
         packet.ttl -= 1
-        if packet.is_broadcast:
+        dst = packet.dst
+        if dst == BROADCAST:
             self._flood_once(packet, in_port)
             return
-        if packet.dst == self.name:
+        if dst == self.name:
             # Addressed to this switch: a data-plane service request.
             handler = self._services.get(packet.kind)
             if handler is not None:
@@ -200,10 +203,10 @@ class Switch(Node):
             else:
                 self.tracer.count("switch.service_unknown")
             return
-        if packet.is_identity_routed:
+        if dst is None and packet.oid is not None:  # identity-routed
             self._forward_by_identity(packet, in_port)
             return
-        port = self.host_table.get(packet.dst)
+        port = self.host_table.get(dst)
         if port is None:
             # Unknown unicast: flood, like a learning switch.
             self.tracer.count("switch.unknown_unicast")
@@ -212,7 +215,8 @@ class Switch(Node):
             self.tracer.count("switch.hairpin_drop")
         else:
             self._n_tx[0] += 1
-            self.send_on_port(port, packet)
+            # A learned port is a real one: no send_on_port range check.
+            self._tx_ends[port].transmit(packet)
 
     def _forward_by_identity(self, packet: Packet, in_port: int) -> None:
         assert packet.oid is not None

@@ -11,9 +11,7 @@ from .loop import (
     USEC,
     AllOf,
     AnyOf,
-    Interrupt,
     Process,
-    ScheduledEvent,
     Signal,
     SimError,
     Simulator,
@@ -38,8 +36,6 @@ __all__ = [
     "Signal",
     "AllOf",
     "AnyOf",
-    "Interrupt",
-    "ScheduledEvent",
     "SimError",
     "Store",
     "Resource",

@@ -9,6 +9,13 @@ The kernel is deliberately small and dependency-free: a binary heap of
 scheduled callbacks, plus generator-based processes in the style of SimPy.
 Determinism matters more than raw speed here — every experiment must be
 exactly reproducible from a seed.
+
+A scheduled event *is* its heap entry, the list ``[time, seq, callback,
+args]``: ``schedule`` returns it as the handle, and
+:meth:`Simulator.cancel` empties its ``callback`` slot.  Lists compare
+element by element at C speed and ``seq`` is unique, so the heap never
+looks past the first two slots (:meth:`Simulator.reschedule` keeps the
+one case of a shared ``seq`` apart).
 """
 
 from __future__ import annotations
@@ -16,17 +23,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Simulator",
-    "ScheduledEvent",
     "Process",
     "Timeout",
     "Signal",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimError",
 ]
 
@@ -38,58 +44,6 @@ SEC = 1_000_000.0
 
 class SimError(Exception):
     """Base class for simulation kernel errors."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class ScheduledEvent:
-    """A cancellable callback scheduled at an absolute simulation time.
-
-    The simulator's heap orders ``(time, seq)`` tuples at C speed, so
-    events themselves are never compared during heap operations; the
-    object exists as the cancellation handle (and to carry the callback
-    to the dispatch loop).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
-
-    def __init__(self, time: float, seq: int, callback: Callable, args: tuple,
-                 sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent.
-
-        Cancelling drops the callback reference immediately (mass-
-        cancelled timers must not pin their closures) and tells the
-        owning simulator, which compacts its heap once cancelled
-        entries dominate — a cancelled timer never lingers until its
-        deadline just to be skipped.
-        """
-        if not self.cancelled:
-            self.cancelled = True
-            self.callback = None
-            self.args = ()
-            if self._sim is not None:
-                self._sim._note_cancelled()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Waitable:
@@ -119,11 +73,10 @@ class Timeout(Waitable):
         # Inlined sim.schedule: the delay was validated in __init__, so
         # the fast path skips re-validation (this is the single hottest
         # subscription in the kernel — every process sleep lands here).
-        time = sim.now + self.delay
-        seq = next(sim._seq)
-        handle = ScheduledEvent(time, seq, process._resume, (self.value,), sim)
-        heapq.heappush(sim._heap, (time, seq, handle))
-        process._pending_handle = handle
+        entry = [sim.now + self.delay, next(sim._seq), process._resume,
+                 (self.value,)]
+        heappush(sim._heap, entry)
+        process._pending_handle = entry
 
 
 class Signal(Waitable):
@@ -211,7 +164,7 @@ class AnyOf(Waitable):
                     # the simulation "busy" until the timeout horizon).
                     for shim in shims:
                         if shim._pending_handle is not None:
-                            shim._pending_handle.cancel()
+                            sim.cancel(shim._pending_handle)
                     process._resume((index, value))
 
             return collect
@@ -275,7 +228,6 @@ class Process(Waitable):
         self.result: Any = None
         self._completion_callbacks: List[Callable[[Any], None]] = []
         self._waiting_procs: List[Process] = []
-        self._pending_handle: Optional[ScheduledEvent] = None
 
     # -- waitable protocol -------------------------------------------------
     def _subscribe(self, sim: "Simulator", process: "Process") -> None:
@@ -289,7 +241,6 @@ class Process(Waitable):
 
     # -- lifecycle ---------------------------------------------------------
     def _step(self, send_value: Any = None, throw_exc: Optional[BaseException] = None) -> None:
-        self._pending_handle = None
         try:
             if throw_exc is not None:
                 target = self.gen.throw(throw_exc)
@@ -305,11 +256,8 @@ class Process(Waitable):
         # Skips the isinstance check and the _subscribe indirection.
         if target.__class__ is Timeout:
             sim = self.sim
-            time = sim.now + target.delay
-            seq = next(sim._seq)
-            handle = ScheduledEvent(time, seq, self._resume, (target.value,), sim)
-            heapq.heappush(sim._heap, (time, seq, handle))
-            self._pending_handle = handle
+            heappush(sim._heap, [sim.now + target.delay, next(sim._seq),
+                                 self._resume, (target.value,)])
             return
         if not isinstance(target, Waitable):
             self._fail(SimError(f"process {self.name} yielded non-waitable {target!r}"))
@@ -348,14 +296,6 @@ class Process(Waitable):
         self._waiting_procs = []
         self._completion_callbacks = []
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its current yield."""
-        if self.finished:
-            return
-        if self._pending_handle is not None:
-            self._pending_handle.cancel()
-        self.sim.schedule(0.0, self._throw, Interrupt(cause))
-
     def __repr__(self) -> str:
         state = "done" if self.finished else "running"
         return f"<Process {self.name} pid={self.pid} {state}>"
@@ -364,18 +304,17 @@ class Process(Waitable):
 class Simulator:
     """The event loop: a clock, a heap of callbacks, and a seeded RNG.
 
-    The heap stores ``(time, seq, event)`` triples so ordering happens
-    via C-level tuple comparison — ``seq`` is unique, so the event
-    object itself is never compared.  Cancelled events are skipped
-    lazily at dispatch, and the heap is compacted in place whenever
-    cancelled entries outnumber live ones (see :meth:`_note_cancelled`).
+    Each heap entry is the event itself, ``[time, seq, callback, args]``
+    (module docstring).  Cancelled events are skipped lazily at
+    dispatch, and the heap is compacted in place whenever cancelled
+    entries outnumber live ones (see :meth:`cancel`).
     """
 
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
-        self._heap: List[tuple] = []
+        self._heap: List[list] = []
         self._seq = itertools.count()
         self._cancelled_count = 0
         self._crashed_processes: List[Process] = []
@@ -384,31 +323,15 @@ class Simulator:
         self.events_dispatched = 0
 
     # -- scheduling --------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> list:
         """Run ``callback(*args)`` after ``delay`` simulated microseconds."""
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
-        seq = next(self._seq)
-        event = ScheduledEvent(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def _note_cancelled(self) -> None:
-        """Account one cancellation; compact once the heap is mostly dead.
-
-        Compaction rewrites ``_heap`` *in place* (the dispatch loop
-        holds a reference to the list) and re-heapifies — O(live)
-        instead of paying O(log n) per dead entry until its deadline.
-        """
-        self._cancelled_count += 1
-        heap = self._heap
-        if self._cancelled_count > 64 and self._cancelled_count * 2 > len(heap):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-            self._cancelled_count = 0
-
-    def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledEvent:
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> list:
         """Run ``callback(*args)`` at absolute simulated time ``time``.
 
         ``time`` itself is the event's instant; ``now + (time - now)``
@@ -416,26 +339,52 @@ class Simulator:
         """
         if time < self.now:
             raise SimError(f"cannot schedule in the past (time={time}, now={self.now})")
-        seq = next(self._seq)
-        event = ScheduledEvent(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def reschedule(self, event: ScheduledEvent, time: float, callback: Callable,
-                   *args: Any) -> ScheduledEvent:
-        """Replace pending ``event`` by ``callback(*args)`` at absolute
-        ``time``, in the same-instant rank ``event`` was scheduled with:
+    def cancel(self, entry: list) -> None:
+        """Prevent the event ``entry`` from firing.  Idempotent.
+
+        Cancelling drops the callback and its arguments at once (mass-
+        cancelled timers must not pin their closures) and compacts the
+        heap once cancelled entries dominate — a cancelled timer never
+        lingers until its deadline just to be skipped.  Compaction
+        rewrites ``_heap`` *in place* (the dispatch loop holds a
+        reference to the list) and re-heapifies: O(live) instead of
+        O(log n) per dead entry at its deadline.
+        """
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = ()
+        self._cancelled_count += 1
+        heap = self._heap
+        if self._cancelled_count > 64 and self._cancelled_count * 2 > len(heap):
+            heap[:] = [live for live in heap if live[2] is not None]
+            heapq.heapify(heap)
+            self._cancelled_count = 0
+
+    def reschedule(self, entry: list, time: float, callback: Callable,
+                   *args: Any) -> list:
+        """Replace pending ``entry`` by ``callback(*args)`` at absolute
+        ``time``, in the same-instant rank ``entry`` was scheduled with:
         the replacement runs where an event scheduled then would have."""
         if time < self.now:
             raise SimError(f"cannot schedule in the past (time={time}, now={self.now})")
-        event.cancel()
-        moved = ScheduledEvent(time, event.seq, callback, args, self)
-        heapq.heappush(self._heap, (time, event.seq, moved))
+        if time == entry[0]:
+            # Same key: rewritten in place, since a cancelled twin with
+            # an equal (time, seq) would make the heap compare callbacks.
+            entry[2], entry[3] = callback, args
+            return entry
+        self.cancel(entry)
+        moved = [time, entry[1], callback, args]
+        heappush(self._heap, moved)
         return moved
 
-    def pending(self, callback: Callable) -> List[ScheduledEvent]:
+    def pending(self, callback: Callable) -> List[list]:
         """The live events that will run ``callback`` (scans the heap)."""
-        return [entry[2] for entry in self._heap if entry[2].callback == callback]
+        return [entry for entry in self._heap if entry[2] == callback]
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator; it takes its first step
@@ -469,20 +418,18 @@ class Simulator:
         processed = 0
         try:
             while heap:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                time, _, callback, args = heap[0]
+                if callback is None:
                     pop(heap)
                     if self._cancelled_count > 0:
                         self._cancelled_count -= 1
                     continue
-                time = entry[0]
                 if bounded and time > until:
                     self.now = until
                     break
                 pop(heap)
                 self.now = time
-                event.callback(*event.args)
+                callback(*args)
                 processed += 1
                 if processed > max_events:
                     raise SimError(f"exceeded max_events={max_events}; runaway simulation?")
@@ -515,7 +462,7 @@ class Simulator:
     @property
     def pending_event_count(self) -> int:
         """Scheduled events not yet fired or cancelled."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def __repr__(self) -> str:
         return f"<Simulator t={self.now:.3f}us pending={self.pending_event_count}>"

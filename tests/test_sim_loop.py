@@ -1,14 +1,20 @@
 """Unit tests for the discrete-event kernel."""
 
+import cProfile
+import itertools
+import os
+import pstats
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
     AnyOf,
-    Interrupt,
     SimError,
     Simulator,
     Timeout,
+    loop,
 )
 
 
@@ -40,7 +46,7 @@ class TestScheduling:
     def test_cancelled_event_does_not_fire(self, sim):
         seen = []
         handle = sim.schedule(5.0, seen.append, "x")
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert seen == []
 
@@ -84,13 +90,13 @@ class TestScheduling:
             sim.reschedule(first, -1.0, seen.append, "past")
         sim.run()
         assert seen == ["scheduled first", "scheduled second"]
-        assert first.cancelled
+        assert first[2] is None  # cancelled
 
     def test_pending_lists_the_live_events_of_one_callback(self, sim):
         mine, other = [].append, [].append
         a = sim.schedule(1.0, mine, "a")
         sim.schedule(2.0, other, "x")
-        sim.schedule(3.0, mine, "b").cancel()
+        sim.cancel(sim.schedule(3.0, mine, "b"))
         assert sim.pending(mine) == [a]
         sim.run()
         assert sim.pending(mine) == []
@@ -98,7 +104,7 @@ class TestScheduling:
     def test_events_dispatched_accumulates_across_runs(self, sim):
         for delay in (1.0, 2.0, 3.0):
             sim.schedule(delay, lambda: None)
-        sim.schedule(2.5, lambda: None).cancel()
+        sim.cancel(sim.schedule(2.5, lambda: None))
         sim.run(until=2.0)
         assert sim.events_dispatched == 2
         sim.run()
@@ -107,7 +113,7 @@ class TestScheduling:
     def test_pending_event_count_excludes_cancelled(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         assert sim.pending_event_count == 1
 
     def test_determinism_across_runs(self):
@@ -216,35 +222,6 @@ class TestProcesses:
 
         with pytest.raises(SimError):
             sim.run_process(proc())
-
-    def test_interrupt_raises_inside_process(self, sim):
-        def victim():
-            try:
-                yield Timeout(100.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, sim.now)
-            return "finished"
-
-        def attacker(target):
-            yield Timeout(5.0)
-            target.interrupt(cause="stop")
-            return None
-
-        target = sim.spawn(victim())
-        sim.spawn(attacker(target))
-        sim.run()
-        assert target.result == ("interrupted", "stop", 5.0)
-
-    def test_interrupt_after_finish_is_noop(self, sim):
-        def quick():
-            yield Timeout(1.0)
-            return "ok"
-
-        proc = sim.spawn(quick())
-        sim.run()
-        proc.interrupt()  # must not raise or resurrect
-        sim.run()
-        assert proc.result == "ok"
 
 
 class TestSignals:
@@ -369,3 +346,122 @@ class TestCombinators:
             return results
 
         assert sim.run_process(parent()) == ["timer", "proc"]
+
+
+# ---------------------------------------------------------------------------
+# the event is its heap entry: cost and bookkeeping
+# ---------------------------------------------------------------------------
+
+EVENTS = 1_000
+
+
+def test_an_event_costs_no_kernel_call_beyond_scheduling_it():
+    """1,000 events scheduled and dispatched under ``cProfile``: the
+    kernel runs nothing of its own per event but the call that
+    scheduled it (no handle object, no comparison method)."""
+    sim = Simulator(seed=1)
+    seen = []
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for i in range(EVENTS // 2):
+        sim.schedule(float(i % 7), seen.append, i)
+        sim.schedule_at(float(i % 5), seen.append, -i)
+    sim.run()
+    profiler.disable()
+    assert len(seen) == EVENTS
+    here = os.path.abspath(loop.__file__)
+    called = {name: row[1] for (filename, _, name), row
+              in pstats.Stats(profiler).stats.items()
+              if os.path.abspath(filename) == here}
+    assert called == {"schedule": EVENTS // 2, "schedule_at": EVENTS // 2, "run": 1}
+
+
+def test_a_burst_of_cancels_compacts_the_heap(sim):
+    handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
+    for handle in handles[:65]:
+        sim.cancel(handle)
+    # The 65th cancel outnumbers the live entries: only they are left.
+    assert len(sim._heap) == 35 == sim.pending_event_count
+    assert sim._cancelled_count == 0
+    sim.cancel(handles[0])  # idempotent: counted once, not again
+    sim.cancel(handles[65])
+    assert (len(sim._heap), sim.pending_event_count, sim._cancelled_count) == (35, 34, 1)
+    sim.run()
+    assert sim.events_dispatched == 34 and sim._cancelled_count == 0
+
+
+# One op of the model test.  Times are small integers so that ties (and
+# a reschedule onto its own instant) are common.
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 12), st.integers(0, 2)),
+    st.tuples(st.just("schedule_at"), st.integers(0, 12), st.integers(0, 2)),
+    st.tuples(st.just("reschedule"), st.integers(0, 10**6),
+              st.one_of(st.none(), st.integers(0, 12)), st.integers(0, 2)),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("burst"), st.integers(100, 200), st.integers(3, 10)),
+    st.tuples(st.just("step"), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_ops, max_size=40))
+def test_dispatch_matches_a_sorted_model_under_any_mix_of_calls(ops):
+    """Random ``schedule``, ``schedule_at``, ``reschedule`` and
+    ``cancel`` calls, with bursts of more than 64 cancels that compact
+    the heap.  Events run in ``(time, rank)`` order, a rescheduled event
+    keeping its rank, and ``pending_event_count`` and ``pending(cb)``
+    agree with the model after every call."""
+    sim = Simulator(seed=1)
+    log = []
+    callbacks = [lambda tag, k=k: log.append((k, tag, sim.now)) for k in range(3)]
+    model = {}     # tag -> (time, rank, k) of every live event
+    handles = {}   # tag -> entry, for every tag ever scheduled
+    tags, ranks = itertools.count(), itertools.count()
+
+    def add(time, k, via_at):
+        tag = next(tags)
+        handles[tag] = (sim.schedule_at(time, callbacks[k], tag) if via_at
+                        else sim.schedule(time - sim.now, callbacks[k], tag))
+        model[tag] = (time, next(ranks), k)
+        return tag
+
+    def run(until=None):
+        due = sorted((time, rank, k, tag) for tag, (time, rank, k) in model.items()
+                     if until is None or time <= until)
+        del log[:]
+        sim.run(until=until)
+        assert log == [(k, tag, time) for time, _, k, tag in due]
+        for *_, tag in due:
+            del model[tag]
+
+    for op in ops:
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            add(sim.now + op[1], op[2], kind == "schedule_at")
+        elif kind == "reschedule" and model:
+            old = sorted(model)[op[1] % len(model)]
+            time, rank, _ = model.pop(old)
+            if op[2] is not None:
+                time = sim.now + op[2]
+            tag = next(tags)
+            handles[tag] = sim.reschedule(handles.pop(old), time, callbacks[op[3]], tag)
+            model[tag] = (time, rank, op[3])
+        elif kind == "cancel" and handles:
+            tag = sorted(handles)[op[1] % len(handles)]
+            sim.cancel(handles[tag])  # live, fired or already cancelled
+            model.pop(tag, None)
+        elif kind == "burst":
+            burst = [add(sim.now + (i * 37) % 50, i % 3, i % 2 == 0)
+                     for i in range(op[1])]
+            for i, tag in enumerate(burst):
+                if i % op[2]:
+                    sim.cancel(handles[tag])
+                    del model[tag]
+        elif kind == "step":
+            run(until=sim.now + op[1])
+        assert sim.pending_event_count == len(model)
+        for k, callback in enumerate(callbacks):
+            assert sorted(entry[3][0] for entry in sim.pending(callback)) == sorted(
+                tag for tag, (_, _, mine) in model.items() if mine == k)
+    run()
+    assert sim.pending_event_count == 0

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memproto import TcpLikeTransport, transport
-from repro.sim import ScheduledEvent, Simulator
+from repro.sim import Simulator
 
 from .transport_script import (DATA, FRAME_BYTES, RTO_US, assert_quiet,
                                both_ways, drop_masks, first_copies,
@@ -233,6 +233,6 @@ def test_the_retransmission_timer_stays_within_its_event_budget():
     # A frame entering an empty window arms the timer and the ack that
     # drains the window cancels it: one cancel a drain, none a frame.
     drained = _calls_from_transport(stats, schedule, "_transmit")
-    cancelled = _calls_from_transport(stats, [ScheduledEvent.cancel],
+    cancelled = _calls_from_transport(stats, [Simulator.cancel],
                                       "_accept_cum_ack", "_retransmit")
     assert cancelled == drained, (cancelled, drained)
