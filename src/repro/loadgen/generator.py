@@ -428,21 +428,12 @@ class LoadGenerator:
     def _do_load(self, state: _TenantState, ref: GlobalRef):
         node = self.runtime.node(state.spec.client)
         nbytes = min(state.spec.read_bytes, self.object_bytes)
-        if ref.oid in node.space:
-            yield Timeout(0.0)
-            node.space.get(ref.oid).read(0, nbytes)
-        else:
-            yield from node.remote_read(ref.oid, 0, nbytes)
+        yield from node.load(ref.oid, 0, nbytes)
 
     def _do_store(self, state: _TenantState, ref: GlobalRef):
         node = self.runtime.node(state.spec.client)
         nbytes = min(state.spec.write_bytes, self.object_bytes)
-        data = bytes(nbytes)
-        if ref.oid in node.space:
-            yield Timeout(0.0)
-            node.space.get(ref.oid).write(0, data)
-        else:
-            yield from node.remote_write(ref.oid, 0, data)
+        yield from node.store(ref.oid, 0, bytes(nbytes))
 
     def _do_publish(self, state: _TenantState, rank: int):
         """One event onto the tenant's topic, paced by consumer credit.

@@ -50,20 +50,24 @@ from ..obs.keys import (
     SPAN_RETURN,
 )
 from ..obs.span import SpanRecorder
-from ..sim import Process, Resource, Simulator, Timeout, Tracer
+from ..sim import Resource, Simulator, Timeout, Tracer
 from ..memproto.pool import SharedMemoryPool
 from ..net.packet import Packet
 from ..net.topology import Network
 from ..rpc.serializer import decode, encode
 from . import messages as m
 from .node import (
+    MODE_EAGER,
+    MODE_ISOLATED,
+    MODE_LAZY,
+    MODE_PROXIED,
     PRIORITY_HIGH,
     PRIORITY_NORMAL,
     PRIORITIES,
     AdmissionPolicy,
     AdmissionRejected,
     ClusterNode,
-    FetchTimeout,
+    ExecRequest,
     RuntimeError_,
 )
 
@@ -81,14 +85,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",
 ]
-
-MODE_EAGER = "eager"      # stage every input object at the executor up front
-MODE_LAZY = "lazy"        # stage only the code; data moves on demand
-MODE_PROXIED = "proxied"  # stage only the code; bind args as lazy proxies
-                          # (optionally covered by a reachability prefetch)
-MODE_ISOLATED = "isolated"  # eager staging + up-front object-set
-                            # reservation and ownership claim: execute
-                            # with no interleaved invalidation
 
 
 class InvokeTimeout(RuntimeError_):
@@ -151,6 +147,28 @@ class _AttemptFailed(Exception):
         self.suspect = suspect
         self.retry_after_us = retry_after_us
         self.admission = admission
+
+
+def _attempt_outcome(executor: str, payload: dict):
+    """What one attempt's reply payload means to the caller, whichever
+    leg carried it: the decoded result, an :class:`_AttemptFailed` the
+    retry loop fails over on, or :class:`RuntimeError_` for a body that
+    raised."""
+    result = decode(payload["result"])
+    if payload["ok"]:
+        return result
+    if payload.get("admission_rejected"):
+        # The executor shed us at its admission boundary: alive and
+        # healthy, just over budget.  Carry its retry-after hint back
+        # into the failover loop's backoff.
+        raise _AttemptFailed(executor, result, suspect=False, admission=True,
+                             retry_after_us=payload["retry_after_us"])
+    if payload.get("retryable"):
+        # The executor is alive but could not complete (its data source
+        # timed out under it) — fail over without marking it suspected.
+        raise _AttemptFailed(
+            executor, f"retryable failure: {result}", suspect=False)
+    raise RuntimeError_(f"execution on {executor} failed: {result}")
 
 
 class ReservationTable:
@@ -555,8 +573,7 @@ class GlobalSpaceRuntime:
         objects stream in concurrently with execution (PROXIES.md).
         ``MODE_ISOLATED`` stages eagerly, then reserves the invocation's
         object set up front and claims ownership of every input, so the
-        execution sees no interleaved invalidation (pair with
-        :meth:`invoke_async` for wait-by-necessity).
+        execution sees no interleaved invalidation.
 
         ``priority`` (``PRIORITY_NORMAL`` / ``PRIORITY_HIGH``) is the
         admission class presented to executors that run an
@@ -581,6 +598,13 @@ class GlobalSpaceRuntime:
         placement over the candidates not yet tried — failover instead of
         a hang.  When the budget or the candidate set runs out it raises
         :class:`InvokeTimeout`.
+
+        The caller cannot tell which node ran an attempt: each attempt is
+        one :class:`ExecRequest` that :meth:`ClusterNode.serve` runs on the
+        invoker's node and on any other alike.  Values and the result
+        cross as the wire carries them (a tuple result comes back a
+        list), and a body that raises surfaces as :class:`RuntimeError_`
+        naming the executor and the cause.
         """
         if invoker not in self.nodes:
             raise RuntimeError_(f"invoker {invoker!r} is not a cluster node")
@@ -588,16 +612,15 @@ class GlobalSpaceRuntime:
             raise RuntimeError_(f"unknown invocation mode {mode!r}")
         if priority not in PRIORITIES:
             raise RuntimeError_(f"unknown priority class {priority!r}")
-        proxied = mode == MODE_PROXIED
-        isolated = mode == MODE_ISOLATED
-        if prefetch is not None and not proxied:
+        if prefetch is not None and mode != MODE_PROXIED:
             raise RuntimeError_("prefetch budgets require MODE_PROXIED")
         data_refs = dict(data_refs or {})
-        values = dict(values or {})
         pinned = set(pinned)
         unknown_pins = pinned - set(data_refs)
         if unknown_pins:
             raise RuntimeError_(f"pinned arguments not in data_refs: {sorted(unknown_pins)}")
+        # Plain arguments cross as the wire carries them on either leg.
+        wire_values = encode(values or {})
         start = self.sim.now
         invoke_id = next(self._invoke_ids)
         # One span tree per invocation, trace id == invoke id.  The
@@ -630,7 +653,7 @@ class GlobalSpaceRuntime:
                 flops=flops,
             )
             policy = retry if retry is not None else self.retry_policy
-            decode_args = list(decode_args)
+            decode_args = tuple(decode_args)
             attempt = 0
             tried: Set[str] = set()
             admission_only = True
@@ -653,45 +676,33 @@ class GlobalSpaceRuntime:
                     self._n_invocations[0] += 1
                 self._n_placed_at[decision.node][0] += 1
 
-                stage: List[ObjectID] = [code_ref.oid]
+                stage = [code_ref.oid]
                 if eager_staging:
                     stage.extend(ref.oid for ref in data_refs.values()
                                  if decision.node not in self.holders(ref.oid))
-                compute_us = decision.compute_us
-
-                executor = self.node(decision.node)
+                req = ExecRequest(
+                    code_oid=code_ref.oid, stage=tuple(stage), refs=data_refs,
+                    args=wire_values, compute_us=decision.compute_us,
+                    mode=mode, decode_args=decode_args,
+                    materialize=materialize_result, prefetch=prefetch,
+                    priority=priority)
                 try:
                     if decision.node == invoker:
-                        if not executor.try_admit(priority):
-                            # Same shedding the remote path gets from the
-                            # executor's NACK, without a wire round trip.
-                            executor.tracer.count("bus.rejected")
-                            raise _AttemptFailed(
-                                decision.node, "admission rejected",
-                                suspect=False, admission=True,
-                                retry_after_us=executor.admission.retry_after_us)
-                        try:
-                            result = yield from executor.stage_and_execute(
-                                code_ref.oid, stage, data_refs, values,
-                                compute_us, decode_args=decode_args,
-                                materialize=materialize_result, span=root,
-                                proxied=proxied, prefetch=prefetch,
-                                isolated=isolated)
-                        finally:
-                            executor.release_admission()
-                        # Local result handoff is free: zero-width return
-                        # phase.
-                        self.spans.start(SPAN_RETURN, parent=root,
-                                         node=invoker).finish(local=True)
+                        # The same request and serve path as a remote
+                        # attempt, without the wire round trip.
+                        executor = self.node(invoker)
+                        reply = executor.admit(req)
+                        if reply is None:
+                            reply = yield from executor.serve(req, root)
+                            # Local result handoff is free: zero-width
+                            # return phase.
+                            self.spans.start(SPAN_RETURN, parent=root,
+                                             node=invoker).finish(local=True)
                     else:
-                        result = yield from self._remote_exec(
-                            invoker, decision.node, code_ref.oid, stage,
-                            data_refs, values, compute_us,
-                            decode_args=decode_args,
-                            materialize=materialize_result, span=root,
-                            deadline_us=policy.deadline_us,
-                            proxied=proxied, prefetch=prefetch,
-                            isolated=isolated, priority=priority)
+                        reply = yield from self._remote_exec(
+                            invoker, decision.node, req, root,
+                            policy.deadline_us)
+                    result = _attempt_outcome(decision.node, reply)
                 except _AttemptFailed as failure:
                     if failure.suspect:
                         self.health.suspect(failure.executor)
@@ -750,76 +761,24 @@ class GlobalSpaceRuntime:
             decision=decision, invoke_id=invoke_id,
         )
 
-    def invoke_async(self, invoker: str, code_ref: GlobalRef,
-                     **kwargs: Any) -> Process:
-        """Wait-by-necessity invocation: start the rendezvous now, block
-        only when the result is needed.
-
-        Returns the invocation's :class:`~repro.sim.Process` immediately
-        — a waitable handle.  The caller keeps computing and yields the
-        handle at first use of the result (Schill et al.'s
-        wait-by-necessity); combined with ``mode=MODE_ISOLATED`` this
-        gives concurrent invocations over shared objects deterministic
-        results without a global lock.  Accepts every :meth:`invoke`
-        keyword argument.
-        """
-        return self.sim.spawn(
-            self.invoke(invoker, code_ref, **kwargs),
-            name=f"invoke-async-{invoker}")
-
-    def _remote_exec(self, invoker: str, executor: str, code_oid: ObjectID,
-                     stage: List[ObjectID], data_refs: Dict[str, GlobalRef],
-                     values: Dict[str, Any], compute_us: float,
-                     decode_args: Optional[List[str]] = None,
-                     materialize: bool = False, span=None,
-                     deadline_us: Optional[float] = None,
-                     proxied: bool = False, prefetch=None,
-                     isolated: bool = False,
-                     priority: str = PRIORITY_NORMAL):
-        node = self.node(invoker)
-        decode_args = list(decode_args) if decode_args is not None else []
-        if deadline_us is None:
-            # Never wait unboundedly on a host that may have crashed:
-            # callers that do not bring a policy deadline still get the
-            # node's request timeout.
-            deadline_us = node.request_timeout_us
-        wire_values = encode(values)
-        payload = {
-            "code_oid": str(code_oid),
-            "stage": [str(oid) for oid in stage],
-            "refs": {name: (str(ref.oid), ref.offset, ref.mode)
-                     for name, ref in data_refs.items()},
-            "args": wire_values,
-            "compute_us": compute_us,
-            "decode": decode_args,
-            "materialize": materialize,
-        }
-        if proxied:
-            # Small protocol flags; like span ids these are accounting
-            # metadata on top of the existing request overhead bytes.
-            payload["proxied"] = True
-            if prefetch is not None:
-                payload["prefetch"] = [prefetch.depth, prefetch.fanout,
-                                       prefetch.max_objects]
-        if isolated:
-            payload["isolated"] = True
-        if priority != PRIORITY_NORMAL:
-            payload["priority"] = priority
-        if span is not None:
-            # The request span measures the outbound wire leg: opened
-            # here, finished by the executor when it starts serving.
-            # Span ids ride the payload but are accounting metadata, not
-            # protocol bytes — payload_bytes stays exactly as before so
-            # simulated latencies are unchanged by tracing.
-            req_span = self.spans.start(SPAN_REQUEST, parent=span,
-                                        node=invoker, executor=executor)
-            payload["span_parent"] = span.span_id
-            payload["span_request"] = req_span.span_id
-        reply = yield node.host.request(Packet(
+    def _remote_exec(self, invoker: str, executor: str, req: ExecRequest,
+                     span, deadline_us: float):
+        """Process: carry ``req`` to ``executor`` in one ``gs.exec_req``
+        and return the reply payload: the executor's admission NACK, or
+        what :meth:`ClusterNode.serve` returned there."""
+        # The request span measures the outbound wire leg: opened here,
+        # finished by the executor when it starts serving.  Span ids ride
+        # the payload but are accounting metadata, not protocol bytes —
+        # payload_bytes models the request alone, so simulated latencies
+        # are unchanged by tracing.
+        req_span = self.spans.start(SPAN_REQUEST, parent=span,
+                                    node=invoker, executor=executor)
+        reply = yield self.node(invoker).host.request(Packet(
             kind=m.KIND_EXEC_REQ, src=invoker, dst=executor,
-            payload=payload,
-            payload_bytes=m.EXEC_REQ_OVERHEAD_BYTES + len(wire_values)
-            + 24 * len(data_refs),
+            payload={"req": req, "span_parent": span.span_id,
+                     "span_request": req_span.span_id},
+            payload_bytes=m.EXEC_REQ_OVERHEAD_BYTES + len(req.args)
+            + 24 * len(req.refs),
         ), deadline_us)
         if reply is None:
             # Deadline expired with the request still outstanding: the
@@ -827,7 +786,7 @@ class GlobalSpaceRuntime:
             # retryable attempt failure for the failover loop in
             # :meth:`invoke`; a late reply finds nothing to resume.
             self.tracer.count(K_INVOKE_DEADLINE)
-            if span is not None and not req_span.finished:
+            if not req_span.finished:
                 self.spans.finish(req_span, error="deadline")
             raise _AttemptFailed(
                 executor, f"no reply within {deadline_us:.0f}us")
@@ -836,21 +795,4 @@ class GlobalSpaceRuntime:
             # Closing the executor-opened return span here stamps the
             # reply's arrival instant — the inbound wire leg.
             self.spans.finish_id(ret_span)
-        result = decode(reply.payload["result"])
-        if not reply.payload["ok"]:
-            if reply.payload.get("admission_rejected"):
-                # The executor shed us at its admission boundary: alive
-                # and healthy, just over budget.  Carry its retry-after
-                # hint back into the failover loop's backoff.
-                raise _AttemptFailed(
-                    executor, f"admission rejected: {result}", suspect=False,
-                    admission=True,
-                    retry_after_us=reply.payload.get("retry_after_us"))
-            if reply.payload.get("retryable"):
-                # The executor is alive but could not complete (its data
-                # source timed out under it) — fail over without marking
-                # it suspected.
-                raise _AttemptFailed(
-                    executor, f"retryable failure: {result}", suspect=False)
-            raise RuntimeError_(f"remote execution on {executor} failed: {result}")
-        return result
+        return reply.payload

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.objectid import ObjectID
 from ..core.proxies import ObjectProxy, PrefetchBudget, ProxyCache
@@ -38,7 +38,7 @@ from ..obs.keys import (
     SPAN_RETURN,
     SPAN_STAGE_IN,
 )
-from ..sim import Simulator, Timeout, Tracer
+from ..sim import AllOf, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from ..rpc.serializer import decode, encode
@@ -48,12 +48,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import GlobalSpaceRuntime
 
 __all__ = ["AdmissionPolicy", "AdmissionRejected", "ClusterNode",
-           "ExecutionContext", "FetchTimeout", "NodeProxyBackend",
-           "PRIORITY_HIGH", "PRIORITY_NORMAL", "RuntimeError_"]
+           "ExecRequest", "ExecutionContext", "FetchTimeout",
+           "MODE_EAGER", "MODE_ISOLATED", "MODE_LAZY", "MODE_PROXIED",
+           "NodeProxyBackend", "PRIORITY_HIGH", "PRIORITY_NORMAL",
+           "RuntimeError_"]
 
 PRIORITY_NORMAL = "normal"
 PRIORITY_HIGH = "high"
 PRIORITIES = (PRIORITY_NORMAL, PRIORITY_HIGH)
+
+MODE_EAGER = "eager"      # stage every input object at the executor up front
+MODE_LAZY = "lazy"        # stage only the code; data moves on demand
+MODE_PROXIED = "proxied"  # stage only the code; bind args as lazy proxies
+                          # (optionally covered by a reachability prefetch)
+MODE_ISOLATED = "isolated"  # eager staging + up-front object-set
+                            # reservation and ownership claim: execute
+                            # with no interleaved invalidation
+
+
+@dataclass(frozen=True)
+class ExecRequest:
+    """One invocation attempt as its executor receives it: a
+    ``gs.exec_req`` packet carries it as it is (the packet's
+    ``payload_bytes`` models its wire size), and the invoker's own node
+    takes it directly."""
+
+    code_oid: ObjectID
+    stage: Tuple[ObjectID, ...]  # fetched here before the body runs
+    refs: Dict[str, GlobalRef]   # reference arguments
+    args: bytes                  # plain arguments, encoded for the wire
+    compute_us: float
+    mode: str
+    decode_args: Tuple[str, ...]
+    materialize: bool
+    prefetch: Optional[PrefetchBudget]
+    priority: str
 
 
 class NodeProxyBackend:
@@ -75,8 +104,6 @@ class NodeProxyBackend:
     def resolve_many(self, oids):
         """Process: make every object resident here (parallel, failing
         over across replicas) and return ``{oid: payload bytes}``."""
-        from ..sim import AllOf
-
         node = self.node
         for oid in oids:
             node.runtime.policies.check_read(oid, node.name)
@@ -320,19 +347,24 @@ class ClusterNode:
         if self.admission is not None and self._admitted > 0:
             self._admitted -= 1
 
+    def admit(self, req: ExecRequest) -> Optional[dict]:
+        """Both legs' admission answer for ``req``: ``None`` when it got
+        an inflight slot (:meth:`serve` releases it), else the reply
+        payload that sheds it at once with a retry-after hint, instead
+        of queueing over budget."""
+        if self.try_admit(req.priority):
+            return None
+        self.tracer.count("bus.rejected")
+        return {"ok": False, "result": encode("admission rejected"),
+                "admission_rejected": True,
+                "retry_after_us": self.admission.retry_after_us}
+
     def _on_exec_req(self, packet: Packet) -> None:
-        priority = packet.payload.get("priority", PRIORITY_NORMAL)
-        if not self.try_admit(priority):
-            # Shed at the host boundary: an immediate retryable NACK
-            # with a retry-after hint, instead of queueing over budget.
-            self.tracer.count("bus.rejected")
+        nack = self.admit(packet.payload["req"])
+        if nack is not None:
             self._end_request_span(packet)
             self.host.send(packet.reply(
-                m.KIND_EXEC_RSP,
-                {"ok": False, "result": encode("admission rejected"),
-                 "retryable": True, "admission_rejected": True,
-                 "retry_after_us": self.admission.retry_after_us},
-                m.RSP_OVERHEAD_BYTES))
+                m.KIND_EXEC_RSP, nack, m.RSP_OVERHEAD_BYTES))
             return
         self.sim.spawn(self._serve_exec(packet), name=f"{self.name}-exec")
 
@@ -347,20 +379,6 @@ class ClusterNode:
         return True
 
     def _serve_exec(self, packet: Packet):
-        code_oid = ObjectID.from_hex(packet.payload["code_oid"])
-        stage = [ObjectID.from_hex(text) for text in packet.payload["stage"]]
-        refs = {
-            name: GlobalRef(ObjectID.from_hex(oid_hex), offset, mode)
-            for name, (oid_hex, offset, mode) in packet.payload["refs"].items()
-        }
-        values = decode(packet.payload["args"])
-        compute_us = packet.payload["compute_us"]
-        decode_args = packet.payload.get("decode", [])
-        materialize = packet.payload.get("materialize", False)
-        proxied = packet.payload.get("proxied", False)
-        prefetch = packet.payload.get("prefetch")
-        if prefetch is not None:
-            prefetch = PrefetchBudget(*prefetch)
         # Cross-host span plumbing: the invoker opened the root and the
         # request span; serving starts now, so the request (wire) leg
         # ends here.  The recorder is shared through the runtime.  A
@@ -369,149 +387,142 @@ class ClusterNode:
         parent = None
         if self._end_request_span(packet):
             parent = self.runtime.spans.get(packet.payload["span_parent"])
-        isolated = packet.payload.get("isolated", False)
-        try:
-            result = yield from self.stage_and_execute(
-                code_oid, stage, refs, values, compute_us,
-                decode_args=decode_args, materialize=materialize, span=parent,
-                proxied=proxied, prefetch=prefetch, isolated=isolated)
-            ok, wire_result = True, encode(result)
-            retryable = False
-        except Exception as exc:
-            ok, wire_result = False, encode(str(exc))
-            # A fetch timeout means *our* data source is suspect, not
-            # this executor: tell the invoker the attempt is retryable.
-            retryable = isinstance(exc, FetchTimeout)
-        finally:
-            self.release_admission()
-        payload = {"ok": ok, "result": wire_result}
-        if retryable:
-            payload["retryable"] = True
+        payload = yield from self.serve(packet.payload["req"], parent)
         if parent is not None:
             # The return span opens as the reply leaves and is finished
             # by the invoker on arrival — the inbound wire leg.
             ret = self.runtime.spans.start(SPAN_RETURN, parent=parent,
-                                           node=self.name, ok=ok)
+                                           node=self.name, ok=payload["ok"])
             payload["ret_span"] = ret.span_id
         self.host.send(packet.reply(
-            m.KIND_EXEC_RSP, payload, m.RSP_OVERHEAD_BYTES + len(wire_result)))
+            m.KIND_EXEC_RSP, payload,
+            m.RSP_OVERHEAD_BYTES + len(payload["result"])))
 
-    def stage_and_execute(self, code_oid: ObjectID, stage, refs, values,
-                          compute_us: float, decode_args=(),
-                          materialize: bool = False, span=None,
-                          proxied: bool = False,
-                          prefetch: Optional[PrefetchBudget] = None,
-                          isolated: bool = False):
-        """Process: pull every staged object here (in parallel), then run.
+    def serve(self, req: ExecRequest, span=None):
+        """Process: run one admitted request here; returns the reply
+        payload, ``{"ok", "result"}`` with the result encoded.
 
-        ``refs`` (name -> GlobalRef) and ``values`` (name -> plain value)
-        merge into the args dict the code function receives.  Names in
-        ``decode_args`` are reference arguments whose staged object bytes
+        Both legs of an invocation come here, the invoker's own node
+        inline and any other from its ``gs.exec_req`` handler, so an
+        attempt behaves the same wherever placement ran it.  Every
+        failure is an ``ok: False`` payload carrying the error text; a
+        :class:`FetchTimeout` is marked ``retryable``, because *our*
+        data source is suspect, not this executor.  The admission slot
+        :meth:`admit` granted is released however the attempt ends.
+
+        Every object in ``req.stage`` is pulled here in parallel before
+        the body runs.  The plain arguments (``req.args``, encoded as the
+        wire carries them) and the reference arguments merge into the
+        args dict the code function receives.  Names in
+        ``req.decode_args`` are reference arguments whose object bytes
         are decoded into plain values first (how pipeline intermediates
-        arrive).  With ``materialize=True`` the result is written into a
-        fresh local object and only its descriptor is returned — the
-        §5 query-planning pattern: intermediates stay where they were
+        arrive).  With ``req.materialize`` the result is written into a
+        fresh local object and only its descriptor is returned — the §5
+        query-planning pattern: intermediates stay where they were
         produced until the next stage pulls them.
 
-        With ``proxied=True`` (MODE_PROXIED) reference arguments are
-        bound as :class:`ObjectProxy` instances instead of bare refs —
-        nothing is staged for them — and, when ``prefetch`` names a
-        budget, a reachability walk is spawned from the argument roots
-        *before* execution starts, so FOT-reachable objects stream in
-        concurrently with the computation (PROXIES.md).
+        In ``MODE_PROXIED`` reference arguments are bound as
+        :class:`ObjectProxy` instances instead of bare refs — nothing is
+        staged for them — and, when ``req.prefetch`` names a budget, a
+        reachability walk is spawned from the argument roots *before*
+        execution starts, so FOT-reachable objects stream in concurrently
+        with the computation (PROXIES.md).
 
-        With ``isolated=True`` (MODE_ISOLATED) the invocation's object
-        set is reserved up front in canonical oid order — concurrent
-        isolated invocations over overlapping sets serialize
-        deterministically instead of deadlocking — then, after staging,
-        this node claims ownership of every data input so no interleaved
-        invalidation or replica write can race the execution (the
-        interference-free model of Schill et al.).
+        In ``MODE_ISOLATED`` the invocation's object set is reserved up
+        front in canonical oid order — concurrent isolated invocations
+        over overlapping sets serialize deterministically instead of
+        deadlocking — then, after staging, this node claims ownership of
+        every data input so no interleaved invalidation or replica write
+        can race the execution (the interference-free model of Schill et
+        al.).
 
         ``span`` is the invocation's root span; when given, the
         stage_in / queue / compute phases are recorded under it (spans
-        left open by a failure are error-finished by the invoker).
+        left open by a failure are error-finished by the invoker if the
+        invocation fails).
         """
-        reserved = sorted({ref.oid for ref in refs.values()}) if isolated else []
-        if reserved:
-            yield from self.runtime.reservations.acquire(reserved)
+        rec = self.runtime.spans if span is not None else None
+        reserved: List[ObjectID] = []
         try:
-            result = yield from self._stage_and_execute_inner(
-                code_oid, stage, refs, values, compute_us, decode_args,
-                materialize, span, proxied, prefetch, reserved)
+            if req.mode == MODE_ISOLATED:
+                oids = sorted({ref.oid for ref in req.refs.values()})
+                yield from self.runtime.reservations.acquire(oids)
+                reserved = oids
+            stage_span = (rec.start(SPAN_STAGE_IN, parent=span, node=self.name)
+                          if rec is not None else None)
+            missing = [oid for oid in req.stage if oid not in self.space]
+            if missing:
+                fetches = [
+                    self.sim.spawn(self.fetch_object(oid, span=stage_span),
+                                   name=f"stage-{oid.short()}")
+                    for oid in missing
+                ]
+                # A failed fetch is an outcome in AllOf's results: raise
+                # the first instead of running the function without its
+                # input.
+                for outcome in (yield AllOf(fetches)):
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+            staged = len(missing)
+            args: Dict[str, Any] = decode(req.args)
+            args.update(req.refs)
+            for name in req.decode_args:
+                ref = req.refs[name]
+                if ref.oid not in self.space:
+                    yield self.sim.spawn(
+                        self.fetch_object(ref.oid, span=stage_span),
+                        name=f"decode-{ref.oid.short()}")
+                    staged += 1
+                obj = self.space.get(ref.oid)
+                args[name] = decode(obj.read(0, obj.size))
+            for oid in reserved:
+                # Interference-free execution: become the sole replica
+                # holder, so no other node's copy (or proxy image) can be
+                # read or written while this invocation runs — the
+                # reservation keeps competing isolated invocations out.
+                self.runtime.claim_ownership(oid, self.name)
+                self.tracer.count("node.isolated_claim")
+            if req.mode == MODE_PROXIED:
+                roots = {name: ref for name, ref in req.refs.items()
+                         if name not in req.decode_args}
+                args.update((name, self.proxies.proxy(ref))
+                            for name, ref in roots.items())
+                if req.prefetch is not None:
+                    self.proxies.start_prefetch(roots.values(),
+                                                budget=req.prefetch)
+            compute_span = None
+            if rec is not None:
+                rec.finish(stage_span, objects=staged)
+                # Zero-width queue point: what the executor's load looked
+                # like the instant this job reached the front.
+                rec.start(SPAN_QUEUE, parent=span, node=self.name,
+                          active_jobs=self.active_jobs).finish()
+                compute_span = rec.start(SPAN_COMPUTE, parent=span,
+                                         node=self.name,
+                                         compute_us=req.compute_us)
+            result = yield from self.execute(req.code_oid, args,
+                                             req.compute_us)
+            tags = {}
+            if req.materialize:
+                wire = encode(result)
+                out = self.runtime.create_object(
+                    self.name, size=max(len(wire), 1), label="intermediate")
+                out.write(0, wire)
+                self.tracer.count("node.materialized")
+                tags["materialized"] = True
+                result = {"__materialized__": str(out.oid), "size": out.size}
+            if compute_span is not None:
+                rec.finish(compute_span, **tags)
+            payload = {"ok": True, "result": encode(result)}
+        except Exception as exc:
+            payload = {"ok": False, "result": encode(str(exc))}
+            if isinstance(exc, FetchTimeout):
+                payload["retryable"] = True
         finally:
             if reserved:
                 self.runtime.reservations.release(reserved)
-        return result
-
-    def _stage_and_execute_inner(self, code_oid, stage, refs, values,
-                                 compute_us, decode_args, materialize, span,
-                                 proxied, prefetch, reserved):
-        from ..sim import AllOf
-
-        rec = self.runtime.spans if span is not None else None
-        stage_span = (rec.start(SPAN_STAGE_IN, parent=span, node=self.name)
-                      if rec is not None else None)
-        missing = [oid for oid in stage if oid not in self.space]
-        if missing:
-            fetches = [
-                self.sim.spawn(self.fetch_object(oid, span=stage_span),
-                               name=f"stage-{oid.short()}")
-                for oid in missing
-            ]
-            # A failed fetch is an outcome in AllOf's results: raise the
-            # first instead of running the function without its input.
-            for outcome in (yield AllOf(fetches)):
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        staged = len(missing)
-        args: Dict[str, Any] = dict(values)
-        args.update(refs)
-        for name in decode_args:
-            ref = refs[name]
-            if ref.oid not in self.space:
-                yield self.sim.spawn(self.fetch_object(ref.oid, span=stage_span),
-                                     name=f"decode-{ref.oid.short()}")
-                staged += 1
-            obj = self.space.get(ref.oid)
-            args[name] = decode(obj.read(0, obj.size))
-        for oid in reserved:
-            # Interference-free execution: become the sole replica
-            # holder, so no other node's copy (or proxy image) can be
-            # read or written while this invocation runs — the
-            # reservation keeps competing isolated invocations out.
-            self.runtime.claim_ownership(oid, self.name)
-            self.tracer.count("node.isolated_claim")
-        if proxied:
-            proxy_roots = [ref for name, ref in refs.items()
-                           if name not in decode_args]
-            for name, ref in refs.items():
-                if name not in decode_args:
-                    args[name] = self.proxies.proxy(ref)
-            if prefetch is not None:
-                self.proxies.start_prefetch(proxy_roots, budget=prefetch)
-        compute_span = None
-        if rec is not None:
-            rec.finish(stage_span, objects=staged)
-            # Zero-width queue point: what the executor's load looked
-            # like the instant this job reached the front.
-            rec.start(SPAN_QUEUE, parent=span, node=self.name,
-                      active_jobs=self.active_jobs).finish()
-            compute_span = rec.start(SPAN_COMPUTE, parent=span,
-                                     node=self.name, compute_us=compute_us)
-        result = yield from self.execute(code_oid, args, compute_us)
-        if materialize:
-            wire = encode(result)
-            out = self.runtime.create_object(self.name, size=max(len(wire), 1),
-                                             label="intermediate")
-            out.write(0, wire)
-            self.tracer.count("node.materialized")
-            if compute_span is not None:
-                rec.finish(compute_span, materialized=True)
-            return {"__materialized__": str(out.oid), "size": out.size}
-        if compute_span is not None:
-            rec.finish(compute_span)
-        return result
+            self.release_admission()
+        return payload
 
     # -- execution ----------------------------------------------------------
     def execute(self, code_oid: ObjectID, args: Dict[str, Any], compute_us: float):
@@ -621,25 +632,38 @@ class ClusterNode:
                      holder: Optional[str] = None):
         """Process: demand-write a range of a remote object.
 
-        A holder that does not answer in time is suspected and the write
-        raises :class:`FetchTimeout`; it is not retried elsewhere (a
-        write redirected to a stale copy is divergence, not recovery).
+        The write goes to one holder, the nearest (:meth:`_ask_holders`
+        with that holder alone).  A holder that does not answer in time
+        is suspected and the write raises :class:`FetchTimeout`; it is
+        not retried elsewhere (a write redirected to a stale copy is
+        divergence, not recovery).
         """
-        source = holder if holder is not None else self.runtime.nearest_holder(oid, self.name)
-        reply = yield self.host.request(Packet(
-            kind=m.KIND_WRITE_REQ, src=self.name, dst=source, oid=oid,
-            payload={"offset": offset, "data": data},
-            payload_bytes=m.READ_REQ_BYTES + len(data),
-        ), self.request_timeout_us)
-        if reply is None:
-            self.tracer.count("node.write_timeout")
-            self.runtime.health.suspect(source)
-            raise FetchTimeout(
-                f"{m.KIND_WRITE_REQ} of {oid.short()} to {source} timed out")
-        if not reply.payload["ok"]:
-            raise RuntimeError_(f"{source} could not serve write of {oid.short()}")
+        if holder is None:
+            holder = self.runtime.nearest_holder(oid, self.name)
+        yield from self._ask_holders(
+            m.KIND_WRITE_REQ, oid, holder, {"offset": offset, "data": data},
+            m.READ_REQ_BYTES + len(data), "node.write_timeout")
         self._n_remote_write[0] += 1
         return True
+
+    def load(self, oid: ObjectID, offset: int, length: int):
+        """Process: read a byte range of ``oid`` from wherever it is — the
+        resident copy at this instant, else a :meth:`remote_read`."""
+        if oid in self.space:
+            yield Timeout(0.0)
+            return self.space.get(oid).read(offset, length)
+        data = yield from self.remote_read(oid, offset, length)
+        return data
+
+    def store(self, oid: ObjectID, offset: int, data: bytes):
+        """Process: write a byte range of ``oid`` wherever it is — the
+        resident copy at this instant, else a :meth:`remote_write`."""
+        if oid in self.space:
+            yield Timeout(0.0)
+            self.space.get(oid).write(offset, data)
+            return True
+        ok = yield from self.remote_write(oid, offset, data)
+        return ok
 
     def __repr__(self) -> str:
         return f"<ClusterNode {self.name} objects={len(self.space)} jobs={self.active_jobs}>"
@@ -676,13 +700,11 @@ class ExecutionContext:
             raise RuntimeError_(f"reference {ref} is not readable here")
         # ACL check: the executing node is the principal.
         self.node.runtime.policies.check_read(ref.oid, self.node.name)
-        at = ref.offset + offset
         if ref.oid in self.node.space:
             self.local_reads += 1
-            yield Timeout(0.0)
-            return self.node.space.get(ref.oid).read(at, length)
-        self.remote_reads += 1
-        data = yield from self.node.remote_read(ref.oid, at, length)
+        else:
+            self.remote_reads += 1
+        data = yield from self.node.load(ref.oid, ref.offset + offset, length)
         return data
 
     def write(self, ref: GlobalRef, data: bytes, offset: int = 0):
@@ -694,14 +716,11 @@ class ExecutionContext:
         if not ref.writable:
             raise RuntimeError_(f"reference {ref} is not writable")
         self.node.runtime.policies.check_write(ref.oid, self.node.name)
-        at = ref.offset + offset
         if ref.oid in self.node.space:
             self.local_writes += 1
-            yield Timeout(0.0)
-            self.node.space.get(ref.oid).write(at, data)
-            return True
-        self.remote_writes += 1
-        ok = yield from self.node.remote_write(ref.oid, at, data)
+        else:
+            self.remote_writes += 1
+        ok = yield from self.node.store(ref.oid, ref.offset + offset, data)
         return ok
 
     def follow(self, ref: GlobalRef, pointer_offset: int = 0):
@@ -735,8 +754,3 @@ class ExecutionContext:
         until then, and may already be covered — or in flight — from a
         reachability walk started at argument-binding time."""
         return self.node.proxies.proxy(ref)
-
-    def ensure_local(self, ref: GlobalRef):
-        """Waitable: fetch the whole referenced object here (eager path)."""
-        return self.node.sim.spawn(
-            self.node.fetch_object(ref.oid), name=f"ctx-fetch-{self.node.name}")

@@ -105,8 +105,9 @@ class ObjectKVClient:
     """Caller side of the object-space store.
 
     ``get`` resolves the key to a reference (cached after first use),
-    then reads the value: a demand read for one-shot access, or an
-    ``ensure_local`` fetch when ``cache=True`` so later gets are local.
+    then reads the value: a demand read for one-shot access, or a
+    whole-object ``fetch_object`` when ``cache=True`` so later gets are
+    local.
     """
 
     def __init__(self, runtime: GlobalSpaceRuntime, node_name: str,

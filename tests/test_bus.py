@@ -584,12 +584,12 @@ class TestIsolatedMode:
         sim, runtime, blob, code_ref, ref = self._rmw_cluster(seed)
 
         def driver():
-            p1 = runtime.invoke_async(
+            p1 = sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"obj": ref},
-                mode=MODE_ISOLATED, flops=1e5, candidates=["n1"])
-            p2 = runtime.invoke_async(
+                mode=MODE_ISOLATED, flops=1e5, candidates=["n1"]))
+            p2 = sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"obj": ref},
-                mode=MODE_ISOLATED, flops=1e5, candidates=["n2"])
+                mode=MODE_ISOLATED, flops=1e5, candidates=["n2"]))
             r1 = yield p1
             r2 = yield p2
             return sorted([r1.value, r2.value])
@@ -616,13 +616,13 @@ class TestIsolatedMode:
         second = self._run_concurrent_bumps(41)[:3]
         assert first == second
 
-    def test_invoke_async_returns_result_via_process(self):
+    def test_spawned_invoke_returns_result_via_process(self):
         sim, runtime, blob, code_ref, ref = self._rmw_cluster(42)
 
         def driver():
-            result = yield runtime.invoke_async(
+            result = yield sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"obj": ref},
-                mode=MODE_ISOLATED, flops=1e5)
+                mode=MODE_ISOLATED, flops=1e5))
             return result
 
         result = sim.run_process(driver())

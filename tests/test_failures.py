@@ -16,7 +16,13 @@ from repro.discovery import E2EResolver, ObjectHome
 from repro.loadgen import LoadGenerator, TenantSpec
 from repro.net import build_paper_topology, build_star
 from repro.obs.keys import K_HEALTH_CLEARED
-from repro.runtime import FetchTimeout, GlobalSpaceRuntime, RuntimeError_
+from repro.runtime import (
+    FetchTimeout,
+    GlobalSpaceRuntime,
+    InvokeTimeout,
+    RetryPolicy,
+    RuntimeError_,
+)
 from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -202,6 +208,43 @@ class TestRuntimeFailover:
 
         result = sim.run_process(proc())
         assert result.value == b"SAFE"
+
+    def test_stage_in_from_a_dead_only_holder_fails_over_from_the_invoker(self):
+        # The blob's only holder is down.  Placement runs the first
+        # attempt on the invoker n0 (it holds the code); its stage-in
+        # times out, which must fail over to n2 exactly as a remote
+        # executor's retryable NACK does, and n2 then times out too.  The
+        # deadline is long enough never to race the executors' fetches.
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("head")
+        def head(ctx, args):
+            data = yield ctx.read(args["blob"], 0, 4)
+            return data
+
+        obj = runtime.create_object("n1", size=256)
+        _, code_ref = runtime.create_code("n0", "head", text_size=128)
+        net.host("n1").fail()
+
+        def proc():
+            try:
+                yield sim.spawn(runtime.invoke(
+                    "n0", code_ref,
+                    data_refs={"blob": GlobalRef(obj.oid, 0, "read")},
+                    candidates=["n0", "n2"],
+                    retry=RetryPolicy(deadline_us=5_000_000.0)))
+            except Exception as exc:
+                return exc
+
+        exc = sim.run_process(proc())
+        assert type(exc) is InvokeTimeout
+        assert "after 2 attempt(s)" in str(exc) and "retryable" in str(exc)
+        counters = runtime.tracer.counters
+        assert counters["invoke.retries"] == 1
+        assert counters["runtime.placed_at.n0"] == 1
+        assert counters["runtime.placed_at.n2"] == 1
+        assert not runtime.health.is_suspected("n0")
+        assert runtime.health.is_suspected("n1")
 
     def test_pinned_fetch_to_specific_dead_holder_raises(self):
         sim, net, registry, runtime = make_cluster()

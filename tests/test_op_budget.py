@@ -14,10 +14,27 @@ the op path shows here as a changed figure:
 * an eager invocation run at the client with one staged input is 16:
   the fetch's six hops and the compute sleep, plus zero-delay events
   for the spawned stage-in fetch, the ``AllOf`` that waits on it and
-  the function's resident ``ctx.read``, itself a spawned process.
+  the function's resident ``ctx.read``, itself a spawned process;
+* the same invocation run on another node (the client added with
+  ``can_execute=False``) is 24.  Placement picks the blob's home, so
+  the one fetch stages the code instead of the blob, and the exec round
+  trip adds eight: three hops out and three back, the executor's
+  serving process starting, and the reply resuming the op;
+* a proxied invocation run at the client is 13: nothing is staged and
+  no ``ctx.read`` is spawned; the function's first touch of its proxy
+  resolves it through one fetch (spawned, six hops, its reply and the
+  ``AllOf`` that waits on it) after the compute sleep;
+* the same proxied invocation run on another node is 21: the executor
+  holds the blob, so its proxy resolves with no event, the code is
+  staged there as in the eager case, and the exec round trip adds its
+  eight.
 
-Every one of them has a process for the clock and one for the op; the
-invocation has two more, the stage-in fetch and the ``ctx.read``.
+Every one of them has a process for the clock and one for the op.  An
+eager invocation has two more, the stage-in fetch and the ``ctx.read``;
+a proxied one has the proxy's fetch at the client, or the code's
+stage-in fetch elsewhere; a remote leg adds the executor's serving
+process.  Both legs run one ``ClusterNode.serve``, so the remote
+figures are the local ones plus the exec round trip.
 """
 
 import pytest
@@ -43,15 +60,17 @@ def made(monkeypatch):
     return made
 
 
-def _taught_star(nodes):
+def _taught_star(nodes, client_executes=True):
     """A 3-host star with runtime nodes on ``nodes``; one broadcast per
     host teaches the switch every port, so the measured op's packets
-    are forwarded by exact host-table match."""
+    are forwarded by exact host-table match.  ``client_executes=False``
+    adds the client ``n0`` with ``can_execute=False``, so placement
+    runs its invocations on another node."""
     sim = Simulator(seed=1)
     net = build_star(sim, 3, prefix="n")
     runtime = GlobalSpaceRuntime(net, FunctionRegistry())
     for name in nodes:
-        runtime.add_node(name)
+        runtime.add_node(name, can_execute=client_executes or name != "n0")
     hosts = [net.host(f"n{i}") for i in range(3)]
     for host in hosts:
         host.on("warm", lambda packet: None)
@@ -95,3 +114,27 @@ def test_an_eager_invocation_with_one_staged_input(made):
     # fetched from its home n1.
     assert (client["node.exec"], client["node.fetched"]) == (1, 1)
     assert runtime.node("n1").tracer.counters["node.fetch_served"] == 1
+
+
+def test_an_eager_invocation_run_on_another_node(made):
+    runtime = _taught_star(["n0", "n1", "n2"], client_executes=False)
+    assert _one_op(runtime, "invoke", made) == (24, 5)
+    executor = runtime.node("n1").tracer.counters
+    # Run at the blob's home n1, which fetched the code from n0.
+    assert (executor["node.exec"], executor["node.fetched"]) == (1, 1)
+    assert runtime.node("n0").tracer.counters["node.fetch_served"] == 1
+
+
+def test_a_proxied_invocation_at_the_client(made):
+    runtime = _taught_star(["n0", "n1", "n2"])
+    assert _one_op(runtime, "proxied_invoke", made) == (13, 3)
+    client = runtime.node("n0").tracer.counters
+    # The blob was fetched on first touch of its proxy, not staged.
+    assert (client["node.exec"], client["node.fetched"]) == (1, 1)
+
+
+def test_a_proxied_invocation_run_on_another_node(made):
+    runtime = _taught_star(["n0", "n1", "n2"], client_executes=False)
+    assert _one_op(runtime, "proxied_invoke", made) == (21, 4)
+    executor = runtime.node("n1").tracer.counters
+    assert (executor["node.exec"], executor["node.fetched"]) == (1, 1)

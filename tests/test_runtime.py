@@ -1,4 +1,9 @@
-"""Unit and integration tests for the global-space invocation runtime."""
+"""Unit and integration tests for the global-space invocation runtime.
+
+The assertions hold for any seed, so CI re-runs this module under
+several ``REPRO_SEED_OFFSET`` values (the fault-seed-matrix job):
+``make_cluster`` shifts its seed by that offset.
+"""
 
 import os
 import subprocess
@@ -16,9 +21,11 @@ from repro.runtime import (
 )
 from repro.sim import Simulator
 
+SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
+
 
 def make_cluster(seed=1, n=4, speeds=None):
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed + SEED_OFFSET)
     net = build_star(sim, n, prefix="n")
     registry = FunctionRegistry()
     runtime = GlobalSpaceRuntime(net, registry)
@@ -289,7 +296,7 @@ class TestInvocation:
                 mode=MODE_EAGER, candidates=["n2"]))
             return result
 
-        assert sim.run_process(proc()).value == (0, 0, 1, 0)
+        assert sim.run_process(proc()).value == [0, 0, 1, 0]
         assert blob.read(0, 4) == b"EFGH"
 
     def test_pinned_data_forces_local_execution(self):
@@ -366,6 +373,48 @@ class TestInvocation:
                 return str(exc)
 
         assert "no" in sim.run_process(proc())
+
+    @pytest.mark.parametrize("executor", ["n0", "n1"],
+                             ids=["at-the-invoker", "elsewhere"])
+    def test_a_raising_body_looks_the_same_on_either_leg(self, executor):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("explode")
+        def explode(ctx, args):
+            raise ValueError("no")
+
+        _, code_ref = runtime.create_code("n0", "explode", text_size=256)
+
+        def proc():
+            try:
+                yield sim.spawn(runtime.invoke("n0", code_ref,
+                                               candidates=[executor]))
+            except Exception as exc:
+                return exc
+
+        exc = sim.run_process(proc())
+        assert type(exc) is RuntimeError_
+        assert str(exc) == f"execution on {executor} failed: no"
+
+    @pytest.mark.parametrize("executor", ["n0", "n1"],
+                             ids=["at-the-invoker", "elsewhere"])
+    def test_a_tuple_result_is_the_same_value_on_either_leg(self, executor):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("pair")
+        def pair(ctx, args):
+            return (args["x"], ctx.here)
+
+        _, code_ref = runtime.create_code("n0", "pair", text_size=256)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, values={"x": 7}, candidates=[executor]))
+            return result
+
+        result = sim.run_process(proc())
+        assert result.executed_at == executor
+        assert result.value == [7, executor]
 
     def test_generator_code_functions_supported(self):
         sim, net, registry, runtime = make_cluster()
