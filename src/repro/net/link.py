@@ -155,8 +155,16 @@ class LinkEnd:
         self._busy_until = done
         return now + (done - now)
 
-    def transmit(self, packet: "Packet") -> None:
-        """Enqueue for transmission (never blocks the sender)."""
+    def transmit(self, packet: "Packet", ready: Optional[float] = None) -> None:
+        """Enqueue for transmission (never blocks the sender).
+
+        ``ready`` is the instant the packet reaches the wire, ``sim.now``
+        when omitted.  A switch that forwards at ingress passes the end
+        of its pipeline delay, and ``ready`` then stands in for ``now``
+        in the busy-until arithmetic, so the events scheduled here are
+        those a transmit at ``ready`` would schedule.  It is for a FIFO
+        end: an arbitrated end queues the packet at ``sim.now``.
+        """
         link = self.link
         arb = self._arb
         if arb is not None:
@@ -168,7 +176,7 @@ class LinkEnd:
                 self._wrr_start_next()
             return
         sim = link.sim
-        now = sim.now
+        now = sim.now if ready is None else ready
         # _last_bit, written out: the one call per packet worth saving.
         start = self._busy_until
         if start < now:

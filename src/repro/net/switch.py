@@ -11,6 +11,42 @@ Each switch runs a two-stage pipeline, mirroring the P4 program of §4:
    miss behaviour is configurable (flood, drop, or punt to a callback),
    letting experiments explore the §4 "network absorbs the cost" idea.
 
+**The pipeline delay.**  A packet spends ``processing_delay_us``
+(0.5 us) between ingress and egress.  In general that wait is a kernel
+event of its own, ``_forward``, which reads the tables when the delay
+ends.  A known unicast to a host on one of this switch's ports is
+forwarded at ingress instead: ``LinkEnd.transmit(packet, ready)`` is
+handed the instant the delay ends, so the wire arithmetic and the
+arrival instant are those ``_forward`` would produce, and crossing a
+star is two kernel events (one per link) instead of three.  The switch
+folds only when that is exact, which it can tell at ingress:
+
+1. ``packet.ttl > 0``; otherwise ``_forward`` counts it expired.
+2. ``dst`` is in the host table and that port's far end is the host
+   ``dst`` itself.  A host's packets reach its own switch first over its
+   own link (copies coming back through a loop are suppressed before
+   they can teach), so no learning inside the delay can re-point the
+   entry.  A switch's packets (service replies) can arrive first over a
+   longer path, and a relay (an overlay gateway sends with the inner
+   source) teaches entries for names not its own, which a second relay
+   can re-point; both keep the event.
+3. No ``_forward`` is pending at this switch.  Every other transmission
+   the switch makes (floods, identity multicast, service replies, punts)
+   comes from a ``_forward``; with none pending, each one made inside
+   the delay belongs to a later ingress, so every egress still sees its
+   transmissions in pipeline order.
+4. The egress end is FIFO: an arbitrated end must get the packet at the
+   instant the delay ends, when the arbiter picks among what it holds.
+
+What can still differ is the same-instant rank of the link event the
+egress transmit schedules (the arrival, or on a lossy link the last
+bit, where the loss is drawn).  Its sequence number is drawn at ingress
+instead of when the delay ends, so it now runs before an event of the
+same float instant scheduled inside the delay; two loss draws of one
+instant can swap.  What looks at the wire inside the delay differs
+too: ``queue_depth`` counts a folded packet as queued, and weights set
+inside the delay find it already on the FIFO wire.
+
 Flooding in the looped 4-switch topology is made safe by per-switch
 duplicate suppression (each switch forwards a given packet UID at most
 once) plus TTL decrement — a stand-in for a spanning tree.
@@ -45,7 +81,13 @@ _DEDUPE_WINDOW = 4096
 
 
 class Switch(Node):
-    """A store-and-forward switch with the two-table pipeline above."""
+    """A store-and-forward switch with the two-table pipeline above.
+
+    A known unicast to a directly attached host leaves at ingress, with
+    the pipeline delay folded into its egress transmit, whenever the
+    four conditions in the module docstring hold; every other packet
+    waits out the delay in a ``_forward`` event.
+    """
 
     def __init__(
         self,
@@ -86,6 +128,9 @@ class Switch(Node):
         # programmable network): packets addressed to this switch's own
         # name are consumed by the handler registered for their kind.
         self._services: dict = {}
+        # Packets between ingress and a pending _forward (the fold's
+        # third condition).
+        self._in_pipeline = 0
 
     # -- control plane -----------------------------------------------------
     def install_identity_route(self, oid: ObjectID, port) -> bool:
@@ -169,23 +214,36 @@ class Switch(Node):
         # flood window stops heavy unicast from evicting live flood
         # UIDs (which would re-arm forwarding loops).
         dst = packet.dst
-        if (dst is not None and dst != BROADCAST and dst != self.name
-                and dst in self.host_table):
-            window = self._seen_unicast
-        else:
-            window = self._seen_broadcasts
+        host_table = self.host_table
+        known = (dst is not None and dst != BROADCAST and dst != self.name
+                 and dst in host_table)
+        window = self._seen_unicast if known else self._seen_broadcasts
         # _register_seen, written out (the packet path's call budget).
         window[uid] = None
         if len(window) > _DEDUPE_WINDOW:
             window.popitem(last=False)
         if packet.src:
-            self.host_table[packet.src] = in_port
+            host_table[packet.src] = in_port
+        if known and packet.ttl > 0 and not self._in_pipeline:
+            # The fold (module docstring): what _forward would do after
+            # the delay, done now with the wire arithmetic at its instant.
+            port = host_table[dst]
+            end = self._tx_ends[port]
+            peer = end.peer
+            if (peer.name == dst and port != in_port and end._arb is None
+                    and not isinstance(peer, Switch)):
+                packet.ttl -= 1
+                self._n_tx[0] += 1
+                end.transmit(packet, self.sim.now + self.processing_delay_us)
+                return
+        self._in_pipeline += 1
         if self.processing_delay_us > 0:
             self.sim.schedule(self.processing_delay_us, self._forward, packet, in_port)
         else:
             self._forward(packet, in_port)
 
     def _forward(self, packet: Packet, in_port: int) -> None:
+        self._in_pipeline -= 1
         if packet.ttl <= 0:
             self.tracer.count("switch.ttl_expired")
             return

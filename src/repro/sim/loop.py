@@ -378,7 +378,16 @@ class Simulator:
             entry[2], entry[3] = callback, args
             return entry
         self.cancel(entry)
-        moved = [time, entry[1], callback, args]
+        seq = entry[1]
+        # An earlier reschedule may have left this event's cancelled
+        # original at ``time``: the same twin, so revive it.  One heap
+        # scan; only link reconfiguration reschedules.
+        for twin in self._heap:
+            if twin[1] == seq and twin[0] == time:
+                twin[2], twin[3] = callback, args
+                self._cancelled_count -= 1
+                return twin
+        moved = [time, seq, callback, args]
         heappush(self._heap, moved)
         return moved
 

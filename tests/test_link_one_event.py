@@ -16,7 +16,10 @@ NEVER_DROPS = 5e-324
 
 class TestEventsPerTraversal:
     """One 64 B unicast across a 2-host star, switch already taught:
-    a link event per link plus the switch's pipeline event."""
+    a link event per link.  The switch forwards at ingress, so its
+    pipeline delay costs no event of its own.  A lossy link takes two
+    events per traversal; a WRR egress does too, and the switch keeps
+    its pipeline event in front of it."""
 
     def _events_for_one_unicast(self, configure=None, **star_kwargs):
         sim = Simulator(seed=1)
@@ -35,12 +38,12 @@ class TestEventsPerTraversal:
         assert len(got) == 1 and got[0].hops == 2
         return sim.events_dispatched - before
 
-    def test_loss_free_links_take_three(self):
-        assert self._events_for_one_unicast() == 3
+    def test_loss_free_links_take_two(self):
+        assert self._events_for_one_unicast() == 2
 
-    def test_lossy_links_take_five(self):
+    def test_lossy_links_take_four(self):
         assert self._events_for_one_unicast(
-            default_loss_rate=NEVER_DROPS) == 5
+            default_loss_rate=NEVER_DROPS) == 4
 
     def test_wrr_links_take_five(self):
         def weights(net):

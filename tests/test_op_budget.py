@@ -6,28 +6,31 @@ simulator dispatched (``sim.events_dispatched``) and the ``Process``
 objects made while it ran.  Both are exact for a seed, so a change to
 the op path shows here as a changed figure:
 
-* a remote load is 10 events: the tenant's clock (its first step and
-  its sleep), the op's first step, three hops out and three back, and
-  the zero-delay event in which the reply resumes the op;
+* a remote load is 8 events: the tenant's clock (its first step and
+  its sleep), the op's first step, two link events out and two back
+  (the switch forwards a known unicast at ingress, so its pipeline
+  delay is no event of its own), and the zero-delay event in which
+  the reply resumes the op;
 * a local hit is 4: the clock's two, the op's first step and its
   zero-delay yield;
-* an eager invocation run at the client with one staged input is 16:
-  the fetch's six hops and the compute sleep, plus zero-delay events
-  for the spawned stage-in fetch, the ``AllOf`` that waits on it and
-  the function's resident ``ctx.read``, itself a spawned process;
+* an eager invocation run at the client with one staged input is 14:
+  the fetch's four link events and the compute sleep, plus zero-delay
+  events for the spawned stage-in fetch, the ``AllOf`` that waits on
+  it and the function's resident ``ctx.read``, itself a spawned
+  process;
 * the same invocation run on another node (the client added with
-  ``can_execute=False``) is 24.  Placement picks the blob's home, so
+  ``can_execute=False``) is 20.  Placement picks the blob's home, so
   the one fetch stages the code instead of the blob, and the exec round
-  trip adds eight: three hops out and three back, the executor's
+  trip adds six: two link events out and two back, the executor's
   serving process starting, and the reply resuming the op;
-* a proxied invocation run at the client is 13: nothing is staged and
+* a proxied invocation run at the client is 11: nothing is staged and
   no ``ctx.read`` is spawned; the function's first touch of its proxy
-  resolves it through one fetch (spawned, six hops, its reply and the
-  ``AllOf`` that waits on it) after the compute sleep;
-* the same proxied invocation run on another node is 21: the executor
+  resolves it through one fetch (spawned, four link events, its reply
+  and the ``AllOf`` that waits on it) after the compute sleep;
+* the same proxied invocation run on another node is 17: the executor
   holds the blob, so its proxy resolves with no event, the code is
   staged there as in the eager case, and the exec round trip adds its
-  eight.
+  six.
 
 Every one of them has a process for the clock and one for the op.  An
 eager invocation has two more, the stage-in fetch and the ``ctx.read``;
@@ -95,7 +98,7 @@ def _one_op(runtime, op, made):
 
 def test_a_remote_load(made):
     runtime = _taught_star(["n0", "n1", "n2"])
-    assert _one_op(runtime, "load", made) == (10, 2)
+    assert _one_op(runtime, "load", made) == (8, 2)
     assert runtime.node("n0").tracer.counters["node.remote_read"] == 1
 
 
@@ -108,7 +111,7 @@ def test_a_local_hit(made):
 
 def test_an_eager_invocation_with_one_staged_input(made):
     runtime = _taught_star(["n0", "n1", "n2"])
-    assert _one_op(runtime, "invoke", made) == (16, 4)
+    assert _one_op(runtime, "invoke", made) == (14, 4)
     client = runtime.node("n0").tracer.counters
     # Run at the client: the code was already there, the blob was
     # fetched from its home n1.
@@ -118,7 +121,7 @@ def test_an_eager_invocation_with_one_staged_input(made):
 
 def test_an_eager_invocation_run_on_another_node(made):
     runtime = _taught_star(["n0", "n1", "n2"], client_executes=False)
-    assert _one_op(runtime, "invoke", made) == (24, 5)
+    assert _one_op(runtime, "invoke", made) == (20, 5)
     executor = runtime.node("n1").tracer.counters
     # Run at the blob's home n1, which fetched the code from n0.
     assert (executor["node.exec"], executor["node.fetched"]) == (1, 1)
@@ -127,7 +130,7 @@ def test_an_eager_invocation_run_on_another_node(made):
 
 def test_a_proxied_invocation_at_the_client(made):
     runtime = _taught_star(["n0", "n1", "n2"])
-    assert _one_op(runtime, "proxied_invoke", made) == (13, 3)
+    assert _one_op(runtime, "proxied_invoke", made) == (11, 3)
     client = runtime.node("n0").tracer.counters
     # The blob was fetched on first touch of its proxy, not staged.
     assert (client["node.exec"], client["node.fetched"]) == (1, 1)
@@ -135,6 +138,6 @@ def test_a_proxied_invocation_at_the_client(made):
 
 def test_a_proxied_invocation_run_on_another_node(made):
     runtime = _taught_star(["n0", "n1", "n2"], client_executes=False)
-    assert _one_op(runtime, "proxied_invoke", made) == (21, 4)
+    assert _one_op(runtime, "proxied_invoke", made) == (17, 4)
     executor = runtime.node("n1").tracer.counters
     assert (executor["node.exec"], executor["node.fetched"]) == (1, 1)

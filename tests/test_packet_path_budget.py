@@ -4,9 +4,11 @@
 tracing.  Call counts are exact, so this holds the packet path to its
 budget on any machine: nothing in ``sim/trace.py`` is called (counting
 is a list-cell add at the site), ``size_bytes`` is read, never computed,
-and the whole crossing stays within 15 calls (11 today on CPython 3.11;
-22 while an event was an object beside its heap entry and the hop sites
-called properties and ``send_on_port``; 45 before the sites bound their
+and the whole crossing stays within 12 calls (9 today on CPython 3.11,
+now that the switch forwards a known unicast at ingress instead of in
+a pipeline event; 11 while it scheduled ``_forward``; 22 while an event
+was an object beside its heap entry and the hop sites called
+properties and ``send_on_port``; 45 before the sites bound their
 counter cells).
 """
 
@@ -20,9 +22,9 @@ from repro.net import Packet, build_star
 from repro.sim import Simulator, trace
 
 PACKETS = 200
-MAX_CALLS_PER_PACKET = 15
+MAX_CALLS_PER_PACKET = 12
 MISSES = 200
-MAX_CALLS_PER_MISS = 72
+MAX_CALLS_PER_MISS = 68
 
 
 def _profiled_crossing() -> pstats.Stats:
@@ -74,8 +76,9 @@ def test_known_unicast_stays_within_its_call_budget():
 def test_plain_coherent_miss_stays_within_its_call_budget():
     """One read miss nobody else holds: an acquire to the home, a grant
     back, the copy installed.  Everything from ``agent.read`` to the
-    resumed reader, both packets' crossings included: 69 calls today,
-    95 before a packet was built by one call and an event by none."""
+    resumed reader, both packets' crossings included: 65 calls today,
+    69 while each crossing scheduled the switch's pipeline event, 95
+    before a packet was built by one call and an event by none."""
     sim = Simulator(seed=1)
     net = build_star(sim, 2)
     home_map = {}
