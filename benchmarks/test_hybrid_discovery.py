@@ -157,9 +157,7 @@ def run_skewed_point(hot_coverage_only: bool, seed: int = 27,
     tables.  ``hot_coverage_only=False`` runs the same workload with
     full coverage as the reference.
     """
-    import itertools
-
-    from repro.workloads import zipf
+    from repro.loadgen import ZipfSampler
 
     sim = Simulator(seed=seed)
     hot_set = max(1, N_OBJECTS // 8)
@@ -180,7 +178,7 @@ def run_skewed_point(hot_coverage_only: bool, seed: int = 27,
         pool.append(obj.oid)
         # Advertise in popularity order: the table fills with the hot set.
         advertise(home.host, obj.oid)
-    picker = zipf(pool, sim.rng, skew=skew)
+    popularity = ZipfSampler(len(pool), skew)
     records = []
     flood_baseline = {}
 
@@ -188,8 +186,8 @@ def run_skewed_point(hot_coverage_only: bool, seed: int = 27,
         yield Timeout(5_000)
         flood_baseline["n"] = sum(
             s.tracer.counters["switch.flooded"] for s in net.switches)
-        for oid in itertools.islice(picker, n_accesses):
-            record = yield sim.spawn(accessor.access(oid))
+        for _ in range(n_accesses):
+            record = yield sim.spawn(accessor.access(pool[popularity.sample(sim.rng)]))
             records.append(record)
         return None
 

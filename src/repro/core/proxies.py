@@ -45,7 +45,7 @@ State machine (see PROXIES.md for the full transition table)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..sim import Future, Tracer
 from .objectid import ObjectID
@@ -205,15 +205,6 @@ class ObjectProxy:
             return []
         return self._cache.backend.successors(self.oid, bytes(self._data))
 
-    def warm(self):
-        """Process: resolve *now*, ahead of any dereference — the eager
-        arm of the decision table (counts ``proxy.resolve.eager``)."""
-        if not self._classified and not self.resolved:
-            self._classified = True
-            self._cache.tracer.count("proxy.resolve.eager")
-        yield from self._ensure(classify=False)
-        return self
-
     # -- resolution machinery ------------------------------------------------
     def _classify(self) -> None:
         """Emit exactly one ``proxy.resolve.*`` counter per proxy, keyed
@@ -234,10 +225,9 @@ class ObjectProxy:
             key = "proxy.resolve.lazy"
         self._cache.tracer.count(key)
 
-    def _ensure(self, classify: bool = True):
+    def _ensure(self):
         """Process: drive the state machine until bytes are cached."""
-        if classify:
-            self._classify()
+        self._classify()
         while True:
             if self._state in (PROXY_CACHED, PROXY_OWNED):
                 return
@@ -328,28 +318,6 @@ class ProxyCache:
             return False
         proxy._invalidate()
         return True
-
-    def warm_many(self, refs: Iterable[GlobalRef]):
-        """Process: eagerly resolve every ref (batched), counting each
-        proxy as an eager resolution."""
-        proxies = [self.proxy(ref) for ref in refs]
-        need = []
-        for proxy in proxies:
-            if not proxy._classified and not proxy.resolved:
-                proxy._classified = True
-                self.tracer.count("proxy.resolve.eager")
-            if not proxy.resolved and self.inflight(proxy.oid) is None:
-                need.append(proxy)
-        if need:
-            epochs = {p.oid: p._epoch for p in need}
-            images = yield from self.backend.resolve_many(
-                [p.oid for p in need])
-            for proxy in need:
-                if proxy._epoch == epochs[proxy.oid]:
-                    proxy._fill(images[proxy.oid], from_prefetch=False)
-        for proxy in proxies:
-            yield from proxy._ensure(classify=False)
-        return proxies
 
     def start_prefetch(self, roots: Iterable[GlobalRef],
                        budget: Optional[PrefetchBudget] = None):

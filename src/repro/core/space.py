@@ -9,7 +9,7 @@ by ID; this module only handles local residency, creation, import/export
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .objectid import IDAllocator, ObjectID
 from .objects import DEFAULT_OBJECT_SIZE, KIND_DATA, MemObject
@@ -77,10 +77,6 @@ class ObjectSpace:
         if oid not in self._objects:
             raise SpaceError(f"cannot evict non-resident object {oid.short()}")
         return self._objects.pop(oid)
-
-    def object_ids(self) -> List[ObjectID]:
-        """IDs of all resident objects."""
-        return list(self._objects.keys())
 
     def __iter__(self) -> Iterator[MemObject]:
         return iter(self._objects.values())

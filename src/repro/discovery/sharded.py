@@ -31,10 +31,9 @@ the same fabric) under a Zipf-skewed access stream — the E18 workload.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.objectid import IDAllocator, ObjectID
 from ..core.space import ObjectSpace
@@ -44,6 +43,7 @@ from ..net.host import Host
 from ..net.packet import Packet
 from ..net.topology import Network
 from ..faults import FaultInjector, FaultPlan
+from ..loadgen.popularity import ZipfSampler
 from .base import (
     ACCESS_BYTES,
     KIND_ACCESS_NACK,
@@ -421,21 +421,6 @@ class LeaseCachingResolver:
             self.tracer.count("lease.timeout")
         return reply
 
-    def locator(self) -> Callable[[ObjectID, str], Optional[str]]:
-        """A ``(oid, to) -> holder`` lookup over the live lease cache,
-        suitable for :meth:`GlobalSpaceRuntime.set_locator` — leases
-        double as a location hint for the runtime's nearest-holder
-        path without any extra network traffic."""
-
-        def lookup(oid: ObjectID, to: str) -> Optional[str]:
-            entry = self.cache.get(oid)
-            if entry is None:
-                return None
-            holder, expiry = entry
-            return holder if expiry > self.sim.now else None
-
-        return lookup
-
 
 # ---------------------------------------------------------------------------
 # the E18 workload: Zipf-skewed accesses over the sharded plane
@@ -558,16 +543,6 @@ class ShardedTestbed:
                 for name, shard in self.shards.items()}
 
 
-def _zipf_cdf(n: int, s: float) -> List[float]:
-    weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
-    total = sum(weights)
-    cdf, acc = [], 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    return cdf
-
-
 def run_sharded_point(
     n_shards: int,
     n_objects: int = 40,
@@ -600,7 +575,7 @@ def run_sharded_point(
     rng = bed.sim.rng
     pool = [bed.create_object(bed.responders[i % len(bed.responders)])
             for i in range(n_objects)]
-    cdf = _zipf_cdf(n_objects, zipf_s)
+    popularity = ZipfSampler(n_objects, zipf_s)
     if shard_crash_window is not None:
         if bed.scheme != SCHEME_SHARDED:
             raise DiscoveryError("shard crash windows need the sharded scheme")
@@ -614,7 +589,7 @@ def run_sharded_point(
         for oid in pool:  # warm leases / destination caches (not measured)
             yield bed.sim.spawn(bed.accessor.access(oid), name="warmup")
         for _ in range(n_accesses):
-            oid = pool[bisect.bisect_left(cdf, rng.random())]
+            oid = pool[popularity.sample(rng)]
             if percent_moved and rng.random() < percent_moved / 100.0:
                 bed.move(oid)
                 yield from bed.settle(200.0)

@@ -20,7 +20,7 @@ percentiles on small traces.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import List
 
 from ..sim.trace import nearest_rank
 
@@ -118,10 +118,6 @@ class LatencyHistogram:
             if seen >= rank:
                 return self._upper_edge(index)
         return self._upper_edge(len(self._counts) - 1)  # pragma: no cover
-
-    def percentiles(self, ps: Iterable[float]) -> Dict[float, float]:
-        """``{p: latency}`` for each requested percentile (one pass each)."""
-        return {p: self.percentile(p) for p in ps}
 
     def mean(self) -> float:
         """Exact mean of recorded samples (0.0 when empty)."""

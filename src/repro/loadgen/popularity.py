@@ -14,11 +14,6 @@ that home them.
   by inverse-CDF: O(1) per draw and no precompute, the heavy-tail
   alternative (hotter head, longer usable tail at equal ``alpha``).
 * :class:`UniformSampler` — the no-skew control.
-
-These compose with (not replace) the smaller access-pattern iterators
-in :mod:`repro.workloads.patterns`: those yield *items* forever for
-closed-loop drivers; these map to *ranks* so a million-object keyspace
-never has to exist as a Python list.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from .export import (
     spans_to_jsonl,
     to_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from .keys import VOCABULARY, KeySpec
 from .registry import MetricsRegistry, RegistryError
@@ -30,5 +29,4 @@ __all__ = [
     "to_chrome_trace",
     "chrome_trace_to_spans",
     "write_chrome_trace",
-    "write_jsonl",
 ]

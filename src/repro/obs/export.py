@@ -33,7 +33,6 @@ __all__ = [
     "to_chrome_trace",
     "chrome_trace_to_spans",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 # Span fields that ride in a chrome event's "args" under reserved names
@@ -184,9 +183,3 @@ def write_chrome_trace(path: str, spans: Sequence[Span],
         json.dump(document, fh, indent=1)
         fh.write("\n")
     return document
-
-
-def write_jsonl(path: str, text: str) -> None:
-    """Write pre-rendered JSONL text to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -412,8 +412,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     # ---- proxy.* / prefetch.* (tracer `runtime.proxy.<host>`; see PROXIES.md)
     _k("proxy.resolve.lazy", "counter", "1",
        "Proxies first resolved by a demand dereference with no prefetch cover."),
-    _k("proxy.resolve.eager", "counter", "1",
-       "Proxies resolved eagerly (warm) ahead of any dereference."),
     _k("proxy.resolve.prefetch_hit", "counter", "1",
        "First dereferences that found prefetched bytes already cached."),
     _k("proxy.resolve.prefetch_miss", "counter", "1",

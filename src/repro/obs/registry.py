@@ -75,10 +75,6 @@ class MetricsRegistry:
         """Tracer by name; raises ``KeyError`` if unknown."""
         return self._tracers[name]
 
-    def names(self) -> List[str]:
-        """Sorted registered names."""
-        return sorted(self._tracers)
-
     def items(self) -> List[Tuple[str, Tracer]]:
         """(name, tracer) pairs, sorted by name."""
         return sorted(self._tracers.items())

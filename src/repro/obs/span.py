@@ -265,14 +265,6 @@ class SpanRecorder:
             out[child.name] = out.get(child.name, 0.0) + child.duration_us
         return out
 
-    def reset(self) -> None:
-        """Drop every recorded span (id counters keep advancing)."""
-        self._traces.clear()
-        self._by_id.clear()
-        self._recent.clear()
-        self._slowest.clear()
-        self._exemplars.clear()
-
     def __len__(self) -> int:
         return len(self._by_id)
 

@@ -500,8 +500,3 @@ class EventBus:
         """Unacked events a publisher still owes at-least-once consumers."""
         st = self._pub_states.get((host_name, topic))
         return len(st.unacked) if st is not None else 0
-
-    def buffered(self, host_name: str, topic: ObjectID) -> int:
-        """Events waiting in the publisher-side pacing buffer."""
-        st = self._pub_states.get((host_name, topic))
-        return len(st.buffer) if st is not None else 0

@@ -118,10 +118,6 @@ class PubSubFabric:
             for switch in self.network.switches:
                 switch.remove_identity_route(sub.topic)
 
-    def subscribers(self, topic: ObjectID) -> Tuple[Subscription, ...]:
-        """Current subscriptions for ``topic`` in subscription order."""
-        return tuple(self._by_topic.get(topic, ()))
-
     def _reinstall_topic(self, topic: ObjectID) -> None:
         """Recompute each switch's multicast port set for ``topic``."""
         subscribers = {s.host_name for s in self._by_topic.get(topic, [])

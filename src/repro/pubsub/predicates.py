@@ -10,7 +10,7 @@ with conjunction and disjunction, normalized to DNF for rule generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List
+from typing import Any, Dict, List
 
 __all__ = ["Predicate", "Eq", "InRange", "And", "Or", "TRUE", "PredicateError"]
 
@@ -24,10 +24,6 @@ class Predicate:
 
     def matches(self, values: Dict[str, Any]) -> bool:
         """Whether this matches the given field values."""
-        raise NotImplementedError
-
-    def fields(self) -> FrozenSet[str]:
-        """The field names this predicate inspects."""
         raise NotImplementedError
 
     def dnf(self) -> List[List["Predicate"]]:
@@ -52,10 +48,6 @@ class Eq(Predicate):
     def matches(self, values: Dict[str, Any]) -> bool:
         """Whether this matches the given field values."""
         return values.get(self.field) == self.value
-
-    def fields(self) -> FrozenSet[str]:
-        """Field names this predicate inspects."""
-        return frozenset({self.field})
 
     def dnf(self) -> List[List[Predicate]]:
         """Disjunctive normal form as a list of atom conjunctions."""
@@ -83,10 +75,6 @@ class InRange(Predicate):
         value = values.get(self.field)
         return isinstance(value, int) and self.lo <= value <= self.hi
 
-    def fields(self) -> FrozenSet[str]:
-        """Field names this predicate inspects."""
-        return frozenset({self.field})
-
     def dnf(self) -> List[List[Predicate]]:
         """Disjunctive normal form as a list of atom conjunctions."""
         return [[self]]
@@ -111,10 +99,6 @@ class And(Predicate):
     def matches(self, values: Dict[str, Any]) -> bool:
         """Whether this matches the given field values."""
         return all(child.matches(values) for child in self.children)
-
-    def fields(self) -> FrozenSet[str]:
-        """Field names this predicate inspects."""
-        return frozenset().union(*(child.fields() for child in self.children))
 
     def dnf(self) -> List[List[Predicate]]:
         # Cartesian product of the children's DNF terms.
@@ -144,10 +128,6 @@ class Or(Predicate):
         """Whether this matches the given field values."""
         return any(child.matches(values) for child in self.children)
 
-    def fields(self) -> FrozenSet[str]:
-        """Field names this predicate inspects."""
-        return frozenset().union(*(child.fields() for child in self.children))
-
     def dnf(self) -> List[List[Predicate]]:
         """Disjunctive normal form as a list of atom conjunctions."""
         terms: List[List[Predicate]] = []
@@ -165,10 +145,6 @@ class _True(Predicate):
     def matches(self, values: Dict[str, Any]) -> bool:
         """Whether this matches the given field values."""
         return True
-
-    def fields(self) -> FrozenSet[str]:
-        """Field names this predicate inspects."""
-        return frozenset()
 
     def dnf(self) -> List[List[Predicate]]:
         """Disjunctive normal form as a list of atom conjunctions."""

@@ -135,7 +135,8 @@ class SerializationClock:
     """Translates marshalling work into simulated microseconds.
 
     The RPC stack charges ``serialize_us``/``deserialize_us`` per
-    message; the object-space stack charges ``byte_copy_us`` instead.
+    message; the object-space stack charges the cost model's
+    ``byte_copy_time_us`` instead.
     Deserialization is the expensive side (allocation, pointer fix-up),
     per the §2 "70% of processing time" evidence.
     """
@@ -154,7 +155,3 @@ class SerializationClock:
         """Simulated deserialization time for ``nbytes``."""
         self.bytes_deserialized += nbytes
         return self.cost_model.deserialize_time_us(nbytes)
-
-    def byte_copy_us(self, nbytes: int) -> float:
-        """Simulated memcpy time for ``nbytes``."""
-        return self.cost_model.byte_copy_time_us(nbytes)

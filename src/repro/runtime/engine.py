@@ -18,7 +18,7 @@ Nothing in the caller's code names a host: Figure 1(3) falls out of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.codeobj import FunctionRegistry, write_code_object
 from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -263,7 +263,6 @@ class GlobalSpaceRuntime:
         self._profile_valid_until: Dict[str, float] = {}
         self.health.add_listener(self._invalidate_profile)
         self.locations: Dict[ObjectID, Set[str]] = {}
-        self._locator: Optional[Callable[[ObjectID, str], Optional[str]]] = None
         self._sizes: Dict[ObjectID, int] = {}
         self._invoke_ids = iter(range(1, 1 << 62))
         # MODE_ISOLATED object-set reservations (interference freedom).
@@ -367,13 +366,6 @@ class GlobalSpaceRuntime:
             raise RuntimeError_(f"object {oid.short()} unknown to the runtime")
         return set(holders)
 
-    def set_locator(self, locator: Optional[Callable[[ObjectID, str], Optional[str]]]) -> None:
-        """Install an optional ``(oid, to) -> holder`` location hint — e.g.
-        :meth:`LeaseCachingResolver.locator` from the sharded discovery
-        plane — consulted by :meth:`nearest_holder` before the hop-count
-        scan.  Pass ``None`` to remove it."""
-        self._locator = locator
-
     def holders_by_distance(self, oid: ObjectID, to: str) -> List[str]:
         """Replica holders of ``oid``, nearest to ``to`` first, equidistant
         ones in name order: a bare distance key would leave ties to set
@@ -382,15 +374,7 @@ class GlobalSpaceRuntime:
         return sorted(self.holders(oid), key=lambda h: (hops(h, to), h))
 
     def nearest_holder(self, oid: ObjectID, to: str) -> str:
-        """Closest replica holder to ``to`` by hop count.
-
-        A hint from an installed locator wins if it names a live replica;
-        a stale or unknown hint falls back to the scan (hints are an
-        optimisation, never a correctness input)."""
-        if self._locator is not None:
-            hint = self._locator(oid, to)
-            if hint is not None and hint in (self.locations.get(oid) or ()):
-                return hint
+        """Closest replica holder to ``to`` by hop count."""
         return self.holders_by_distance(oid, to)[0]
 
     def _effective_distance(self, a: str, b: str) -> int:
@@ -423,17 +407,6 @@ class GlobalSpaceRuntime:
         byte-level fetch paying wire costs); registers the new replica."""
         node = self.node(to)
         obj = yield from node.fetch_object(oid)
-        return obj
-
-    def migrate(self, oid: ObjectID, src: str, dst: str):
-        """Process: move ``oid`` from ``src`` to ``dst``: replicate, then
-        drop the source copy.  The identity is unchanged — references
-        held anywhere keep working through the directory."""
-        if src not in self.holders(oid):
-            raise RuntimeError_(f"{src} does not hold {oid.short()}")
-        obj = yield from self.node(dst).fetch_object(oid, holder=src)
-        if src != dst:
-            self.drop_replica(oid, src)
         return obj
 
     def drop_replica(self, oid: ObjectID, node_name: str) -> None:

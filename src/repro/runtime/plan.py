@@ -22,7 +22,7 @@ argument — 2x the intermediate bytes over the invoker's links per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.objectid import ObjectID
 from ..core.refs import GlobalRef
@@ -79,11 +79,6 @@ class PlanResult:
     value: Any
     latency_us: float
     step_results: List[InvokeResult]
-
-    @property
-    def placements(self) -> List[Tuple[str, str]]:
-        """(invoke id, executor) per step."""
-        return [(r.invoke_id, r.executed_at) for r in self.step_results]
 
     @property
     def executed_at(self) -> List[str]:

@@ -17,7 +17,7 @@ from .loop import (
     Simulator,
     Timeout,
 )
-from .primitives import Future, Latch, Resource, Store
+from .primitives import Future, Resource, Store
 from .trace import (
     NULL_TRACER,
     Counter,
@@ -40,7 +40,6 @@ __all__ = [
     "Store",
     "Resource",
     "Future",
-    "Latch",
     "Counter",
     "SampleSeries",
     "Summary",

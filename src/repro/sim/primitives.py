@@ -13,7 +13,7 @@ from typing import Any, Deque, List, Optional
 
 from .loop import Process, SimError, Simulator, Waitable
 
-__all__ = ["Store", "Resource", "Future", "Latch"]
+__all__ = ["Store", "Resource", "Future"]
 
 
 class _StoreGet(Waitable):
@@ -231,31 +231,3 @@ class Future(Waitable):
         if self._exc is not None:
             raise self._exc
         return self._value
-
-
-class Latch(Waitable):
-    """Count-down latch: completes after ``count`` calls to :meth:`arrive`."""
-
-    def __init__(self, sim: Simulator, count: int, name: str = ""):
-        if count < 0:
-            raise SimError(f"latch count must be non-negative, got {count}")
-        self.sim = sim
-        self.name = name
-        self.remaining = count
-        self._waiters: List[Process] = []
-
-    def _subscribe(self, sim: Simulator, process: Process) -> None:
-        if self.remaining == 0:
-            sim.schedule(0.0, process._resume, None)
-        else:
-            self._waiters.append(process)
-
-    def arrive(self) -> None:
-        """Count down once; opens the latch at zero."""
-        if self.remaining == 0:
-            raise SimError(f"latch {self.name!r} already open")
-        self.remaining -= 1
-        if self.remaining == 0:
-            for proc in self._waiters:
-                self.sim.schedule(0.0, proc._resume, None)
-            self._waiters = []

@@ -14,8 +14,6 @@ from .inference import (
     write_partition_object,
 )
 from .kvstore import ObjectKVClient, ObjectKVService, RpcKVClient, RpcKVService
-from .patterns import (hot_cold, pareto, sequential_sweep, uniform, zipf,
-                       zipf_weights)
 from .scenario import STRATEGIES, Scenario, StrategyResult, build_scenario, run_strategy
 from .traversal import (
     LIST_NODE,
@@ -50,10 +48,4 @@ __all__ = [
     "build_scenario",
     "run_strategy",
     "STRATEGIES",
-    "uniform",
-    "zipf",
-    "zipf_weights",
-    "pareto",
-    "hot_cold",
-    "sequential_sweep",
 ]

@@ -155,11 +155,6 @@ class Activation:
             raise ValueError("activation needs a positive dimension")
         return cls([rng.uniform(-1.0, 1.0) for _ in range(dimension)])
 
-    @property
-    def size_bytes(self) -> int:
-        """Total modelled wire size in bytes."""
-        return 8 * len(self.values)
-
 
 def dot_product(partition: ModelPartition, activation: Activation) -> float:
     """The inference kernel both stacks share: a sparse dot product.

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core import FunctionRegistry, IDAllocator
+from repro.core import IDAllocator
 from repro.discovery import (
     DiscoveryError,
     ShardDirectory,
@@ -25,7 +25,6 @@ from repro.discovery import (
 )
 from repro.discovery.sharded import ShardedTestbed
 from repro.net import build_star
-from repro.runtime import GlobalSpaceRuntime
 from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -209,15 +208,6 @@ class TestLeaseProtocol:
         assert shard.owner_of[oid] == "h0"
         assert shard.tracer.counters["shard.advertised"] == 1
 
-    def test_resolver_locator_exposes_live_leases(self):
-        bed = _bed(_seed(17))
-        oid = bed.create_object("resp1")
-        _settle_and_access(bed, oid)
-        lookup = bed.accessor.locator()
-        assert lookup(oid, "driver") == "resp1"
-        ghost = IDAllocator(seed=_seed(99)).allocate()
-        assert lookup(ghost, "driver") is None
-
 
 # ---------------------------------------------------------------------------
 # shard crash -> failover (the faults integration)
@@ -283,45 +273,3 @@ class TestShardedDeterminism:
         assert total == 40
         assert sum(sharded.advertise_load.values()) == total
         assert max(sharded.advertise_load.values()) < total
-
-
-# ---------------------------------------------------------------------------
-# the runtime locator hook
-# ---------------------------------------------------------------------------
-
-
-class TestRuntimeLocator:
-    def _runtime(self, seed):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 3, prefix="n")
-        runtime = GlobalSpaceRuntime(net, FunctionRegistry())
-        for name in ("n0", "n1", "n2"):
-            runtime.add_node(name)
-        blob = runtime.create_object("n1", size=256)
-        runtime.note_copy(blob.oid, "n2")
-        return runtime, blob.oid
-
-    def test_valid_hint_wins(self):
-        runtime, oid = self._runtime(_seed(31))
-        runtime.set_locator(lambda o, to: "n2")
-        assert runtime.nearest_holder(oid, "n0") == "n2"
-
-    def test_stale_hint_falls_back_to_the_scan(self):
-        runtime, oid = self._runtime(_seed(32))
-        runtime.set_locator(lambda o, to: "ghost")  # not a holder
-        assert runtime.nearest_holder(oid, "n0") in {"n1", "n2"}
-
-    def test_locator_removal_restores_default(self):
-        runtime, oid = self._runtime(_seed(33))
-        calls = []
-
-        def locator(o, to):
-            calls.append(o)
-            return None
-
-        runtime.set_locator(locator)
-        assert runtime.nearest_holder(oid, "n0") in {"n1", "n2"}
-        assert len(calls) == 1
-        runtime.set_locator(None)
-        assert runtime.nearest_holder(oid, "n0") in {"n1", "n2"}
-        assert len(calls) == 1  # not consulted any more

@@ -115,6 +115,34 @@ class TestLinkFaults:
         assert len(got) == 1
         assert net.tracer.counters["link.dropped"] == 1
 
+    @pytest.mark.parametrize("cut, delivered", [
+        (("h0", "s0"), [5, 150]),
+        # Failure is sampled at last-bit time: the 5 us packet is still
+        # on the switch's egress wire at 10 us, so it is lost too.
+        (("s0", "h1"), [150]),
+    ])
+    def test_injector_fails_and_restores_a_link(self, cut, delivered):
+        sim = Simulator(seed=_seed(20))
+        net = build_star(sim, 2)
+        got = []
+        net.host("h1").on("m", lambda p: got.append(p.payload))
+        plan = FaultPlan().fail_link(*cut, at=10).restore_link(*cut, at=100)
+        injector = FaultInjector(net, plan)
+        injector.arm()
+
+        def proc():
+            for sent_at in (5, 50, 150):
+                yield Timeout(sent_at - sim.now)
+                net.host("h0").send(Packet(kind="m", src="h0", dst="h1",
+                                           payload=sent_at))
+            yield Timeout(100)
+
+        sim.run_process(proc())
+        assert got == delivered
+        assert net.link_between(*cut).tracer.counters["link.dropped"] == 3 - len(delivered)
+        assert injector.tracer.counters["faults.injected.link_down"] == 1
+        assert injector.tracer.counters["faults.injected.link_up"] == 1
+
     def test_injector_degrades_and_restores_loss(self):
         sim = Simulator(seed=_seed(2))
         net = build_star(sim, 2)

@@ -120,6 +120,23 @@ def test_zipf_head_dominates_and_stays_in_range():
     assert head_share > 0.5  # a 1M keyspace, yet the head dominates
 
 
+class _TopRng:
+    """Always draws the largest value ``random.random()`` can return."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.1, 1.2, 2.0])
+def test_zipf_top_draw_stays_in_range(alpha):
+    """The top draw maps to the coldest rank, never one past it.  A CDF
+    normalised as it accumulates can end just below 1.0 (at alpha 1.1
+    for 123 of n = 2..200), so bisecting it with a draw near 1.0
+    returns n; comparing against ``draw * total`` cannot overshoot."""
+    for keyspace in range(1, 201):
+        assert ZipfSampler(keyspace, alpha).sample(_TopRng()) < keyspace
+
+
 @pytest.mark.parametrize("alpha", [0.9, 1.2])
 def test_zipf_draws_equal_a_list_backed_reference(alpha):
     """The packed cumulative table draws exactly the ranks a list of

@@ -121,24 +121,6 @@ class TestProxyStateMachine:
         b = cache.proxy(GlobalRef(oids[0], 8, "read"))
         assert a is b
 
-    def test_warm_counts_eager_not_lazy(self):
-        sim, backend, cache, oids = _scripted()
-        proxy = cache.proxy(GlobalRef(oids[0], 0, "read"))
-        sim.run_process(proxy.warm())
-        assert proxy.resolved
-        sim.run_process(proxy.read(0, 4))
-        counters = cache.tracer.counters
-        assert counters.get("proxy.resolve.eager") == 1
-        assert counters.get("proxy.resolve.lazy") == 0
-
-    def test_warm_many_batches_one_resolve(self):
-        sim, backend, cache, oids = _scripted()
-        refs = [GlobalRef(oid, 0, "read") for oid in oids]
-        sim.run_process(cache.warm_many(refs))
-        assert len(backend.resolves) == 1
-        assert backend.resolves[0] == oids
-        assert cache.tracer.counters.get("proxy.resolve.eager") == len(oids)
-
     def test_write_transfers_ownership(self):
         sim, backend, cache, oids = _scripted()
         proxy = cache.proxy(GlobalRef(oids[0], 0, "write"))

@@ -55,10 +55,6 @@ class TestPredicates:
         assert TRUE.matches({})
         assert TRUE.matches({"anything": 1})
 
-    def test_fields_union(self):
-        predicate = Eq("a", 1) & (Eq("b", 2) | Eq("c", 3))
-        assert predicate.fields() == {"a", "b", "c"}
-
     def test_dnf_of_nested(self):
         predicate = Eq("a", 1) & (Eq("b", 2) | Eq("c", 3))
         terms = predicate.dnf()

@@ -566,31 +566,6 @@ class TestReplicationApi:
         quick, slow = sim.run_process(proc())
         assert slow > quick * 10
 
-    def test_migrate_moves_and_updates_directory(self):
-        sim, net, registry, runtime = make_cluster()
-        obj = runtime.create_object("n1", size=512)
-        obj.write(0, b"nomad")
-
-        def proc():
-            moved = yield sim.spawn(runtime.migrate(obj.oid, "n1", "n2"))
-            return moved.read(0, 5)
-
-        assert sim.run_process(proc()) == b"nomad"
-        assert runtime.holders(obj.oid) == {"n2"}
-        assert obj.oid not in runtime.node("n1").space
-
-    def test_migrate_requires_source_to_hold(self):
-        sim, net, registry, runtime = make_cluster()
-        obj = runtime.create_object("n1", size=128)
-
-        def proc():
-            try:
-                yield sim.spawn(runtime.migrate(obj.oid, "n2", "n3"))
-            except RuntimeError_:
-                return "raised"
-
-        assert sim.run_process(proc()) == "raised"
-
     def test_references_survive_migration(self):
         sim, net, registry, runtime = make_cluster()
 
@@ -606,7 +581,11 @@ class TestReplicationApi:
         ref = GlobalRef(obj.oid, 0, "read")
 
         def proc():
-            yield sim.spawn(runtime.migrate(obj.oid, "n1", "n3"))
+            # Move the object: copy it to n3, then drop the source copy.
+            yield sim.spawn(runtime.replicate(obj.oid, "n3"))
+            runtime.drop_replica(obj.oid, "n1")
+            assert runtime.holders(obj.oid) == {"n3"}
+            assert obj.oid not in runtime.node("n1").space
             result = yield sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"blob": ref}))
             return result

@@ -1,8 +1,8 @@
-"""Unit tests for Store, Resource, Future, and Latch."""
+"""Unit tests for Store, Resource and Future."""
 
 import pytest
 
-from repro.sim import Future, Latch, Resource, SimError, Store, Timeout
+from repro.sim import Future, Resource, SimError, Store, Timeout
 
 
 class TestStore:
@@ -224,37 +224,3 @@ class TestFuture:
         sim.schedule(1.0, future.set_result, "shared")
         sim.run()
         assert sorted(results) == [("a", "shared"), ("b", "shared")]
-
-
-class TestLatch:
-    def test_opens_after_count(self, sim):
-        latch = Latch(sim, count=3)
-
-        def waiter():
-            yield latch
-            return sim.now
-
-        proc = sim.spawn(waiter())
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, latch.arrive)
-        sim.run()
-        assert proc.result == pytest.approx(3.0)
-
-    def test_zero_count_is_open(self, sim):
-        latch = Latch(sim, count=0)
-
-        def waiter():
-            yield latch
-            return "through"
-
-        assert sim.run_process(waiter()) == "through"
-
-    def test_extra_arrive_raises(self, sim):
-        latch = Latch(sim, count=1)
-        latch.arrive()
-        with pytest.raises(SimError):
-            latch.arrive()
-
-    def test_negative_count_rejected(self, sim):
-        with pytest.raises(SimError):
-            Latch(sim, count=-1)
