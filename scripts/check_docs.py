@@ -189,7 +189,7 @@ def check_documented_keys_emitted() -> List[str]:
 
 
 def check_emitted_keys_documented() -> List[str]:
-    specs = keymod.specs_by_name()
+    specs = {spec.name for spec in keymod.VOCABULARY}
     families = [name[:-1] for name in specs if name.endswith(".*")]
     problems = []
     for rel in INSTRUMENTED:

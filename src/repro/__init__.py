@@ -18,7 +18,7 @@ Quick start::
 
     @registry.register("hello")
     def hello(ctx, args):
-        return f"ran on {ctx.here}"
+        return f"ran on {ctx.node.name}"
 
     rt = GlobalSpaceRuntime(net, registry)
     for name in ("n0", "n1", "n2"):

@@ -48,7 +48,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.proxies import ObjectProxy
 from ..core.refs import GlobalRef
+from ..runtime.node import MODE_EAGER, MODE_PROXIED
 from ..sim import Timeout
 from .arrivals import make_arrivals
 from .histogram import LatencyHistogram
@@ -81,8 +83,6 @@ def register_loadgen_touch(registry) -> None:
 
     def loadgen_touch(ctx, args):
         """Read ``args['nbytes']`` of ``args['blob']``; returns {'bytes'}."""
-        from ..core.proxies import ObjectProxy
-
         blob = args["blob"]
         nbytes = int(args.get("nbytes", 64))
         if isinstance(blob, ObjectProxy):
@@ -453,8 +453,6 @@ class LoadGenerator:
             yield Timeout(0.0)
 
     def _do_invoke(self, state: _TenantState, ref: GlobalRef, proxied: bool):
-        from ..runtime.engine import MODE_EAGER, MODE_PROXIED
-
         nbytes = min(state.spec.read_bytes, self.object_bytes)
         yield from self.runtime.invoke(
             state.spec.client, state.code_ref,

@@ -143,7 +143,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("node.write_denied", "counter", "1",
        "Write requests refused by the ACL."),
     _k("node.write_timeout", "counter", "1", "Remote writes that timed out."),
-    _k("node.remote_write", "counter", "1", "Remote writes completed."),
+    _k("node.remote_write", "counter", "1",
+       "Stores completed at the object's home from any other node."),
     _k("node.isolated_claim", "counter", "1",
        "Objects claimed for exclusive ownership by an isolated-mode "
        "invocation before its compute window."),
@@ -480,8 +481,3 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Publishes that could not transmit immediately for lack of "
        "consumer credit (buffered, blocked, or shed)."),
 )
-
-
-def specs_by_name() -> dict:
-    """``{name: KeySpec}`` for vocabulary lookups."""
-    return {spec.name: spec for spec in VOCABULARY}

@@ -218,7 +218,9 @@ class GlobalSpaceRuntime:
     existing :class:`~repro.net.topology.Network`.  The runtime keeps
     the replica directory (``locations``) that stands in for the
     discovery layer of §4 — data-plane transfers still traverse the
-    simulated network and pay full transmission costs.
+    simulated network and pay full transmission costs.  Each object has
+    one home among its holders: every store is applied there, and the
+    other copies are caches of it.
     """
 
     def __init__(self, network: Network,
@@ -263,6 +265,7 @@ class GlobalSpaceRuntime:
         self._profile_valid_until: Dict[str, float] = {}
         self.health.add_listener(self._invalidate_profile)
         self.locations: Dict[ObjectID, Set[str]] = {}
+        self._homes: Dict[ObjectID, str] = {}
         self._sizes: Dict[ObjectID, int] = {}
         self._invoke_ids = iter(range(1, 1 << 62))
         # MODE_ISOLATED object-set reservations (interference freedom).
@@ -335,8 +338,7 @@ class GlobalSpaceRuntime:
     def create_object(self, node_name: str, size: int, label: str = "") -> MemObject:
         """Create a data object resident on ``node_name``."""
         obj = self.node(node_name).space.create_object(size=size, label=label)
-        self.locations[obj.oid] = {node_name}
-        self._sizes[obj.oid] = obj.wire_size
+        self._register(obj, node_name)
         return obj
 
     def create_code(self, node_name: str, entry: str, text_size: int,
@@ -346,8 +348,7 @@ class GlobalSpaceRuntime:
         if entry not in self.registry:
             raise RuntimeError_(f"no registered function {entry!r}")
         obj = write_code_object(self.node(node_name).space, entry, text_size, label)
-        self.locations[obj.oid] = {node_name}
-        self._sizes[obj.oid] = obj.wire_size
+        self._register(obj, node_name)
         return obj, GlobalRef(obj.oid, 0, "read")
 
     def adopt_object(self, node_name: str, obj: MemObject) -> None:
@@ -355,7 +356,12 @@ class GlobalSpaceRuntime:
         node = self.node(node_name)
         if obj.oid not in node.space:
             node.space.insert(obj)
-        self.locations[obj.oid] = {node_name}
+        self._register(obj, node_name)
+
+    def _register(self, obj: MemObject, home: str) -> None:
+        """Enter a new object in the directory, held and homed at ``home``."""
+        self.locations[obj.oid] = {home}
+        self._homes[obj.oid] = home
         self._sizes[obj.oid] = obj.wire_size
 
     # -- directory ------------------------------------------------------------
@@ -373,9 +379,13 @@ class GlobalSpaceRuntime:
         hops = self.network.hop_distance
         return sorted(self.holders(oid), key=lambda h: (hops(h, to), h))
 
-    def nearest_holder(self, oid: ObjectID, to: str) -> str:
-        """Closest replica holder to ``to`` by hop count."""
-        return self.holders_by_distance(oid, to)[0]
+    def home(self, oid: ObjectID) -> str:
+        """The node every store to ``oid`` is applied at: where the
+        object was created, until :meth:`claim_ownership` moves it."""
+        home = self._homes.get(oid)
+        if home is None:
+            raise RuntimeError_(f"object {oid.short()} unknown to the runtime")
+        return home
 
     def _effective_distance(self, a: str, b: str) -> int:
         """Latency-weighted distance in equivalent cost-model hops.
@@ -409,20 +419,9 @@ class GlobalSpaceRuntime:
         obj = yield from node.fetch_object(oid)
         return obj
 
-    def drop_replica(self, oid: ObjectID, node_name: str) -> None:
-        """Evict a replica (e.g., capacity pressure or invalidation)."""
-        node = self.node(node_name)
-        holders = self.holders(oid)
-        if len(holders) == 1 and node_name in holders:
-            raise RuntimeError_(f"refusing to drop the last replica of {oid.short()}")
-        if oid in node.space:
-            node.space.evict(oid)
-        holders = self.locations[oid]
-        holders.discard(node_name)
-
     def claim_ownership(self, oid: ObjectID, owner: str) -> None:
         """Directory-backed ownership transfer: make ``owner`` the sole
-        replica holder of ``oid``.
+        replica holder of ``oid``, and its home.
 
         Every other holder's copy is evicted and its proxy cache
         invalidated, so no replica (or proxy image derived from one) can
@@ -431,14 +430,17 @@ class GlobalSpaceRuntime:
         push costs no data-plane transfer (the dropped copies carry no
         dirty state; the owner's copy is authoritative from here on).
         """
-        if owner not in self.holders(oid):
+        holders = self.holders(oid)
+        if owner not in holders:
             raise RuntimeError_(
                 f"{owner} holds no replica of {oid.short()} to take ownership of")
-        for holder in sorted(self.holders(oid)):
-            if holder == owner:
-                continue
-            self.drop_replica(oid, holder)
-            self.node(holder).proxies.invalidate(oid)
+        for holder in sorted(holders - {owner}):
+            node = self.node(holder)
+            if oid in node.space:
+                node.space.evict(oid)
+            node.proxies.invalidate(oid)
+        self.locations[oid] = {owner}
+        self._homes[oid] = owner
 
     def object_size(self, oid: ObjectID) -> int:
         """Registered wire size of ``oid``."""
@@ -448,10 +450,9 @@ class GlobalSpaceRuntime:
         return size
 
     def peek_object(self, oid: ObjectID) -> MemObject:
-        """Oracle view of some replica (used for FOT resolution when the
-        object is not resident where the pointer is being followed)."""
-        holder = next(iter(self.holders(oid)))
-        return self.node(holder).space.get(oid)
+        """Oracle view of the home's copy (used for FOT resolution when
+        the object is not resident where the pointer is being followed)."""
+        return self.node(self.home(oid)).space.get(oid)
 
     # -- access control ---------------------------------------------------------
     def protect(self, oid: ObjectID, owner: str, readers=None, writers=()):

@@ -26,6 +26,7 @@ import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..core.codeobj import read_code_entry
 from ..core.objectid import ObjectID
 from ..core.proxies import ObjectProxy, PrefetchBudget, ProxyCache
 from ..core.refs import GlobalRef
@@ -531,8 +532,6 @@ class ClusterNode:
         The code object must be resident (the runtime moves it first);
         the function body runs against an :class:`ExecutionContext`.
         """
-        from ..core.codeobj import read_code_entry  # local import, no cycle
-
         if code_oid not in self.space:
             raise RuntimeError_(f"code object {code_oid.short()} not resident on {self.name}")
         entry, _text_size = read_code_entry(self.space.get(code_oid))
@@ -551,19 +550,16 @@ class ClusterNode:
         return result
 
     # -- client-side primitives ------------------------------------------------
-    def _ask_holders(self, kind: str, oid: ObjectID, holder: Optional[str],
+    def _ask_holders(self, kind: str, oid: ObjectID, sources: List[str],
                      fields: dict, payload_bytes: int, timeout_key: str):
-        """Process: put one ``kind`` request about ``oid`` to its replica
-        holders, nearest first (or to ``holder`` alone), until one serves
-        it; returns its reply.
+        """Process: put one ``kind`` request about ``oid`` to each of
+        ``sources`` in turn until one serves it; returns its reply.
 
         A timeout (crashed holder: the §5 partial-failure case) suspects
         the holder and a NACK or ``ok: False`` (stale or refusing holder)
         does not; both fail over to the next replica, and the last error
         is raised once none is left.
         """
-        sources = ([holder] if holder is not None
-                   else self.runtime.holders_by_distance(oid, self.name))
         last_error = None
         for source in sources:
             if source == self.name:
@@ -589,11 +585,11 @@ class ClusterNode:
         raise last_error if last_error is not None else RuntimeError_(
             f"no source for object {oid.short()}")
 
-    def fetch_object(self, oid: ObjectID, holder: Optional[str] = None,
-                     span=None):
-        """Process: pull a full object image into our space, failing over
-        across replicas (:meth:`_ask_holders`).  ``span`` (usually the
-        stage_in phase) parents a per-object fetch span.
+    def fetch_object(self, oid: ObjectID, span=None):
+        """Process: pull a full object image into our space from its
+        holders, nearest first, failing over across them
+        (:meth:`_ask_holders`).  ``span`` (usually the stage_in phase)
+        parents a per-object fetch span.
         """
         fetch_span = None
         if span is not None:
@@ -605,8 +601,9 @@ class ClusterNode:
             return self.space.get(oid)
         try:
             reply = yield from self._ask_holders(
-                m.KIND_FETCH_REQ, oid, holder, {}, m.FETCH_REQ_BYTES,
-                "node.fetch_timeout")
+                m.KIND_FETCH_REQ, oid,
+                self.runtime.holders_by_distance(oid, self.name), {},
+                m.FETCH_REQ_BYTES, "node.fetch_timeout")
         except RuntimeError_:
             if fetch_span is not None:
                 fetch_span.finish(error=True)
@@ -618,32 +615,36 @@ class ClusterNode:
             fetch_span.finish(source=reply.src, bytes=obj.wire_size)
         return obj
 
-    def remote_read(self, oid: ObjectID, offset: int, length: int,
-                    holder: Optional[str] = None):
-        """Process: demand-read a range of a remote object, failing over
-        across replicas on denial, staleness, or holder crash."""
+    def remote_read(self, oid: ObjectID, offset: int, length: int):
+        """Process: demand-read a range of a remote object from its
+        holders, nearest first, failing over across them on denial,
+        staleness, or holder crash."""
         reply = yield from self._ask_holders(
-            m.KIND_READ_REQ, oid, holder, {"offset": offset, "length": length},
+            m.KIND_READ_REQ, oid,
+            self.runtime.holders_by_distance(oid, self.name),
+            {"offset": offset, "length": length},
             m.READ_REQ_BYTES, "node.read_timeout")
         self._n_remote_read[0] += 1
         return reply.payload["data"]
 
-    def remote_write(self, oid: ObjectID, offset: int, data: bytes,
-                     holder: Optional[str] = None):
-        """Process: demand-write a range of a remote object.
+    def remote_write(self, oid: ObjectID, offset: int, data: bytes):
+        """Process: write a range of ``oid`` at its home, from here.
 
-        The write goes to one holder, the nearest (:meth:`_ask_holders`
-        with that holder alone).  A holder that does not answer in time
-        is suspected and the write raises :class:`FetchTimeout`; it is
-        not retried elsewhere (a write redirected to a stale copy is
-        divergence, not recovery).
+        One ``gs.write_req`` goes to the home; once it is applied there,
+        a copy this node holds takes the same bytes, so a writer reads
+        its own write.  A home that does not answer in time is suspected
+        and the write raises :class:`FetchTimeout`; it is not retried
+        elsewhere (a write redirected to a stale copy is divergence, not
+        recovery).
         """
-        if holder is None:
-            holder = self.runtime.nearest_holder(oid, self.name)
         yield from self._ask_holders(
-            m.KIND_WRITE_REQ, oid, holder, {"offset": offset, "data": data},
+            m.KIND_WRITE_REQ, oid, [self.runtime.home(oid)],
+            {"offset": offset, "data": data},
             m.READ_REQ_BYTES + len(data), "node.write_timeout")
         self._n_remote_write[0] += 1
+        copy = self.space.try_get(oid)
+        if copy is not None:
+            copy.write(offset, data)
         return True
 
     def load(self, oid: ObjectID, offset: int, length: int):
@@ -656,9 +657,9 @@ class ClusterNode:
         return data
 
     def store(self, oid: ObjectID, offset: int, data: bytes):
-        """Process: write a byte range of ``oid`` wherever it is — the
-        resident copy at this instant, else a :meth:`remote_write`."""
-        if oid in self.space:
+        """Process: write a byte range of ``oid`` at its home — in place
+        when that is this node, else a :meth:`remote_write`."""
+        if self.runtime.home(oid) == self.name:
             yield Timeout(0.0)
             self.space.get(oid).write(offset, data)
             return True
@@ -684,11 +685,6 @@ class ExecutionContext:
         self.local_reads = 0
         self.remote_writes = 0
         self.local_writes = 0
-
-    @property
-    def here(self) -> str:
-        """Name of the node this context executes on."""
-        return self.node.name
 
     def read(self, ref: GlobalRef, offset: int = 0, length: int = 64):
         """Waitable: read bytes at ``ref.offset + offset``."""
@@ -716,7 +712,7 @@ class ExecutionContext:
         if not ref.writable:
             raise RuntimeError_(f"reference {ref} is not writable")
         self.node.runtime.policies.check_write(ref.oid, self.node.name)
-        if ref.oid in self.node.space:
+        if self.node.runtime.home(ref.oid) == self.node.name:
             self.local_writes += 1
         else:
             self.remote_writes += 1

@@ -246,22 +246,40 @@ class TestRuntimeFailover:
         assert not runtime.health.is_suspected("n0")
         assert runtime.health.is_suspected("n1")
 
-    def test_pinned_fetch_to_specific_dead_holder_raises(self):
+    def test_a_timed_out_invocation_may_have_run_on_every_executor(self):
+        # The retry contract (ARCHITECTURE.md, Layer 4): InvokeTimeout
+        # means the body ran zero or more times, on any executor tried.
+        # Each attempt computes past its 400 us deadline, so the invoker
+        # gives up on n2, fails over to n3 and gives up there too, yet
+        # both executors go on to run the body.
         sim, net, registry, runtime = make_cluster()
-        obj = runtime.create_object("n1", size=128)
-        runtime.node("n2").space.insert(obj.clone())
-        runtime.note_copy(obj.oid, "n2")
-        net.host("n1").fail()
+        ran_on = []
+
+        @registry.register("slow_increment")
+        def slow_increment(ctx, args):
+            ran_on.append(ctx.node.name)
+            raw = yield ctx.read(args["blob"], 0, 1)
+            yield ctx.write(args["blob"], bytes([raw[0] + 1]))
+            return raw[0]
+
+        blob = runtime.create_object("n1", size=64)
+        _, code_ref = runtime.create_code("n0", "slow_increment",
+                                          text_size=128)
 
         def proc():
             try:
-                # Explicit holder: no failover is attempted.
-                yield sim.spawn(runtime.node("n0").fetch_object(obj.oid,
-                                                                holder="n1"))
-            except RuntimeError_:
-                return "raised"
+                yield sim.spawn(runtime.invoke(
+                    "n0", code_ref,
+                    data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
+                    flops=1e7, candidates=["n2", "n3"],
+                    retry=RetryPolicy(max_attempts=2, deadline_us=400.0)))
+            except Exception as exc:
+                return exc
 
-        assert sim.run_process(proc()) == "raised"
+        exc = sim.run_process(proc())
+        assert type(exc) is InvokeTimeout
+        assert "after 2 attempt(s)" in str(exc)
+        assert sorted(ran_on) == ["n2", "n3"]
 
     def test_late_reply_still_rehabilitates_a_suspected_holder(self):
         # The round trip to n1 (two 5 us hops each way plus the switch)
@@ -293,8 +311,9 @@ class TestRuntimeFailover:
     def test_write_to_crashed_holder_raises_at_the_deadline(self):
         sim, net, registry, runtime = make_cluster()
         obj = runtime.create_object("n1", size=512)
-        # A live replica elsewhere must not be written instead: a write
-        # redirected to a stale copy is divergence, not recovery.
+        # The write goes to the home, n1.  A live replica elsewhere must
+        # not be written instead: a write redirected to a stale copy is
+        # divergence, not recovery.
         runtime.node("n2").space.insert(obj.clone())
         runtime.note_copy(obj.oid, "n2")
         net.host("n1").fail()
@@ -302,7 +321,7 @@ class TestRuntimeFailover:
 
         def proc():
             try:
-                yield from writer.remote_write(obj.oid, 0, b"lost", holder="n1")
+                yield from writer.remote_write(obj.oid, 0, b"lost")
             except FetchTimeout as exc:
                 return str(exc), sim.now
 

@@ -381,6 +381,38 @@ def test_spec_validation():
         LoadGenerator(runtime, [good, good], duration_us=1_000.0)
 
 
+def test_a_store_from_a_staged_copy_lands_at_the_home():
+    """The client is the only node that executes, so an eager invoke
+    stages the object there; the store that follows must still reach
+    the object's home, not just the client's copy."""
+    sim = Simulator(seed=seed(5))
+    net = build_star(sim, 3, default_latency_us=2.0)
+    runtime = GlobalSpaceRuntime(net)
+    runtime.add_node("h0")
+    for name in ("h1", "h2"):
+        runtime.add_node(name, can_execute=False)
+    tenant = TenantSpec(name="w", client="h0", rate_per_sec=1.0, keyspace=1,
+                        mix=(("invoke", 1.0), ("store", 1.0)))
+    generator = LoadGenerator(runtime, [tenant], duration_us=1.0)
+    state = generator._states[0]
+    ref = generator._ref_for(state, 0)
+    (home,) = runtime.holders(ref.oid)
+    assert home != "h0"
+    runtime.node(home).space.get(ref.oid).write(0, b"\xaa" * 64)
+
+    def proc():
+        for op in ("invoke", "store"):
+            state.inflight += 1
+            yield sim.spawn(generator._run_op(state, op, ref, 0))
+
+    sim.run_process(proc())
+    assert (state.completed, state.failed) == (2, 0)
+    assert runtime.holders(ref.oid) == {"h0", home}
+    stored = bytes(64)
+    assert runtime.node(home).space.get(ref.oid).read(0, 64) == stored
+    assert runtime.node("h0").space.get(ref.oid).read(0, 64) == stored
+
+
 # ---------------------------------------------------------------------------
 # live-profile cache regression (the satellite bugfix)
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro import (FunctionRegistry, GlobalRef, GlobalSpaceRuntime,
                    MetricsRegistry, Simulator, build_star)
 from repro.obs import (SpanRecorder, chrome_trace_to_spans, snapshot_to_jsonl,
                        spans_to_jsonl, to_chrome_trace, write_chrome_trace)
-from repro.obs.keys import VOCABULARY, KeySpec, specs_by_name
+from repro.obs.keys import VOCABULARY, KeySpec
 from repro.obs.registry import RegistryError
 from repro.obs.span import KEEP_RECENT, KEEP_SLOWEST
 from repro.sim import Timeout
@@ -432,7 +432,8 @@ class TestVocabulary:
     def test_specs_are_unique_and_valid(self):
         names = [spec.name for spec in VOCABULARY]
         assert len(names) == len(set(names))
-        assert specs_by_name()["host.tx_bytes"].unit == "bytes"
+        specs = {spec.name: spec for spec in VOCABULARY}
+        assert specs["host.tx_bytes"].unit == "bytes"
 
     def test_unit_suffix_conventions_hold(self):
         for spec in VOCABULARY:

@@ -17,6 +17,7 @@ from repro.runtime import (
     GlobalSpaceRuntime,
     MODE_EAGER,
     MODE_LAZY,
+    MODE_PROXIED,
     RuntimeError_,
 )
 from repro.sim import Simulator
@@ -65,6 +66,8 @@ class TestClusterSetup:
             runtime.holders(ghost)
         with pytest.raises(RuntimeError_):
             runtime.object_size(ghost)
+        with pytest.raises(RuntimeError_):
+            runtime.home(ghost)
 
     def test_adopt_object(self):
         sim, net, registry, runtime = make_cluster()
@@ -85,11 +88,13 @@ class TestClusterSetup:
         runtime.note_copy(obj.oid, "h1_0")
         # copy the bytes so the replica is real
         runtime.node("h1_0").space.insert(obj.clone())
-        assert runtime.nearest_holder(obj.oid, "h2_0") == "h1_0"
+        assert runtime.holders_by_distance(obj.oid, "h2_0")[0] == "h1_0"
 
     def test_equidistant_holders_do_not_depend_on_the_hash_seed(self):
         # With replicas on h1..h5 of a star every holder is two hops from
         # h0; a bare distance key picked whichever the set yielded first.
+        # Each copy starts with its holder's digit, so the byte
+        # peek_object returns names the copy it read: always the home's.
         script = (
             "from repro.core import FunctionRegistry\n"
             "from repro.net import build_star\n"
@@ -99,9 +104,13 @@ class TestClusterSetup:
             "runtime = GlobalSpaceRuntime(net, FunctionRegistry())\n"
             "for i in range(6): runtime.add_node(f'h{i}')\n"
             "obj = runtime.create_object('h3', size=64)\n"
+            "obj.write(0, b'3')\n"
             "for name in ('h5', 'h1', 'h4', 'h2'):\n"
+            "    copy = obj.clone()\n"
+            "    copy.write(0, name[1].encode())\n"
+            "    runtime.node(name).space.insert(copy)\n"
             "    runtime.note_copy(obj.oid, name)\n"
-            "print(runtime.nearest_holder(obj.oid, 'h0'),\n"
+            "print(runtime.peek_object(obj.oid).read(0, 1).decode(),\n"
             "      *runtime.holders_by_distance(obj.oid, 'h0'))\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         answers = set()
@@ -112,7 +121,7 @@ class TestClusterSetup:
                                   capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
             answers.add(done.stdout.strip())
-        assert answers == {"h1 h1 h2 h3 h4 h5"}
+        assert answers == {"3 h1 h2 h3 h4 h5"}
 
     def test_effective_distance_follows_topology_changes(self):
         sim = Simulator(seed=2)
@@ -157,12 +166,6 @@ class TestClusterSetup:
         assert 0 < len(walks) <= len(net.nodes)
         assert len(set(walks)) == len(walks)
 
-    def test_drop_replica_guards_last_copy(self):
-        sim, net, registry, runtime = make_cluster()
-        obj = runtime.create_object("n0", size=64)
-        with pytest.raises(RuntimeError_):
-            runtime.drop_replica(obj.oid, "n0")
-
 
 class TestInvocation:
     def test_result_value_and_metadata(self):
@@ -190,7 +193,7 @@ class TestInvocation:
 
         @registry.register("measure")
         def measure(ctx, args):
-            return ctx.here
+            return ctx.node.name
 
         big = runtime.create_object("n2", size=2_000_000)
         _, code_ref = runtime.create_code("n0", "measure", text_size=512)
@@ -278,6 +281,8 @@ class TestInvocation:
         assert blob.oid not in runtime.node("n2").space  # never staged
 
     def test_writes_are_counted_as_writes_not_reads(self):
+        # A write is local at the object's home and remote anywhere else,
+        # even where a staged copy is resident.
         sim, net, registry, runtime = make_cluster()
 
         @registry.register("write_local")
@@ -286,25 +291,32 @@ class TestInvocation:
             return (ctx.local_reads, ctx.remote_reads,
                     ctx.local_writes, ctx.remote_writes)
 
-        blob = runtime.create_object("n2", size=4096)
         _, code_ref = runtime.create_code("n2", "write_local", text_size=256)
 
-        def proc():
-            result = yield sim.spawn(runtime.invoke(
-                "n2", code_ref,
-                data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
-                mode=MODE_EAGER, candidates=["n2"]))
-            return result
+        def write_from_n2(blob):
+            def proc():
+                result = yield sim.spawn(runtime.invoke(
+                    "n2", code_ref,
+                    data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
+                    mode=MODE_EAGER, candidates=["n2"]))
+                return result
+            return sim.run_process(proc()).value
 
-        assert sim.run_process(proc()).value == [0, 0, 1, 0]
-        assert blob.read(0, 4) == b"EFGH"
+        at_home = runtime.create_object("n2", size=4096)
+        assert write_from_n2(at_home) == [0, 0, 1, 0]
+        assert at_home.read(0, 4) == b"EFGH"
+
+        off_home = runtime.create_object("n1", size=4096)
+        assert write_from_n2(off_home) == [0, 0, 0, 1]
+        assert off_home.read(0, 4) == b"EFGH"
+        assert runtime.node("n2").space.get(off_home.oid).read(0, 4) == b"EFGH"
 
     def test_pinned_data_forces_local_execution(self):
         sim, net, registry, runtime = make_cluster(speeds={"n0": 0.1})
 
         @registry.register("where")
         def where(ctx, args):
-            return ctx.here
+            return ctx.node.name
 
         private = runtime.create_object("n0", size=1_000_000, label="private")
         _, code_ref = runtime.create_code("n0", "where", text_size=256)
@@ -342,7 +354,7 @@ class TestInvocation:
 
         @registry.register("spin")
         def spin(ctx, args):
-            return ctx.here
+            return ctx.node.name
 
         _, code_ref = runtime.create_code("n0", "spin", text_size=256)
         # Saturate n1 artificially.
@@ -403,7 +415,7 @@ class TestInvocation:
 
         @registry.register("pair")
         def pair(ctx, args):
-            return (args["x"], ctx.here)
+            return (args["x"], ctx.node.name)
 
         _, code_ref = runtime.create_code("n0", "pair", text_size=256)
 
@@ -534,6 +546,62 @@ class TestContextOperations:
         assert sim.run_process(proc()).value == b"FOUND"
 
 
+class TestWritesGoHome:
+    def test_an_eager_write_off_the_home_reaches_the_home(self):
+        # n0 invokes, placement runs it on n2, and the body increments a
+        # byte of an object homed on n1 through n2's staged copy.
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("increment")
+        def increment(ctx, args):
+            raw = yield ctx.read(args["blob"], 0, 1)
+            yield ctx.write(args["blob"], bytes([raw[0] + 1]))
+            return ctx.node.name
+
+        blob = runtime.create_object("n1", size=64)
+        _, code_ref = runtime.create_code("n0", "increment", text_size=128)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref,
+                data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
+                mode=MODE_EAGER, candidates=["n2"]))
+            assert result.value == "n2"
+            data = yield from runtime.node("n0").load(blob.oid, 0, 1)
+            return data
+
+        assert sim.run_process(proc()) == b"\x01"
+        assert runtime.home(blob.oid) == "n1"
+        assert blob.read(0, 1) == b"\x01"
+        assert runtime.node("n2").tracer.counters["node.remote_write"] == 1
+        assert runtime.node("n1").tracer.counters["node.write_served"] == 1
+
+    def test_a_proxied_write_moves_the_home(self):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("proxied_write")
+        def proxied_write(ctx, args):
+            yield from args["blob"].write(b"P")
+            return ctx.node.name
+
+        blob = runtime.create_object("n1", size=64)
+        _, code_ref = runtime.create_code("n0", "proxied_write", text_size=128)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref,
+                data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
+                mode=MODE_PROXIED, candidates=["n2"]))
+            assert result.value == "n2"
+            assert runtime.home(blob.oid) == "n2"
+            yield from runtime.node("n0").store(blob.oid, 1, b"Q")
+
+        sim.run_process(proc())
+        assert runtime.holders(blob.oid) == {"n2"}
+        assert runtime.node("n2").space.get(blob.oid).read(0, 2) == b"PQ"
+        assert runtime.node("n2").tracer.counters["node.write_served"] == 1
+
+
 class TestReplicationApi:
     def test_replicate_copies_over_the_network(self):
         sim, net, registry, runtime = make_cluster()
@@ -581,10 +649,11 @@ class TestReplicationApi:
         ref = GlobalRef(obj.oid, 0, "read")
 
         def proc():
-            # Move the object: copy it to n3, then drop the source copy.
+            # Move the object: copy it to n3, then make n3 its sole holder.
             yield sim.spawn(runtime.replicate(obj.oid, "n3"))
-            runtime.drop_replica(obj.oid, "n1")
+            runtime.claim_ownership(obj.oid, "n3")
             assert runtime.holders(obj.oid) == {"n3"}
+            assert runtime.home(obj.oid) == "n3"
             assert obj.oid not in runtime.node("n1").space
             result = yield sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"blob": ref}))

@@ -161,7 +161,7 @@ class TestRuntimeEnforcement:
         @registry.register("peek")
         def peek(ctx, args):
             data = yield ctx.read(args["secret"], 0, 4)
-            return (data, ctx.here)
+            return (data, ctx.node.name)
 
         secret = runtime.create_object("n1", size=64)
         secret.write(0, b"mine")
