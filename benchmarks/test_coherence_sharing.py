@@ -44,6 +44,7 @@ def run_coherent(write_fraction: float, seed: int = 37):
     writer = agents[f"h{N_READERS + 1}"]
     rng = sim.rng
     read_us, write_us = [], []
+    last = {"bytes": b"\x00" * 8}
 
     def reader(agent):
         for _ in range(OPS_PER_READER):
@@ -59,6 +60,7 @@ def run_coherent(write_fraction: float, seed: int = 37):
                 began = sim.now
                 yield from writer.write(oid, 0, i.to_bytes(8, "big"))
                 write_us.append(sim.now - began)
+                last["bytes"] = i.to_bytes(8, "big")
             yield Timeout(5.0)
         return None
 
@@ -70,7 +72,13 @@ def run_coherent(write_fraction: float, seed: int = 37):
     sim.run_process(proc())
     hits = sum(agents[f"h{i}"].tracer.counters["coherence.cache_hit"]
                for i in range(1, N_READERS + 1))
-    return sim.now, hits, read_us, write_us
+    finished_at = sim.now
+    # Single writer: once it writes its Modified copy back, the home's
+    # bytes are the last write's.
+    if writer.cached_perm(oid) == "M":
+        sim.run_process(writer.writeback(oid))
+    assert agents["h0"].authoritative_data(oid)[:8] == last["bytes"]
+    return finished_at, hits, read_us, write_us
 
 
 def run_uncached(write_fraction: float, seed: int = 37):

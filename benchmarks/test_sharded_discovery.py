@@ -57,6 +57,8 @@ def test_lease_hits_are_one_rtt(benchmark):
     unleased = run_sharded_point(4, n_objects=N_OBJECTS,
                                  n_accesses=N_ACCESSES, seed=SEED,
                                  use_leases=False)
+    moved = run_sharded_point(4, n_objects=N_OBJECTS, n_accesses=N_ACCESSES,
+                              seed=SEED, percent_moved=25)
 
     def check():
         # Warm-up resolved every object, so the measured stream runs
@@ -68,6 +70,11 @@ def test_lease_hits_are_one_rtt(benchmark):
         assert unleased.mean_round_trips == 2.0
         assert unleased.lease_hits == 0
         assert leased.mean_rtt_us < unleased.mean_rtt_us
+        # A lease is safe to cache: when an object moves, its shard
+        # pushes an invalidation that lands before the next access, so
+        # no access goes to the old holder.
+        assert moved.failures == 0 and moved.lease_invalidated > 0
+        assert not any(record.was_stale for record in moved.records)
         print_table(
             "E18b: the lease cache halves the access path",
             ["cache", "mean RTT (us)", "p95 RTT (us)", "RTTs/access",
@@ -77,7 +84,9 @@ def test_lease_hits_are_one_rtt(benchmark):
               leased.lease_misses),
              ("none", unleased.mean_rtt_us, unleased.p95_rtt_us,
               unleased.mean_round_trips, unleased.lease_hits,
-              unleased.lease_misses)])
+              unleased.lease_misses),
+             ("leases, 25% moved", moved.mean_rtt_us, moved.p95_rtt_us,
+              moved.mean_round_trips, moved.lease_hits, moved.lease_misses)])
 
     bench_check(benchmark, check)
 

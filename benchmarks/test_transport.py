@@ -53,6 +53,10 @@ def run_burst(transport_cls, loss_rate: float, n_messages: int = BURST,
 
     sim.run_process(proc())
     assert finished["count"] == n_messages, "burst did not complete"
+    # Every message delivered and acknowledged: the sender holds nothing
+    # back, in its coalescing buffer, its backlog or its window.
+    assert (tx.coalescing_count("h1") == tx.backlog_count("h1")
+            == tx.inflight_count("h1") == 0), "the sender still holds frames"
     assert tx.tracer.counters["transport.frame.tx"] >= MIN_FRAMES, \
         "burst no longer spans two windows: resize it"
     latency = summarize(tx.tracer.series.samples("transport.delivery_us"))

@@ -36,16 +36,15 @@ def main():
     print(f"topic (an object ID): {alerts_topic}")
 
     inbox = {"resp1": [], "resp2": []}
-    fabric.subscribe(
+    subs = [fabric.subscribe(
         "resp1", alerts_topic,
         lambda fields, payload: inbox["resp1"].append(fields),
         predicate=And(Eq("sensor_kind", 0), InRange("severity", 200, 255)),
-    )
-    fabric.subscribe(
+    ), fabric.subscribe(
         "resp2", alerts_topic,
         lambda fields, payload: inbox["resp2"].append(fields),
         predicate=Eq("rack", 7),
-    )
+    )]
     print("resp1 subscribes to: critical thermal events (kind=0, sev>=200)")
     print("resp2 subscribes to: anything from rack 7\n")
 
@@ -77,6 +76,23 @@ def main():
     total = fabric.tracer.counters["pubsub.delivered"]
     filtered = fabric.tracer.counters["pubsub.residual_filtered"]
     print(f"fabric stats: {total} delivered, {filtered} filtered at the NIC")
+
+    # The last subscriber leaving withdraws the topic's identity routes:
+    # every switch frees the table entry, and a later publication is
+    # delivered to no one.
+    for sub in subs:
+        fabric.unsubscribe(sub)
+    assert not any(alerts_topic in switch.identity_table
+                   for switch in net.switches)
+
+    def late_publisher():
+        fabric.publish("driver", alerts_topic, events[0], b"telemetry-blob")
+        yield Timeout(2_000)
+
+    sim.run_process(late_publisher())
+    assert fabric.tracer.counters["pubsub.delivered"] == total
+    print("both unsubscribed: routes withdrawn from every switch, "
+          "a late publication reached no one")
 
 
 if __name__ == "__main__":

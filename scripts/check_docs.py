@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hold OBSERVABILITY.md and ``repro.obs.keys.VOCABULARY`` in lockstep.
 
-Three checks, each of which must pass for the vocabulary to be trusted:
+Four checks, each of which must pass for the vocabulary to be trusted:
 
 1. **Docs == code.**  The vocabulary tables in OBSERVABILITY.md (every
    ``| `key` | kind | unit | description |`` row under "## Vocabulary")
@@ -16,12 +16,16 @@ Three checks, each of which must pass for the vocabulary to be trusted:
    ``.record(`` call sites and ``.cell(`` bind sites in the files listed
    below) must be in the vocabulary, either exactly or via a
    ``<prefix>.*`` family.
+4. **Documented => read.**  Every vocabulary key must be read by
+   something other than the call that records it (see
+   ``check_documented_keys_read``): a key nothing reads is work on the
+   simulated paths for a number nobody looks at.
 
-A fourth check holds BENCHMARKS.md in the same discipline: the rows of
+A fifth check holds BENCHMARKS.md in the same discipline: the rows of
 its "## Scenario catalogue" table must list exactly the scenarios the
 bench runner registers (``repro.bench.scenario_names()``).
 
-A fifth check holds PROXIES.md's "## Key vocabulary" table in lockstep
+A sixth check holds PROXIES.md's "## Key vocabulary" table in lockstep
 with the ``proxy.*``/``prefetch.*`` subset of ``VOCABULARY``: the
 subsystem doc must carry exactly those rows, in vocabulary order, with
 the same kind/unit/description as the code (and therefore as
@@ -32,10 +36,12 @@ Run directly (exit 0/1) or through ``tests/test_check_docs.py``.
 
 from __future__ import annotations
 
+import ast
+import bisect
 import pathlib
 import re
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -58,6 +64,17 @@ ROW_RE = re.compile(
 KEY_LITERAL_RE = re.compile(r'"([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)"')
 
 RECORDING_CALLS = (".count(", ".sample(", ".incr(", ".record(", ".cell(")
+
+# Where a key may be read: Python under these roots, minus the
+# vocabulary's declaration and this checker, plus the benchmark's spec.
+READER_ROOTS = (SRC, REPO / "tests", REPO / "benchmarks", REPO / "scripts",
+                REPO / "examples")
+NOT_READERS = (SRC / "obs" / "keys.py", pathlib.Path(__file__).resolve())
+READER_TEXT = (REPO / "BENCHMARK.json",)
+
+# A call whose arguments record a key rather than read it.
+RECORDING_NAMES = frozenset(("count", "sample", "incr", "record", "cell",
+                             "event"))
 
 # The hot paths the vocabulary claims to cover — the "emitted =>
 # documented" direction is scoped to these files (OBSERVABILITY.md's
@@ -209,6 +226,87 @@ def check_emitted_keys_documented() -> List[str]:
     return problems
 
 
+def _call_name(call: ast.Call) -> str:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def reader_corpus() -> Tuple[List[str], Set[str], Set[str]]:
+    """What the reader roots say outside every recording call's
+    arguments: the words of their string constants (runs of letters,
+    digits, ``_`` and ``.``; sorted), the dotted literals they pass to
+    ``startswith``, and the ``K_*``/``SPAN_*`` constant names they
+    use."""
+    constants = set(CONSTANT_EMITTED.values())
+    strings: List[str] = []
+    prefixes: Set[str] = set()
+    used: Set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.Call):
+            visit(node.func)
+            name = _call_name(node)
+            if name in RECORDING_NAMES:
+                return
+            if name == "startswith":  # one prefix, or a tuple of them
+                prefixes.update(
+                    const.value for arg in node.args
+                    for const in ast.walk(arg)
+                    if isinstance(const, ast.Constant)
+                    and isinstance(const.value, str) and "." in const.value)
+            for child in node.args + node.keywords:
+                visit(child)
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.append(node.value)
+        elif isinstance(node, ast.Name) and node.id in constants:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in constants:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for root in READER_ROOTS:
+        for path in sorted(root.rglob("*.py")):
+            if path.resolve() not in NOT_READERS:
+                visit(ast.parse(path.read_text(encoding="utf-8")))
+    strings += [path.read_text(encoding="utf-8") for path in READER_TEXT]
+    words = sorted(set(re.findall(r"[\w.]+", "\n".join(strings))))
+    return words, prefixes, used
+
+
+def check_documented_keys_read() -> List[str]:
+    """Every vocabulary key is read by one of: a string constant in the
+    reader roots that holds the key at the start of a word (exactly, as
+    a snapshot's ``<tracer>:<key>``, as the head of a longer name, or in
+    prose; a ``.*`` family by its prefix), a dotted ``startswith``
+    literal the key begins with, a use of its ``K_*``/``SPAN_*``
+    constant, or the text of ``BENCHMARK.json``.  A string inside the
+    arguments of ``count``/``sample``/``incr``/``record``/``cell``/
+    ``event`` records the key and does not read it.  A dump of every
+    counter (the perf fingerprint, ``MetricsRegistry.snapshot``,
+    ``repro report``) names no key, so it reads none; a test that names
+    a key does read it."""
+    words, prefixes, used = reader_corpus()
+    problems = []
+    for spec in keymod.VOCABULARY:
+        if CONSTANT_EMITTED.get(spec.name) in used:
+            continue
+        needle = spec.name[:-1] if spec.name.endswith(".*") else spec.name
+        at = bisect.bisect_left(words, needle)  # first word >= needle
+        if at < len(words) and words[at].startswith(needle):
+            continue
+        if any(spec.name.startswith(prefix) for prefix in prefixes):
+            continue
+        problems.append(
+            f"documented key {spec.name!r} is read by nothing: no test, "
+            f"claim, script or BENCHMARK.json metric names it outside the "
+            f"call that records it")
+    return problems
+
+
 def parse_bench_doc_scenarios() -> List[str]:
     """Scenario names from BENCHMARKS.md's "## Scenario catalogue" table."""
     names: List[str] = []
@@ -283,10 +381,11 @@ def check_proxy_doc_matches_code() -> List[str]:
 
 
 def run_all() -> List[str]:
-    """All problems from all five checks (empty means consistent)."""
+    """All problems from all six checks (empty means consistent)."""
     return (check_docs_match_code()
             + check_documented_keys_emitted()
             + check_emitted_keys_documented()
+            + check_documented_keys_read()
             + check_bench_docs_match_registry()
             + check_proxy_doc_matches_code())
 
@@ -302,7 +401,8 @@ def main() -> int:
     n_scenarios = len(parse_bench_doc_scenarios())
     n_proxy = len(parse_proxy_doc_rows())
     print(f"check_docs: OBSERVABILITY.md and repro.obs.keys agree "
-          f"({n_keys} keys, {len(INSTRUMENTED)} instrumented files); "
+          f"({n_keys} keys, each emitted and read; "
+          f"{len(INSTRUMENTED)} instrumented files); "
           f"BENCHMARKS.md and repro.bench agree ({n_scenarios} scenarios); "
           f"PROXIES.md carries the {n_proxy} proxy/prefetch keys")
     return 0

@@ -9,10 +9,11 @@ the change sits against the bound ``BENCHMARK.json`` fixes for it, in
 the metric's ``better`` direction; then whether the simulated
 ``fingerprint`` blocks (every counter of every tracer, link packets and
 bytes, samples held, ``sim_now``, percentiles) are equal and, if not,
-which ``(sub-seed, key)`` pairs differ.
+which ``(sub-seed, key)`` pairs differ and which the change removed (a
+key only the parent has: a deleted counter, not a moved value).
 
-Exit 0 when every fingerprint is equal, 1 when one differs, 2 on input
-it cannot read.  Host-time verdicts are printed, not gated: two files
+Exit 0 when every fingerprint is equal, 1 when one differs or lost a
+key, 2 on input it cannot read.  Host-time verdicts are printed, not gated: two files
 recorded an hour apart differ by the box's drift, so a claim needs the
 alternating pairs of ``benchmarks/perf/README.md``, not this table.
 
@@ -55,18 +56,25 @@ def verdict(parent: float, change: float, better: str, bound: float) -> str:
 
 
 def fingerprint_diff(parent: dict, change: dict) -> List[Tuple[str, str]]:
-    """The ``(sub-seed, key)`` pairs whose simulated values differ."""
+    """The ``(sub-seed, key)`` pairs the change holds with a simulated
+    value other than the parent's (a key new at the change included)."""
     pairs = []
-    for seed in sorted(set(parent) | set(change), key=int):
-        a, b = parent.get(seed, {}), change.get(seed, {})
-        pairs += [(seed, key) for key in sorted(set(a) | set(b))
-                  if a.get(key) != b.get(key)]
+    for seed in sorted(change, key=int):
+        a, b = parent.get(seed, {}), change[seed]
+        pairs += [(seed, key) for key in sorted(b) if a.get(key) != b[key]]
     return pairs
+
+
+def fingerprint_removed(parent: dict, change: dict) -> List[Tuple[str, str]]:
+    """The ``(sub-seed, key)`` pairs only the parent holds."""
+    return [(seed, key) for seed in sorted(parent, key=int)
+            for key in sorted(parent[seed]) if key not in change.get(seed, {})]
 
 
 def compare(parent: dict, change: dict, spec: dict) -> Tuple[List[str], Dict[str, list]]:
     """The report's lines, and per workload the fingerprint pairs that
-    differ (empty lists when everything simulated is equal)."""
+    were removed or differ (empty lists when everything simulated is
+    equal)."""
     lines = [f"{'workload':<18}{'metric':<18}{'parent':>14}{'change':>14}"
              f"{'ratio':>8}  against bound"]
     differing: Dict[str, list] = {}
@@ -80,12 +88,16 @@ def compare(parent: dict, change: dict, spec: dict) -> Tuple[List[str], Dict[str
                 f"{y / x if x else float('nan'):>8.3f}  "
                 f"{verdict(x, y, metric['better'], metric['bound'])} "
                 f"({metric['better']} is better, bound {metric['bound']:.0%})")
-        pairs = differing[workload] = fingerprint_diff(a["fingerprint"],
-                                                       b["fingerprint"])
+        removed = fingerprint_removed(a["fingerprint"], b["fingerprint"])
+        pairs = fingerprint_diff(a["fingerprint"], b["fingerprint"])
+        differing[workload] = removed + pairs
+        if removed:
+            lines.append(f"{workload:<18}fingerprint removed {len(removed)}: "
+                         + ", ".join(f"({s}, {k})" for s, k in removed))
         if pairs:
             lines.append(f"{workload:<18}fingerprint DIFFERS in {len(pairs)}: "
                          + ", ".join(f"({s}, {k})" for s, k in pairs))
-        else:
+        if not differing[workload]:
             lines.append(f"{workload:<18}fingerprint equal "
                          f"({len(a['fingerprint'])} sub-seeds)")
     return lines, differing

@@ -291,7 +291,6 @@ class PlacementEngine:
         lack capacity, permission, or required pinned inputs).
         """
         if not candidates:
-            self.tracer.count("placement.infeasible")
             raise PlacementError("no candidate nodes supplied")
         winner: Optional[NodeProfile] = None
         best_total = 0.0
@@ -303,13 +302,11 @@ class PlacementEngine:
             total = (self._score(request, node, distance, items)
                      if node.can_execute else None)
             if total is None:
-                self.tracer.count("placement.rejected")
                 continue
             considered[node.name] = total
             if winner is None or total < best_total:
                 winner, best_total = node, total
         if winner is None:
-            self.tracer.count("placement.infeasible")
             raise PlacementError(
                 "no feasible execution node: every candidate lacks capacity, "
                 "permission, or a required pinned input"

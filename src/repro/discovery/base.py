@@ -158,7 +158,6 @@ class ObjectHome:
             # holder may answer — a NACK is a *unicast* contract ("you
             # addressed me and I don't have it"), and NACKing floods
             # would race ahead of the real holder's reply.
-            self.tracer.count("home.not_mine")
             return
         hint = self.moved_to.get(oid)
         if self.forward_stale_accesses and hint is not None:
@@ -172,7 +171,6 @@ class ObjectHome:
                 payload=forwarded_payload, payload_bytes=packet.payload_bytes,
             ))
             return
-        self.tracer.count("home.access_nacked")
         reply = packet.reply(
             KIND_ACCESS_NACK,
             {"hint": hint if self.include_move_hints else None}, 24)

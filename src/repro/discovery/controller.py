@@ -109,7 +109,6 @@ class SdnController(DirectoryController):
 
     def _accepted(self, oid: ObjectID, owner: str, previous: Optional[str],
                   packet: Packet) -> None:
-        self.tracer.count("controller.advertised")
         self.sim.schedule(self.install_delay_us, self._install_routes, oid, owner)
 
     def _install_routes(self, oid: ObjectID, owner: str) -> None:
@@ -120,7 +119,6 @@ class SdnController(DirectoryController):
             port = self.network.port_toward(switch.name, owner)
             if not switch.install_identity_route(oid, port):
                 self.install_failures += 1
-                self.tracer.count("controller.install_failed")
 
 
 def advertise(host: Host, oid: ObjectID, controller_host: str = "controller") -> None:
@@ -144,18 +142,13 @@ class IdentityAccessor:
     """
 
     def __init__(self, host: Host, timeout_us: float = 50_000.0,
-                 max_retries: int = 3, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: str = "discovery.identity"):
+                 max_retries: int = 3):
         if timeout_us <= 0:
             raise DiscoveryError("timeout must be positive")
         self.host = host
         self.sim: Simulator = host.sim
         self.timeout_us = timeout_us
         self.max_retries = max_retries
-        self.tracer = tracer or Tracer()
-        if metrics is not None:
-            metrics.register(metrics_name, self.tracer, replace=True)
         host.on(KIND_ACCESS_RSP, host.complete)
         host.on(KIND_ACCESS_NACK, host.complete)
 
@@ -169,14 +162,10 @@ class IdentityAccessor:
                 payload={"offset": offset, "length": length}, payload_bytes=24,
             ), self.timeout_us)
             if reply is None:
-                self.tracer.count("identity.timeout")
                 continue
             if reply.kind == KIND_ACCESS_RSP:
                 record.ok = True
                 break
             # NACK: routes are mid-update after a movement; retry.
-            self.tracer.count("identity.nack")
         record.end_us = self.sim.now
-        self.tracer.sample("identity.access_us", record.latency_us)
-        self.tracer.count("identity.access_ok" if record.ok else "identity.access_failed")
         return record

@@ -95,8 +95,6 @@ class E2EResolver:
             ok = yield from self._access_via(cached_holder, oid, offset, length, record)
         record.ok = ok
         record.end_us = self.sim.now
-        self.tracer.sample("e2e.access_us", record.latency_us)
-        self.tracer.count("e2e.access_ok" if ok else "e2e.access_failed")
         return record
 
     def _access_via(self, holder: str, oid: ObjectID, offset: int, length: int,
@@ -113,7 +111,6 @@ class E2EResolver:
             return True
         # NACK: our cache was stale.  Re-discover with data piggybacked.
         record.was_stale = True
-        self.tracer.count("e2e.stale")
         self.cache.pop(oid, None)
         hint = reply.payload.get("hint")
         if hint:
@@ -135,7 +132,6 @@ class E2EResolver:
         access response (the stale-retry fast path)."""
         def find():
             record.broadcasts += 1
-            self.tracer.count("e2e.broadcast")
             return Packet(
                 kind=KIND_FIND, src=self.host.name, dst=BROADCAST, oid=oid,
                 payload={"include_data": include_data, "offset": offset,

@@ -73,7 +73,6 @@ class HybridAccessor:
                 self.tracer.count("hybrid.unicast")
                 dst = cached
             else:
-                self.tracer.count("hybrid.identity_routed")
                 dst = None  # identity-routed; switches resolve or flood
             record.round_trips += 1
             reply = yield self.host.request(Packet(
@@ -81,7 +80,6 @@ class HybridAccessor:
                 payload={"offset": offset, "length": length}, payload_bytes=24,
             ), self.timeout_us)
             if reply is None:
-                self.tracer.count("hybrid.timeout")
                 cached = None  # drop to identity routing on retry
                 continue
             if reply.kind == KIND_ACCESS_RSP:
@@ -89,11 +87,8 @@ class HybridAccessor:
                 record.ok = True
                 break
             # NACK: the cached holder no longer has it.
-            self.tracer.count("hybrid.stale")
             record.was_stale = True
             self.cache.pop(oid, None)
             cached = reply.payload.get("hint")
         record.end_us = self.sim.now
-        self.tracer.sample("hybrid.access_us", record.latency_us)
-        self.tracer.count("hybrid.access_ok" if record.ok else "hybrid.access_failed")
         return record

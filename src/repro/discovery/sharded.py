@@ -129,17 +129,6 @@ class ShardMap:
         """The shard owning ``oid``'s directory entry."""
         return self.ranked(oid)[0]
 
-    def successor(self, oid: ObjectID, after: str) -> str:
-        """The next shard in ``oid``'s failover order after ``after``."""
-        ranked = self.ranked(oid)
-        return ranked[(ranked.index(after) + 1) % len(ranked)]
-
-    def load(self, oids: Sequence[ObjectID]) -> Dict[str, int]:
-        """How many of ``oids`` each shard owns (balance introspection)."""
-        counts = {shard: 0 for shard in self.shards}
-        for oid in oids:
-            counts[self.shard_of(oid)] += 1
-        return counts
 
 
 class ShardDirectory(DirectoryController):
@@ -192,10 +181,8 @@ class ShardDirectory(DirectoryController):
         assert oid is not None
         owner = self.owner_of.get(oid)
         if owner is None:
-            self.tracer.count("shard.resolve_unknown")
             payload = {"holder": None, "ttl_us": 0.0}
         else:
-            self.tracer.count("shard.resolved")
             self.leases.setdefault(oid, {})[packet.src] = \
                 self.sim.now + self.lease_ttl_us
             payload = {"holder": owner, "ttl_us": self.lease_ttl_us}
@@ -367,9 +354,6 @@ class LeaseCachingResolver:
             self.tracer.count("lease.stale")
             self.cache.pop(oid, None)
         record.end_us = self.sim.now
-        self.tracer.sample("lease.access_us", record.latency_us)
-        self.tracer.count("lease.access_ok" if record.ok
-                          else "lease.access_failed")
         return record
 
     def _leased_holder(self, oid: ObjectID) -> Optional[str]:
@@ -398,7 +382,6 @@ class LeaseCachingResolver:
                     oid=oid, payload_bytes=24,
                 ), self.timeout_us)
                 if reply is None:
-                    self.tracer.count("lease.timeout")
                     continue
                 holder = reply.payload["holder"]
                 if holder is None:
@@ -413,13 +396,10 @@ class LeaseCachingResolver:
                      length: int, record: AccessRecord):
         """Process: one unicast access exchange; returns the reply or None."""
         record.round_trips += 1
-        reply = yield self.host.request(Packet(
+        return (yield self.host.request(Packet(
             kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
             payload={"offset": offset, "length": length}, payload_bytes=24,
-        ), self.timeout_us)
-        if reply is None:
-            self.tracer.count("lease.timeout")
-        return reply
+        ), self.timeout_us))
 
 
 # ---------------------------------------------------------------------------

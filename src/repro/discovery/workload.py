@@ -106,7 +106,7 @@ class _Testbed:
         if scheme == SCHEME_CONTROLLER:
             self.controller = SdnController(self.net, self.net.host("controller"),
                                             metrics=self.net.metrics)
-            self.accessor = IdentityAccessor(driver, metrics=self.net.metrics)
+            self.accessor = IdentityAccessor(driver)
         else:
             self.controller = None
             self.accessor = E2EResolver(driver, metrics=self.net.metrics)

@@ -415,7 +415,6 @@ class LoadGenerator:
             # Saturation pushes latencies past retry deadlines; a failed
             # op is an outcome to count, not a generator crash.
             state.failed += 1
-            state.tracer.count("loadgen.failed")
         else:
             state.completed += 1
             state.n_completed[0] += 1

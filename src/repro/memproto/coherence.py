@@ -339,11 +339,6 @@ class CoherenceAgent:
         return end
 
     # -- capacity-bounded cache management ------------------------------------
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes of object data currently held in the local cache."""
-        return self._cache_bytes
-
     def _touch(self, oid: ObjectID) -> None:
         """Mark ``oid`` most-recently-used (a cache hit)."""
         self._cache.move_to_end(oid)
@@ -424,7 +419,6 @@ class CoherenceAgent:
             if directory.owner is not None:
                 # A remote Modified copy exists: recall it before reading.
                 yield from self._home_local_barrier(oid, directory, PERM_SHARED)
-            self.tracer.count("coherence.home_hit")
             return bytes(directory.data[offset:end])
         elif self._pool_read(oid):
             # Pool-mapped: one load through the rack pool, no packets.
@@ -501,7 +495,6 @@ class CoherenceAgent:
             self._check_range(oid, len(directory.data), offset, len(data))
             yield from self._home_local_barrier(oid, directory, PERM_MODIFIED,
                                                 (offset, data))
-            self.tracer.count("coherence.home_write")
             return
         else:
             self._n_write_miss[0] += 1
@@ -605,9 +598,7 @@ class CoherenceAgent:
         the grant and every ack have, in either order."""
         wait = self._pending.get(req_id)
         if wait is None:
-            self.tracer.count("coherence.orphan_grant" if grant
-                              else "coherence.orphan_probe_ack")
-            return
+            return  # no pending request: a duplicate delivery
         wait.owed += acks
         grant = wait.grant = grant or wait.grant
         if wait.owed == 0 and grant is not None:
@@ -650,8 +641,7 @@ class CoherenceAgent:
                 continue
             wait = self._pending.pop(entry["req_id"], None)
             if wait is None:
-                self.tracer.count("coherence.orphan_grant")
-                continue
+                continue  # no pending request: a duplicate delivery
             # The home refused: it never hosted this object (stale home
             # map).  Fault the waiting coroutines instead of leaving them
             # parked on the wait forever.

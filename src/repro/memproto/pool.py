@@ -68,7 +68,6 @@ class SharedMemoryPool:
 
         pool.map_object(oid, data)          # home publishes (control plane)
         chunk = yield from pool.load(oid, offset, length)
-        yield from pool.store(oid, offset, data)
 
     ``members`` names the hosts in the rack; only they may be attached
     by a :class:`~repro.memproto.coherence.CoherenceAgent`.  Capacity
@@ -120,14 +119,6 @@ class SharedMemoryPool:
         """How many objects are currently mapped."""
         return len(self._mapped)
 
-    def object_size(self, oid: ObjectID) -> int:
-        """Mapped size of ``oid`` in bytes; raises when unmapped."""
-        entry = self._mapped.get(oid)
-        if entry is None:
-            raise PoolError(f"object {oid.short()} is not mapped in pool "
-                            f"{self.name!r}")
-        return len(entry)
-
     def map_object(self, oid: ObjectID, data: bytes) -> None:
         """Reserve capacity for ``oid`` and publish ``data`` into it.
 
@@ -168,7 +159,6 @@ class SharedMemoryPool:
         if oid not in self._mapped:
             return False
         self._release(oid)
-        self.tracer.count("pool.unmap")
         return True
 
     def invalidate(self, oid: ObjectID) -> bool:
@@ -205,27 +195,12 @@ class SharedMemoryPool:
         can never surface post-write data here.
         """
         if length is None:
-            length = self.object_size(oid) - offset
+            length = len(self._mapped.get(oid, b"")) - offset
         entry = self._entry(oid, offset, length)
         data = bytes(entry[offset:offset + length])
         self.tracer.count("pool.load")
-        self.tracer.count("pool.load_bytes", length)
         yield Timeout(self.access_us(length))
         return data
-
-    def store(self, oid: ObjectID, offset: int, data: bytes):
-        """Process: write ``data`` into the mapped bytes of ``oid``.
-
-        A raw device operation — coherent writes go through the MSI
-        protocol (which invalidates the mapping first); this exists for
-        pool-native workloads and the accounting tests.
-        """
-        entry = self._entry(oid, offset, len(data))
-        self.tracer.count("pool.store")
-        self.tracer.count("pool.store_bytes", len(data))
-        yield Timeout(self.access_us(len(data)))
-        entry[offset:offset + len(data)] = data
-        return True
 
     def __repr__(self) -> str:
         return (f"<SharedMemoryPool {self.name} {len(self._mapped)} mapped "

@@ -274,7 +274,6 @@ class _TransportBase:
             tx.queued_at[seq] = self.sim.now
             tx.backlog.append(packet)
             self._n_frame_tx[0] += 1
-            self.tracer.sample("transport.frame.msgs", float(len(entries)))
         self._pump(dst, tx)
 
     # -- sender side: the window --------------------------------------------
@@ -387,14 +386,13 @@ class _TransportBase:
 
     # -- ack processing (standalone and piggybacked) -------------------------
     def _accept_cum_ack(self, peer: str, cum: int, epoch: int,
-                        standalone: bool, sack: Sequence[int] = ()) -> None:
+                        sack: Sequence[int] = ()) -> None:
         tx = self._tx.get(peer)
         if tx is None:
             return
         tx.heard_at = self.sim.now
         if epoch != tx.epoch:
-            self.tracer.count("transport.dup_ack")  # ack from a dead epoch
-            return
+            return  # ack from a dead epoch
         # Selectively-acked frames sit in the receiver's reorder buffer:
         # they are delivered the instant the hole fills, so they leave
         # the window like cumulatively acked ones.
@@ -402,8 +400,6 @@ class _TransportBase:
         order = list(tx.inflight)  # transmission order
         acked = [seq for seq in order if seq <= cum or seq in sacked]
         if not acked:
-            if standalone:
-                self.tracer.count("transport.dup_ack")
             return
         for seq in acked:
             del tx.inflight[seq]
@@ -439,7 +435,7 @@ class _TransportBase:
 
     def _on_ack(self, packet: Packet) -> None:
         self._accept_cum_ack(packet.src, packet.payload["cum"],
-                             packet.payload.get("epoch", 0), standalone=True,
+                             packet.payload.get("epoch", 0),
                              sack=packet.payload.get("sack", ()))
 
     # -- receiver side: acks --------------------------------------------------
@@ -504,7 +500,7 @@ class _TransportBase:
         if "ack" in payload:
             # Reverse-direction cumulative ack piggybacked on this frame.
             self._accept_cum_ack(src, payload["ack"],
-                                 payload.get("ack_epoch", 0), standalone=False,
+                                 payload.get("ack_epoch", 0),
                                  sack=payload.get("ack_sack", ()))
         elif src in self._tx:
             self._tx[src].heard_at = self.sim.now

@@ -103,12 +103,10 @@ class Host(Node):
         here to exercise timeout/retry/failover paths above.
         """
         self.failed = True
-        self.tracer.count("host.failed")
 
     def recover(self) -> None:
         """Bring the host back (protocol state above survives as-is)."""
         self.failed = False
-        self.tracer.count("host.recovered")
 
     def set_partition(self, group: int, host_groups: Dict[str, int]) -> None:
         """Join partition ``group``; ``host_groups`` is the cluster-wide
@@ -138,10 +136,6 @@ class Host(Node):
         """Register the handler for packets of ``kind``; one per kind."""
         if kind in self._handlers:
             raise NodeError(f"{self.name}: handler for {kind!r} already registered")
-        self._handlers[kind] = handler
-
-    def replace_handler(self, kind: str, handler: PacketHandler) -> None:
-        """Overwrite the handler registered for ``kind``."""
         self._handlers[kind] = handler
 
     def set_default_handler(self, handler: PacketHandler) -> None:
@@ -241,7 +235,6 @@ class Host(Node):
             if packet.src == self.name:
                 return  # our own broadcast echoed back through a loop
             if packet.uid in self._seen_broadcasts:
-                self.tracer.count("host.dup_suppressed")
                 return
             self._seen_broadcasts[packet.uid] = None
             if len(self._seen_broadcasts) > _DEDUPE_WINDOW:

@@ -103,7 +103,6 @@ class Switch(Node):
         super().__init__(sim, name, tracer)
         # Counter cells of the per-packet path (see Tracer).
         self._n_rx = self.tracer.cell("switch.rx")
-        self._n_rx_bytes = self.tracer.cell("switch.rx_bytes")
         self._n_tx = self.tracer.cell("switch.tx")
         if processing_delay_us < 0:
             raise ValueError("processing delay must be non-negative")
@@ -145,18 +144,13 @@ class Switch(Node):
             if not 0 <= p < self.port_count:
                 raise ValueError(f"{self.name}: no port {p}")
         installed = self.identity_table.try_install(oid, port)
-        if installed:
-            self.tracer.count("switch.route_installed")
-        else:
+        if not installed:
             self.tracer.count("switch.table_full")
         return installed
 
     def remove_identity_route(self, oid: ObjectID) -> bool:
         """Delete the identity entry; True if present."""
-        removed = self.identity_table.remove(oid)
-        if removed:
-            self.tracer.count("switch.route_removed")
-        return removed
+        return self.identity_table.remove(oid)
 
     def set_punt_handler(self, handler: Callable[[Packet, int], None]) -> None:
         """Handler invoked for identity misses under MISS_PUNT."""
@@ -182,22 +176,17 @@ class Switch(Node):
             # Register our own flood before emitting it: in a looped
             # fabric a copy comes back, and without the entry we would
             # re-flood our own reply once per loop transit.
-            self._register_seen(self._seen_broadcasts, packet.uid)
+            window = self._seen_broadcasts
+            window[packet.uid] = None
+            if len(window) > _DEDUPE_WINDOW:
+                window.popitem(last=False)
             self.tracer.count("switch.unknown_unicast")
             self._flood_once(packet, in_port=-1)
-
-    @staticmethod
-    def _register_seen(window: "OrderedDict[int, None]", uid: int) -> None:
-        """Record ``uid`` in a dedupe window, trimming FIFO at capacity."""
-        window[uid] = None
-        if len(window) > _DEDUPE_WINDOW:
-            window.popitem(last=False)
 
     # -- data plane ----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
         """Ingress entry point: dispatch one arriving packet."""
         self._n_rx[0] += 1
-        self._n_rx_bytes[0] += packet.size_bytes
         # Duplicate suppression FIRST, then learning: in a looped fabric,
         # flood copies of one packet arrive on several ports, and only the
         # first (which came via the shortest path) may teach the host
@@ -218,7 +207,7 @@ class Switch(Node):
         known = (dst is not None and dst != BROADCAST and dst != self.name
                  and dst in host_table)
         window = self._seen_unicast if known else self._seen_broadcasts
-        # _register_seen, written out (the packet path's call budget).
+        # Written out, not a helper call (the packet path's call budget).
         window[uid] = None
         if len(window) > _DEDUPE_WINDOW:
             window.popitem(last=False)
@@ -293,7 +282,6 @@ class Switch(Node):
             if not forwarded:
                 self.tracer.count("switch.hairpin_drop")
             return
-        self.tracer.count("switch.identity_miss")
         if self.miss_behavior == MISS_FLOOD:
             self._flood_once(packet, in_port)
         elif self.miss_behavior == MISS_PUNT and self._punt_handler is not None:

@@ -4,7 +4,9 @@ Every name a :class:`~repro.sim.Tracer` counter/series/event or a
 :class:`~repro.obs.span.Span` may use on the instrumented hot paths is
 declared here as a :class:`KeySpec` and documented in OBSERVABILITY.md —
 ``scripts/check_docs.py`` holds the two in lockstep and verifies each
-key is actually emitted by the source.  Two unit rules keep the numbers
+key is actually emitted by the source and read by something other than
+the call that records it (a test, a claim, a script or a
+``BENCHMARK.json`` metric): a key nothing reads does not belong here.  Two unit rules keep the numbers
 composable: durations are **simulated microseconds** (``µs``) and sizes
 are **bytes**; dimensionless tallies use unit ``1``.
 
@@ -110,10 +112,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     # ---- placement.* (tracer `core.placement`) ------------------------------
     _k("placement.decisions", "counter", "1",
        "Successful placement decisions."),
-    _k("placement.rejected", "counter", "1",
-       "Candidate nodes skipped (cannot execute or infeasible)."),
-    _k("placement.infeasible", "counter", "1",
-       "Decisions that failed outright (no feasible candidate)."),
     _k("placement.est_total_us", "series", "µs",
        "Cost model's estimated total latency of each chosen plan."),
     _k("placement.tier.*", "counter", "1",
@@ -123,25 +121,19 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "pool, everything else as a network fetch."),
     # ---- node.* (tracer `runtime.node.<host>`) ------------------------------
     _k("node.exec", "counter", "1", "Function executions started."),
-    _k("node.materialized", "counter", "1",
-       "Results stored into the executor's object table."),
     _k("node.fetched", "counter", "1", "Objects fetched successfully."),
     _k("node.fetch_timeout", "counter", "1",
        "Fetch attempts that timed out."),
     _k("node.fetch_failover", "counter", "1",
        "Fetches retried against another holder."),
     _k("node.fetch_served", "counter", "1", "Fetch requests served."),
-    _k("node.fetch_nack", "counter", "1", "Fetch requests refused."),
     _k("node.fetch_denied", "counter", "1",
        "Fetch requests refused by the ACL."),
-    _k("node.read_served", "counter", "1", "Read requests served."),
     _k("node.read_denied", "counter", "1",
        "Read requests refused by the ACL."),
     _k("node.read_timeout", "counter", "1", "Remote reads that timed out."),
     _k("node.remote_read", "counter", "1", "Remote reads completed."),
     _k("node.write_served", "counter", "1", "Write requests served."),
-    _k("node.write_denied", "counter", "1",
-       "Write requests refused by the ACL."),
     _k("node.write_timeout", "counter", "1", "Remote writes that timed out."),
     _k("node.remote_write", "counter", "1",
        "Stores completed at the object's home from any other node."),
@@ -160,8 +152,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("host.rx", "counter", "1", "Packets received (pre-filter)."),
     _k("host.rx_bytes", "counter", "bytes",
        "Payload bytes received (pre-filter)."),
-    _k("host.dup_suppressed", "counter", "1",
-       "Duplicate packets dropped by the dedup window."),
     _k("host.filtered", "counter", "1",
        "Packets dropped: not addressed to this host."),
     _k("host.promiscuous_rx", "counter", "1",
@@ -172,11 +162,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Packets dropped while the host was failed."),
     _k("host.dropped_partitioned", "counter", "1",
        "Packets dropped at ingress from across a partition."),
-    _k("host.failed", "counter", "1", "Failure transitions."),
-    _k("host.recovered", "counter", "1", "Recovery transitions."),
     # ---- switch.* (tracer `net.switch.<name>`) ------------------------------
     _k("switch.rx", "counter", "1", "Packets received."),
-    _k("switch.rx_bytes", "counter", "bytes", "Payload bytes received."),
     _k("switch.tx", "counter", "1", "Packets forwarded out a port."),
     _k("switch.tx_identity", "counter", "1",
        "Packets forwarded via an identity route."),
@@ -187,14 +174,9 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Packets not sent back out their ingress port."),
     _k("switch.unknown_unicast", "counter", "1",
        "Unicasts with no learned port (flooded instead)."),
-    _k("switch.identity_miss", "counter", "1",
-       "Identity-routed packets with no matching route."),
     _k("switch.identity_drop", "counter", "1",
        "Identity packets dropped (no route, no fallback)."),
     _k("switch.ttl_expired", "counter", "1", "Packets dropped at TTL 0."),
-    _k("switch.route_installed", "counter", "1",
-       "Identity routes installed."),
-    _k("switch.route_removed", "counter", "1", "Identity routes removed."),
     _k("switch.table_full", "counter", "1",
        "Route installs rejected: table at capacity."),
     _k("switch.service", "counter", "1",
@@ -221,51 +203,19 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("fault", "event", "1",
        "Structured record of one applied fault-plan event."),
     # ---- discovery: e2e.* (tracer `discovery.e2e`) --------------------------
-    _k("e2e.broadcast", "counter", "1", "FIND broadcasts issued."),
-    _k("e2e.stale", "counter", "1",
-       "Cached locations that turned out stale."),
     _k("e2e.timeout", "counter", "1", "Accesses that timed out."),
-    _k("e2e.access_ok", "counter", "1", "Accesses that succeeded."),
-    _k("e2e.access_failed", "counter", "1", "Accesses that failed."),
-    _k("e2e.access_us", "series", "µs", "Per-access latency."),
-    # ---- discovery: identity.* (tracer `discovery.identity`) ----------------
-    _k("identity.timeout", "counter", "1", "Accesses that timed out."),
-    _k("identity.nack", "counter", "1", "Accesses NACKed by the home."),
-    _k("identity.access_ok", "counter", "1", "Accesses that succeeded."),
-    _k("identity.access_failed", "counter", "1", "Accesses that failed."),
-    _k("identity.access_us", "series", "µs", "Per-access latency."),
-    # ---- discovery: controller.* (tracer `discovery.controller`) ------------
-    _k("controller.advertised", "counter", "1",
-       "Object advertisements accepted."),
-    _k("controller.install_failed", "counter", "1",
-       "Route installs the switch rejected."),
     # ---- discovery: hybrid.* (tracer `discovery.hybrid`) --------------------
     _k("hybrid.unicast", "counter", "1",
        "Accesses sent straight to a cached location."),
-    _k("hybrid.identity_routed", "counter", "1",
-       "Accesses that fell back to identity routing."),
-    _k("hybrid.timeout", "counter", "1", "Accesses that timed out."),
-    _k("hybrid.stale", "counter", "1",
-       "Cached locations that turned out stale."),
-    _k("hybrid.access_ok", "counter", "1", "Accesses that succeeded."),
-    _k("hybrid.access_failed", "counter", "1", "Accesses that failed."),
-    _k("hybrid.access_us", "series", "µs", "Per-access latency."),
     # ---- discovery: home.* (tracer `discovery.home.<host>`) -----------------
     _k("home.find_answered", "counter", "1", "FIND queries answered."),
     _k("home.access_served", "counter", "1", "Accesses served locally."),
-    _k("home.not_mine", "counter", "1",
-       "Accesses for objects this home no longer holds."),
     _k("home.access_forwarded", "counter", "1",
        "Accesses forwarded to the object's new home."),
-    _k("home.access_nacked", "counter", "1", "Accesses NACKed."),
     # ---- discovery: shard.* (tracers `discovery.shard.<host>`,
     #      `discovery.advertiser.<host>`, `discovery.lease`) ------------------
     _k("shard.advertised", "counter", "1",
        "Object advertisements accepted by this shard."),
-    _k("shard.resolved", "counter", "1",
-       "Resolve requests answered with a holder and lease."),
-    _k("shard.resolve_unknown", "counter", "1",
-       "Resolve requests for objects this shard has no entry for."),
     _k("shard.invalidations", "counter", "1",
        "Lease invalidations pushed after an owner change."),
     _k("shard.failover", "counter", "1",
@@ -280,18 +230,11 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Leased holders that NACKed (object moved before invalidation)."),
     _k("lease.invalidated", "counter", "1",
        "Cached leases dropped by a shard invalidation push."),
-    _k("lease.timeout", "counter", "1",
-       "Resolve or access exchanges that timed out."),
-    _k("lease.access_ok", "counter", "1", "Accesses that succeeded."),
-    _k("lease.access_failed", "counter", "1", "Accesses that failed."),
-    _k("lease.access_us", "series", "µs", "Per-access latency."),
     # ---- transport.* (memproto reliable transports) -------------------------
     _k("transport.tx", "counter", "1",
        "Data frames sent: every transmission, retransmissions included."),
     _k("transport.frame.tx", "counter", "1",
        "Frames assembled from the coalescing buffer."),
-    _k("transport.frame.msgs", "series", "1",
-       "Messages coalesced into each frame."),
     _k("transport.frame.mtu_flush", "counter", "1",
        "Coalescing buffers flushed early because the next message "
        "would overflow the frame budget."),
@@ -312,9 +255,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Owed acks carried on reverse-direction data frames."),
     _k("transport.delivered", "counter", "1",
        "Messages delivered in order, exactly once, to the handler."),
-    _k("transport.dup_ack", "counter", "1",
-       "Standalone acks that acknowledged no frame still inflight, "
-       "or came from a dead epoch."),
     _k("transport.dup_data", "counter", "1",
        "Duplicate data frames discarded (and re-acked)."),
     _k("transport.rx_overflow", "counter", "1",
@@ -330,10 +270,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("transport.queue_us", "series", "µs",
        "Backlog wait from frame assembly to first transmission."),
     # ---- coherence.* (memproto MSI directory agents) ------------------------
-    _k("coherence.home_hit", "counter", "1",
-       "Reads served from the local authoritative copy."),
-    _k("coherence.home_write", "counter", "1",
-       "Writes applied directly to the local authoritative copy."),
     _k("coherence.cache_hit", "counter", "1",
        "Reads/writes served from a valid cached copy."),
     _k("coherence.pool_hit", "counter", "1",
@@ -386,17 +322,11 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Probe packets carrying more than one entry."),
     _k("coherence.bad_home", "counter", "1",
        "Acquire/release packets for objects this host is not home of."),
-    _k("coherence.orphan_grant", "counter", "1",
-       "Grant entries with no pending request (duplicate delivery)."),
-    _k("coherence.orphan_probe_ack", "counter", "1",
-       "Probe-ack entries with no collecting transaction."),
     # ---- pool.* (memproto SharedMemoryPool; tracer `memproto.pool.<name>`) ---
     _k("pool.map", "counter", "1",
        "Objects mapped into the pool (capacity reserved)."),
     _k("pool.map_bytes", "counter", "bytes",
        "Bytes reserved by pool mappings."),
-    _k("pool.unmap", "counter", "1",
-       "Mappings dropped explicitly by their home."),
     _k("pool.evict", "counter", "1",
        "LRU mappings evicted to make room under capacity pressure."),
     _k("pool.invalidate", "counter", "1",
@@ -406,10 +336,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Bytes released by unmap/evict/invalidate; reserved_bytes always "
        "equals pool.map_bytes - pool.release_bytes."),
     _k("pool.load", "counter", "1", "Pool loads served."),
-    _k("pool.load_bytes", "counter", "bytes", "Bytes read by pool loads."),
-    _k("pool.store", "counter", "1", "Pool stores applied."),
-    _k("pool.store_bytes", "counter", "bytes",
-       "Bytes written by pool stores."),
     # ---- proxy.* / prefetch.* (tracer `runtime.proxy.<host>`; see PROXIES.md)
     _k("proxy.resolve.lazy", "counter", "1",
        "Proxies first resolved by a demand dereference with no prefetch cover."),
@@ -433,9 +359,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("loadgen.dropped", "counter", "1",
        "Arrivals shed client-side at the tenant's outstanding cap "
        "(the open-loop safety valve past saturation)."),
-    _k("loadgen.failed", "counter", "1",
-       "Operations that errored (e.g. an invoke retry budget exhausted "
-       "under overload)."),
     _k("loadgen.materialized", "counter", "1",
        "Keyspace ranks lazily materialized as objects on first touch."),
     _k("loadgen.p50_us.*", "series", "µs",
@@ -446,15 +369,10 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("loadgen.p999_us.*", "series", "µs",
        "99.9th-percentile arrival-to-completion latency per op kind."),
     # ---- pubsub.* (the identity-routed pub/sub fabric's tracer) -------------
-    _k("pubsub.subscribed", "counter", "1",
-       "Subscriptions installed (identity route programmed per topic)."),
-    _k("pubsub.published", "counter", "1", "Publications sent into the fabric."),
     _k("pubsub.delivered", "counter", "1",
        "Publication deliveries to matching subscription handlers."),
     _k("pubsub.residual_filtered", "counter", "1",
        "Deliveries dropped host-side by a residual predicate miss."),
-    _k("pubsub.install_failed", "counter", "1",
-       "Identity-route installs the switch rejected (table full)."),
     _k("pubsub.no_route", "counter", "1",
        "Publications with no subscription anywhere on the topic "
        "(published before the first subscribe or after the last one left)."),

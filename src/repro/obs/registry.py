@@ -3,16 +3,10 @@
 Every node and protocol layer in the reproduction owns a
 :class:`~repro.sim.Tracer`; before this layer existed each one was an
 island.  A :class:`MetricsRegistry` names them hierarchically
-(``net.host.n0``, ``discovery.e2e``, ``runtime.node.n2``, …) so one call
-sees the whole cluster:
-
-* :meth:`snapshot` — every counter and sample series, flattened to
-  ``"<tracer-name>:<key>"`` (the ``:`` separates the *where* from the
-  *what*; key names themselves are dotted);
-* :meth:`merge` — combine snapshots from independent runs/registries
-  (counters add, series concatenate);
-* :meth:`checkpoint` / :meth:`since` / :meth:`diff` — what changed
-  between two points of a run (counter deltas, new-sample counts).
+(``net.host.n0``, ``discovery.e2e``, ``runtime.node.n2``, …) so one call,
+:meth:`~MetricsRegistry.snapshot`, sees the whole cluster: every counter
+and sample series flattened to ``"<tracer-name>:<key>"`` (the ``:``
+separates the *where* from the *what*; key names themselves are dotted).
 
 The :class:`~repro.net.topology.Network` registers hosts, switches, and
 the shared link tracer automatically; the runtime adds its engine,
@@ -43,11 +37,10 @@ class RegistryError(Exception):
 
 
 class MetricsRegistry:
-    """Hierarchically named tracers with cluster-wide snapshot/merge/diff."""
+    """Hierarchically named tracers with one cluster-wide snapshot."""
 
     def __init__(self) -> None:
         self._tracers: "OrderedDict[str, Tracer]" = OrderedDict()
-        self._checkpoints: Dict[str, Dict[str, Any]] = {}
 
     # -- registration --------------------------------------------------------
     def register(self, name: str, tracer: Optional[Tracer] = None,
@@ -71,10 +64,6 @@ class MetricsRegistry:
         self._tracers[name] = tracer
         return tracer
 
-    def get(self, name: str) -> Tracer:
-        """Tracer by name; raises ``KeyError`` if unknown."""
-        return self._tracers[name]
-
     def items(self) -> List[Tuple[str, Tracer]]:
         """(name, tracer) pairs, sorted by name."""
         return sorted(self._tracers.items())
@@ -91,8 +80,8 @@ class MetricsRegistry:
 
         Returns ``{"counters": {full_key: int},
         "series": {full_key: [samples...]}}`` where ``full_key`` is
-        ``"<tracer-name>:<key>"``.  Series keep their raw samples so
-        snapshots merge losslessly; summarize at presentation time.
+        ``"<tracer-name>:<key>"``.  Series keep their raw samples;
+        summarize at presentation time.
         """
         counters: Dict[str, int] = {}
         series: Dict[str, List[float]] = {}
@@ -106,56 +95,6 @@ class MetricsRegistry:
             for key in tracer.series.keys():
                 series[f"{name}{NAME_KEY_SEP}{key}"] = tracer.series.samples(key)
         return {"counters": counters, "series": series}
-
-    @staticmethod
-    def merge(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
-        """Combine snapshots (e.g. from independent simulations):
-        counters under the same full key add, series concatenate."""
-        counters: Dict[str, int] = {}
-        series: Dict[str, List[float]] = {}
-        for snap in snapshots:
-            for key, value in snap.get("counters", {}).items():
-                counters[key] = counters.get(key, 0) + value
-            for key, samples in snap.get("series", {}).items():
-                series.setdefault(key, []).extend(samples)
-        return {"counters": counters, "series": series}
-
-    @staticmethod
-    def diff(after: Dict[str, Any], before: Dict[str, Any]) -> Dict[str, Any]:
-        """What happened between two snapshots of the *same* registry.
-
-        Counters report deltas (zero deltas omitted; keys absent from
-        ``before`` count from 0).  Series report how many new samples
-        arrived, under the same full keys.
-        """
-        counters: Dict[str, int] = {}
-        keys = set(after.get("counters", {})) | set(before.get("counters", {}))
-        for key in keys:
-            delta = (after.get("counters", {}).get(key, 0)
-                     - before.get("counters", {}).get(key, 0))
-            if delta != 0:
-                counters[key] = delta
-        series: Dict[str, int] = {}
-        skeys = set(after.get("series", {})) | set(before.get("series", {}))
-        for key in skeys:
-            delta = (len(after.get("series", {}).get(key, ()))
-                     - len(before.get("series", {}).get(key, ())))
-            if delta != 0:
-                series[key] = delta
-        return {"counters": counters, "series": series}
-
-    # -- checkpoints ---------------------------------------------------------
-    def checkpoint(self, label: str) -> Dict[str, Any]:
-        """Store (and return) the current snapshot under ``label``."""
-        snap = self.snapshot()
-        self._checkpoints[label] = snap
-        return snap
-
-    def since(self, label: str) -> Dict[str, Any]:
-        """Diff of the current state against the named checkpoint."""
-        if label not in self._checkpoints:
-            raise KeyError(f"no checkpoint {label!r}")
-        return self.diff(self.snapshot(), self._checkpoints[label])
 
     def __repr__(self) -> str:
         return f"<MetricsRegistry tracers={len(self._tracers)}>"

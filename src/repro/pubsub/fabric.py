@@ -97,7 +97,6 @@ class PubSubFabric:
         self._by_topic.setdefault(topic, []).append(sub)
         self._by_topic_host.setdefault((topic, host_name), []).append(sub)
         self._reinstall_topic(topic)
-        self.tracer.count("pubsub.subscribed")
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -128,17 +127,15 @@ class PubSubFabric:
             # would fall back to flood-on-miss and replicate the
             # publication everywhere — the opposite of pruning.
             for switch in self.network.switches:
-                if not switch.install_identity_route(topic, ()):
-                    self.tracer.count("pubsub.install_failed")
+                switch.install_identity_route(topic, ())
             return
         for switch in self.network.switches:
             ports = tuple(sorted({
                 self.network.port_toward(switch.name, subscriber)
                 for subscriber in subscribers
             }))
-            if not switch.install_identity_route(
-                    topic, ports if len(ports) > 1 else ports[0]):
-                self.tracer.count("pubsub.install_failed")
+            switch.install_identity_route(
+                topic, ports if len(ports) > 1 else ports[0])
 
     # -- health-driven route pruning -----------------------------------------
     def _on_health_event(self, node: str) -> None:
@@ -184,7 +181,6 @@ class PubSubFabric:
         registered with ``wants_meta=True``."""
         self.format.validate(fields)
         host = self.network.host(host_name)
-        self.tracer.count("pubsub.published")
         if not self._by_topic.get(topic):
             self.tracer.count("pubsub.no_route")
         body: Dict[str, Any] = {"fields": dict(fields), "payload": payload}

@@ -217,7 +217,6 @@ class ClusterNode:
         self.space = space
         self.tracer = tracer or Tracer()
         # Counter cells of the per-op path (see Tracer).
-        self._n_read_served = self.tracer.cell("node.read_served")
         self._n_write_served = self.tracer.cell("node.write_served")
         self._n_exec = self.tracer.cell("node.exec")
         self._n_remote_read = self.tracer.cell("node.remote_read")
@@ -272,7 +271,6 @@ class ClusterNode:
                 or not self.runtime.policies.allows_read(oid, packet.src)):
             if oid in self.space:
                 self.tracer.count("node.fetch_denied")
-            self.tracer.count("node.fetch_nack")
             self.host.send(packet.reply(
                 m.KIND_FETCH_NACK, payload_bytes=m.RSP_OVERHEAD_BYTES))
             return
@@ -297,7 +295,6 @@ class ClusterNode:
         offset = packet.payload["offset"]
         length = min(packet.payload["length"], obj.size - offset)
         data = obj.read(offset, length)
-        self._n_read_served[0] += 1
         self.host.send(packet.reply(
             m.KIND_READ_RSP, {"ok": True, "data": data, "version": obj.version},
             m.RSP_OVERHEAD_BYTES + length))
@@ -310,7 +307,6 @@ class ClusterNode:
             try:
                 self.runtime.policies.check_write(oid, packet.src)
             except AccessDenied:
-                self.tracer.count("node.write_denied")
                 ok = False
         if ok:
             obj = self.space.get(oid)
@@ -509,7 +505,6 @@ class ClusterNode:
                 out = self.runtime.create_object(
                     self.name, size=max(len(wire), 1), label="intermediate")
                 out.write(0, wire)
-                self.tracer.count("node.materialized")
                 tags["materialized"] = True
                 result = {"__materialized__": str(out.oid), "size": out.size}
             if compute_span is not None:

@@ -62,19 +62,6 @@ class Summary:
     p99: float
     maximum: float
 
-    def as_dict(self) -> Dict[str, float]:
-        """Snapshot as a plain dictionary."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
 
 def summarize(values: Iterable[float]) -> Summary:
     """Compute a :class:`Summary` of an iterable of samples."""
@@ -103,8 +90,7 @@ class Counter:
     site binds :meth:`cell` once and pays ``cell[0] += n`` (no call, no
     string hash); :meth:`incr` adds to the same cell.  A cell still at
     zero is left out of :meth:`as_dict`, so binding early adds no key to
-    any snapshot, and :meth:`reset` zeroes cells in place, so a cell
-    bound before a reset still counts after it.
+    any snapshot.
     """
 
     def __init__(self) -> None:
@@ -130,11 +116,6 @@ class Counter:
         """Snapshot of the non-zero counters as a plain dictionary."""
         return {key: cell[0] for key, cell in self._cells.items() if cell[0]}
 
-    def reset(self) -> None:
-        """Zero every counter (bound cells stay bound)."""
-        for cell in self._cells.values():
-            cell[0] = 0
-
     def __getitem__(self, key: str) -> int:
         return self.get(key)
 
@@ -158,17 +139,9 @@ class SampleSeries:
         """Recorded samples for ``key`` (a new list)."""
         return list(self._samples.get(key, ()))
 
-    def summary(self, key: str) -> Summary:
-        """Statistical summary of ``key``'s samples."""
-        return summarize(self._samples.get(key, ()))
-
     def keys(self) -> List[str]:
         """Sorted recorded keys."""
         return sorted(self._samples.keys())
-
-    def reset(self) -> None:
-        """Clear all recorded state."""
-        self._samples.clear()
 
 
 @dataclass
@@ -220,12 +193,6 @@ class Tracer:
         self.counters.incr(f"event.{category}")
         if self.keep_events:
             self.events.append(TraceEvent(time, category, detail))
-
-    def reset(self) -> None:
-        """Clear all recorded state."""
-        self.counters.reset()
-        self.series.reset()
-        self.events.clear()
 
 
 class NullTracer(Tracer):

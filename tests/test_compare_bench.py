@@ -44,6 +44,19 @@ def test_a_key_present_on_one_side_only_differs():
     ) == [("3", "host.filtered")]
 
 
+def test_a_key_only_the_parent_holds_is_removed_not_different(tmp_path, capsys):
+    run = json.loads((ROOT / "BENCH_16.json").read_text())
+    del run["fabric_floor"]["end_to_end"]["fingerprint"]["4"]["switch.tx"]
+    removed = tmp_path / "removed.json"
+    removed.write_text(json.dumps(run))
+    # A deleted counter still fails the comparison: nothing is loosened.
+    assert compare_bench.main([str(ROOT / "BENCH_16.json"), str(removed)]) == 1
+    out = capsys.readouterr().out
+    assert "fabric_floor      fingerprint removed 1: (4, switch.tx)" in out
+    assert "DIFFERS" not in out
+    assert out.count("fingerprint equal") == len(WORKLOADS) - 1
+
+
 def test_verdict_follows_the_better_direction():
     verdict = compare_bench.verdict
     assert verdict(100.0, 120.0, "higher", 0.25) == "better, within bound"

@@ -32,30 +32,18 @@ class TestOneStoreTwoSpellings:
         registry = MetricsRegistry()
         tracer = registry.register("net.host.h0")
         tracer.count("seen")
-        registry.checkpoint("before")
         tracer.cell("bound.early")
         assert tracer.counters.as_dict() == {"seen": 1}
         assert registry.snapshot()["counters"] == {"net.host.h0:seen": 1}
-        assert registry.since("before")["counters"] == {}
 
-    def test_first_add_through_a_cell_shows_in_snapshot_and_diff(self):
+    def test_first_add_through_a_cell_shows_in_snapshot_and_as_dict(self):
         registry = MetricsRegistry()
-        cell = registry.register("net.host.h0").cell("host.tx")
-        registry.checkpoint("before")
+        tracer = registry.register("net.host.h0")
+        cell = tracer.cell("host.tx")
+        assert registry.snapshot()["counters"] == {}
         cell[0] += 1
         assert registry.snapshot()["counters"] == {"net.host.h0:host.tx": 1}
-        assert registry.since("before")["counters"] == {"net.host.h0:host.tx": 1}
-
-    def test_reset_zeroes_a_bound_cell_which_then_counts_again(self):
-        tracer = Tracer()
-        cell = tracer.cell("k")
-        cell[0] += 5
-        tracer.reset()
-        assert cell[0] == 0
-        assert tracer.counters.as_dict() == {}
-        cell[0] += 1
-        assert tracer.counters.get("k") == 1
-        assert tracer.counters.as_dict() == {"k": 1}
+        assert tracer.counters.as_dict() == {"host.tx": 1}
 
     def test_negative_count_still_raises_and_adds_nothing(self):
         tracer = Tracer()
@@ -93,15 +81,10 @@ class CounterAgainstDict(RuleBasedStateMachine):
 
     @rule(key=_KEYS, amount=_AMOUNTS)
     def add_through_cell(self, key, amount):
-        # Bound once, like a site: a reset must not orphan the cell.
+        # Bound once, like a site.
         cell = self.bound.setdefault(key, self.tracer.cell(key))
         cell[0] += amount
         self.model[key] = self.model.get(key, 0) + amount
-
-    @rule()
-    def reset(self):
-        self.tracer.reset()
-        self.model.clear()
 
     @invariant()
     def reads_agree(self):

@@ -66,7 +66,7 @@ class TestOneExchange:
 
     def test_timeout_returns_none_and_empties_the_table(self):
         sim, client, server = _pair()
-        server.replace_handler(REQ, lambda p: None)  # never answers
+        server._handlers[REQ] = lambda p: None  # never answers
 
         def proc():
             before = client.outstanding_requests

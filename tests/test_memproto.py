@@ -894,13 +894,13 @@ class TestCapacityEviction:
         def proc():
             for oid in oids:
                 yield from worker.read(oid, 0, 64)
-                assert worker.cached_bytes <= 128
+                assert worker._cache_bytes <= 128
             return None
 
         sim.run_process(proc())
         # Six 64-byte fills through a two-line cache: four evictions.
         assert worker.tracer.counters["coherence.evict.shared"] == 4
-        assert worker.cached_bytes == 128
+        assert worker._cache_bytes == 128
 
     def test_unbounded_cache_never_evicts(self):
         sim, home, worker, oids = self._pair_agents(_seed(61), 6)
@@ -911,7 +911,7 @@ class TestCapacityEviction:
             return None
 
         sim.run_process(proc())
-        assert worker.cached_bytes == 6 * 64
+        assert worker._cache_bytes == 6 * 64
         assert worker.tracer.counters["coherence.evict.shared"] == 0
 
     def test_lru_evicts_least_recently_used(self):

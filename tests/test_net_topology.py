@@ -199,19 +199,6 @@ class TestHostDispatch:
         with pytest.raises(NodeError):
             net.host("h0").on("k", lambda p: None)
 
-    def test_replace_handler(self, sim):
-        net = build_star(sim, 2)
-        first, second = [], []
-        net.host("h1").on("k", lambda p: first.append(p))
-        net.host("h1").replace_handler("k", lambda p: second.append(p))
-
-        def proc():
-            net.host("h0").send(Packet(kind="k", src="h0", dst="h1"))
-            yield Timeout(100)
-
-        sim.run_process(proc())
-        assert first == [] and len(second) == 1
-
     def test_unhandled_packets_queued(self, sim):
         net = build_star(sim, 2)
 

@@ -130,28 +130,6 @@ class TestRegistry:
         assert snap["counters"] == {"net.host.n0:host.tx": 3}
         assert snap["series"] == {"runtime.engine:runtime.invoke_us": [12.5]}
 
-    def test_merge_adds_counters_concatenates_series(self):
-        a = {"counters": {"x:k": 2}, "series": {"x:s": [1.0]}}
-        b = {"counters": {"x:k": 3, "y:k": 1}, "series": {"x:s": [2.0]}}
-        merged = MetricsRegistry.merge(a, b)
-        assert merged["counters"] == {"x:k": 5, "y:k": 1}
-        assert merged["series"] == {"x:s": [1.0, 2.0]}
-
-    def test_diff_and_checkpoint_since(self):
-        reg = MetricsRegistry()
-        tracer = reg.register("net.host.n0")
-        tracer.count("host.tx", 2)
-        reg.checkpoint("warmup")
-        tracer.count("host.tx", 5)
-        tracer.count("host.rx")
-        tracer.sample("host.queue_us", 1.0)
-        delta = reg.since("warmup")
-        # Deltas only; the unchanged-from-zero keys are omitted.
-        assert delta["counters"] == {"net.host.n0:host.tx": 5,
-                                     "net.host.n0:host.rx": 1}
-        assert delta["series"] == {"net.host.n0:host.queue_us": 1}
-        with pytest.raises(KeyError):
-            reg.since("never")
 
 
 # ---------------------------------------------------------------------------

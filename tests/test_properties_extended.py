@@ -241,13 +241,11 @@ def _decide_building_every_candidate(engine, request, candidates, distance):
         decision = (engine._evaluate(request, node, distance)
                     if node.can_execute else None)
         if decision is None:
-            engine.tracer.count("placement.rejected")
             continue
         considered[node.name] = decision.total_us
         if best is None or decision.total_us < best.total_us:
             best = decision
     if best is None:
-        engine.tracer.count("placement.infeasible")
         raise PlacementError("no feasible execution node")
     best.considered = considered
     engine.tracer.count("placement.decisions")

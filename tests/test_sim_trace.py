@@ -54,10 +54,6 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_as_dict_keys(self):
-        d = summarize([1.0, 2.0]).as_dict()
-        assert set(d) == {"count", "mean", "stdev", "min", "p50", "p95", "p99", "max"}
-
 
 class TestCounter:
     def test_incr_and_get(self):
@@ -74,12 +70,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().incr("x", -1)
 
-    def test_reset(self):
-        counter = Counter()
-        counter.incr("x")
-        counter.reset()
-        assert counter.get("x") == 0
-
     def test_as_dict_snapshot(self):
         counter = Counter()
         counter.incr("a")
@@ -93,7 +83,7 @@ class TestSampleSeries:
         series = SampleSeries()
         for value in (1.0, 2.0, 3.0):
             series.record("lat", value)
-        assert series.summary("lat").mean == pytest.approx(2.0)
+        assert summarize(series.samples("lat")).mean == pytest.approx(2.0)
 
     def test_keys_sorted(self):
         series = SampleSeries()
@@ -117,13 +107,6 @@ class TestSampleSeries:
         assert out is not series.samples("lat")
         assert series.samples("missing") == []
 
-    def test_summary_equals_summarize_of_the_list(self):
-        values = [(i * 7919 % 1009) / 3.0 for i in range(1, 2001)]
-        series = SampleSeries()
-        for value in values:
-            series.record("lat", value)
-        assert series.summary("lat") == summarize(values)
-
     def test_an_int_sample_comes_back_as_a_float(self):
         series = SampleSeries()
         series.record("n", 3)
@@ -144,13 +127,3 @@ class TestTracer:
         loud = Tracer(keep_events=True)
         loud.event(1.0, "drop", packet=5)
         assert loud.events[0].detail == {"packet": 5}
-
-    def test_reset_clears_everything(self):
-        tracer = Tracer(keep_events=True)
-        tracer.count("x")
-        tracer.sample("y", 1.0)
-        tracer.event(1.0, "z")
-        tracer.reset()
-        assert tracer.counters.as_dict() == {}
-        assert tracer.series.keys() == []
-        assert tracer.events == []

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import (
     BROADCAST, HEADER_BYTES, Host, Link, Packet, Switch, build_star, topology)
+from repro.net.switch import _DEDUPE_WINDOW
 from repro.net.topology import build_paper_topology
 from repro.netsync import KIND_SEQ_REQ, KIND_SEQ_RSP, SwitchSequencer
 from repro.sim import Simulator
@@ -33,7 +34,6 @@ class PipelineSwitch(Switch):
 
     def receive(self, packet, in_port):
         self._n_rx[0] += 1
-        self._n_rx_bytes[0] += packet.size_bytes
         uid = packet.uid
         if uid in self._seen_broadcasts or uid in self._seen_unicast:
             self.tracer.count("switch.dup_suppressed")
@@ -41,8 +41,10 @@ class PipelineSwitch(Switch):
         dst = packet.dst
         known = (dst is not None and dst != BROADCAST and dst != self.name
                  and dst in self.host_table)
-        self._register_seen(
-            self._seen_unicast if known else self._seen_broadcasts, uid)
+        window = self._seen_unicast if known else self._seen_broadcasts
+        window[uid] = None
+        if len(window) > _DEDUPE_WINDOW:
+            window.popitem(last=False)
         if packet.src:
             self.host_table[packet.src] = in_port
         self._in_pipeline += 1

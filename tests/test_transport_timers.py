@@ -35,7 +35,7 @@ def _ack_instants(end):
         end._on_ack(packet)
         seen.append(end.sim.now)
 
-    end.host.replace_handler(end.ack_kind, on_ack)
+    end.host._handlers[end.ack_kind] = on_ack
     return seen
 
 
