@@ -199,8 +199,7 @@ def _run_invoke_availability():
     _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
     FaultInjector(net, FaultPlan().crash_window(
         "n1", 2_000.0, 60_000.0)).arm()
-    policy = RetryPolicy(max_attempts=3, deadline_us=5_000.0,
-                         backoff_base_us=500.0)
+    policy = RetryPolicy(deadline_us=5_000.0, backoff_base_us=500.0)
     outcomes = {"ok": 0, "timeout": 0}
 
     def driver():

@@ -23,14 +23,13 @@ from repro.sim import Simulator, summarize
 from conftest import bench_check, print_table
 
 OBJECTS_PER_REGION = 8
-WAN_LATENCY_US = 2_000.0
+WAN_LATENCY_US = 2_000.0  # build_multi_region's gateway-to-core links
 
 
 def run_overlay(n_regions: int, seed: int = 67):
     """Build regions, populate objects, access local + remote mixes."""
     sim = Simulator(seed=seed)
-    mr = build_multi_region(sim, n_regions=n_regions, hosts_per_region=2,
-                            wan_latency_us=WAN_LATENCY_US)
+    mr = build_multi_region(sim, n_regions=n_regions, hosts_per_region=2)
     allocator = IDAllocator(seed=seed + 1)
     objects = {}
     for r in range(n_regions):

@@ -1,35 +1,53 @@
 #!/usr/bin/env python3
-"""Every function in ``src/repro`` runs under a claim, or it is listed.
+"""Every function in ``src/repro`` runs under a claim, and every option
+takes a second value under one, or it is listed.
 
 A *claim* is what the repository says about itself outside its unit
 tests: the paper-claim experiments (E1-E19), the quick bench catalogue
-with its CI baseline gate, the perf harness's smoke run and every
-example.  This script runs those (the *claims set*) and, beside them,
-tier-1 (the *tests set*) under a profile hook that records every Python
-function entered, subprocesses included.  A function is named
+with its CI baseline gate, the perf harness's smoke run, every example
+and the CLI's ``selfcheck``, ``report`` and ``trace`` commands.  This
+script runs those (the *claims set*) and, beside them, tier-1 (the
+*tests set*) under a profile hook that records every Python function
+entered, subprocesses included.  A function is named
 ``path::co_qualname``, e.g. ``src/repro/sim/loop.py::Simulator.run``.
 
 Every non-dunder function defined in ``src/repro`` that no claim runs
 must have an entry in ``tests/reach_allowlist.txt``, in the section
 that says whether the tests set runs it ("tests only") or not ("run by
-nothing"), with one reason: ``failure path``, ``cli``, ``interface``
-(an abstract-base method or a ``NullTracer`` twin) or ``item <n>`` (the
-ROADMAP item that will give it a claim or delete it).
+nothing").
+
+An *option* is a defaulted parameter of a function a claim runs, named
+``path::qualname(parameter)``; the fields of a dataclass or NamedTuple
+are options of its generated ``__init__`` / ``__new__``.  The hook
+also records, for each option, whether any call gave it a value other
+than its default (a generator's arguments are read when it first
+runs, not at each resumption).  An option no claim sets takes one value
+wherever the repository makes its claims, so it is a constant: make it
+one, or list it in "options set by tests only" or "options set by
+nothing", by whether a test sets it.
+
+Each entry has one reason: ``failure path`` (safety code), ``cli``,
+``interface`` (an abstract-base method, a ``NullTracer`` twin, the
+load/store and kernel arguments, a signature ``benchmarks/perf/``
+calls), ``record`` (a field of a data record filled per instance) or
+``item <n>`` (the ROADMAP item that will give it a claim or delete it).
 
     python scripts/reach.py --check   # exit 1 on any finding below
     python scripts/reach.py --write   # rewrite the list to match
 
-Findings: an unclaimed function with no entry; an entry for a function
-a claim now runs, or that no longer exists; an entry in the wrong
-section.  So the list can only shrink unless someone adds to it by
-hand.  ``--write`` keeps every reason, drops what ``--check`` calls
-stale and lists new functions with the reason ``?``, which
+Findings: an unclaimed function or an unset option with no entry; an
+entry for a function a claim now runs or an option a claim now sets,
+or for one that no longer exists (an option of a function no claim
+runs is stale too: list the function); an entry in the wrong section.
+So the list can only shrink unless someone adds to it by hand.
+``--write`` keeps every reason, drops what ``--check`` calls stale and
+lists new entries with the reason ``?``, which
 ``tests/test_reach_allowlist.py`` rejects until one is given.
 
 The hook is a ``sitecustomize`` module put first on ``PYTHONPATH``; it
 writes one file per process.  pytest runs get a plugin that re-arms the
 hook at every test phase, because some tests install a profiler of
-their own.  Needs CPython 3.11+ (``co_qualname``); takes two to three
+their own.  Needs CPython 3.11+ (``co_qualname``); takes about three
 minutes, most of it tier-1.
 """
 
@@ -49,29 +67,132 @@ ALLOWLIST = REPO / "tests" / "reach_allowlist.txt"
 
 RUN_BY_NOTHING = "run by nothing"
 TESTS_ONLY = "tests only"
-SECTIONS = (RUN_BY_NOTHING, TESTS_ONLY)
-REASONS = ("failure path", "cli", "interface")  # or "item <n>"
+SET_BY_NOTHING = "options set by nothing"
+SET_BY_TESTS = "options set by tests only"
+SECTIONS = (RUN_BY_NOTHING, TESTS_ONLY, SET_BY_NOTHING, SET_BY_TESTS)
+OPTION_SECTIONS = (SET_BY_NOTHING, SET_BY_TESTS)
+REASONS = ("failure path", "cli", "interface", "record")  # or "item <n>"
 
 HEADER = """\
-# Functions in src/repro that no claim runs, each with one reason:
-# failure path | cli | interface | item <n> (the ROADMAP item that gives
-# it a claim or deletes it).  Checked by scripts/reach.py --check (which
-# profiles the claims and tier-1) and by tests/test_reach_allowlist.py.
+# What in src/repro no claim uses, each with one reason: failure path |
+# cli | interface | record | item <n> (the ROADMAP item that gives it a
+# claim or deletes it).  The first two sections list functions no claim
+# runs; the last two list defaulted parameters of claimed functions that
+# no claim sets to a second value.  Checked by scripts/reach.py --check
+# (which profiles the claims and tier-1) and by
+# tests/test_reach_allowlist.py.
 """
 
 HOOK = '''\
 import atexit
+import dis
+import gc
 import os
 import sys
 import threading
 
-_seen = set()
-_add = _seen.add
+SRC = os.environ["REPRO_REACH_SRC"]
+# Every code object entered, mapped to what its calls still need checked:
+# [(option id, name, default), ...], or None once nothing is left.
+_plans = {}
+_get = _plans.get
+_first = {}           # generator code -> offset of its first RESUME
+_defaulted = set()    # option ids of every function entered
+_set = set()          # option ids some call gave a non-default value
+_UNSET = object()
+
+
+def _function(frame, code):
+    \"\"\"``(function, qualname)`` behind ``frame``, or ``(None, None)``.\"\"\"
+    def owned(owner):
+        for klass in owner.__mro__:
+            found = klass.__dict__.get(code.co_name)
+            found = getattr(found, "__func__", found)
+            if getattr(found, "__code__", None) is code:
+                return found, klass
+        return None, None
+
+    if code.co_argcount:
+        first = frame.f_locals.get(code.co_varnames[0])
+        func, klass = owned(first if isinstance(first, type) else type(first))
+        if func is not None and code.co_filename != "<string>":
+            return func, code.co_qualname
+        if func is not None:
+            # A dataclass or NamedTuple method is compiled from a string:
+            # its class names it.
+            return func, f"{klass.__qualname__}.{code.co_name}"
+    if code.co_filename == "<string>":
+        return None, None
+    func = frame.f_globals.get(code.co_name)
+    if getattr(func, "__code__", None) is code:
+        return func, code.co_qualname
+    for func in gc.get_referrers(code):
+        if getattr(func, "__code__", None) is code:
+            return func, code.co_qualname
+    return None, None
+
+
+def _plan(frame, code):
+    \"\"\"The defaulted parameters of ``code``'s function, when it is
+    defined in ``src/repro``.\"\"\"
+    if not code.co_filename.startswith(SRC) and code.co_filename != "<string>":
+        return None
+    func, qualname = _function(frame, code)
+    if func is None:
+        return None
+    filename = code.co_filename
+    if filename == "<string>":
+        filename = getattr(sys.modules.get(func.__module__), "__file__", "") or ""
+        if not filename.startswith(SRC):
+            return None
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = func.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+    pairs += sorted((func.__kwdefaults__ or {}).items())
+    if not pairs:
+        return None
+    plan = [(f"{filename}::{qualname}({name})", name, default)
+            for name, default in pairs]
+    _defaulted.update(ident for ident, _, _ in plan)
+    if code.co_flags & 0x2A0:  # generator, coroutine, async generator
+        _first[code] = next(i.offset for i in dis.get_instructions(code)
+                            if i.opname == "RESUME")
+    return plan
+
+
+def _differs(value, default):
+    if value is default:
+        return False
+    try:
+        return not (value == default)
+    except Exception:
+        return True
 
 
 def _hook(frame, event, arg):
     if event == "call":
-        _add(frame.f_code)
+        code = frame.f_code
+        plan = _get(code, _UNSET)
+        if plan is not None:
+            _check(frame, code, plan)
+
+
+def _check(frame, code, plan):
+    if plan is _UNSET:
+        plan = _plans[code] = _plan(frame, code)
+        if plan is None:
+            return
+    first = _first.get(code)
+    if first is not None and frame.f_lasti != first:
+        return  # a generator resuming, not called
+    values = frame.f_locals
+    given = {ident for ident, name, default in plan
+             if _differs(values.get(name, default), default)}
+    if given:
+        _set.update(given)
+        # Once every option of a function has been given a second value
+        # the hook stops looking at its calls.
+        _plans[code] = [entry for entry in plan if entry[0] not in given] or None
 
 
 def arm():
@@ -81,10 +202,12 @@ def arm():
 
 def _dump():
     sys.setprofile(None)
-    names = {f"{code.co_filename}::{code.co_qualname}" for code in _seen}
+    names = {f"{code.co_filename}::{code.co_qualname}" for code in _plans}
+    lines = sorted(names) + sorted(f"default {i}" for i in _defaulted)
+    lines += sorted(f"set {i}" for i in _set)
     path = os.path.join(os.environ["REPRO_REACH_OUT"], f"{os.getpid()}.txt")
     with open(path, "w", encoding="utf-8") as out:
-        out.write("\\n".join(sorted(names)))
+        out.write("\\n".join(lines))
 
 
 atexit.register(_dump)
@@ -118,12 +241,16 @@ PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "reach_plugin",
 def claims_commands(scratch):
     """The claims set: what CI runs to back the repository's claims."""
     bench = str(scratch / "BENCH.json")
+    repro = [sys.executable, "-m", "repro"]
     commands = [
         PYTEST + ["benchmarks", "--ignore=benchmarks/perf", "--benchmark-disable"],
-        [sys.executable, "-m", "repro", "bench", "--quick", "--json", bench],
-        [sys.executable, "-m", "repro", "bench", "compare",
-         "benchmarks/baselines/BENCH-quick-baseline.json", bench],
+        repro + ["bench", "--quick", "--json", bench],
+        repro + ["bench", "compare",
+                 "benchmarks/baselines/BENCH-quick-baseline.json", bench],
         [sys.executable, "benchmarks/perf/run.py", "--smoke"],
+        repro + ["selfcheck"],
+        repro + ["report"],
+        repro + ["trace", "quickstart", "--out", str(scratch / "trace.json")],
     ]
     for example in sorted((REPO / "examples").glob("*.py")):
         commands.append([sys.executable, str(example.relative_to(REPO))])
@@ -171,6 +298,71 @@ def function_ids():
     return ids
 
 
+def _init_false(call):
+    """Whether ``call`` (a decorator or a ``field(...)``) says ``init=False``."""
+    return isinstance(call, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in call.keywords)
+
+
+def _named(node, name):
+    """Whether ``node`` is ``name`` or ``x.name``, or a call or a
+    subscript of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def defined_options(path):
+    """``qualname(parameter)`` of every defaulted parameter ``path``
+    defines, the fields of its dataclasses and NamedTuples included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                found.update(f"{prefix}{child.name}({a.arg})" for a in named)
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                if any(_named(d, "dataclass") and not _init_false(d)
+                       for d in child.decorator_list):
+                    init = f"{prefix}{child.name}.__init__"
+                elif any(_named(b, "NamedTuple") for b in child.bases):
+                    init = f"{prefix}{child.name}.__new__"
+                else:
+                    init = None
+                if init:
+                    found.update(
+                        f"{init}({field.target.id})" for field in child.body
+                        if isinstance(field, ast.AnnAssign) and field.value is not None
+                        and isinstance(field.target, ast.Name)
+                        and not _named(field.annotation, "ClassVar")
+                        and not _init_false(field.value))
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return found
+
+
+def option_ids():
+    """``path::qualname(parameter)`` of every option in ``src/repro``."""
+    ids = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(REPO).as_posix()
+        ids.update(f"{rel}::{o}" for o in defined_options(path))
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # what runs
 # ---------------------------------------------------------------------------
@@ -182,7 +374,7 @@ def _env(scratch, name):
     out.mkdir(exist_ok=True)
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join([str(scratch), str(REPO / "src")]),
-                REPRO_REACH_OUT=str(out))
+                REPRO_REACH_OUT=str(out), REPRO_REACH_SRC=str(SRC) + os.sep)
 
 
 def _failed(name, command, code, log):
@@ -191,25 +383,39 @@ def _failed(name, command, code, log):
     raise SystemExit(2)
 
 
+class Ran:
+    """What the processes of one set recorded: the ``src/repro``
+    functions entered, the options (``path::qualname(parameter)``) of
+    those functions, and the options some call set to another value."""
+
+    def __init__(self, functions=(), options=(), set_options=()):
+        self.functions = set(functions)
+        self.options = set(options)
+        self.set_options = set(set_options)
+
+
 def _collect(out):
-    """Every ``src/repro`` function the processes recorded in ``out`` ran."""
+    """What the processes that recorded into ``out`` ran."""
     lines = set()
     for record in out.glob("*.txt"):
         lines.update(record.read_text(encoding="utf-8").splitlines())
-    ran, paths = set(), {}
+    ran, paths = Ran(), {}
     for line in lines:
-        filename, _, qualname = line.partition("::")
+        kind, _, ident = line.rpartition(" ")
+        filename, _, qualname = ident.partition("::")
         if filename not in paths:
             path = pathlib.Path(filename).resolve()
             paths[filename] = (path.relative_to(REPO).as_posix()
                                if path.is_relative_to(SRC) else None)
         if paths[filename]:
-            ran.add(f"{paths[filename]}::{qualname}")
+            into = {"": ran.functions, "default": ran.options,
+                    "set": ran.set_options}[kind]
+            into.add(f"{paths[filename]}::{qualname}")
     return ran
 
 
 def profile():
-    """``(claimed, tested)``: the functions each set runs.  Tier-1 runs
+    """``(claims, tests)``: a :class:`Ran` for each set.  Tier-1 runs
     in the background while the claims run one after another."""
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         scratch = pathlib.Path(tmp)
@@ -260,6 +466,9 @@ def read_allowlist(path=ALLOWLIST):
         if not valid_reason(reason):
             problems.append((lineno, f"{ident}: reason {reason!r} is not one of "
                                      f"{', '.join(REASONS)} or 'item <n>'"))
+        if ident.endswith(")") != (section in OPTION_SECTIONS):
+            problems.append((lineno, f"{ident}: an option goes in an options "
+                                     f"section, a function in a function one"))
         entries[ident] = (section, reason)
         order[section].append(ident)
     for section, idents in order.items():
@@ -286,19 +495,48 @@ def render(entries):
 
 
 def findings(listed, defined, claimed, tested):
-    """What ``--check`` fails on, one line each."""
+    """What ``--check`` fails on for functions, one line each."""
     out = []
     for ident in sorted(defined - claimed):
         if ident not in listed:
             out.append(f"unlisted: {ident} runs under no claim; give it one, "
                        f"delete it or list it with a reason")
     for ident, (section, _) in sorted(listed.items()):
+        if section in OPTION_SECTIONS:
+            continue
         if ident not in defined:
             out.append(f"stale: {ident} no longer exists; drop its entry")
         elif ident in claimed:
             out.append(f"stale: {ident} now runs under a claim; drop its entry")
         else:
             where = TESTS_ONLY if ident in tested else RUN_BY_NOTHING
+            if where != section:
+                out.append(f"misfiled: {ident} belongs in [{where}]")
+    return out
+
+
+def option_findings(listed, defined, claims, tests):
+    """What ``--check`` fails on for options, one line each.  An option
+    is a defaulted parameter ``path::qualname(name)`` of a function a
+    claim runs; ``defined`` is every defaulted parameter in the source,
+    ``claims`` and ``tests`` are each set's :class:`Ran`."""
+    out = []
+    for ident in sorted(claims.options - claims.set_options):
+        if ident not in listed:
+            out.append(f"unlisted: {ident} takes one value under every claim; "
+                       f"make it a constant or list it with a reason")
+    for ident, (section, _) in sorted(listed.items()):
+        if section not in OPTION_SECTIONS:
+            continue
+        if ident not in defined and ident not in claims.options:
+            out.append(f"stale: {ident} no longer exists; drop its entry")
+        elif ident in claims.set_options:
+            out.append(f"stale: {ident} is now set by a claim; drop its entry")
+        elif ident not in claims.options:
+            out.append(f"stale: {ident} belongs to a function no claim runs; "
+                       f"drop its entry")
+        else:
+            where = SET_BY_TESTS if ident in tests.set_options else SET_BY_NOTHING
             if where != section:
                 out.append(f"misfiled: {ident} belongs in [{where}]")
     return out
@@ -317,21 +555,30 @@ def main(argv=None):
 
     listed, problems = read_allowlist()
     defined = function_ids()
-    claimed, tested = profile()
+    claims, tests = profile()
     if args.write:
-        entries = {ident: (TESTS_ONLY if ident in tested else RUN_BY_NOTHING,
+        entries = {ident: (TESTS_ONLY if ident in tests.functions else RUN_BY_NOTHING,
                            listed.get(ident, (None, "?"))[1])
-                   for ident in defined - claimed}
+                   for ident in defined - claims.functions}
+        entries.update(
+            (ident, (SET_BY_TESTS if ident in tests.set_options else SET_BY_NOTHING,
+                     listed.get(ident, (None, "?"))[1]))
+            for ident in claims.options - claims.set_options)
         ALLOWLIST.write_text(render(entries), encoding="utf-8")
         print(f"reach: wrote {len(entries)} entries to {ALLOWLIST.relative_to(REPO)}")
         return 0
     report = [f"{ALLOWLIST.name}:{n}: {m}" for n, m in problems]
-    report += findings(listed, defined, claimed, tested)
+    report += findings(listed, defined, claims.functions, tests.functions)
+    report += option_findings(listed, option_ids(), claims, tests)
     for line in report:
         print(line)
-    unclaimed = defined - claimed
+    unclaimed = defined - claims.functions
+    unset = claims.options - claims.set_options
     print(f"reach: {len(defined)} functions, {len(unclaimed)} under no claim "
-          f"({len(unclaimed & tested)} tests only), {len(report)} findings")
+          f"({len(unclaimed & tests.functions)} tests only); "
+          f"{len(claims.options)} options of claimed functions, {len(unset)} "
+          f"set by no claim ({len(unset & tests.set_options)} by tests only); "
+          f"{len(report)} findings")
     return 1 if report else 0
 
 

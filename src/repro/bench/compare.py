@@ -17,7 +17,7 @@ Exit codes: 0 clean, 1 at least one regression past its threshold,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .runner import BenchError, load_document
 
@@ -107,31 +107,30 @@ def compare_files(
     baseline_path: str,
     candidate_path: str,
     threshold: float = DEFAULT_THRESHOLD,
-    emit: Callable[[str], None] = print,
 ) -> int:
     """Load, diff, print a report, and return the process exit code."""
     try:
         baseline = load_document(baseline_path)
         candidate = load_document(candidate_path)
     except (OSError, ValueError, BenchError) as exc:
-        emit(f"compare: {exc}")
+        print(f"compare: {exc}")
         return 2
     report = compare_documents(baseline, candidate, threshold=threshold)
-    emit(f"comparing {baseline_path} (baseline) -> {candidate_path} (candidate)")
-    emit(f"  {'scenario':28s} {'sim rate':>8s}")
+    print(f"comparing {baseline_path} (baseline) -> {candidate_path} (candidate)")
+    print(f"  {'scenario':28s} {'sim rate':>8s}")
     for delta in report.deltas:
         marker = "  REGRESSED" if delta.regressed else ""
-        emit(f"  {delta.name:28s} {_format_change(delta.sim_rate_change)}{marker}")
+        print(f"  {delta.name:28s} {_format_change(delta.sim_rate_change)}{marker}")
         for note in delta.notes:
-            emit(f"      {note}")
+            print(f"      {note}")
         for key, drift in delta.counter_drift.items():
-            emit(f"      counter {key}: {drift:+d}")
+            print(f"      counter {key}: {drift:+d}")
     for name in report.only_in_baseline:
-        emit(f"  {name}: only in baseline (removed?)")
+        print(f"  {name}: only in baseline (removed?)")
     for name in report.only_in_candidate:
-        emit(f"  {name}: only in candidate (new)")
+        print(f"  {name}: only in candidate (new)")
     if not report.ok:
-        emit(f"FAIL: {len(report.regressions)} scenario(s) regressed")
+        print(f"FAIL: {len(report.regressions)} scenario(s) regressed")
         return 1
-    emit("ok: no regressions past threshold")
+    print("ok: no regressions past threshold")
     return 0

@@ -571,8 +571,7 @@ def faults_invoke_faulty(seed: int, scale: dict) -> ScenarioResult:
     refs = {"blob": GlobalRef(blob.oid, 0, "read")}
     _, code_ref = runtime.create_code("n0", "bench", text_size=256)
     invocations = scale["invocations"]
-    policy = RetryPolicy(max_attempts=3, deadline_us=5_000.0,
-                         backoff_base_us=500.0)
+    policy = RetryPolicy(deadline_us=5_000.0, backoff_base_us=500.0)
     # Crash each holder in turn (the windows never overlap, so a live
     # replica always exists somewhere).
     base = sim.now
@@ -622,8 +621,7 @@ def faults_invoke_failover(seed: int, scale: dict) -> ScenarioResult:
     refs = {"blob": GlobalRef(blob.oid, 0, "read")}
     _, code_ref = runtime.create_code("n0", "bench", text_size=256)
     invocations = scale["invocations"]
-    policy = RetryPolicy(max_attempts=3, deadline_us=5_000.0,
-                         backoff_base_us=500.0)
+    policy = RetryPolicy(deadline_us=5_000.0, backoff_base_us=500.0)
     # n2 (the preferred executor: it holds the blob and replicated it to
     # n1, so both replicas exist) dies shortly into the stream and never
     # comes back — everything after the crash must complete elsewhere.
@@ -1012,7 +1010,7 @@ def bus_telemetry_fanout(seed: int, scale: dict) -> ScenarioResult:
                 name="telemetry", client="h1",
                 rate_per_sec=scale["telemetry_rate"],
                 popularity="zipf", skew=0.8, keyspace=4_096,
-                mix=(("publish", 1.0),), publish_bytes=64,
+                mix=(("publish", 1.0),),
                 max_outstanding=1024))
         report = LoadGenerator(runtime, tenants,
                                duration_us=scale["duration_us"],

@@ -28,12 +28,11 @@ class Replica:
     supplied by the CRDT type (e.g. ``GCounter.from_bytes`` + merge).
     """
 
-    def __init__(self, host: Host, crdt: Any,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host, crdt: Any):
         self.host = host
         self.sim: Simulator = host.sim
         self.crdt = crdt
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.bytes_sent = 0
         self.merges = 0
         host.on(KIND_SYNC, self._on_sync)
@@ -83,13 +82,14 @@ def gossip_round(replicas: List[Replica], rng) -> "generator":
     return _round()
 
 
-def converge(replicas: List[Replica], rng, max_rounds: int = 32,
+def converge(replicas: List[Replica], rng,
              equal: Optional[Callable[[Any, Any], bool]] = None):
     """Process: gossip until every replica's state compares equal.
 
-    Returns the number of rounds taken; raises if ``max_rounds`` is
-    exhausted (convergence failure — a real bug, since these are CvRDTs).
+    Returns the number of rounds taken; raises after 32 rounds
+    (convergence failure — a real bug, since these are CvRDTs).
     """
+    max_rounds = 32
     if equal is None:
         equal = lambda a, b: a == b
 

@@ -147,12 +147,13 @@ class CostModel:
         return flops * self.compute_ns_per_flop / 1000.0
 
     # -- composite movement estimates ---------------------------------------
-    def rpc_transfer(self, nbytes: int, hops: int = 1) -> TransferEstimate:
-        """Moving ``nbytes`` the RPC way: serialize, wire, deserialize."""
+    def rpc_transfer(self, nbytes: int) -> TransferEstimate:
+        """Moving ``nbytes`` the RPC way over one hop: serialize, wire,
+        deserialize."""
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=self.serialize_time_us(nbytes),
-            transfer_us=self.wire_time_us(nbytes, hops),
+            transfer_us=self.wire_time_us(nbytes, 1),
             deserialize_us=self.deserialize_time_us(nbytes),
         )
 

@@ -121,7 +121,7 @@ class FOT:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, raw: bytes, max_entries: int = 1 << 16) -> "FOT":
+    def from_bytes(cls, raw: bytes) -> "FOT":
         """Rebuild an instance from its wire byte encoding."""
         if len(raw) < 4:
             raise FOTError("truncated FOT header")
@@ -129,7 +129,7 @@ class FOT:
         expected = 4 + (count - 1) * FOT_ENTRY_BYTES
         if len(raw) != expected:
             raise FOTError(f"FOT payload size mismatch: {len(raw)} != {expected}")
-        table = cls(max_entries=max_entries)
+        table = cls()
         for i in range(count - 1):
             start = 4 + i * FOT_ENTRY_BYTES
             entry = FOTEntry.from_bytes(raw[start : start + FOT_ENTRY_BYTES])

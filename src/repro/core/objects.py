@@ -81,8 +81,9 @@ class MemObject:
         self.version += 1
 
     # -- bump allocation ---------------------------------------------------
-    def alloc(self, nbytes: int, align: int = 8) -> int:
-        """Reserve ``nbytes`` within the pool; returns the offset.
+    def alloc(self, nbytes: int) -> int:
+        """Reserve ``nbytes`` within the pool; returns the offset, a
+        multiple of 8.
 
         A simple bump allocator — objects are pools, not heaps, and the
         paper's model places related structures together intentionally.
@@ -90,10 +91,8 @@ class MemObject:
         """
         if nbytes <= 0:
             raise ObjectError(f"allocation size must be positive, got {nbytes}")
-        if align <= 0 or (align & (align - 1)) != 0:
-            raise ObjectError(f"alignment must be a positive power of two, got {align}")
-        cursor = max(self._alloc_cursor, align)
-        cursor = (cursor + align - 1) & ~(align - 1)
+        cursor = max(self._alloc_cursor, 8)
+        cursor = (cursor + 7) & ~7
         if cursor + nbytes > self.size:
             raise ObjectError(
                 f"object {self.oid.short()} full: need {nbytes} at {cursor}, size {self.size}"
@@ -120,10 +119,10 @@ class MemObject:
         offset: int,
         target: Union["MemObject", ObjectID],
         target_offset: int,
-        flags: int = FLAG_READ | FLAG_WRITE,
     ) -> InvariantPointer:
         """Create a pointer at ``offset`` referencing ``target_offset`` in
-        ``target``, adding a FOT entry if the target is another object.
+        ``target``, adding a read-write FOT entry if the target is another
+        object.
 
         Returns the pointer that was stored.
         """
@@ -131,7 +130,7 @@ class MemObject:
         if target_oid == self.oid:
             pointer = InvariantPointer.internal(target_offset)
         else:
-            index = self.fot.add(target_oid, flags)
+            index = self.fot.add(target_oid, FLAG_READ | FLAG_WRITE)
             pointer = InvariantPointer.external(index, target_offset)
         self.store_pointer(offset, pointer)
         return pointer

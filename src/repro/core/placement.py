@@ -68,16 +68,13 @@ class NodeProfile:
     * ``active_jobs`` — current queue depth (queueing multiplies compute);
     * ``capacity_bytes`` — memory available for staged inputs (0 = none:
       a node that cannot hold the model cannot run the job, the "Alice's
-      fragment is too large" constraint);
-    * ``can_execute`` — policy bit (e.g., a privacy rule may forbid
-      running on a cloud node).
+      fragment is too large" constraint).
     """
 
     name: str
     speed: float = 1.0
     active_jobs: int = 0
     capacity_bytes: int = 1 << 40
-    can_execute: bool = True
 
     def __post_init__(self) -> None:
         if self.speed <= 0:
@@ -96,7 +93,6 @@ class PlacementItem:
     ref: GlobalRef
     size_bytes: int
     locations: Tuple[str, ...]
-    pinned: bool = False  # True: may not be moved (privacy/local-only data)
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
@@ -156,23 +152,24 @@ class PlacementDecision:
 class PlacementEngine:
     """Chooses the execution node minimizing estimated completion time."""
 
+    # Predicted wait per job already queued at a candidate.
+    QUEUE_PENALTY_US = 50.0
+
     def __init__(
         self,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        queue_penalty_us: float = 50.0,
         transfer_blind: bool = False,
-        tracer: Optional[Tracer] = None,
-        pool_oracle: Optional[PoolOracle] = None,
     ):
         self.cost_model = cost_model
-        self.queue_penalty_us = queue_penalty_us
         self.transfer_blind = transfer_blind
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         # Counter cells of decide() (see Tracer): one per staging tier.
         self._n_decisions = self.tracer.cell("placement.decisions")
         self._n_tier = {tier: self.tracer.cell(f"placement.tier.{tier}")
                         for tier in (TIER_DRAM, TIER_POOL, TIER_NETWORK)}
-        self.pool_oracle = pool_oracle
+        # Set by GlobalSpaceRuntime.attach_pool: which pool, if any, a
+        # node can load an object through.
+        self.pool_oracle: Optional[PoolOracle] = None
 
     # -- candidate evaluation ------------------------------------------------
     def _nearest_source(
@@ -199,8 +196,6 @@ class PlacementEngine:
         for item in items:
             if name in item.locations:
                 continue
-            if item.pinned:
-                return None
             hops = min(distance(loc, name) for loc in item.locations)
             pooled = (self.pool_oracle is not None
                       and self.pool_oracle(name, item.ref.oid) is not None)
@@ -209,7 +204,7 @@ class PlacementEngine:
             staged_bytes += item.size_bytes
         if staged_bytes > node.capacity_bytes:
             return None
-        queue_us = node.active_jobs * self.queue_penalty_us
+        queue_us = node.active_jobs * self.QUEUE_PENALTY_US
         compute_us = cost.compute_time_us(request.flops) / node.speed
         result_hops = distance(name, request.invoker)
         result_return_us = (
@@ -233,8 +228,6 @@ class PlacementEngine:
             if node.name in item.locations:
                 tiers[TIER_DRAM] = tiers.get(TIER_DRAM, 0) + 1
                 continue  # already resident
-            if item.pinned:
-                return None  # this input may not move; node infeasible
             source, hops = self._nearest_source(item, node.name, distance)
             pool_name = (
                 self.pool_oracle(node.name, item.ref.oid)
@@ -257,7 +250,7 @@ class PlacementEngine:
             stage_in_us = max(stage_in_us, transfer.total_us)
         if staged_bytes > node.capacity_bytes:
             return None
-        queue_us = node.active_jobs * self.queue_penalty_us
+        queue_us = node.active_jobs * self.QUEUE_PENALTY_US
         compute_us = self.cost_model.compute_time_us(request.flops) / node.speed
         result_hops = distance(node.name, request.invoker)
         result_return_us = (
@@ -288,7 +281,7 @@ class PlacementEngine:
         """Pick the best execution node among ``candidates``.
 
         Raises :class:`PlacementError` if no candidate is feasible (all
-        lack capacity, permission, or required pinned inputs).
+        lack the capacity to stage its inputs).
         """
         if not candidates:
             raise PlacementError("no candidate nodes supplied")
@@ -299,8 +292,7 @@ class PlacementEngine:
         # scored node (open-loop load makes decide() a hot path).
         items = (request.code,) + request.inputs
         for node in candidates:
-            total = (self._score(request, node, distance, items)
-                     if node.can_execute else None)
+            total = self._score(request, node, distance, items)
             if total is None:
                 continue
             considered[node.name] = total
@@ -308,8 +300,8 @@ class PlacementEngine:
                 winner, best_total = node, total
         if winner is None:
             raise PlacementError(
-                "no feasible execution node: every candidate lacks capacity, "
-                "permission, or a required pinned input"
+                "no feasible execution node: every candidate lacks the "
+                "capacity to stage the inputs"
             )
         best = self._evaluate(request, winner, distance)
         best.considered = considered

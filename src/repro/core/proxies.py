@@ -271,12 +271,11 @@ class ProxyCache:
     twice.
     """
 
-    def __init__(self, sim, backend, tracer: Optional[Tracer] = None,
-                 budget: Optional[PrefetchBudget] = None):
+    def __init__(self, sim, backend):
         self.sim = sim
         self.backend = backend
-        self.tracer = tracer or Tracer()
-        self.budget = budget or PrefetchBudget()
+        self.tracer = Tracer()
+        self.budget = PrefetchBudget()
         self._proxies: Dict[ObjectID, ObjectProxy] = {}
         self._inflight: Dict[ObjectID, Future] = {}
         register = getattr(backend, "register_invalidation", None)

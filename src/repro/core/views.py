@@ -107,9 +107,9 @@ class StructLayout:
             raise LayoutError(f"layout {self.name!r} has no field {field_name!r}")
         return self._by_name[field_name]
 
-    def allocate_in(self, obj: MemObject, align: int = 8) -> "StructView":
+    def allocate_in(self, obj: MemObject) -> "StructView":
         """Reserve space for one record inside ``obj`` and return its view."""
-        offset = obj.alloc(self.size, align=align)
+        offset = obj.alloc(self.size)
         return StructView(self, obj, offset)
 
     def view(self, obj: MemObject, offset: int) -> "StructView":

@@ -95,14 +95,13 @@ class ObjectHome:
       object has moved away and ``forwarding_hints`` is enabled.
     """
 
-    def __init__(self, host: Host, space: Optional[ObjectSpace] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host, space: Optional[ObjectSpace] = None):
         self.host = host
         self.sim: Simulator = host.sim
         # Explicit None check: ObjectSpace defines __len__, so an empty
         # space is falsy and `space or ...` would silently discard it.
         self.space = space if space is not None else ObjectSpace(host_name=host.name)
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         # Where objects we used to own went.  Two opt-in variants use it
         # (both off by default — baseline E2E re-broadcasts on staleness,
         # as §4 describes):

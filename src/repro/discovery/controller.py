@@ -53,12 +53,11 @@ class DirectoryController:
     the owner and invalidates outstanding leases.
     """
 
-    def __init__(self, host: Host, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, host: Host, metrics: Optional[MetricsRegistry] = None,
                  metrics_name: Optional[str] = None):
         self.host = host
         self.sim: Simulator = host.sim
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         if metrics is not None and metrics_name is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
         self.owner_of: Dict[ObjectID, str] = {}
@@ -87,29 +86,25 @@ class DirectoryController:
 class SdnController(DirectoryController):
     """Controller logic: advertisement ingress + switch table updates.
 
-    ``install_delay_us`` models the control-channel and table-write time
-    per switch; installs across switches proceed in parallel.  The
+    ``INSTALL_DELAY_US`` models the control-channel and table-write
+    time per switch; installs across switches proceed in parallel.  The
     controller is attached to a real host, so advertisements themselves
     traverse the data network (they are control traffic, off the access
     path — Figure 2 measures access RTT, not advertisement cost).
     """
 
+    INSTALL_DELAY_US = 20.0
+
     def __init__(self, network: Network, host: Host,
-                 install_delay_us: float = 20.0,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: str = "discovery.controller"):
-        if install_delay_us < 0:
-            raise DiscoveryError("install delay must be non-negative")
-        super().__init__(host, tracer=tracer, metrics=metrics,
-                         metrics_name=metrics_name)
+                 metrics: Optional[MetricsRegistry] = None):
+        super().__init__(host, metrics=metrics,
+                         metrics_name="discovery.controller")
         self.network = network
-        self.install_delay_us = install_delay_us
         self.install_failures = 0
 
     def _accepted(self, oid: ObjectID, owner: str, previous: Optional[str],
                   packet: Packet) -> None:
-        self.sim.schedule(self.install_delay_us, self._install_routes, oid, owner)
+        self.sim.schedule(self.INSTALL_DELAY_US, self._install_routes, oid, owner)
 
     def _install_routes(self, oid: ObjectID, owner: str) -> None:
         """Point every switch's identity table at ``owner`` for ``oid``."""
@@ -121,14 +116,15 @@ class SdnController(DirectoryController):
                 self.install_failures += 1
 
 
-def advertise(host: Host, oid: ObjectID, controller_host: str = "controller") -> None:
-    """Owner-side: tell the controller this host holds ``oid``.
+def advertise(host: Host, oid: ObjectID) -> None:
+    """Owner-side: tell the controller (the host named ``controller``)
+    this host holds ``oid``.
 
     Called at object creation and again after movement (the §4 model:
     "hosts notify controllers about objects").
     """
     host.send(Packet(
-        kind=KIND_ADVERTISE, src=host.name, dst=controller_host, oid=oid,
+        kind=KIND_ADVERTISE, src=host.name, dst="controller", oid=oid,
         payload={"owner": host.name}, payload_bytes=24,
     ))
 

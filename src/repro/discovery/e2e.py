@@ -48,18 +48,17 @@ class E2EResolver:
     """Requester-side E2E discovery: destination cache + broadcast find."""
 
     def __init__(self, host: Host, timeout_us: float = 50_000.0,
-                 max_retries: int = 3, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: str = "discovery.e2e"):
+                 max_retries: int = 3,
+                 metrics: Optional[MetricsRegistry] = None):
         if timeout_us <= 0:
             raise DiscoveryError("timeout must be positive")
         self.host = host
         self.sim: Simulator = host.sim
         self.timeout_us = timeout_us
         self.max_retries = max_retries
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         if metrics is not None:
-            metrics.register(metrics_name, self.tracer, replace=True)
+            metrics.register("discovery.e2e", self.tracer, replace=True)
         self.cache: Dict[ObjectID, str] = {}
         host.on(KIND_FOUND, host.complete)
         host.on(KIND_ACCESS_RSP, host.complete)

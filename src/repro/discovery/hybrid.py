@@ -24,10 +24,9 @@ sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.objectid import ObjectID
-from ..obs.registry import MetricsRegistry
 from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
@@ -37,7 +36,6 @@ from .base import (
     KIND_ACCESS_REQ,
     KIND_ACCESS_RSP,
     AccessRecord,
-    DiscoveryError,
 )
 
 __all__ = ["HybridAccessor"]
@@ -46,19 +44,13 @@ __all__ = ["HybridAccessor"]
 class HybridAccessor:
     """Requester-side hybrid: destination cache over identity routing."""
 
-    def __init__(self, host: Host, timeout_us: float = 50_000.0,
-                 max_retries: int = 3, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: str = "discovery.hybrid"):
-        if timeout_us <= 0:
-            raise DiscoveryError("timeout must be positive")
+    TIMEOUT_US = 50_000.0
+    MAX_RETRIES = 3
+
+    def __init__(self, host: Host):
         self.host = host
         self.sim: Simulator = host.sim
-        self.timeout_us = timeout_us
-        self.max_retries = max_retries
-        self.tracer = tracer or Tracer()
-        if metrics is not None:
-            metrics.register(metrics_name, self.tracer, replace=True)
+        self.tracer = Tracer()
         self.cache: Dict[ObjectID, str] = {}
         host.on(KIND_ACCESS_RSP, host.complete)
         host.on(KIND_ACCESS_NACK, host.complete)
@@ -68,7 +60,7 @@ class HybridAccessor:
         record = AccessRecord(oid=oid, start_us=self.sim.now)
         cached = self.cache.get(oid)
         record.was_new = cached is None
-        for attempt in range(self.max_retries):
+        for attempt in range(self.MAX_RETRIES):
             if cached is not None:
                 self.tracer.count("hybrid.unicast")
                 dst = cached
@@ -78,7 +70,7 @@ class HybridAccessor:
             reply = yield self.host.request(Packet(
                 kind=KIND_ACCESS_REQ, src=self.host.name, dst=dst, oid=oid,
                 payload={"offset": offset, "length": length}, payload_bytes=24,
-            ), self.timeout_us)
+            ), self.TIMEOUT_US)
             if reply is None:
                 cached = None  # drop to identity routing on retry
                 continue

@@ -142,13 +142,11 @@ class ShardDirectory(DirectoryController):
     """
 
     def __init__(self, host: Host, lease_ttl_us: float = 100_000.0,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: Optional[str] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         if lease_ttl_us <= 0:
             raise DiscoveryError("lease TTL must be positive")
-        super().__init__(host, tracer=tracer, metrics=metrics,
-                         metrics_name=metrics_name or f"discovery.shard.{host.name}")
+        super().__init__(host, metrics=metrics,
+                         metrics_name=f"discovery.shard.{host.name}")
         self.lease_ttl_us = lease_ttl_us
         # oid -> {requester host: lease expiry} for leases we granted.
         self.leases: Dict[ObjectID, Dict[str, float]] = {}
@@ -194,7 +192,8 @@ class ShardAdvertiser:
 
     Each advertised object gets a monitor process that sends the
     advertisement to the object's owning shard and waits for the ack.
-    After ``ack_retries`` unanswered attempts the monitor fails over to
+    After ``ACK_RETRIES`` unanswered attempts (``ACK_TIMEOUT_US`` each)
+    the monitor fails over to
     the successor shard in rendezvous order (counted as
     ``shard.failover``).  With a ``refresh_interval_us`` the monitor
     re-advertises periodically — that refresh is what re-homes a
@@ -203,29 +202,22 @@ class ShardAdvertiser:
     shard).
     """
 
+    ACK_TIMEOUT_US = 1_000.0
+    ACK_RETRIES = 2
+
     def __init__(self, host: Host, shard_map: ShardMap,
-                 ack_timeout_us: float = 1_000.0, ack_retries: int = 2,
                  refresh_interval_us: Optional[float] = None,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: Optional[str] = None):
-        if ack_timeout_us <= 0:
-            raise DiscoveryError("ack timeout must be positive")
-        if ack_retries < 1:
-            raise DiscoveryError("need at least one advertisement attempt")
+                 metrics: Optional[MetricsRegistry] = None):
         if refresh_interval_us is not None and refresh_interval_us <= 0:
             raise DiscoveryError("refresh interval must be positive")
         self.host = host
         self.sim: Simulator = host.sim
         self.shard_map = shard_map
-        self.ack_timeout_us = ack_timeout_us
-        self.ack_retries = ack_retries
         self.refresh_interval_us = refresh_interval_us
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         if metrics is not None:
-            metrics.register(
-                metrics_name or f"discovery.advertiser.{host.name}",
-                self.tracer, replace=True)
+            metrics.register(f"discovery.advertiser.{host.name}",
+                             self.tracer, replace=True)
         # Version per oid: bumping it retires the running monitor, so
         # advertise-after-move and withdraw are race-free.
         self._versions: Dict[ObjectID, int] = {}
@@ -265,14 +257,14 @@ class ShardAdvertiser:
         for index, shard in enumerate(self.shard_map.ranked(oid)):
             if index > 0:
                 self.tracer.count("shard.failover")
-            for _ in range(self.ack_retries):
+            for _ in range(self.ACK_RETRIES):
                 if not self._current(oid, version):
                     return False
                 ack = yield self.host.request(Packet(
                     kind=KIND_ADVERTISE, src=self.host.name, dst=shard,
                     oid=oid, payload={"owner": self.host.name},
                     payload_bytes=24,
-                ), self.ack_timeout_us)
+                ), self.ACK_TIMEOUT_US)
                 if ack is not None:
                     return True
         return False
@@ -293,24 +285,19 @@ class LeaseCachingResolver:
 
     def __init__(self, host: Host, shard_map: ShardMap,
                  timeout_us: float = 50_000.0, max_retries: int = 3,
-                 resolve_attempts: int = 1, use_leases: bool = True,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_name: str = "discovery.lease"):
+                 use_leases: bool = True,
+                 metrics: Optional[MetricsRegistry] = None):
         if timeout_us <= 0:
             raise DiscoveryError("timeout must be positive")
-        if resolve_attempts < 1:
-            raise DiscoveryError("need at least one resolve attempt per shard")
         self.host = host
         self.sim: Simulator = host.sim
         self.shard_map = shard_map
         self.timeout_us = timeout_us
         self.max_retries = max_retries
-        self.resolve_attempts = resolve_attempts
         self.use_leases = use_leases
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         if metrics is not None:
-            metrics.register(metrics_name, self.tracer, replace=True)
+            metrics.register("discovery.lease", self.tracer, replace=True)
         self.cache: Dict[ObjectID, Tuple[str, float]] = {}  # oid -> (holder, expiry)
         self._seen: set = set()
         host.on(KIND_RESOLVE_RSP, host.complete)
@@ -375,21 +362,18 @@ class LeaseCachingResolver:
         for index, shard in enumerate(self.shard_map.ranked(oid)):
             if index > 0:
                 self.tracer.count("shard.failover")
-            for _ in range(self.resolve_attempts):
-                record.round_trips += 1
-                reply = yield self.host.request(Packet(
-                    kind=KIND_RESOLVE_REQ, src=self.host.name, dst=shard,
-                    oid=oid, payload_bytes=24,
-                ), self.timeout_us)
-                if reply is None:
-                    continue
-                holder = reply.payload["holder"]
-                if holder is None:
-                    break  # this shard has no entry; ask the successor
-                if self.use_leases:
-                    self.cache[oid] = (
-                        holder, self.sim.now + reply.payload["ttl_us"])
-                return holder
+            record.round_trips += 1
+            reply = yield self.host.request(Packet(
+                kind=KIND_RESOLVE_REQ, src=self.host.name, dst=shard,
+                oid=oid, payload_bytes=24,
+            ), self.timeout_us)
+            if reply is None or reply.payload["holder"] is None:
+                continue  # dead, or no entry here: ask the successor
+            holder = reply.payload["holder"]
+            if self.use_leases:
+                self.cache[oid] = (
+                    holder, self.sim.now + reply.payload["ttl_us"])
+            return holder
         return None
 
     def _access_once(self, holder: str, oid: ObjectID, offset: int,
@@ -435,14 +419,15 @@ class ShardedTestbed:
     resolver on the identical topology and workload (the E18 baseline).
     """
 
-    def __init__(self, n_shards: int, seed: int, n_responders: int = 2,
-                 object_size: int = 1024, scheme: str = SCHEME_SHARDED,
+    N_RESPONDERS = 2
+    OBJECT_SIZE = 1024
+    LATENCY_US = 5.0
+    RESOLVER_TIMEOUT_US = 2_000.0
+    RESOLVER_MAX_RETRIES = 6
+
+    def __init__(self, n_shards: int, seed: int, scheme: str = SCHEME_SHARDED,
                  use_leases: bool = True, lease_ttl_us: float = 100_000.0,
-                 refresh_interval_us: Optional[float] = None,
-                 ack_timeout_us: float = 1_000.0,
-                 resolver_timeout_us: float = 2_000.0,
-                 max_retries: int = 6,
-                 latency_us: float = 5.0):
+                 refresh_interval_us: Optional[float] = None):
         if n_shards < 1:
             raise DiscoveryError("need at least one shard")
         if scheme not in (SCHEME_SHARDED, "e2e"):
@@ -451,11 +436,11 @@ class ShardedTestbed:
         self.sim = Simulator(seed=seed)
         self.net = Network(self.sim)
         self.net.add_switch("s0")
-        self.responders = tuple(f"resp{i + 1}" for i in range(n_responders))
+        self.responders = tuple(f"resp{i + 1}" for i in range(self.N_RESPONDERS))
         self.shard_hosts = tuple(f"shard{i + 1}" for i in range(n_shards))
         for name in ("driver",) + self.responders + self.shard_hosts:
             self.net.add_host(name)
-            self.net.connect(name, "s0", latency_us=latency_us)
+            self.net.connect(name, "s0", latency_us=self.LATENCY_US)
         self.shard_map = ShardMap(self.shard_hosts)
         self.allocator = IDAllocator(seed=seed + 1)
         self.homes: Dict[str, ObjectHome] = {}
@@ -475,22 +460,20 @@ class ShardedTestbed:
             for name in self.responders:
                 self.advertisers[name] = ShardAdvertiser(
                     self.net.host(name), self.shard_map,
-                    ack_timeout_us=ack_timeout_us,
                     refresh_interval_us=refresh_interval_us,
                     metrics=self.net.metrics)
             self.accessor = LeaseCachingResolver(
-                driver, self.shard_map, timeout_us=resolver_timeout_us,
-                max_retries=max_retries, use_leases=use_leases,
+                driver, self.shard_map, timeout_us=self.RESOLVER_TIMEOUT_US,
+                max_retries=self.RESOLVER_MAX_RETRIES, use_leases=use_leases,
                 metrics=self.net.metrics)
         else:
             self.accessor = E2EResolver(driver, metrics=self.net.metrics)
-        self.object_size = object_size
         self.location: Dict[ObjectID, str] = {}
 
     # -- object lifecycle ---------------------------------------------------
     def create_object(self, responder: str) -> ObjectID:
         home = self.homes[responder]
-        obj = home.space.create_object(size=self.object_size)
+        obj = home.space.create_object(size=self.OBJECT_SIZE)
         self.location[obj.oid] = responder
         if self.scheme == SCHEME_SHARDED:
             self.advertisers[responder].advertise(obj.oid)
@@ -527,7 +510,6 @@ def run_sharded_point(
     n_shards: int,
     n_objects: int = 40,
     n_accesses: int = 100,
-    zipf_s: float = 1.1,
     percent_moved: int = 0,
     gap_us: float = 0.0,
     seed: int = 42,
@@ -555,7 +537,7 @@ def run_sharded_point(
     rng = bed.sim.rng
     pool = [bed.create_object(bed.responders[i % len(bed.responders)])
             for i in range(n_objects)]
-    popularity = ZipfSampler(n_objects, zipf_s)
+    popularity = ZipfSampler(n_objects, 1.1)
     if shard_crash_window is not None:
         if bed.scheme != SCHEME_SHARDED:
             raise DiscoveryError("shard crash windows need the sharded scheme")

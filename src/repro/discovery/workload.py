@@ -77,21 +77,21 @@ def _aggregate(scheme: str, percent: int, records: List[AccessRecord]) -> SweepP
     )
 
 
+# Every sweep point draws from a pool of this many objects of this size.
+_POOL_OBJECTS = 20
+_OBJECT_SIZE = 4096
+
+
 class _Testbed:
     """One instantiation of the §4 environment, ready to drive accesses."""
 
-    def __init__(self, scheme: str, seed: int, object_size: int,
-                 switch_processing_us: float = 0.5):
+    def __init__(self, scheme: str, seed: int):
         if scheme not in (SCHEME_E2E, SCHEME_CONTROLLER):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.scheme = scheme
         self.sim = Simulator(seed=seed)
-        self.object_size = object_size
         self.net: Network = build_paper_topology(
-            self.sim,
-            with_controller_host=(scheme == SCHEME_CONTROLLER),
-            processing_delay_us=switch_processing_us,
-        )
+            self.sim, with_controller_host=(scheme == SCHEME_CONTROLLER))
         self.allocator = IDAllocator(seed=seed + 1)
         self.homes: Dict[str, ObjectHome] = {
             name: ObjectHome(
@@ -116,7 +116,7 @@ class _Testbed:
     def create_object(self, responder: str) -> ObjectID:
         """Create (and, under the controller scheme, advertise) an object."""
         home = self.homes[responder]
-        obj = home.space.create_object(size=self.object_size)
+        obj = home.space.create_object(size=_OBJECT_SIZE)
         self.location[obj.oid] = responder
         if self.scheme == SCHEME_CONTROLLER:
             advertise(home.host, obj.oid)
@@ -141,19 +141,17 @@ def run_fig2_point(
     scheme: str,
     percent_new: int,
     n_accesses: int = 100,
-    n_old_objects: int = 20,
-    object_size: int = 4096,
     seed: int = 42,
 ) -> SweepPoint:
     """One Figure 2 sweep point: ``percent_new``% of accesses target
     objects never accessed before; the rest revisit warmed-up objects."""
     if not 0 <= percent_new <= 100:
         raise ValueError("percent_new must be in [0, 100]")
-    bed = _Testbed(scheme, seed=seed * 1000 + percent_new, object_size=object_size)
+    bed = _Testbed(scheme, seed=seed * 1000 + percent_new)
     rng = bed.sim.rng
     old_pool = [
         bed.create_object(_RESPONDERS[i % len(_RESPONDERS)])
-        for i in range(n_old_objects)
+        for i in range(_POOL_OBJECTS)
     ]
     records: List[AccessRecord] = []
 
@@ -184,9 +182,6 @@ def run_fig2_point(
 def run_fig3_point(
     percent_moved: int,
     n_accesses: int = 100,
-    n_objects: int = 20,
-    object_size: int = 4096,
-    seed: int = 42,
     use_forwarding_hints: bool = False,
     scheme: str = SCHEME_E2E,
 ) -> SweepPoint:
@@ -196,14 +191,14 @@ def run_fig3_point(
     (controller variant)."""
     if not 0 <= percent_moved <= 100:
         raise ValueError("percent_moved must be in [0, 100]")
-    bed = _Testbed(scheme, seed=seed * 1000 + percent_moved, object_size=object_size)
+    bed = _Testbed(scheme, seed=42 * 1000 + percent_moved)
     if use_forwarding_hints:
         for home in bed.homes.values():
             home.forward_stale_accesses = True
     rng = bed.sim.rng
     pool = [
         bed.create_object(_RESPONDERS[i % len(_RESPONDERS)])
-        for i in range(n_objects)
+        for i in range(_POOL_OBJECTS)
     ]
     records: List[AccessRecord] = []
 

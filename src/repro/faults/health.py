@@ -5,11 +5,11 @@ is *not sending the next invocation to the same dead host*.  The
 :class:`HealthLedger` is the runtime's memory of who recently failed to
 answer: invocation deadlines mark an executor suspected, successful
 replies (or any reply traffic from the node) clear it, and suspicion
-expires on its own after ``suspicion_ttl_us`` so a recovered host is
+expires on its own after ``SUSPICION_TTL_US`` so a recovered host is
 eventually trusted again even if it never happens to serve a request.
 
 ``GlobalSpaceRuntime.live_profiles`` consults the ledger and inflates a
-suspected node's apparent queue depth by ``suspect_penalty_jobs``, so
+suspected node's apparent queue depth by ``SUSPECT_PENALTY_JOBS``, so
 placement deprioritizes it without hard-excluding it — a suspected node
 can still win if it is the only feasible candidate (it may well be
 alive; suspicion is a guess, not a verdict).
@@ -31,15 +31,15 @@ __all__ = ["HealthLedger"]
 class HealthLedger:
     """Suspicion timestamps per node name, with TTL expiry."""
 
-    def __init__(self, sim: "Simulator", suspicion_ttl_us: float = 1_000_000.0,
-                 suspect_penalty_jobs: int = 1_000,
-                 tracer: Optional[Tracer] = None):
-        if suspicion_ttl_us <= 0:
-            raise ValueError("suspicion TTL must be positive")
+    # Queue depth a suspected node's profile is charged with.
+    SUSPECT_PENALTY_JOBS = 1_000
+
+    # How long one suspicion lasts unless a reply clears it first.
+    SUSPICION_TTL_US = 1_000_000.0
+
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.suspicion_ttl_us = suspicion_ttl_us
-        self.suspect_penalty_jobs = suspect_penalty_jobs
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self._suspect_until: Dict[str, float] = {}
         self._listeners: List[Callable[[str], None]] = []
 
@@ -59,7 +59,7 @@ class HealthLedger:
     # -- state transitions -------------------------------------------------
     def suspect(self, node: str) -> None:
         """Mark ``node`` suspected until now + TTL (timeouts land here)."""
-        self._suspect_until[node] = self.sim.now + self.suspicion_ttl_us
+        self._suspect_until[node] = self.sim.now + self.SUSPICION_TTL_US
         self.tracer.count(K_HEALTH_SUSPECTED)
         self._notify(node)
 
@@ -97,7 +97,7 @@ class HealthLedger:
 
     def penalty_jobs(self, node: str) -> int:
         """Queue-depth surcharge placement folds into a node's profile."""
-        return self.suspect_penalty_jobs if self.is_suspected(node) else 0
+        return self.SUSPECT_PENALTY_JOBS if self.is_suspected(node) else 0
 
     def __repr__(self) -> str:
         return f"<HealthLedger suspected={sorted(self.suspected())}>"

@@ -14,7 +14,7 @@ subjected to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs.keys import K_FAULTS_INJECTED
 from ..sim import Tracer
@@ -28,12 +28,11 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Schedules a :class:`FaultPlan` onto one network's simulator."""
 
-    def __init__(self, network: Network, plan: FaultPlan,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, network: Network, plan: FaultPlan):
         self.network = network
         self.sim = network.sim
         self.plan = plan
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         network.metrics.register("faults.injector", self.tracer, replace=True)
         self._handles: List[list] = []
         # Loss rates saved at degrade time so RESTORE puts back whatever
@@ -72,8 +71,7 @@ class FaultInjector:
         handler = self._HANDLERS[event.kind]
         handler(self, event)
         self.tracer.count(K_FAULTS_INJECTED + event.kind)
-        self.tracer.event(self.sim.now, "fault", kind=event.kind,
-                          target=list(event.target))
+        self.tracer.event("fault")
 
     def _apply_crash(self, event: FaultEvent) -> None:
         self.network.host(event.target[0]).fail()

@@ -61,6 +61,8 @@ __all__ = ["OPS", "LOADGEN_ENTRY", "TenantSpec", "TenantReport",
 
 # The op kinds a tenant mix may weight.
 OPS = ("load", "store", "invoke", "proxied_invoke", "publish")
+_PUBLISH_FIELD = "kind"
+_PUBLISH_BYTES = 64
 
 # Registry entry for the mobile-code op kinds.
 LOADGEN_ENTRY = "loadgen_touch"
@@ -102,7 +104,9 @@ class TenantSpec:
     weights need not sum to 1.  ``max_outstanding`` is the open-loop
     safety valve: arrivals beyond it are *dropped* (counted, never
     issued), modelling client-side shedding rather than unbounded
-    process growth when far past saturation.
+    process growth when far past saturation.  A ``publish`` op sends a
+    ``_PUBLISH_BYTES`` event whose ``_PUBLISH_FIELD`` field carries the
+    key rank.
     """
 
     name: str
@@ -117,8 +121,6 @@ class TenantSpec:
     write_bytes: int = 64
     flops: float = 2e5
     max_outstanding: int = 256
-    publish_field: str = "kind"
-    publish_bytes: int = 64
     # Optional egress traffic class: stamped on every packet the
     # tenant's client host sends, so WRR-arbitrated links can weight
     # this tenant's traffic independently of the built-in coherence/
@@ -166,10 +168,9 @@ class TenantReport:
     overall: LatencyHistogram
     by_op: Dict[str, LatencyHistogram]
 
-    def percentile(self, p: float, op: Optional[str] = None) -> float:
-        """Latency percentile (µs) overall, or for one op kind."""
-        hist = self.overall if op is None else self.by_op[op]
-        return hist.percentile(p)
+    def percentile(self, p: float) -> float:
+        """Latency percentile (µs) over every op."""
+        return self.overall.percentile(p)
 
 
 @dataclass
@@ -192,18 +193,18 @@ class LoadReport:
             raise ValueError("report has no tenants")
         return merged
 
-    def counters(self, prefix: str = "") -> Dict[str, int]:
+    def counters(self) -> Dict[str, int]:
         """Flatten to deterministic integer counters for bench JSON.
 
-        Keys are ``{prefix}{tenant}.offered`` (completed/dropped/failed/
-        materialized alike), ``{prefix}{tenant}.p50_us`` (p99/p999) for
-        the tenant overall, and ``{prefix}{tenant}.{op}.p99_us``-style
+        Keys are ``{tenant}.offered`` (completed/dropped/failed/
+        materialized alike), ``{tenant}.p50_us`` (p99/p999) for the
+        tenant overall, and ``{tenant}.{op}.p99_us``-style
         keys per op kind.  Percentiles are bucket upper edges rounded to
         integer microseconds — byte-stable across runs of one seed.
         """
         out: Dict[str, int] = {}
         for name, report in self.tenants.items():
-            base = f"{prefix}{name}."
+            base = f"{name}."
             out[base + "offered"] = report.offered
             out[base + "completed"] = report.completed
             out[base + "dropped"] = report.dropped
@@ -282,15 +283,14 @@ class LoadGenerator:
     """
 
     def __init__(self, runtime, tenants: Iterable[TenantSpec],
-                 duration_us: float, *, object_bytes: int = 256,
-                 hist_min_us: float = 1.0, hist_max_us: float = 60e6,
-                 subbuckets: int = 32, bus=None, topics=None):
+                 duration_us: float, *, subbuckets: int = 32, bus=None,
+                 topics=None):
         if duration_us <= 0:
             raise ValueError("duration_us must be positive")
         self.runtime = runtime
         self.sim = runtime.sim
         self.duration_us = float(duration_us)
-        self.object_bytes = int(object_bytes)
+        self.object_bytes = 256
         self.bus = bus
         topics = topics or {}
         specs = list(tenants)
@@ -300,7 +300,7 @@ class LoadGenerator:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
         register_loadgen_touch(runtime.registry)
-        hist_args = (hist_min_us, hist_max_us, subbuckets)
+        hist_args = (1.0, 60e6, subbuckets)
         host_names = sorted(runtime.nodes)
         self._states: List[_TenantState] = []
         for spec in specs:
@@ -330,7 +330,7 @@ class LoadGenerator:
                     raise ValueError(f"tenant {spec.name!r} publishes but "
                                      "topics= has no topic for it")
                 state.topic = topics[spec.name]
-                field = bus.fabric.format.field(spec.publish_field)
+                field = bus.fabric.format.field(_PUBLISH_FIELD)
                 state.field_mod = field.max_value + 1
             self._states.append(state)
 
@@ -435,21 +435,11 @@ class LoadGenerator:
         yield from node.store(ref.oid, 0, bytes(nbytes))
 
     def _do_publish(self, state: _TenantState, rank: int):
-        """One event onto the tenant's topic, paced by consumer credit.
-
-        Under the bus's ``block`` overflow policy a full publisher
-        buffer hands back a future; the op's latency then includes the
-        credit stall, which is exactly the backpressure signal the
-        fan-out scenarios measure.
-        """
-        fields = {state.spec.publish_field: rank % state.field_mod}
-        payload = bytes(state.spec.publish_bytes)
-        future = self.bus.publish(state.spec.client, state.topic,
-                                  fields, payload)
-        if future is not None:
-            yield future
-        else:
-            yield Timeout(0.0)
+        """One event onto the tenant's topic, paced by consumer credit."""
+        fields = {_PUBLISH_FIELD: rank % state.field_mod}
+        self.bus.publish(state.spec.client, state.topic, fields,
+                         bytes(_PUBLISH_BYTES))
+        yield Timeout(0.0)
 
     def _do_invoke(self, state: _TenantState, ref: GlobalRef, proxied: bool):
         nbytes = min(state.spec.read_bytes, self.object_bytes)

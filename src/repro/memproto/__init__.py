@@ -26,7 +26,7 @@ from .pool import (
     SharedMemoryPool,
 )
 from .resolve import CoherentProxyResolver
-from .transport import LightweightTransport, TcpLikeTransport, TransportError
+from .transport import LightweightTransport, TcpLikeTransport
 
 __all__ = [
     "CACHE_LINE_BYTES",
@@ -38,7 +38,6 @@ __all__ = [
     "MSG_RELEASE_ACK",
     "LightweightTransport",
     "TcpLikeTransport",
-    "TransportError",
     "CoherenceAgent",
     "CoherenceError",
     "CoherentProxyResolver",

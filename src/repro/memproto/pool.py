@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import FrozenSet, Iterable, Optional
 
-from ..core.costmodel import DEFAULT_HIERARCHY, LatencyHierarchy
+from ..core.costmodel import DEFAULT_HIERARCHY
 from ..core.objectid import ObjectID
 from ..sim import Simulator, Timeout, Tracer
 
@@ -77,24 +77,17 @@ class SharedMemoryPool:
     """
 
     def __init__(self, sim: Simulator, name: str, members: Iterable[str],
-                 capacity_bytes: int,
-                 hierarchy: LatencyHierarchy = DEFAULT_HIERARCHY,
-                 bandwidth_gbps: float = POOL_BANDWIDTH_GBPS,
-                 tracer: Optional[Tracer] = None):
+                 capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
         self.sim = sim
         self.name = name
         self.members: FrozenSet[str] = frozenset(members)
         if not self.members:
             raise ValueError("a pool needs at least one member host")
         self.capacity_bytes = int(capacity_bytes)
-        self.hierarchy = hierarchy
-        self.bandwidth_gbps = bandwidth_gbps
-        self._bytes_per_us = bandwidth_gbps * 1e9 / 8 / 1e6
-        self.tracer = tracer if tracer is not None else Tracer()
+        self._bytes_per_us = POOL_BANDWIDTH_GBPS * 1e9 / 8 / 1e6
+        self.tracer = Tracer()
         # LRU order: oldest mapping first; loads move_to_end.
         self._mapped: "OrderedDict[ObjectID, bytearray]" = OrderedDict()
         self.reserved_bytes = 0
@@ -108,7 +101,7 @@ class SharedMemoryPool:
     def access_us(self, nbytes: int) -> float:
         """Simulated time of one pool access moving ``nbytes``: a single
         far-memory latency plus port-rate streaming — no packet costs."""
-        return self.hierarchy.remote_memory_us + nbytes / self._bytes_per_us
+        return DEFAULT_HIERARCHY.remote_memory_us + nbytes / self._bytes_per_us
 
     # -- mapping (control plane, capacity accounting) -------------------------
     def mapped(self, oid: ObjectID) -> bool:

@@ -20,12 +20,12 @@ upper-layer handler, and both record per-message delivery latency.
 The data plane is **frame-batched**: messages queued toward the same
 peer coalesce into a single MTU-bounded frame (one sequence number, one
 header, one ack) instead of each message riding its own wire packet.
-The flush deadline defaults to zero simulated time — everything sent at
+The flush deadline is zero simulated time — everything sent at
 the same instant shares a frame, and a latency-sensitive single still
 departs at the instant it was sent.  Acks are **cumulative** (one ack
 covers every frame up to it) and **piggyback** on reverse-direction
 data frames; a delayed-ack timer is the fallback when no reverse data
-shows up, and every ``ack_every``-th pending frame forces one out so a
+shows up, and every ``ACK_EVERY``-th pending frame forces one out so a
 one-way stream never stalls on the timer.
 
 Loss recovery is one rule, **transmission order**.  The sender keeps a
@@ -47,9 +47,9 @@ There is **one timer per peer**, aimed at the head of the window (the
 frame transmitted longest ago) and cancelled when the window drains.
 Its deadline is measured: ``max(the frame's transmission, the last
 instant anything was heard from the peer) + srtt + 4 * rttvar +
-delayed_ack_us``, round trip and deviation smoothed over the acks of
+DELAYED_ACK_US``, round trip and deviation smoothed over the acks of
 frames transmitted once (Karn's rule, RFC 6298 gains), plus the delay
-the peer may add to an ack.  ``rto_us`` is the first deadline, until a
+the peer may add to an ack.  ``RTO_US`` is the first deadline, until a
 round trip is sampled, and the ceiling: nothing waits longer.  Anything
 heard restarts it, data or ack, progress or not, because a peer's acks
 queue behind its own bursts on its uplink and the round trip jumps
@@ -75,7 +75,7 @@ from ..sim import Simulator, Tracer
 from ..net.host import MTU_BYTES, Host
 from ..net.packet import HEADER_BYTES, Packet
 
-__all__ = ["LightweightTransport", "TcpLikeTransport", "TransportError"]
+__all__ = ["LightweightTransport", "TcpLikeTransport"]
 
 DeliveryHandler = Callable[[str, Dict[str, Any], int], None]
 # handler(src_host, payload, payload_bytes)
@@ -83,10 +83,6 @@ DeliveryHandler = Callable[[str, Dict[str, Any], int], None]
 _FRAME_HEADER_BYTES = 12  # seq + epoch + cumulative-ack field + flags
 _MSG_HEADER_BYTES = 2     # per-message length field inside a frame
 _ACK_BYTES = 12
-
-
-class TransportError(Exception):
-    """Raised on transport misuse (unknown peer state, bad handler)."""
 
 
 class _PeerTx:
@@ -134,51 +130,28 @@ class _PeerRx:
 class _TransportBase:
     """Common machinery: framing, acks, retransmission, reordering."""
 
-    def __init__(
-        self,
-        host: Host,
-        rto_us: float = 200.0,
-        data_kind: str = "rt.data",
-        ack_kind: str = "rt.ack",
-        max_retransmits: int = 30,
-        flush_us: float = 0.0,
-        delayed_ack_us: float = 50.0,
-        ack_every: int = 2,
-        reorder_window: int = 256,
-        mtu_bytes: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        if rto_us <= 0:
-            raise TransportError("retransmission timeout must be positive")
-        if max_retransmits < 1:
-            raise TransportError("retransmit budget must be at least 1")
-        if flush_us < 0:
-            raise TransportError("flush deadline must be non-negative")
-        if not 0 < delayed_ack_us < rto_us:
-            raise TransportError(
-                "delayed-ack deadline must be positive and below the RTO "
-                "(or every delayed ack triggers a spurious retransmit)")
-        if ack_every < 1:
-            raise TransportError("ack_every must be at least 1")
-        if reorder_window < 1:
-            raise TransportError("reorder window must be at least 1")
-        mtu = MTU_BYTES if mtu_bytes is None else mtu_bytes
-        budget = mtu - HEADER_BYTES - _FRAME_HEADER_BYTES
-        if budget < _MSG_HEADER_BYTES + 1:
-            raise TransportError(f"MTU {mtu} leaves no room for messages")
+    # The first retransmission deadline, and the ceiling of the measured one.
+    RTO_US = 200.0
+    # Retransmissions of one frame before its peer is declared dead.
+    MAX_RETRANSMITS = 30
+    # How long a message waits to share a frame: zero, so everything
+    # sent at one instant shares one.
+    FLUSH_US = 0.0
+    # The fallback deadline of an ack no reverse data frame carries;
+    # below RTO_US, or every delayed ack would trigger a retransmit.
+    DELAYED_ACK_US = 50.0
+    # Every this many frames heard force an ack out at once.
+    ACK_EVERY = 2
+    # Frames this far past the next expected one are dropped unbuffered.
+    REORDER_WINDOW = 256
+
+    def __init__(self, host: Host, data_kind: str, ack_kind: str):
         self.host = host
         self.sim: Simulator = host.sim
-        self.rto_us = rto_us
-        self.max_retransmits = max_retransmits
-        self.flush_us = flush_us
-        self.delayed_ack_us = delayed_ack_us
-        self.ack_every = ack_every
-        self.reorder_window = reorder_window
-        self.mtu_bytes = mtu
-        self._frame_budget = budget
+        self._frame_budget = MTU_BYTES - HEADER_BYTES - _FRAME_HEADER_BYTES
         self.data_kind = data_kind
         self.ack_kind = ack_kind
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         # Counter cells of the per-frame path (see Tracer).
         self._n_mtu_flush = self.tracer.cell("transport.frame.mtu_flush")
         self._n_frame_tx = self.tracer.cell("transport.frame.tx")
@@ -215,7 +188,7 @@ class _TransportBase:
             self._n_mtu_flush[0] += 1
             self._flush_frames(dst, tx, full_only=True)
         if tx.coalesce and tx.flush_event is None:
-            tx.flush_event = self.sim.schedule(self.flush_us, self._on_flush, dst)
+            tx.flush_event = self.sim.schedule(self.FLUSH_US, self._on_flush, dst)
 
     # -- window policy (subclass hooks) --------------------------------------
     def _window(self, dst: str, tx: _PeerTx) -> int:
@@ -317,13 +290,13 @@ class _TransportBase:
 
     def _deadline(self, tx: _PeerTx, sent_at: float) -> float:
         """When a frame transmitted at ``sent_at`` is given up for lost:
-        the measured silence (module docstring), ``rto_us`` at most and
-        ``rto_us`` exactly until a round trip has been sampled."""
+        the measured silence (module docstring), ``RTO_US`` at most and
+        ``RTO_US`` exactly until a round trip has been sampled."""
         if tx.srtt is None:
-            return sent_at + self.rto_us
-        return min(sent_at + self.rto_us,
+            return sent_at + self.RTO_US
+        return min(sent_at + self.RTO_US,
                    max(sent_at, tx.heard_at) + tx.srtt + 4.0 * tx.rttvar
-                   + self.delayed_ack_us)
+                   + self.DELAYED_ACK_US)
 
     def _on_timer(self, dst: str) -> None:
         """The peer's one timer: retransmit every head of the window
@@ -349,7 +322,7 @@ class _TransportBase:
         transmission order: its RTO fired, or (``overtaken``) a frame
         sent after it was acknowledged.  One budget covers both."""
         attempts = tx.attempts.get(seq, 0) + 1
-        if attempts > self.max_retransmits:
+        if attempts > self.MAX_RETRANSMITS:
             self._declare_peer_dead(dst, tx)
             return
         tx.attempts[seq] = attempts
@@ -461,10 +434,10 @@ class _TransportBase:
 
     def _note_ack_owed(self, src: str, rx: _PeerRx) -> None:
         rx.ack_owed += 1
-        if rx.ack_owed >= self.ack_every:
+        if rx.ack_owed >= self.ACK_EVERY:
             self._send_ack(src, rx, delayed=False)
         elif rx.ack_event is None:
-            rx.ack_event = self.sim.schedule(self.delayed_ack_us,
+            rx.ack_event = self.sim.schedule(self.DELAYED_ACK_US,
                                              self._on_delayed_ack, src)
 
     def _on_delayed_ack(self, src: str) -> None:
@@ -525,7 +498,7 @@ class _TransportBase:
             self.tracer.count("transport.dup_data")
             self._send_ack(src, rx, delayed=False)
             return
-        if seq >= rx.expected_seq + self.reorder_window:
+        if seq >= rx.expected_seq + self.REORDER_WINDOW:
             # Beyond the reorder window: drop *without* acking so the
             # buffer stays bounded; the sender's retransmit timer will
             # re-offer the frame once expected_seq has caught up.
@@ -568,28 +541,23 @@ class _TransportBase:
 
 class LightweightTransport(_TransportBase):
     """The paper's lightweight reliable transmission: fixed window, no
-    handshake, no congestion machinery.  ``rto_us`` is the first
+    handshake, no congestion machinery.  ``RTO_US`` is the first
     retransmission deadline and the ceiling of the measured one."""
 
-    def __init__(self, host: Host, window: int = 32, rto_us: float = 200.0,
-                 max_retransmits: int = 30, tracer: Optional[Tracer] = None,
-                 **kwargs):
-        if window < 1:
-            raise TransportError("window must be at least 1")
-        super().__init__(host, rto_us=rto_us, data_kind="lwt.data",
-                         ack_kind="lwt.ack", max_retransmits=max_retransmits,
-                         tracer=tracer, **kwargs)
-        self.window = window
+    WINDOW = 32
+
+    def __init__(self, host: Host):
+        super().__init__(host, "lwt.data", "lwt.ack")
 
     def _window(self, dst: str, tx: _PeerTx) -> int:
-        return self.window
+        return self.WINDOW
 
 
 class TcpLikeTransport(_TransportBase):
     """TCP-flavoured baseline: handshake + slow start + Tahoe collapse.
 
     Deliberately simplified (the timer, its measured deadline under the
-    ``rto_us`` ceiling and loss detection are the base class's, shared
+    ``RTO_US`` ceiling and loss detection are the base class's, shared
     with the lightweight transport) — the point of E9 is the
     *structural* overheads the paper names: connection setup latency and
     windows that start from one segment and collapse to one on every
@@ -599,15 +567,11 @@ class TcpLikeTransport(_TransportBase):
     HANDSHAKE_SYN = "tcp.syn"
     HANDSHAKE_SYNACK = "tcp.synack"
 
-    def __init__(self, host: Host, rto_us: float = 200.0,
-                 initial_ssthresh: int = 64, max_window: int = 256,
-                 max_retransmits: int = 30, tracer: Optional[Tracer] = None,
-                 **kwargs):
-        super().__init__(host, rto_us=rto_us, data_kind="tcp.data",
-                         ack_kind="tcp.ack", max_retransmits=max_retransmits,
-                         tracer=tracer, **kwargs)
-        self.initial_ssthresh = initial_ssthresh
-        self.max_window = max_window
+    INITIAL_SSTHRESH = 64
+    MAX_WINDOW = 256
+
+    def __init__(self, host: Host):
+        super().__init__(host, "tcp.data", "tcp.ack")
         self._cwnd: Dict[str, float] = {}
         self._ssthresh: Dict[str, int] = {}
         self._connected: Dict[str, bool] = {}
@@ -622,7 +586,7 @@ class TcpLikeTransport(_TransportBase):
         if state is None:
             self._connected[dst] = False
             self._cwnd[dst] = 1.0
-            self._ssthresh[dst] = self.initial_ssthresh
+            self._ssthresh[dst] = self.INITIAL_SSTHRESH
             self.tracer.count("transport.handshake")
             self._send_syn(dst)
         return False
@@ -651,7 +615,7 @@ class TcpLikeTransport(_TransportBase):
             kind=self.HANDSHAKE_SYN, src=self.host.name, dst=dst,
             payload_bytes=_ACK_BYTES,
         ))
-        tx.timer = self.sim.schedule(self.rto_us, self._send_syn, dst, attempt + 1)
+        tx.timer = self.sim.schedule(self.RTO_US, self._send_syn, dst, attempt + 1)
 
     def _on_syn(self, packet: Packet) -> None:
         self.host.send(Packet(
@@ -676,11 +640,11 @@ class TcpLikeTransport(_TransportBase):
 
     def _on_ack_accounting(self, dst: str) -> None:
         cwnd = self._cwnd.get(dst, 1.0)
-        if cwnd < self._ssthresh.get(dst, self.initial_ssthresh):
+        if cwnd < self._ssthresh.get(dst, self.INITIAL_SSTHRESH):
             cwnd += 1.0  # slow start: exponential per RTT
         else:
             cwnd += 1.0 / max(cwnd, 1.0)  # congestion avoidance
-        self._cwnd[dst] = min(cwnd, float(self.max_window))
+        self._cwnd[dst] = min(cwnd, float(self.MAX_WINDOW))
 
     def _on_timeout_accounting(self, dst: str) -> None:
         cwnd = self._cwnd.get(dst, 1.0)

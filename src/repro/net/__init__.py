@@ -32,7 +32,7 @@ from .packet import (
     traffic_class,
 )
 from .pipeline import MatchActionTable, SramModel, TableFullError, TOFINO_SRAM
-from .switch import MISS_DROP, MISS_FLOOD, MISS_PUNT, Switch
+from .switch import MISS_FLOOD, MISS_PUNT, Switch
 from .topology import (
     Network,
     build_line,
@@ -61,7 +61,6 @@ __all__ = [
     "PacketHandler",
     "Switch",
     "MISS_FLOOD",
-    "MISS_DROP",
     "MISS_PUNT",
     "MatchActionTable",
     "SramModel",

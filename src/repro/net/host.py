@@ -170,15 +170,14 @@ class Host(Node):
             raise NodeError(f"{self.name}: no port {port} (have {len(ends)})")
         ends[port].transmit(packet)
 
-    def broadcast(self, kind: str, payload: Optional[dict] = None, payload_bytes: int = 0,
-                  oid=None) -> Packet:
+    def broadcast(self, kind: str, payload_bytes: int = 0) -> Packet:
         """Build and send a broadcast packet; returns it (for its UID)."""
         packet = Packet(
             kind=kind,
             src=self.name,
             dst=BROADCAST,
-            oid=oid,
-            payload=dict(payload or {}),
+            oid=None,
+            payload={},
             payload_bytes=payload_bytes,
             created_at=self.sim.now,
         )
@@ -253,4 +252,4 @@ class Host(Node):
             self._default_handler(packet)
         else:
             self.tracer.count("host.unhandled")
-            self.unhandled.try_put(packet)
+            self.unhandled.put_nowait(packet)

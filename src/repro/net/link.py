@@ -435,7 +435,7 @@ class Link:
                 self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate):
             if self.tracer is not None:
                 self.tracer.count("link.dropped")
-                self.tracer.event(self.sim.now, "drop", packet=packet.uid, kind=packet.kind)
+                self.tracer.event("drop")
             return True
         return False
 

@@ -71,20 +71,21 @@ class RegionDirectory:
 
 
 class OverlayGateway:
-    """A region's border element: punted/foreign traffic goes through it."""
+    """A region's border element: punted/foreign traffic goes through it.
+
+    Its host's port 0 faces the region's rack, port 1 the WAN."""
+
+    RACK_PORT = 0
+    WAN_PORT = 1
 
     def __init__(self, host: Host, region: str, directory: RegionDirectory,
-                 gateway_of: Dict[str, str],
-                 rack_port: int = 0, wan_port: int = 1,
-                 tracer: Optional[Tracer] = None):
+                 gateway_of: Dict[str, str]):
         self.host = host
         self.sim: Simulator = host.sim
         self.region = region
         self.directory = directory
         self.gateway_of = gateway_of  # region -> gateway host name
-        self.rack_port = rack_port
-        self.wan_port = wan_port
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         host.promiscuous = True
         host.on(KIND_TUNNEL, self._on_tunnel)
         host.set_default_handler(self._on_transit)
@@ -107,10 +108,10 @@ class OverlayGateway:
         ))
 
     def _send_wan(self, packet: Packet) -> None:
-        self.host.send(packet, port=self.wan_port)
+        self.host.send(packet, port=self.WAN_PORT)
 
     def _send_rack(self, packet: Packet) -> None:
-        self.host.send(packet, port=self.rack_port)
+        self.host.send(packet, port=self.RACK_PORT)
 
     def _on_transit(self, packet: Packet) -> None:
         """A packet surfaced at the gateway: identity-routed punts and
@@ -181,30 +182,24 @@ def build_multi_region(
     sim: Simulator,
     n_regions: int,
     hosts_per_region: int,
-    rack_latency_us: float = 5.0,
-    wan_latency_us: float = 2_000.0,
-    wan_bandwidth_gbps: float = 1.0,
-    identity_capacity: Optional[int] = None,
 ) -> MultiRegionNetwork:
     """Regions of (switch + hosts + gateway), joined by a WAN core switch.
 
     Region r contributes hosts ``r{r}_h{i}``, switch ``r{r}_sw``, and
     gateway ``r{r}_gw``.  Rack switches punt identity misses to their
-    gateway; the WAN core is an ordinary switch with slow fat links.
+    gateway; the WAN core is an ordinary switch with slow fat links
+    (2 ms, 1 Gbps; rack links are 5 us).
     """
     if n_regions < 2:
         raise ValueError("an overlay needs at least two regions")
-    net = Network(sim, default_latency_us=rack_latency_us)
+    net = Network(sim, default_latency_us=5.0)
     directory = RegionDirectory()
     gateway_of: Dict[str, str] = {}
     hosts_by_region: Dict[str, List[str]] = {}
     net.add_switch("wan_core")
-    switch_kwargs = {"miss_behavior": MISS_PUNT}
-    if identity_capacity is not None:
-        switch_kwargs["identity_capacity"] = identity_capacity
     for r in range(n_regions):
         region = f"r{r}"
-        switch = net.add_switch(f"{region}_sw", **switch_kwargs)
+        switch = net.add_switch(f"{region}_sw", miss_behavior=MISS_PUNT)
         hosts_by_region[region] = []
         for i in range(hosts_per_region):
             name = f"{region}_h{i}"
@@ -215,9 +210,8 @@ def build_multi_region(
         gateway_name = f"{region}_gw"
         net.add_host(gateway_name)
         net.connect(gateway_name, f"{region}_sw")
-        net.connect(gateway_name, "wan_core",
-                    latency_us=wan_latency_us,
-                    bandwidth_gbps=wan_bandwidth_gbps)
+        net.connect(gateway_name, "wan_core", latency_us=2_000.0,
+                    bandwidth_gbps=1.0)
         directory.register_host(gateway_name, region)
         gateway_of[region] = gateway_name
     gateways = {}

@@ -89,8 +89,9 @@ class Packet:
     ``__init__`` is written by hand because every packet and every flood
     copy is built through it: the generated one spent three Python calls
     (itself, the ``uid`` factory and ``__post_init__``) where one does.
-    It takes the fields in declaration order and draws a ``uid`` only
-    when none is given, as the factory did.
+    It takes the fields in declaration order up to ``ttl``, then
+    ``created_at`` and ``tclass``; a packet always starts with a fresh
+    ``uid`` (a flood copy is given its original's) and no ``hops``.
     """
 
     kind: str
@@ -108,7 +109,7 @@ class Packet:
     def __init__(self, kind: str, src: Optional[str], dst: Optional[str] = None,
                  oid: Optional[ObjectID] = None,
                  payload: Optional[Dict[str, Any]] = None, payload_bytes: int = 0,
-                 ttl: int = DEFAULT_TTL, uid: Optional[int] = None, hops: int = 0,
+                 ttl: int = DEFAULT_TTL,
                  created_at: Optional[float] = None,
                  tclass: Optional[str] = None) -> None:
         self.kind = kind
@@ -118,8 +119,8 @@ class Packet:
         self.payload = {} if payload is None else payload
         self.payload_bytes = payload_bytes
         self.ttl = ttl
-        self.uid = next(_packet_ids) if uid is None else uid
-        self.hops = hops
+        self.uid = next(_packet_ids)
+        self.hops = 0
         self.created_at = created_at
         self.tclass = tclass
         if payload_bytes < 0:

@@ -36,37 +36,36 @@ class TableFullError(Exception):
 class SramModel:
     """Exact-match capacity model for a fixed SRAM budget.
 
-    An entry with a ``key_bits``-wide key plus ``overhead_bits`` of
-    action/valid/version metadata occupies ``ceil(total / word_bits)``
+    An entry with a ``key_bits``-wide key plus ``OVERHEAD_BITS`` of
+    action/valid/version metadata occupies ``ceil(total / WORD_BITS)``
     SRAM words.  Entries that span multiple words hash/pack less
-    efficiently, captured by ``multiword_utilization``.
+    efficiently, captured by ``MULTIWORD_UTILIZATION``.
 
-    Calibration: word_bits=80, overhead_bits=16, utilization=0.944 puts
-    64-bit keys at 1.80M entries and 128-bit keys at ~850K for the
+    Calibration: 80-bit words, 16 overhead bits and 0.944 utilization
+    put 64-bit keys at 1.80M entries and 128-bit keys at ~850K for the
     default budget — the two §3.2 data points.
     """
 
     total_words: int = 1_800_000
-    word_bits: int = 80
-    overhead_bits: int = 16
-    multiword_utilization: float = 0.944
+
+    WORD_BITS = 80
+    OVERHEAD_BITS = 16
+    MULTIWORD_UTILIZATION = 0.944
 
     def __post_init__(self) -> None:
-        if self.total_words <= 0 or self.word_bits <= 0:
+        if self.total_words <= 0:
             raise ValueError("SRAM geometry must be positive")
-        if not 0.0 < self.multiword_utilization <= 1.0:
-            raise ValueError("utilization must be in (0, 1]")
 
     def words_per_entry(self, key_bits: int) -> int:
         """SRAM words one entry of ``key_bits`` occupies."""
         if key_bits <= 0:
             raise ValueError("key width must be positive")
-        return math.ceil((key_bits + self.overhead_bits) / self.word_bits)
+        return math.ceil((key_bits + self.OVERHEAD_BITS) / self.WORD_BITS)
 
     def capacity(self, key_bits: int) -> int:
         """Max exact-match entries for keys of ``key_bits`` width."""
         words = self.words_per_entry(key_bits)
-        utilization = 1.0 if words == 1 else self.multiword_utilization
+        utilization = 1.0 if words == 1 else self.MULTIWORD_UTILIZATION
         return int(self.total_words * utilization / words)
 
 

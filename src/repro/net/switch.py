@@ -7,9 +7,10 @@ Each switch runs a two-stage pipeline, mirroring the P4 program of §4:
    known host forwards on one port; unknown unicast and broadcast flood.
 2. **Identity table** — an exact-match :class:`MatchActionTable` keyed by
    128-bit object IDs, populated by the SDN controller scheme.  Identity-
-   routed packets (no host destination) are forwarded by object ID; the
-   miss behaviour is configurable (flood, drop, or punt to a callback),
-   letting experiments explore the §4 "network absorbs the cost" idea.
+   routed packets (no host destination) are forwarded by object ID; a
+   miss floods, or is punted to a callback (how an overlay gateway
+   resolves it), letting experiments explore the §4 "network absorbs
+   the cost" idea.
 
 **The pipeline delay.**  A packet spends ``processing_delay_us``
 (0.5 us) between ingress and egress.  In general that wait is a kernel
@@ -69,12 +70,11 @@ from ..core.objectid import ObjectID
 from ..sim import Simulator, Tracer
 from .node import Node
 from .packet import BROADCAST, Packet
-from .pipeline import MatchActionTable, SramModel, TOFINO_SRAM
+from .pipeline import MatchActionTable, TOFINO_SRAM
 
-__all__ = ["Switch", "MISS_FLOOD", "MISS_DROP", "MISS_PUNT"]
+__all__ = ["Switch", "MISS_FLOOD", "MISS_PUNT"]
 
 MISS_FLOOD = "flood"
-MISS_DROP = "drop"
 MISS_PUNT = "punt"
 
 _DEDUPE_WINDOW = 4096
@@ -93,9 +93,6 @@ class Switch(Node):
         self,
         sim: Simulator,
         name: str,
-        processing_delay_us: float = 0.5,
-        identity_key_bits: int = 128,
-        sram: SramModel = TOFINO_SRAM,
         identity_capacity: Optional[int] = None,
         miss_behavior: str = MISS_FLOOD,
         tracer: Optional[Tracer] = None,
@@ -104,17 +101,15 @@ class Switch(Node):
         # Counter cells of the per-packet path (see Tracer).
         self._n_rx = self.tracer.cell("switch.rx")
         self._n_tx = self.tracer.cell("switch.tx")
-        if processing_delay_us < 0:
-            raise ValueError("processing delay must be non-negative")
-        if miss_behavior not in (MISS_FLOOD, MISS_DROP, MISS_PUNT):
+        if miss_behavior not in (MISS_FLOOD, MISS_PUNT):
             raise ValueError(f"unknown miss behavior {miss_behavior!r}")
-        self.processing_delay_us = processing_delay_us
+        self.processing_delay_us = 0.5
         self.miss_behavior = miss_behavior
         self.host_table: dict = {}
         self.identity_table: MatchActionTable[ObjectID] = MatchActionTable(
             f"{name}.identity",
-            key_bits=identity_key_bits,
-            sram=sram,
+            key_bits=128,
+            sram=TOFINO_SRAM,
             capacity_override=identity_capacity,
         )
         # Flood-capable packets (their copies can loop back to us).
@@ -226,10 +221,7 @@ class Switch(Node):
                 end.transmit(packet, self.sim.now + self.processing_delay_us)
                 return
         self._in_pipeline += 1
-        if self.processing_delay_us > 0:
-            self.sim.schedule(self.processing_delay_us, self._forward, packet, in_port)
-        else:
-            self._forward(packet, in_port)
+        self.sim.schedule(self.processing_delay_us, self._forward, packet, in_port)
 
     def _forward(self, packet: Packet, in_port: int) -> None:
         self._in_pipeline -= 1

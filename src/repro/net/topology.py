@@ -103,7 +103,6 @@ class Network:
         b: str,
         bandwidth_gbps: Optional[float] = None,
         latency_us: Optional[float] = None,
-        loss_rate: Optional[float] = None,
     ) -> Link:
         """Link two nodes (defaults from the network)."""
         link = Link(
@@ -112,7 +111,7 @@ class Network:
             self.node(b),
             bandwidth_gbps=bandwidth_gbps or self.default_bandwidth_gbps,
             latency_us=self.default_latency_us if latency_us is None else latency_us,
-            loss_rate=self.default_loss_rate if loss_rate is None else loss_rate,
+            loss_rate=self.default_loss_rate,
             tracer=self.tracer,
         )
         self.links.append(link)
@@ -293,12 +292,12 @@ def build_paper_topology(
 
 
 def build_star(sim: Simulator, n_hosts: int, prefix: str = "h",
-               switch_kwargs: Optional[dict] = None, **kwargs) -> Network:
+               **kwargs) -> Network:
     """One switch, ``n_hosts`` hosts — the minimal rendezvous fabric."""
     if n_hosts < 1:
         raise ValueError("need at least one host")
     net = Network(sim, **kwargs)
-    net.add_switch("s0", **(switch_kwargs or {}))
+    net.add_switch("s0")
     for i in range(n_hosts):
         name = f"{prefix}{i}"
         net.add_host(name)
@@ -329,13 +328,13 @@ def build_two_tier(
     sim: Simulator,
     n_leaves: int,
     hosts_per_leaf: int,
-    n_spines: int = 2,
     switch_kwargs: Optional[dict] = None,
     **kwargs,
 ) -> Network:
-    """Leaf-spine fabric for the scaling experiments (E12)."""
-    if n_leaves < 1 or n_spines < 1:
-        raise ValueError("need at least one leaf and one spine")
+    """Leaf-spine fabric for the scaling experiments (E12): two spines."""
+    if n_leaves < 1:
+        raise ValueError("need at least one leaf")
+    n_spines = 2
     net = Network(sim, **kwargs)
     for s in range(n_spines):
         net.add_switch(f"spine{s}", **(switch_kwargs or {}))

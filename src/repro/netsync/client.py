@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
@@ -26,12 +24,11 @@ class SyncClient:
     identical, which is what makes the E13 comparison clean.
     """
 
-    def __init__(self, host: Host, service: str,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host, service: str):
         self.host = host
         self.sim: Simulator = host.sim
         self.service = service
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         host.on(KIND_SEQ_RSP, host.complete)
         host.on(KIND_LOCK_GRANT, host.complete)
 

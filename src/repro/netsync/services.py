@@ -68,10 +68,10 @@ class SwitchSequencer:
     RTT to the switch, not to any host behind it.
     """
 
-    def __init__(self, switch: Switch, tracer: Optional[Tracer] = None):
+    def __init__(self, switch: Switch):
         self.switch = switch
         self.core = _SequencerCore()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         switch.register_service(KIND_SEQ_REQ, self._on_request)
 
     def _on_request(self, packet: Packet) -> None:
@@ -84,10 +84,10 @@ class SwitchSequencer:
 class HostSequencer:
     """The baseline: the same sequencer as an end-host server."""
 
-    def __init__(self, host: Host, tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host):
         self.host = host
         self.core = _SequencerCore()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         host.on(KIND_SEQ_REQ, self._on_request)
 
     def _on_request(self, packet: Packet) -> None:
@@ -140,10 +140,10 @@ class _LockCore:
 class SwitchLockService:
     """Exclusive locks arbitrated in the switch (NetChain-flavoured)."""
 
-    def __init__(self, switch: Switch, tracer: Optional[Tracer] = None):
+    def __init__(self, switch: Switch):
         self.switch = switch
         self.core = _LockCore()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         switch.register_service(KIND_LOCK_ACQ, self._on_acquire)
         switch.register_service(KIND_LOCK_REL, self._on_release)
 
@@ -169,10 +169,10 @@ class SwitchLockService:
 class HostLockService:
     """The baseline: the same lock manager as an end-host server."""
 
-    def __init__(self, host: Host, tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host):
         self.host = host
         self.core = _LockCore()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         host.on(KIND_LOCK_ACQ, self._on_acquire)
         host.on(KIND_LOCK_REL, self._on_release)
 

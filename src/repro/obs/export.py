@@ -9,10 +9,9 @@ Two formats, both plain JSON:
   (``{"traceEvents": [...]}``) that ``chrome://tracing`` and Perfetto
   load directly.  Spans become complete (``"ph": "X"``) events whose
   ``ts``/``dur`` are already microseconds (the simulation unit *is* the
-  trace_event unit); structured :class:`~repro.sim.trace.TraceEvent`
-  records become instant (``"ph": "i"``) events.  Each trace id maps to
-  a ``pid`` and each node name to a ``tid``, with ``"M"`` metadata
-  events carrying the human-readable names.
+  trace_event unit).  Each trace id maps to a ``pid`` and each node
+  name to a ``tid``, with ``"M"`` metadata events carrying the
+  human-readable names.
 
 :func:`chrome_trace_to_spans` reimports the span events, so an exported
 file round-trips (the shape test in ``tests/test_obs.py`` relies on
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Sequence
 
-from ..sim.trace import TraceEvent
 from .span import Span
 
 __all__ = [
@@ -74,7 +72,6 @@ def _jsonable(value: Any) -> Any:
 
 
 def to_chrome_trace(spans: Sequence[Span],
-                    events: Sequence[TraceEvent] = (),
                     skip_unfinished: bool = True) -> Dict[str, Any]:
     """Build a ``trace_event`` JSON-Object-format document.
 
@@ -113,29 +110,17 @@ def to_chrome_trace(spans: Sequence[Span],
             "args": args,
         })
         named_pids.setdefault(span.trace_id)
-    for event in events:
-        trace_events.append({
-            "name": event.category,
-            "cat": "event",
-            "ph": "i",
-            "s": "g",
-            "ts": event.time,
-            "pid": 0,
-            "tid": tid_for(""),
-            "args": {k: _jsonable(v) for k, v in event.detail.items()},
-        })
-        named_pids.setdefault(0)
     metadata: List[Dict[str, Any]] = []
     for pid in named_pids:
         metadata.append({
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": f"trace {pid}" if pid else "events"},
+            "args": {"name": f"trace {pid}"},
         })
     for node, tid in tids.items():
         for pid in named_pids:
             metadata.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": node or "-"},
+                "args": {"name": node},
             })
     trace_events.sort(key=lambda e: (e["ph"] != "M", e.get("ts", 0.0)))
     return {
@@ -175,10 +160,9 @@ def chrome_trace_to_spans(document: Dict[str, Any]) -> List[Span]:
     return spans
 
 
-def write_chrome_trace(path: str, spans: Sequence[Span],
-                       events: Sequence[TraceEvent] = ()) -> Dict[str, Any]:
+def write_chrome_trace(path: str, spans: Sequence[Span]) -> Dict[str, Any]:
     """Serialize :func:`to_chrome_trace` to ``path``; returns the dict."""
-    document = to_chrome_trace(spans, events)
+    document = to_chrome_trace(spans)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=1)
         fh.write("\n")

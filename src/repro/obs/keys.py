@@ -193,15 +193,15 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("link.dropped", "counter", "1",
        "Packets lost to link loss_rate or link failure."),
     _k("event.*", "counter", "1",
-       "Automatic tally per structured-event category (Tracer.event)."),
+       "Tally per event category (Tracer.event)."),
     _k("drop", "event", "1",
-       "Structured record of one link-level packet drop."),
+       "One link-level packet drop, counted as event.drop."),
     # ---- faults.* (tracer `faults.injector`) --------------------------------
     _k("faults.injected.*", "counter", "1",
        "Fault-plan events applied, by kind (crash, recover, link_down, "
        "link_up, degrade, restore, partition, heal)."),
     _k("fault", "event", "1",
-       "Structured record of one applied fault-plan event."),
+       "One applied fault-plan event, counted as event.fault."),
     # ---- discovery: e2e.* (tracer `discovery.e2e`) --------------------------
     _k("e2e.timeout", "counter", "1", "Accesses that timed out."),
     # ---- discovery: hybrid.* (tracer `discovery.hybrid`) --------------------
@@ -378,8 +378,7 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "(published before the first subscribe or after the last one left)."),
     _k("pubsub.dead_route_pruned", "counter", "1",
        "Topic routes rewritten to exclude a suspected-dead subscriber host."),
-    # ---- bus.* (the event bus's tracer; `bus.rejected` is recorded on the
-    # executor node's tracer by the admission gate)
+    # ---- bus.* (the event bus's tracer)
     _k("bus.published", "counter", "1", "Events accepted from publishers."),
     _k("bus.delivered", "counter", "1",
        "Events handed to a bus subscriber's handler (once per subscriber)."),
@@ -391,11 +390,9 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "At-least-once events retired by cumulative acks from every "
        "pending subscriber."),
     _k("bus.shed", "counter", "1",
-       "Events dropped: publisher buffer overflow under a drop policy, "
-       "or a redelivery budget exhausted."),
-    _k("bus.rejected", "counter", "1",
-       "Invocation attempts refused by a node's admission budget."),
+       "Events dropped: the oldest buffered event when the publisher "
+       "buffer overflows, or a redelivery budget exhausted."),
     _k("bus.credit_stall", "counter", "1",
        "Publishes that could not transmit immediately for lack of "
-       "consumer credit (buffered, blocked, or shed)."),
+       "consumer credit (buffered, or shedding the oldest)."),
 )

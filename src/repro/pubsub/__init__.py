@@ -5,11 +5,8 @@ event bus with delivery contracts and credit-based backpressure."""
 from .bus import (
     AT_LEAST_ONCE,
     AT_MOST_ONCE,
-    BLOCK,
     BusError,
     BusSubscriber,
-    DROP_NEWEST,
-    DROP_OLDEST,
     EventBus,
 )
 from .compiler import CompiledRule, CompileError, RuleSet, compile_subscriptions
@@ -23,9 +20,6 @@ __all__ = [
     "BusError",
     "AT_MOST_ONCE",
     "AT_LEAST_ONCE",
-    "DROP_OLDEST",
-    "DROP_NEWEST",
-    "BLOCK",
     "Predicate",
     "Eq",
     "InRange",

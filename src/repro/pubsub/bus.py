@@ -17,10 +17,9 @@ a broker host on the data path:
 * **Credit-based backpressure.**  Subscribers grant credits as they
   *consume* (not merely receive) events; publishers pace against the
   minimum outstanding credit across live subscribers, buffering at most
-  ``buffer_cap`` events with an explicit overflow policy —
-  ``drop_oldest`` / ``drop_newest`` (count ``bus.shed``) or ``block``
-  (the producer gets a Future to wait on).  A slow consumer therefore
-  bounds memory instead of growing queues silently.
+  ``BUFFER_CAP`` events; a full buffer sheds its oldest event (counted
+  as ``bus.shed``).  A slow consumer therefore bounds memory instead of
+  growing queues silently.
 
 Redelivery rides unicast (not multicast), so it keeps working after the
 fabric prunes a suspected subscriber's multicast ports; repeated
@@ -41,29 +40,21 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.objectid import ObjectID
 from ..net.packet import Packet
-from ..sim import Future, Simulator, Timeout, Tracer
+from ..sim import Simulator, Timeout, Tracer
 from .fabric import META_BYTES, PubSubFabric
 from .predicates import Predicate, TRUE
 
 __all__ = [
     "AT_LEAST_ONCE",
     "AT_MOST_ONCE",
-    "BLOCK",
     "BusError",
     "BusSubscriber",
-    "DROP_NEWEST",
-    "DROP_OLDEST",
     "EventBus",
 ]
 
 AT_MOST_ONCE = "at_most_once"
 AT_LEAST_ONCE = "at_least_once"
 CONTRACTS = (AT_MOST_ONCE, AT_LEAST_ONCE)
-
-DROP_OLDEST = "drop_oldest"
-DROP_NEWEST = "drop_newest"
-BLOCK = "block"
-OVERFLOW_POLICIES = (DROP_OLDEST, DROP_NEWEST, BLOCK)
 
 KIND_GRANT = "bus.grant"
 KIND_REDELIVER = "bus.redeliver"
@@ -75,7 +66,7 @@ _bus_sub_ids = itertools.count(1)
 
 
 class BusError(Exception):
-    """Misuse of the event bus (bad contract, policy, or window)."""
+    """Misuse of the event bus (bad contract or window)."""
 
 
 class BusSubscriber:
@@ -187,49 +178,42 @@ class _Event:
 class _PubState:
     """Per (publisher host, topic) flow state."""
 
-    __slots__ = ("host_name", "topic", "seq", "buffer", "waiting",
-                 "credits", "unacked", "timer_armed")
+    __slots__ = ("host_name", "topic", "seq", "buffer", "credits",
+                 "unacked", "timer_armed")
 
     def __init__(self, host_name: str, topic: ObjectID):
         self.host_name = host_name
         self.topic = topic
         self.seq = 0
         self.buffer: Deque[_Event] = deque()
-        self.waiting: Deque[Tuple[_Event, Future]] = deque()
         self.credits: Dict[int, int] = {}   # sid -> outstanding credit
         self.unacked: Dict[int, _Unacked] = {}
         self.timer_armed = False
 
 
 class EventBus:
-    """Delivery contracts + flow control over one :class:`PubSubFabric`."""
+    """Delivery contracts + flow control over one :class:`PubSubFabric`.
 
-    def __init__(self, fabric: PubSubFabric,
-                 health: Optional[Any] = None,
-                 tracer: Optional[Tracer] = None,
-                 buffer_cap: int = 64,
-                 overflow: str = DROP_OLDEST,
-                 default_credits: int = 8,
-                 redelivery_us: float = 5_000.0,
-                 redelivery_budget: int = 5,
-                 suspect_after: int = 3):
-        if overflow not in OVERFLOW_POLICIES:
-            raise BusError(f"unknown overflow policy {overflow!r}")
-        if buffer_cap <= 0 or default_credits <= 0:
-            raise BusError("buffer_cap and default_credits must be positive")
-        if redelivery_budget <= 0 or redelivery_us <= 0:
-            raise BusError("redelivery budget and interval must be positive")
+    Health comes from the fabric's ledger, so a consumer the bus
+    suspects is also pruned from the fabric's routes."""
+
+    # Events a publisher holds for lack of consumer credit.
+    BUFFER_CAP = 64
+    # A subscriber's credit window when it names none.
+    DEFAULT_CREDITS = 8
+    # The at-least-once redelivery period, and the redeliveries of one
+    # event to one subscriber before it is shed.
+    REDELIVERY_US = 5_000.0
+    REDELIVERY_BUDGET = 5
+    # Unacked redeliveries after which a subscriber host is suspected.
+    SUSPECT_AFTER = 3
+
+    def __init__(self, fabric: PubSubFabric):
         self.fabric = fabric
         self.network = fabric.network
         self.sim: Simulator = fabric.sim
-        self.health = health if health is not None else fabric.health
-        self.tracer = tracer or Tracer()
-        self.buffer_cap = buffer_cap
-        self.overflow = overflow
-        self.default_credits = default_credits
-        self.redelivery_us = redelivery_us
-        self.redelivery_budget = redelivery_budget
-        self.suspect_after = suspect_after
+        self.health = fabric.health
+        self.tracer = Tracer()
         self._pub_states: Dict[Tuple[str, ObjectID], _PubState] = {}
         self._subs: Dict[int, BusSubscriber] = {}
         self._subs_by_topic: Dict[ObjectID, List[BusSubscriber]] = {}
@@ -246,7 +230,7 @@ class EventBus:
         """Register a consumer with a delivery contract and a credit window."""
         if contract not in CONTRACTS:
             raise BusError(f"unknown delivery contract {contract!r}")
-        window = self.default_credits if credits is None else credits
+        window = self.DEFAULT_CREDITS if credits is None else credits
         if window <= 0:
             raise BusError("credit window must be positive")
         sub = BusSubscriber(self, host_name, topic, handler, contract,
@@ -324,38 +308,24 @@ class EventBus:
 
     # -- publisher side ----------------------------------------------------
     def publish(self, host_name: str, topic: ObjectID,
-                fields: Dict[str, int], payload: bytes = b"") -> Optional[Future]:
-        """Publish one event, pacing against consumer credit.
-
-        Returns ``None`` when the event was sent or buffered (or shed,
-        under a drop policy); under ``block`` overflow a full buffer
-        returns a :class:`Future` the producer must yield on before the
-        event is accepted.
-        """
+                fields: Dict[str, int], payload: bytes = b"") -> None:
+        """Publish one event, pacing against consumer credit: it is sent
+        now, or buffered, shedding the oldest buffered event when the
+        buffer is full."""
         st = self._pub_state(host_name, topic)
         self.tracer.count("bus.published")
         st.seq += 1
         ev = _Event(st.seq, dict(fields), payload)
         if not st.buffer and self._min_credit(st, topic) > 0:
             self._transmit(st, ev)
-            return None
+            return
         # Deferred for lack of consumer credit (or behind earlier
         # deferred events): publisher-side buffering with a hard cap.
         self.tracer.count("bus.credit_stall")
-        if len(st.buffer) < self.buffer_cap:
-            st.buffer.append(ev)
-            return None
-        if self.overflow == DROP_NEWEST:
-            self.tracer.count("bus.shed")
-            return None
-        if self.overflow == DROP_OLDEST:
+        if len(st.buffer) >= self.BUFFER_CAP:
             st.buffer.popleft()
             self.tracer.count("bus.shed")
-            st.buffer.append(ev)
-            return None
-        future = Future(self.sim, name=f"bus-block-{host_name}-{st.seq}")
-        st.waiting.append((ev, future))
-        return future
+        st.buffer.append(ev)
 
     def _pub_state(self, host_name: str, topic: ObjectID) -> _PubState:
         key = (host_name, topic)
@@ -424,25 +394,15 @@ class EventBus:
         self._drain(st)
 
     def _drain(self, st: _PubState) -> None:
-        while (st.buffer or st.waiting) and self._min_credit(st, st.topic) > 0:
-            if not st.buffer:
-                ev, future = st.waiting.popleft()
-                future.set_result(None)
-                self._transmit(st, ev)
-                continue
+        while st.buffer and self._min_credit(st, st.topic) > 0:
             self._transmit(st, st.buffer.popleft())
-        # Blocked producers slide into freed buffer space.
-        while st.waiting and len(st.buffer) < self.buffer_cap:
-            ev, future = st.waiting.popleft()
-            st.buffer.append(ev)
-            future.set_result(None)
 
     # -- redelivery --------------------------------------------------------
     def _arm_timer(self, st: _PubState) -> None:
         if st.timer_armed or not st.unacked:
             return
         st.timer_armed = True
-        self.sim.schedule(self.redelivery_us, self._tick, st)
+        self.sim.schedule(self.REDELIVERY_US, self._tick, st)
 
     def _tick(self, st: _PubState) -> None:
         st.timer_armed = False
@@ -452,7 +412,7 @@ class EventBus:
         retired = []
         for seq in sorted(st.unacked):
             rec = st.unacked[seq]
-            if now - rec.last_tx_us + 1e-9 < self.redelivery_us:
+            if now - rec.last_tx_us + 1e-9 < self.REDELIVERY_US:
                 continue
             for sid in sorted(rec.pending):
                 sub = self._subs.get(sid)
@@ -460,7 +420,7 @@ class EventBus:
                     rec.pending.discard(sid)
                     continue
                 attempts = rec.attempts.get(sid, 0)
-                if attempts >= self.redelivery_budget:
+                if attempts >= self.REDELIVERY_BUDGET:
                     # Budget exhausted: give up on this consumer for
                     # this event — bounded work, accounted as shed.
                     rec.pending.discard(sid)
@@ -468,7 +428,7 @@ class EventBus:
                     continue
                 rec.attempts[sid] = attempts + 1
                 if (self.health is not None
-                        and attempts + 1 >= self.suspect_after
+                        and attempts + 1 >= self.SUSPECT_AFTER
                         and not self.health.is_suspected(sub.host_name)):
                     self.health.suspect(sub.host_name)
                 self._send_redelivery(st, rec.event, sub)
@@ -479,7 +439,7 @@ class EventBus:
             del st.unacked[seq]
         if st.unacked:
             st.timer_armed = True
-            self.sim.schedule(self.redelivery_us, self._tick, st)
+            self.sim.schedule(self.REDELIVERY_US, self._tick, st)
 
     def _send_redelivery(self, st: _PubState, ev: _Event,
                          sub: BusSubscriber) -> None:

@@ -3,7 +3,7 @@
 The Packet Subscriptions compiler splits each subscription into:
 
 * **exact rules** — conjunctions of equality atoms become exact-match
-  table entries (ranges narrower than ``max_range_expansion`` are
+  table entries (ranges of at most ``MAX_RANGE_EXPANSION`` values are
   expanded into one entry per value, the classic TCAM-avoidance trick);
 * **residual predicates** — anything that cannot be expressed as a
   bounded set of exact entries stays at the subscriber host, with the
@@ -73,11 +73,14 @@ class RuleSet:
         return self.sram_words_used(sram) <= sram.total_words
 
 
+# A range atom wider than this many values stays a host-side residual.
+MAX_RANGE_EXPANSION = 64
+
+
 def _term_to_rules(
     fmt: PacketFormat,
     term: List[Predicate],
     subscription_id: int,
-    max_range_expansion: int,
 ) -> Optional[List[CompiledRule]]:
     """Turn one DNF conjunction into exact rules, or None if it must
     stay a residual."""
@@ -101,7 +104,7 @@ def _term_to_rules(
     expansion = 1
     for r in ranges:
         expansion *= r.width
-        if expansion > max_range_expansion:
+        if expansion > MAX_RANGE_EXPANSION:
             return None  # too wide: keep the whole term at the host
         next_combos = []
         for combo in combos:
@@ -126,7 +129,6 @@ def _term_to_rules(
 def compile_subscriptions(
     fmt: PacketFormat,
     subscriptions: List[Tuple[int, Predicate]],
-    max_range_expansion: int = 64,
     sram: SramModel = TOFINO_SRAM,
 ) -> RuleSet:
     """Compile ``(subscription id, predicate)`` pairs against ``fmt``.
@@ -145,7 +147,7 @@ def compile_subscriptions(
                 # TRUE term: matches every publication; purely host-side.
                 ruleset.residuals.append((sid, predicate))
                 continue
-            rules = _term_to_rules(fmt, term, sid, max_range_expansion)
+            rules = _term_to_rules(fmt, term, sid)
             if rules is None:
                 ruleset.residuals.append((sid, predicate))
             else:

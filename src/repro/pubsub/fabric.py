@@ -66,12 +66,11 @@ class PubSubFabric:
     """Control plane for identity pub/sub over one network."""
 
     def __init__(self, network: Network, fmt: PacketFormat,
-                 tracer: Optional[Tracer] = None,
                  health: Optional[Any] = None):
         self.network = network
         self.sim: Simulator = network.sim
         self.format = fmt
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.health = health
         self._subs: Dict[int, Subscription] = {}
         self._by_topic: Dict[ObjectID, List[Subscription]] = {}

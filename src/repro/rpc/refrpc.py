@@ -22,7 +22,7 @@ computation to itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..core.objectid import ObjectID
@@ -83,19 +83,16 @@ class RefRpcServer:
 
     def __init__(self, host: Host, locator: Locator, distance: DistanceFn,
                  fetch_object: Callable[[ObjectID], bytes],
-                 workers: int = 4,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 clock: Optional[SerializationClock] = None,
-                 tracer: Optional[Tracer] = None):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         self.host = host
         self.sim: Simulator = host.sim
         self.locator = locator
         self.distance = distance
         self.fetch_object = fetch_object
         self.cost_model = cost_model
-        self.clock = clock if clock is not None else SerializationClock()
-        self.tracer = tracer or Tracer()
-        self.workers = Resource(self.sim, workers, name=f"{host.name}.refrpc-workers")
+        self.clock = SerializationClock()
+        self.tracer = Tracer()
+        self.workers = Resource(self.sim, 4, name=f"{host.name}.refrpc-workers")
         self._methods: Dict[str, Tuple[Callable, float]] = {}
         self._ref_cache: Dict[ObjectID, bytes] = {}
         self.bytes_fetched = 0
@@ -168,14 +165,12 @@ class RefRpcClient:
     """Caller stub: values are serialized, references travel as 24-byte
     descriptors no matter how large the referenced object is."""
 
-    def __init__(self, host: Host, timeout_us: float = 1_000_000.0,
-                 clock: Optional[SerializationClock] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host):
         self.host = host
         self.sim: Simulator = host.sim
-        self.timeout_us = timeout_us
-        self.clock = clock if clock is not None else SerializationClock()
-        self.tracer = tracer or Tracer()
+        self.timeout_us = 1_000_000.0
+        self.clock = SerializationClock()
+        self.tracer = Tracer()
         host.on(KIND_REFREPLY, host.complete)
 
     def call(self, endpoint: str, method: str, **args: Any):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple, Union
 
-from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
+from ..core.costmodel import DEFAULT_COST_MODEL
 
 __all__ = ["encode", "decode", "encoded_size", "SerializeError", "SerializationClock"]
 
@@ -141,8 +141,8 @@ class SerializationClock:
     per the §2 "70% of processing time" evidence.
     """
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
-        self.cost_model = cost_model
+    def __init__(self):
+        self.cost_model = DEFAULT_COST_MODEL
         self.bytes_serialized = 0
         self.bytes_deserialized = 0
 

@@ -15,7 +15,7 @@ bounded pool of worker slots so an overloaded Bob queues requests — the
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..sim import Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
@@ -43,33 +43,28 @@ class RpcServer:
     """An RPC endpoint: named methods, worker slots, marshalling costs.
 
     Methods are plain callables ``fn(**args) -> result``; their compute
-    time is declared at registration (``compute_us``) or computed per
-    call via ``compute_us_fn(args)``, and is charged to the simulated
-    clock while a worker slot is held.
+    time is declared at registration (``compute_us``) and is charged to
+    the simulated clock while a worker slot is held.
     """
 
-    def __init__(self, host: Host, workers: int = 4,
-                 clock: Optional[SerializationClock] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host, workers: int = 4):
         self.host = host
         self.sim: Simulator = host.sim
-        self.clock = clock if clock is not None else SerializationClock()
-        self.tracer = tracer or Tracer()
+        self.clock = SerializationClock()
+        self.tracer = Tracer()
         self.workers = Resource(self.sim, workers, name=f"{host.name}.rpc-workers")
-        self._methods: Dict[str, Tuple[RpcMethod, Callable[[dict], float]]] = {}
+        self._methods: Dict[str, Tuple[RpcMethod, float]] = {}
         host.on(KIND_CALL, self._on_call)
 
-    def register(self, name: str, fn: RpcMethod, compute_us: float = 0.0,
-                 compute_us_fn: Optional[Callable[[dict], float]] = None) -> None:
+    def register(self, name: str, fn: RpcMethod, compute_us: float = 0.0) -> None:
         """Expose ``fn`` as method ``name``.
 
-        ``compute_us`` (or the per-call ``compute_us_fn``) is the
-        simulated execution time charged while holding a worker slot.
+        ``compute_us`` is the simulated execution time charged while
+        holding a worker slot.
         """
         if name in self._methods:
             raise RpcError(f"method {name!r} already registered on {self.host.name}")
-        cost_fn = compute_us_fn if compute_us_fn is not None else (lambda args: compute_us)
-        self._methods[name] = (fn, cost_fn)
+        self._methods[name] = (fn, compute_us)
 
     def _on_call(self, packet: Packet) -> None:
         self.sim.spawn(self._serve(packet), name=f"rpc-serve-{packet.uid}")
@@ -88,8 +83,8 @@ class RpcServer:
                 yield from self._reply_error(
                     packet, f"no such method {method_name!r}")
                 return
-            fn, cost_fn = entry
-            yield Timeout(cost_fn(args))
+            fn, compute_us = entry
+            yield Timeout(compute_us)
             try:
                 if inspect.isgeneratorfunction(fn):
                     # Generator methods may perform their own simulated
@@ -120,14 +115,12 @@ class RpcServer:
 class RpcClient:
     """Caller-side stub: serialize, send, await, deserialize."""
 
-    def __init__(self, host: Host, timeout_us: float = 1_000_000.0,
-                 clock: Optional[SerializationClock] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, host: Host, timeout_us: float = 1_000_000.0):
         self.host = host
         self.sim: Simulator = host.sim
         self.timeout_us = timeout_us
-        self.clock = clock if clock is not None else SerializationClock()
-        self.tracer = tracer or Tracer()
+        self.clock = SerializationClock()
+        self.tracer = Tracer()
         host.on(KIND_REPLY, host.complete)
 
     def call(self, endpoint: str, method: str, **args: Any):

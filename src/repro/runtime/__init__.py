@@ -13,10 +13,6 @@ from .engine import (
     RetryPolicy,
 )
 from .node import (
-    PRIORITY_HIGH,
-    PRIORITY_NORMAL,
-    AdmissionPolicy,
-    AdmissionRejected,
     ClusterNode,
     ExecutionContext,
     FetchTimeout,
@@ -26,11 +22,7 @@ from .node import (
 from .plan import Plan, PlanResult, PlanStep, run_plan
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmissionRejected",
     "ReservationTable",
-    "PRIORITY_NORMAL",
-    "PRIORITY_HIGH",
     "MODE_ISOLATED",
     "GlobalSpaceRuntime",
     "InvokeResult",

@@ -61,19 +61,12 @@ from .node import (
     MODE_ISOLATED,
     MODE_LAZY,
     MODE_PROXIED,
-    PRIORITY_HIGH,
-    PRIORITY_NORMAL,
-    PRIORITIES,
-    AdmissionPolicy,
-    AdmissionRejected,
     ClusterNode,
     ExecRequest,
     RuntimeError_,
 )
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmissionRejected",
     "GlobalSpaceRuntime",
     "InvokeResult",
     "InvokeTimeout",
@@ -82,8 +75,6 @@ __all__ = [
     "MODE_ISOLATED",
     "MODE_LAZY",
     "MODE_PROXIED",
-    "PRIORITY_HIGH",
-    "PRIORITY_NORMAL",
 ]
 
 
@@ -99,35 +90,29 @@ class RetryPolicy:
 
     Each attempt's remote leg is bounded by ``deadline_us`` of simulated
     time; a deadline expiry or a retryable NACK marks the executor
-    suspected, waits out a deterministic exponential backoff (jittered
-    from the simulator's seeded RNG, so runs stay reproducible), and
-    re-runs placement over the candidates not yet tried.  ``max_attempts``
-    bounds the total placements, including the first.
+    suspected, waits out a deterministic exponential backoff (doubling
+    from ``backoff_base_us``, jittered by up to 10% from the simulator's
+    seeded RNG, so runs stay reproducible), and re-runs placement over
+    the candidates not yet tried.  At most ``MAX_ATTEMPTS`` placements
+    are made, the first included.
     """
 
-    max_attempts: int = 3
     deadline_us: float = 100_000.0
     backoff_base_us: float = 1_000.0
-    backoff_factor: float = 2.0
-    jitter_frac: float = 0.1
+
+    MAX_ATTEMPTS = 3
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if self.deadline_us <= 0:
             raise ValueError("deadline_us must be positive")
-        if self.backoff_base_us < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be non-negative and non-shrinking")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ValueError("jitter_frac must be in [0, 1)")
+        if self.backoff_base_us < 0:
+            raise ValueError("backoff must be non-negative")
 
     def backoff_us(self, attempt: int, rng) -> float:
         """Delay before retry number ``attempt`` (1-based), jittered via
         the (seeded, deterministic) ``rng``."""
-        base = self.backoff_base_us * self.backoff_factor ** (attempt - 1)
-        if self.jitter_frac:
-            base *= 1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0)
-        return base
+        base = self.backoff_base_us * 2.0 ** (attempt - 1)
+        return base * (1.0 + 0.1 * (2.0 * rng.random() - 1.0))
 
 
 class _AttemptFailed(Exception):
@@ -138,15 +123,11 @@ class _AttemptFailed(Exception):
     poisoning its health record.
     """
 
-    def __init__(self, executor: str, reason: str, suspect: bool = True,
-                 retry_after_us: Optional[float] = None,
-                 admission: bool = False):
+    def __init__(self, executor: str, reason: str, suspect: bool = True):
         super().__init__(reason)
         self.executor = executor
         self.reason = reason
         self.suspect = suspect
-        self.retry_after_us = retry_after_us
-        self.admission = admission
 
 
 def _attempt_outcome(executor: str, payload: dict):
@@ -157,12 +138,6 @@ def _attempt_outcome(executor: str, payload: dict):
     result = decode(payload["result"])
     if payload["ok"]:
         return result
-    if payload.get("admission_rejected"):
-        # The executor shed us at its admission boundary: alive and
-        # healthy, just over budget.  Carry its retry-after hint back
-        # into the failover loop's backoff.
-        raise _AttemptFailed(executor, result, suspect=False, admission=True,
-                             retry_after_us=payload["retry_after_us"])
     if payload.get("retryable"):
         # The executor is alive but could not complete (its data source
         # timed out under it) — fail over without marking it suspected.
@@ -223,25 +198,21 @@ class GlobalSpaceRuntime:
     other copies are caches of it.
     """
 
+    # The share of a lazily bound input placement expects a body to touch.
+    LAZY_TOUCH_FRACTION = 0.1
+
     def __init__(self, network: Network,
                  registry: Optional[FunctionRegistry] = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 placement: Optional[PlacementEngine] = None,
-                 policies: Optional[PolicyRegistry] = None,
-                 allocator_seed: int = 1,
-                 lazy_touch_fraction: float = 0.1,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 health: Optional[HealthLedger] = None):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         self.network = network
         self.sim: Simulator = network.sim
         self.registry = registry if registry is not None else FunctionRegistry()
         self.cost_model = cost_model
-        self.placement = placement if placement is not None else PlacementEngine(cost_model)
-        self.policies = policies if policies is not None else PolicyRegistry()
-        self.allocator = IDAllocator(seed=allocator_seed)
-        self.lazy_touch_fraction = lazy_touch_fraction
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.health = health if health is not None else HealthLedger(self.sim)
+        self.placement = PlacementEngine(cost_model)
+        self.policies = PolicyRegistry()
+        self.allocator = IDAllocator(seed=1)
+        self.retry_policy = RetryPolicy()
+        self.health = HealthLedger(self.sim)
         self.tracer = Tracer()
         # Counter cells of invoke() (see Tracer); add_node binds the
         # placed_at family's, one per node.
@@ -279,18 +250,13 @@ class GlobalSpaceRuntime:
 
     # -- cluster construction ------------------------------------------------
     def add_node(self, host_name: str, speed: float = 1.0,
-                 capacity_bytes: int = 1 << 40, can_execute: bool = True,
-                 admission: Optional[AdmissionPolicy] = None) -> ClusterNode:
-        """Join the host named ``host_name`` to the global space.
-
-        ``admission`` (optional) bounds the node's concurrent inflight
-        executions — see :class:`AdmissionPolicy`; without it the node
-        admits everything, exactly as before."""
+                 capacity_bytes: int = 1 << 40) -> ClusterNode:
+        """Join the host named ``host_name`` to the global space."""
         if host_name in self.nodes:
             raise RuntimeError_(f"node {host_name!r} already added")
         host = self.network.host(host_name)
         space = ObjectSpace(self.allocator, host_name=host_name)
-        node = ClusterNode(self, host, space, admission=admission)
+        node = ClusterNode(self, host, space)
         self.nodes[host_name] = node
         self._n_placed_at[host_name] = self.tracer.cell(
             f"{K_PLACED_AT}{host_name}")
@@ -300,7 +266,6 @@ class GlobalSpaceRuntime:
                               node.proxies.tracer, replace=True)
         self._base_profiles[host_name] = NodeProfile(
             name=host_name, speed=speed, capacity_bytes=capacity_bytes,
-            can_execute=can_execute,
         )
         return node
 
@@ -498,7 +463,6 @@ class GlobalSpaceRuntime:
             active_jobs=(self.nodes[name].active_jobs
                          + self.health.penalty_jobs(name)),
             capacity_bytes=base.capacity_bytes,
-            can_execute=base.can_execute,
         )
 
     def _live_profile(self, name: str) -> NodeProfile:
@@ -512,14 +476,12 @@ class GlobalSpaceRuntime:
             float("inf") if expiry is None else expiry)
         return profile
 
-    def _placement_item(self, ref: GlobalRef, scale: float = 1.0,
-                        pinned: bool = False) -> PlacementItem:
+    def _placement_item(self, ref: GlobalRef, scale: float = 1.0) -> PlacementItem:
         size = self.object_size(ref.oid)
         return PlacementItem(
             ref=ref,
             size_bytes=max(1, int(size * scale)),
             locations=tuple(sorted(self.holders(ref.oid))),
-            pinned=pinned,
         )
 
     # -- the rendezvous ---------------------------------------------------------
@@ -528,13 +490,11 @@ class GlobalSpaceRuntime:
                values: Optional[Dict[str, Any]] = None,
                flops: float = 1e6, result_bytes: int = 256,
                mode: str = MODE_EAGER,
-               pinned: Iterable[str] = (),
                candidates: Optional[Iterable[str]] = None,
                decode_args: Iterable[str] = (),
                materialize_result: bool = False,
                retry: Optional[RetryPolicy] = None,
-               prefetch=None,
-               priority: str = PRIORITY_NORMAL):
+               prefetch=None):
         """Process: run the code behind ``code_ref`` against ``data_refs``.
 
         ``mode`` picks the data-movement strategy: ``MODE_EAGER`` stages
@@ -549,17 +509,7 @@ class GlobalSpaceRuntime:
         object set up front and claims ownership of every input, so the
         execution sees no interleaved invalidation.
 
-        ``priority`` (``PRIORITY_NORMAL`` / ``PRIORITY_HIGH``) is the
-        admission class presented to executors that run an
-        :class:`AdmissionPolicy`: high-priority work may use reserved
-        budget slots that normal work cannot.  When every candidate
-        sheds the invocation at admission, the typed
-        :class:`AdmissionRejected` (with the executors' retry-after
-        hint) surfaces instead of :class:`InvokeTimeout`.
-
-        ``pinned`` names data arguments that may not be moved off their
-        current host (privacy/local-only constraints — such inputs force
-        placement toward their holder).  ``decode_args`` names reference
+        ``decode_args`` names reference
         arguments whose object bytes are decoded into plain values at the
         executor (pipeline intermediates).  ``materialize_result=True``
         leaves the result as an object at the executor and returns only
@@ -584,15 +534,9 @@ class GlobalSpaceRuntime:
             raise RuntimeError_(f"invoker {invoker!r} is not a cluster node")
         if mode not in (MODE_EAGER, MODE_LAZY, MODE_PROXIED, MODE_ISOLATED):
             raise RuntimeError_(f"unknown invocation mode {mode!r}")
-        if priority not in PRIORITIES:
-            raise RuntimeError_(f"unknown priority class {priority!r}")
         if prefetch is not None and mode != MODE_PROXIED:
             raise RuntimeError_("prefetch budgets require MODE_PROXIED")
         data_refs = dict(data_refs or {})
-        pinned = set(pinned)
-        unknown_pins = pinned - set(data_refs)
-        if unknown_pins:
-            raise RuntimeError_(f"pinned arguments not in data_refs: {sorted(unknown_pins)}")
         # Plain arguments cross as the wire carries them on either leg.
         wire_values = encode(values or {})
         start = self.sim.now
@@ -615,13 +559,11 @@ class GlobalSpaceRuntime:
             candidates = sorted(candidate_names)
 
             eager_staging = mode in (MODE_EAGER, MODE_ISOLATED)
-            scale = 1.0 if eager_staging else self.lazy_touch_fraction
+            scale = 1.0 if eager_staging else self.LAZY_TOUCH_FRACTION
             request = PlacementRequest(
                 code=self._placement_item(code_ref),
-                inputs=tuple(
-                    self._placement_item(ref, scale=scale, pinned=(name in pinned))
-                    for name, ref in data_refs.items()
-                ),
+                inputs=tuple(self._placement_item(ref, scale=scale)
+                             for ref in data_refs.values()),
                 invoker=invoker,
                 result_bytes=result_bytes,
                 flops=flops,
@@ -630,8 +572,6 @@ class GlobalSpaceRuntime:
             decode_args = tuple(decode_args)
             attempt = 0
             tried: Set[str] = set()
-            admission_only = True
-            retry_after_hint: Optional[float] = None
             while True:
                 remaining = [c for c in candidates if c not in tried]
                 # Deciding costs no simulated time: a zero-width span
@@ -658,20 +598,16 @@ class GlobalSpaceRuntime:
                     code_oid=code_ref.oid, stage=tuple(stage), refs=data_refs,
                     args=wire_values, compute_us=decision.compute_us,
                     mode=mode, decode_args=decode_args,
-                    materialize=materialize_result, prefetch=prefetch,
-                    priority=priority)
+                    materialize=materialize_result, prefetch=prefetch)
                 try:
                     if decision.node == invoker:
                         # The same request and serve path as a remote
                         # attempt, without the wire round trip.
-                        executor = self.node(invoker)
-                        reply = executor.admit(req)
-                        if reply is None:
-                            reply = yield from executor.serve(req, root)
-                            # Local result handoff is free: zero-width
-                            # return phase.
-                            self.spans.start(SPAN_RETURN, parent=root,
-                                             node=invoker).finish(local=True)
+                        reply = yield from self.node(invoker).serve(req, root)
+                        # Local result handoff is free: zero-width
+                        # return phase.
+                        self.spans.start(SPAN_RETURN, parent=root,
+                                         node=invoker).finish(local=True)
                     else:
                         reply = yield from self._remote_exec(
                             invoker, decision.node, req, root,
@@ -680,36 +616,16 @@ class GlobalSpaceRuntime:
                 except _AttemptFailed as failure:
                     if failure.suspect:
                         self.health.suspect(failure.executor)
-                    if not failure.admission:
-                        admission_only = False
-                    elif failure.retry_after_us is not None:
-                        retry_after_hint = max(retry_after_hint or 0.0,
-                                               failure.retry_after_us)
                     tried.add(failure.executor)
                     attempt += 1
-                    if (attempt >= policy.max_attempts
+                    if (attempt >= policy.MAX_ATTEMPTS
                             or all(c in tried for c in candidates)):
-                        if admission_only and failure.admission:
-                            # Every executor we asked shed the work at
-                            # admission: typed overload signal with a
-                            # back-off floor, not a timeout.
-                            raise AdmissionRejected(
-                                f"invocation of {code_ref.oid.short()} shed "
-                                f"by admission control after {attempt} "
-                                f"attempt(s); last executor "
-                                f"{failure.executor}",
-                                retry_after_us=retry_after_hint) from None
                         raise InvokeTimeout(
                             f"invocation of {code_ref.oid.short()} gave up "
                             f"after {attempt} attempt(s); last executor "
                             f"{failure.executor}: {failure.reason}") from None
                     self.tracer.count(K_INVOKE_RETRIES)
-                    backoff = policy.backoff_us(attempt, self.sim.rng)
-                    if failure.retry_after_us is not None:
-                        # The executor told us when it is worth retrying:
-                        # back off at least that long instead of hammering.
-                        backoff = max(backoff, failure.retry_after_us)
-                    yield Timeout(backoff)
+                    yield Timeout(policy.backoff_us(attempt, self.sim.rng))
                     continue
                 break
             if attempt > 0:
@@ -738,8 +654,8 @@ class GlobalSpaceRuntime:
     def _remote_exec(self, invoker: str, executor: str, req: ExecRequest,
                      span, deadline_us: float):
         """Process: carry ``req`` to ``executor`` in one ``gs.exec_req``
-        and return the reply payload: the executor's admission NACK, or
-        what :meth:`ClusterNode.serve` returned there."""
+        and return the reply payload :meth:`ClusterNode.serve` returned
+        there."""
         # The request span measures the outbound wire leg: opened here,
         # finished by the executor when it starts serving.  Span ids ride
         # the payload but are accounting metadata, not protocol bytes —

@@ -48,15 +48,9 @@ from . import messages as m
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import GlobalSpaceRuntime
 
-__all__ = ["AdmissionPolicy", "AdmissionRejected", "ClusterNode",
-           "ExecRequest", "ExecutionContext", "FetchTimeout",
+__all__ = ["ClusterNode", "ExecRequest", "ExecutionContext", "FetchTimeout",
            "MODE_EAGER", "MODE_ISOLATED", "MODE_LAZY", "MODE_PROXIED",
-           "NodeProxyBackend", "PRIORITY_HIGH", "PRIORITY_NORMAL",
-           "RuntimeError_"]
-
-PRIORITY_NORMAL = "normal"
-PRIORITY_HIGH = "high"
-PRIORITIES = (PRIORITY_NORMAL, PRIORITY_HIGH)
+           "NodeProxyBackend", "RuntimeError_"]
 
 MODE_EAGER = "eager"      # stage every input object at the executor up front
 MODE_LAZY = "lazy"        # stage only the code; data moves on demand
@@ -83,7 +77,6 @@ class ExecRequest:
     decode_args: Tuple[str, ...]
     materialize: bool
     prefetch: Optional[PrefetchBudget]
-    priority: str
 
 
 class NodeProxyBackend:
@@ -155,45 +148,6 @@ class RuntimeError_(Exception):
     """Runtime-layer failures (missing objects, unknown entries...)."""
 
 
-class AdmissionRejected(RuntimeError_):
-    """Every candidate executor shed the invocation at admission.
-
-    ``retry_after_us`` carries the largest retry-after hint any executor
-    returned — the caller's backoff floor before offering the work
-    again.  Distinct from :class:`InvokeTimeout`: nothing crashed or
-    timed out; the hosts are healthy and explicitly over budget.
-    """
-
-    def __init__(self, message: str, retry_after_us: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after_us = retry_after_us
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Bounded per-host inflight execution budget with priority classes.
-
-    At most ``max_inflight`` invocations are admitted concurrently;
-    the top ``high_reserved`` slots of that budget are reserved for
-    ``PRIORITY_HIGH`` work, so background traffic can never occupy the
-    whole host.  Over-budget requests are shed immediately with a
-    retryable NACK carrying ``retry_after_us`` — load shedding at the
-    host boundary instead of silent queue growth.
-    """
-
-    max_inflight: int
-    high_reserved: int = 0
-    retry_after_us: float = 2_000.0
-
-    def __post_init__(self):
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if not 0 <= self.high_reserved < self.max_inflight:
-            raise ValueError("high_reserved must be in [0, max_inflight)")
-        if self.retry_after_us < 0:
-            raise ValueError("retry_after_us must be non-negative")
-
-
 class FetchTimeout(RuntimeError_):
     """A fetch or demand-read exhausted every replica without a reply,
     or a demand-write's holder did not answer.
@@ -208,22 +162,18 @@ class ClusterNode:
     """One host participating in the global object space."""
 
     def __init__(self, runtime: "GlobalSpaceRuntime", host: Host,
-                 space: ObjectSpace, tracer: Optional[Tracer] = None,
-                 request_timeout_us: float = 100_000.0,
-                 admission: Optional[AdmissionPolicy] = None):
+                 space: ObjectSpace):
         self.runtime = runtime
         self.host = host
         self.sim: Simulator = host.sim
         self.space = space
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         # Counter cells of the per-op path (see Tracer).
         self._n_write_served = self.tracer.cell("node.write_served")
         self._n_exec = self.tracer.cell("node.exec")
         self._n_remote_read = self.tracer.cell("node.remote_read")
         self._n_remote_write = self.tracer.cell("node.remote_write")
-        self.request_timeout_us = request_timeout_us
-        self.admission = admission
-        self._admitted = 0
+        self.request_timeout_us = 100_000.0
         self._active_jobs = 0
         # Lazy-proxy table (PROXIES.md): one per node, shared by every
         # invocation that executes here, so prefetched images survive
@@ -315,54 +265,7 @@ class ClusterNode:
         self.host.send(packet.reply(
             m.KIND_WRITE_RSP, {"ok": ok}, m.RSP_OVERHEAD_BYTES))
 
-    # -- admission control ---------------------------------------------------
-    @property
-    def admitted(self) -> int:
-        """Invocations currently holding an admission slot."""
-        return self._admitted
-
-    def try_admit(self, priority: str = PRIORITY_NORMAL) -> bool:
-        """Claim an inflight slot, or refuse.
-
-        Normal-priority work sees the budget minus the high-reserved
-        slots; high-priority work may use the whole budget.  With no
-        :class:`AdmissionPolicy` installed every request is admitted
-        (and nothing needs releasing — release is a no-op then too).
-        """
-        if self.admission is None:
-            return True
-        cap = self.admission.max_inflight
-        if priority != PRIORITY_HIGH:
-            cap -= self.admission.high_reserved
-        if self._admitted >= cap:
-            return False
-        self._admitted += 1
-        return True
-
-    def release_admission(self) -> None:
-        """Return an admission slot claimed by :meth:`try_admit`."""
-        if self.admission is not None and self._admitted > 0:
-            self._admitted -= 1
-
-    def admit(self, req: ExecRequest) -> Optional[dict]:
-        """Both legs' admission answer for ``req``: ``None`` when it got
-        an inflight slot (:meth:`serve` releases it), else the reply
-        payload that sheds it at once with a retry-after hint, instead
-        of queueing over budget."""
-        if self.try_admit(req.priority):
-            return None
-        self.tracer.count("bus.rejected")
-        return {"ok": False, "result": encode("admission rejected"),
-                "admission_rejected": True,
-                "retry_after_us": self.admission.retry_after_us}
-
     def _on_exec_req(self, packet: Packet) -> None:
-        nack = self.admit(packet.payload["req"])
-        if nack is not None:
-            self._end_request_span(packet)
-            self.host.send(packet.reply(
-                m.KIND_EXEC_RSP, nack, m.RSP_OVERHEAD_BYTES))
-            return
         self.sim.spawn(self._serve_exec(packet), name=f"{self.name}-exec")
 
     def _end_request_span(self, packet: Packet) -> bool:
@@ -396,7 +299,7 @@ class ClusterNode:
             m.RSP_OVERHEAD_BYTES + len(payload["result"])))
 
     def serve(self, req: ExecRequest, span=None):
-        """Process: run one admitted request here; returns the reply
+        """Process: run one request here; returns the reply
         payload, ``{"ok", "result"}`` with the result encoded.
 
         Both legs of an invocation come here, the invoker's own node
@@ -404,8 +307,7 @@ class ClusterNode:
         attempt behaves the same wherever placement ran it.  Every
         failure is an ``ok: False`` payload carrying the error text; a
         :class:`FetchTimeout` is marked ``retryable``, because *our*
-        data source is suspect, not this executor.  The admission slot
-        :meth:`admit` granted is released however the attempt ends.
+        data source is suspect, not this executor.
 
         Every object in ``req.stage`` is pulled here in parallel before
         the body runs.  The plain arguments (``req.args``, encoded as the
@@ -517,7 +419,6 @@ class ClusterNode:
         finally:
             if reserved:
                 self.runtime.reservations.release(reserved)
-            self.release_admission()
         return payload
 
     # -- execution ----------------------------------------------------------
@@ -714,16 +615,16 @@ class ExecutionContext:
         ok = yield from self.node.store(ref.oid, ref.offset + offset, data)
         return ok
 
-    def follow(self, ref: GlobalRef, pointer_offset: int = 0):
-        """Waitable: load the invariant pointer stored at ``ref`` (+offset)
-        and resolve it to a new :class:`GlobalRef`."""
+    def follow(self, ref: GlobalRef):
+        """Waitable: load the invariant pointer stored at ``ref`` and
+        resolve it to a new :class:`GlobalRef`."""
         return self.node.sim.spawn(
-            self._follow(ref, pointer_offset), name=f"ctx-follow-{self.node.name}")
+            self._follow(ref), name=f"ctx-follow-{self.node.name}")
 
-    def _follow(self, ref: GlobalRef, pointer_offset: int):
+    def _follow(self, ref: GlobalRef):
         from ..core.pointers import InvariantPointer
 
-        raw = yield self.read(ref, pointer_offset, 8)
+        raw = yield self.read(ref, 0, 8)
         pointer = InvariantPointer.from_bytes(raw)
         if pointer.is_null:
             return None

@@ -47,7 +47,6 @@ class PlanStep:
     inputs_from: Dict[str, str] = field(default_factory=dict)
     values: Dict[str, Any] = field(default_factory=dict)
     flops: float = 1e6
-    result_bytes: int = 1024
 
 
 @dataclass
@@ -87,12 +86,12 @@ class PlanResult:
 
 
 def run_plan(runtime: GlobalSpaceRuntime, invoker: str, plan: Plan,
-             mode: str = MODE_EAGER,
              candidates: Optional[Iterable[str]] = None):
     """Process: execute ``plan`` from ``invoker``; returns :class:`PlanResult`.
 
-    Every step except the last materializes its result where it ran; the
-    final step's (small, by-value) result returns to the invoker.
+    Each step is an eager invocation.  Every step except the last
+    materializes its result where it ran; the final step's (small,
+    by-value) result returns to the invoker, priced as 1 KiB.
     """
     sim = runtime.sim
     start = sim.now
@@ -111,8 +110,8 @@ def run_plan(runtime: GlobalSpaceRuntime, invoker: str, plan: Plan,
             data_refs=data_refs,
             values=step.values,
             flops=step.flops,
-            result_bytes=step.result_bytes,
-            mode=mode,
+            result_bytes=1024,
+            mode=MODE_EAGER,
             candidates=candidates,
             decode_args=decode_args,
             materialize_result=not is_last,

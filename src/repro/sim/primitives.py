@@ -26,81 +26,32 @@ class _StoreGet(Waitable):
 
     def _subscribe(self, sim: Simulator, process: Process) -> None:
         if self.store._items:
-            item = self.store._items.popleft()
-            sim.schedule(0.0, process._resume, item)
-            self.store._wake_putters(sim)
+            sim.schedule(0.0, process._resume, self.store._items.popleft())
         else:
             self.store._getters.append(process)
 
 
-class _StorePut(Waitable):
-    """Waitable returned by :meth:`Store.put` when the store is bounded."""
-
-    __slots__ = ("store", "item")
-
-    def __init__(self, store: "Store", item: Any):
-        self.store = store
-        self.item = item
-
-    def _subscribe(self, sim: Simulator, process: Process) -> None:
-        if self.store._try_deliver(sim, self.item):
-            sim.schedule(0.0, process._resume, None)
-        else:
-            self.store._putters.append((process, self.item))
-
-
 class Store:
-    """An unbounded-or-bounded FIFO queue between simulated processes.
+    """An unbounded FIFO queue between simulated processes.
 
-    ``put_nowait`` enqueues immediately (raises if a bounded store is
-    full); ``yield store.get()`` blocks the calling process until an item
-    is available.  Delivery order is strictly FIFO for both items and
-    waiting getters, which keeps simulations deterministic.
+    ``put_nowait`` enqueues immediately; ``yield store.get()`` blocks the
+    calling process until an item is available.  Delivery order is
+    strictly FIFO for both items and waiting getters, which keeps
+    simulations deterministic.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity <= 0:
-            raise SimError(f"store capacity must be positive, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Process] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def _try_deliver(self, sim: Simulator, item: Any) -> bool:
-        """Hand ``item`` to a waiting getter or buffer it; False if full."""
-        if self._getters:
-            getter = self._getters.popleft()
-            sim.schedule(0.0, getter._resume, item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
-    def _wake_putters(self, sim: Simulator) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity or self._getters
-        ):
-            putter, item = self._putters.popleft()
-            if not self._try_deliver(sim, item):  # pragma: no cover - guarded
-                self._putters.appendleft((putter, item))
-                break
-            sim.schedule(0.0, putter._resume, None)
 
     def put_nowait(self, item: Any) -> None:
-        """Enqueue without blocking; raises :class:`SimError` if full."""
-        if not self._try_deliver(self.sim, item):
-            raise SimError(f"store {self.name!r} full (capacity={self.capacity})")
-
-    def try_put(self, item: Any) -> bool:
-        """Enqueue without blocking; returns False (drops) if full."""
-        return self._try_deliver(self.sim, item)
-
-    def put(self, item: Any) -> _StorePut:
-        """Waitable put: blocks the yielding process while the store is full."""
-        return _StorePut(self, item)
+        """Hand ``item`` to the first waiting getter, or buffer it."""
+        if self._getters:
+            self.sim.schedule(0.0, self._getters.popleft()._resume, item)
+        else:
+            self._items.append(item)
 
     def get(self) -> _StoreGet:
         """Waitable get: resumes with the next item in FIFO order."""
@@ -110,9 +61,7 @@ class Store:
         """Dequeue immediately; raises :class:`SimError` when empty."""
         if not self._items:
             raise SimError(f"store {self.name!r} empty")
-        item = self._items.popleft()
-        self._wake_putters(self.sim)
-        return item
+        return self._items.popleft()
 
     def __len__(self) -> int:
         return len(self._items)

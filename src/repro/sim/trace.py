@@ -1,4 +1,4 @@
-"""Measurement utilities: counters, latency samples, and event traces.
+"""Measurement utilities: counters and latency samples.
 
 Every experiment in the benchmark harness reads its numbers from these
 collectors rather than from ad-hoc prints, so the same instrumentation
@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 __all__ = ["Counter", "SampleSeries", "Tracer", "NullTracer", "NULL_TRACER",
            "summarize", "percentile", "nearest_rank"]
@@ -144,17 +144,8 @@ class SampleSeries:
         return sorted(self._samples.keys())
 
 
-@dataclass
-class TraceEvent:
-    """One structured trace record (time, category, payload)."""
-
-    time: float
-    category: str
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-
 class Tracer:
-    """Combined counters + samples + optional structured event log.
+    """Combined counters + samples.
 
     Each network node and protocol layer owns (or shares) a Tracer; the
     benchmark harness interrogates it after the run.
@@ -166,11 +157,9 @@ class Tracer:
     each costs: OBSERVABILITY.md, "What observing costs").
     """
 
-    def __init__(self, keep_events: bool = False) -> None:
+    def __init__(self) -> None:
         self.counters = Counter()
         self.series = SampleSeries()
-        self.keep_events = keep_events
-        self.events: List[TraceEvent] = []
 
     def cell(self, key: str) -> List[int]:
         """The cell behind counter ``key`` (see :class:`Counter`)."""
@@ -188,11 +177,10 @@ class Tracer:
         """Record one sample under ``key``."""
         self.series.record(key, value)
 
-    def event(self, time: float, category: str, **detail: Any) -> None:
-        """Record a structured trace event."""
+    def event(self, category: str) -> None:
+        """Count one occurrence of the ``category`` event, as
+        ``event.<category>``."""
         self.counters.incr(f"event.{category}")
-        if self.keep_events:
-            self.events.append(TraceEvent(time, category, detail))
 
 
 class NullTracer(Tracer):
@@ -220,7 +208,7 @@ class NullTracer(Tracer):
     def sample(self, key: str, value: float) -> None:
         pass
 
-    def event(self, time: float, category: str, **detail: Any) -> None:
+    def event(self, category: str) -> None:
         pass
 
 

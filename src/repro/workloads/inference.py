@@ -58,12 +58,13 @@ class ModelPartition:
 
     @classmethod
     def generate(cls, rng: random.Random, partition_id: int,
-                 n_entries: int, index_space: int = 1 << 24) -> "ModelPartition":
-        """Deterministically synthesize a partition from a seeded RNG."""
+                 n_entries: int) -> "ModelPartition":
+        """Deterministically synthesize a partition from a seeded RNG,
+        its indices drawn from a 2**24 feature space."""
         if n_entries <= 0:
             raise ValueError("a partition needs at least one entry")
         entries = [
-            (rng.randrange(index_space), rng.uniform(-1.0, 1.0))
+            (rng.randrange(1 << 24), rng.uniform(-1.0, 1.0))
             for _ in range(n_entries)
         ]
         return cls(partition_id, entries)
@@ -214,7 +215,7 @@ def read_partition_object(obj: MemObject) -> ModelPartition:
 
 
 def build_partition_chain(
-    space: ObjectSpace, model: SparseModel, label: str = "pchain",
+    space: ObjectSpace, model: SparseModel,
 ) -> Tuple[GlobalRef, List[MemObject]]:
     """Store the model as a chain of per-partition objects.
 
@@ -230,7 +231,7 @@ def build_partition_chain(
     for partition in model.partitions:
         image = partition.pack()
         obj = space.create_object(size=POINTER_BYTES + len(image),
-                                  label=f"{label}-{partition.partition_id}")
+                                  label=f"pchain-{partition.partition_id}")
         obj.write(POINTER_BYTES, image)
         objs.append(obj)
     for i, obj in enumerate(objs):
@@ -289,7 +290,7 @@ def register_proxied_serving(registry) -> None:
                 served += 1
                 if work_us:
                     yield Timeout(work_us)
-                ref = yield ctx.follow(ref, 0)
+                ref = yield ctx.follow(ref)
         return {"score": score, "partitions": served}
 
     registry.register("serve_partition_chain", serve_partition_chain)

@@ -28,15 +28,18 @@ from ..rpc.stubs import RpcClient, RpcServer
 
 __all__ = ["RpcKVService", "RpcKVClient", "ObjectKVService", "ObjectKVClient"]
 
+# Server compute per lookup, in either design.
+LOOKUP_US = 2.0
+
 
 class RpcKVService:
     """RPC-fronted store: values are serialized into every reply."""
 
-    def __init__(self, server: RpcServer, lookup_us: float = 2.0):
+    def __init__(self, server: RpcServer):
         self.server = server
         self._data: Dict[str, bytes] = {}
-        server.register("kv_get", self._get, compute_us=lookup_us)
-        server.register("kv_put", self._put, compute_us=lookup_us)
+        server.register("kv_get", self._get, compute_us=LOOKUP_US)
+        server.register("kv_put", self._put, compute_us=LOOKUP_US)
 
     def _get(self, key: str) -> bytes:
         if key not in self._data:
@@ -80,11 +83,11 @@ class ObjectKVService:
     """
 
     def __init__(self, runtime: GlobalSpaceRuntime, node_name: str,
-                 server: RpcServer, lookup_us: float = 2.0):
+                 server: RpcServer):
         self.runtime = runtime
         self.node_name = node_name
         self._directory: Dict[str, Tuple[str, int]] = {}  # key -> (oid hex, size)
-        server.register("kv_lookup", self._lookup, compute_us=lookup_us)
+        server.register("kv_lookup", self._lookup, compute_us=LOOKUP_US)
 
     def _lookup(self, key: str):
         entry = self._directory.get(key)

@@ -102,19 +102,19 @@ class Scenario:
         return dot_product(self.partition, self.activation)
 
 
-def build_scenario(seed: int = 42, partition_entries: int = 20_000,
-                   activation_dim: int = 256, bob_load: int = 12,
-                   dave_speed: float = 1.5,
+def build_scenario(partition_entries: int = 20_000,
                    dave_has_local_model: bool = False) -> Scenario:
-    """Construct the two-edge/two-cloud environment.
+    """Construct the two-edge/two-cloud environment (seed 42; a
+    256-dimension activation; Bob 12 jobs deep).
 
-    ``dave_speed`` > 1 makes Dave the §5 case: an edge device with
-    enough silicon to run the inference itself.  With
+    Dave runs at 1.5x: the §5 case, an edge device with enough silicon
+    to run the inference itself.  With
     ``dave_has_local_model=True`` Dave also already holds a replica of
     the partition (§2: a device "in possession of a locally-trained
     model") — under the rendezvous model his invocations then run
     entirely on-device, which no RPC variant can express.
     """
+    seed = 42
     sim = Simulator(seed=seed)
     net = Network(sim, default_latency_us=CLOUD_LINK_LATENCY_US)
     net.add_switch("edge_sw")
@@ -150,12 +150,12 @@ def build_scenario(seed: int = 42, partition_entries: int = 20_000,
     runtime.add_node("alice", speed=0.2, capacity_bytes=64 * 1024)
     runtime.add_node("bob", speed=1.0)
     runtime.add_node("carol", speed=1.0)
-    runtime.add_node("dave", speed=dave_speed)
-    runtime.node("bob").active_jobs = bob_load
+    runtime.add_node("dave", speed=1.5)
+    runtime.node("bob").active_jobs = 12
 
     rng = random.Random(seed)
     partition = ModelPartition.generate(rng, 0, partition_entries)
-    activation = Activation.generate(rng, activation_dim)
+    activation = Activation.generate(rng, 256)
     partition_obj = write_partition_object(runtime.node("bob").space, partition,
                                            label="global-model-partition")
     runtime.adopt_object("bob", partition_obj)

@@ -141,7 +141,7 @@ def register_traversal(registry) -> None:
             if pointer.is_internal:
                 ref = GlobalRef(ref.oid, pointer.offset, ref.mode)
             else:
-                next_ref = yield ctx.follow(ref, 0)
+                next_ref = yield ctx.follow(ref)
                 ref = next_ref
         return {"sum": total, "count": count}
 
@@ -201,7 +201,7 @@ def register_proxied_traversal(registry) -> None:
                 if pointer.is_internal:
                     ref = GlobalRef(ref.oid, pointer.offset, ref.mode)
                 else:
-                    ref = yield ctx.follow(ref, 0)
+                    ref = yield ctx.follow(ref)
         return {"sum": total, "count": count}
 
     registry.register("traverse_list_proxied", traverse_list_proxied)

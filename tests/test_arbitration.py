@@ -80,7 +80,7 @@ def _contended_egress(seed, weights, quantum_bytes=None):
     """
     sim = Simulator(seed=seed)
     net = Network(sim)
-    net.add_switch("s0", processing_delay_us=0.0)
+    net.add_switch("s0")
     for name in ("a", "b", "c"):
         net.add_host(name)
     net.connect("a", "s0")

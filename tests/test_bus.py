@@ -1,9 +1,9 @@
 """Tests for the event bus: delivery contracts, credit backpressure,
-redelivery across faults, host admission control, and isolated mode.
+redelivery across faults, and isolated mode.
 
 Deterministic but seed-shiftable: CI's fault-seed matrix re-runs this
 module under several ``REPRO_SEED_OFFSET`` values, so assertions are
-structural (zero loss, exactly-once handling, typed rejection) rather
+structural (zero loss, exactly-once handling) rather
 than tied to one seed's event interleaving.
 """
 
@@ -17,22 +17,13 @@ from repro.net import build_star
 from repro.pubsub import (
     AT_LEAST_ONCE,
     AT_MOST_ONCE,
-    BLOCK,
     BusError,
-    DROP_NEWEST,
-    DROP_OLDEST,
     EventBus,
     FormatField,
     PacketFormat,
     PubSubFabric,
 )
-from repro.runtime import (
-    AdmissionPolicy,
-    AdmissionRejected,
-    GlobalSpaceRuntime,
-    MODE_ISOLATED,
-    PRIORITY_HIGH,
-)
+from repro.runtime import GlobalSpaceRuntime, MODE_ISOLATED
 from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -44,12 +35,16 @@ def _seed(n):
     return n + SEED_OFFSET
 
 
-def _bed(seed, n_hosts=3, **bus_kwargs):
+def _bed(seed, n_hosts=3, **constants):
+    """A bus over an ``n_hosts`` star; ``constants`` (``BUFFER_CAP=2``)
+    override the bus's class constants, to shape a run."""
     sim = Simulator(seed=_seed(seed))
     net = build_star(sim, n_hosts, prefix="n")
     health = HealthLedger(sim)
     fabric = PubSubFabric(net, FMT, health=health)
-    bus = EventBus(fabric, **bus_kwargs)
+    bus = EventBus(fabric)
+    for name, value in constants.items():
+        setattr(bus, name, value)
     topic = IDAllocator(seed=_seed(seed) + 1).allocate()
     return sim, net, fabric, bus, topic
 
@@ -60,20 +55,6 @@ def _bed(seed, n_hosts=3, **bus_kwargs):
 
 
 class TestConstruction:
-    def test_bad_overflow_policy_rejected(self):
-        sim, net, fabric, bus, topic = _bed(1)
-        with pytest.raises(BusError):
-            EventBus(fabric, overflow="spill")
-
-    def test_bad_windows_rejected(self):
-        sim, net, fabric, bus, topic = _bed(2)
-        with pytest.raises(BusError):
-            EventBus(fabric, buffer_cap=0)
-        with pytest.raises(BusError):
-            EventBus(fabric, default_credits=0)
-        with pytest.raises(BusError):
-            EventBus(fabric, redelivery_budget=0)
-
     def test_bad_contract_rejected(self):
         sim, net, fabric, bus, topic = _bed(3)
         with pytest.raises(BusError):
@@ -115,7 +96,7 @@ class TestContracts:
         host is crashed are redelivered after recovery; the handler sees
         every event exactly once (delivered + deduped == published)."""
         sim, net, fabric, bus, topic = _bed(
-            11, redelivery_us=4_000.0, redelivery_budget=20)
+            11, REDELIVERY_US=4_000.0, REDELIVERY_BUDGET=20)
         got = []
         bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                       contract=AT_LEAST_ONCE)
@@ -160,8 +141,8 @@ class TestContracts:
         the publisher retransmits events the consumer already holds; the
         dedup layer suppresses every copy before the handler."""
         sim, net, fabric, bus, topic = _bed(
-            13, redelivery_us=3_000.0, redelivery_budget=20,
-            suspect_after=1000)
+            13, REDELIVERY_US=3_000.0, REDELIVERY_BUDGET=20,
+            SUSPECT_AFTER=1000)
         got = []
         bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                       contract=AT_LEAST_ONCE, service_us=10_000.0)
@@ -179,7 +160,7 @@ class TestContracts:
 
     def test_at_least_once_survives_partition(self):
         sim, net, fabric, bus, topic = _bed(
-            14, n_hosts=2, redelivery_us=4_000.0, redelivery_budget=20)
+            14, n_hosts=2, REDELIVERY_US=4_000.0, REDELIVERY_BUDGET=20)
         got = []
         bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                       contract=AT_LEAST_ONCE)
@@ -201,7 +182,7 @@ class TestContracts:
         ``redelivery_budget`` attempts per event, then the event is shed
         and the simulation quiesces — no immortal timers."""
         sim, net, fabric, bus, topic = _bed(
-            15, redelivery_us=2_000.0, redelivery_budget=3)
+            15, REDELIVERY_US=2_000.0, REDELIVERY_BUDGET=3)
         bus.subscribe("n1", topic, lambda f, p: None, contract=AT_LEAST_ONCE)
         FaultInjector(net, FaultPlan().crash("n1", at=1_000)).arm()
 
@@ -218,7 +199,7 @@ class TestContracts:
 
     def test_repeated_redelivery_suspects_host_and_grant_clears(self):
         sim, net, fabric, bus, topic = _bed(
-            16, redelivery_us=2_000.0, redelivery_budget=20, suspect_after=3)
+            16, REDELIVERY_US=2_000.0, REDELIVERY_BUDGET=20, SUSPECT_AFTER=3)
         got = []
         bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                       contract=AT_LEAST_ONCE)
@@ -242,7 +223,7 @@ class TestContracts:
         """The same published stream, consumed at-most-once by one
         subscriber and at-least-once by another on a different host."""
         sim, net, fabric, bus, topic = _bed(
-            17, redelivery_us=4_000.0, redelivery_budget=20)
+            17, REDELIVERY_US=4_000.0, REDELIVERY_BUDGET=20)
         amo, alo = [], []
         bus.subscribe("n1", topic, lambda f, p: amo.append(f["kind"]),
                       contract=AT_MOST_ONCE)
@@ -264,7 +245,7 @@ class TestContracts:
     def test_predicate_filtered_events_still_ack(self):
         from repro.pubsub import Eq
 
-        sim, net, fabric, bus, topic = _bed(18, redelivery_us=2_000.0)
+        sim, net, fabric, bus, topic = _bed(18, REDELIVERY_US=2_000.0)
         got = []
         sub = bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                             contract=AT_LEAST_ONCE, predicate=Eq("kind", 1))
@@ -281,7 +262,7 @@ class TestContracts:
         assert bus.outstanding("n0", topic) == 0
 
     def test_unsubscribe_releases_publisher_obligations(self):
-        sim, net, fabric, bus, topic = _bed(19, redelivery_us=2_000.0)
+        sim, net, fabric, bus, topic = _bed(19, REDELIVERY_US=2_000.0)
         sub = bus.subscribe("n1", topic, lambda f, p: None,
                             contract=AT_LEAST_ONCE, service_us=50_000.0)
 
@@ -310,7 +291,7 @@ class TestBackpressure:
 
     def test_credit_window_bounds_unconsumed_events(self):
         credits = 2
-        sim, net, fabric, bus, topic = _bed(20, buffer_cap=64)
+        sim, net, fabric, bus, topic = _bed(20, BUFFER_CAP=64)
         holder = {}
         lens = []
 
@@ -330,7 +311,7 @@ class TestBackpressure:
 
     def test_drop_oldest_sheds_head_keeps_tail(self):
         sim, net, fabric, bus, topic = _bed(
-            21, buffer_cap=2, overflow=DROP_OLDEST)
+            21, BUFFER_CAP=2)
         got = []
         bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
                       credits=1, service_us=2_000.0)
@@ -340,46 +321,12 @@ class TestBackpressure:
         assert got[-1] == 9          # the newest event survived
         assert len(got) < 10
 
-    def test_drop_newest_sheds_tail_keeps_head(self):
-        sim, net, fabric, bus, topic = _bed(
-            22, buffer_cap=2, overflow=DROP_NEWEST)
-        got = []
-        bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
-                      credits=1, service_us=2_000.0)
-        sim.run_process(self._burst(bus, topic, 10)())
-        sim.run()
-        assert bus.tracer.counters.get("bus.shed") > 0
-        assert got[0] == 0           # the oldest events survived
-        assert 9 not in got
-        assert len(got) < 10
-
-    def test_block_policy_delivers_everything(self):
-        sim, net, fabric, bus, topic = _bed(
-            23, buffer_cap=2, overflow=BLOCK)
-        got = []
-        bus.subscribe("n1", topic, lambda f, p: got.append(f["kind"]),
-                      credits=1, service_us=1_000.0)
-
-        def pub():
-            for i in range(12):
-                future = bus.publish("n0", topic, {"kind": i}, b"e")
-                if future is not None:
-                    yield future
-                else:
-                    yield Timeout(0.0)
-
-        sim.run_process(pub())
-        sim.run()
-        assert got == list(range(12))
-        assert bus.tracer.counters.get("bus.shed") == 0
-        assert bus.tracer.counters.get("bus.credit_stall") > 0
-
     def test_suspected_consumer_does_not_freeze_the_topic(self):
         """A dead at-most-once consumer's zeroed credit is excluded from
         the pacing minimum once suspected, so live consumers keep
         receiving."""
         sim, net, fabric, bus, topic = _bed(
-            24, buffer_cap=8, overflow=DROP_OLDEST)
+            24, BUFFER_CAP=8)
         live = []
         bus.subscribe("n1", topic, lambda f, p: live.append(f["kind"]),
                       credits=4)
@@ -398,165 +345,14 @@ class TestBackpressure:
         assert len(live) == 20
 
 
-# ---------------------------------------------------------------------------
-# host admission control
-# ---------------------------------------------------------------------------
-
-
-def _cluster(seed, n=3, policies=None):
+def _cluster(seed, n=3):
     sim = Simulator(seed=_seed(seed))
     net = build_star(sim, n, prefix="n")
     registry = FunctionRegistry()
     runtime = GlobalSpaceRuntime(net, registry)
-    policies = policies or {}
     for i in range(n):
-        name = f"n{i}"
-        runtime.add_node(name, admission=policies.get(name))
+        runtime.add_node(f"n{i}")
     return sim, net, registry, runtime
-
-
-class TestAdmissionPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=2, high_reserved=2)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=2, high_reserved=-1)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=2, retry_after_us=-1.0)
-
-    def test_priority_reservation(self):
-        sim, net, registry, runtime = _cluster(
-            30, policies={"n1": AdmissionPolicy(max_inflight=2,
-                                                high_reserved=1)})
-        node = runtime.node("n1")
-        assert node.try_admit() is True           # normal slot
-        assert node.try_admit() is False          # normal sees cap - reserved
-        assert node.try_admit(PRIORITY_HIGH) is True   # the reserve
-        assert node.try_admit(PRIORITY_HIGH) is False  # full
-        node.release_admission()
-        node.release_admission()
-        assert node.admitted == 0
-
-    def test_no_policy_always_admits(self):
-        sim, net, registry, runtime = _cluster(31)
-        node = runtime.node("n1")
-        assert all(node.try_admit() for _ in range(100))
-
-
-class TestAdmissionIntegration:
-    def _slow_code(self, registry, runtime):
-        @registry.register("slow")
-        def slow(ctx, args):
-            return 1
-        _, code_ref = runtime.create_code("n0", "slow", text_size=128)
-        return code_ref
-
-    def test_typed_rejection_with_retry_after(self):
-        policy = AdmissionPolicy(max_inflight=1, retry_after_us=500.0)
-        sim, net, registry, runtime = _cluster(32, policies={"n1": policy})
-        code_ref = self._slow_code(registry, runtime)
-        outcomes = []
-
-        def catcher(i):
-            try:
-                result = yield sim.spawn(runtime.invoke(
-                    "n0", code_ref, flops=2e7, candidates=["n1"]))
-                outcomes.append(("ok", result.executed_at))
-            except AdmissionRejected as exc:
-                outcomes.append(("rejected", exc.retry_after_us))
-
-        def driver():
-            procs = [sim.spawn(catcher(i)) for i in range(4)]
-            for proc in procs:
-                yield proc
-
-        sim.run_process(driver())
-        oks = [o for o in outcomes if o[0] == "ok"]
-        rejected = [o for o in outcomes if o[0] == "rejected"]
-        assert oks, outcomes
-        assert rejected, outcomes
-        assert all(o[1] == 500.0 for o in rejected)
-        assert runtime.node("n1").tracer.counters.get("bus.rejected") > 0
-
-    def test_rejection_is_not_a_timeout_and_does_not_suspect(self):
-        policy = AdmissionPolicy(max_inflight=1, retry_after_us=500.0)
-        sim, net, registry, runtime = _cluster(33, policies={"n1": policy})
-        code_ref = self._slow_code(registry, runtime)
-        caught = []
-
-        def occupier():
-            yield sim.spawn(runtime.invoke("n0", code_ref, flops=2e7,
-                                           candidates=["n1"]))
-
-        def rejected_one():
-            yield Timeout(10.0)  # after the occupier is admitted
-            try:
-                yield sim.spawn(runtime.invoke("n0", code_ref, flops=1e4,
-                                               candidates=["n1"]))
-            except AdmissionRejected as exc:
-                caught.append(exc)
-
-        def driver():
-            a = sim.spawn(occupier())
-            b = sim.spawn(rejected_one())
-            yield a
-            yield b
-
-        sim.run_process(driver())
-        # Rejection may or may not stick depending on retry timing vs the
-        # occupier's service time; when it does, it must be the typed
-        # error and the healthy executor must stay unsuspected.
-        for exc in caught:
-            assert isinstance(exc, AdmissionRejected)
-        assert not runtime.health.is_suspected("n1")
-
-    def test_saturated_candidate_falls_over_to_free_node(self):
-        policy = AdmissionPolicy(max_inflight=1, retry_after_us=500.0)
-        sim, net, registry, runtime = _cluster(34, policies={"n1": policy})
-        code_ref = self._slow_code(registry, runtime)
-        placed = []
-
-        def driver():
-            occupier = sim.spawn(runtime.invoke(
-                "n0", code_ref, flops=2e7, candidates=["n1"]))
-            yield Timeout(10.0)
-            result = yield sim.spawn(runtime.invoke(
-                "n0", code_ref, flops=1e4, candidates=["n1", "n2"]))
-            placed.append(result.executed_at)
-            yield occupier
-
-        sim.run_process(driver())
-        assert placed == ["n2"]
-
-    def test_high_priority_uses_the_reserve(self):
-        policy = AdmissionPolicy(max_inflight=2, high_reserved=1,
-                                 retry_after_us=500.0)
-        sim, net, registry, runtime = _cluster(35, policies={"n1": policy})
-        code_ref = self._slow_code(registry, runtime)
-        outcomes = []
-
-        def driver():
-            occupier = sim.spawn(runtime.invoke(
-                "n0", code_ref, flops=2e7, candidates=["n1"]))
-            yield Timeout(10.0)
-            # Normal work sees cap - reserved = 1 slot, already taken...
-            try:
-                yield sim.spawn(runtime.invoke(
-                    "n0", code_ref, flops=1e4, candidates=["n1"]))
-                outcomes.append("normal-ok")
-            except AdmissionRejected:
-                outcomes.append("normal-rejected")
-            # ...but high-priority work is admitted into the reserve.
-            result = yield sim.spawn(runtime.invoke(
-                "n0", code_ref, flops=1e4, candidates=["n1"],
-                priority=PRIORITY_HIGH))
-            outcomes.append(("high-ok", result.executed_at))
-            yield occupier
-
-        sim.run_process(driver())
-        assert ("high-ok", "n1") in outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ class TestCostModel:
         # Calibration check for the §2 claim: deserialize is the
         # heavyweight side of the marshalling walk.
         model = CostModel()
-        estimate = model.rpc_transfer(10_000_000, hops=1)
+        estimate = model.rpc_transfer(10_000_000)
         assert estimate.deserialize_us > estimate.serialize_us
 
     def test_compute_time(self):

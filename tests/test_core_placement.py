@@ -22,10 +22,10 @@ def flat_distance(a: str, b: str) -> int:
 
 
 def make_request(code_at="alice", data_at="bob", data_size=1_000_000,
-                 invoker="alice", flops=1e6, pinned=False):
+                 invoker="alice", flops=1e6):
     return PlacementRequest(
         code=PlacementItem(ref(1), 4096, (code_at,)),
-        inputs=(PlacementItem(ref(2), data_size, (data_at,), pinned=pinned),),
+        inputs=(PlacementItem(ref(2), data_size, (data_at,)),),
         invoker=invoker,
         result_bytes=512,
         flops=flops,
@@ -47,7 +47,8 @@ class TestDecide:
 
     def test_overload_shifts_to_idle_node(self):
         # The §2 scenario: Bob overloaded, Carol idle.
-        engine = PlacementEngine(queue_penalty_us=500.0)
+        engine = PlacementEngine()
+        engine.QUEUE_PENALTY_US = 500.0
         nodes = [
             NodeProfile("alice", speed=0.2),
             NodeProfile("bob", speed=1.0, active_jobs=20),
@@ -70,19 +71,6 @@ class TestDecide:
         decision = engine.decide(request, nodes, flat_distance)
         assert decision.node == "fast"
 
-    def test_pinned_input_forces_placement(self):
-        engine = PlacementEngine()
-        request = make_request(pinned=True)
-        decision = engine.decide(request, BASIC_NODES, flat_distance)
-        assert decision.node == "bob"  # only feasible holder
-
-    def test_pinned_input_nowhere_feasible(self):
-        engine = PlacementEngine()
-        request = make_request(pinned=True, data_at="dave")
-        nodes = [NodeProfile("alice"), NodeProfile("bob")]
-        with pytest.raises(PlacementError):
-            engine.decide(request, nodes, flat_distance)
-
     def test_capacity_excludes_node(self):
         engine = PlacementEngine()
         request = make_request(data_size=10_000_000)
@@ -93,21 +81,12 @@ class TestDecide:
         decision = engine.decide(request, nodes, flat_distance)
         assert decision.node == "bob"
 
-    def test_can_execute_false_excluded(self):
-        engine = PlacementEngine()
-        nodes = [
-            NodeProfile("bob", speed=1.0, can_execute=False),
-            NodeProfile("carol", speed=0.5),
-        ]
-        decision = engine.decide(make_request(), nodes, flat_distance)
-        assert decision.node == "carol"
-
     def test_no_candidates(self):
         with pytest.raises(PlacementError):
             PlacementEngine().decide(make_request(), [], flat_distance)
 
     def test_all_infeasible(self):
-        nodes = [NodeProfile("x", can_execute=False)]
+        nodes = [NodeProfile("x", capacity_bytes=0)]
         with pytest.raises(PlacementError):
             PlacementEngine().decide(make_request(), nodes, flat_distance)
 

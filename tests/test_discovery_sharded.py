@@ -190,12 +190,14 @@ class TestLeaseProtocol:
         # The unsharded `advertise()` helper carries no req_id; a shard
         # stores the entry and simply skips the ack.
         sim = Simulator(seed=_seed(16))
-        net = build_star(sim, 2)
-        shard = ShardDirectory(net.host("h1"))
+        net = build_star(sim, 1)
+        net.add_host("controller")  # where advertise() sends
+        net.connect("controller", "s0")
+        shard = ShardDirectory(net.host("controller"))
         oid = IDAllocator(seed=_seed(16)).allocate()
 
         def proc():
-            advertise(net.host("h0"), oid, controller_host="h1")
+            advertise(net.host("h0"), oid)
             yield Timeout(100.0)
             return None
 

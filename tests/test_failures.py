@@ -272,7 +272,7 @@ class TestRuntimeFailover:
                     "n0", code_ref,
                     data_refs={"blob": GlobalRef(blob.oid, 0, "write")},
                     flops=1e7, candidates=["n2", "n3"],
-                    retry=RetryPolicy(max_attempts=2, deadline_us=400.0)))
+                    retry=RetryPolicy(deadline_us=400.0)))
             except Exception as exc:
                 return exc
 

@@ -259,10 +259,11 @@ class TestInjector:
 class TestHealthLedger:
     def test_suspicion_expires_after_ttl(self):
         sim = Simulator(seed=_seed(10))
-        ledger = HealthLedger(sim, suspicion_ttl_us=1_000.0)
+        ledger = HealthLedger(sim)
+        ledger.SUSPICION_TTL_US = 1_000.0
         ledger.suspect("n1")
         assert ledger.is_suspected("n1")
-        assert ledger.penalty_jobs("n1") == ledger.suspect_penalty_jobs
+        assert ledger.penalty_jobs("n1") == ledger.SUSPECT_PENALTY_JOBS
 
         def proc():
             yield Timeout(1_500.0)
@@ -323,7 +324,7 @@ def make_blob(runtime, holders, size=1 << 16):
     return obj, GlobalRef(obj.oid, 0, "read")
 
 
-FAST_RETRY = RetryPolicy(max_attempts=3, deadline_us=3_000.0,
+FAST_RETRY = RetryPolicy(deadline_us=3_000.0,
                          backoff_base_us=500.0)
 
 
@@ -371,7 +372,7 @@ class TestResilientInvoke:
         def proc():
             result = yield sim.spawn(runtime.invoke(
                 "n0", code_ref, data_refs={"blob": blob_ref},
-                retry=RetryPolicy(max_attempts=3, deadline_us=20.0)))
+                retry=RetryPolicy(deadline_us=20.0)))
             return result
 
         result = sim.run_process(proc())
@@ -433,7 +434,7 @@ class TestResilientInvoke:
         _, blob_ref = make_blob(runtime, holders=("n1",))
         _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
         net.host("n1").fail()
-        policy = RetryPolicy(max_attempts=3, deadline_us=20_000.0,
+        policy = RetryPolicy(deadline_us=20_000.0,
                              backoff_base_us=500.0)
 
         def proc():
@@ -470,7 +471,7 @@ class TestResilientInvoke:
                 yield sim.spawn(runtime.invoke(
                     "n0", code_ref, data_refs={"blob": blob_ref},
                     candidates=["n3"],
-                    retry=RetryPolicy(max_attempts=1, deadline_us=500_000.0)))
+                    retry=RetryPolicy(deadline_us=500_000.0)))
             except InvokeTimeout as exc:
                 return str(exc), sim.now
 
@@ -501,16 +502,11 @@ class TestResilientInvoke:
 
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
             RetryPolicy(deadline_us=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_frac=1.5)
 
     def test_backoff_grows_and_respects_jitter(self):
         sim = Simulator(seed=_seed(18))
-        policy = RetryPolicy(backoff_base_us=1_000.0, backoff_factor=2.0,
-                             jitter_frac=0.1)
+        policy = RetryPolicy(backoff_base_us=1_000.0)
         first = policy.backoff_us(1, sim.rng)
         second = policy.backoff_us(2, sim.rng)
         assert 900.0 <= first <= 1_100.0
@@ -527,7 +523,7 @@ def _faulted_run(seed, invocations=10):
     sim, net, registry, runtime = make_cluster(seed)
     _, blob_ref = make_blob(runtime, holders=("n1", "n2"))
     _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
-    policy = RetryPolicy(max_attempts=3, deadline_us=5_000.0,
+    policy = RetryPolicy(deadline_us=5_000.0,
                          backoff_base_us=500.0)
     plan = (FaultPlan()
             .crash_window("n1", 2_000.0, 40_000.0)

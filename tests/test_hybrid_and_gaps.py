@@ -1,7 +1,5 @@
 """Unit tests for the hybrid accessor plus assorted less-travelled paths."""
 
-import pytest
-
 from repro.core import IDAllocator, ObjectSpace
 from repro.discovery import (
     HybridAccessor,
@@ -98,14 +96,6 @@ class TestHybridAccessor:
         assert record.ok
         assert record.was_stale
         assert accessor.cache[obj.oid] == "resp2"
-
-    def test_timeout_validation(self):
-        sim = Simulator(seed=1)
-        net = build_paper_topology(sim)
-        from repro.discovery import DiscoveryError
-
-        with pytest.raises(DiscoveryError):
-            HybridAccessor(net.host("driver"), timeout_us=0)
 
 
 class TestTocttou:

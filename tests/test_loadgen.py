@@ -282,7 +282,7 @@ def test_same_seed_same_bytes():
     shifts the seed in the CI matrix, so this holds for any seed)."""
     _, _, r1 = run_mix(seed(42))
     _, _, r2 = run_mix(seed(42))
-    assert r1.counters("loadgen.") == r2.counters("loadgen.")
+    assert r1.counters() == r2.counters()
 
 
 def test_different_seeds_differ():
@@ -355,7 +355,7 @@ def test_loadgen_obs_keys_are_emitted():
 
 def test_report_counters_are_integers():
     _, _, report = run_mix(seed(6))
-    for key, value in report.counters("loadgen.").items():
+    for key, value in report.counters().items():
         assert isinstance(value, int), key
     merged = report.merged_histogram()
     assert merged.count == sum(t.completed for t in report.tenants.values())
@@ -382,15 +382,15 @@ def test_spec_validation():
 
 
 def test_a_store_from_a_staged_copy_lands_at_the_home():
-    """The client is the only node that executes, so an eager invoke
-    stages the object there; the store that follows must still reach
+    """The other nodes are too slow to be placed on, so an eager invoke
+    runs at the client and stages the object there; the store that follows must still reach
     the object's home, not just the client's copy."""
     sim = Simulator(seed=seed(5))
     net = build_star(sim, 3, default_latency_us=2.0)
     runtime = GlobalSpaceRuntime(net)
     runtime.add_node("h0")
     for name in ("h1", "h2"):
-        runtime.add_node(name, can_execute=False)
+        runtime.add_node(name, speed=0.001)
     tenant = TenantSpec(name="w", client="h0", rate_per_sec=1.0, keyspace=1,
                         mix=(("invoke", 1.0), ("store", 1.0)))
     generator = LoadGenerator(runtime, [tenant], duration_us=1.0)
@@ -449,9 +449,9 @@ def test_live_profiles_track_queue_and_suspicion_transitions():
     runtime.health.suspect("h2")
     check()
     penalized = runtime.live_profiles(["h2"])[0].active_jobs
-    assert penalized == before["h2"] + runtime.health.suspect_penalty_jobs
+    assert penalized == before["h2"] + runtime.health.SUSPECT_PENALTY_JOBS
     # ...and expires by TTL with no event firing (the horizon case).
-    sim.schedule(runtime.health.suspicion_ttl_us + 1.0, lambda: None)
+    sim.schedule(runtime.health.SUSPICION_TTL_US + 1.0, lambda: None)
     sim.run()
     check()
     assert runtime.live_profiles(["h2"])[0].active_jobs == before["h2"]

@@ -12,7 +12,6 @@ from repro.memproto import (
     LightweightTransport,
     PERM_SHARED,
     TcpLikeTransport,
-    TransportError,
 )
 from repro.memproto.messages import (
     COHERENCE_ENTRY_BYTES,
@@ -46,11 +45,16 @@ class TestMessages:
         assert CACHE_LINE_BYTES == 64
 
 
-def _pair(seed, loss=0.0, transport_cls=LightweightTransport, **kwargs):
+def _pair(seed, loss=0.0, transport_cls=LightweightTransport, **constants):
+    """Two ends on a 2-host star; ``constants`` (``WINDOW=4``) override
+    a transport's class constants on both, to shape a run."""
     sim = Simulator(seed=seed)
     net = build_star(sim, 2, default_loss_rate=loss)
-    tx = transport_cls(net.host("h0"), **kwargs)
-    rx = transport_cls(net.host("h1"), **kwargs)
+    tx = transport_cls(net.host("h0"))
+    rx = transport_cls(net.host("h1"))
+    for end in (tx, rx):
+        for name, value in constants.items():
+            setattr(end, name, value)
     return sim, tx, rx
 
 
@@ -95,7 +99,7 @@ class TestLightweightTransport:
         assert tx.tracer.counters["transport.retransmit"] == 0
 
     def test_window_limits_inflight(self):
-        sim, tx, rx = _pair(seed=4, window=4)
+        sim, tx, rx = _pair(seed=4, WINDOW=4)
         rx.on_deliver(lambda *a: None)
         observed = []
 
@@ -144,12 +148,6 @@ class TestLightweightTransport:
         sim.run_process(proc())
         assert echoes == list(range(1000))
         assert built == {"_PeerTx": 2, "_PeerRx": 2}  # one of each per end
-
-    def test_validation(self):
-        sim = Simulator(seed=6)
-        net = build_star(sim, 1)
-        with pytest.raises(TransportError):
-            LightweightTransport(net.host("h0"), window=0)
 
 
 class TestTcpLikeTransport:
@@ -386,8 +384,9 @@ class TestTransportDeadPeer:
 
         sim = Simulator(seed=21)
         net = _build_star(sim, 2)
-        tx = LightweightTransport(net.host("h0"), max_retransmits=5)
-        rx = LightweightTransport(net.host("h1"), max_retransmits=5)
+        tx = LightweightTransport(net.host("h0"))
+        rx = LightweightTransport(net.host("h1"))
+        tx.MAX_RETRANSMITS = rx.MAX_RETRANSMITS = 5  # a short budget
         got = []
         rx.on_deliver(lambda src, payload, size: got.append(payload["i"]))
         FaultInjector(net, FaultPlan().crash_window("h1", 50.0, 20_000.0)).arm()
@@ -415,7 +414,7 @@ class TestTransportDeadPeer:
         # After a dead-peer declaration the sender restarts at seq 0; the
         # epoch stamp keeps a recovered receiver (expected_seq > 0) from
         # reading the restart as ancient duplicates.
-        sim, tx, rx = _pair(seed=22, max_retransmits=3)
+        sim, tx, rx = _pair(seed=22, MAX_RETRANSMITS=3)
         got = []
         rx.on_deliver(lambda src, payload, size: got.append(payload["i"]))
 
@@ -438,7 +437,7 @@ class TestTransportDeadPeer:
 
     def test_tcp_peer_dead_rehandshakes(self):
         sim, tx, rx = _pair(seed=23, transport_cls=TcpLikeTransport,
-                            max_retransmits=4)
+                            MAX_RETRANSMITS=4)
         got = []
         rx.on_deliver(lambda src, payload, size: got.append(payload["i"]))
 
@@ -458,12 +457,6 @@ class TestTransportDeadPeer:
         sim.run_process(proc())
         assert got == [0, 2]
         assert tx.tracer.counters["transport.handshake"] == 2
-
-    def test_retransmit_budget_validation(self):
-        sim = Simulator(seed=24)
-        net = build_star(sim, 1)
-        with pytest.raises(TransportError):
-            LightweightTransport(net.host("h0"), max_retransmits=0)
 
 
 # Shift every seed below by REPRO_SEED_OFFSET so CI's fault-seed matrix
@@ -557,19 +550,6 @@ class TestFrameBatching:
         sim.run_process(proc())
         assert rx.tracer.counters["transport.ack.delayed"] == 1
         assert tx.tracer.counters["transport.acked"] == 1
-
-    def test_validation_of_batching_knobs(self):
-        sim = Simulator(seed=_seed(35))
-        net = build_star(sim, 1)
-        host = net.host("h0")
-        with pytest.raises(TransportError):
-            LightweightTransport(host, delayed_ack_us=500.0)  # >= RTO
-        with pytest.raises(TransportError):
-            LightweightTransport(host, ack_every=0)
-        with pytest.raises(TransportError):
-            LightweightTransport(host, reorder_window=0)
-        with pytest.raises(TransportError):
-            LightweightTransport(host, mtu_bytes=40)  # below the headers
 
     def test_probe_fanout_coalesces_per_target(self):
         # A batched acquire for two objects both dirty at the same
@@ -749,7 +729,7 @@ class TestSatelliteBugfixes:
 
     # -- fix 3: delivery_us excludes backlog queueing ------------------------
     def test_delivery_latency_excludes_backlog_wait(self):
-        sim, tx, rx = _pair(seed=_seed(41), window=1)
+        sim, tx, rx = _pair(seed=_seed(41), WINDOW=1)
         rx.on_deliver(lambda *a: None)
 
         def proc():
@@ -773,7 +753,7 @@ class TestSatelliteBugfixes:
     def test_reorder_buffer_bounded_drops_without_ack(self):
         from repro.net import Packet
 
-        sim, tx, rx = _pair(seed=_seed(42), reorder_window=4)
+        sim, tx, rx = _pair(seed=_seed(42), REORDER_WINDOW=4)
         rx.on_deliver(lambda *a: None)
         # Inject frames 1..9 while the receiver still expects seq 0: a
         # sender racing far ahead of a stalled hole.
@@ -820,8 +800,9 @@ class TestBatchedRecovery:
 
         sim = Simulator(seed=_seed(51))
         net = build_star(sim, 2)
-        tx = LightweightTransport(net.host("h0"), max_retransmits=4)
-        rx = LightweightTransport(net.host("h1"), max_retransmits=4)
+        tx = LightweightTransport(net.host("h0"))
+        rx = LightweightTransport(net.host("h1"))
+        tx.MAX_RETRANSMITS = rx.MAX_RETRANSMITS = 4  # a short budget
         got = []
         # Echo every delivery so acks ride reverse-direction data frames
         # through the whole run, including across the crash.

@@ -176,7 +176,6 @@ class TestSampledAtLastBit:
     def _slow_link(self, sim, latency_us=5.0):
         net = Network(sim, default_bandwidth_gbps=0.05,
                       default_latency_us=latency_us)
-        net.tracer.keep_events = True
         a, b = net.add_host("a"), net.add_host("b")
         link = net.connect("a", "b")
         arrivals = []
@@ -190,13 +189,16 @@ class TestSampledAtLastBit:
 
     def test_failed_at_last_bit_drops_with_the_last_bit_stamp(self, sim):
         net, a, link, arrivals = self._slow_link(sim)
+        # Stamp each counted event with the instant it was counted.
+        stamps, count = [], net.tracer.event
+        net.tracer.event = lambda category: (stamps.append((sim.now, category)),
+                                             count(category))
         self._send(a)
         sim.schedule(100.0, link.fail)
         sim.run()
         assert arrivals == []
         assert net.tracer.counters.get("link.dropped") == 1
-        drops = [e for e in net.tracer.events if e.category == "drop"]
-        assert [e.time for e in drops] == [self.LAST_BIT]
+        assert stamps == [(self.LAST_BIT, "drop")]
         assert link.end_ab.packets_carried == 1  # it did occupy the wire
 
     def test_outage_over_before_last_bit_is_not_seen(self, sim):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import ObjectID
 from repro.net import (
-    MISS_DROP,
     MISS_PUNT,
     MatchActionTable,
     Packet,
@@ -40,8 +39,6 @@ class TestSramModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             SramModel(total_words=0)
-        with pytest.raises(ValueError):
-            SramModel(multiword_utilization=0.0)
         with pytest.raises(ValueError):
             TOFINO_SRAM.words_per_entry(0)
 
@@ -168,29 +165,6 @@ class TestSwitchForwarding:
         sim.run_process(proc())
         assert len(got) == 1
         assert switch.tracer.counters["switch.tx_identity"] == 1
-
-    def test_identity_miss_drop_behavior(self, sim):
-        net = build_star(sim, 2)
-        # Rebuild switch behavior: drop on identity miss.
-        net2_sim = sim
-        from repro.net import Network
-
-        net2 = Network(net2_sim)
-        net2.add_switch("sw", miss_behavior=MISS_DROP)
-        net2.add_host("a")
-        net2.add_host("b")
-        net2.connect("a", "sw")
-        net2.connect("b", "sw")
-        got = []
-        net2.host("b").on("m", lambda p: got.append(p))
-
-        def proc():
-            net2.host("a").send(Packet(kind="m", src="a", dst=None, oid=ObjectID(1)))
-            yield Timeout(100)
-
-        sim.run_process(proc())
-        assert got == []
-        assert net2.switch("sw").tracer.counters["switch.identity_drop"] == 1
 
     def test_identity_miss_punt_behavior(self, sim):
         from repro.net import Network

@@ -19,7 +19,7 @@ the op path shows here as a changed figure:
   it and the function's resident ``ctx.read``, itself a spawned
   process;
 * the same invocation run on another node (the client added with
-  ``can_execute=False``) is 20.  Placement picks the blob's home, so
+  ``speed=0.001``, so slow that placement runs its work elsewhere) is 20.  Placement picks the blob's home, so
   the one fetch stages the code instead of the blob, and the exec round
   trip adds six: two link events out and two back, the executor's
   serving process starting, and the reply resuming the op;
@@ -67,13 +67,14 @@ def _taught_star(nodes, client_executes=True):
     """A 3-host star with runtime nodes on ``nodes``; one broadcast per
     host teaches the switch every port, so the measured op's packets
     are forwarded by exact host-table match.  ``client_executes=False``
-    adds the client ``n0`` with ``can_execute=False``, so placement
-    runs its invocations on another node."""
+    adds the client ``n0`` with ``speed=0.001``, so placement runs its
+    invocations on another node."""
     sim = Simulator(seed=1)
     net = build_star(sim, 3, prefix="n")
     runtime = GlobalSpaceRuntime(net, FunctionRegistry())
     for name in nodes:
-        runtime.add_node(name, can_execute=client_executes or name != "n0")
+        runtime.add_node(
+            name, speed=1.0 if client_executes or name != "n0" else 0.001)
     hosts = [net.host(f"n{i}") for i in range(3)]
     for host in hosts:
         host.on("warm", lambda packet: None)

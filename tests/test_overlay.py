@@ -7,14 +7,13 @@ from repro.discovery import IdentityAccessor, ObjectHome
 from repro.net import RegionDirectory, build_multi_region
 from repro.sim import Simulator
 
-WAN_LATENCY_US = 2_000.0
+WAN_LATENCY_US = 2_000.0  # build_multi_region's gateway-to-core links
 
 
-def make_overlay(seed=61, n_regions=2, hosts_per_region=2, **kwargs):
+def make_overlay(seed=61, n_regions=2, hosts_per_region=2):
     sim = Simulator(seed=seed)
     mr = build_multi_region(sim, n_regions=n_regions,
-                            hosts_per_region=hosts_per_region,
-                            wan_latency_us=WAN_LATENCY_US, **kwargs)
+                            hosts_per_region=hosts_per_region)
     allocator = IDAllocator(seed=seed + 1)
     return sim, mr, allocator
 

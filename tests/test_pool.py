@@ -46,8 +46,8 @@ def _oid(alloc=IDAllocator(seed=99)):
     return alloc.allocate()
 
 
-def _pool(sim, capacity=4096, members=("h0", "h1"), **kwargs):
-    return SharedMemoryPool(sim, "rack0", members, capacity, **kwargs)
+def _pool(sim, capacity=4096, members=("h0", "h1")):
+    return SharedMemoryPool(sim, "rack0", members, capacity)
 
 
 class TestPoolAccounting:
@@ -125,7 +125,7 @@ class TestPoolAccounting:
             next(pool.load(oid, 32, 64))
 
     def test_load_latency_is_far_memory_plus_streaming(self, sim):
-        pool = _pool(sim, bandwidth_gbps=2.0)
+        pool = _pool(sim)  # streams at POOL_BANDWIDTH_GBPS, 2 Gbps
         oid = _oid()
         pool.map_object(oid, bytes(2500))
         start = sim.now
@@ -236,8 +236,9 @@ class TestTierChoice:
         return 0 if a == b else 5
 
     def _engine(self, pooled):
-        oracle = (lambda node, oid: "rack0" if pooled else None)
-        return PlacementEngine(pool_oracle=oracle)
+        engine = PlacementEngine()
+        engine.pool_oracle = lambda node, oid: "rack0" if pooled else None
+        return engine
 
     def test_decision_matches_resolve_tier_ground_truth(self):
         model = CostModel()

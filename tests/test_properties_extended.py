@@ -104,7 +104,6 @@ profiles = st.lists(
         speed=st.floats(0.1, 4.0),
         active_jobs=st.integers(0, 10),
         capacity_bytes=st.sampled_from([1 << 16, 1 << 24, 1 << 40]),
-        can_execute=st.booleans(),
     ),
     min_size=1, max_size=4,
     unique_by=lambda p: p.name,
@@ -151,7 +150,6 @@ class TestPlacementProperties:
         except Exception:
             return
         chosen = {n.name: n for n in nodes}[decision.node]
-        assert chosen.can_execute
         assert decision.bytes_moved <= chosen.capacity_bytes
 
     @given(requests, profiles)
@@ -169,14 +167,14 @@ class TestPlacementProperties:
     @given(requests, profiles)
     @settings(max_examples=100, deadline=None)
     def test_adding_load_never_improves_a_node(self, request, nodes):
-        engine = PlacementEngine(queue_penalty_us=100.0)
+        engine = PlacementEngine()
+        engine.QUEUE_PENALTY_US = 100.0
         try:
             baseline = engine.decide(request, nodes, _distance)
         except Exception:
             return
         loaded = [
-            NodeProfile(n.name, n.speed, n.active_jobs + 5, n.capacity_bytes,
-                        n.can_execute)
+            NodeProfile(n.name, n.speed, n.active_jobs + 5, n.capacity_bytes)
             for n in nodes
         ]
         heavier = engine.decide(request, loaded, _distance)
@@ -193,21 +191,17 @@ _HOSTS = ["n0", "n1", "n2", "n3", "n4"]
 _hosts = st.sampled_from(_HOSTS)
 
 
-def _items(number, pinned):
+def _items(number):
     return st.builds(
         PlacementItem, ref=st.just(_ref(number)),
         size_bytes=st.sampled_from([0, 64, 4096, 1 << 16, 1 << 20]),
-        locations=st.lists(_hosts, min_size=1, max_size=3, unique=True).map(tuple),
-        pinned=pinned)
+        locations=st.lists(_hosts, min_size=1, max_size=3, unique=True).map(tuple))
 
 
 tied_requests = st.builds(
     PlacementRequest,
-    code=_items(1, st.just(False)),
-    inputs=st.tuples(*[
-        _items(n, st.sampled_from([False, False, False, True]))
-        for n in (2, 3, 4, 5)
-    ]).flatmap(lambda four: st.integers(1, 4).map(lambda n: four[:n])),
+    code=_items(1),
+    inputs=st.tuples(*[_items(n) for n in (2, 3, 4, 5)]).flatmap(lambda four: st.integers(1, 4).map(lambda n: four[:n])),
     invoker=_hosts,
     result_bytes=st.sampled_from([0, 256, 1 << 16]),
     flops=st.sampled_from([0.0, 1e5, 1e8]),
@@ -218,8 +212,7 @@ tied_profiles = st.lists(
         NodeProfile, name=_hosts,
         speed=st.sampled_from([1.0, 1.0, 2.0]),
         active_jobs=st.sampled_from([0, 0, 1, 2]),
-        capacity_bytes=st.sampled_from([1 << 16, 1 << 24, 1 << 40]),
-        can_execute=st.sampled_from([True, True, True, False])),
+        capacity_bytes=st.sampled_from([1 << 16, 1 << 24, 1 << 40])),
     min_size=2, max_size=5, unique_by=lambda p: p.name)
 
 # Hops between distinct hosts, one per ordered pair: uniform (so that
@@ -238,8 +231,7 @@ def _decide_building_every_candidate(engine, request, candidates, distance):
     candidate, the cheapest kept."""
     best, considered = None, {}
     for node in candidates:
-        decision = (engine._evaluate(request, node, distance)
-                    if node.can_execute else None)
+        decision = engine._evaluate(request, node, distance)
         if decision is None:
             continue
         considered[node.name] = decision.total_us
@@ -266,8 +258,8 @@ class TestScoreThenBuild:
         oracle = None if pooled is None else (
             lambda node, oid: "rack0" if node in pooled[0]
             and oid.value in pooled[1] else None)
-        fast, full = (PlacementEngine(transfer_blind=blind, pool_oracle=oracle)
-                      for _ in range(2))
+        fast, full = (PlacementEngine(transfer_blind=blind) for _ in range(2))
+        fast.pool_oracle = full.pool_oracle = oracle
         try:
             expected = _decide_building_every_candidate(
                 full, request, nodes, distance)

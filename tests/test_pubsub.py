@@ -124,7 +124,7 @@ class TestCompiler:
 
     def test_wide_range_stays_residual(self):
         ruleset = compile_subscriptions(
-            FMT, [(1, InRange("kind", 0, 10_000))], max_range_expansion=64)
+            FMT, [(1, InRange("kind", 0, 10_000))])
         assert ruleset.entries_used() == 0
         assert len(ruleset.residuals) == 1
         assert ruleset.classify({"kind": 9_999}) == {1}
@@ -402,7 +402,8 @@ class TestDeadRoutePruning:
     def _bed(self, seed=1):
         sim = Simulator(seed=seed)
         net = build_paper_topology(sim)
-        health = HealthLedger(sim, suspicion_ttl_us=10_000_000.0)
+        health = HealthLedger(sim)
+        health.SUSPICION_TTL_US = 10_000_000.0
         fabric = PubSubFabric(net, FMT, health=health)
         topic = IDAllocator(seed=seed + 1).allocate()
         return sim, net, health, fabric, topic

@@ -182,24 +182,6 @@ class TestRpcStubs:
         small, large = sim.run_process(proc())
         assert large > small * 10
 
-    def test_compute_us_fn_per_call(self):
-        sim, net, server, client = _rpc_pair()
-        server.register("scale", lambda n: n,
-                        compute_us_fn=lambda args: args["n"] * 100.0)
-
-        def timed(n):
-            start = sim.now
-            yield from client.call("h0", "scale", n=n)
-            return sim.now - start
-
-        def proc():
-            quick = yield from timed(1)
-            slow = yield from timed(10)
-            return quick, slow
-
-        quick, slow = sim.run_process(proc())
-        assert slow > quick + 800
-
 
 class TestRefRpc:
     def _bed(self, seed=5, object_bytes=200_000):

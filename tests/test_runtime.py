@@ -319,35 +319,18 @@ class TestInvocation:
             return ctx.node.name
 
         private = runtime.create_object("n0", size=1_000_000, label="private")
+        runtime.protect(private.oid, owner="n0", readers=set())  # local-only
         _, code_ref = runtime.create_code("n0", "where", text_size=256)
 
         def proc():
             result = yield sim.spawn(runtime.invoke(
                 "n0", code_ref,
                 data_refs={"secret": GlobalRef(private.oid, 0, "read")},
-                pinned=["secret"], flops=1e6))
+                flops=1e6))
             return result
 
         result = sim.run_process(proc())
         assert result.executed_at == "n0"  # despite being the slowest node
-
-    def test_pinned_unknown_name_rejected(self):
-        sim, net, registry, runtime = make_cluster()
-
-        @registry.register("f1")
-        def f1(ctx, args):
-            return 1
-
-        _, code_ref = runtime.create_code("n0", "f1", text_size=128)
-
-        def proc():
-            try:
-                yield sim.spawn(runtime.invoke("n0", code_ref,
-                                               pinned=["nothere"]))
-            except RuntimeError_:
-                return "raised"
-
-        assert sim.run_process(proc()) == "raised"
 
     def test_load_balancing_to_idle_node(self):
         sim, net, registry, runtime = make_cluster()
@@ -526,7 +509,7 @@ class TestContextOperations:
 
         @registry.register("chase")
         def chase(ctx, args):
-            target_ref = yield ctx.follow(args["start"], 0)
+            target_ref = yield ctx.follow(args["start"])
             data = yield ctx.read(target_ref, 0, 5)
             return data
 

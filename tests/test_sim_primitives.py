@@ -51,44 +51,10 @@ class TestStore:
         sim.run()
         assert order == [("first", "x"), ("second", "y")]
 
-    def test_bounded_store_put_nowait_overflow(self, sim):
-        store = Store(sim, capacity=1)
-        store.put_nowait("a")
-        with pytest.raises(SimError):
-            store.put_nowait("b")
-
-    def test_try_put_reports_drop(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        assert store.try_put("b") is False
-        assert len(store) == 1
-
-    def test_blocking_put_waits_for_space(self, sim):
-        store = Store(sim, capacity=1)
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")  # blocks until the consumer drains one
-            return sim.now
-
-        def consumer():
-            yield Timeout(5.0)
-            item = store.get_nowait()
-            return item
-
-        producer_proc = sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert producer_proc.result == pytest.approx(5.0)
-
     def test_get_nowait_empty_raises(self, sim):
         store = Store(sim)
         with pytest.raises(SimError):
             store.get_nowait()
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimError):
-            Store(sim, capacity=0)
 
     def test_waiting_getters_counter(self, sim):
         store = Store(sim)

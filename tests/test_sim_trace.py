@@ -117,13 +117,5 @@ class TestSampleSeries:
 class TestTracer:
     def test_event_counts_category(self):
         tracer = Tracer()
-        tracer.event(1.0, "drop", packet=3)
+        tracer.event("drop")
         assert tracer.counters["event.drop"] == 1
-
-    def test_events_kept_only_when_enabled(self):
-        silent = Tracer(keep_events=False)
-        silent.event(1.0, "drop")
-        assert silent.events == []
-        loud = Tracer(keep_events=True)
-        loud.event(1.0, "drop", packet=5)
-        assert loud.events[0].detail == {"packet": 5}

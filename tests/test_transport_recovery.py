@@ -200,7 +200,7 @@ class TestBudget:
             return src == "h0"
 
         sim, tx, rx, script, got = scripted_pair(seed_for(7), lose,
-                                                  max_retransmits=3)
+                                                  budget=3)
 
         def proc():
             for i in range(5):
@@ -229,7 +229,7 @@ class TestBudget:
                     and packet.payload["epoch"] == 0)
 
         sim, tx, rx, script, got = scripted_pair(seed_for(8), lose,
-                                                  max_retransmits=3)
+                                                  budget=3)
         died_at = []
 
         def proc():
@@ -267,6 +267,6 @@ class TestAnyDropMask:
             if not any(dropped for *_, dropped in script.sent):
                 assert counters["transport.tx"] == counters["transport.frame.tx"]
                 assert counters.get("transport.retransmit") == 0
-        budget = 1 + ends["h0"].max_retransmits
+        budget = 1 + ends["h0"].MAX_RETRANSMITS
         assert all(count <= budget for (_, cls, _), count in script.seen.items()
                    if cls == DATA)

@@ -83,9 +83,9 @@ class _PingPong:
     trips are steady.  Starts settled, ``EXCHANGES`` loss-free
     exchanges in."""
 
-    def __init__(self, seed, lose, **kwargs):
+    def __init__(self, seed, lose, budget=None):
         self.sim, net, self.script = scripted_star(seed, lose)
-        ends, _ = both_ways(net, rto_us=RTO_US, **kwargs)
+        ends, _ = both_ways(net, budget)
         self.h0, self.h1 = self.ends = ends["h0"], ends["h1"]
         self.h1.on_deliver(lambda src, payload, size:
                            self.h1.send(src, payload, size))
@@ -157,7 +157,7 @@ class TestMeasuredDeadline:
                 return len(fresh) == 1
             return (packet.payload["epoch"], seq) == (0, EXCHANGES)
 
-        star = _PingPong(seed_for(16), lose, max_retransmits=3)
+        star = _PingPong(seed_for(16), lose, budget=3)
         peer = star.peer
         assert peer.srtt is not None
         star.run(1)

@@ -72,20 +72,27 @@ def scripted_star(seed, lose):
     return sim, net, DropScript(net, lose)
 
 
-def scripted_pair(seed, lose, transport_cls=LightweightTransport, **kwargs):
+def _shaped(transport, budget):
+    """``transport`` with its retransmit budget cut to ``budget``, if given."""
+    if budget is not None:
+        transport.MAX_RETRANSMITS = budget
+    return transport
+
+
+def scripted_pair(seed, lose, transport_cls=LightweightTransport, budget=None):
     """A sender on h0 and a receiver on h1 of a scripted star, and the
     ``(message, arrival instant)`` pairs the receiver delivered."""
     sim, net, script = scripted_star(seed, lose)
-    tx = transport_cls(net.host("h0"), rto_us=RTO_US, **kwargs)
-    rx = transport_cls(net.host("h1"), rto_us=RTO_US, **kwargs)
+    tx = _shaped(transport_cls(net.host("h0")), budget)
+    rx = _shaped(transport_cls(net.host("h1")), budget)
     got = []
     rx.on_deliver(lambda src, payload, size: got.append((payload["i"], sim.now)))
     return sim, tx, rx, script, got
 
 
-def both_ways(net, **kwargs):
+def both_ways(net, budget=None):
     """A lightweight transport on h0 and on h1, and what each delivered."""
-    ends = {name: LightweightTransport(net.host(name), **kwargs)
+    ends = {name: _shaped(LightweightTransport(net.host(name)), budget)
             for name in ("h0", "h1")}
     got = {name: [] for name in ends}
     for name, end in ends.items():
@@ -125,7 +132,7 @@ def masked_streams(seed, mask, gap, n):
     in ``mask``.  Spawned, not yet run."""
     sim, net, script = scripted_star(
         seed, lambda src, cls, seq, nth, packet: (src, cls, seq, nth) in mask)
-    ends, got = both_ways(net, rto_us=RTO_US)
+    ends, got = both_ways(net)
 
     def stream(me, peer):
         for i in range(n):
