@@ -62,6 +62,18 @@ class TestConstruction:
         with pytest.raises(BusError):
             bus.subscribe("n1", topic, lambda f, p: None, credits=0)
 
+    def test_bad_windows_rejected(self):
+        sim, net, fabric, bus, topic = _bed(2)
+        with pytest.raises(BusError):
+            bus.subscribe("n1", topic, lambda f, p: None, credits=-1)
+        # The buffer, default window and redelivery budget are class
+        # constants; none may be empty.
+        assert EventBus.BUFFER_CAP >= 1
+        assert EventBus.DEFAULT_CREDITS >= 1
+        assert EventBus.REDELIVERY_BUDGET >= 1
+        sub = bus.subscribe("n1", topic, lambda f, p: None)
+        assert sub.credit_window == EventBus.DEFAULT_CREDITS
+
     def test_bus_inherits_fabric_health(self):
         sim, net, fabric, bus, topic = _bed(4)
         assert bus.health is fabric.health
@@ -353,6 +365,62 @@ def _cluster(seed, n=3):
     for i in range(n):
         runtime.add_node(f"n{i}")
     return sim, net, registry, runtime
+
+
+# ---------------------------------------------------------------------------
+# admission: a node takes every invocation; load steers placement instead
+# ---------------------------------------------------------------------------
+
+
+class TestAdmissionPolicy:
+    def test_no_policy_always_admits(self):
+        # No ceiling sheds work: many concurrent invocations confined to
+        # one node all run there.
+        sim, net, registry, runtime = _cluster(31)
+
+        @registry.register("one")
+        def one(ctx, args):
+            return 1
+
+        _, code_ref = runtime.create_code("n0", "one", text_size=128)
+
+        def driver():
+            procs = [sim.spawn(runtime.invoke(
+                "n0", code_ref, flops=1e5, candidates=["n1"]))
+                for _ in range(20)]
+            results = []
+            for proc in procs:
+                results.append((yield proc))
+            return results
+
+        results = sim.run_process(driver())
+        assert [r.executed_at for r in results] == ["n1"] * 20
+        assert [r.value for r in results] == [1] * 20
+
+
+class TestAdmissionIntegration:
+    def test_saturated_candidate_falls_over_to_free_node(self):
+        sim, net, registry, runtime = _cluster(34)
+
+        @registry.register("slow")
+        def slow(ctx, args):
+            return 1
+
+        _, code_ref = runtime.create_code("n0", "slow", text_size=128)
+        placed = []
+
+        def driver():
+            occupier = sim.spawn(runtime.invoke(
+                "n0", code_ref, flops=2e7, candidates=["n1"]))
+            yield Timeout(1_000.0)  # the occupier is running on n1
+            assert runtime.node("n1").active_jobs == 1
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, flops=1e4, candidates=["n1", "n2"]))
+            placed.append(result.executed_at)
+            yield occupier
+
+        sim.run_process(driver())
+        assert placed == ["n2"]
 
 
 # ---------------------------------------------------------------------------

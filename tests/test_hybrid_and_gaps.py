@@ -97,6 +97,24 @@ class TestHybridAccessor:
         assert record.was_stale
         assert accessor.cache[obj.oid] == "resp2"
 
+    def test_timeout_validation(self):
+        # An access nobody answers gives up after MAX_RETRIES attempts,
+        # each waiting the (positive) TIMEOUT_US.
+        sim, net, homes, controller, accessor = hybrid_bed()
+        assert accessor.TIMEOUT_US > 0
+        oid = IDAllocator(seed=999).allocate()  # held by no one
+
+        def proc():
+            yield Timeout(2_000)
+            record = yield sim.spawn(accessor.access(oid))
+            return record
+
+        record = sim.run_process(proc())
+        assert not record.ok
+        assert record.round_trips == accessor.MAX_RETRIES
+        assert record.end_us - record.start_us == (
+            accessor.MAX_RETRIES * accessor.TIMEOUT_US)
+
 
 class TestTocttou:
     """Footnote 1: location-based references open TOCTTOU windows;

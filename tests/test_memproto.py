@@ -149,6 +149,20 @@ class TestLightweightTransport:
         assert echoes == list(range(1000))
         assert built == {"_PeerTx": 2, "_PeerRx": 2}  # one of each per end
 
+    def test_validation(self):
+        # The timers and windows are class constants now; what the
+        # constructor used to reject must not hold of them.
+        from repro.memproto.transport import _MSG_HEADER_BYTES
+
+        sim = Simulator(seed=6)
+        net = build_star(sim, 1)
+        assert LightweightTransport.WINDOW >= 1
+        assert 1 <= TcpLikeTransport.INITIAL_SSTHRESH <= TcpLikeTransport.MAX_WINDOW
+        for cls in (LightweightTransport, TcpLikeTransport):
+            end = cls(net.host("h0"))
+            assert end.RTO_US > 0
+            assert end._frame_budget >= _MSG_HEADER_BYTES + 1  # MTU fits a message
+
 
 class TestTcpLikeTransport:
     def test_handshake_happens_once_per_peer(self):
@@ -458,6 +472,22 @@ class TestTransportDeadPeer:
         assert got == [0, 2]
         assert tx.tracer.counters["transport.handshake"] == 2
 
+    def test_retransmit_budget_validation(self):
+        # The budget is a positive class constant, and an end spends
+        # exactly that many retransmissions on a dead peer.
+        assert LightweightTransport.MAX_RETRANSMITS >= 1
+        assert TcpLikeTransport.MAX_RETRANSMITS >= 1
+        sim, tx, rx = _pair(seed=24, MAX_RETRANSMITS=2)
+        rx.host.fail()
+
+        def proc():
+            tx.send("h1", {"i": 0}, 64)
+            yield Timeout(10_000.0)
+
+        sim.run_process(proc())
+        assert tx.tracer.counters["transport.peer_dead"] == 1
+        assert tx.tracer.counters["transport.retransmit"] == 2
+
 
 # Shift every seed below by REPRO_SEED_OFFSET so CI's fault-seed matrix
 # replays the batched-transport paths under fresh randomness.
@@ -550,6 +580,15 @@ class TestFrameBatching:
         sim.run_process(proc())
         assert rx.tracer.counters["transport.ack.delayed"] == 1
         assert tx.tracer.counters["transport.acked"] == 1
+
+    def test_validation_of_batching_knobs(self):
+        # What the constructor used to reject, checked on the constants:
+        # a delayed ack must fire before the sender's retransmit timer.
+        for cls in (LightweightTransport, TcpLikeTransport):
+            assert 0 < cls.DELAYED_ACK_US < cls.RTO_US
+            assert cls.FLUSH_US >= 0
+            assert cls.ACK_EVERY >= 1
+            assert cls.REORDER_WINDOW >= 1
 
     def test_probe_fanout_coalesces_per_target(self):
         # A batched acquire for two objects both dirty at the same

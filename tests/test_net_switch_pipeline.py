@@ -166,6 +166,28 @@ class TestSwitchForwarding:
         assert len(got) == 1
         assert switch.tracer.counters["switch.tx_identity"] == 1
 
+    def test_identity_miss_drop_behavior(self, sim):
+        # A punting switch with no controller attached has nowhere to
+        # send an identity miss: it drops the packet and counts it.
+        from repro.net import Network
+
+        net = Network(sim)
+        net.add_switch("sw", miss_behavior=MISS_PUNT)
+        net.add_host("a")
+        net.add_host("b")
+        net.connect("a", "sw")
+        net.connect("b", "sw")
+        got = []
+        net.host("b").on("m", lambda p: got.append(p))
+
+        def proc():
+            net.host("a").send(Packet(kind="m", src="a", dst=None, oid=ObjectID(1)))
+            yield Timeout(100)
+
+        sim.run_process(proc())
+        assert got == []
+        assert net.switch("sw").tracer.counters["switch.identity_drop"] == 1
+
     def test_identity_miss_punt_behavior(self, sim):
         from repro.net import Network
 
