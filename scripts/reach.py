@@ -42,7 +42,10 @@ runs is stale too: list the function); an entry in the wrong section.
 So the list can only shrink unless someone adds to it by hand.
 ``--write`` keeps every reason, drops what ``--check`` calls stale and
 lists new entries with the reason ``?``, which
-``tests/test_reach_allowlist.py`` rejects until one is given.
+``tests/test_reach_allowlist.py`` rejects until one is given.  The
+tests set is tier-1 without that file's three tests of the committed
+list (``LIST_TESTS``), so ``--write`` runs on a stale list, and
+``--check`` reports what they would fail on as findings.
 
 The hook is a ``sitecustomize`` module put first on ``PYTHONPATH``; it
 writes one file per process.  pytest runs get a plugin that re-arms the
@@ -257,7 +260,15 @@ def claims_commands(scratch):
     return commands
 
 
-TESTS = PYTEST  # tier-1
+# The tier-1 tests that read the committed list fail on a stale one,
+# which ``--write`` is there to rewrite, so the tests set leaves them
+# out: ``--check`` reports the same faults as findings (the list's form
+# problems, and ``stale: ... no longer exists``).
+LIST_TESTS = ("test_the_list_is_well_formed",
+              "test_every_entry_names_a_function_in_src",
+              "test_every_option_entry_names_a_defaulted_parameter_in_src")
+TESTS = PYTEST + [f"--deselect=tests/test_reach_allowlist.py::{name}"
+                  for name in LIST_TESTS]  # tier-1
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +539,7 @@ def option_findings(listed, defined, claims, tests):
     for ident, (section, _) in sorted(listed.items()):
         if section not in OPTION_SECTIONS:
             continue
-        if ident not in defined and ident not in claims.options:
+        if ident not in defined:
             out.append(f"stale: {ident} no longer exists; drop its entry")
         elif ident in claims.set_options:
             out.append(f"stale: {ident} is now set by a claim; drop its entry")

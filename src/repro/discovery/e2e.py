@@ -23,7 +23,7 @@ Protocol, as reproduced (interpretation documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..core.objectid import ObjectID
 from ..obs.registry import MetricsRegistry
@@ -65,22 +65,19 @@ class E2EResolver:
         host.on(KIND_ACCESS_NACK, host.complete)
 
     # -- exchange helper ---------------------------------------------------
-    def _exchange(self, make_request: Callable[[], Packet], record: AccessRecord):
-        """Process: send ``make_request()`` and await its reply, retrying
-        (a fresh request each time, so only an answer to the attempt in
-        flight counts) up to ``max_retries`` times on timeout.  Returns
-        the reply packet or None if every attempt timed out.
-
-        Each attempt is a full request/reply exchange on the wire, so
-        ``round_trips`` is counted here, per send — counting once at the
-        call site would under-report latency accounting under loss."""
-        for _ in range(self.max_retries):
-            record.round_trips += 1
-            reply = yield self.host.request(make_request(), self.timeout_us)
-            if reply is not None:
-                return reply
-            self.tracer.count("e2e.timeout")
-        return None
+    def _exchange(self, packet: Packet, record: AccessRecord):
+        """Process: the reply to ``packet``, sent up to ``max_retries``
+        times (a find and an access are idempotent), or None.  Each send
+        is a round trip on the wire (and a find's a broadcast), each
+        unanswered deadline an ``e2e.timeout``."""
+        waiter = self.host.request(packet, self.timeout_us, self.max_retries)
+        reply = yield waiter
+        record.round_trips += waiter.sends
+        if packet.dst == BROADCAST:
+            record.broadcasts += waiter.sends
+        if reply is None or waiter.sends > 1:
+            self.tracer.count("e2e.timeout", waiter.sends - (reply is not None))
+        return reply
 
     # -- the access operation ------------------------------------------------
     def access(self, oid: ObjectID, offset: int = 0, length: int = ACCESS_BYTES):
@@ -99,7 +96,7 @@ class E2EResolver:
     def _access_via(self, holder: str, oid: ObjectID, offset: int, length: int,
                     record: AccessRecord):
         """Unicast access to a (possibly stale) holder."""
-        reply = yield from self._exchange(lambda: Packet(
+        reply = yield from self._exchange(Packet(
             kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
             payload={"offset": offset, "length": length}, payload_bytes=24,
         ), record)
@@ -129,16 +126,12 @@ class E2EResolver:
               record: AccessRecord, include_data: bool):
         """Broadcast a find; on ``include_data`` the reply doubles as the
         access response (the stale-retry fast path)."""
-        def find():
-            record.broadcasts += 1
-            return Packet(
-                kind=KIND_FIND, src=self.host.name, dst=BROADCAST, oid=oid,
-                payload={"include_data": include_data, "offset": offset,
-                         "length": length},
-                payload_bytes=24,
-            )
-
-        reply = yield from self._exchange(find, record)
+        reply = yield from self._exchange(Packet(
+            kind=KIND_FIND, src=self.host.name, dst=BROADCAST, oid=oid,
+            payload={"include_data": include_data, "offset": offset,
+                     "length": length},
+            payload_bytes=24,
+        ), record)
         if reply is None:
             return False
         self.cache[oid] = reply.payload["holder"]

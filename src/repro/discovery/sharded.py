@@ -192,14 +192,13 @@ class ShardAdvertiser:
 
     Each advertised object gets a monitor process that sends the
     advertisement to the object's owning shard and waits for the ack.
-    After ``ACK_RETRIES`` unanswered attempts (``ACK_TIMEOUT_US`` each)
-    the monitor fails over to
-    the successor shard in rendezvous order (counted as
-    ``shard.failover``).  With a ``refresh_interval_us`` the monitor
-    re-advertises periodically — that refresh is what re-homes a
-    directory entry after its shard crashes mid-run, and what moves it
-    back once the shard recovers (each cycle restarts from the primary
-    shard).
+    After ``ACK_RETRIES`` unanswered sends (``ACK_TIMEOUT_US`` apart, one
+    :meth:`Host.request`) the monitor fails over to the successor shard
+    in rendezvous order (counted as ``shard.failover``).  With a
+    ``refresh_interval_us`` the monitor re-advertises periodically — that
+    refresh is what re-homes a directory entry after its shard crashes
+    mid-run, and what moves it back once the shard recovers (each cycle
+    restarts from the primary shard).
     """
 
     ACK_TIMEOUT_US = 1_000.0
@@ -257,16 +256,15 @@ class ShardAdvertiser:
         for index, shard in enumerate(self.shard_map.ranked(oid)):
             if index > 0:
                 self.tracer.count("shard.failover")
-            for _ in range(self.ACK_RETRIES):
-                if not self._current(oid, version):
-                    return False
-                ack = yield self.host.request(Packet(
-                    kind=KIND_ADVERTISE, src=self.host.name, dst=shard,
-                    oid=oid, payload={"owner": self.host.name},
-                    payload_bytes=24,
-                ), self.ACK_TIMEOUT_US)
-                if ack is not None:
-                    return True
+            if not self._current(oid, version):
+                return False
+            ack = yield self.host.request(Packet(
+                kind=KIND_ADVERTISE, src=self.host.name, dst=shard,
+                oid=oid, payload={"owner": self.host.name},
+                payload_bytes=24,
+            ), self.ACK_TIMEOUT_US, self.ACK_RETRIES)
+            if ack is not None:
+                return True
         return False
 
 

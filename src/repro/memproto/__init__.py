@@ -9,6 +9,7 @@ from .coherence import (
     PERM_SHARED,
     CoherenceAgent,
     CoherenceError,
+    CoherenceTimeout,
 )
 from .messages import (
     CACHE_LINE_BYTES,
@@ -40,6 +41,7 @@ __all__ = [
     "TcpLikeTransport",
     "CoherenceAgent",
     "CoherenceError",
+    "CoherenceTimeout",
     "CoherentProxyResolver",
     "PERM_SHARED",
     "PERM_MODIFIED",

@@ -62,10 +62,17 @@ makes; the home's per-transaction state is the ``_Txn`` in
                owed, the probes held for it)           a barrier's grant, a NACK
   _acquiring   oid -> the wait fetching that line,     _fill, a NACK
                which later local accesses wait on
-  _evicting    oid -> (req_id, bytes) of a dirty       the release-ack naming
-               eviction a racing probe may need        that req_id
+  _evicting    oid -> (req_id, bytes, timer) of a      the release-ack naming
+               dirty eviction a racing probe may need  that req_id
   _out         (kind, peer) -> entries queued at       _flush, one zero-delay
                this instant                            event later
+
+**Every wait ends**, as does every ``_evicting`` entry, at ``DEADLINE_US``
+(100 ms; no bench scenario waits 6 ms).  An expired wait leaves the
+tables, answers its held probes one event later as ``_fill`` does, and
+raises :class:`CoherenceTimeout` in every process on it; its late grant
+is dropped as a duplicate.  Nothing is resent (item 9): a lost probe or
+ack parks the home's transaction, a lost O>R grant loses its bytes.
 
 Caches are **capacity-bounded**: ``capacity_bytes`` evicts LRU lines on
 insert.  A Modified line is written back (a release nobody waits on); a
@@ -98,6 +105,7 @@ from .messages import (
 __all__ = [
     "CoherenceAgent",
     "CoherenceError",
+    "CoherenceTimeout",
     "PERM_SHARED",
     "PERM_MODIFIED",
     "EVICT_NOTIFY",
@@ -116,6 +124,10 @@ _req_ids = itertools.count(1)
 
 class CoherenceError(Exception):
     """Protocol violations: releasing an uncached object, bad perms..."""
+
+
+class CoherenceTimeout(CoherenceError):
+    """A wait outlived :attr:`CoherenceAgent.DEADLINE_US` (module docstring)."""
 
 
 class _CacheEntry:
@@ -187,6 +199,8 @@ class CoherenceAgent:
     coherence benchmarks read.
     """
 
+    DEADLINE_US = 100_000.0  # every wait's (module docstring)
+
     def __init__(self, host: Host, home_map: Dict[ObjectID, str],
                  tracer: Optional[Tracer] = None,
                  capacity_bytes: Optional[int] = None,
@@ -233,13 +247,10 @@ class CoherenceAgent:
         self._cache: "OrderedDict[ObjectID, _CacheEntry]" = OrderedDict()
         self._cache_bytes = 0
         self._directory: Dict[ObjectID, _DirectoryEntry] = {}
-        # The four tables of the module docstring.  A dirty eviction's
-        # bytes stay in _evicting until the home acks the release: a probe
-        # racing it piggybacks them on its ack, so the home never grants
-        # stale directory data.
+        # The four tables of the module docstring.
         self._pending: Dict[int, _Wait] = {}
         self._acquiring: Dict[ObjectID, _Wait] = {}
-        self._evicting: Dict[ObjectID, Tuple[int, bytes]] = {}
+        self._evicting: Dict[ObjectID, Tuple[int, bytes, list]] = {}
         self._out: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         host.on(MSG_ACQUIRE, self._on_acquire)
         host.on(MSG_GRANT, self._on_grant)
@@ -392,11 +403,13 @@ class CoherenceAgent:
                 # sharer until its next probe comes back "not present".
                 return
         # A release nobody waits on: its ack only empties _evicting.
-        release: Dict[str, Any] = {"req_id": next(_req_ids), "perm": entry.perm}
+        req_id = next(_req_ids)
+        release: Dict[str, Any] = {"req_id": req_id, "perm": entry.perm}
         if entry.dirty:
             self._n_evict_writeback[0] += 1
             release["data"] = bytes(entry.data)
-            self._evicting[oid] = (release["req_id"], release["data"])
+            self._evicting[oid] = (req_id, release["data"], self.sim.schedule(
+                self.DEADLINE_US, self._expire_eviction, oid, req_id))
         self.host.send(coherence_packet(
             MSG_RELEASE, self.host.name, self._home_of(oid), [release], oid))
 
@@ -550,11 +563,22 @@ class CoherenceAgent:
 
     # -- requester side -----------------------------------------------------
     def _request(self, label: str) -> _Wait:
-        """The one place a wait is made (and where its deadline will go)."""
+        """The one place a wait is made, and its deadline armed."""
         req_id = next(_req_ids)
         wait = self._pending[req_id] = _Wait(self.sim, f"{label}-{req_id}")
         wait.req_id = req_id
+        wait.timer = self.sim.schedule(self.DEADLINE_US, self._expire, wait)
         return wait
+
+    def _expire(self, wait: _Wait) -> None:
+        """A wait outlived its deadline (module docstring)."""
+        del self._pending[wait.req_id]
+        for oid in [o for o, w in self._acquiring.items() if w is wait]:
+            del self._acquiring[oid]
+        for home, probe in wait.held:
+            self.sim.schedule(0.0, self._probed, home, [probe])
+        self.tracer.count("coherence.timeout")
+        wait.set_exception(CoherenceTimeout(f"{wait.name} on {self.host.name}"))
 
     def _acquire(self, oid: ObjectID, perm: str, upgrade: bool = False):
         """Process: one acquisition, one wait.  ``upgrade`` asks for
@@ -602,6 +626,7 @@ class CoherenceAgent:
         wait.owed += acks
         grant = wait.grant = grant or wait.grant
         if wait.owed == 0 and grant is not None:
+            self.sim.cancel(wait.timer)
             wait.set_result(
                 self._fill(grant) if grant["perm"] == PERM_SHARED else grant)
 
@@ -643,10 +668,10 @@ class CoherenceAgent:
             if wait is None:
                 continue  # no pending request: a duplicate delivery
             # The home refused: it never hosted this object (stale home
-            # map).  Fault the waiting coroutines instead of leaving them
-            # parked on the wait forever.
+            # map).  Fault the waiting coroutines now.
             oid = entry["oid"]
             del self._acquiring[oid]
+            self.sim.cancel(wait.timer)
             wait.set_exception(CoherenceError(
                 f"acquire {entry['perm']} of {oid.short()} NACKed by "
                 f"{packet.src}: not the home (stale home map?)"))
@@ -655,13 +680,21 @@ class CoherenceAgent:
         req_id = packet.payload["entries"][0]["req_id"]
         wait = self._pending.pop(req_id, None)
         if wait is not None:
+            self.sim.cancel(wait.timer)
             wait.set_result(None)        # a voluntary writeback
             return
         racing = self._evicting.get(packet.oid)
         if racing is not None and racing[0] == req_id:
             # The home has this dirty eviction's bytes: the race buffer
             # can let go of them.
+            self.sim.cancel(racing[2])
             del self._evicting[packet.oid]
+
+    def _expire_eviction(self, oid: ObjectID, req_id: int) -> None:
+        """No ack came for a dirty eviction's release: let its bytes go."""
+        if self._evicting.get(oid, (None,))[0] == req_id:
+            del self._evicting[oid]
+            self.tracer.count("coherence.timeout")
 
     # -- home / directory side ------------------------------------------------
     def _on_acquire(self, packet: Packet) -> None:
@@ -669,9 +702,8 @@ class CoherenceAgent:
             oid = req["oid"]
             directory = self._directory.get(oid)
             if directory is None:
-                # Not our object (stale home map at the requester).  A
-                # silent drop would leave the requester's wait pending
-                # forever, so answer with a NACK grant entry instead.
+                # Not our object (stale home map at the requester): a
+                # NACK ends the requester's wait now, not at its deadline.
                 self.tracer.count("coherence.bad_home")
                 self._queue(MSG_GRANT, packet.src, {
                     "req_id": req["req_id"], "oid": oid, "perm": req["perm"],
@@ -857,10 +889,12 @@ class CoherenceAgent:
             # and the home's own store lands before the next grant.
             directory.owner = None
             directory.sharers.discard(self.host.name)
-            wait = self._pending.pop(txn.req_id)
-            if wait.store is not None:
-                self._home_store(oid, directory, wait.store)
-            wait.set_result(None)
+            wait = self._pending.pop(txn.req_id, None)
+            if wait is not None:     # else it expired: its store is off
+                self.sim.cancel(wait.timer)
+                if wait.store is not None:
+                    self._home_store(oid, directory, wait.store)
+                wait.set_result(None)
         else:
             entry = {"req_id": txn.req_id, "oid": oid, "perm": txn.perm,
                      "data": None if upgrade_without_data

@@ -34,11 +34,12 @@ class _Reply(Waitable):
     """What :meth:`Host.request` returns: resumes the one process that
     yields it with the reply packet, or ``None`` once the deadline passes."""
 
-    __slots__ = ("process", "timer")
+    __slots__ = ("process", "timer", "sends")
 
     def __init__(self) -> None:
         self.process = None
         self.timer: Optional[list] = None
+        self.sends = 1  # times the request went out
 
     def _subscribe(self, sim: Simulator, process) -> None:
         self.process = process
@@ -52,15 +53,18 @@ class Host(Node):
     kind is registered once with ``host.on(KIND_X_RSP, host.complete)``
     and the server echoes the request's ``req_id`` (:meth:`Packet.reply`
     does).  A caller may rely on: at most one completion per request;
-    ``None`` at the deadline, with nothing left in the host's table; a
-    reply that arrives late, twice, or from a second answerer is dropped;
-    ``timeout_us=None`` waits for as long as the grant takes.  Nothing is
-    promised about the order in which different requests complete.  The
-    waitable must be yielded at once, by one process.
+    ``None`` at the last deadline, with nothing left in the host's table;
+    a reply that arrives late, twice, or from a second answerer is
+    dropped; ``timeout_us=None`` waits for as long as the grant takes.
+    Nothing is promised about the order in which different requests
+    complete.  The waitable must be yielded at once, by one process.
+    With ``attempts`` it is resent at each deadline but the last, under
+    one ``req_id``: only idempotent kinds may pass more than one, and a
+    retry that goes elsewhere stays the caller's.
 
-    Out of scope: ``memproto/coherence.py`` (its one wait takes a grant
-    and acks from several hosts, and a NACK raises into it) and the
-    credit future in ``pubsub/bus.py``, which no packet answers.
+    Out of scope: ``memproto/coherence.py``, whose waits take a grant and
+    acks from several hosts (it keeps its own table, with its own
+    deadline), and the credit future in ``pubsub/bus.py``.
     """
 
     def __init__(self, sim: Simulator, name: str, tracer: Optional[Tracer] = None):
@@ -185,23 +189,39 @@ class Host(Node):
         return packet
 
     # -- request/reply -------------------------------------------------------
-    def request(self, packet: Packet, timeout_us: Optional[float] = None) -> Waitable:
+    def request(self, packet: Packet, timeout_us: Optional[float] = None,
+                attempts: int = 1) -> Waitable:
         """Send ``packet`` as a request; yield the result for its reply.
 
         The correlation id is the packet's own ``uid``, stamped into the
         payload as ``req_id``: unique across hosts, so a relay (a load
         balancer, a forwarding object home) can pass it through or key
-        on it.  The deadline timer is armed after the send.
+        on it.  The deadline timer is armed after the send.  A resend is a
+        fresh packet (a new ``uid`` for broadcast dedupe, a new
+        ``created_at``); ``disc.find``, ``obj.access_req`` and
+        ``ctl.advertise`` are the idempotent kinds that pass ``attempts``.
         """
         req_id = packet.payload["req_id"] = packet.uid
         waiter = self._requests[req_id] = _Reply()
         self.send(packet)
         if timeout_us is not None:
-            waiter.timer = self.sim.schedule(timeout_us, self._expire, req_id)
+            waiter.timer = self.sim.schedule(
+                timeout_us, self._expire, packet, timeout_us, attempts)
         return waiter
 
-    def _expire(self, req_id: int) -> None:
-        self._requests.pop(req_id).process._resume(None)
+    def _expire(self, packet: Packet, timeout_us: float, attempts: int) -> None:
+        req_id = packet.payload["req_id"]
+        waiter = self._requests[req_id]
+        if waiter.sends >= attempts:
+            del self._requests[req_id]
+            return waiter.process._resume(None)
+        waiter.sends += 1
+        packet = Packet(packet.kind, packet.src, packet.dst, packet.oid,
+                        dict(packet.payload), packet.payload_bytes,
+                        tclass=packet.tclass)
+        self.send(packet)
+        waiter.timer = self.sim.schedule(
+            timeout_us, self._expire, packet, timeout_us, attempts)
 
     def complete(self, packet: Packet) -> None:
         """Handler for reply kinds: resume the request ``packet`` answers

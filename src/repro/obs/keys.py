@@ -322,6 +322,9 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "Probe packets carrying more than one entry."),
     _k("coherence.bad_home", "counter", "1",
        "Acquire/release packets for objects this host is not home of."),
+    _k("coherence.timeout", "counter", "1",
+       "Waits and dirty evictions past CoherenceAgent.DEADLINE_US (a "
+       "coh.* packet lost, or its peer down); a wait raises CoherenceTimeout."),
     # ---- pool.* (memproto SharedMemoryPool; tracer `memproto.pool.<name>`) ---
     _k("pool.map", "counter", "1",
        "Objects mapped into the pool (capacity reserved)."),

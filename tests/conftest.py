@@ -64,23 +64,14 @@ def no_request_outlives_quiescence():
 AGENT_TABLES = ("_pending", "_acquiring", "_out", "_evicting")
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "hangs_until_item_9: pins the coherence wait that has no "
-        "deadline yet (ROADMAP item 9); exempt from the agent's quiescence "
-        "rule, and to be deleted with the hang")
-
-
 @pytest.fixture(autouse=True)
-def no_coherence_state_outlives_quiescence(request):
-    """The coherence agent is held to the same rule (ROADMAP item 9(ii)):
-    once its simulator has nothing left to run, every wait is over, no
-    line is being fetched, no frame is being batched and no eviction is
-    waiting for its ack."""
+def no_coherence_state_outlives_quiescence():
+    """The coherence agent is held to the same rule: once its simulator
+    has nothing left to run, every wait is over, no line is being
+    fetched, no frame is being batched and no eviction is waiting for
+    its ack.  Every wait has a deadline, so no test is exempt."""
     with tracked(CoherenceAgent) as agents:
         yield
-    if request.node.get_closest_marker("hangs_until_item_9"):
-        return
     leaked = {agent.host.name: [t for t in AGENT_TABLES if getattr(agent, t)]
               for agent in agents if agent.sim.pending_event_count == 0}
     assert not any(leaked.values()), leaked

@@ -15,6 +15,7 @@ module under several ``REPRO_SEED_OFFSET`` values.
 """
 
 import os
+import random
 
 import pytest
 
@@ -591,8 +592,9 @@ class TestCoherenceCrashRaces:
     survive; only the returning ack dies at the crashed host's ingress),
     while a release arriving at a crashed *home* is simply dropped and
     the home keeps its pre-writeback bytes.  In both races the writeback
-    process itself never completes inside the window — the invariant is
-    about the home's durable state, not the writer's progress.
+    process ends with :class:`CoherenceTimeout` at its deadline: the
+    invariant is about the home's durable state, and the writer learns
+    only that no ack came.
     """
 
     def _cluster(self, seed):
@@ -610,14 +612,21 @@ class TestCoherenceCrashRaces:
         return sim, net, agents, oid
 
     def _race(self, seed, crash_host, from_us, until_us):
+        from repro.memproto import CoherenceTimeout
+
         sim, net, agents, oid = self._cluster(seed)
         FaultInjector(net, FaultPlan().crash_window(
             crash_host, from_us, until_us)).arm()
-        finished = []
+        ended = []
 
         def writeback():
-            yield from agents["h1"].writeback(oid)
-            finished.append(True)
+            released_at = sim.now
+            try:
+                yield from agents["h1"].writeback(oid)
+            except CoherenceTimeout:
+                ended.append(("timeout", sim.now - released_at))
+            else:
+                ended.append(("acked", sim.now - released_at))
             return None
 
         def driver():
@@ -628,23 +637,23 @@ class TestCoherenceCrashRaces:
             return None
 
         sim.run_process(driver())
-        return agents, oid, bool(finished)
+        assert agents["h1"].tracer.counters["coherence.timeout"] == 1
+        return agents, oid, ended
 
-    @pytest.mark.hangs_until_item_9
     def test_holder_crash_after_release_sent_still_lands_at_home(self):
         # h1 crashes at t=25us: after the release left for the home,
         # before the ack could return.  The home must be durably updated.
-        agents, oid, finished = self._race(_seed(41), "h1", 25.0, 400.0)
+        agents, oid, ended = self._race(_seed(41), "h1", 25.0, 400.0)
         assert agents["h0"].authoritative_data(oid)[:5] == b"DIRTY"
-        assert not finished  # the ack died at the crashed holder
+        # The ack died at the crashed holder: the wait ends at its deadline.
+        assert ended == [("timeout", agents["h1"].DEADLINE_US)]
 
-    @pytest.mark.hangs_until_item_9
     def test_home_crash_window_drops_the_release(self):
         # h0 (the home) is down when the release arrives: the writeback
         # is lost and the home keeps its pre-writeback bytes.
-        agents, oid, finished = self._race(_seed(42), "h0", 25.0, 100_000.0)
+        agents, oid, ended = self._race(_seed(42), "h0", 25.0, 100_000.0)
         assert agents["h0"].authoritative_data(oid)[:5] == b"00000"
-        assert not finished
+        assert ended == [("timeout", agents["h1"].DEADLINE_US)]
 
     def test_no_crash_baseline_writeback_lands(self):
         # Sanity for the race geometry: without a fault the same script
@@ -666,3 +675,231 @@ class TestCoherenceCrashRaces:
         sim.run_process(driver())
         assert agents["h0"].authoritative_data(oid)[:5] == b"DIRTY"
         assert finished
+
+
+# ---------------------------------------------------------------------------
+# coherence under packet loss: every wait ends
+# ---------------------------------------------------------------------------
+
+LOSSY_OBJECTS = 32
+LOSSY_WORKERS = 3
+LOSSY_RESIDENT = 8           # lines a worker's cache holds: a quarter
+LOSSY_OPS = 100              # per worker
+LOSSY_BYTES = 64
+LOSSY_SEEDS = (1, 2, 3, 4)
+
+# What 2% loss leaves lost at seed offset 0, per base seed.  Nothing
+# resends a coherence message, so a lost probe or probe ack parks the
+# home's transaction for that line for good ("parked" lines; every later
+# acquisition of it times out), and a lost forwarded grant or a lost
+# dirty release takes a completed write's bytes with it ("lost_writes":
+# the home's final bytes are not the last completed store).  Both are
+# ROADMAP item 9's.
+LOSSY_OUTCOMES = {
+    1: {"timeouts": 45, "parked": 6, "recall_timeouts": 3, "lost_writes": 1},
+    2: {"timeouts": 59, "parked": 5, "recall_timeouts": 2, "lost_writes": 1},
+    3: {"timeouts": 51, "parked": 3, "recall_timeouts": 3, "lost_writes": 0},
+    4: {"timeouts": 68, "parked": 5, "recall_timeouts": 1, "lost_writes": 0},
+}
+
+
+def _lossy_share(seed):
+    """``coherence_share``'s shape at 2% link loss: a home and three
+    workers with caches a quarter of the shared set, closed loop over a
+    Zipf(0.9) op sequence, 30% writes.  Afterwards the home recalls and
+    reads every line.  Returns the run's story and its agents."""
+    from repro.core import IDAllocator
+    from repro.memproto import CoherenceAgent, CoherenceTimeout
+
+    rng = random.Random(seed)
+    weights = [1.0 / (rank + 1) ** 0.9 for rank in range(LOSSY_OBJECTS)]
+    plans = [list(zip(rng.choices(range(LOSSY_OBJECTS), weights, k=LOSSY_OPS),
+                      [rng.random() < 0.3 for _ in range(LOSSY_OPS)]))
+             for _ in range(LOSSY_WORKERS)]
+    sim = Simulator(seed=seed)
+    net = build_star(sim, 1 + LOSSY_WORKERS, default_loss_rate=0.02)
+    home_map = {}
+    home = CoherenceAgent(net.host("h0"), home_map)
+    workers = [CoherenceAgent(net.host(f"h{i + 1}"), home_map,
+                              capacity_bytes=LOSSY_RESIDENT * LOSSY_BYTES)
+               for i in range(LOSSY_WORKERS)]
+    alloc = IDAllocator(seed=seed)
+    oids = [alloc.allocate() for _ in range(LOSSY_OBJECTS)]
+    for rank, oid in enumerate(oids):
+        home.host_object(oid, bytes([rank]) * LOSSY_BYTES)
+    story = {"returned": 0, "timeouts": 0, "recall_timeouts": 0,
+             "lost_writes": 0}
+    last_stamp = {}
+
+    def worker(index, agent):
+        for n, (rank, is_write) in enumerate(plans[index]):
+            try:
+                if is_write:
+                    stamp = (index * LOSSY_OPS + n + 1).to_bytes(8, "big")
+                    yield from agent.write(oids[rank], 0, stamp)
+                    last_stamp[rank] = stamp
+                else:
+                    yield from agent.read(oids[rank], 0, LOSSY_BYTES)
+            except CoherenceTimeout:
+                story["timeouts"] += 1
+            else:
+                story["returned"] += 1
+            yield Timeout(5.0)
+
+    def recall():
+        for rank, oid in enumerate(oids):
+            try:
+                got = yield from home.read(oid, 0, 8)
+            except CoherenceTimeout:
+                story["recall_timeouts"] += 1
+                continue
+            if got != last_stamp.get(rank, bytes([rank]) * 8):
+                story["lost_writes"] += 1
+
+    for index, agent in enumerate(workers):
+        sim.spawn(worker(index, agent), name=f"lossy-worker-{index}")
+    sim.run()
+    story["parked"] = sum(1 for line in home._directory.values() if line.busy)
+    sim.run_process(recall(), name="lossy-recall")
+    story["deadline_fired"] = sum(agent.tracer.counters["coherence.timeout"]
+                                  for agent in [home] + workers)
+    return story, [home] + workers, net
+
+
+class TestCoherenceUnderLoss:
+    """A lost grant, ack or probe no longer parks a reader for ever:
+    every wait ends with its answer or with ``CoherenceTimeout``."""
+
+    def test_every_op_returns_or_raises_the_typed_error(self):
+        fired = []
+        for base_seed in LOSSY_SEEDS:
+            story, agents, net = _lossy_share(_seed(base_seed))
+            # Any other exception would have crashed the run.
+            assert (story["returned"] + story["timeouts"]
+                    == LOSSY_WORKERS * LOSSY_OPS)
+            assert agents[0].sim.pending_event_count == 0
+            for agent in agents:
+                assert not any(getattr(agent, table) for table in
+                               ("_pending", "_acquiring", "_out", "_evicting"))
+            assert not any(host.outstanding_requests for host in net.hosts)
+            fired.append(story["deadline_fired"])
+            if SEED_OFFSET == 0:
+                lost = {key: story[key] for key in LOSSY_OUTCOMES[base_seed]}
+                assert lost == LOSSY_OUTCOMES[base_seed], base_seed
+        assert max(fired) >= 1
+
+    @staticmethod
+    def _star(hosts):
+        from repro.core import IDAllocator
+        from repro.memproto import CoherenceAgent
+
+        sim = Simulator(seed=_seed(51))
+        net = build_star(sim, hosts)
+        home_map = {}
+        agents = [CoherenceAgent(net.host(f"h{i}"), home_map)
+                  for i in range(hosts)]
+        oid = IDAllocator(seed=_seed(51)).allocate()
+        agents[0].host_object(oid, b"0" * 64)
+        return sim, net, agents, oid
+
+    def test_a_second_process_on_the_fetching_line_gets_the_same_error(self):
+        from repro.memproto import CoherenceTimeout
+
+        sim, net, (home, reader), oid = self._star(2)
+        net.host("h0").fail()     # the acquire dies at the home's ingress
+        errors = []
+
+        def read():
+            try:
+                yield from reader.read(oid, 0, 8)
+            except CoherenceTimeout as exc:
+                errors.append((exc, sim.now))
+
+        sim.spawn(read(), name="first")
+        sim.spawn(read(), name="queued")   # waits on the first's fetch
+        sim.run()
+        assert len(errors) == 2
+        assert errors[0][0] is errors[1][0]
+        assert errors[0][1] == errors[1][1] == reader.DEADLINE_US
+        # One wait, one deadline: the queued reader sent nothing.
+        assert reader.tracer.counters["coherence.timeout"] == 1
+        assert reader.tracer.counters["coherence.read_miss"] == 1
+
+    def test_an_expired_wait_releases_the_probe_it_held(self):
+        # h1 owns the line; h2's write has h1 forward it, and that
+        # forwarded grant is lost.  The home names h2 the owner, so h3's
+        # read probes h2, which holds the probe for the grant it still
+        # waits on.  h2's deadline ends the wait and answers the probe:
+        # the home prunes h2 and grants h3 from its own (older) bytes.
+        from repro.memproto import CoherenceTimeout
+        from repro.memproto.messages import MSG_GRANT
+
+        sim, net, (home, h1, h2, h3), oid = self._star(4)
+        send = h1.host.send
+
+        def lose_forwarded_grant(packet, port=0):
+            if not (packet.kind == MSG_GRANT and packet.dst == "h2"):
+                send(packet, port)
+
+        got = {}
+
+        def write_then_lose():
+            yield from h1.write(oid, 0, b"ONE")
+            h1.host.send = lose_forwarded_grant
+            try:
+                yield from h2.write(oid, 0, b"TWO")
+            except CoherenceTimeout:
+                got["h2"] = ("timeout", sim.now)
+            h1.host.send = send
+
+        def read_later():
+            yield Timeout(200.0)
+            got["h3"] = ((yield from h3.read(oid, 0, 3)), sim.now)
+            yield from h2.write(oid, 0, b"TRE")
+            got["home"] = yield from home.read(oid, 0, 3)
+
+        sim.spawn(write_then_lose())
+        sim.spawn(read_later())
+        sim.run()
+        expired_at = got["h2"][1]
+        assert got["h2"] == ("timeout", expired_at)
+        assert expired_at < got["h3"][1] < 200.0 + h3.DEADLINE_US
+        assert h2.tracer.counters["coherence.probe_deferred"] == 1
+        # h1's dirty bytes went with the lost grant (ROADMAP item 9).
+        assert got["h3"][0] == b"000"
+        assert got["home"] == b"TRE"
+        assert [a.tracer.counters["coherence.timeout"]
+                for a in (home, h1, h2, h3)] == [0, 0, 1, 0]
+
+    def test_a_home_barrier_granted_after_its_deadline_drops_its_store(self):
+        # The owner's probe ack is late by more than the deadline: the
+        # home's write raises, and when the ack lands the barrier's grant
+        # finds no wait, so the store that timed out is never applied.
+        from repro.memproto import CoherenceTimeout
+        from repro.memproto.messages import MSG_PROBE_ACK
+
+        sim, net, (home, owner), oid = self._star(2)
+        send = owner.host.send
+
+        def late_ack(packet, port=0):
+            if packet.kind == MSG_PROBE_ACK:
+                sim.schedule(owner.DEADLINE_US + 50.0, send, packet, port)
+            else:
+                send(packet, port)
+
+        got = {}
+
+        def script():
+            yield from owner.write(oid, 0, b"OWN")
+            owner.host.send = late_ack
+            try:
+                yield from home.write(oid, 0, b"HOM")
+            except CoherenceTimeout:
+                got["expired_at"] = sim.now
+            yield Timeout(owner.DEADLINE_US)
+            got["home"] = yield from home.read(oid, 0, 3)
+
+        sim.run_process(script())
+        assert got == {"expired_at": pytest.approx(home.DEADLINE_US, abs=50.0),
+                       "home": b"OWN"}
+        assert home.tracer.counters["coherence.timeout"] == 1

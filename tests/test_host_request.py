@@ -5,13 +5,14 @@ netsync, replication) waits for replies through this one primitive, so
 what a caller may rely on is pinned here once: at most one completion
 per request, ``None`` at the deadline with the table entry gone, late
 and duplicate replies dropped, ``timeout_us=None`` waiting for as long
-as the grant takes.
+as the grant takes; with ``attempts``, resends one deadline apart under
+one ``req_id``, any of whose answers completes the request.
 """
 
 from repro.core import IDAllocator, ObjectSpace
 from repro.discovery import E2EResolver, ObjectHome, move_object
 from repro.discovery.base import AccessRecord
-from repro.net import Packet, build_paper_topology, build_star
+from repro.net import BROADCAST, Packet, build_paper_topology, build_star
 from repro.netsync import SwitchLockService, SwitchSequencer, SyncClient
 from repro.sim import Simulator, Timeout
 
@@ -107,6 +108,58 @@ class TestOneExchange:
         assert client.tracer.counters["host.dropped_while_failed"] == 1
         assert client.outstanding_requests == 0
 
+    def test_resends_share_one_req_id_and_end_at_the_last_deadline(self):
+        sim, client, server = _pair()
+        server._handlers[REQ] = server.seen.append  # never answers
+
+        def proc():
+            waitable = client.request(Packet(
+                kind=REQ, src="h0", dst="h1", payload={"v": 1},
+                payload_bytes=8), 250.0, attempts=3)
+            reply = yield waitable
+            return reply, waitable.sends, sim.now
+
+        assert sim.run_process(proc()) == (None, 3, 750.0)
+        assert len({p.payload["req_id"] for p in server.seen}) == 1
+        assert len({p.uid for p in server.seen}) == 3
+        assert [p.created_at for p in server.seen] == [0.0, 250.0, 500.0]
+        assert client.tracer.counters["host.tx"] == 3
+        assert client.outstanding_requests == 0
+        assert sim.pending_event_count == 0
+
+    def test_a_resent_broadcast_reaches_hosts_that_saw_the_first(self):
+        sim = Simulator(seed=1)
+        net = build_star(sim, 3)
+        client = net.host("h0")
+        client.on(RSP, client.complete)
+        seen = {name: [] for name in ("h1", "h2")}
+
+        def listener(name):
+            host = net.host(name)
+
+            def on_request(packet):
+                seen[name].append(packet)
+                if name == "h1" and len(seen[name]) == 2:
+                    host.send(packet.reply(RSP, {}, 8))
+            host.on(REQ, on_request)
+
+        for name in seen:
+            listener(name)
+
+        def proc():
+            waitable = client.request(Packet(
+                kind=REQ, src="h0", dst=BROADCAST, payload_bytes=8),
+                100.0, attempts=3)
+            reply = yield waitable
+            return reply.src, waitable.sends
+
+        assert sim.run_process(proc()) == ("h1", 2)
+        for packets in seen.values():
+            assert len(packets) == 2
+            assert packets[0].uid != packets[1].uid
+            assert packets[0].payload["req_id"] == packets[1].payload["req_id"]
+        assert client.outstanding_requests == 0
+
     def test_packet_reply_echoes_oid_and_req_id(self):
         oid = IDAllocator(seed=3).allocate()
         request = Packet(kind=REQ, src="a", dst=None, oid=oid,
@@ -173,22 +226,25 @@ class TestThroughTheProtocols:
         assert net.host("driver").outstanding_requests == 0
         assert len(net.host("resp1").unhandled) == 0
 
-    def test_e2e_retry_is_a_fresh_request_each_attempt(self):
+    def test_e2e_late_answer_completes_the_resend(self):
         # Round trip (~33 us over three 5 us hops each way) exceeds the
-        # 20 us deadline: every answer arrives during the *next*
-        # attempt.  A retry that reused its key would be completed by
-        # it; a fresh id per send means only the attempt in flight
-        # counts, so the access fails after max_retries.
+        # 20 us deadline: the answer to the first send lands during the
+        # second.  Both sends carry one req_id, so that answer completes
+        # the access on 2 round trips, and the answer to the second send
+        # finds nothing waiting and is dropped.
         sim, net, homes, resolver = _e2e_bed(timeout_us=20.0, max_retries=3)
         obj = homes["resp1"].space.create_object(size=256)
         resolver.cache[obj.oid] = "resp1"
+        driver = net.host("driver")
 
         record = sim.run_process(resolver.access(obj.oid))
-        assert not record.ok
-        assert record.round_trips == 3
-        assert resolver.tracer.counters["e2e.timeout"] == 3
-        assert homes["resp1"].tracer.counters["home.access_served"] == 3
-        assert net.host("driver").outstanding_requests == 0
+        assert record.ok
+        assert record.round_trips == 2
+        assert 20.0 < record.end_us < 40.0
+        assert resolver.tracer.counters["e2e.timeout"] == 1
+        assert homes["resp1"].tracer.counters["home.access_served"] == 2
+        assert driver.tracer.counters["host.rx"] == 2
+        assert driver.outstanding_requests == 0
 
     def test_switch_resident_services_complete_a_hosts_request(self):
         sim = Simulator(seed=1)

@@ -76,9 +76,10 @@ def test_known_unicast_stays_within_its_call_budget():
 def test_plain_coherent_miss_stays_within_its_call_budget():
     """One read miss nobody else holds: an acquire to the home, a grant
     back, the copy installed.  Everything from ``agent.read`` to the
-    resumed reader, both packets' crossings included: 65 calls today,
-    69 while each crossing scheduled the switch's pipeline event, 95
-    before a packet was built by one call and an event by none."""
+    resumed reader, both packets' crossings included: 67 calls today,
+    65 before the wait armed and cancelled its deadline, 69 while each
+    crossing scheduled the switch's pipeline event, 95 before a packet
+    was built by one call and an event by none."""
     sim = Simulator(seed=1)
     net = build_star(sim, 2)
     home_map = {}

@@ -192,3 +192,25 @@ def test_the_hook_records_a_second_value_once_per_call(tmp_path, monkeypatch):
         "src/repro/m.py::D.__init__(x)", "src/repro/m.py::D.__init__(y)"}
     assert ran.set_options == {"src/repro/m.py::f(c)",
                                "src/repro/m.py::D.__init__(y)"}
+
+
+def test_the_tests_set_leaves_out_only_the_tests_of_the_committed_list():
+    """``--write`` must run on a stale list, which the tests above that
+    read the committed list fail on; ``--check`` reports the same faults
+    as findings instead."""
+    module = sys.modules[__name__]
+    for name in reach.LIST_TESTS:
+        assert callable(getattr(module, name)), name
+    assert reach.TESTS == reach.PYTEST + [
+        f"--deselect=tests/test_reach_allowlist.py::{name}"
+        for name in reach.LIST_TESTS]
+    # What the left-out tests check, --check finds: a function entry or
+    # an option entry that names nothing in the source, even one the
+    # profile hook recorded.
+    listed = {"a::gone": (reach.TESTS_ONLY, "cli"),
+              "a::f(gone)": (reach.SET_BY_TESTS, "cli")}
+    assert reach.findings(listed, set(), set(), set()) == [
+        "stale: a::gone no longer exists; drop its entry"]
+    claims = reach.Ran(options={"a::f(gone)"})
+    assert reach.option_findings(listed, set(), claims, reach.Ran()) == [
+        "stale: a::f(gone) no longer exists; drop its entry"]
