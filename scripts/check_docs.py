@@ -1,35 +1,32 @@
 #!/usr/bin/env python3
-"""Hold OBSERVABILITY.md and ``repro.obs.keys.VOCABULARY`` in lockstep.
+"""Check OBSERVABILITY.md's vocabulary tables against the source.
 
-Four checks, each of which must pass for the vocabulary to be trusted:
+The ``| `key` | kind | unit | description |`` rows under "## Vocabulary"
+in OBSERVABILITY.md are the only declaration of the trace keys.  Each
+row is validated first: its kind is one of ``KINDS``, its unit one of
+``UNITS``, and each key is declared once (no key has two rows, and no
+key has a row of its own and a ``<prefix>.*`` family row that covers it
+too).  Then four checks, each of which must pass for the vocabulary to
+be trusted:
 
-1. **Docs == code.**  The vocabulary tables in OBSERVABILITY.md (every
-   ``| `key` | kind | unit | description |`` row under "## Vocabulary")
-   must list exactly the entries of ``VOCABULARY``, in order.
-2. **Documented => emitted.**  Every vocabulary key must be recorded
+1. **Documented => emitted.**  Every documented key must be recorded
    somewhere in ``src/repro`` outside ``obs/keys.py`` — as a quoted
    literal, or (for span names and the ``runtime.*`` keys, which are
    emitted through constants) as a use of the ``SPAN_*``/``K_*``
    constant.
-3. **Emitted => documented.**  Every dotted key literal recorded on an
+2. **Emitted => documented.**  Every dotted key literal recorded on an
    instrumented hot path (``.count(``/``.sample(``/``.incr(``/
    ``.record(`` call sites and ``.cell(`` bind sites in the files listed
-   below) must be in the vocabulary, either exactly or via a
-   ``<prefix>.*`` family.
-4. **Documented => read.**  Every vocabulary key must be read by
+   below) must be documented, either exactly or via a ``<prefix>.*``
+   family.
+3. **Documented => read.**  Every documented key must be read by
    something other than the call that records it (see
    ``check_documented_keys_read``): a key nothing reads is work on the
    simulated paths for a number nobody looks at.
-
-A fifth check holds BENCHMARKS.md in the same discipline: the rows of
-its "## Scenario catalogue" table must list exactly the scenarios the
-bench runner registers (``repro.bench.scenario_names()``).
-
-A sixth check holds PROXIES.md's "## Key vocabulary" table in lockstep
-with the ``proxy.*``/``prefetch.*`` subset of ``VOCABULARY``: the
-subsystem doc must carry exactly those rows, in vocabulary order, with
-the same kind/unit/description as the code (and therefore as
-OBSERVABILITY.md, by check 1).
+4. **The bench catalogue is the registry.**  The rows of BENCHMARKS.md's
+   "## Scenario catalogue" table must list exactly the scenarios the
+   bench runner registers (``repro.bench.select()``), each with its
+   registered description.
 
 Run directly (exit 0/1) or through ``tests/test_check_docs.py``.
 """
@@ -47,14 +44,15 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 DOC = REPO / "OBSERVABILITY.md"
 BENCH_DOC = REPO / "BENCHMARKS.md"
-PROXY_DOC = REPO / "PROXIES.md"
-
-# Key prefixes whose vocabulary rows PROXIES.md must mirror.
-PROXY_PREFIXES = ("proxy.", "prefetch.")
 
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.obs import keys as keymod  # noqa: E402  (path set above)
+
+# What records a key, and the only units a key may be recorded in
+# (OBSERVABILITY.md, "Unit rules").
+KINDS = ("counter", "series", "event", "span")
+UNITS = ("µs", "bytes", "1")
 
 # A vocabulary table row: | `key` | kind | unit | description |
 ROW_RE = re.compile(
@@ -65,8 +63,8 @@ KEY_LITERAL_RE = re.compile(r'"([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)"')
 
 RECORDING_CALLS = (".count(", ".sample(", ".incr(", ".record(", ".cell(")
 
-# Where a key may be read: Python under these roots, minus the
-# vocabulary's declaration and this checker, plus the benchmark's spec.
+# Where a key may be read: Python under these roots, minus the key
+# constants' module and this checker, plus the benchmark's spec.
 READER_ROOTS = (SRC, REPO / "tests", REPO / "benchmarks", REPO / "scripts",
                 REPO / "examples")
 NOT_READERS = (SRC / "obs" / "keys.py", pathlib.Path(__file__).resolve())
@@ -125,9 +123,12 @@ CONSTANT_EMITTED: Dict[str, str] = {
 }
 
 
-def parse_doc_rows() -> List[Tuple[str, str, str, str]]:
+Row = Tuple[str, str, str, str]
+
+
+def parse_doc_rows() -> List[Row]:
     """The (key, kind, unit, description) rows under "## Vocabulary"."""
-    rows: List[Tuple[str, str, str, str]] = []
+    rows: List[Row] = []
     in_vocab = False
     for line in DOC.read_text(encoding="utf-8").splitlines():
         if line.startswith("## "):
@@ -141,8 +142,34 @@ def parse_doc_rows() -> List[Tuple[str, str, str, str]]:
     return rows
 
 
+def _families(names: Set[str]) -> List[str]:
+    """The prefixes (trailing dot kept) of the ``.*`` family names."""
+    return [name[:-1] for name in names if name.endswith(".*")]
+
+
+def check_doc_rows(rows: List[Row]) -> List[str]:
+    problems = []
+    seen: Set[str] = set()
+    for name, kind, unit, _ in rows:
+        if kind not in KINDS:
+            problems.append(f"key {name!r} has kind {kind!r}, not one of "
+                            f"{', '.join(KINDS)}")
+        if unit not in UNITS:
+            problems.append(f"key {name!r} has unit {unit!r}, not one of "
+                            f"{', '.join(UNITS)}")
+        if name in seen:
+            problems.append(f"key {name!r} has more than one row")
+        seen.add(name)
+    for prefix in _families(seen):
+        for name in sorted(seen):
+            if name.startswith(prefix) and name != prefix + "*":
+                problems.append(f"key {name!r} has a row and is covered by "
+                                f"the family row {prefix + '*'!r}")
+    return problems
+
+
 def source_corpus() -> str:
-    """All repro source except the vocabulary declaration itself."""
+    """All repro source except the key constants' module."""
     parts = []
     for path in sorted(SRC.rglob("*.py")):
         if path == SRC / "obs" / "keys.py":
@@ -151,63 +178,41 @@ def source_corpus() -> str:
     return "\n".join(parts)
 
 
-def check_docs_match_code() -> List[str]:
-    documented = parse_doc_rows()
-    declared = [(s.name, s.kind, s.unit, s.description)
-                for s in keymod.VOCABULARY]
-    problems = []
-    doc_names = {row[0] for row in documented}
-    code_names = {row[0] for row in declared}
-    for name in sorted(code_names - doc_names):
-        problems.append(f"key {name!r} is in VOCABULARY but not in "
-                        f"OBSERVABILITY.md")
-    for name in sorted(doc_names - code_names):
-        problems.append(f"key {name!r} is documented in OBSERVABILITY.md "
-                        f"but not in VOCABULARY")
-    if not problems and documented != declared:
-        for doc_row, code_row in zip(documented, declared):
-            if doc_row != code_row:
-                problems.append(
-                    f"row mismatch for {code_row[0]!r}: docs say "
-                    f"{doc_row!r}, code says {code_row!r}")
-    return problems
-
-
-def check_documented_keys_emitted() -> List[str]:
+def check_documented_keys_emitted(rows: List[Row]) -> List[str]:
     corpus = source_corpus()
     problems = []
-    for spec in keymod.VOCABULARY:
-        if spec.name in CONSTANT_EMITTED:
-            needle = CONSTANT_EMITTED[spec.name]
+    for name, kind, _, _ in rows:
+        if name in CONSTANT_EMITTED:
+            needle = CONSTANT_EMITTED[name]
             if not re.search(rf"\b{needle}\b", corpus):
                 problems.append(
-                    f"documented key {spec.name!r} (constant {needle}) is "
+                    f"documented key {name!r} (constant {needle}) is "
                     f"never used in src/repro")
             continue
-        if spec.name.endswith(".*"):
-            prefix = re.escape(spec.name[:-1])  # keep the trailing dot
+        if name.endswith(".*"):
+            prefix = re.escape(name[:-1])  # keep the trailing dot
             if not re.search(rf'f?"{prefix}', corpus):
                 problems.append(
-                    f"documented prefix family {spec.name!r} is never "
+                    f"documented prefix family {name!r} is never "
                     f"emitted in src/repro")
             continue
-        if spec.kind == "event":
-            if not re.search(rf'\.event\([^)]*"{re.escape(spec.name)}"',
+        if kind == "event":
+            if not re.search(rf'\.event\([^)]*"{re.escape(name)}"',
                              corpus):
                 problems.append(
-                    f"documented event kind {spec.name!r} is never "
+                    f"documented event kind {name!r} is never "
                     f"recorded in src/repro")
             continue
-        if f'"{spec.name}"' not in corpus:
+        if f'"{name}"' not in corpus:
             problems.append(
-                f"documented key {spec.name!r} is never emitted in "
+                f"documented key {name!r} is never emitted in "
                 f"src/repro")
     return problems
 
 
-def check_emitted_keys_documented() -> List[str]:
-    specs = {spec.name for spec in keymod.VOCABULARY}
-    families = [name[:-1] for name in specs if name.endswith(".*")]
+def check_emitted_keys_documented(rows: List[Row]) -> List[str]:
+    names = {row[0] for row in rows}
+    families = _families(names)
     problems = []
     for rel in INSTRUMENTED:
         path = SRC / rel
@@ -216,7 +221,7 @@ def check_emitted_keys_documented() -> List[str]:
             if not any(call in line for call in RECORDING_CALLS):
                 continue
             for key in KEY_LITERAL_RE.findall(line):
-                if key in specs:
+                if key in names:
                     continue
                 if any(key.startswith(prefix) for prefix in families):
                     continue
@@ -277,7 +282,7 @@ def reader_corpus() -> Tuple[List[str], Set[str], Set[str]]:
     return words, prefixes, used
 
 
-def check_documented_keys_read() -> List[str]:
+def check_documented_keys_read(rows: List[Row]) -> List[str]:
     """Every vocabulary key is read by one of: a string constant in the
     reader roots that holds the key at the start of a word (exactly, as
     a snapshot's ``<tracer>:<key>``, as the head of a longer name, or in
@@ -291,25 +296,26 @@ def check_documented_keys_read() -> List[str]:
     a key does read it."""
     words, prefixes, used = reader_corpus()
     problems = []
-    for spec in keymod.VOCABULARY:
-        if CONSTANT_EMITTED.get(spec.name) in used:
+    for name, _, _, _ in rows:
+        if CONSTANT_EMITTED.get(name) in used:
             continue
-        needle = spec.name[:-1] if spec.name.endswith(".*") else spec.name
+        needle = name[:-1] if name.endswith(".*") else name
         at = bisect.bisect_left(words, needle)  # first word >= needle
         if at < len(words) and words[at].startswith(needle):
             continue
-        if any(spec.name.startswith(prefix) for prefix in prefixes):
+        if any(name.startswith(prefix) for prefix in prefixes):
             continue
         problems.append(
-            f"documented key {spec.name!r} is read by nothing: no test, "
+            f"documented key {name!r} is read by nothing: no test, "
             f"claim, script or BENCHMARK.json metric names it outside the "
             f"call that records it")
     return problems
 
 
-def parse_bench_doc_scenarios() -> List[str]:
-    """Scenario names from BENCHMARKS.md's "## Scenario catalogue" table."""
-    names: List[str] = []
+def parse_bench_doc_scenarios() -> Dict[str, str]:
+    """Scenario name -> description, from BENCHMARKS.md's "## Scenario
+    catalogue" table."""
+    rows: Dict[str, str] = {}
     in_catalogue = False
     for line in BENCH_DOC.read_text(encoding="utf-8").splitlines():
         if line.startswith("## "):
@@ -317,16 +323,16 @@ def parse_bench_doc_scenarios() -> List[str]:
             continue
         if not in_catalogue:
             continue
-        match = re.match(r"^\|\s*`([^`]+)`\s*\|", line)
+        match = re.match(r"^\|\s*`([^`]+)`\s*\|\s*(.+?)\s*\|\s*$", line)
         if match:
-            names.append(match.group(1))
-    return names
+            rows[match.group(1)] = match.group(2)
+    return rows
 
 
 def check_bench_docs_match_registry() -> List[str]:
-    from repro.bench import scenario_names
+    from repro.bench import select
     documented = parse_bench_doc_scenarios()
-    registered = scenario_names()
+    registered = {spec.name: spec.description for spec in select()}
     problems = []
     for name in sorted(set(registered) - set(documented)):
         problems.append(f"bench scenario {name!r} is registered but not in "
@@ -334,60 +340,24 @@ def check_bench_docs_match_registry() -> List[str]:
     for name in sorted(set(documented) - set(registered)):
         problems.append(f"bench scenario {name!r} is in BENCHMARKS.md but "
                         f"not registered in repro.bench")
-    return problems
-
-
-def parse_proxy_doc_rows() -> List[Tuple[str, str, str, str]]:
-    """The (key, kind, unit, description) rows under PROXIES.md's
-    "## Key vocabulary" heading."""
-    rows: List[Tuple[str, str, str, str]] = []
-    in_vocab = False
-    for line in PROXY_DOC.read_text(encoding="utf-8").splitlines():
-        if line.startswith("## "):
-            in_vocab = line.strip() == "## Key vocabulary"
-            continue
-        if not in_vocab:
-            continue
-        match = ROW_RE.match(line)
-        if match:
-            rows.append(match.groups())
-    return rows
-
-
-def check_proxy_doc_matches_code() -> List[str]:
-    if not PROXY_DOC.exists():
-        return ["PROXIES.md is missing (the proxy subsystem doc carries "
-                "the proxy.*/prefetch.* vocabulary rows)"]
-    documented = parse_proxy_doc_rows()
-    declared = [(s.name, s.kind, s.unit, s.description)
-                for s in keymod.VOCABULARY
-                if s.name.startswith(PROXY_PREFIXES)]
-    problems = []
-    doc_names = {row[0] for row in documented}
-    code_names = {row[0] for row in declared}
-    for name in sorted(code_names - doc_names):
-        problems.append(f"key {name!r} is in VOCABULARY but not in "
-                        f"PROXIES.md's key table")
-    for name in sorted(doc_names - code_names):
-        problems.append(f"key {name!r} is documented in PROXIES.md but is "
-                        f"not a proxy.*/prefetch.* VOCABULARY entry")
-    if not problems and documented != declared:
-        for doc_row, code_row in zip(documented, declared):
-            if doc_row != code_row:
-                problems.append(
-                    f"PROXIES.md row mismatch for {code_row[0]!r}: doc says "
-                    f"{doc_row!r}, code says {code_row!r}")
+    for name in sorted(set(documented) & set(registered)):
+        if documented[name] != registered[name]:
+            problems.append(
+                f"bench scenario {name!r}: BENCHMARKS.md says "
+                f"{documented[name]!r}, the registry says "
+                f"{registered[name]!r}")
     return problems
 
 
 def run_all() -> List[str]:
-    """All problems from all six checks (empty means consistent)."""
-    return (check_docs_match_code()
-            + check_documented_keys_emitted()
-            + check_emitted_keys_documented()
-            + check_documented_keys_read()
-            + check_bench_docs_match_registry()
-            + check_proxy_doc_matches_code())
+    """All problems from the row validation and the four checks (empty
+    means consistent)."""
+    rows = parse_doc_rows()
+    return (check_doc_rows(rows)
+            + check_documented_keys_emitted(rows)
+            + check_emitted_keys_documented(rows)
+            + check_documented_keys_read(rows)
+            + check_bench_docs_match_registry())
 
 
 def main() -> int:
@@ -397,14 +367,11 @@ def main() -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    n_keys = len(keymod.VOCABULARY)
-    n_scenarios = len(parse_bench_doc_scenarios())
-    n_proxy = len(parse_proxy_doc_rows())
-    print(f"check_docs: OBSERVABILITY.md and repro.obs.keys agree "
-          f"({n_keys} keys, each emitted and read; "
-          f"{len(INSTRUMENTED)} instrumented files); "
-          f"BENCHMARKS.md and repro.bench agree ({n_scenarios} scenarios); "
-          f"PROXIES.md carries the {n_proxy} proxy/prefetch keys")
+    print(f"check_docs: OBSERVABILITY.md and the source agree "
+          f"({len(parse_doc_rows())} keys, each well formed, emitted and "
+          f"read; {len(INSTRUMENTED)} instrumented files); BENCHMARKS.md "
+          f"and repro.bench agree ({len(parse_bench_doc_scenarios())} "
+          f"scenarios)")
     return 0
 
 

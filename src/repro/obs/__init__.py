@@ -2,8 +2,9 @@
 
 This layer sits directly on :mod:`repro.sim` (it imports nothing above
 it), so every other layer — net, core, runtime, discovery — can emit
-spans and register tracers without import cycles.  See OBSERVABILITY.md
-for the trace-key vocabulary and usage recipes.
+spans and register tracers without import cycles.  OBSERVABILITY.md's
+"## Vocabulary" tables are the trace-key vocabulary (``keys`` holds only
+the constants instrumentation sites share); it also has usage recipes.
 """
 
 from .export import (
@@ -13,7 +14,6 @@ from .export import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from .keys import VOCABULARY, KeySpec
 from .registry import MetricsRegistry, RegistryError
 from .span import Span, SpanRecorder
 
@@ -22,8 +22,6 @@ __all__ = [
     "SpanRecorder",
     "MetricsRegistry",
     "RegistryError",
-    "KeySpec",
-    "VOCABULARY",
     "spans_to_jsonl",
     "snapshot_to_jsonl",
     "to_chrome_trace",

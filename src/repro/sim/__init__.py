@@ -10,7 +10,6 @@ from .loop import (
     SEC,
     USEC,
     AllOf,
-    AnyOf,
     Process,
     Signal,
     SimError,
@@ -35,7 +34,6 @@ __all__ = [
     "Timeout",
     "Signal",
     "AllOf",
-    "AnyOf",
     "SimError",
     "Store",
     "Resource",

@@ -32,7 +32,6 @@ __all__ = [
     "Timeout",
     "Signal",
     "AllOf",
-    "AnyOf",
     "SimError",
 ]
 
@@ -70,13 +69,11 @@ class Timeout(Waitable):
         self.value = value
 
     def _subscribe(self, sim: "Simulator", process: "Process") -> None:
-        # Inlined sim.schedule: the delay was validated in __init__, so
-        # the fast path skips re-validation (this is the single hottest
-        # subscription in the kernel — every process sleep lands here).
-        entry = [sim.now + self.delay, next(sim._seq), process._resume,
-                 (self.value,)]
-        heappush(sim._heap, entry)
-        process._pending_handle = entry
+        # Inlined sim.schedule: the delay was validated in __init__.  A
+        # process's own sleep never lands here (Process._step pushes a
+        # plain Timeout itself); an AllOf child does.
+        heappush(sim._heap, [sim.now + self.delay, next(sim._seq),
+                             process._resume, (self.value,)])
 
 
 class Signal(Waitable):
@@ -143,60 +140,26 @@ class AllOf(Waitable):
             _subscribe_callback(sim, child, make_collector(i))
 
 
-class AnyOf(Waitable):
-    """Wait until the first child completes; resumes with (index, value)."""
-
-    def __init__(self, children: Iterable[Waitable]):
-        self.children = list(children)
-        if not self.children:
-            raise SimError("AnyOf requires at least one child")
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> None:
-        done = [False]
-        shims: List[_CallbackShim] = []
-
-        def make_collector(index: int) -> Callable[[Any], None]:
-            def collect(value: Any) -> None:
-                if not done[0]:
-                    done[0] = True
-                    # Cancel losing timers so a raced Timeout does not
-                    # linger in the event heap (it would otherwise keep
-                    # the simulation "busy" until the timeout horizon).
-                    for shim in shims:
-                        if shim._pending_handle is not None:
-                            sim.cancel(shim._pending_handle)
-                    process._resume((index, value))
-
-            return collect
-
-        for i, child in enumerate(self.children):
-            shims.append(_subscribe_callback(sim, child, make_collector(i)))
-
-
 def _subscribe_callback(sim: "Simulator", child: Waitable,
-                        callback: Callable[[Any], None]) -> "_CallbackShim":
+                        callback: Callable[[Any], None]) -> None:
     """Attach a plain callback to a child waitable (used by combinators).
 
     Works for any waitable because ``_subscribe`` implementations only
     ever call ``process._resume(value)`` / ``process._throw(exc)`` (or
     schedule them), which the shim below also provides.  Failures of a
     child inside a combinator surface as a ``(value=exception)`` resume —
-    combinator users race successes, not errors.  Returns the shim so
-    callers can cancel a pending timer it may hold.
+    combinator users race successes, not errors.
     """
-    shim = _CallbackShim(callback)
-    child._subscribe(sim, shim)  # type: ignore[arg-type]
-    return shim
+    child._subscribe(sim, _CallbackShim(callback))  # type: ignore[arg-type]
 
 
 class _CallbackShim:
     """Quacks like a Process for waitable wake-ups: runs a callback."""
 
-    __slots__ = ("_callback", "_pending_handle", "finished")
+    __slots__ = ("_callback", "finished")
 
     def __init__(self, callback: Callable[[Any], None]):
         self._callback = callback
-        self._pending_handle = None
         self.finished = False
 
     def _resume(self, value: Any) -> None:
@@ -306,8 +269,8 @@ class Simulator:
 
     Each heap entry is the event itself, ``[time, seq, callback, args]``
     (module docstring).  Cancelled events are skipped lazily at
-    dispatch, and the heap is compacted in place whenever cancelled
-    entries outnumber live ones (see :meth:`cancel`).
+    dispatch, and the heap is compacted in place whenever more than 8
+    cancelled entries outnumber the live ones (see :meth:`cancel`).
     """
 
     def __init__(self, seed: int = 0):
@@ -348,11 +311,13 @@ class Simulator:
 
         Cancelling drops the callback and its arguments at once (mass-
         cancelled timers must not pin their closures) and compacts the
-        heap once cancelled entries dominate — a cancelled timer never
-        lingers until its deadline just to be skipped.  Compaction
+        heap once more than 8 cancelled entries outnumber the live ones
+        — a cancelled timer never lingers until its deadline just to be
+        skipped, dragged through every pop on the way.  Compaction
         rewrites ``_heap`` *in place* (the dispatch loop holds a
         reference to the list) and re-heapifies: O(live) instead of
-        O(log n) per dead entry at its deadline.
+        O(log n) per dead entry at its deadline.  The floor of 8 keeps a
+        heap of a few live events from compacting on every cancel.
         """
         if entry[2] is None:
             return
@@ -360,7 +325,7 @@ class Simulator:
         entry[3] = ()
         self._cancelled_count += 1
         heap = self._heap
-        if self._cancelled_count > 64 and self._cancelled_count * 2 > len(heap):
+        if self._cancelled_count > 8 and self._cancelled_count * 2 > len(heap):
             heap[:] = [live for live in heap if live[2] is not None]
             heapq.heapify(heap)
             self._cancelled_count = 0
@@ -454,14 +419,14 @@ class Simulator:
             self.events_dispatched += processed
         return self.now
 
-    def run_process(self, gen: Generator, name: str = "", until: Optional[float] = None) -> Any:
+    def run_process(self, gen: Generator, name: str = "") -> Any:
         """Spawn ``gen``, run the simulation, and return the process result.
 
         Convenience for tests and benchmarks: raises the process's own
         exception if it failed.
         """
         process = self.spawn(gen, name=name)
-        self.run(until=until)
+        self.run()
         if process.failed is not None:
             raise process.failed
         if not process.finished:

@@ -15,11 +15,6 @@ def sim():
     return Simulator(seed=1234)
 
 
-def run(sim, gen, until=None):
-    """Convenience: drive a generator process to completion."""
-    return sim.run_process(gen, until=until)
-
-
 @contextlib.contextmanager
 def tracked(cls):
     """Collect every instance of ``cls`` constructed inside the block."""

@@ -1,13 +1,13 @@
 """Tests for later-wave mechanisms: coherence upgrades, promiscuous
-hosts, switch services plumbing, latency-weighted paths, fetch
-estimates, and AnyOf timer hygiene."""
+hosts, switch services plumbing, latency-weighted paths, and fetch
+estimates."""
 
 import pytest
 
 from repro.core import CostModel, IDAllocator
 from repro.memproto import CoherenceAgent, PERM_MODIFIED, PERM_SHARED
 from repro.net import Network, Packet, build_star
-from repro.sim import AnyOf, Future, Simulator, Timeout
+from repro.sim import Simulator, Timeout
 
 
 class TestCoherenceUpgrade:
@@ -175,35 +175,6 @@ class TestFetchTransfer:
     def test_same_bytes_moved(self):
         model = CostModel()
         assert model.fetch_transfer(5000).bytes_moved == 5000
-
-
-class TestAnyOfTimerHygiene:
-    def test_losing_timeout_cancelled(self, sim):
-        future = Future(sim)
-
-        def proc():
-            index, value = yield AnyOf([future, Timeout(1_000_000.0)])
-            return index, value
-
-        process = sim.spawn(proc())
-        sim.schedule(5.0, future.set_result, "fast")
-        final_time = sim.run()
-        assert process.result == (0, "fast")
-        # The million-microsecond loser must not have kept the clock busy.
-        assert final_time < 1_000.0
-
-    def test_losing_future_resolution_harmless(self, sim):
-        future = Future(sim)
-
-        def proc():
-            index, value = yield AnyOf([future, Timeout(5.0)])
-            return index, value
-
-        process = sim.spawn(proc())
-        # The future resolves long after the timeout already won.
-        sim.schedule(50.0, future.set_result, "late")
-        sim.run()
-        assert process.result == (1, None)
 
 
 class TestCoherenceDowngrade:

@@ -7,7 +7,13 @@ per request, ``None`` at the deadline with the table entry gone, late
 and duplicate replies dropped, ``timeout_us=None`` waiting for as long
 as the grant takes; with ``attempts``, resends one deadline apart under
 one ``req_id``, any of whose answers completes the request.
+
+Every seed is shifted by ``REPRO_SEED_OFFSET``, so CI's fault-seed
+matrix reruns the module on other simulations; the contract may not
+depend on a seed.
 """
+
+import os
 
 from repro.core import IDAllocator, ObjectSpace
 from repro.discovery import E2EResolver, ObjectHome, move_object
@@ -18,10 +24,12 @@ from repro.sim import Simulator, Timeout
 
 REQ, RSP = "t.req", "t.rsp"
 
+SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
+
 
 def _pair(serve_after_us=0.0):
     """h0 asks, h1 answers ``v + 1`` after ``serve_after_us``."""
-    sim = Simulator(seed=1)
+    sim = Simulator(seed=1 + SEED_OFFSET)
     net = build_star(sim, 2)
     client, server = net.host("h0"), net.host("h1")
     client.on(RSP, client.complete)
@@ -128,7 +136,7 @@ class TestOneExchange:
         assert sim.pending_event_count == 0
 
     def test_a_resent_broadcast_reaches_hosts_that_saw_the_first(self):
-        sim = Simulator(seed=1)
+        sim = Simulator(seed=1 + SEED_OFFSET)
         net = build_star(sim, 3)
         client = net.host("h0")
         client.on(RSP, client.complete)
@@ -161,7 +169,7 @@ class TestOneExchange:
         assert client.outstanding_requests == 0
 
     def test_packet_reply_echoes_oid_and_req_id(self):
-        oid = IDAllocator(seed=3).allocate()
+        oid = IDAllocator(seed=3 + SEED_OFFSET).allocate()
         request = Packet(kind=REQ, src="a", dst=None, oid=oid,
                          payload={"req_id": 7, "offset": 0})
         reply = request.reply(RSP, {"data": b"x"}, 25)
@@ -172,9 +180,9 @@ class TestOneExchange:
 
 
 def _e2e_bed(**resolver_kwargs):
-    sim = Simulator(seed=1)
+    sim = Simulator(seed=1 + SEED_OFFSET)
     net = build_paper_topology(sim)
-    allocator = IDAllocator(seed=2)
+    allocator = IDAllocator(seed=2 + SEED_OFFSET)
     homes = {
         name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
         for name in ("resp1", "resp2")
@@ -247,7 +255,7 @@ class TestThroughTheProtocols:
         assert driver.outstanding_requests == 0
 
     def test_switch_resident_services_complete_a_hosts_request(self):
-        sim = Simulator(seed=1)
+        sim = Simulator(seed=1 + SEED_OFFSET)
         net = build_star(sim, 2)
         SwitchSequencer(net.switch("s0"))
         SwitchLockService(net.switch("s0"))
@@ -262,7 +270,7 @@ class TestThroughTheProtocols:
         assert net.host("h0").outstanding_requests == 0
 
     def test_no_deadline_waits_across_an_arbitrarily_late_grant(self):
-        sim = Simulator(seed=1)
+        sim = Simulator(seed=1 + SEED_OFFSET)
         net = build_star(sim, 2)
         SwitchLockService(net.switch("s0"))
         holder = SyncClient(net.host("h0"), "s0")

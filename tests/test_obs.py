@@ -14,11 +14,12 @@ from repro import (FunctionRegistry, GlobalRef, GlobalSpaceRuntime,
                    MetricsRegistry, Simulator, build_star)
 from repro.obs import (SpanRecorder, chrome_trace_to_spans, snapshot_to_jsonl,
                        spans_to_jsonl, to_chrome_trace, write_chrome_trace)
-from repro.obs.keys import VOCABULARY, KeySpec
 from repro.obs.registry import RegistryError
 from repro.obs.span import KEEP_RECENT, KEEP_SLOWEST
 from repro.sim import Timeout
 from repro.sim.trace import Tracer
+
+from .test_check_docs import check_docs
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +408,29 @@ class TestRetention:
 # ---------------------------------------------------------------------------
 
 class TestVocabulary:
+    """OBSERVABILITY.md's vocabulary rows, as ``check_docs`` parses them."""
+
     def test_specs_are_unique_and_valid(self):
-        names = [spec.name for spec in VOCABULARY]
-        assert len(names) == len(set(names))
-        specs = {spec.name: spec for spec in VOCABULARY}
-        assert specs["host.tx_bytes"].unit == "bytes"
+        rows = check_docs.parse_doc_rows()
+        assert check_docs.check_doc_rows(rows) == []
+        units = {name: unit for name, _, unit, _ in rows}
+        assert units["host.tx_bytes"] == "bytes"
 
     def test_unit_suffix_conventions_hold(self):
-        for spec in VOCABULARY:
-            base = spec.name[:-2] if spec.name.endswith(".*") else spec.name
-            if spec.kind == "span":
+        for name, kind, unit, _ in check_docs.parse_doc_rows():
+            base = name[:-2] if name.endswith(".*") else name
+            if kind == "span":
                 continue
             if base.endswith("_us"):
-                assert spec.unit == "µs", spec.name
+                assert unit == "µs", name
             elif base.endswith("_bytes"):
-                assert spec.unit == "bytes", spec.name
+                assert unit == "bytes", name
             else:
-                assert spec.unit == "1", spec.name
+                assert unit == "1", name
 
     def test_bad_kind_or_unit_rejected(self):
-        with pytest.raises(ValueError):
-            KeySpec("x", "gauge", "1", "nope")
-        with pytest.raises(ValueError):
-            KeySpec("x", "counter", "ms", "nope")
+        assert check_docs.check_doc_rows([("x", "gauge", "1", "nope")]) == [
+            "key 'x' has kind 'gauge', not one of counter, series, event, "
+            "span"]
+        assert check_docs.check_doc_rows([("x", "counter", "ms", "nope")]) == [
+            "key 'x' has unit 'ms', not one of µs, bytes, 1"]

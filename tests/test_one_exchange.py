@@ -33,13 +33,8 @@ def _modules():
         yield rel, ast.parse(path.read_text(encoding="utf-8"), filename=rel)
 
 
-def _call_name(node):
-    func = node.func
-    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-
-
 def test_no_private_reply_future_outside_the_host():
-    future_importers, timeout_races = set(), set()
+    future_importers = set()
     for rel, tree in _modules():
         if rel.startswith("sim/"):
             continue
@@ -47,17 +42,9 @@ def test_no_private_reply_future_outside_the_host():
             if isinstance(node, ast.ImportFrom) and any(
                     alias.name == "Future" for alias in node.names):
                 future_importers.add(rel)
-            if (isinstance(node, ast.Call) and _call_name(node) == "AnyOf"
-                    and any(isinstance(inner, ast.Call)
-                            and _call_name(inner) == "Timeout"
-                            for arg in node.args for inner in ast.walk(arg))):
-                timeout_races.add(rel)
     assert future_importers <= FUTURE_ALLOWED, (
         "wait for a reply with `yield host.request(packet, timeout_us)`, "
         f"not a private Future: {sorted(future_importers - FUTURE_ALLOWED)}")
-    assert not timeout_races, (
-        "a reply raced against a Timeout by hand (Host.request owns the "
-        f"deadline): {sorted(timeout_races)}")
 
 
 @pytest.mark.parametrize("spec", select(), ids=lambda spec: spec.name)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     SimError,
     Simulator,
     Timeout,
@@ -305,37 +304,6 @@ class TestCombinators:
 
         assert sim.run_process(parent()) == []
 
-    def test_anyof_returns_first(self, sim):
-        def worker(delay, tag):
-            yield Timeout(delay)
-            return tag
-
-        def parent():
-            index, value = yield AnyOf([
-                sim.spawn(worker(30, "slow")),
-                sim.spawn(worker(10, "fast")),
-            ])
-            return index, value, sim.now
-
-        index, value, now = sim.run_process(parent())
-        assert (index, value) == (1, "fast")
-        assert now == pytest.approx(10.0)
-
-    def test_anyof_with_timeout_race(self, sim):
-        def slow():
-            yield Timeout(100.0)
-            return "slow"
-
-        def parent():
-            index, value = yield AnyOf([sim.spawn(slow()), Timeout(5.0, "expired")])
-            return index, value
-
-        assert sim.run_process(parent(), until=200.0) == (1, "expired")
-
-    def test_anyof_requires_children(self, sim):
-        with pytest.raises(SimError):
-            AnyOf([])
-
     def test_allof_mixed_timeouts_and_processes(self, sim):
         def worker():
             yield Timeout(2.0)
@@ -377,17 +345,20 @@ def test_an_event_costs_no_kernel_call_beyond_scheduling_it():
 
 
 def test_a_burst_of_cancels_compacts_the_heap(sim):
-    handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
-    for handle in handles[:65]:
+    handles = [sim.schedule(float(i), lambda: None) for i in range(12)]
+    for handle in handles[:8]:
         sim.cancel(handle)
-    # The 65th cancel outnumbers the live entries: only they are left.
-    assert len(sim._heap) == 35 == sim.pending_event_count
+    # 8 cancelled outnumber the 4 live, but 8 is the floor: no compaction.
+    assert (len(sim._heap), sim.pending_event_count, sim._cancelled_count) == (12, 4, 8)
+    sim.cancel(handles[8])
+    # The 9th cancel passes the floor: only the live entries are left.
+    assert len(sim._heap) == 3 == sim.pending_event_count
     assert sim._cancelled_count == 0
     sim.cancel(handles[0])  # idempotent: counted once, not again
-    sim.cancel(handles[65])
-    assert (len(sim._heap), sim.pending_event_count, sim._cancelled_count) == (35, 34, 1)
+    sim.cancel(handles[9])
+    assert (len(sim._heap), sim.pending_event_count, sim._cancelled_count) == (3, 2, 1)
     sim.run()
-    assert sim.events_dispatched == 34 and sim._cancelled_count == 0
+    assert sim.events_dispatched == 2 and sim._cancelled_count == 0
 
 
 # One op of the model test.  Times are small integers so that ties (and
@@ -410,7 +381,7 @@ _ops = st.one_of(
 @example(ops=[("schedule", 1, 0), ("reschedule", 0, 0, 0), ("reschedule", 0, 1, 0)])
 def test_dispatch_matches_a_sorted_model_under_any_mix_of_calls(ops):
     """Random ``schedule``, ``schedule_at``, ``reschedule`` and
-    ``cancel`` calls, with bursts of more than 64 cancels that compact
+    ``cancel`` calls, with bursts of more than 8 cancels that compact
     the heap.  Events run in ``(time, rank)`` order, a rescheduled event
     keeping its rank, and ``pending_event_count`` and ``pending(cb)``
     agree with the model after every call."""
