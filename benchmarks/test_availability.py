@@ -16,22 +16,14 @@ window the network alone cannot hide.
 
 import pytest
 
-from repro.core import FunctionRegistry, GlobalRef, IDAllocator, ObjectSpace
-from repro.discovery import (
-    SCHEME_CONTROLLER,
-    SCHEME_E2E,
-    E2EResolver,
-    IdentityAccessor,
-    ObjectHome,
-    SdnController,
-    advertise,
-)
+from repro.core import FunctionRegistry, GlobalRef
+from repro.discovery import SCHEME_CONTROLLER, SCHEME_E2E, Testbed
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import build_paper_topology, build_star
 from repro.runtime import GlobalSpaceRuntime, InvokeTimeout, RetryPolicy
 from repro.sim import Simulator, Timeout
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 SEED = 17
 OBJECTS_PER_RESPONDER = 4
@@ -49,22 +41,9 @@ def _run_scheme(scheme):
     sim = Simulator(seed=SEED)
     net = build_paper_topology(
         sim, with_controller_host=(scheme == SCHEME_CONTROLLER))
-    allocator = IDAllocator(seed=SEED + 1)
-    oids = []
-    for resp in ("resp1", "resp2"):
-        home = ObjectHome(net.host(resp), ObjectSpace(allocator, host_name=resp))
-        for _ in range(OBJECTS_PER_RESPONDER):
-            obj = home.space.create_object(size=256)
-            oids.append((resp, obj.oid))
-    if scheme == SCHEME_CONTROLLER:
-        SdnController(net, net.host("controller"))
-        for resp, oid in oids:
-            advertise(net.host(resp), oid)
-        accessor = IdentityAccessor(net.host("driver"), timeout_us=TIMEOUT_US,
-                                    max_retries=RETRIES)
-    else:
-        accessor = E2EResolver(net.host("driver"), timeout_us=TIMEOUT_US,
-                               max_retries=RETRIES)
+    bed = Testbed(scheme, net, 256, timeout_us=TIMEOUT_US, max_retries=RETRIES)
+    oids = [bed.create_object(resp)
+            for resp in bed.responders for _ in range(OBJECTS_PER_RESPONDER)]
     # resp2 loses the driver (and resp1); an ungrouped controller host
     # keeps hearing everyone — the control plane survives the partition.
     plan = FaultPlan().partition([["driver", "resp1"], ["resp2"]],
@@ -73,8 +52,8 @@ def _run_scheme(scheme):
 
     def access_all():
         records = []
-        for _, oid in oids:
-            record = yield sim.spawn(accessor.access(oid))
+        for oid in oids:
+            record = yield sim.spawn(bed.accessor.access(oid))
             records.append(record)
         return records
 
@@ -110,9 +89,8 @@ def runs():
             for scheme in (SCHEME_E2E, SCHEME_CONTROLLER)}
 
 
-def test_e17_regenerate(runs, benchmark):
-    """Time one scheme run and print the full availability table."""
-    benchmark.pedantic(lambda: _run_scheme(SCHEME_E2E), rounds=1, iterations=1)
+def test_e17_regenerate(runs):
+    """Print the full availability table."""
     rows = []
     for scheme in (SCHEME_E2E, SCHEME_CONTROLLER):
         for phase in PHASES:
@@ -127,49 +105,37 @@ def test_e17_regenerate(runs, benchmark):
     )
 
 
-def test_both_schemes_fully_available_when_healthy(runs, benchmark):
-    def check():
-        for scheme in runs:
-            assert runs[scheme]["healthy"]["ok_frac"] == 1.0
-
-    bench_check(benchmark, check)
+def test_both_schemes_fully_available_when_healthy(runs):
+    for scheme in runs:
+        assert runs[scheme]["healthy"]["ok_frac"] == 1.0
 
 
-def test_partition_costs_exactly_the_cutoff_half(runs, benchmark):
-    def check():
-        """Neither scheme can mask the partition: accesses to the cut-off
-        responder fail, accesses to the reachable one still succeed."""
-        for scheme in runs:
-            assert runs[scheme]["partitioned"]["ok_frac"] == 0.5
-
-    bench_check(benchmark, check)
+def test_partition_costs_exactly_the_cutoff_half(runs):
+    """Neither scheme can mask the partition: accesses to the cut-off
+    responder fail, accesses to the reachable one still succeed."""
+    for scheme in runs:
+        assert runs[scheme]["partitioned"]["ok_frac"] == 0.5
 
 
-def test_failures_burn_the_full_retry_budget(runs, benchmark):
-    def check():
-        """Unavailability is paid in timeouts: a failed access costs its
-        whole retry budget, ~100x a healthy access."""
-        for scheme in runs:
-            failed_us = runs[scheme]["partitioned"]["mean_failed_us"]
-            assert failed_us >= RETRIES * TIMEOUT_US
-
-    bench_check(benchmark, check)
+def test_failures_burn_the_full_retry_budget(runs):
+    """Unavailability is paid in timeouts: a failed access costs its
+    whole retry budget, ~100x a healthy access."""
+    for scheme in runs:
+        failed_us = runs[scheme]["partitioned"]["mean_failed_us"]
+        assert failed_us >= RETRIES * TIMEOUT_US
 
 
-def test_both_schemes_recover_instantly_after_heal(runs, benchmark):
-    def check():
-        """Healing restores full availability with no re-discovery tax:
-        timeouts never invalidated state on either scheme (E2E drops a
-        cache entry only on a *stale* NACK), so the healed phase runs at
-        healthy-phase latency with zero broadcasts."""
-        for scheme in runs:
-            healed = runs[scheme]["healed"]
-            assert healed["ok_frac"] == 1.0
-            assert healed["broadcasts"] == 0
-            assert healed["mean_ok_us"] == pytest.approx(
-                runs[scheme]["healthy"]["mean_ok_us"], rel=0.05)
-
-    bench_check(benchmark, check)
+def test_both_schemes_recover_instantly_after_heal(runs):
+    """Healing restores full availability with no re-discovery tax:
+    timeouts never invalidated state on either scheme (E2E drops a
+    cache entry only on a *stale* NACK), so the healed phase runs at
+    healthy-phase latency with zero broadcasts."""
+    for scheme in runs:
+        healed = runs[scheme]["healed"]
+        assert healed["ok_frac"] == 1.0
+        assert healed["broadcasts"] == 0
+        assert healed["mean_ok_us"] == pytest.approx(
+            runs[scheme]["healthy"]["mean_ok_us"], rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +196,15 @@ def invoke_run():
     return _run_invoke_availability()
 
 
-def test_replica_plus_failover_keeps_invocations_available(invoke_run, benchmark):
-    def check():
-        """What discovery alone cannot do, the runtime can: with a replica
-        and retry failover, every invocation through the crash window
-        completes — availability stays at 100%."""
-        assert invoke_run["outcomes"] == {"ok": 20, "timeout": 0}
-        assert invoke_run["failover"] >= 1
-
-    bench_check(benchmark, check)
+def test_replica_plus_failover_keeps_invocations_available(invoke_run):
+    """What discovery alone cannot do, the runtime can: with a replica
+    and retry failover, every invocation through the crash window
+    completes — availability stays at 100%."""
+    assert invoke_run["outcomes"] == {"ok": 20, "timeout": 0}
+    assert invoke_run["failover"] >= 1
 
 
-def test_invoke_availability_print(invoke_run, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_invoke_availability_print(invoke_run):
     print_table(
         "E17b: invoke availability through an executor crash window",
         ["completed", "timeouts", "failovers", "retries"],

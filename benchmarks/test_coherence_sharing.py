@@ -24,7 +24,7 @@ from repro.memproto import CoherenceAgent
 from repro.net import build_star
 from repro.sim import AllOf, Simulator, Timeout
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 N_READERS = 3
 OPS_PER_READER = 40
@@ -134,8 +134,7 @@ def sweep():
     return results
 
 
-def test_sharing_table(sweep, benchmark):
-    benchmark.pedantic(lambda: run_coherent(0.1), rounds=3, iterations=1)
+def test_sharing_table(sweep):
     rows = []
     total_reads = N_READERS * OPS_PER_READER
     for fraction, stats in sorted(sweep.items()):
@@ -155,47 +154,35 @@ def test_sharing_table(sweep, benchmark):
     )
 
 
-def test_coherence_wins_read_only_sharing(sweep, benchmark):
-    def check():
-        stats = sweep[0.0]
-        assert stats["coherent_us"] < stats["uncached_us"]
-        total_reads = N_READERS * OPS_PER_READER
-        # All but each reader's first access hit the local copy.
-        assert stats["cache_hits"] >= total_reads - N_READERS
-
-    bench_check(benchmark, check)
+def test_coherence_wins_read_only_sharing(sweep):
+    stats = sweep[0.0]
+    assert stats["coherent_us"] < stats["uncached_us"]
+    total_reads = N_READERS * OPS_PER_READER
+    # All but each reader's first access hit the local copy.
+    assert stats["cache_hits"] >= total_reads - N_READERS
 
 
-def test_invalidation_churn_erodes_hit_rate(sweep, benchmark):
-    def check():
-        hits = [sweep[f]["cache_hits"] for f in WRITE_FRACTIONS]
-        assert hits == sorted(hits, reverse=True)
-        # What a write can cost: it takes the copy from every reader
-        # that holds one, so at least one hit between them (a write
-        # nobody would have read past is not churn) and at most one hit
-        # each.  The four-message protocol sat on the upper bound (its
-        # write took as long as a reader's refill, so every reader was
-        # always back in time to lose the copy again: 45 hits of 117,
-        # "under half"); a three-message write outruns the refill.
-        for fraction in WRITE_FRACTIONS:
-            lost = hits[0] - sweep[fraction]["cache_hits"]
-            writes = len(sweep[fraction]["write_us"])
-            assert writes <= lost <= N_READERS * writes
-
-    bench_check(benchmark, check)
+def test_invalidation_churn_erodes_hit_rate(sweep):
+    hits = [sweep[f]["cache_hits"] for f in WRITE_FRACTIONS]
+    assert hits == sorted(hits, reverse=True)
+    # What a write can cost: it takes the copy from every reader
+    # that holds one, so at least one hit between them (a write
+    # nobody would have read past is not churn) and at most one hit
+    # each.  The four-message protocol sat on the upper bound (its
+    # write took as long as a reader's refill, so every reader was
+    # always back in time to lose the copy again: 45 hits of 117,
+    # "under half"); a three-message write outruns the refill.
+    for fraction in WRITE_FRACTIONS:
+        lost = hits[0] - sweep[fraction]["cache_hits"]
+        writes = len(sweep[fraction]["write_us"])
+        assert writes <= lost <= N_READERS * writes
 
 
-def test_advantage_shrinks_with_write_mix(sweep, benchmark):
-    def check():
-        gains = [sweep[f]["uncached_us"] - sweep[f]["coherent_us"]
-                 for f in WRITE_FRACTIONS]
-        assert gains[0] > gains[-1]
-
-    bench_check(benchmark, check)
+def test_advantage_shrinks_with_write_mix(sweep):
+    gains = [sweep[f]["uncached_us"] - sweep[f]["coherent_us"]
+             for f in WRITE_FRACTIONS]
+    assert gains[0] > gains[-1]
 
 
-def test_all_runs_complete(sweep, benchmark):
-    def check():
-        assert set(sweep) == set(WRITE_FRACTIONS)
-
-    bench_check(benchmark, check)
+def test_all_runs_complete(sweep):
+    assert set(sweep) == set(WRITE_FRACTIONS)

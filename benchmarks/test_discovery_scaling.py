@@ -13,18 +13,11 @@ is too small for the object population.
 
 import pytest
 
-from repro.core import IDAllocator, ObjectSpace
-from repro.discovery import (
-    E2EResolver,
-    IdentityAccessor,
-    ObjectHome,
-    SdnController,
-    advertise,
-)
+from repro.discovery import CONTROLLER_HOST, SCHEME_CONTROLLER, SCHEME_E2E, Testbed
 from repro.net import build_two_tier
-from repro.sim import Simulator, Timeout, summarize
+from repro.sim import Simulator, summarize
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 HOST_COUNTS = [4, 8, 16]
 OBJECTS_PER_HOST = 6
@@ -44,36 +37,22 @@ def run_scale_point(scheme: str, n_hosts: int, seed: int = 19,
     net = build_two_tier(sim, n_leaves=n_leaves, hosts_per_leaf=hosts_per_leaf,
                          switch_kwargs=switch_kwargs)
     host_names = [h.name for h in net.hosts][:n_hosts]
-    driver_name, responder_names = host_names[0], host_names[1:]
-    allocator = IDAllocator(seed=seed + 1)
-    homes = {
-        name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
-        for name in responder_names
-    }
-    if scheme == "controller":
+    if scheme == SCHEME_CONTROLLER:
         # Attach the controller to the first spine switch.
-        net.add_host("controller")
-        net.connect("controller", "spine0")
-        controller = SdnController(net, net.host("controller"))
-        accessor = IdentityAccessor(net.host(driver_name))
-    else:
-        controller = None
-        accessor = E2EResolver(net.host(driver_name))
+        net.add_host(CONTROLLER_HOST)
+        net.connect(CONTROLLER_HOST, "spine0")
+    bed = Testbed(scheme, net, 1024, responders=host_names[1:],
+                  driver=host_names[0])
     rng = sim.rng
-    pool = []
-    for name in responder_names:
-        for _ in range(OBJECTS_PER_HOST):
-            obj = homes[name].space.create_object(size=1024)
-            pool.append(obj.oid)
-            if controller is not None:
-                advertise(homes[name].host, obj.oid)
+    pool = [bed.create_object(name)
+            for name in bed.responders for _ in range(OBJECTS_PER_HOST)]
     records = []
 
     def driver():
-        yield Timeout(5_000)  # let advertisements settle
+        yield from bed.settle(5_000.0)
         for _ in range(ACCESSES):
             oid = rng.choice(pool)
-            record = yield sim.spawn(accessor.access(oid))
+            record = yield sim.spawn(bed.accessor.access(oid))
             records.append(record)
         return None
 
@@ -82,7 +61,7 @@ def run_scale_point(scheme: str, n_hosts: int, seed: int = 19,
     broadcasts = sum(r.broadcasts for r in records)
     failures = sum(1 for r in records if not r.ok)
     max_occupancy = max(len(s.identity_table) for s in net.switches)
-    install_failures = controller.install_failures if controller else 0
+    install_failures = bed.controller.install_failures if bed.controller else 0
     return {
         "mean_us": latencies.mean,
         "p95_us": latencies.p95,
@@ -97,14 +76,12 @@ def run_scale_point(scheme: str, n_hosts: int, seed: int = 19,
 def grid():
     return {
         (scheme, n): run_scale_point(scheme, n)
-        for scheme in ("e2e", "controller")
+        for scheme in (SCHEME_E2E, SCHEME_CONTROLLER)
         for n in HOST_COUNTS
     }
 
 
-def test_scaling_table(grid, benchmark):
-    benchmark.pedantic(lambda: run_scale_point("e2e", 8), rounds=2,
-                       iterations=1)
+def test_scaling_table(grid):
     rows = []
     for (scheme, n), stats in sorted(grid.items()):
         rows.append([scheme, n, stats["mean_us"], stats["p95_us"],
@@ -119,62 +96,44 @@ def test_scaling_table(grid, benchmark):
     )
 
 
-def test_no_failures_at_any_scale(grid, benchmark):
-    def check():
-        assert all(stats["failures"] == 0 for stats in grid.values())
-
-    bench_check(benchmark, check)
+def test_no_failures_at_any_scale(grid):
+    assert all(stats["failures"] == 0 for stats in grid.values())
 
 
-def test_e2e_broadcast_load_grows_with_population(grid, benchmark):
-    def check():
-        counts = [grid[("e2e", n)]["broadcasts"] for n in HOST_COUNTS]
-        # More hosts -> more distinct objects in the access mix -> more
-        # first-touch broadcasts.
-        assert counts[-1] > counts[0]
-
-    bench_check(benchmark, check)
+def test_e2e_broadcast_load_grows_with_population(grid):
+    counts = [grid[(SCHEME_E2E, n)]["broadcasts"] for n in HOST_COUNTS]
+    # More hosts -> more distinct objects in the access mix -> more
+    # first-touch broadcasts.
+    assert counts[-1] > counts[0]
 
 
-def test_controller_tables_grow_with_objects(grid, benchmark):
-    def check():
-        for n in HOST_COUNTS:
-            expected_objects = (n - 1) * OBJECTS_PER_HOST
-            assert grid[("controller", n)]["table_entries"] == expected_objects
-
-    bench_check(benchmark, check)
+def test_controller_tables_grow_with_objects(grid):
+    for n in HOST_COUNTS:
+        expected_objects = (n - 1) * OBJECTS_PER_HOST
+        assert grid[(SCHEME_CONTROLLER, n)]["table_entries"] == expected_objects
 
 
-def test_controller_never_broadcasts(grid, benchmark):
-    def check():
-        assert all(grid[("controller", n)]["broadcasts"] == 0
-                   for n in HOST_COUNTS)
-
-    bench_check(benchmark, check)
+def test_controller_never_broadcasts(grid):
+    assert all(grid[(SCHEME_CONTROLLER, n)]["broadcasts"] == 0
+               for n in HOST_COUNTS)
 
 
-def test_e2e_uses_no_switch_state(grid, benchmark):
-    def check():
-        # The E2E scheme's scalability argument: all state lives at the
-        # hosts; switch identity tables stay empty.
-        assert all(grid[("e2e", n)]["table_entries"] == 0 for n in HOST_COUNTS)
-
-    bench_check(benchmark, check)
+def test_e2e_uses_no_switch_state(grid):
+    # The E2E scheme's scalability argument: all state lives at the
+    # hosts; switch identity tables stay empty.
+    assert all(grid[(SCHEME_E2E, n)]["table_entries"] == 0 for n in HOST_COUNTS)
 
 
-def test_limited_switch_memory_hits_install_wall(benchmark):
+def test_limited_switch_memory_hits_install_wall():
     """§4: 'memory constraints may impose limits at the switch.'  With an
     identity table smaller than the object population, the controller
     scheme starts failing installs while E2E is unaffected."""
 
-    def check():
-        starved = run_scale_point("controller", 8, identity_capacity=10)
-        assert starved["install_failures"] > 0
-        # Accesses still succeed: switches fall back to flooding on
-        # identity miss (the default miss behaviour).
-        assert starved["failures"] == 0
-        e2e = run_scale_point("e2e", 8, identity_capacity=10)
-        assert e2e["failures"] == 0
-        assert e2e["install_failures"] == 0
-
-    bench_check(benchmark, check)
+    starved = run_scale_point(SCHEME_CONTROLLER, 8, identity_capacity=10)
+    assert starved["install_failures"] > 0
+    # Accesses still succeed: switches fall back to flooding on
+    # identity miss (the default miss behaviour).
+    assert starved["failures"] == 0
+    e2e = run_scale_point(SCHEME_E2E, 8, identity_capacity=10)
+    assert e2e["failures"] == 0
+    assert e2e["install_failures"] == 0

@@ -14,7 +14,7 @@ import pytest
 
 from repro.discovery import SCHEME_CONTROLLER, SCHEME_E2E, run_fig2_point
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 SWEEP = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
 N_ACCESSES = 100
@@ -32,12 +32,8 @@ def sweeps():
     }
 
 
-def test_fig2_regenerate(sweeps, benchmark):
-    """Time one sweep point and print the full figure data."""
-    benchmark.pedantic(
-        lambda: run_fig2_point(SCHEME_E2E, 50, n_accesses=N_ACCESSES),
-        rounds=3, iterations=1,
-    )
+def test_fig2_regenerate(sweeps):
+    """Print the full figure data."""
     rows = []
     for pct, ctl, e2e in zip(SWEEP, sweeps[SCHEME_CONTROLLER], sweeps[SCHEME_E2E]):
         rows.append([
@@ -53,71 +49,49 @@ def test_fig2_regenerate(sweeps, benchmark):
     )
 
 
-def test_controller_rtt_flat(sweeps, benchmark):
-    def check():
-        """Controller latency is uniform: new objects are advertised off the
-        access path, so the line does not rise with new%."""
-        points = sweeps[SCHEME_CONTROLLER]
-        base = points[0].mean_rtt_us
-        assert all(p.mean_rtt_us == pytest.approx(base, rel=0.05) for p in points)
-
-    bench_check(benchmark, check)
+def test_controller_rtt_flat(sweeps):
+    """Controller latency is uniform: new objects are advertised off the
+    access path, so the line does not rise with new%."""
+    points = sweeps[SCHEME_CONTROLLER]
+    base = points[0].mean_rtt_us
+    assert all(p.mean_rtt_us == pytest.approx(base, rel=0.05) for p in points)
 
 
-def test_controller_never_broadcasts(sweeps, benchmark):
-    def check():
-        assert all(p.broadcasts_per_100 == 0 for p in sweeps[SCHEME_CONTROLLER])
-
-    bench_check(benchmark, check)
+def test_controller_never_broadcasts(sweeps):
+    assert all(p.broadcasts_per_100 == 0 for p in sweeps[SCHEME_CONTROLLER])
 
 
-def test_e2e_rtt_grows_with_new_fraction(sweeps, benchmark):
-    def check():
-        points = sweeps[SCHEME_E2E]
-        assert points[-1].mean_rtt_us > 1.5 * points[0].mean_rtt_us
-        # Monotone-ish growth: compare thirds of the sweep.
-        first_third = sum(p.mean_rtt_us for p in points[:3])
-        last_third = sum(p.mean_rtt_us for p in points[-3:])
-        assert last_third > first_third
-
-    bench_check(benchmark, check)
+def test_e2e_rtt_grows_with_new_fraction(sweeps):
+    points = sweeps[SCHEME_E2E]
+    assert points[-1].mean_rtt_us > 1.5 * points[0].mean_rtt_us
+    # Monotone-ish growth: compare thirds of the sweep.
+    first_third = sum(p.mean_rtt_us for p in points[:3])
+    last_third = sum(p.mean_rtt_us for p in points[-3:])
+    assert last_third > first_third
 
 
-def test_e2e_broadcasts_track_new_percentage(sweeps, benchmark):
-    def check():
-        """Broadcast count per 100 accesses is roughly the new-object
-        percentage (one discovery broadcast per first access)."""
-        for pct, point in zip(SWEEP, sweeps[SCHEME_E2E]):
-            assert point.broadcasts_per_100 == pytest.approx(pct, abs=18)
-
-    bench_check(benchmark, check)
+def test_e2e_broadcasts_track_new_percentage(sweeps):
+    """Broadcast count per 100 accesses is roughly the new-object
+    percentage (one discovery broadcast per first access)."""
+    for pct, point in zip(SWEEP, sweeps[SCHEME_E2E]):
+        assert point.broadcasts_per_100 == pytest.approx(pct, abs=18)
 
 
-def test_e2e_approaches_two_round_trips(sweeps, benchmark):
-    def check():
-        assert sweeps[SCHEME_E2E][-1].mean_round_trips > 1.7
-
-    bench_check(benchmark, check)
+def test_e2e_approaches_two_round_trips(sweeps):
+    assert sweeps[SCHEME_E2E][-1].mean_round_trips > 1.7
 
 
-def test_switch_processing_overhead_minimal(sweeps, benchmark):
-    def check():
-        """The paper's headline: identity routing in the switch adds minimal
-        overhead even as new objects proliferate — controller-scheme access
-        latency is dominated by propagation, not switch processing."""
-        point = sweeps[SCHEME_CONTROLLER][-1]
-        # 0.5us of pipeline delay per switch crossing; a 3-hop path crosses
-        # 2 switches each way. Processing is < 10% of the access RTT.
-        processing_share = (2 * 2 * 0.5) / point.mean_rtt_us
-        assert processing_share < 0.10
-
-    bench_check(benchmark, check)
+def test_switch_processing_overhead_minimal(sweeps):
+    """The paper's headline: identity routing in the switch adds minimal
+    overhead even as new objects proliferate — controller-scheme access
+    latency is dominated by propagation, not switch processing."""
+    point = sweeps[SCHEME_CONTROLLER][-1]
+    # 0.5us of pipeline delay per switch crossing; a 3-hop path crosses
+    # 2 switches each way. Processing is < 10% of the access RTT.
+    processing_share = (2 * 2 * 0.5) / point.mean_rtt_us
+    assert processing_share < 0.10
 
 
-def test_no_access_failures(sweeps, benchmark):
-    def check():
-        for scheme_points in sweeps.values():
-            assert all(p.failures == 0 for p in scheme_points)
-
-    bench_check(benchmark, check)
-
+def test_no_access_failures(sweeps):
+    for scheme_points in sweeps.values():
+        assert all(p.failures == 0 for p in scheme_points)

@@ -14,35 +14,30 @@ scheme under the same movement churn.
 
 import pytest
 
-from repro.discovery import SCHEME_CONTROLLER, run_fig3_point
+from repro.discovery import SCHEME_CONTROLLER, SCHEME_E2E, run_fig3_point
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 SWEEP = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
-N_ACCESSES = 100
 
 
 @pytest.fixture(scope="module")
 def sweeps():
     return {
-        "e2e": [run_fig3_point(pct, n_accesses=N_ACCESSES) for pct in SWEEP],
+        SCHEME_E2E: [run_fig3_point(pct) for pct in SWEEP],
         "forwarding": [
-            run_fig3_point(pct, n_accesses=N_ACCESSES, use_forwarding_hints=True)
-            for pct in SWEEP
+            run_fig3_point(pct, use_forwarding_hints=True) for pct in SWEEP
         ],
-        "controller": [
-            run_fig3_point(pct, n_accesses=N_ACCESSES, scheme=SCHEME_CONTROLLER)
-            for pct in SWEEP
+        SCHEME_CONTROLLER: [
+            run_fig3_point(pct, scheme=SCHEME_CONTROLLER) for pct in SWEEP
         ],
     }
 
 
-def test_fig3_regenerate(sweeps, benchmark):
-    benchmark.pedantic(
-        lambda: run_fig3_point(50, n_accesses=N_ACCESSES), rounds=3, iterations=1)
+def test_fig3_regenerate(sweeps):
     rows = []
-    for pct, plain, fwd, ctl in zip(SWEEP, sweeps["e2e"], sweeps["forwarding"],
-                                    sweeps["controller"]):
+    for pct, plain, fwd, ctl in zip(SWEEP, sweeps[SCHEME_E2E], sweeps["forwarding"],
+                                    sweeps[SCHEME_CONTROLLER]):
         rows.append([
             pct,
             plain.mean_rtt_us, plain.stdev_rtt_us, plain.mean_round_trips,
@@ -56,63 +51,44 @@ def test_fig3_regenerate(sweeps, benchmark):
     )
 
 
-def test_mean_rises_from_one_to_two_rtts(sweeps, benchmark):
-    def check():
-        points = sweeps["e2e"]
-        assert points[0].mean_round_trips == pytest.approx(1.0, abs=0.05)
-        assert points[-1].mean_round_trips > 1.75
-        assert points[-1].mean_rtt_us > 1.6 * points[0].mean_rtt_us
-
-    bench_check(benchmark, check)
+def test_mean_rises_from_one_to_two_rtts(sweeps):
+    points = sweeps[SCHEME_E2E]
+    assert points[0].mean_round_trips == pytest.approx(1.0, abs=0.05)
+    assert points[-1].mean_round_trips > 1.75
+    assert points[-1].mean_rtt_us > 1.6 * points[0].mean_rtt_us
 
 
-def test_variability_peaks_then_drops(sweeps, benchmark):
-    def check():
-        """The paper's distinctive non-monotone variance shape."""
-        points = sweeps["e2e"]
-        stdevs = [p.stdev_rtt_us for p in points]
-        mid = max(stdevs[3:7])
-        assert mid > stdevs[0]
-        assert mid > stdevs[-1]
-
-    bench_check(benchmark, check)
+def test_variability_peaks_then_drops(sweeps):
+    """The paper's distinctive non-monotone variance shape."""
+    points = sweeps[SCHEME_E2E]
+    stdevs = [p.stdev_rtt_us for p in points]
+    mid = max(stdevs[3:7])
+    assert mid > stdevs[0]
+    assert mid > stdevs[-1]
 
 
-def test_growth_is_monotone_in_thirds(sweeps, benchmark):
-    def check():
-        points = sweeps["e2e"]
-        means = [p.mean_rtt_us for p in points]
-        assert sum(means[:3]) < sum(means[3:6]) < sum(means[-3:])
-
-    bench_check(benchmark, check)
+def test_growth_is_monotone_in_thirds(sweeps):
+    points = sweeps[SCHEME_E2E]
+    means = [p.mean_rtt_us for p in points]
+    assert sum(means[:3]) < sum(means[3:6]) < sum(means[-3:])
 
 
-def test_forwarding_absorbs_the_cost(sweeps, benchmark):
-    def check():
-        """Old-holder forwarding removes both the rebroadcasts and most of
-        the added latency — the §4 closing observation."""
-        for plain, forwarded in zip(sweeps["e2e"][5:], sweeps["forwarding"][5:]):
-            assert forwarded.mean_rtt_us < plain.mean_rtt_us
-            assert forwarded.broadcasts_per_100 == 0
-
-    bench_check(benchmark, check)
+def test_forwarding_absorbs_the_cost(sweeps):
+    """Old-holder forwarding removes both the rebroadcasts and most of
+    the added latency — the §4 closing observation."""
+    for plain, forwarded in zip(sweeps[SCHEME_E2E][5:], sweeps["forwarding"][5:]):
+        assert forwarded.mean_rtt_us < plain.mean_rtt_us
+        assert forwarded.broadcasts_per_100 == 0
 
 
-def test_controller_immune_to_staleness(sweeps, benchmark):
-    def check():
-        points = sweeps["controller"]
-        base = points[0].mean_rtt_us
-        for point in points:
-            assert point.failures == 0
-            assert point.mean_rtt_us == pytest.approx(base, rel=0.25)
-
-    bench_check(benchmark, check)
+def test_controller_immune_to_staleness(sweeps):
+    points = sweeps[SCHEME_CONTROLLER]
+    base = points[0].mean_rtt_us
+    for point in points:
+        assert point.failures == 0
+        assert point.mean_rtt_us == pytest.approx(base, rel=0.25)
 
 
-def test_no_access_failures(sweeps, benchmark):
-    def check():
-        for series in sweeps.values():
-            assert all(p.failures == 0 for p in series)
-
-    bench_check(benchmark, check)
-
+def test_no_access_failures(sweeps):
+    for series in sweeps.values():
+        assert all(p.failures == 0 for p in series)

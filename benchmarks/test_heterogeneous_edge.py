@@ -17,7 +17,7 @@ import pytest
 
 from repro.workloads import STRATEGIES, build_scenario, run_strategy
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 
 @pytest.fixture(scope="module")
@@ -38,16 +38,12 @@ def results():
     return collected
 
 
-def test_heterogeneous_edge_table(results, benchmark):
-    def build_rows():
-        rows = []
-        for (invoker, strategy), record in sorted(
-                (k, v) for k, v in results.items() if isinstance(k, tuple)):
-            rows.append([invoker, strategy, record.latency_us,
-                         record.executed_at, record.invoker_uplink_bytes])
-        return rows
-
-    rows = benchmark(build_rows)
+def test_heterogeneous_edge_table(results):
+    rows = []
+    for (invoker, strategy), record in sorted(
+            (k, v) for k, v in results.items() if isinstance(k, tuple)):
+        rows.append([invoker, strategy, record.latency_us,
+                     record.executed_at, record.invoker_uplink_bytes])
     print_table(
         "Per-device adaptivity: where each invocation model runs the job",
         ["invoker", "strategy", "latency_us", "ran_at", "uplink_B"],
@@ -55,58 +51,40 @@ def test_heterogeneous_edge_table(results, benchmark):
     )
 
 
-def test_every_model_computes_the_right_answer(results, benchmark):
-    def check():
-        expected = results["__expected__"]
-        for key, record in results.items():
-            if isinstance(key, tuple):
-                assert math.isclose(record.score, expected, rel_tol=1e-6)
-
-    bench_check(benchmark, check)
+def test_every_model_computes_the_right_answer(results):
+    expected = results["__expected__"]
+    for key, record in results.items():
+        if isinstance(key, tuple):
+            assert math.isclose(record.score, expected, rel_tol=1e-6)
 
 
-def test_rpc_family_pins_dave_to_the_server(results, benchmark):
-    def check():
-        for strategy in ("rpc_via_alice", "rpc_direct_pull", "refrpc"):
-            assert results[("dave", strategy)].executed_at != "dave"
-
-    bench_check(benchmark, check)
+def test_rpc_family_pins_dave_to_the_server(results):
+    for strategy in ("rpc_via_alice", "rpc_direct_pull", "refrpc"):
+        assert results[("dave", strategy)].executed_at != "dave"
 
 
-def test_rendezvous_adapts_per_device(results, benchmark):
-    def check():
-        # Same code, same call: Alice's run lands in the cloud, Dave's on
-        # his own device.
-        assert results[("alice", "rendezvous")].executed_at == "carol"
-        assert results[("dave", "rendezvous")].executed_at == "dave"
-
-    bench_check(benchmark, check)
+def test_rendezvous_adapts_per_device(results):
+    # Same code, same call: Alice's run lands in the cloud, Dave's on
+    # his own device.
+    assert results[("alice", "rendezvous")].executed_at == "carol"
+    assert results[("dave", "rendezvous")].executed_at == "dave"
 
 
-def test_dave_local_run_is_network_free(results, benchmark):
-    def check():
-        record = results[("dave", "rendezvous")]
-        assert record.invoker_uplink_bytes == 0
-
-    bench_check(benchmark, check)
+def test_dave_local_run_is_network_free(results):
+    record = results[("dave", "rendezvous")]
+    assert record.invoker_uplink_bytes == 0
 
 
-def test_dave_local_beats_every_server_side_model(results, benchmark):
-    def check():
-        local = results[("dave", "rendezvous")].latency_us
-        for strategy in ("rpc_via_alice", "rpc_direct_pull", "refrpc"):
-            assert local < results[("dave", strategy)].latency_us / 5
-
-    bench_check(benchmark, check)
+def test_dave_local_beats_every_server_side_model(results):
+    local = results[("dave", "rendezvous")].latency_us
+    for strategy in ("rpc_via_alice", "rpc_direct_pull", "refrpc"):
+        assert local < results[("dave", strategy)].latency_us / 5
 
 
-def test_alice_still_served_by_the_cloud(results, benchmark):
-    def check():
-        # Adaptivity must not break the weak-device path: Alice's
-        # rendezvous is at least competitive with her best RPC option.
-        alice_rpc_best = min(
-            results[("alice", s)].latency_us
-            for s in ("rpc_via_alice", "rpc_direct_pull"))
-        assert results[("alice", "rendezvous")].latency_us < alice_rpc_best
-
-    bench_check(benchmark, check)
+def test_alice_still_served_by_the_cloud(results):
+    # Adaptivity must not break the weak-device path: Alice's
+    # rendezvous is at least competitive with her best RPC option.
+    alice_rpc_best = min(
+        results[("alice", s)].latency_us
+        for s in ("rpc_via_alice", "rpc_direct_pull"))
+    assert results[("alice", "rendezvous")].latency_us < alice_rpc_best

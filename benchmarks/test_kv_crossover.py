@@ -26,7 +26,7 @@ from repro.workloads import (
     RpcKVService,
 )
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 VALUE_SIZES = [64, 1024, 16_384, 262_144]
 REACCESS = [1, 4, 16]
@@ -77,8 +77,7 @@ def grid():
     }
 
 
-def test_crossover_table(grid, benchmark):
-    benchmark.pedantic(lambda: run_point(16_384, 4), rounds=3, iterations=1)
+def test_crossover_table(grid):
     rows = []
     for (size, n), (rpc_us, obj_us) in sorted(grid.items()):
         winner = "rpc" if rpc_us < obj_us else "object"
@@ -90,40 +89,28 @@ def test_crossover_table(grid, benchmark):
     )
 
 
-def test_rpc_competitive_for_small_one_shot(grid, benchmark):
-    def check():
-        rpc_us, obj_us = grid[(64, 1)]
-        # The paper's concession: small values, one access — RPC is fine
-        # (the object path pays an extra lookup round trip).
-        assert rpc_us <= obj_us * 1.2
-
-    bench_check(benchmark, check)
+def test_rpc_competitive_for_small_one_shot(grid):
+    rpc_us, obj_us = grid[(64, 1)]
+    # The paper's concession: small values, one access — RPC is fine
+    # (the object path pays an extra lookup round trip).
+    assert rpc_us <= obj_us * 1.2
 
 
-def test_object_space_wins_large_reaccessed_values(grid, benchmark):
-    def check():
-        rpc_us, obj_us = grid[(262_144, 16)]
-        assert obj_us < rpc_us / 3
-
-    bench_check(benchmark, check)
+def test_object_space_wins_large_reaccessed_values(grid):
+    rpc_us, obj_us = grid[(262_144, 16)]
+    assert obj_us < rpc_us / 3
 
 
-def test_reaccess_amplifies_the_gap(grid, benchmark):
-    def check():
-        size = 262_144
-        gaps = [grid[(size, n)][0] / grid[(size, n)][1] for n in REACCESS]
-        assert gaps == sorted(gaps)  # more re-access, bigger object win
-
-    bench_check(benchmark, check)
+def test_reaccess_amplifies_the_gap(grid):
+    size = 262_144
+    gaps = [grid[(size, n)][0] / grid[(size, n)][1] for n in REACCESS]
+    assert gaps == sorted(gaps)  # more re-access, bigger object win
 
 
-def test_crossover_exists_along_the_size_axis(grid, benchmark):
-    def check():
-        # Somewhere between 64B and 256KB (at high re-access) the winner
-        # flips from rpc-competitive to object-dominant.
-        small_ratio = grid[(64, 16)][0] / grid[(64, 16)][1]
-        large_ratio = grid[(262_144, 16)][0] / grid[(262_144, 16)][1]
-        assert large_ratio > small_ratio
-        assert large_ratio > 2.0
-
-    bench_check(benchmark, check)
+def test_crossover_exists_along_the_size_axis(grid):
+    # Somewhere between 64B and 256KB (at high re-access) the winner
+    # flips from rpc-competitive to object-dominant.
+    small_ratio = grid[(64, 16)][0] / grid[(64, 16)][1]
+    large_ratio = grid[(262_144, 16)][0] / grid[(262_144, 16)][1]
+    assert large_ratio > small_ratio
+    assert large_ratio > 2.0

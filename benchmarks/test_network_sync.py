@@ -24,7 +24,7 @@ from repro.netsync import (
 )
 from repro.sim import AllOf, Simulator, Timeout, summarize
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 N_CLIENTS = 4
 TICKETS_PER_CLIENT = 25
@@ -104,8 +104,7 @@ def outcomes():
     }
 
 
-def test_network_sync_table(outcomes, benchmark):
-    benchmark.pedantic(lambda: run_sequencer(True), rounds=3, iterations=1)
+def test_network_sync_table(outcomes):
     seq_net, seq_host = outcomes[("sequencer", True)], outcomes[("sequencer", False)]
     lock_net, lock_host = outcomes[("locks", True)], outcomes[("locks", False)]
     rows = [
@@ -121,41 +120,29 @@ def test_network_sync_table(outcomes, benchmark):
     )
 
 
-def test_in_switch_sequencer_lower_latency(outcomes, benchmark):
-    def check():
-        _, mean_net = outcomes[("sequencer", True)]
-        _, mean_host = outcomes[("sequencer", False)]
-        assert mean_net < mean_host
-
-    bench_check(benchmark, check)
+def test_in_switch_sequencer_lower_latency(outcomes):
+    _, mean_net = outcomes[("sequencer", True)]
+    _, mean_host = outcomes[("sequencer", False)]
+    assert mean_net < mean_host
 
 
-def test_in_switch_sequencer_finishes_sooner(outcomes, benchmark):
-    def check():
-        assert outcomes[("sequencer", True)][0] < outcomes[("sequencer", False)][0]
-
-    bench_check(benchmark, check)
+def test_in_switch_sequencer_finishes_sooner(outcomes):
+    assert outcomes[("sequencer", True)][0] < outcomes[("sequencer", False)][0]
 
 
-def test_in_switch_locks_higher_throughput(outcomes, benchmark):
-    def check():
-        # Same number of grants, less wall-clock: the grant hand-off path
-        # is shorter from the switch.
-        makespan_net, grants_net = outcomes[("locks", True)]
-        makespan_host, grants_host = outcomes[("locks", False)]
-        assert grants_net == grants_host == N_CLIENTS * LOCK_ROUNDS
-        assert makespan_net < makespan_host
-
-    bench_check(benchmark, check)
+def test_in_switch_locks_higher_throughput(outcomes):
+    # Same number of grants, less wall-clock: the grant hand-off path
+    # is shorter from the switch.
+    makespan_net, grants_net = outcomes[("locks", True)]
+    makespan_host, grants_host = outcomes[("locks", False)]
+    assert grants_net == grants_host == N_CLIENTS * LOCK_ROUNDS
+    assert makespan_net < makespan_host
 
 
-def test_saving_is_roughly_the_extra_leg(outcomes, benchmark):
-    def check():
-        # One extra 5us link each way per request: the host variant's
-        # per-ticket latency exceeds the switch variant's by ~2 legs.
-        _, mean_net = outcomes[("sequencer", True)]
-        _, mean_host = outcomes[("sequencer", False)]
-        extra = mean_host - mean_net
-        assert 5.0 < extra < 30.0
-
-    bench_check(benchmark, check)
+def test_saving_is_roughly_the_extra_leg(outcomes):
+    # One extra 5us link each way per request: the host variant's
+    # per-ticket latency exceeds the switch variant's by ~2 legs.
+    _, mean_net = outcomes[("sequencer", True)]
+    _, mean_host = outcomes[("sequencer", False)]
+    extra = mean_host - mean_net
+    assert 5.0 < extra < 30.0

@@ -23,7 +23,7 @@ from repro.net.topology import Network
 from repro.runtime import GlobalSpaceRuntime, Plan, PlanStep, run_plan
 from repro.sim import Simulator
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 DATASET_BYTES = 200_000
 EDGE_LATENCY_US = 200.0
@@ -127,8 +127,7 @@ def outcomes():
     return {"planned": run_planned(), "mediated": run_invoker_mediated()}
 
 
-def test_pipeline_table(outcomes, benchmark):
-    benchmark.pedantic(run_planned, rounds=3, iterations=1)
+def test_pipeline_table(outcomes):
     rows = []
     for name, (value, latency, uplink, executed) in outcomes.items():
         rows.append([name, latency, uplink, "->".join(executed)])
@@ -139,34 +138,22 @@ def test_pipeline_table(outcomes, benchmark):
     )
 
 
-def test_same_answer_both_ways(outcomes, benchmark):
-    def check():
-        assert outcomes["planned"][0] == outcomes["mediated"][0]
-
-    bench_check(benchmark, check)
+def test_same_answer_both_ways(outcomes):
+    assert outcomes["planned"][0] == outcomes["mediated"][0]
 
 
-def test_planned_pipeline_is_faster(outcomes, benchmark):
-    def check():
-        assert outcomes["planned"][1] < outcomes["mediated"][1]
-
-    bench_check(benchmark, check)
+def test_planned_pipeline_is_faster(outcomes):
+    assert outcomes["planned"][1] < outcomes["mediated"][1]
 
 
-def test_planned_keeps_bulk_off_the_edge_link(outcomes, benchmark):
-    def check():
-        planned_uplink = outcomes["planned"][2]
-        mediated_uplink = outcomes["mediated"][2]
-        assert planned_uplink < mediated_uplink / 3
-
-    bench_check(benchmark, check)
+def test_planned_keeps_bulk_off_the_edge_link(outcomes):
+    planned_uplink = outcomes["planned"][2]
+    mediated_uplink = outcomes["mediated"][2]
+    assert planned_uplink < mediated_uplink / 3
 
 
-def test_planned_stages_run_in_the_cloud(outcomes, benchmark):
-    def check():
-        placements = outcomes["planned"][3]
-        # Bulk stages at the data; only the summary may come home.
-        assert placements[0] in ("store", "compute")
-        assert placements[1] in ("store", "compute")
-
-    bench_check(benchmark, check)
+def test_planned_stages_run_in_the_cloud(outcomes):
+    placements = outcomes["planned"][3]
+    # Bulk stages at the data; only the summary may come home.
+    assert placements[0] in ("store", "compute")
+    assert placements[1] in ("store", "compute")

@@ -42,7 +42,7 @@ from repro.workloads import (
     register_proxied_traversal,
 )
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 SEED = 5
 N_RECORDS = 128
@@ -129,9 +129,7 @@ def outcomes():
             for workload in WORKLOADS for arm in ARMS}
 
 
-def test_ablation_table(outcomes, benchmark):
-    benchmark.pedantic(lambda: run_arm("traversal", "prefetched"),
-                       rounds=3, iterations=1)
+def test_ablation_table(outcomes):
     rows = []
     for workload in WORKLOADS:
         for arm in ARMS:
@@ -150,60 +148,48 @@ def test_ablation_table(outcomes, benchmark):
     )
 
 
-def test_lazy_arm_stalls_on_every_chunk(outcomes, benchmark):
-    def check():
-        for workload in WORKLOADS:
-            _, counters = outcomes[(workload, "lazy")]
-            # Without a budget every chunk is a demand resolution.
-            assert counters.get("proxy.resolve.lazy", 0) == N_CHUNKS[workload]
-            assert counters.get("prefetch.issued", 0) == 0
-
-    bench_check(benchmark, check)
+def test_lazy_arm_stalls_on_every_chunk(outcomes):
+    for workload in WORKLOADS:
+        _, counters = outcomes[(workload, "lazy")]
+        # Without a budget every chunk is a demand resolution.
+        assert counters.get("proxy.resolve.lazy", 0) == N_CHUNKS[workload]
+        assert counters.get("prefetch.issued", 0) == 0
 
 
-def test_prefetched_beats_eager_beats_lazy(outcomes, benchmark):
-    def check():
-        for workload in WORKLOADS:
-            eager = outcomes[(workload, "eager")][0]
-            lazy = outcomes[(workload, "lazy")][0]
-            prefetched = outcomes[(workload, "prefetched")][0]
-            # Staging everything serializes on the holder's uplink before
-            # compute starts; the reachability walk overlaps it instead.
-            assert prefetched < eager < lazy
-
-    bench_check(benchmark, check)
+def test_prefetched_beats_eager_beats_lazy(outcomes):
+    for workload in WORKLOADS:
+        eager = outcomes[(workload, "eager")][0]
+        lazy = outcomes[(workload, "lazy")][0]
+        prefetched = outcomes[(workload, "prefetched")][0]
+        # Staging everything serializes on the holder's uplink before
+        # compute starts; the reachability walk overlaps it instead.
+        assert prefetched < eager < lazy
 
 
-def test_prefetch_covers_the_chain(outcomes, benchmark):
-    def check():
-        for workload in WORKLOADS:
-            _, counters = outcomes[(workload, "prefetched")]
-            n_chunks = N_CHUNKS[workload]
-            assert counters.get("prefetch.issued", 0) == n_chunks
-            # The walk keeps ahead of the consumer after the head fetch,
-            # and reachability never guesses wrong on a chain.
-            assert counters.get("proxy.resolve.prefetch_hit", 0) >= n_chunks - 2
-            assert counters.get("prefetch.wasted", 0) == 0
-
-    bench_check(benchmark, check)
+def test_prefetch_covers_the_chain(outcomes):
+    for workload in WORKLOADS:
+        _, counters = outcomes[(workload, "prefetched")]
+        n_chunks = N_CHUNKS[workload]
+        assert counters.get("prefetch.issued", 0) == n_chunks
+        # The walk keeps ahead of the consumer after the head fetch,
+        # and reachability never guesses wrong on a chain.
+        assert counters.get("proxy.resolve.prefetch_hit", 0) >= n_chunks - 2
+        assert counters.get("prefetch.wasted", 0) == 0
 
 
-def test_shuffled_layout_does_not_confuse_reachability(outcomes, benchmark):
+def test_shuffled_layout_does_not_confuse_reachability(outcomes):
     """The traversal chain is laid out shuffled: allocation order and
     link order disagree.  Identity-based prefetching doesn't care — the
     FOT successors *are* the next chunks (the paper's §3.1 point)."""
 
-    def check():
-        _, counters = outcomes[("traversal", "prefetched")]
-        misses = counters.get("proxy.resolve.prefetch_miss", 0)
-        hits = counters.get("proxy.resolve.prefetch_hit", 0)
-        assert hits + misses == N_CHUNKS["traversal"]
-        assert hits >= N_CHUNKS["traversal"] - 2
-
-    bench_check(benchmark, check)
+    _, counters = outcomes[("traversal", "prefetched")]
+    misses = counters.get("proxy.resolve.prefetch_miss", 0)
+    hits = counters.get("proxy.resolve.prefetch_hit", 0)
+    assert hits + misses == N_CHUNKS["traversal"]
+    assert hits >= N_CHUNKS["traversal"] - 2
 
 
-def test_prefetch_budget_sweep(benchmark):
+def test_prefetch_budget_sweep():
     """DESIGN §6 / PROXIES.md ablation: how many objects may the walk
     pull ahead?  ``max_objects`` caps the *total* objects a walk may
     fetch, so it buys cover for a prefix of the chain: 0 degenerates to
@@ -216,54 +202,48 @@ def test_prefetch_budget_sweep(benchmark):
                                 max_objects=max_objects)
         return run_arm("traversal", "prefetched", budget=budget)
 
-    def check():
-        budgets = (0, 1, 4, N_CHUNKS["traversal"])
-        outcomes = {b: run_with_budget(b) for b in budgets}
-        rows = [[b, counters.get("prefetch.issued", 0),
-                 counters.get("proxy.resolve.prefetch_hit", 0),
-                 counters.get("prefetch.depth_truncated", 0),
-                 round(latency, 1)]
-                for b, (latency, counters) in sorted(outcomes.items())]
-        print_table(
-            "Reachability prefetch: object budget sweep (traversal)",
-            ["max_objects", "pf_issued", "pf_hits", "truncated", "latency_us"],
-            rows,
-        )
-        issued = {b: outcomes[b][1].get("prefetch.issued", 0) for b in budgets}
-        times = {b: outcomes[b][0] for b in budgets}
-        n_chunks = N_CHUNKS["traversal"]
-        assert issued[0] == 0                       # no budget, no walk
-        assert outcomes[0][1].get("prefetch.depth_truncated", 0) >= 1
-        assert issued[1] == 1
-        assert issued[n_chunks] == n_chunks
-        # Partial budgets truncate (and say so); the uncovered tail
-        # falls back to demand resolution.
-        assert outcomes[4][1].get("prefetch.depth_truncated", 0) == 1
-        assert outcomes[n_chunks][1].get("prefetch.depth_truncated", 0) == 0
-        # Latency falls monotonically as the budget covers more of the
-        # chain; the full budget converts every stall it can.
-        assert times[n_chunks] < times[4] < times[1] <= times[0]
-
-    bench_check(benchmark, check)
+    budgets = (0, 1, 4, N_CHUNKS["traversal"])
+    outcomes = {b: run_with_budget(b) for b in budgets}
+    rows = [[b, counters.get("prefetch.issued", 0),
+             counters.get("proxy.resolve.prefetch_hit", 0),
+             counters.get("prefetch.depth_truncated", 0),
+             round(latency, 1)]
+            for b, (latency, counters) in sorted(outcomes.items())]
+    print_table(
+        "Reachability prefetch: object budget sweep (traversal)",
+        ["max_objects", "pf_issued", "pf_hits", "truncated", "latency_us"],
+        rows,
+    )
+    issued = {b: outcomes[b][1].get("prefetch.issued", 0) for b in budgets}
+    times = {b: outcomes[b][0] for b in budgets}
+    n_chunks = N_CHUNKS["traversal"]
+    assert issued[0] == 0                       # no budget, no walk
+    assert outcomes[0][1].get("prefetch.depth_truncated", 0) >= 1
+    assert issued[1] == 1
+    assert issued[n_chunks] == n_chunks
+    # Partial budgets truncate (and say so); the uncovered tail
+    # falls back to demand resolution.
+    assert outcomes[4][1].get("prefetch.depth_truncated", 0) == 1
+    assert outcomes[n_chunks][1].get("prefetch.depth_truncated", 0) == 0
+    # Latency falls monotonically as the budget covers more of the
+    # chain; the full budget converts every stall it can.
+    assert times[n_chunks] < times[4] < times[1] <= times[0]
 
 
-def test_depth_budget_truncates_the_walk(benchmark):
+def test_depth_budget_truncates_the_walk():
     """A depth budget smaller than the chain cuts the walk short and
     says so (``prefetch.depth_truncated``) — the tail of the chain falls
     back to demand resolution, it is never silently dropped."""
 
-    def check():
-        budget = PrefetchBudget(depth=3, fanout=4,
-                                max_objects=N_CHUNKS["traversal"])
-        latency, counters = run_arm("traversal", "prefetched", budget=budget)
-        n_chunks = N_CHUNKS["traversal"]
-        assert counters.get("prefetch.depth_truncated", 0) == 1
-        issued = counters.get("prefetch.issued", 0)
-        assert 0 < issued < n_chunks
-        lazy_tail = counters.get("proxy.resolve.lazy", 0)
-        assert issued + lazy_tail >= n_chunks
-        # Partial cover still beats no cover.
-        lazy_latency, _ = run_arm("traversal", "lazy")
-        assert latency < lazy_latency
-
-    bench_check(benchmark, check)
+    budget = PrefetchBudget(depth=3, fanout=4,
+                            max_objects=N_CHUNKS["traversal"])
+    latency, counters = run_arm("traversal", "prefetched", budget=budget)
+    n_chunks = N_CHUNKS["traversal"]
+    assert counters.get("prefetch.depth_truncated", 0) == 1
+    issued = counters.get("prefetch.issued", 0)
+    assert 0 < issued < n_chunks
+    lazy_tail = counters.get("proxy.resolve.lazy", 0)
+    assert issued + lazy_tail >= n_chunks
+    # Partial cover still beats no cover.
+    lazy_latency, _ = run_arm("traversal", "lazy")
+    assert latency < lazy_latency

@@ -5,8 +5,8 @@ with 128-bit IDs, we could fit ~850K.  To scale to larger deployments,
 we will explore hierarchical identifier overlay schemes."
 
 Regenerates the two reported capacities from the SRAM geometry model,
-sweeps intermediate key widths, and measures real install/lookup
-throughput of the match-action table.
+sweeps intermediate key widths, and checks that the match-action table
+finds every ID it installed.
 """
 
 import pytest
@@ -14,14 +14,11 @@ import pytest
 from repro.core import IDAllocator
 from repro.net import MatchActionTable, SramModel, TOFINO_SRAM
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 
-def test_capacity_table(benchmark):
-    def build():
-        return {bits: TOFINO_SRAM.capacity(bits) for bits in (32, 48, 64, 96, 128)}
-
-    capacities = benchmark(build)
+def test_capacity_table():
+    capacities = {bits: TOFINO_SRAM.capacity(bits) for bits in (32, 48, 64, 96, 128)}
     print_table(
         "Switch exact-match capacity vs identifier width (Tofino SRAM model)",
         ["key_bits", "entries", "words/entry"],
@@ -30,71 +27,51 @@ def test_capacity_table(benchmark):
     )
 
 
-def test_paper_numbers_64_bit(benchmark):
-    def check():
-        assert TOFINO_SRAM.capacity(64) == pytest.approx(1_800_000, rel=0.02)
-
-    bench_check(benchmark, check)
+def test_paper_numbers_64_bit():
+    assert TOFINO_SRAM.capacity(64) == pytest.approx(1_800_000, rel=0.02)
 
 
-def test_paper_numbers_128_bit(benchmark):
-    def check():
-        assert TOFINO_SRAM.capacity(128) == pytest.approx(850_000, rel=0.02)
-
-    bench_check(benchmark, check)
+def test_paper_numbers_128_bit():
+    assert TOFINO_SRAM.capacity(128) == pytest.approx(850_000, rel=0.02)
 
 
-def test_half_width_doubles_capacity_roughly(benchmark):
-    def check():
-        ratio = TOFINO_SRAM.capacity(64) / TOFINO_SRAM.capacity(128)
-        assert 1.8 < ratio < 2.4
-
-    bench_check(benchmark, check)
+def test_half_width_doubles_capacity_roughly():
+    ratio = TOFINO_SRAM.capacity(64) / TOFINO_SRAM.capacity(128)
+    assert 1.8 < ratio < 2.4
 
 
-def test_hierarchical_overlay_extends_reach(benchmark):
+def test_hierarchical_overlay_extends_reach():
     """The paper's proposed mitigation: hierarchical identifiers let one
     exact entry cover a prefix of the space.  With a 64-bit 'region'
     level above full 128-bit IDs, the same SRAM addresses far more
     objects (at the price of a second lookup at the region gateway)."""
 
-    def check():
-        flat_objects = TOFINO_SRAM.capacity(128)
-        # Overlay: the core switch stores 64-bit region entries; each
-        # region gateway resolves its own (up to) 850K local objects.
-        regions = TOFINO_SRAM.capacity(64)
-        overlay_objects = regions * TOFINO_SRAM.capacity(128)
-        assert overlay_objects > 1_000 * flat_objects
-
-    bench_check(benchmark, check)
+    flat_objects = TOFINO_SRAM.capacity(128)
+    # Overlay: the core switch stores 64-bit region entries; each
+    # region gateway resolves its own (up to) 850K local objects.
+    regions = TOFINO_SRAM.capacity(64)
+    overlay_objects = regions * TOFINO_SRAM.capacity(128)
+    assert overlay_objects > 1_000 * flat_objects
 
 
-def test_install_lookup_throughput(benchmark):
-    """Real (wall-clock) throughput of the table implementation."""
+def test_install_lookup_throughput():
+    """Install 2,000 IDs, then find every one of them."""
     allocator = IDAllocator(seed=3)
     ids = [allocator.allocate() for _ in range(2_000)]
     table = MatchActionTable("bench", key_bits=128, capacity_override=4_000)
-
-    def churn():
-        for i, oid in enumerate(ids):
-            table.install(oid, i % 8)
-        hits = sum(1 for oid in ids if table.lookup(oid) is not None)
-        return hits
-
-    hits = benchmark(churn)
+    for i, oid in enumerate(ids):
+        table.install(oid, i % 8)
+    hits = sum(1 for oid in ids if table.lookup(oid) is not None)
     assert hits == len(ids)
 
 
-def test_capacity_wall_is_hard(benchmark):
-    def check():
-        sram = SramModel(total_words=100)
-        table = MatchActionTable("tiny", key_bits=64, sram=sram)
-        allocator = IDAllocator(seed=4)
-        installed = 0
-        for _ in range(200):
-            if table.try_install(allocator.allocate(), 0):
-                installed += 1
-        assert installed == sram.capacity(64)
-        assert table.insert_failures == 200 - installed
-
-    bench_check(benchmark, check)
+def test_capacity_wall_is_hard():
+    sram = SramModel(total_words=100)
+    table = MatchActionTable("tiny", key_bits=64, sram=sram)
+    allocator = IDAllocator(seed=4)
+    installed = 0
+    for _ in range(200):
+        if table.try_install(allocator.allocate(), 0):
+            installed += 1
+    assert installed == sram.capacity(64)
+    assert table.insert_failures == 200 - installed

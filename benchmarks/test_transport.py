@@ -23,7 +23,7 @@ from repro.memproto import CACHE_LINE_BYTES, LightweightTransport, TcpLikeTransp
 from repro.net import build_star
 from repro.sim import Simulator, Timeout, summarize
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 BURST = 1408        # cache-line messages: 68 MTU frames
 MIN_FRAMES = 2 * 32  # two lightweight windows
@@ -73,9 +73,7 @@ def outcomes():
     return results
 
 
-def test_transport_table(outcomes, benchmark):
-    benchmark.pedantic(lambda: run_burst(LightweightTransport, 0.05),
-                       rounds=3, iterations=1)
+def test_transport_table(outcomes):
     rows = []
     for (name, loss), (completion, mean_latency, retx) in sorted(outcomes.items()):
         rows.append([name, f"{loss:.0%}", completion, mean_latency, retx])
@@ -86,42 +84,30 @@ def test_transport_table(outcomes, benchmark):
     )
 
 
-def test_lightweight_wins_lossless_burst(outcomes, benchmark):
-    def check():
-        # No handshake, full window from message one.
-        assert (outcomes[("lightweight", 0.0)][0]
-                < outcomes[("tcp", 0.0)][0])
-
-    bench_check(benchmark, check)
+def test_lightweight_wins_lossless_burst(outcomes):
+    # No handshake, full window from message one.
+    assert (outcomes[("lightweight", 0.0)][0]
+            < outcomes[("tcp", 0.0)][0])
 
 
-def test_lightweight_wins_under_loss(outcomes, benchmark):
-    def check():
-        for loss in (0.05, 0.2):
-            assert (outcomes[("lightweight", loss)][0]
-                    < outcomes[("tcp", loss)][0])
-
-    bench_check(benchmark, check)
+def test_lightweight_wins_under_loss(outcomes):
+    for loss in (0.05, 0.2):
+        assert (outcomes[("lightweight", loss)][0]
+                < outcomes[("tcp", loss)][0])
 
 
-def test_both_remain_reliable_under_heavy_loss(outcomes, benchmark):
-    def check():
-        # run_burst asserts full delivery internally; retransmissions
-        # must have occurred to achieve it.
-        assert outcomes[("lightweight", 0.2)][2] > 0
-        assert outcomes[("tcp", 0.2)][2] > 0
-
-    bench_check(benchmark, check)
+def test_both_remain_reliable_under_heavy_loss(outcomes):
+    # run_burst asserts full delivery internally; retransmissions
+    # must have occurred to achieve it.
+    assert outcomes[("lightweight", 0.2)][2] > 0
+    assert outcomes[("tcp", 0.2)][2] > 0
 
 
-def test_loss_costs_more_on_tcp(outcomes, benchmark):
-    def check():
-        # Window collapse amplifies loss: TCP's completion time grows
-        # faster with loss than the fixed-window transport's.
-        lw_slowdown = (outcomes[("lightweight", 0.2)][0]
-                       / outcomes[("lightweight", 0.0)][0])
-        tcp_slowdown = (outcomes[("tcp", 0.2)][0]
-                        / outcomes[("tcp", 0.0)][0])
-        assert tcp_slowdown > lw_slowdown
-
-    bench_check(benchmark, check)
+def test_loss_costs_more_on_tcp(outcomes):
+    # Window collapse amplifies loss: TCP's completion time grows
+    # faster with loss than the fixed-window transport's.
+    lw_slowdown = (outcomes[("lightweight", 0.2)][0]
+                   / outcomes[("lightweight", 0.0)][0])
+    tcp_slowdown = (outcomes[("tcp", 0.2)][0]
+                    / outcomes[("tcp", 0.0)][0])
+    assert tcp_slowdown > lw_slowdown

@@ -15,12 +15,11 @@ Measures the two properties the overlay buys:
 
 import pytest
 
-from repro.core import IDAllocator, ObjectSpace
-from repro.discovery import IdentityAccessor, ObjectHome
+from repro.discovery import SCHEME_CONTROLLER, Testbed
 from repro.net import build_multi_region
 from repro.sim import Simulator, summarize
 
-from conftest import bench_check, print_table
+from conftest import print_table
 
 OBJECTS_PER_REGION = 8
 WAN_LATENCY_US = 2_000.0  # build_multi_region's gateway-to-core links
@@ -30,19 +29,20 @@ def run_overlay(n_regions: int, seed: int = 67):
     """Build regions, populate objects, access local + remote mixes."""
     sim = Simulator(seed=seed)
     mr = build_multi_region(sim, n_regions=n_regions, hosts_per_region=2)
-    allocator = IDAllocator(seed=seed + 1)
+    # Identity routes come from the overlay's regional control plane:
+    # the network has no controller host.
+    bed = Testbed(SCHEME_CONTROLLER, mr.network, 256,
+                  responders=[f"r{r}_h1" for r in range(n_regions)],
+                  driver="r0_h0")
     objects = {}
-    for r in range(n_regions):
+    for r, holder in enumerate(bed.responders):
         region = f"r{r}"
-        holder = f"{region}_h1"
-        home = ObjectHome(mr.network.host(holder),
-                          ObjectSpace(allocator, host_name=holder))
         objects[region] = []
         for _ in range(OBJECTS_PER_REGION):
-            obj = home.space.create_object(size=256)
-            mr.register_local_object(obj.oid, region, holder)
-            objects[region].append(obj.oid)
-    accessor = IdentityAccessor(mr.network.host("r0_h0"))
+            oid = bed.create_object(holder)
+            mr.register_local_object(oid, region, holder)
+            objects[region].append(oid)
+    accessor = bed.accessor
     local_records, remote_records = [], []
 
     def driver():
@@ -71,8 +71,7 @@ def sweep():
     return {n: run_overlay(n) for n in (2, 3, 5)}
 
 
-def test_overlay_table(sweep, benchmark):
-    benchmark.pedantic(lambda: run_overlay(2), rounds=2, iterations=1)
+def test_overlay_table(sweep):
     rows = [[n, stats["total_objects"], stats["max_table_entries"],
              stats["local_mean_us"], stats["remote_mean_us"]]
             for n, stats in sorted(sweep.items())]
@@ -84,38 +83,26 @@ def test_overlay_table(sweep, benchmark):
     )
 
 
-def test_switch_state_independent_of_deployment_size(sweep, benchmark):
-    def check():
-        # The hierarchical claim: per-switch state is the *regional*
-        # population no matter how many regions exist.
-        for stats in sweep.values():
-            assert stats["max_table_entries"] == OBJECTS_PER_REGION
-
-    bench_check(benchmark, check)
+def test_switch_state_independent_of_deployment_size(sweep):
+    # The hierarchical claim: per-switch state is the *regional*
+    # population no matter how many regions exist.
+    for stats in sweep.values():
+        assert stats["max_table_entries"] == OBJECTS_PER_REGION
 
 
-def test_total_objects_scale_with_regions(sweep, benchmark):
-    def check():
-        totals = [sweep[n]["total_objects"] for n in sorted(sweep)]
-        assert totals == sorted(totals)
-        assert totals[-1] == 5 * OBJECTS_PER_REGION
-
-    bench_check(benchmark, check)
+def test_total_objects_scale_with_regions(sweep):
+    totals = [sweep[n]["total_objects"] for n in sorted(sweep)]
+    assert totals == sorted(totals)
+    assert totals[-1] == 5 * OBJECTS_PER_REGION
 
 
-def test_local_accesses_never_pay_wan(sweep, benchmark):
-    def check():
-        for stats in sweep.values():
-            assert stats["local_mean_us"] < WAN_LATENCY_US / 10
-
-    bench_check(benchmark, check)
+def test_local_accesses_never_pay_wan(sweep):
+    for stats in sweep.values():
+        assert stats["local_mean_us"] < WAN_LATENCY_US / 10
 
 
-def test_remote_accesses_pay_exactly_the_gateway_trip(sweep, benchmark):
-    def check():
-        for stats in sweep.values():
-            # gateway->core->gateway is two WAN links each way.
-            assert stats["remote_mean_us"] > 4 * WAN_LATENCY_US
-            assert stats["remote_mean_us"] < 5 * WAN_LATENCY_US
-
-    bench_check(benchmark, check)
+def test_remote_accesses_pay_exactly_the_gateway_trip(sweep):
+    for stats in sweep.values():
+        # gateway->core->gateway is two WAN links each way.
+        assert stats["remote_mean_us"] > 4 * WAN_LATENCY_US
+        assert stats["remote_mean_us"] < 5 * WAN_LATENCY_US

@@ -246,7 +246,7 @@ def claims_commands(scratch):
     bench = str(scratch / "BENCH.json")
     repro = [sys.executable, "-m", "repro"]
     commands = [
-        PYTEST + ["benchmarks", "--ignore=benchmarks/perf", "--benchmark-disable"],
+        PYTEST + ["benchmarks", "--ignore=benchmarks/perf"],
         repro + ["bench", "--quick", "--json", bench],
         repro + ["bench", "compare",
                  "benchmarks/baselines/BENCH-quick-baseline.json", bench],

@@ -101,7 +101,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         print(f"self-check FAILED: {failures} check(s) failed")
         return 1
     print("all good — try `pytest tests/` and "
-          "`pytest benchmarks/ --benchmark-only` next")
+          "`pytest benchmarks/ --ignore=benchmarks/perf -s` next")
     return 0
 
 

@@ -1,47 +1,37 @@
 """Object discovery: how the network learns where objects live (§4).
 
-Three schemes — decentralized E2E (ARP-like destination caches filled
-by broadcast), SDN-controller-installed identity routes, and a sharded
-controller directory with requester-side TTL leases — plus the workload
-drivers that regenerate Figures 2 and 3 and the E18 sharding sweep.
+The protocols, one module per scheme, on the wire kinds of ``base``:
+decentralized E2E (ARP-like destination caches filled by broadcast,
+``e2e``), SDN-controller-installed identity routes (``controller``), a
+destination cache over those routes (``hybrid``), and a sharded
+controller directory with requester-side TTL leases (``sharded``).  In
+``workload``, the :class:`Testbed` that wires a scheme onto a network,
+and the drivers that regenerate Figures 2 and 3 and the E18 sweep.
 """
 
-from .base import (
-    ACCESS_BYTES,
-    KIND_ACCESS_NACK,
-    KIND_ACCESS_REQ,
-    KIND_ACCESS_RSP,
-    KIND_ADVERTISE,
-    KIND_ADVERTISE_ACK,
-    KIND_FIND,
-    KIND_FOUND,
-    KIND_LEASE_INVALIDATE,
-    KIND_RESOLVE_REQ,
-    KIND_RESOLVE_RSP,
-    AccessRecord,
-    DiscoveryError,
-    ObjectHome,
-    move_object,
+from .base import AccessRecord, DiscoveryError, ObjectHome, move_object
+from .controller import (
+    CONTROLLER_HOST,
+    DirectoryController,
+    IdentityAccessor,
+    SdnController,
+    advertise,
 )
-from .controller import DirectoryController, IdentityAccessor, SdnController, advertise
 from .e2e import E2EResolver
 from .hybrid import HybridAccessor
-from .sharded import (
-    SCHEME_SHARDED,
-    LeaseCachingResolver,
-    ShardAdvertiser,
-    ShardDirectory,
-    ShardedSweepResult,
-    ShardedTestbed,
-    ShardMap,
-    run_sharded_point,
-)
+from .sharded import LeaseCachingResolver, ShardAdvertiser, ShardDirectory, ShardMap
 from .workload import (
     SCHEME_CONTROLLER,
     SCHEME_E2E,
+    SCHEME_HYBRID,
+    SCHEME_SHARDED,
+    ShardedSweepResult,
     SweepPoint,
+    Testbed,
+    build_shard_star,
     run_fig2_point,
     run_fig3_point,
+    run_sharded_point,
 )
 
 __all__ = [
@@ -51,6 +41,7 @@ __all__ = [
     "move_object",
     "E2EResolver",
     "HybridAccessor",
+    "CONTROLLER_HOST",
     "DirectoryController",
     "SdnController",
     "IdentityAccessor",
@@ -59,24 +50,15 @@ __all__ = [
     "ShardDirectory",
     "ShardAdvertiser",
     "LeaseCachingResolver",
-    "ShardedTestbed",
-    "ShardedSweepResult",
-    "run_sharded_point",
+    "Testbed",
+    "build_shard_star",
     "SweepPoint",
+    "ShardedSweepResult",
     "run_fig2_point",
     "run_fig3_point",
+    "run_sharded_point",
     "SCHEME_E2E",
     "SCHEME_CONTROLLER",
+    "SCHEME_HYBRID",
     "SCHEME_SHARDED",
-    "ACCESS_BYTES",
-    "KIND_FIND",
-    "KIND_FOUND",
-    "KIND_ACCESS_REQ",
-    "KIND_ACCESS_RSP",
-    "KIND_ACCESS_NACK",
-    "KIND_ADVERTISE",
-    "KIND_ADVERTISE_ACK",
-    "KIND_RESOLVE_REQ",
-    "KIND_RESOLVE_RSP",
-    "KIND_LEASE_INVALIDATE",
 ]

@@ -13,8 +13,8 @@ Three pieces (the advertisement ingress itself lives in
   egress port toward the owner and installs an exact-match identity
   route (respecting switch table capacity — installs can fail when the
   table fills, the E12 scaling wall).
-* :class:`AdvertisingHome` helper — owner-side: advertise on creation
-  and on movement.
+* :func:`advertise` — owner-side: advertise on creation and on
+  movement (``Testbed.create_object`` and ``Testbed.move`` call it).
 * :class:`IdentityAccessor` — requester-side: accesses are a single
   identity-routed request (no host address; switches forward on the
   object ID) answered by a unicast reply: uniform 1 RTT, zero broadcast.
@@ -40,7 +40,12 @@ from .base import (
     DiscoveryError,
 )
 
-__all__ = ["DirectoryController", "SdnController", "IdentityAccessor", "advertise"]
+__all__ = ["CONTROLLER_HOST", "DirectoryController", "SdnController",
+           "IdentityAccessor", "advertise"]
+
+# The host an owner's advertisement goes to.  The topology builders in
+# ``repro.net`` spell it out, since ``net`` sits below ``discovery``.
+CONTROLLER_HOST = "controller"
 
 
 class DirectoryController:
@@ -117,14 +122,14 @@ class SdnController(DirectoryController):
 
 
 def advertise(host: Host, oid: ObjectID) -> None:
-    """Owner-side: tell the controller (the host named ``controller``)
-    this host holds ``oid``.
+    """Owner-side: tell the controller (the host named
+    :data:`CONTROLLER_HOST`) this host holds ``oid``.
 
     Called at object creation and again after movement (the §4 model:
     "hosts notify controllers about objects").
     """
     host.send(Packet(
-        kind=KIND_ADVERTISE, src=host.name, dst="controller", oid=oid,
+        kind=KIND_ADVERTISE, src=host.name, dst=CONTROLLER_HOST, oid=oid,
         payload={"owner": host.name}, payload_bytes=24,
     ))
 

@@ -25,25 +25,22 @@ and moves the hot path onto requester-side leases:
   Stale hits NACK-and-refresh exactly like E2E; shard crashes are
   absorbed by resolving against the successor shard.
 
-:func:`run_sharded_point` drives the whole plane (or an E2E baseline on
-the same fabric) under a Zipf-skewed access stream — the E18 workload.
+:class:`repro.discovery.workload.Testbed` wires these onto a fabric, and
+:func:`repro.discovery.workload.run_sharded_point` drives them (or an
+E2E baseline on the same fabric) under a Zipf-skewed access stream —
+the E18 workload.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.objectid import IDAllocator, ObjectID
-from ..core.space import ObjectSpace
+from ..core.objectid import ObjectID
 from ..obs.registry import MetricsRegistry
-from ..sim import Simulator, Timeout, Tracer, summarize
+from ..sim import Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
-from ..net.topology import Network
-from ..faults import FaultInjector, FaultPlan
-from ..loadgen.popularity import ZipfSampler
 from .base import (
     ACCESS_BYTES,
     KIND_ACCESS_NACK,
@@ -56,24 +53,15 @@ from .base import (
     KIND_RESOLVE_RSP,
     AccessRecord,
     DiscoveryError,
-    ObjectHome,
-    move_object,
 )
 from .controller import DirectoryController
-from .e2e import E2EResolver
 
 __all__ = [
     "ShardMap",
     "ShardDirectory",
     "ShardAdvertiser",
     "LeaseCachingResolver",
-    "ShardedTestbed",
-    "ShardedSweepResult",
-    "run_sharded_point",
-    "SCHEME_SHARDED",
 ]
-
-SCHEME_SHARDED = "sharded"
 
 
 class ShardMap:
@@ -382,209 +370,3 @@ class LeaseCachingResolver:
             kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
             payload={"offset": offset, "length": length}, payload_bytes=24,
         ), self.timeout_us))
-
-
-# ---------------------------------------------------------------------------
-# the E18 workload: Zipf-skewed accesses over the sharded plane
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedSweepResult:
-    """Aggregates of one sharded-discovery sweep point."""
-
-    scheme: str
-    n_shards: int
-    use_leases: bool
-    mean_rtt_us: float
-    p95_rtt_us: float
-    mean_round_trips: float
-    failures: int
-    lease_hits: int
-    lease_misses: int
-    lease_invalidated: int
-    shard_failovers: int
-    advertise_load: Dict[str, int]
-    counters: Dict[str, int]
-    records: List[AccessRecord] = field(repr=False, default_factory=list)
-
-
-class ShardedTestbed:
-    """A star fabric with a driver, responder homes, and shard hosts.
-
-    ``scheme`` picks the access plane: :data:`SCHEME_SHARDED` runs the
-    shard directories + lease resolver; ``"e2e"`` runs the broadcast
-    resolver on the identical topology and workload (the E18 baseline).
-    """
-
-    N_RESPONDERS = 2
-    OBJECT_SIZE = 1024
-    LATENCY_US = 5.0
-    RESOLVER_TIMEOUT_US = 2_000.0
-    RESOLVER_MAX_RETRIES = 6
-
-    def __init__(self, n_shards: int, seed: int, scheme: str = SCHEME_SHARDED,
-                 use_leases: bool = True, lease_ttl_us: float = 100_000.0,
-                 refresh_interval_us: Optional[float] = None):
-        if n_shards < 1:
-            raise DiscoveryError("need at least one shard")
-        if scheme not in (SCHEME_SHARDED, "e2e"):
-            raise DiscoveryError(f"unknown scheme {scheme!r}")
-        self.scheme = scheme
-        self.sim = Simulator(seed=seed)
-        self.net = Network(self.sim)
-        self.net.add_switch("s0")
-        self.responders = tuple(f"resp{i + 1}" for i in range(self.N_RESPONDERS))
-        self.shard_hosts = tuple(f"shard{i + 1}" for i in range(n_shards))
-        for name in ("driver",) + self.responders + self.shard_hosts:
-            self.net.add_host(name)
-            self.net.connect(name, "s0", latency_us=self.LATENCY_US)
-        self.shard_map = ShardMap(self.shard_hosts)
-        self.allocator = IDAllocator(seed=seed + 1)
-        self.homes: Dict[str, ObjectHome] = {}
-        self.advertisers: Dict[str, ShardAdvertiser] = {}
-        for name in self.responders:
-            home = ObjectHome(self.net.host(name),
-                              ObjectSpace(self.allocator, host_name=name))
-            self.homes[name] = home
-            self.net.metrics.register(f"discovery.home.{name}", home.tracer)
-        self.shards: Dict[str, ShardDirectory] = {}
-        driver = self.net.host("driver")
-        if scheme == SCHEME_SHARDED:
-            for name in self.shard_hosts:
-                self.shards[name] = ShardDirectory(
-                    self.net.host(name), lease_ttl_us=lease_ttl_us,
-                    metrics=self.net.metrics)
-            for name in self.responders:
-                self.advertisers[name] = ShardAdvertiser(
-                    self.net.host(name), self.shard_map,
-                    refresh_interval_us=refresh_interval_us,
-                    metrics=self.net.metrics)
-            self.accessor = LeaseCachingResolver(
-                driver, self.shard_map, timeout_us=self.RESOLVER_TIMEOUT_US,
-                max_retries=self.RESOLVER_MAX_RETRIES, use_leases=use_leases,
-                metrics=self.net.metrics)
-        else:
-            self.accessor = E2EResolver(driver, metrics=self.net.metrics)
-        self.location: Dict[ObjectID, str] = {}
-
-    # -- object lifecycle ---------------------------------------------------
-    def create_object(self, responder: str) -> ObjectID:
-        home = self.homes[responder]
-        obj = home.space.create_object(size=self.OBJECT_SIZE)
-        self.location[obj.oid] = responder
-        if self.scheme == SCHEME_SHARDED:
-            self.advertisers[responder].advertise(obj.oid)
-        return obj.oid
-
-    def move(self, oid: ObjectID) -> str:
-        """Migrate ``oid`` to the next responder; returns the new holder."""
-        src = self.location[oid]
-        dst = self.responders[
-            (self.responders.index(src) + 1) % len(self.responders)]
-        move_object(oid, self.homes[src], self.homes[dst])
-        self.location[oid] = dst
-        if self.scheme == SCHEME_SHARDED:
-            self.advertisers[src].withdraw(oid)
-            self.advertisers[dst].advertise(oid)
-        return dst
-
-    def settle(self, us: float = 2_000.0):
-        """Process: let control traffic (advertise/ack cycles) finish."""
-        yield Timeout(us)
-
-    def quiesce(self) -> None:
-        """Retire every advertisement monitor so the event heap drains."""
-        for advertiser in self.advertisers.values():
-            advertiser.stop()
-
-    def advertise_load(self) -> Dict[str, int]:
-        """Advertisements accepted per shard host."""
-        return {name: shard.tracer.counters.get("shard.advertised")
-                for name, shard in self.shards.items()}
-
-
-def run_sharded_point(
-    n_shards: int,
-    n_objects: int = 40,
-    n_accesses: int = 100,
-    percent_moved: int = 0,
-    gap_us: float = 0.0,
-    seed: int = 42,
-    scheme: str = SCHEME_SHARDED,
-    use_leases: bool = True,
-    lease_ttl_us: float = 100_000.0,
-    refresh_interval_us: Optional[float] = None,
-    shard_crash_window: Optional[Tuple[float, float]] = None,
-) -> ShardedSweepResult:
-    """One E18 sweep point: a Zipf-skewed access stream over the sharded
-    plane (or the E2E baseline on the same fabric).
-
-    ``shard_crash_window=(from_us, until_us)`` crashes the shard owning
-    the *hottest* object's directory entry for that interval via a
-    :class:`FaultPlan` — lease-covered accesses keep running at 1 RTT,
-    and misses fail over to the successor shard (counter-visible as
-    ``shard.failover``).  ``gap_us`` spaces accesses out so a stream can
-    span the window.
-    """
-    if not 0 <= percent_moved <= 100:
-        raise ValueError("percent_moved must be in [0, 100]")
-    bed = ShardedTestbed(
-        n_shards, seed=seed, scheme=scheme, use_leases=use_leases,
-        lease_ttl_us=lease_ttl_us, refresh_interval_us=refresh_interval_us)
-    rng = bed.sim.rng
-    pool = [bed.create_object(bed.responders[i % len(bed.responders)])
-            for i in range(n_objects)]
-    popularity = ZipfSampler(n_objects, 1.1)
-    if shard_crash_window is not None:
-        if bed.scheme != SCHEME_SHARDED:
-            raise DiscoveryError("shard crash windows need the sharded scheme")
-        victim = bed.shard_map.shard_of(pool[0])
-        FaultInjector(bed.net, FaultPlan().crash_window(
-            victim, *shard_crash_window)).arm()
-    records: List[AccessRecord] = []
-
-    def driver_proc():
-        yield from bed.settle()
-        for oid in pool:  # warm leases / destination caches (not measured)
-            yield bed.sim.spawn(bed.accessor.access(oid), name="warmup")
-        for _ in range(n_accesses):
-            oid = pool[popularity.sample(rng)]
-            if percent_moved and rng.random() < percent_moved / 100.0:
-                bed.move(oid)
-                yield from bed.settle(200.0)
-            record = yield bed.sim.spawn(bed.accessor.access(oid),
-                                         name="access")
-            records.append(record)
-            if gap_us > 0:
-                yield Timeout(gap_us)
-        bed.quiesce()
-        return None
-
-    bed.sim.run_process(driver_proc(), name="sharded-driver")
-    latencies = [r.latency_us for r in records if r.ok]
-    stats = summarize(latencies) if latencies else None
-    snapshot = bed.net.metrics.snapshot()["counters"]
-    lease = (bed.accessor.tracer.counters if bed.scheme == SCHEME_SHARDED
-             else None)
-    failovers = sum(adv.tracer.counters.get("shard.failover")
-                    for adv in bed.advertisers.values())
-    if lease is not None:
-        failovers += lease.get("shard.failover")
-    return ShardedSweepResult(
-        scheme=bed.scheme,
-        n_shards=n_shards,
-        use_leases=use_leases,
-        mean_rtt_us=stats.mean if stats else 0.0,
-        p95_rtt_us=stats.p95 if stats else 0.0,
-        mean_round_trips=(sum(r.round_trips for r in records)
-                          / max(len(records), 1)),
-        failures=sum(1 for r in records if not r.ok),
-        lease_hits=lease.get("lease.hit") if lease else 0,
-        lease_misses=lease.get("lease.miss") if lease else 0,
-        lease_invalidated=lease.get("lease.invalidated") if lease else 0,
-        shard_failovers=failovers,
-        advertise_load=bed.advertise_load(),
-        counters=dict(sorted(snapshot.items())),
-        records=records,
-    )

@@ -4,8 +4,8 @@ RPC systems must flatten structured arguments into bytes and rebuild
 them on the far side — the cost the paper's §2 pins at "as much as 70%
 of the processing time" for sparse-model serving.  This is a *real*
 serializer (tag-length-value over Python scalars, bytes, lists, dicts),
-not a stub: encode and decode genuinely walk the value, so the
-pytest-benchmark numbers for E4 measure actual work, while the
+not a stub: encode and decode genuinely walk the value, so E4's
+host-time comparison with an image parse measures actual work, while the
 :class:`SerializationClock` translates byte counts into simulated time
 using the shared cost model.
 

@@ -221,11 +221,17 @@ def test_cli_bench_compare_end_to_end(tmp_path, capsys):
 def test_committed_baseline_gates_a_fresh_quick_run(tmp_path, capsys):
     # The file CI's `bench compare` step names must be in the tree: an
     # ignore pattern kept it out of every commit before PR 14, so the
-    # gate could only exit 2.
+    # gate could only exit 2.  `bench compare` gates only a 10% fall in
+    # simulated rate, so a drifted counter would pass it: the fresh
+    # default-seed catalogue must equal the committed file byte for byte.
     baseline = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
                             "baselines", "BENCH-quick-baseline.json")
     fresh = tmp_path / "BENCH.json"
     assert main(["bench", "--quick", "--json", str(fresh)]) == 0
+    with open(baseline, "rb") as committed:
+        assert fresh.read_bytes() == committed.read(), (
+            "the quick catalogue moved: if the change means to move a "
+            "simulated value, run scripts/refresh_baseline.sh and say why")
     assert main(["bench", "compare", baseline, str(fresh)]) == 0
 
 

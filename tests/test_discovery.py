@@ -1,16 +1,19 @@
-"""Unit and integration tests for object discovery (E2E and controller)."""
+"""Unit and integration tests for object discovery (E2E and controller),
+and for the testbed that wires every scheme."""
 
 import pytest
 
-from repro.core import IDAllocator, ObjectSpace
+from repro.core import IDAllocator
 from repro.discovery import (
-    E2EResolver,
-    IdentityAccessor,
-    ObjectHome,
+    CONTROLLER_HOST,
     SCHEME_CONTROLLER,
     SCHEME_E2E,
-    SdnController,
+    SCHEME_HYBRID,
+    SCHEME_SHARDED,
+    DiscoveryError,
+    Testbed,
     advertise,
+    build_shard_star,
     move_object,
     run_fig2_point,
     run_fig3_point,
@@ -19,29 +22,17 @@ from repro.net import build_paper_topology
 from repro.sim import Simulator, Timeout
 
 
-def _e2e_bed(seed=1):
-    sim = Simulator(seed=seed)
-    net = build_paper_topology(sim)
-    allocator = IDAllocator(seed=seed + 1)
-    homes = {
-        name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
-        for name in ("resp1", "resp2")
-    }
-    resolver = E2EResolver(net.host("driver"))
-    return sim, net, homes, resolver
+def _e2e_bed(seed=1, **accessor):
+    net = build_paper_topology(Simulator(seed=seed))
+    bed = Testbed(SCHEME_E2E, net, 256, **accessor)
+    return bed.sim, bed.net, bed.homes, bed.accessor
 
 
-def _controller_bed(seed=1):
-    sim = Simulator(seed=seed)
-    net = build_paper_topology(sim, with_controller_host=True)
-    allocator = IDAllocator(seed=seed + 1)
-    homes = {
-        name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
-        for name in ("resp1", "resp2")
-    }
-    controller = SdnController(net, net.host("controller"))
-    accessor = IdentityAccessor(net.host("driver"))
-    return sim, net, homes, controller, accessor
+def _controller_bed(seed=1, **topology):
+    net = build_paper_topology(Simulator(seed=seed), with_controller_host=True,
+                               **topology)
+    bed = Testbed(SCHEME_CONTROLLER, net, 256)
+    return bed.sim, bed.net, bed.homes, bed.controller, bed.accessor
 
 
 class TestE2E:
@@ -139,9 +130,7 @@ class TestE2E:
         assert resolver.cache[obj.oid] == "resp2"
 
     def test_missing_object_fails_after_retries(self):
-        sim = Simulator(seed=3)
-        net = build_paper_topology(sim)
-        resolver = E2EResolver(net.host("driver"), timeout_us=500.0, max_retries=2)
+        sim, net, _, resolver = _e2e_bed(seed=3, timeout_us=500.0, max_retries=2)
         ghost = IDAllocator(seed=77).allocate()
 
         def proc():
@@ -247,13 +236,8 @@ class TestController:
         assert controller.owner_of[obj.oid] == "resp2"
 
     def test_table_capacity_limits_install(self):
-        sim = Simulator(seed=5)
-        net = build_paper_topology(sim, with_controller_host=True,
-                                   identity_capacity=2)
-        allocator = IDAllocator(seed=6)
-        home = ObjectHome(net.host("resp1"),
-                          ObjectSpace(allocator, host_name="resp1"))
-        controller = SdnController(net, net.host("controller"))
+        sim, net, homes, controller, _ = _controller_bed(seed=5, identity_capacity=2)
+        home = homes["resp1"]
 
         def proc():
             for _ in range(4):
@@ -285,28 +269,28 @@ class TestWorkloadSweeps:
         assert point.failures == 0
 
     def test_fig3_mean_rises_toward_two_rtt(self):
-        fresh = run_fig3_point(0, n_accesses=40)
-        stale = run_fig3_point(90, n_accesses=40)
+        fresh = run_fig3_point(0)
+        stale = run_fig3_point(90)
         assert stale.mean_rtt_us > 1.5 * fresh.mean_rtt_us
         assert stale.mean_round_trips > 1.7
 
     def test_fig3_variability_peaks_mid_sweep(self):
         # §4: "As staleness becomes overwhelming, the variability drops
         # again since nearly all accesses require 2 round trips."
-        low = run_fig3_point(0, n_accesses=60)
-        mid = run_fig3_point(50, n_accesses=60)
-        high = run_fig3_point(95, n_accesses=60)
+        low = run_fig3_point(0)
+        mid = run_fig3_point(50)
+        high = run_fig3_point(95)
         assert mid.stdev_rtt_us > low.stdev_rtt_us
         assert mid.stdev_rtt_us > high.stdev_rtt_us
 
     def test_fig3_forwarding_absorbs_staleness(self):
-        plain = run_fig3_point(60, n_accesses=40)
-        forwarded = run_fig3_point(60, n_accesses=40, use_forwarding_hints=True)
+        plain = run_fig3_point(60)
+        forwarded = run_fig3_point(60, use_forwarding_hints=True)
         assert forwarded.mean_rtt_us < plain.mean_rtt_us
         assert forwarded.broadcasts_per_100 == 0
 
     def test_fig3_controller_variant_stays_flat(self):
-        point = run_fig3_point(60, n_accesses=30, scheme=SCHEME_CONTROLLER)
+        point = run_fig3_point(60, scheme=SCHEME_CONTROLLER)
         assert point.failures == 0
         assert point.mean_round_trips == pytest.approx(1.0, abs=0.2)
 
@@ -329,13 +313,9 @@ class TestE2ERetryAccounting:
     per call site no matter how many resends happened)."""
 
     def test_round_trips_counted_per_attempt(self):
-        sim = Simulator(seed=31)
-        net = build_paper_topology(sim)
-        allocator = IDAllocator(seed=32)
-        home = ObjectHome(net.host("resp1"),
-                          ObjectSpace(allocator, host_name="resp1"))
-        resolver = E2EResolver(net.host("driver"), timeout_us=1_000.0,
-                               max_retries=3)
+        sim, net, homes, resolver = _e2e_bed(seed=31, timeout_us=1_000.0,
+                                             max_retries=3)
+        home = homes["resp1"]
         obj = home.space.create_object(size=256)
         # The responder is down for the first two find attempts and back
         # up for the third (attempts go out at t=0, 1000, 2000).
@@ -366,3 +346,52 @@ class TestE2ERetryAccounting:
         record = sim.run_process(proc())
         assert record.ok
         assert record.round_trips == 2
+
+
+def _testbed_network(scheme, with_controller):
+    sim = Simulator(seed=7)
+    if scheme != SCHEME_SHARDED:
+        return build_paper_topology(sim, with_controller_host=with_controller)
+    net = build_shard_star(sim, 2)
+    if with_controller:
+        net.add_host(CONTROLLER_HOST)
+        net.connect(CONTROLLER_HOST, "s0")
+    return net
+
+
+@pytest.mark.parametrize(
+    "scheme", [SCHEME_E2E, SCHEME_CONTROLLER, SCHEME_HYBRID, SCHEME_SHARDED])
+def test_testbed_wires_each_scheme(scheme):
+    """What `Testbed` builds: a controller exactly when the network has a
+    controller host; advertisement on create and move to whichever
+    directory exists (the shards under the sharded scheme, otherwise the
+    controller); and a sharded move retires the old holder's advertiser."""
+    for with_controller in (False, True):
+        bed = Testbed(scheme, _testbed_network(scheme, with_controller), 256,
+                      refresh_interval_us=500.0)
+        assert (bed.controller is not None) == with_controller
+        oid = bed.create_object("resp1")
+        old_holder = bed.net.host("resp1")
+        owners = []
+
+        def proc():
+            yield from bed.settle()
+            directory = (bed.shards[bed.shard_map.shard_of(oid)]
+                         if scheme == SCHEME_SHARDED else bed.controller)
+            owners.append(directory and directory.owner_of.get(oid))
+            assert bed.move(oid) == "resp2"
+            sent_at_move = old_holder.tracer.counters["host.tx"]
+            yield from bed.settle()
+            owners.append(directory and directory.owner_of.get(oid))
+            # Four refresh intervals later the old holder has sent nothing.
+            owners.append(old_holder.tracer.counters["host.tx"] - sent_at_move)
+            bed.quiesce()
+
+        bed.sim.run_process(proc())
+        if scheme == SCHEME_SHARDED or with_controller:
+            assert owners == ["resp1", "resp2", 0]
+        else:
+            assert owners == [None, None, 0]
+            assert old_holder.tracer.counters["host.tx"] == 0
+    with pytest.raises(DiscoveryError):
+        Testbed(scheme.upper(), _testbed_network(scheme, True), 256)

@@ -18,13 +18,17 @@ import pytest
 
 from repro.core import IDAllocator
 from repro.discovery import (
+    CONTROLLER_HOST,
+    SCHEME_E2E,
+    SCHEME_SHARDED,
     DiscoveryError,
     ShardDirectory,
     ShardMap,
+    Testbed,
     advertise,
+    build_shard_star,
     run_sharded_point,
 )
-from repro.discovery.sharded import ShardedTestbed
 from repro.net import build_star
 from repro.sim import Simulator, Timeout
 
@@ -88,8 +92,8 @@ class TestShardMap:
 
 
 def _bed(seed, n_shards=2, **kwargs):
-    bed = ShardedTestbed(n_shards, seed=seed, **kwargs)
-    return bed
+    net = build_shard_star(Simulator(seed=seed), n_shards)
+    return Testbed(SCHEME_SHARDED, net, 1024, **kwargs)
 
 
 def _settle_and_access(bed, oid, repeat=1):
@@ -191,9 +195,9 @@ class TestLeaseProtocol:
         # stores the entry and simply skips the ack.
         sim = Simulator(seed=_seed(16))
         net = build_star(sim, 1)
-        net.add_host("controller")  # where advertise() sends
-        net.connect("controller", "s0")
-        shard = ShardDirectory(net.host("controller"))
+        net.add_host(CONTROLLER_HOST)  # where advertise() sends
+        net.connect(CONTROLLER_HOST, "s0")
+        shard = ShardDirectory(net.host(CONTROLLER_HOST))
         oid = IDAllocator(seed=_seed(16)).allocate()
 
         def proc():
@@ -236,7 +240,7 @@ class TestShardFailover:
 
     def test_crash_window_requires_sharded_scheme(self):
         with pytest.raises(DiscoveryError):
-            run_sharded_point(2, n_accesses=5, seed=_seed(23), scheme="e2e",
+            run_sharded_point(2, n_accesses=5, seed=_seed(23), scheme=SCHEME_E2E,
                               shard_crash_window=(10.0, 20.0))
 
 

@@ -15,8 +15,8 @@ depend on a seed.
 
 import os
 
-from repro.core import IDAllocator, ObjectSpace
-from repro.discovery import E2EResolver, ObjectHome, move_object
+from repro.core import IDAllocator
+from repro.discovery import SCHEME_E2E, Testbed, move_object
 from repro.discovery.base import AccessRecord
 from repro.net import BROADCAST, Packet, build_paper_topology, build_star
 from repro.netsync import SwitchLockService, SwitchSequencer, SyncClient
@@ -179,16 +179,10 @@ class TestOneExchange:
         assert reply.size_bytes == 83
 
 
-def _e2e_bed(**resolver_kwargs):
-    sim = Simulator(seed=1 + SEED_OFFSET)
-    net = build_paper_topology(sim)
-    allocator = IDAllocator(seed=2 + SEED_OFFSET)
-    homes = {
-        name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
-        for name in ("resp1", "resp2")
-    }
-    resolver = E2EResolver(net.host("driver"), **resolver_kwargs)
-    return sim, net, homes, resolver
+def _e2e_bed(**accessor):
+    net = build_paper_topology(Simulator(seed=1 + SEED_OFFSET))
+    bed = Testbed(SCHEME_E2E, net, 256, **accessor)
+    return bed.sim, bed.net, bed.homes, bed.accessor
 
 
 class TestThroughTheProtocols:

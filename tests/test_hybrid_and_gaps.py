@@ -1,31 +1,16 @@
 """Unit tests for the hybrid accessor plus assorted less-travelled paths."""
 
 from repro.core import IDAllocator, ObjectSpace
-from repro.discovery import (
-    HybridAccessor,
-    ObjectHome,
-    SdnController,
-    advertise,
-    move_object,
-)
+from repro.discovery import SCHEME_HYBRID, ObjectHome, Testbed, advertise, move_object
 from repro.net import build_paper_topology
 from repro.sim import Simulator, Timeout
 
 
-def hybrid_bed(seed=101, identity_capacity=None):
-    sim = Simulator(seed=seed)
-    kwargs = {}
-    if identity_capacity is not None:
-        kwargs["identity_capacity"] = identity_capacity
-    net = build_paper_topology(sim, with_controller_host=True, **kwargs)
-    allocator = IDAllocator(seed=seed + 1)
-    homes = {
-        name: ObjectHome(net.host(name), ObjectSpace(allocator, host_name=name))
-        for name in ("resp1", "resp2")
-    }
-    controller = SdnController(net, net.host("controller"))
-    accessor = HybridAccessor(net.host("driver"))
-    return sim, net, homes, controller, accessor
+def hybrid_bed(seed=101, **topology):
+    net = build_paper_topology(Simulator(seed=seed), with_controller_host=True,
+                               **topology)
+    bed = Testbed(SCHEME_HYBRID, net, 256)
+    return bed.sim, bed.net, bed.homes, bed.controller, bed.accessor
 
 
 class TestHybridAccessor:

@@ -2,25 +2,29 @@
 
 import pytest
 
-from repro.core import IDAllocator, ObjectSpace
-from repro.discovery import IdentityAccessor, ObjectHome
+from repro.core import IDAllocator
+from repro.discovery import SCHEME_CONTROLLER, Testbed
 from repro.net import RegionDirectory, build_multi_region
 from repro.sim import Simulator
 
 WAN_LATENCY_US = 2_000.0  # build_multi_region's gateway-to-core links
 
 
-def make_overlay(seed=61, n_regions=2, hosts_per_region=2):
+def make_overlay(seed=61, n_regions=2, hosts_per_region=2, **accessor):
+    """An overlay with a home on every host and the accessor on
+    ``r0_h0``; the overlay's regional control plane installs the
+    identity routes (the network has no controller host)."""
     sim = Simulator(seed=seed)
     mr = build_multi_region(sim, n_regions=n_regions,
                             hosts_per_region=hosts_per_region)
-    allocator = IDAllocator(seed=seed + 1)
-    return sim, mr, allocator
+    holders = [name for hosts in mr.hosts_by_region.values() for name in hosts]
+    bed = Testbed(SCHEME_CONTROLLER, mr.network, 256, responders=holders,
+                  driver="r0_h0", **accessor)
+    return sim, mr, bed
 
 
-def place_object(mr, allocator, region, holder, size=256):
-    host = mr.network.host(holder)
-    home = ObjectHome(host, ObjectSpace(allocator, host_name=holder))
+def place_object(mr, bed, region, holder, size=256):
+    home = bed.homes[holder]
     obj = home.space.create_object(size=size)
     mr.register_local_object(obj.oid, region, holder)
     return home, obj
@@ -44,7 +48,7 @@ class TestRegionDirectory:
 
 class TestBuilder:
     def test_shape(self):
-        sim, mr, allocator = make_overlay(n_regions=3, hosts_per_region=2)
+        sim, mr, bed = make_overlay(n_regions=3, hosts_per_region=2)
         net = mr.network
         assert len(net.switches) == 4  # 3 racks + wan core
         assert len(mr.gateways) == 3
@@ -56,16 +60,16 @@ class TestBuilder:
             build_multi_region(sim, n_regions=1, hosts_per_region=2)
 
     def test_hosts_registered_in_directory(self):
-        sim, mr, allocator = make_overlay()
+        sim, mr, bed = make_overlay()
         assert mr.directory.region_of_host("r0_h0") == "r0"
         assert mr.directory.region_of_host("r1_gw") == "r1"
 
 
 class TestCrossRegionAccess:
     def test_intra_region_access_stays_local(self):
-        sim, mr, allocator = make_overlay()
-        home, obj = place_object(mr, allocator, "r0", "r0_h1")
-        accessor = IdentityAccessor(mr.network.host("r0_h0"))
+        sim, mr, bed = make_overlay()
+        home, obj = place_object(mr, bed, "r0", "r0_h1")
+        accessor = bed.accessor
 
         def proc():
             record = yield sim.spawn(accessor.access(obj.oid))
@@ -78,10 +82,10 @@ class TestCrossRegionAccess:
         assert gateway.tracer.counters["gateway.tunnelled"] == 0
 
     def test_cross_region_access_succeeds(self):
-        sim, mr, allocator = make_overlay()
-        home, obj = place_object(mr, allocator, "r1", "r1_h0")
+        sim, mr, bed = make_overlay()
+        home, obj = place_object(mr, bed, "r1", "r1_h0")
         obj.write(0, b"far")
-        accessor = IdentityAccessor(mr.network.host("r0_h0"))
+        accessor = bed.accessor
 
         def proc():
             record = yield sim.spawn(accessor.access(obj.oid))
@@ -95,9 +99,9 @@ class TestCrossRegionAccess:
         assert record.latency_us < 5 * WAN_LATENCY_US
 
     def test_both_gateways_participate(self):
-        sim, mr, allocator = make_overlay()
-        home, obj = place_object(mr, allocator, "r1", "r1_h0")
-        accessor = IdentityAccessor(mr.network.host("r0_h0"))
+        sim, mr, bed = make_overlay()
+        home, obj = place_object(mr, bed, "r1", "r1_h0")
+        accessor = bed.accessor
 
         def proc():
             yield sim.spawn(accessor.access(obj.oid))
@@ -112,14 +116,11 @@ class TestCrossRegionAccess:
     def test_switch_state_stays_regional(self):
         """The hierarchical-overlay scaling claim: each rack's identity
         table is bounded by its own region's objects."""
-        sim, mr, allocator = make_overlay(n_regions=3)
+        sim, mr, bed = make_overlay(n_regions=3)
         for region, count in (("r0", 3), ("r1", 5), ("r2", 2)):
             holder = f"{region}_h0"
-            host = mr.network.host(holder)
-            home = ObjectHome(host, ObjectSpace(allocator, host_name=holder))
             for _ in range(count):
-                obj = home.space.create_object(size=64)
-                mr.register_local_object(obj.oid, region, holder)
+                place_object(mr, bed, region, holder, size=64)
         net = mr.network
         assert len(net.switch("r0_sw").identity_table) == 3
         assert len(net.switch("r1_sw").identity_table) == 5
@@ -127,11 +128,11 @@ class TestCrossRegionAccess:
         assert len(net.switch("wan_core").identity_table) == 0
 
     def test_three_regions_any_to_any(self):
-        sim, mr, allocator = make_overlay(n_regions=3)
+        sim, mr, bed = make_overlay(n_regions=3)
         homes = {}
         for region in ("r1", "r2"):
-            homes[region] = place_object(mr, allocator, region, f"{region}_h0")
-        accessor = IdentityAccessor(mr.network.host("r0_h0"))
+            homes[region] = place_object(mr, bed, region, f"{region}_h0")
+        accessor = bed.accessor
 
         def proc():
             records = []
@@ -144,13 +145,10 @@ class TestCrossRegionAccess:
         assert all(r.ok for r in records)
 
     def test_unregistered_object_times_out(self):
-        sim, mr, allocator = make_overlay()
+        sim, mr, bed = make_overlay(timeout_us=1_000.0, max_retries=2)
         # Resident but never registered with the overlay control plane.
-        host = mr.network.host("r1_h0")
-        home = ObjectHome(host, ObjectSpace(allocator, host_name="r1_h0"))
-        obj = home.space.create_object(size=64)
-        accessor = IdentityAccessor(mr.network.host("r0_h0"),
-                                    timeout_us=1_000.0, max_retries=2)
+        obj = bed.homes["r1_h0"].space.create_object(size=64)
+        accessor = bed.accessor
 
         def proc():
             record = yield sim.spawn(accessor.access(obj.oid))
@@ -163,9 +161,9 @@ class TestCrossRegionAccess:
     def test_repeat_access_same_cost(self):
         # Identity routing is stateless at the client: the overlay path
         # costs the same every time (no destination caching layer here).
-        sim, mr, allocator = make_overlay()
-        home, obj = place_object(mr, allocator, "r1", "r1_h0")
-        accessor = IdentityAccessor(mr.network.host("r0_h0"))
+        sim, mr, bed = make_overlay()
+        home, obj = place_object(mr, bed, "r1", "r1_h0")
+        accessor = bed.accessor
 
         def proc():
             first = yield sim.spawn(accessor.access(obj.oid))
