@@ -11,7 +11,7 @@ finds every ID it installed.
 
 import pytest
 
-from repro.core import IDAllocator
+from repro.core import IDAllocator, collision_probability
 from repro.net import MatchActionTable, SramModel, TOFINO_SRAM
 
 from conftest import print_table
@@ -38,6 +38,20 @@ def test_paper_numbers_128_bit():
 def test_half_width_doubles_capacity_roughly():
     ratio = TOFINO_SRAM.capacity(64) / TOFINO_SRAM.capacity(128)
     assert 1.8 < ratio < 2.4
+
+
+def test_narrow_ids_would_need_an_arbiter():
+    """Why not spend 64-bit IDs for the doubled table: §3.1 allocates
+    IDs by secure random numbers with no central arbiter, which is safe
+    only while collisions are negligible.  At a billion objects random
+    64-bit IDs collide with probability ~2.7%; 128-bit ones ~1.5e-21."""
+    objects = 10**9
+    narrow = collision_probability(objects, bits=64)
+    wide = collision_probability(objects, bits=128)
+    print(f"\nP(collision) among {objects:.0e} random IDs: "
+          f"64-bit {narrow:.3g}, 128-bit {wide:.3g}")
+    assert 0.02 < narrow < 0.04
+    assert wide < 1e-20
 
 
 def test_hierarchical_overlay_extends_reach():

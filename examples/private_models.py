@@ -43,7 +43,7 @@ def main():
 
     model = runtime.create_object(dana, size=4096, label="dana-private-model")
     model.write(0, bytes(range(256)) * 16)
-    runtime.protect(model.oid, owner=dana, readers=set())  # local-only
+    acl = runtime.protect(model.oid, owner=dana, readers=set())  # local-only
     print(f"Dana's model: {model.oid.short()}..., ACL: readable only on "
           f"device {dana!r}")
 
@@ -96,6 +96,30 @@ def main():
 
     print(f"3. forcing execution on a host holding a stolen replica: "
           f"{sim.run_process(try_local_snoop())}")
+    # 4. Nor may the cloud write through the reference: the store goes
+    #    to the model's home, Dana's device, which refuses it.
+    def try_tamper():
+        try:
+            yield sim.spawn(runtime.node(analytics).store(model.oid, 0, b"x"))
+        except RuntimeError_:
+            return "denied"
+
+    print(f"4. analytics tries to write Dana's model: "
+          f"{sim.run_process(try_tamper())}")
+    assert not acl.can_write(analytics)
+
+    # 5. Dana shares the model with the analytics cloud: one more reader,
+    #    and the read that step 1 refused now returns the bytes.
+    shared = acl.with_reader(analytics)
+    runtime.protect(model.oid, owner=dana, readers=shared.readers)
+
+    def read_shared():
+        data = yield sim.spawn(runtime.node(analytics).remote_read(
+            model.oid, 0, 64))
+        return data
+
+    print(f"5. after Dana adds {analytics!r} as a reader, its direct read "
+          f"returns {len(sim.run_process(read_shared()))} bytes")
     wire_denials = sum(
         node.tracer.counters["node.read_denied"]
         + node.tracer.counters["node.fetch_denied"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from .objects import KIND_CODE, MemObject, ObjectError
+from .objects import KIND_CODE, MemObject
 from .refs import GlobalRef
 from .space import ObjectSpace
 
@@ -70,10 +70,6 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
-    def names(self) -> list:
-        """Sorted registered names."""
-        return sorted(self._functions.keys())
-
 
 def write_code_object(
     space: ObjectSpace,
@@ -106,14 +102,20 @@ def read_code_entry(obj: MemObject) -> tuple:
     """Decode (entry_name, text_size) from a code object's payload."""
     if obj.kind != KIND_CODE:
         raise CodeError(f"object {obj.oid.short()} is not a code object")
+    # The header parsed in place from the object's bytes (a code object
+    # is its header padded to the text size).
+    raw = obj.data
+    name_end = _NAME_LEN_BYTES + int.from_bytes(raw[:_NAME_LEN_BYTES], "big")
+    if len(raw) < name_end + _TEXT_SIZE_BYTES:
+        raise CodeError(f"malformed code object {obj.oid.short()}: "
+                        f"{len(raw)} bytes hold no {name_end}-byte name "
+                        f"and text size")
     try:
-        name_len = int.from_bytes(obj.read(0, _NAME_LEN_BYTES), "big")
-        name = obj.read(_NAME_LEN_BYTES, name_len).decode("utf-8")
-        text_size = int.from_bytes(
-            obj.read(_NAME_LEN_BYTES + name_len, _TEXT_SIZE_BYTES), "big"
-        )
-    except (ObjectError, UnicodeDecodeError) as exc:
+        name = raw[_NAME_LEN_BYTES:name_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise CodeError(f"malformed code object {obj.oid.short()}: {exc}") from exc
+    text_size = int.from_bytes(
+        raw[name_end:name_end + _TEXT_SIZE_BYTES], "big")
     return name, text_size
 
 

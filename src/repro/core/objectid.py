@@ -26,42 +26,42 @@ ID_BITS = 128
 _ID_MASK = (1 << ID_BITS) - 1
 
 
-class ObjectID:
+class ObjectID(int):
     """An immutable 128-bit object identifier.
 
     IDs are value objects: hashable, totally ordered, and rendered as
     32-hex-digit strings.  The zero ID is reserved as the null reference
     (:data:`NULL_ID`).
+
+    An ID is an ``int`` with no instance state: it hashes as its value
+    does, and orders by it, in C, so the lookups keyed by oids in every
+    cache, directory and location table cost no Python call.  Equality
+    stays between IDs only (``ObjectID(7) != 7``); an ID does order
+    against a plain ``int``.  Every ID is true, the null one included.
     """
 
-    __slots__ = ("_value", "_hash")
+    __slots__ = ()
 
-    def __init__(self, value: int):
+    def __new__(cls, value: int) -> "ObjectID":
         if not isinstance(value, int):
             raise TypeError(f"ObjectID value must be int, got {type(value).__name__}")
         if not 0 <= value <= _ID_MASK:
             raise ValueError(f"ObjectID out of 128-bit range: {value:#x}")
-        object.__setattr__(self, "_value", value)
-        # IDs key every cache, directory and location table: hash the
-        # 128-bit int once, not on every lookup.
-        object.__setattr__(self, "_hash", hash(value))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ObjectID is immutable")
+        return int.__new__(cls, value)
 
     @property
     def value(self) -> int:
         """The current value."""
-        return self._value
+        return int(self)
 
     @property
     def is_null(self) -> bool:
         """True for the null reference/pointer."""
-        return self._value == 0
+        return int(self) == 0
 
     def to_bytes(self) -> bytes:
         """Big-endian 16-byte wire encoding."""
-        return self._value.to_bytes(16, "big")
+        return int.to_bytes(self, 16, "big")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ObjectID":
@@ -77,24 +77,24 @@ class ObjectID:
 
     def short(self) -> str:
         """First 8 hex digits — human-friendly label for traces."""
-        return f"{self._value:032x}"[:8]
+        return f"{self:032x}"[:8]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ObjectID) and other._value == self._value
+        return isinstance(other, ObjectID) and int.__eq__(self, other)
 
-    def __lt__(self, other: "ObjectID") -> bool:
-        if not isinstance(other, ObjectID):
-            return NotImplemented
-        return self._value < other._value
+    def __ne__(self, other: object) -> bool:
+        return not (isinstance(other, ObjectID) and int.__eq__(self, other))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = int.__hash__
+
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:
-        return f"ObjectID({self._value:#034x})"
+        return f"ObjectID({self:#034x})"
 
     def __str__(self) -> str:
-        return f"{self._value:032x}"
+        return f"{self:032x}"
 
 
 NULL_ID = ObjectID(0)

@@ -130,7 +130,15 @@ class PolicyRegistry:
         acl = self._acls.get(oid)
         return acl is None or acl.can_read(principal)
 
-    def readable_nodes(self, oid: ObjectID, candidates: Iterable[str]) -> Set[str]:
-        """Filter a candidate node set down to those allowed to read —
-        the placement constraint confidentiality imposes."""
-        return {name for name in candidates if self.allows_read(oid, name)}
+    def readable_nodes(self, oids: Iterable[ObjectID],
+                       candidates: Iterable[str]) -> Set[str]:
+        """Filter a candidate node set down to those allowed to read
+        every object of ``oids`` — the placement constraint
+        confidentiality imposes.  One ACL lookup per object, whatever
+        the number of candidates."""
+        names = set(candidates)
+        for oid in oids:
+            acl = self._acls.get(oid)
+            if acl is not None:
+                names = {name for name in names if acl.can_read(name)}
+        return names

@@ -69,7 +69,7 @@ class Testbed:
     * under :data:`SCHEME_SHARDED`, a :class:`ShardDirectory` on every
       ``shard*`` host and a :class:`ShardAdvertiser` on each responder;
     * the scheme's accessor on the driver host, given ``timeout_us`` and
-      ``max_retries`` (the hybrid accessor's are class constants).
+      ``max_retries``.
 
     :meth:`create_object` and :meth:`move` advertise to whichever
     directory exists.  An object nobody should advertise is created on
@@ -123,7 +123,11 @@ class Testbed:
             self.accessor = IdentityAccessor(host, timeout_us=timeout_us,
                                              max_retries=max_retries)
         elif scheme == SCHEME_HYBRID:
+            # The hybrid keeps its budget as class constants; the given
+            # one is set on the instance.
             self.accessor = HybridAccessor(host)
+            self.accessor.TIMEOUT_US = timeout_us
+            self.accessor.MAX_RETRIES = max_retries
         else:
             self.accessor = E2EResolver(host, timeout_us=timeout_us,
                                         max_retries=max_retries, metrics=net.metrics)

@@ -401,16 +401,25 @@ class LoadGenerator:
                 ref: Optional[GlobalRef], rank: int):
         """Process: one operation, timed arrival-to-completion."""
         start = self.sim.now
+        spec = state.spec
         try:
+            # A load, store or invoke runs the runtime's own generator
+            # here, with no frame of the generator's between.
             if op == "load":
-                yield from self._do_load(state, ref)
+                yield from self.runtime.node(spec.client).load(
+                    ref.oid, 0, min(spec.read_bytes, self.object_bytes))
             elif op == "store":
-                yield from self._do_store(state, ref)
+                yield from self.runtime.node(spec.client).store(
+                    ref.oid, 0, bytes(min(spec.write_bytes, self.object_bytes)))
             elif op == "publish":
                 yield from self._do_publish(state, rank)
             else:
-                yield from self._do_invoke(state, ref, proxied=(
-                    op == "proxied_invoke"))
+                yield from self.runtime.invoke(
+                    spec.client, state.code_ref, data_refs={"blob": ref},
+                    values={"nbytes": min(spec.read_bytes, self.object_bytes)},
+                    flops=spec.flops, result_bytes=32,
+                    mode=(MODE_PROXIED if op == "proxied_invoke"
+                          else MODE_EAGER))
         except Exception:
             # Saturation pushes latencies past retry deadlines; a failed
             # op is an outcome to count, not a generator crash.
@@ -424,30 +433,12 @@ class LoadGenerator:
         finally:
             state.inflight -= 1
 
-    def _do_load(self, state: _TenantState, ref: GlobalRef):
-        node = self.runtime.node(state.spec.client)
-        nbytes = min(state.spec.read_bytes, self.object_bytes)
-        yield from node.load(ref.oid, 0, nbytes)
-
-    def _do_store(self, state: _TenantState, ref: GlobalRef):
-        node = self.runtime.node(state.spec.client)
-        nbytes = min(state.spec.write_bytes, self.object_bytes)
-        yield from node.store(ref.oid, 0, bytes(nbytes))
-
     def _do_publish(self, state: _TenantState, rank: int):
         """One event onto the tenant's topic, paced by consumer credit."""
         fields = {_PUBLISH_FIELD: rank % state.field_mod}
         self.bus.publish(state.spec.client, state.topic, fields,
                          bytes(_PUBLISH_BYTES))
         yield Timeout(0.0)
-
-    def _do_invoke(self, state: _TenantState, ref: GlobalRef, proxied: bool):
-        nbytes = min(state.spec.read_bytes, self.object_bytes)
-        yield from self.runtime.invoke(
-            state.spec.client, state.code_ref,
-            data_refs={"blob": ref}, values={"nbytes": nbytes},
-            flops=state.spec.flops, result_bytes=32,
-            mode=MODE_PROXIED if proxied else MODE_EAGER)
 
     # -- reporting ------------------------------------------------------------
     def _settle(self) -> None:

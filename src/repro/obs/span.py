@@ -45,23 +45,24 @@ KEEP_RECENT = 256
 #: Finished traces kept because their roots are among the slowest so far.
 KEEP_SLOWEST = 32
 
+_new_span = object.__new__
+
 
 class Span:
     """One named interval of simulated time, with a parent link and tags.
 
-    ``end_us`` is ``None`` until :meth:`finish` is called; an unfinished
-    span usually means the operation it covered failed mid-flight (the
-    root span's ``error`` tag says how).
+    ``end_us`` is ``None`` until :meth:`SpanRecorder.finish` closes it;
+    an unfinished span usually means the operation it covered failed
+    mid-flight (the root span's ``error`` tag says how).
     """
 
     __slots__ = ("span_id", "name", "trace_id", "start_us", "end_us",
-                 "parent_id", "node", "tags", "_recorder")
+                 "parent_id", "node", "tags")
 
     def __init__(self, span_id: int, name: str, trace_id: int,
                  start_us: float, end_us: Optional[float] = None,
                  parent_id: Optional[int] = None, node: str = "",
-                 tags: Optional[Dict[str, Any]] = None,
-                 _recorder: Optional["SpanRecorder"] = None):
+                 tags: Optional[Dict[str, Any]] = None):
         self.span_id = span_id
         self.name = name
         self.trace_id = trace_id
@@ -70,7 +71,6 @@ class Span:
         self.parent_id = parent_id
         self.node = node
         self.tags = {} if tags is None else tags
-        self._recorder = _recorder
 
     @property
     def finished(self) -> bool:
@@ -83,13 +83,6 @@ class Span:
         if self.end_us is None:
             raise ValueError(f"span {self.name!r} (#{self.span_id}) is not finished")
         return self.end_us - self.start_us
-
-    def finish(self, **tags: Any) -> "Span":
-        """Stamp the end time from the recorder's clock; merge ``tags``."""
-        if self._recorder is None:
-            raise ValueError(f"span {self.name!r} is not bound to a recorder")
-        self._recorder.finish(self, **tags)
-        return self
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict snapshot (what the JSONL exporter writes)."""
@@ -132,6 +125,12 @@ class SpanRecorder:
         self._n_retired = 0
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
+        # Lookups by id are the index's own methods, with no Python frame
+        # (ids cross hosts in packet payloads, so every remote phase
+        # looks spans up).  ``get(span_id)`` raises ``KeyError`` if the
+        # span is unknown or dropped; ``find(span_id)`` returns ``None``.
+        self.get = self._by_id.__getitem__
+        self.find = self._by_id.get
 
     # -- recording -----------------------------------------------------------
     def start(self, name: str, *, parent: Optional[Union[Span, int]] = None,
@@ -154,15 +153,43 @@ class SpanRecorder:
             parent_id = parent.span_id
             if trace_id is None:
                 trace_id = parent.trace_id
-        span = Span(next(self._span_ids), name, trace_id, self.sim.now,
-                    None, parent_id, node, tags, self)
+        # Built without a call to Span.__init__ (here and in point): a
+        # traced invocation makes seven spans.
+        span = _new_span(Span)
+        span.span_id = span_id = next(self._span_ids)
+        span.name = name
+        span.trace_id = trace_id
+        span.start_us = self.sim.now
+        span.end_us = None
+        span.parent_id = parent_id
+        span.node = node
+        span.tags = tags
         trace = self._traces.get(trace_id)
         if trace is None:
             if parent_id is not None:
                 return span
             trace = self._traces[trace_id] = []
         trace.append(span)
-        self._by_id[span.span_id] = span
+        self._by_id[span_id] = span
+        return span
+
+    def point(self, name: str, parent: Span, node: str,
+              tags: Dict[str, Any]) -> Span:
+        """A zero-width child of ``parent`` at the current instant: what
+        ``start(name, parent=parent, node=node)`` and then ``finish``
+        with ``tags`` record, in one call."""
+        span = _new_span(Span)
+        span.span_id = span_id = next(self._span_ids)
+        span.name = name
+        span.trace_id = trace_id = parent.trace_id
+        span.start_us = span.end_us = self.sim.now
+        span.parent_id = parent.span_id
+        span.node = node
+        span.tags = tags
+        trace = self._traces.get(trace_id)
+        if trace is not None:
+            trace.append(span)
+            self._by_id[span_id] = span
         return span
 
     def finish(self, span: Span, **tags: Any) -> Span:
@@ -178,10 +205,6 @@ class SpanRecorder:
             if trace is not None and trace[0] is span:
                 self._retire(span)
         return span
-
-    def finish_id(self, span_id: int, **tags: Any) -> Span:
-        """Close the span with id ``span_id`` (cross-host completion)."""
-        return self.finish(self.get(span_id), **tags)
 
     def _retire(self, root: Span) -> None:
         """``root`` just finished: its trace joins the recent window and,
@@ -210,14 +233,6 @@ class SpanRecorder:
             del self._by_id[span.span_id]
 
     # -- lookup --------------------------------------------------------------
-    def get(self, span_id: int) -> Span:
-        """Span by id; raises ``KeyError`` if unknown or dropped."""
-        return self._by_id[span_id]
-
-    def find(self, span_id: Optional[int]) -> Optional[Span]:
-        """Span by id, or ``None`` if unknown or dropped."""
-        return self._by_id.get(span_id)
-
     def spans(self, trace_id: Optional[int] = None) -> List[Span]:
         """Retained spans (a copy), optionally restricted to one trace, in
         start order (creation order == simulator event order)."""

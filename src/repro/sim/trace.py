@@ -126,14 +126,11 @@ class Counter:
 
 class SampleSeries:
     """A named collection of float samples, each key's held as raw
-    doubles in an ``array('d')``: 8 bytes a sample."""
+    doubles in an ``array('d')``: 8 bytes a sample.  :meth:`Tracer.sample`
+    appends to it."""
 
     def __init__(self) -> None:
         self._samples: Dict[str, array] = defaultdict(lambda: array("d"))
-
-    def record(self, key: str, value: float) -> None:
-        """Append one sample (stored as a float)."""
-        self._samples[key].append(value)
 
     def samples(self, key: str) -> List[float]:
         """Recorded samples for ``key`` (a new list)."""
@@ -174,8 +171,9 @@ class Tracer:
         self.counters._cells[key][0] += amount
 
     def sample(self, key: str, value: float) -> None:
-        """Record one sample under ``key``."""
-        self.series.record(key, value)
+        """Record one sample under ``key``, stored as a float in its
+        series (written in place: one call deep, like :meth:`count`)."""
+        self.series._samples[key].append(value)
 
     def event(self, category: str) -> None:
         """Count one occurrence of the ``category`` event, as

@@ -50,8 +50,8 @@ class TestFunctionRegistry:
         registry = FunctionRegistry()
         registry.register("b", lambda: 1)
         registry.register("a", lambda: 2)
-        assert "a" in registry
-        assert registry.names() == ["a", "b"]
+        assert "a" in registry and "b" in registry
+        assert "c" not in registry
 
 
 class TestCodeObjects:

@@ -154,6 +154,19 @@ class TestE2E:
         assert record.ok
 
 
+def test_hybrid_testbed_takes_the_given_budget():
+    """An access nobody answers (identity-routed, flooded, and silently
+    dropped by every home that lacks the object) gives up after the
+    testbed's budget, 2 x 2 ms, not the accessor's 3 x 50 ms."""
+    bed = Testbed(SCHEME_HYBRID, build_paper_topology(Simulator(seed=1)), 256,
+                  timeout_us=2_000.0, max_retries=2)
+    ghost = IDAllocator(seed=77).allocate()
+    record = bed.sim.run_process(bed.accessor.access(ghost))
+    assert not record.ok
+    assert record.round_trips == 2
+    assert record.end_us - record.start_us == 4_000.0
+
+
 class TestController:
     def test_uniform_one_round_trip(self):
         sim, net, homes, controller, accessor = _controller_bed()

@@ -66,7 +66,7 @@ class TestSpans:
         root = rec.start("invoke", node="n0")
         # Span ids travel in payloads; a child can be opened/closed by id.
         child = rec.start("return", parent=root.span_id, node="n1")
-        rec.finish_id(child.span_id, ok=True)
+        rec.finish(rec.get(child.span_id), ok=True)
         assert child.parent_id == root.span_id
         assert child.trace_id == root.trace_id
         assert child.finished and child.tags["ok"] is True
@@ -399,7 +399,7 @@ class TestRetention:
         assert rec.spans(first.trace_id) == []
         before = len(rec)
         late = rec.start("return", parent=first)
-        late.finish()
+        rec.finish(late)
         assert len(rec) == before and rec.find(late.span_id) is None
 
 

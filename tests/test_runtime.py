@@ -52,7 +52,6 @@ class TestClusterSetup:
         sim, net, registry, runtime = make_cluster()
         obj = runtime.create_object("n1", size=1024)
         assert runtime.holders(obj.oid) == {"n1"}
-        assert runtime.object_size(obj.oid) == obj.wire_size
 
     def test_create_code_requires_registered_entry(self):
         sim, net, registry, runtime = make_cluster()
@@ -64,8 +63,6 @@ class TestClusterSetup:
         ghost = IDAllocator(seed=9).allocate()
         with pytest.raises(RuntimeError_):
             runtime.holders(ghost)
-        with pytest.raises(RuntimeError_):
-            runtime.object_size(ghost)
         with pytest.raises(RuntimeError_):
             runtime.home(ghost)
 
@@ -208,6 +205,31 @@ class TestInvocation:
         result = sim.run_process(proc())
         assert result.value == "n2"
         assert result.executed_at == "n2"
+
+    def test_a_topology_change_reaches_a_memoized_placement(self):
+        """Placement memoizes every term but the queue; a new link makes
+        the next decision of the same shape price the new distances."""
+        sim, net, registry, runtime = make_cluster(n=3)
+
+        @registry.register("noop")
+        def noop(ctx, args):
+            return None
+
+        _, code_ref = runtime.create_code("n0", "noop", text_size=512)
+
+        def decide():
+            blob = runtime.create_object("n1", size=4096)
+            result = sim.run_process(runtime.invoke(
+                "n0", code_ref,
+                data_refs={"blob": GlobalRef(blob.oid, 0, "read")}))
+            return result.decision.considered
+
+        before = decide()
+        assert decide() == before
+        net.connect("n0", "n1", latency_us=0.1)  # n0 - n1 now one hop
+        after = decide()
+        assert after != before
+        assert after == decide()
 
     def test_code_object_staged_at_executor(self):
         sim, net, registry, runtime = make_cluster()

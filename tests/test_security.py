@@ -77,8 +77,11 @@ class TestPolicyRegistry:
         policies = PolicyRegistry()
         policies.protect(oid_of(1), "alice", readers={"bob"})
         nodes = {"alice", "bob", "carol"}
-        assert policies.readable_nodes(oid_of(1), nodes) == {"alice", "bob"}
-        assert policies.readable_nodes(oid_of(2), nodes) == nodes  # unprotected
+        assert policies.readable_nodes([oid_of(1)], nodes) == {"alice", "bob"}
+        assert policies.readable_nodes([oid_of(2)], nodes) == nodes  # unprotected
+        policies.protect(oid_of(3), "carol", readers={"alice"})
+        assert policies.readable_nodes(
+            [oid_of(1), oid_of(2), oid_of(3)], nodes) == {"alice"}
 
     def test_reprotect_replaces(self):
         policies = PolicyRegistry()

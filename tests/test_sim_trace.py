@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, SampleSeries, Tracer, percentile, summarize
+from repro.sim import Counter, Tracer, percentile, summarize
 from repro.sim.trace import nearest_rank
 
 
@@ -80,36 +80,41 @@ class TestCounter:
 
 class TestSampleSeries:
     def test_record_and_summary(self):
-        series = SampleSeries()
+        tracer = Tracer()
+        series = tracer.series
         for value in (1.0, 2.0, 3.0):
-            series.record("lat", value)
+            tracer.sample("lat", value)
         assert summarize(series.samples("lat")).mean == pytest.approx(2.0)
 
     def test_keys_sorted(self):
-        series = SampleSeries()
-        series.record("b", 1.0)
-        series.record("a", 1.0)
+        tracer = Tracer()
+        series = tracer.series
+        tracer.sample("b", 1.0)
+        tracer.sample("a", 1.0)
         assert series.keys() == ["a", "b"]
 
     def test_samples_returns_copy(self):
-        series = SampleSeries()
-        series.record("x", 1.0)
+        tracer = Tracer()
+        series = tracer.series
+        tracer.sample("x", 1.0)
         series.samples("x").append(99.0)
         assert series.samples("x") == [1.0]
 
     def test_values_round_trip_exactly_in_order(self):
         values = [0.1, 1e-300, 123456.789012345, 2.0 ** 60 + 0.5, 0.0, 7.25]
-        series = SampleSeries()
+        tracer = Tracer()
+        series = tracer.series
         for value in values:
-            series.record("lat", value)
+            tracer.sample("lat", value)
         out = series.samples("lat")
         assert out == values and type(out) is list
         assert out is not series.samples("lat")
         assert series.samples("missing") == []
 
     def test_an_int_sample_comes_back_as_a_float(self):
-        series = SampleSeries()
-        series.record("n", 3)
+        tracer = Tracer()
+        series = tracer.series
+        tracer.sample("n", 3)
         (value,) = series.samples("n")
         assert value == 3.0 and type(value) is float
 
