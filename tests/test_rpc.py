@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import IDAllocator
+from repro.core import IDAllocator, ObjectID
 from repro.net import build_star
 from repro.rpc import (
     RefRpcClient,
@@ -52,6 +52,16 @@ class TestSerializer:
     def test_unsupported_type(self):
         with pytest.raises(SerializeError):
             encode(object())
+
+    @pytest.mark.parametrize("value", [
+        ObjectID(5), {"k": ObjectID(5)}, [1, ObjectID(5)]])
+    def test_object_id_is_not_a_wire_int(self, value):
+        # An ObjectID is an int subclass, but it would come back a plain
+        # int, which compares unequal to it.
+        with pytest.raises(SerializeError, match="unsupported type: ObjectID"):
+            encode(value)
+        with pytest.raises(SerializeError, match="unsupported type: ObjectID"):
+            encoded_size(value)
 
     def test_non_string_dict_key(self):
         with pytest.raises(SerializeError):
