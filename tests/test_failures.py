@@ -11,7 +11,13 @@ job): every seed below is shifted by that offset.
 
 import os
 
-from repro.core import FunctionRegistry, GlobalRef, IDAllocator, ObjectSpace
+from repro.core import (
+    FunctionRegistry,
+    GlobalRef,
+    IDAllocator,
+    ObjectSpace,
+    PlacementEngine,
+)
 from repro.discovery import E2EResolver, ObjectHome
 from repro.loadgen import LoadGenerator, TenantSpec
 from repro.net import build_paper_topology, build_star
@@ -280,6 +286,42 @@ class TestRuntimeFailover:
         assert type(exc) is InvokeTimeout
         assert "after 2 attempt(s)" in str(exc)
         assert sorted(ran_on) == ["n2", "n3"]
+
+    def test_a_retry_is_placed_on_the_topology_after_its_backoff(self):
+        # n2 is down, so the first attempt times out at 5 ms.  During
+        # the backoff (at least 900 us) a direct n1 - n3 link makes the
+        # blob one hop from n3: the retry must price n3 on it, not on
+        # the memoized terms of the first attempt.
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("noop")
+        def noop(ctx, args):
+            return None
+
+        blob = runtime.create_object("n1", size=1 << 20)
+        _, code_ref = runtime.create_code("n0", "noop", text_size=128)
+        net.host("n2").fail()
+        decide = runtime.placement.decide
+        decided = []
+
+        def recording(request, candidates, distance):
+            decision = decide(request, candidates, distance)
+            decided.append((request, candidates, decision))
+            return decision
+
+        runtime.placement.decide = recording
+        sim.schedule(5_500.0, net.connect, "n1", "n3", None, 0.1)
+        result = sim.run_process(runtime.invoke(
+            "n0", code_ref,
+            data_refs={"blob": GlobalRef(blob.oid, 0, "read")},
+            candidates=["n2", "n3"], retry=RetryPolicy(deadline_us=5_000.0)))
+        assert result.executed_at == "n3"
+        (_, _, first), (request, candidates, retry) = decided
+        assert first.node == "n2"
+        assert retry.considered["n3"] < first.considered["n3"]
+        fresh = PlacementEngine(runtime.placement.cost_model).decide(
+            request, candidates, runtime._effective_distance)
+        assert retry.considered == fresh.considered
 
     def test_late_reply_still_rehabilitates_a_suspected_holder(self):
         # The round trip to n1 (two 5 us hops each way plus the switch)
