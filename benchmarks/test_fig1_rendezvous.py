@@ -17,6 +17,8 @@ import math
 import pytest
 
 from repro.core import NodeProfile, PlacementEngine, PlacementItem, PlacementRequest
+from repro.net import build_line
+from repro.sim import Simulator
 from repro.workloads import STRATEGIES, build_scenario, run_strategy
 
 from conftest import print_table
@@ -110,7 +112,10 @@ def test_cost_model_ablation_transfer_blind():
     )
     nodes = [NodeProfile("slowbox", speed=1.0),
              NodeProfile("fastbox", speed=2.0)]
-    distance = lambda a, b: 0 if a == b else 3
+    # Any two boxes are three default links apart (h0_0 - s0 - s1 - h1_0).
+    net = build_line(Simulator(), 2)
+    route = {True: net.path("h0_0", "h0_0"), False: net.path("h0_0", "h1_0")}
+    distance = lambda a, b: route[a == b]
     aware = PlacementEngine(transfer_blind=False).decide(request, nodes, distance)
     blind = PlacementEngine(transfer_blind=True).decide(request, nodes, distance)
     assert aware.node == "slowbox"

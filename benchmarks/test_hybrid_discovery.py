@@ -34,7 +34,8 @@ def run_hybrid_point(table_fraction: float, seed: int = 23,
     capacity = max(1, int(N_OBJECTS * table_fraction)) if table_fraction else 1
     net = build_paper_topology(
         sim, with_controller_host=True,
-        identity_capacity=capacity if table_fraction > 0 else 1,
+        switch_kwargs={
+            "identity_capacity": capacity if table_fraction > 0 else 1},
     )
     bed = Testbed(scheme, net, 1024)
     pool = []
@@ -143,7 +144,7 @@ def run_skewed_point(hot_coverage_only: bool, seed: int = 27,
     hot_set = max(1, N_OBJECTS // 8)
     capacity = hot_set if hot_coverage_only else N_OBJECTS
     net = build_paper_topology(sim, with_controller_host=True,
-                               identity_capacity=capacity)
+                               switch_kwargs={"identity_capacity": capacity})
     bed = Testbed(SCHEME_HYBRID, net, 1024)
     # Created, so advertised, in popularity order: the table fills with
     # the hot set.

@@ -18,7 +18,7 @@ The plan keeps the pipeline's bulk off the invoker's slow access link.
 
 import pytest
 
-from repro.core import CostModel, FunctionRegistry, GlobalRef
+from repro.core import FunctionRegistry, GlobalRef
 from repro.net.topology import Network
 from repro.runtime import GlobalSpaceRuntime, Plan, PlanStep, run_plan
 from repro.sim import Simulator
@@ -56,8 +56,7 @@ def build(seed=97):
         rows = args["rows"]
         return {"count": len(rows), "lo": rows[0], "hi": rows[-1]}
 
-    runtime = GlobalSpaceRuntime(
-        net, registry, cost_model=CostModel(link_bandwidth_gbps=10.0))
+    runtime = GlobalSpaceRuntime(net, registry)
     runtime.add_node("edge", speed=0.3)
     runtime.add_node("store")
     runtime.add_node("compute")

@@ -21,7 +21,9 @@ import time
 import pytest
 
 from repro.core import CostModel
+from repro.net import Network
 from repro.rpc import decode, encode, encoded_size
+from repro.sim import Simulator
 from repro.workloads import ModelPartition
 from repro.workloads.inference import serving_compute_us
 
@@ -45,6 +47,16 @@ def image(partition):
     return partition.pack()
 
 
+@pytest.fixture(scope="module")
+def link():
+    """The path across one default link, as the network answers it."""
+    net = Network(Simulator())
+    net.add_host("a")
+    net.add_host("b")
+    net.connect("a", "b")
+    return net.path("a", "b")
+
+
 class TestRealMarshallingCost:
     """Each path once: the walk and the image reproduce what they carry."""
 
@@ -66,7 +78,7 @@ class TestRealMarshallingCost:
 
 class TestSimulatedServingPipeline:
     def test_processing_share_table(self):
-        model = CostModel(link_bandwidth_gbps=10.0)
+        model = CostModel()
         rows = []
         for nbytes in (100_000, 1_000_000, 10_000_000, 100_000_000):
             deserialize = model.deserialize_time_us(nbytes)
@@ -83,11 +95,11 @@ class TestSimulatedServingPipeline:
         for row in rows:
             assert row[3] == pytest.approx(70.0, abs=2.0)
 
-    def test_object_path_eliminates_loading(self):
-        model = CostModel(link_bandwidth_gbps=10.0)
+    def test_object_path_eliminates_loading(self, link):
+        model = CostModel()
         nbytes = 10_000_000
-        rpc = model.rpc_transfer(nbytes)
-        obj = model.object_transfer(nbytes)
+        rpc = model.rpc_transfer(nbytes, link)
+        obj = model.object_transfer(nbytes, link)
         # Same fundamental transfer cost...
         assert obj.transfer_us == rpc.transfer_us
         # ...but the marshalling walk is gone (>95% of it).
@@ -95,9 +107,8 @@ class TestSimulatedServingPipeline:
         obj_walk = obj.serialize_us + obj.deserialize_us
         assert obj_walk < 0.05 * rpc_walk
 
-    def test_transfer_costs_remain_fundamental(self):
-        model = CostModel(link_bandwidth_gbps=10.0)
-        obj = model.object_transfer(10_000_000)
+    def test_transfer_costs_remain_fundamental(self, link):
+        obj = CostModel().object_transfer(10_000_000, link)
         assert obj.transfer_us > 0.85 * obj.total_us
 
 

@@ -15,7 +15,6 @@ Run:  python examples/pipeline_analytics.py
 """
 
 from repro import FunctionRegistry, GlobalRef, GlobalSpaceRuntime, Simulator
-from repro.core import CostModel
 from repro.net.topology import Network
 from repro.runtime import Plan, PlanStep, run_plan
 
@@ -50,8 +49,7 @@ def build():
         rows = args["rows"]
         return {"distinct": len(rows), "lo": rows[0], "hi": rows[-1]}
 
-    runtime = GlobalSpaceRuntime(
-        net, registry, cost_model=CostModel(link_bandwidth_gbps=10.0))
+    runtime = GlobalSpaceRuntime(net, registry)
     runtime.add_node("edge", speed=0.3)
     runtime.add_node("store")
     runtime.add_node("compute")

@@ -12,7 +12,10 @@ a placement decision needs to model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..net.topology import Path
 
 __all__ = [
     "LatencyHierarchy",
@@ -83,9 +86,10 @@ class TransferEstimate:
 class CostModel:
     """Shared cost parameters.
 
-    * ``link_bandwidth_gbps`` / ``link_latency_us`` — wire costs for bulk
-      movement estimates (the actual network simulation uses per-link
-      parameters; this is the *estimator* placement consults).
+    The wire is not one of them: every wire estimate takes the
+    :class:`~repro.net.Path` it crosses, as ``Network.path`` answers it,
+    and prices its summed latency and its slowest link's bandwidth.
+
     * ``serialize_ns_per_byte`` / ``deserialize_ns_per_byte`` — the RPC
       marshalling walk.  Deserialization is costlier than serialization
       (pointer fixup, allocation); the defaults are calibrated so that
@@ -101,8 +105,6 @@ class CostModel:
       measures.
     """
 
-    link_bandwidth_gbps: float = 100.0
-    link_latency_us: float = 2.0
     serialize_ns_per_byte: float = 2.0
     deserialize_ns_per_byte: float = 6.0
     byte_copy_ns_per_byte: float = 0.05
@@ -111,10 +113,9 @@ class CostModel:
     hierarchy: LatencyHierarchy = field(default_factory=LatencyHierarchy)
 
     def __post_init__(self) -> None:
-        if self.link_bandwidth_gbps <= 0 or self.pool_bandwidth_gbps <= 0:
+        if self.pool_bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be positive")
         if min(
-            self.link_latency_us,
             self.serialize_ns_per_byte,
             self.deserialize_ns_per_byte,
             self.byte_copy_ns_per_byte,
@@ -123,12 +124,12 @@ class CostModel:
             raise ValueError("cost parameters must be non-negative")
 
     # -- primitive costs ---------------------------------------------------
-    def wire_time_us(self, nbytes: int, hops: int = 1) -> float:
-        """Propagation + transmission time for ``nbytes`` over ``hops`` links."""
-        if nbytes < 0 or hops < 0:
-            raise ValueError("bytes and hops must be non-negative")
-        bytes_per_us = self.link_bandwidth_gbps * 1e9 / 8 / 1e6
-        return hops * self.link_latency_us + nbytes / bytes_per_us
+    def wire_time_us(self, nbytes: int, path: "Path") -> float:
+        """Propagation + transmission time for ``nbytes`` along ``path``."""
+        if nbytes < 0:
+            raise ValueError("bytes must be non-negative")
+        bytes_per_us = path.bandwidth_gbps * 1e9 / 8 / 1e6
+        return path.latency_us + nbytes / bytes_per_us
 
     def serialize_time_us(self, nbytes: int) -> float:
         """Simulated serialization walk time for ``nbytes``."""
@@ -147,54 +148,54 @@ class CostModel:
         return flops * self.compute_ns_per_flop / 1000.0
 
     # -- composite movement estimates ---------------------------------------
-    def rpc_transfer(self, nbytes: int) -> TransferEstimate:
-        """Moving ``nbytes`` the RPC way over one hop: serialize, wire,
+    def rpc_transfer(self, nbytes: int, path: "Path") -> TransferEstimate:
+        """Moving ``nbytes`` the RPC way along ``path``: serialize, wire,
         deserialize."""
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=self.serialize_time_us(nbytes),
-            transfer_us=self.wire_time_us(nbytes, 1),
+            transfer_us=self.wire_time_us(nbytes, path),
             deserialize_us=self.deserialize_time_us(nbytes),
         )
 
-    def object_transfer(self, nbytes: int, hops: int = 1) -> TransferEstimate:
+    def object_transfer(self, nbytes: int, path: "Path") -> TransferEstimate:
         """Moving ``nbytes`` as an invariant object image: memcpy out,
         wire, memcpy in — no marshalling walk on either side."""
         copy_us = self.byte_copy_time_us(nbytes)
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=copy_us,
-            transfer_us=self.wire_time_us(nbytes, hops),
+            transfer_us=self.wire_time_us(nbytes, path),
             deserialize_us=copy_us,
         )
 
-    def fetch_transfer(self, nbytes: int, hops: int = 1) -> TransferEstimate:
+    def fetch_transfer(self, nbytes: int, path: "Path") -> TransferEstimate:
         """A *pulled* object movement: a small request travels to the
         holder (one propagation leg), then the object image comes back.
         Placement stage-in estimates use this — an object fetch costs a
         full round trip, not half of one."""
-        request_leg_us = hops * self.link_latency_us
         copy_us = self.byte_copy_time_us(nbytes)
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=copy_us,
-            transfer_us=request_leg_us + self.wire_time_us(nbytes, hops),
+            transfer_us=path.latency_us + self.wire_time_us(nbytes, path),
             deserialize_us=copy_us,
         )
 
     # -- the same totals as bare floats ---------------------------------------
     # Placement scores every candidate and builds one; these add the same
     # terms in the same order as the estimate each names, building nothing.
-    def object_time_us(self, nbytes: int, hops: int = 1) -> float:
-        """``object_transfer(nbytes, hops).total_us``."""
+    def object_time_us(self, nbytes: int, path: "Path") -> float:
+        """``object_transfer(nbytes, path).total_us``."""
         copy_us = self.byte_copy_time_us(nbytes)
-        return copy_us + self.wire_time_us(nbytes, hops) + copy_us
+        return copy_us + self.wire_time_us(nbytes, path) + copy_us
 
-    def stage_in_time_us(self, nbytes: int, hops: int, pooled: bool) -> float:
-        """``resolve_tier(nbytes, hops, pooled)[1].total_us``."""
+    def stage_in_time_us(self, nbytes: int, path: "Path",
+                         pooled: bool) -> float:
+        """``resolve_tier(nbytes, path, pooled)[1].total_us``."""
         copy_us = self.byte_copy_time_us(nbytes)
-        total = copy_us + (hops * self.link_latency_us
-                           + self.wire_time_us(nbytes, hops)) + copy_us
+        total = copy_us + (path.latency_us
+                           + self.wire_time_us(nbytes, path)) + copy_us
         if pooled:
             total = min(total, self.hierarchy.remote_memory_us
                         + nbytes / (self.pool_bandwidth_gbps * 1e9 / 8 / 1e6))
@@ -217,17 +218,17 @@ class CostModel:
             deserialize_us=0.0,
         )
 
-    def resolve_tier(self, nbytes: int, hops: int = 1,
+    def resolve_tier(self, nbytes: int, path: "Path",
                      pooled: bool = False) -> Tuple[str, TransferEstimate]:
-        """Cheapest staging tier for a non-resident ``nbytes``:
-        ``(tier, estimate)``.
+        """Cheapest staging tier for a non-resident ``nbytes`` that the
+        network would fetch along ``path``: ``(tier, estimate)``.
 
         The network fetch competes with the pool tier when ``pooled``
         says a mapped copy is reachable.  The pool wins on small objects
-        (no per-hop request leg) and loses on bulk (its port streams
-        below NIC line rate), so the choice genuinely flips with size.
+        (no request leg) and loses on bulk wherever its port streams below
+        the path's bottleneck, so the choice genuinely flips with size.
         """
-        tier, estimate = TIER_NETWORK, self.fetch_transfer(nbytes, hops)
+        tier, estimate = TIER_NETWORK, self.fetch_transfer(nbytes, path)
         if pooled:
             via_pool = self.pool_transfer(nbytes)
             if via_pool.total_us < estimate.total_us:

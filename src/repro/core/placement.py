@@ -26,7 +26,9 @@ objects they are.  The engine memoizes them (see :meth:`decide`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..sim import Tracer
 from .costmodel import (
@@ -39,6 +41,9 @@ from .costmodel import (
 from .objectid import ObjectID
 from .refs import GlobalRef
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..net.topology import Path
+
 __all__ = [
     "NodeProfile",
     "MovementPlan",
@@ -50,14 +55,17 @@ __all__ = [
     "PoolOracle",
 ]
 
-# Hop-count oracle between named nodes; the runtime supplies one backed
-# by the simulated topology.
-DistanceFn = Callable[[str, str], int]
+# The route between two named nodes; the runtime supplies
+# ``Network.path``, which answers from the simulated topology.
+DistanceFn = Callable[[str, str], "Path"]
 
 # Pool oracle: ``(node_name, oid) -> pool name`` when the object is
 # reachable through a shared-memory pool the node is attached to, else
 # None.  The runtime supplies one backed by its registered pools.
 PoolOracle = Callable[[str, ObjectID], Optional[str]]
+
+
+_latency = attrgetter("latency_us")
 
 
 class PlacementError(Exception):
@@ -174,13 +182,10 @@ class PlacementEngine:
     # ``flops`` per request) starts over every 1024 decisions instead of
     # growing without bound.
     MEMO_SHAPES = 1024
+    # What every estimate is priced with; the wire comes from the paths.
+    cost_model: CostModel = DEFAULT_COST_MODEL
 
-    def __init__(
-        self,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        transfer_blind: bool = False,
-    ):
-        self.cost_model = cost_model
+    def __init__(self, transfer_blind: bool = False):
         self.transfer_blind = transfer_blind
         self.tracer = Tracer()
         # Counter cells of decide() (see Tracer): one per staging tier.
@@ -198,12 +203,13 @@ class PlacementEngine:
     # -- candidate evaluation ------------------------------------------------
     def _nearest_source(
         self, item: PlacementItem, node: str, distance: DistanceFn
-    ) -> Tuple[str, int]:
-        """Closest replica of ``item`` to ``node`` (host name, hop count);
-        the first listed wins a tie."""
-        hops = [distance(loc, node) for loc in item.locations]
-        nearest = min(hops)
-        return item.locations[hops.index(nearest)], nearest
+    ) -> Tuple[str, "Path"]:
+        """The replica of ``item`` with the least path latency to ``node``
+        (host name, path); the first listed wins a tie, as the runtime's
+        ``holders_by_distance`` orders them."""
+        paths = [distance(loc, node) for loc in item.locations]
+        nearest = min(paths, key=_latency)
+        return item.locations[paths.index(nearest)], nearest
 
     def _score(
         self,
@@ -223,19 +229,19 @@ class PlacementEngine:
         for item in items:
             if name in item.locations:
                 continue
-            hops = min([distance(loc, name) for loc in item.locations])
+            path = self._nearest_source(item, name, distance)[1]
             pooled = (self.pool_oracle is not None
                       and self.pool_oracle(name, item.ref.oid) is not None)
             stage_in_us = max(stage_in_us, cost.stage_in_time_us(
-                item.size_bytes, max(hops, 1), pooled))
+                item.size_bytes, path, pooled))
             staged_bytes += item.size_bytes
         if staged_bytes > node.capacity_bytes:
             return None
         compute_us = cost.compute_time_us(request.flops) / node.speed
-        result_hops = distance(name, request.invoker)
+        result_path = distance(name, request.invoker)
         result_return_us = (
-            0.0 if result_hops == 0
-            else cost.object_time_us(request.result_bytes, result_hops))
+            0.0 if result_path.hops == 0
+            else cost.object_time_us(request.result_bytes, result_path))
         if self.transfer_blind:
             stage_in_us = result_return_us = 0.0
         return stage_in_us, compute_us, result_return_us
@@ -254,14 +260,14 @@ class PlacementEngine:
             if node.name in item.locations:
                 tiers[TIER_DRAM] = tiers.get(TIER_DRAM, 0) + 1
                 continue  # already resident
-            source, hops = self._nearest_source(item, node.name, distance)
+            source, path = self._nearest_source(item, node.name, distance)
             pool_name = (
                 self.pool_oracle(node.name, item.ref.oid)
                 if self.pool_oracle is not None
                 else None
             )
             tier, transfer = self.cost_model.resolve_tier(
-                item.size_bytes, hops=max(hops, 1), pooled=pool_name is not None
+                item.size_bytes, path, pooled=pool_name is not None
             )
             if tier == TIER_POOL:
                 source = pool_name  # staged as a load from the pool, not a replica
@@ -278,11 +284,11 @@ class PlacementEngine:
             return None
         queue_us = node.active_jobs * self.QUEUE_PENALTY_US
         compute_us = self.cost_model.compute_time_us(request.flops) / node.speed
-        result_hops = distance(node.name, request.invoker)
+        result_path = distance(node.name, request.invoker)
         result_return_us = (
             0.0
-            if result_hops == 0
-            else self.cost_model.object_transfer(request.result_bytes, hops=result_hops).total_us
+            if result_path.hops == 0
+            else self.cost_model.object_transfer(request.result_bytes, result_path).total_us
         )
         effective_stage_in = 0.0 if self.transfer_blind else stage_in_us
         effective_return = 0.0 if self.transfer_blind else result_return_us
@@ -319,7 +325,8 @@ class PlacementEngine:
         it, so every total is the float ``_evaluate`` computes.  The
         memo belongs to one ``distance`` object: passing another (by
         identity) starts it over, so a caller whose distances change
-        passes a new function (the runtime does on a topology change).
+        passes a new function.  The runtime passes ``Network.path``,
+        which the network binds anew on every topology change.
         """
         if not candidates:
             raise PlacementError("no candidate nodes supplied")

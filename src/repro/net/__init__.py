@@ -9,7 +9,6 @@ from .host import Host, PacketHandler
 from .link import (
     DEFAULT_BANDWIDTH_GBPS,
     DEFAULT_LATENCY_US,
-    DEFAULT_WRR_QUANTUM_BYTES,
     Link,
 )
 from .node import Node, NodeError
@@ -35,6 +34,7 @@ from .pipeline import MatchActionTable, SramModel, TableFullError, TOFINO_SRAM
 from .switch import MISS_FLOOD, MISS_PUNT, Switch
 from .topology import (
     Network,
+    Path,
     build_line,
     build_paper_topology,
     build_star,
@@ -50,7 +50,6 @@ __all__ = [
     "Link",
     "DEFAULT_BANDWIDTH_GBPS",
     "DEFAULT_LATENCY_US",
-    "DEFAULT_WRR_QUANTUM_BYTES",
     "TCLASS_COHERENCE",
     "TCLASS_TRANSPORT",
     "TCLASS_PUBSUB",
@@ -67,6 +66,7 @@ __all__ = [
     "TableFullError",
     "TOFINO_SRAM",
     "Network",
+    "Path",
     "RegionDirectory",
     "OverlayGateway",
     "MultiRegionNetwork",

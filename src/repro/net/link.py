@@ -29,16 +29,12 @@ from .packet import traffic_class
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
     from .packet import Packet
+    from .topology import Network
 
-__all__ = ["Link", "LinkEnd", "DEFAULT_BANDWIDTH_GBPS", "DEFAULT_LATENCY_US",
-           "DEFAULT_WRR_QUANTUM_BYTES"]
+__all__ = ["Link", "LinkEnd", "DEFAULT_BANDWIDTH_GBPS", "DEFAULT_LATENCY_US"]
 
 DEFAULT_BANDWIDTH_GBPS = 10.0
 DEFAULT_LATENCY_US = 5.0
-
-# One MTU of credit per unit weight per round: a weight-1 class earns the
-# right to send one full-size frame each time the arbiter visits it.
-DEFAULT_WRR_QUANTUM_BYTES = 1500
 
 
 class _WrrArbiter:
@@ -50,13 +46,11 @@ class _WrrArbiter:
     standard DRR rule that stops an idle class from hoarding credit.
     """
 
-    __slots__ = ("weights", "default_weight", "quantum", "queues",
-                 "active", "deficit", "fresh", "sending")
+    __slots__ = ("weights", "quantum", "queues", "active", "deficit",
+                 "fresh", "sending")
 
-    def __init__(self, weights: Dict[str, int], quantum: int,
-                 default_weight: int):
+    def __init__(self, weights: Dict[str, int], quantum: int):
         self.weights = dict(weights)
-        self.default_weight = default_weight
         self.quantum = quantum
         self.queues: Dict[str, Deque["Packet"]] = {}
         self.active: Deque[str] = deque()
@@ -83,8 +77,7 @@ class _WrrArbiter:
             cls = active[0]
             queue = self.queues[cls]
             if self.fresh:
-                self.deficit[cls] += self.quantum * self.weights.get(
-                    cls, self.default_weight)
+                self.deficit[cls] += self.quantum * self.weights.get(cls, 1)
                 self.fresh = False
             if queue[0].size_bytes <= self.deficit[cls]:
                 packet = queue.popleft()
@@ -100,9 +93,6 @@ class _WrrArbiter:
             self.fresh = True
         return None
 
-    def depth(self) -> int:
-        return sum(len(queue) for queue in self.queues.values())
-
 
 class LinkEnd:
     """One directed half of a link: ``node`` transmits into it and the
@@ -114,9 +104,9 @@ class LinkEnd:
     the whole traversal is **one** kernel event, ``_arrive`` at
     ``last_bit + latency_us``.  No event marks the last bit, so the
     kernel's pending ``_arrive`` events are the record of what is on the
-    wire: ``bytes_carried``, ``packets_carried`` and ``queue_depth``
-    count those whose last bit has left by ``sim.now`` (one heap scan
-    per read: for tests and end-of-run accounting, not the packet path).
+    wire: ``bytes_carried`` and ``packets_carried`` count those whose
+    last bit has left by ``sim.now`` (one heap scan per read: for tests
+    and end-of-run accounting, not the packet path).
 
     Loss, ``failed`` and ``latency_us`` are *sampled when the last bit
     leaves*.  A link that is lossy or down at ``transmit``, and every
@@ -199,12 +189,12 @@ class LinkEnd:
         packet.hops += 1
         self.peer.receive(packet, self.port)
 
-    def _on_wire(self, serialising: bool) -> List["Packet"]:
+    def _on_wire(self) -> List["Packet"]:
         """One-event packets yet to arrive whose last bit has left the
-        wire, or with ``serialising`` those where it has not."""
+        wire."""
         sim = self.link.sim
         return [entry[3][0] for entry in sim.pending(self._arrive)
-                if (entry[3][1] > sim.now) == serialising]
+                if entry[3][1] <= sim.now]
 
     def _unmerge(self) -> None:
         """Give the one-event packets still serialising their last-bit
@@ -290,7 +280,7 @@ class LinkEnd:
                                 self._tx_done, packet)
         if drained and self.link.tracer is not None:
             self.link.tracer.count("switch.wrr.drained", drained)
-        if arb is not None and not arb.sending and arb.depth():
+        if arb is not None and not arb.sending and arb.active:
             self._wrr_start_next()
 
     def _deliver(self, packet: "Packet") -> None:
@@ -301,18 +291,12 @@ class LinkEnd:
     def bytes_carried(self) -> int:
         """Bytes whose last bit has left the wire."""
         return self._bytes_carried + sum(
-            packet.size_bytes for packet in self._on_wire(serialising=False))
+            packet.size_bytes for packet in self._on_wire())
 
     @property
     def packets_carried(self) -> int:
         """Packets whose last bit has left the wire."""
-        return self._packets_carried + len(self._on_wire(serialising=False))
-
-    @property
-    def queue_depth(self) -> int:
-        """Packets queued behind the one currently on the wire."""
-        pending = self._in_flight + len(self._on_wire(serialising=True))
-        return pending - 1 if pending > 0 else 0
+        return self._packets_carried + len(self._on_wire())
 
 
 class Link:
@@ -322,6 +306,12 @@ class Link:
     node.  ``loss_rate`` drops packets independently per transmission
     using the simulator's seeded RNG (deterministic across runs).
     """
+
+    # The Network that connected this link, told when its latency changes.
+    network: Optional["Network"] = None
+    # WRR credit per unit weight per round: one MTU, so a weight-1 class
+    # earns one full-size frame each time the arbiter visits it.
+    WRR_QUANTUM_BYTES = 1500
 
     def __init__(
         self,
@@ -365,25 +355,20 @@ class Link:
         if name in ("loss_rate", "failed", "latency_us") and hasattr(self, "end_ba"):
             self.end_ab._unmerge()
             self.end_ba._unmerge()
+            # A path's latency sums its links': every path answer the
+            # network holds may now be stale.
+            if name == "latency_us" and self.network is not None:
+                self.network._topology_changed()
 
-    def transmission_time_us(self, size_bytes: int) -> float:
-        """Serialization delay of ``size_bytes`` onto the wire."""
-        return size_bytes / self._bytes_per_us
-
-    def set_egress_weights(
-        self,
-        weights: Optional[Dict[str, int]],
-        quantum_bytes: int = DEFAULT_WRR_QUANTUM_BYTES,
-        default_weight: int = 1,
-    ) -> None:
+    def set_egress_weights(self, weights: Optional[Dict[str, int]]) -> None:
         """Enable (or, with ``None``, disable) weighted-round-robin
         egress arbitration on both directions of this link.
 
         ``weights`` maps traffic-class names (``coherence``/``transport``/
         ``pubsub`` or any per-tenant override stamped via
         ``Packet.tclass``) to integer weights; classes not listed get
-        ``default_weight``.  Each class earns ``quantum_bytes × weight``
-        of credit per round-robin visit.  Packets already accepted by the
+        weight 1.  Each class earns ``WRR_QUANTUM_BYTES × weight`` of
+        credit per round-robin visit.  Packets already accepted by the
         FIFO path complete on their original schedule.  Reconfiguring
         mid-burst is safe: packets still queued in the old discipline
         are drained into the new one (or FIFO-scheduled when disabling),
@@ -394,15 +379,11 @@ class Link:
             self.end_ab.set_arbiter(None)
             self.end_ba.set_arbiter(None)
             return
-        if quantum_bytes <= 0:
-            raise ValueError("quantum_bytes must be positive")
-        if default_weight < 1:
-            raise ValueError("default_weight must be >= 1")
         for cls, weight in weights.items():
             if weight < 1:
                 raise ValueError(f"weight for class {cls!r} must be >= 1")
-        self.end_ab.set_arbiter(_WrrArbiter(weights, quantum_bytes, default_weight))
-        self.end_ba.set_arbiter(_WrrArbiter(weights, quantum_bytes, default_weight))
+        self.end_ab.set_arbiter(_WrrArbiter(weights, self.WRR_QUANTUM_BYTES))
+        self.end_ba.set_arbiter(_WrrArbiter(weights, self.WRR_QUANTUM_BYTES))
 
     @property
     def bytes_carried(self) -> int:

@@ -45,8 +45,8 @@ bit, where the loss is drawn).  Its sequence number is drawn at ingress
 instead of when the delay ends, so it now runs before an event of the
 same float instant scheduled inside the delay; two loss draws of one
 instant can swap.  What looks at the wire inside the delay differs
-too: ``queue_depth`` counts a folded packet as queued, and weights set
-inside the delay find it already on the FIFO wire.
+too: weights set inside the delay find a folded packet already on the
+FIFO wire.
 
 Flooding in the looped 4-switch topology is made safe by per-switch
 duplicate suppression (each switch forwards a given packet UID at most

@@ -5,13 +5,15 @@ paper's §4 setup: three hosts attached to four interconnected switches.
 The :class:`Network` wrapper owns the simulator's nodes and links and
 answers the two control-plane questions the schemes need:
 
-* hop distance between nodes (placement cost estimates, RTT baselines);
+* the route between two nodes, as hops, summed latency and bottleneck
+  bandwidth (what placement prices a transfer on);
 * for a given switch, which egress port leads toward a given host
   (what the SDN controller computes before installing identity routes).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
@@ -24,6 +26,7 @@ from .switch import Switch
 
 __all__ = [
     "Network",
+    "Path",
     "build_paper_topology",
     "build_star",
     "build_line",
@@ -31,12 +34,24 @@ __all__ = [
 ]
 
 
+class Path(NamedTuple):
+    """The route packets take from one node to another: the hop-shortest
+    one, its link latencies summed and the slowest link's bandwidth.  A
+    node's path to itself has no hops, no latency and no bottleneck."""
+
+    hops: int
+    latency_us: float
+    bandwidth_gbps: float
+
+
+_HERE = Path(0, 0.0, math.inf)
+
+
 class _Routes(NamedTuple):
     """What one BFS from a root records for each node that reaches it."""
 
-    hops: Dict[str, int]  # links on the shortest path to the root
     toward: Dict[str, str]  # the neighbour one step closer to the root
-    latency_us: Dict[str, float]  # link latency summed root-outward on it
+    paths: Dict[str, Path]  # the node's path to the root
 
 
 class Network:
@@ -68,10 +83,11 @@ class Network:
         self.metrics = MetricsRegistry()
         self.metrics.register("net.links", self.tracer)
         # The path table: one BFS record per root asked about, walked on
-        # first use, dropped whole on a topology change; ``version`` counts
-        # those changes for layers that cache what they derive from it.
+        # first use, dropped whole on a topology change (a node, a link or
+        # a link latency); ``version`` counts those changes.
         self._routes: Dict[str, _Routes] = {}
         self.version = 0
+        self.path = self._path  # rebound by _topology_changed
 
     # -- construction ----------------------------------------------------
     def _register(self, node: Node) -> None:
@@ -114,6 +130,7 @@ class Network:
             loss_rate=self.default_loss_rate,
             tracer=self.tracer,
         )
+        link.network = self
         self.links.append(link)
         self._topology_changed()
         return link
@@ -121,6 +138,10 @@ class Network:
     def _topology_changed(self) -> None:
         self._routes.clear()
         self.version += 1
+        # Bound afresh on every change: ``path`` is one object for exactly
+        # one topology, so a cache keyed on it (placement's memo) starts
+        # over exactly when its answers may have gone stale.
+        self.path = self._path
 
     # -- lookup ------------------------------------------------------------
     def node(self, name: str) -> Node:
@@ -193,45 +214,36 @@ class Network:
 
     # -- path queries --------------------------------------------------------
     def _bfs(self, root_name: str) -> _Routes:
-        """Hop distance to, next node toward, and summed link latency to
-        ``root_name`` for every node that can reach it."""
-        dist = {root_name: 0}
+        """Next node toward, and path to, ``root_name`` for every node
+        that can reach it."""
         parent: Dict[str, str] = {}
-        latency = {root_name: 0.0}
+        paths = {root_name: _HERE}
         queue = deque([root_name])
         while queue:
             current = queue.popleft()
             node = self.node(current)
+            via = paths[current]
             for link in node.links:
                 neighbor = link.other(node).name
-                if neighbor not in dist:
-                    dist[neighbor] = dist[current] + 1
+                if neighbor not in paths:
                     parent[neighbor] = current
-                    latency[neighbor] = latency[current] + link.latency_us
+                    paths[neighbor] = Path(
+                        via.hops + 1, via.latency_us + link.latency_us,
+                        min(via.bandwidth_gbps, link.bandwidth_gbps))
                     queue.append(neighbor)
-        return _Routes(dist, parent, latency)
+        return _Routes(parent, paths)
 
-    def _routes_to(self, a: str, b: str) -> _Routes:
-        """The path table's record rooted at ``b``, walked on first use;
-        raises unless ``a`` can reach ``b``."""
+    def _path(self, a: str, b: str) -> Path:
+        """The :class:`Path` from ``a`` to ``b``, from the path table's
+        record rooted at ``b`` (walked on first use); raises if there is
+        none.  Called as ``network.path(a, b)``."""
         routes = self._routes.get(b)
         if routes is None:
             routes = self._routes[b] = self._bfs(b)
-        if a not in routes.hops:
+        path = routes.paths.get(a)
+        if path is None:
             raise NodeError(f"no path from {a!r} to {b!r}")
-        return routes
-
-    def hop_distance(self, a: str, b: str) -> int:
-        """Number of links on the shortest path from ``a`` to ``b``."""
-        return 0 if a == b else self._routes_to(a, b).hops[a]
-
-    def path_latency_us(self, a: str, b: str) -> float:
-        """Sum of link propagation latencies along the shortest path.
-
-        Hop counts treat a 200 us edge uplink and a 5 us rack link as
-        equal; placement estimates should not.
-        """
-        return self._routes_to(a, b).latency_us[a]
+        return path
 
     def port_toward(self, switch_name: str, target_name: str) -> int:
         """The egress port on ``switch_name`` for shortest-path traffic
@@ -239,7 +251,8 @@ class Network:
         switch = self.switch(switch_name)
         if switch_name == target_name:
             raise NodeError("a switch has no port toward itself")
-        next_hop = self._routes_to(switch_name, target_name).toward[switch_name]
+        self._path(switch_name, target_name)  # raises unless one exists
+        next_hop = self._routes[target_name].toward[switch_name]
         for port in range(switch.port_count):
             if switch.neighbor(port).name == next_hop:
                 return port
@@ -247,21 +260,12 @@ class Network:
             f"inconsistent topology: {switch_name!r} has no port to {next_hop!r}"
         )  # pragma: no cover
 
-    def path(self, a: str, b: str) -> List[str]:
-        """Node names along the shortest path from ``a`` to ``b`` inclusive."""
-        toward = self._routes_to(a, b).toward
-        route = [a]
-        while route[-1] != b:
-            route.append(toward[route[-1]])
-        return route
-
 
 def build_paper_topology(
     sim: Simulator,
-    bandwidth_gbps: float = 10.0,
-    latency_us: float = 5.0,
     with_controller_host: bool = False,
-    **switch_kwargs,
+    switch_kwargs: Optional[dict] = None,
+    **kwargs,
 ) -> Network:
     """The §4 experimental setup: three hosts, four interconnected switches.
 
@@ -269,11 +273,12 @@ def build_paper_topology(
     and flooding must cope with loops — the property that makes the E2E
     broadcast cost visible.  The driver host sits on s1; the two
     responder hosts sit on s3 and s4.  ``with_controller_host`` adds a
-    controller attachment on s2 for the SDN scheme.
+    controller attachment on s2 for the SDN scheme.  Links take the
+    network's defaults (10 Gbps, 5 us) unless ``kwargs`` set others.
     """
-    net = Network(sim, default_bandwidth_gbps=bandwidth_gbps, default_latency_us=latency_us)
+    net = Network(sim, **kwargs)
     for i in range(1, 5):
-        net.add_switch(f"s{i}", **switch_kwargs)
+        net.add_switch(f"s{i}", **(switch_kwargs or {}))
     net.connect("s1", "s2")
     net.connect("s2", "s3")
     net.connect("s3", "s4")
@@ -305,22 +310,18 @@ def build_star(sim: Simulator, n_hosts: int, prefix: str = "h",
     return net
 
 
-def build_line(
-    sim: Simulator, n_switches: int, hosts_per_switch: int = 1,
-    switch_kwargs: Optional[dict] = None, **kwargs
-) -> Network:
-    """A chain of switches, each with local hosts — worst-case diameter."""
+def build_line(sim: Simulator, n_switches: int, **kwargs) -> Network:
+    """A chain of switches ``s<i>``, each with one host ``h<i>_0`` —
+    worst-case diameter."""
     if n_switches < 1:
         raise ValueError("need at least one switch")
     net = Network(sim, **kwargs)
     for i in range(n_switches):
-        net.add_switch(f"s{i}", **(switch_kwargs or {}))
+        net.add_switch(f"s{i}")
         if i > 0:
             net.connect(f"s{i - 1}", f"s{i}")
-        for j in range(hosts_per_switch):
-            name = f"h{i}_{j}"
-            net.add_host(name)
-            net.connect(name, f"s{i}")
+        net.add_host(f"h{i}_0")
+        net.connect(f"h{i}_0", f"s{i}")
     return net
 
 

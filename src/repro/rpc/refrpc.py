@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
-from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
+from ..core.costmodel import DEFAULT_COST_MODEL
 from ..core.objectid import ObjectID
 from ..sim import Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
+from ..net.topology import Path
 from .serializer import SerializationClock, decode, encode
 from .stubs import RpcError, RpcTimeout
 
@@ -39,8 +40,8 @@ KIND_REFREPLY = "refrpc.reply"
 
 # Locator: oid -> (holder host name, object size in bytes).
 Locator = Callable[[ObjectID], Tuple[str, int]]
-# Distance oracle between host names, in link hops.
-DistanceFn = Callable[[str, str], int]
+# The route between host names (``Network.path``).
+DistanceFn = Callable[[str, str], Path]
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,20 @@ class RefRpcServer:
 
     ``fetch_object`` is supplied by the surrounding system (tests wire
     it to object spaces): given an oid it returns the object's bytes.
-    The server charges simulated time for the transfer (wire time over
-    the hop distance plus byte-copy in/out — *no* marshalling walk) and
-    caches fetched immutable objects.
+    The server charges simulated time for the transfer (a fetch along the
+    path from the holder plus byte-copy in/out — *no* marshalling walk)
+    and caches fetched immutable objects.
     """
 
+    cost_model = DEFAULT_COST_MODEL
+
     def __init__(self, host: Host, locator: Locator, distance: DistanceFn,
-                 fetch_object: Callable[[ObjectID], bytes],
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+                 fetch_object: Callable[[ObjectID], bytes]):
         self.host = host
         self.sim: Simulator = host.sim
         self.locator = locator
         self.distance = distance
         self.fetch_object = fetch_object
-        self.cost_model = cost_model
         self.clock = SerializationClock()
         self.tracer = Tracer()
         self.workers = Resource(self.sim, 4, name=f"{host.name}.refrpc-workers")
@@ -114,13 +115,13 @@ class RefRpcServer:
             self.tracer.count("refrpc.ref_cache_hit")
             return cached, 0.0
         holder, size = self.locator(oid)
-        hops = self.distance(holder, self.host.name)
-        estimate = self.cost_model.fetch_transfer(size, hops=max(hops, 1))
+        path = self.distance(holder, self.host.name)
+        estimate = self.cost_model.fetch_transfer(size, path)
         data = self.fetch_object(oid)
         self._ref_cache[oid] = data
         self.bytes_fetched += size
         self.tracer.count("refrpc.ref_fetched")
-        return data, estimate.total_us if hops > 0 else 0.0
+        return data, estimate.total_us if path.hops > 0 else 0.0
 
     def _serve(self, packet: Packet):
         wire_values = packet.payload["values"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.codeobj import FunctionRegistry, code_ref, write_code_object
-from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
+from ..core.costmodel import DEFAULT_COST_MODEL
 from ..core.objectid import ObjectID
 from ..core.objects import MemObject
 from ..core.placement import (
@@ -185,14 +185,15 @@ class GlobalSpaceRuntime:
     # The share of a lazily bound input placement expects a body to touch.
     LAZY_TOUCH_FRACTION = 0.1
 
+    # Shared with placement; the wire comes from ``network.path``.
+    cost_model = DEFAULT_COST_MODEL
+
     def __init__(self, network: Network,
-                 registry: Optional[FunctionRegistry] = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+                 registry: Optional[FunctionRegistry] = None):
         self.network = network
         self.sim: Simulator = network.sim
         self.registry = registry if registry is not None else FunctionRegistry()
-        self.cost_model = cost_model
-        self.placement = PlacementEngine(cost_model)
+        self.placement = PlacementEngine()
         self.policies = PolicyRegistry()
         self.allocator = IDAllocator(seed=1)
         self.retry_policy = RetryPolicy()
@@ -228,9 +229,6 @@ class GlobalSpaceRuntime:
         # Registered shared-memory pools; feeds the placement estimator's
         # tier resolution (see attach_pool).
         self._pools: List[SharedMemoryPool] = []
-        # _effective_distance by (from, to), and placement's distance
-        # function, for one topology version.
-        self._new_topology()
 
     # -- cluster construction ------------------------------------------------
     def add_node(self, host_name: str, speed: float = 1.0,
@@ -322,11 +320,14 @@ class GlobalSpaceRuntime:
         return set(holders)
 
     def holders_by_distance(self, oid: ObjectID, to: str) -> List[str]:
-        """Replica holders of ``oid``, nearest to ``to`` first, equidistant
-        ones in name order: a bare distance key would leave ties to set
-        iteration, which varies with hash randomization across processes."""
-        hops = self.network.hop_distance
-        return sorted(self.holders(oid), key=lambda h: (hops(h, to), h))
+        """Replica holders of ``oid``, least path latency to ``to`` first,
+        equidistant ones in name order: the replica placement priced
+        first (``PlacementEngine._nearest_source``).  A bare distance key
+        would leave ties to set iteration, which varies with hash
+        randomization across processes."""
+        path = self.network.path
+        return sorted(self.holders(oid),
+                      key=lambda h: (path(h, to).latency_us, h))
 
     def home(self, oid: ObjectID) -> str:
         """The node every store to ``oid`` is applied at: where the
@@ -335,35 +336,6 @@ class GlobalSpaceRuntime:
         if home is None:
             raise RuntimeError_(f"object {oid.short()} unknown to the runtime")
         return home
-
-    def _effective_distance(self, a: str, b: str) -> int:
-        """Latency-weighted distance in equivalent cost-model hops.
-
-        The placement estimator prices a hop at
-        ``cost_model.link_latency_us``; converting real path latency into
-        equivalent hops makes a slow edge uplink count for what it costs
-        instead of counting as one cheap hop.  Placement asks for every
-        (replica, candidate) pair of every decision, so the rounded value
-        is kept until the network's topology version moves.
-        """
-        if a == b:
-            return 0
-        if self._hops_version != self.network.version:
-            self._new_topology()
-        hops = self._hops.get((a, b))
-        if hops is None:
-            latency = self.network.path_latency_us(a, b)
-            hops = self._hops[a, b] = max(
-                1, round(latency / self.cost_model.link_latency_us))
-        return hops
-
-    def _new_topology(self) -> None:
-        """Start the hop table over for the network's topology version,
-        and give placement a new distance function: a new object, so
-        placement's memo starts over with it."""
-        self._hops: Dict[Tuple[str, str], int] = {}
-        self._hops_version = self.network.version
-        self._distance = self._effective_distance
 
     def note_copy(self, oid: ObjectID, node_name: str) -> None:
         """Record that ``node_name`` now holds a replica of ``oid``."""
@@ -578,18 +550,16 @@ class GlobalSpaceRuntime:
             tried: Set[str] = set()
             remaining = candidates
             while True:
-                # Each attempt, a retry after a backoff included, is
-                # priced on the topology of its own instant.
-                if self._hops_version != self.network.version:
-                    self._new_topology()
                 # Deciding costs no simulated time: a zero-width span
                 # that records what was decided (opened, then
                 # error-finished by the handler below, if the decision
                 # fails).  Each failover attempt gets its own.
                 try:
+                    # Read per attempt: a retry after a backoff is priced
+                    # on the topology of its own instant.
                     decision = self.placement.decide(
                         request, self.live_profiles(remaining),
-                        self._distance)
+                        self.network.path)
                 except BaseException:
                     spans.start(SPAN_PLACEMENT, parent=root, node=invoker)
                     raise

@@ -138,13 +138,7 @@ def build_scenario(partition_entries: int = 20_000,
 
     registry.register("classify_mobile", classify_mobile)
 
-    from ..core import CostModel
-
-    # One cost model, calibrated to the simulated links (10 Gbps), shared
-    # by the placement estimator and the ref-RPC transfer charges so no
-    # stack gets a discounted network.
-    cost_model = CostModel(link_bandwidth_gbps=10.0)
-    runtime = GlobalSpaceRuntime(net, registry, cost_model=cost_model)
+    runtime = GlobalSpaceRuntime(net, registry)
     # Alice cannot host the fragment (§2: "the global model fragment is
     # too large" for her device) — 64 KiB of staging memory.
     runtime.add_node("alice", speed=0.2, capacity_bytes=64 * 1024)
@@ -202,9 +196,8 @@ def build_scenario(partition_entries: int = 20_000,
         refrpc_server = RefRpcServer(
             net.host(cloud),
             locator=lambda oid: ("bob", partition_obj.wire_size),
-            distance=runtime._effective_distance,
+            distance=net.path,
             fetch_object=lambda oid: image,
-            cost_model=runtime.cost_model,
         )
         refrpc_server.register("infer_ref", infer, compute_us=compute_us)
         refrpc_servers[cloud] = refrpc_server

@@ -14,6 +14,9 @@ from repro.core import (
     read_code_entry,
     write_code_object,
 )
+from repro.net import Path
+
+from .paths import uniform
 
 
 @pytest.fixture
@@ -105,19 +108,22 @@ class TestCostModel:
 
     def test_wire_time_scales_with_bytes_and_hops(self):
         model = CostModel()
-        small = model.wire_time_us(1000, hops=1)
-        large = model.wire_time_us(1_000_000, hops=1)
+        small = model.wire_time_us(1000, uniform(1))
+        large = model.wire_time_us(1_000_000, uniform(1))
         assert large > small
-        assert model.wire_time_us(1000, hops=3) > small
+        assert model.wire_time_us(1000, uniform(3)) > small
+        # The path's latency, then its bytes at the slowest link's rate
+        # (10 Gbps is 1,250 bytes a microsecond).
+        assert model.wire_time_us(2500, Path(2, 10.0, 10.0)) == 12.0
 
     def test_wire_time_rejects_negative(self):
         with pytest.raises(ValueError):
-            CostModel().wire_time_us(-1)
+            CostModel().wire_time_us(-1, uniform(1))
 
     def test_rpc_transfer_includes_marshalling(self):
         model = CostModel()
-        rpc = model.rpc_transfer(1_000_000)
-        obj = model.object_transfer(1_000_000)
+        rpc = model.rpc_transfer(1_000_000, uniform(1))
+        obj = model.object_transfer(1_000_000, uniform(1))
         assert rpc.serialize_us > obj.serialize_us
         assert rpc.deserialize_us > obj.deserialize_us
         assert rpc.transfer_us == obj.transfer_us  # wire cost is identical
@@ -127,7 +133,7 @@ class TestCostModel:
         # Calibration check for the §2 claim: deserialize is the
         # heavyweight side of the marshalling walk.
         model = CostModel()
-        estimate = model.rpc_transfer(10_000_000)
+        estimate = model.rpc_transfer(10_000_000, uniform(1))
         assert estimate.deserialize_us > estimate.serialize_us
 
     def test_compute_time(self):
@@ -136,6 +142,6 @@ class TestCostModel:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            CostModel(link_bandwidth_gbps=0)
+            CostModel(pool_bandwidth_gbps=0)
         with pytest.raises(ValueError):
             CostModel(serialize_ns_per_byte=-1)

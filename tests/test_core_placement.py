@@ -11,14 +11,16 @@ from repro.core import (
     PlacementItem,
     PlacementRequest,
 )
+from repro.net import Path
+
+from .paths import hops_apart, uniform
 
 
 def ref(n: int) -> GlobalRef:
     return GlobalRef(ObjectID(n), 0, "read")
 
 
-def flat_distance(a: str, b: str) -> int:
-    return 0 if a == b else 2
+flat_distance = hops_apart(2)
 
 
 def make_request(code_at="alice", data_at="bob", data_size=1_000_000,
@@ -140,12 +142,36 @@ class TestDecide:
 
         def distance(a, b):
             if a == b:
-                return 0
-            return {"far": 5, "near": 1, "exec": 0}.get(a, 3)
+                return uniform(0)
+            return uniform({"far": 5, "near": 1, "exec": 0}.get(a, 3))
 
         decision = engine.decide(request, [NodeProfile("exec")], distance)
         sources = {m.source for m in decision.movements}
         assert sources == {"near"}
+
+    def test_nearest_replica_is_the_least_latency_one(self):
+        """One slow hop loses to three fast ones: replicas are ranked by
+        path latency, not hop count, and the first listed wins a tie."""
+        engine = PlacementEngine()
+
+        def request(locations):
+            return PlacementRequest(
+                code=PlacementItem(ref(1), 1024, ("exec",)),
+                inputs=(PlacementItem(ref(2), 4096, locations),),
+                invoker="exec")
+
+        routes = {"uplink": Path(1, 200.0, 10.0), "rack": Path(3, 15.0, 10.0),
+                  "twin": Path(3, 15.0, 10.0), "exec": uniform(0)}
+
+        def distance(a, b):
+            return routes[a]
+
+        decision = engine.decide(request(("uplink", "rack")),
+                                 [NodeProfile("exec")], distance)
+        assert [m.source for m in decision.movements] == ["rack"]
+        decision = engine.decide(request(("twin", "rack")),
+                                 [NodeProfile("exec")], distance)
+        assert [m.source for m in decision.movements] == ["twin"]
 
 
 class TestValidation:

@@ -30,7 +30,7 @@ def _e2e_bed(seed=1, **accessor):
 
 def _controller_bed(seed=1, **topology):
     net = build_paper_topology(Simulator(seed=seed), with_controller_host=True,
-                               **topology)
+                               switch_kwargs=topology)
     bed = Testbed(SCHEME_CONTROLLER, net, 256)
     return bed.sim, bed.net, bed.homes, bed.controller, bed.accessor
 

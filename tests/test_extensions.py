@@ -9,6 +9,8 @@ from repro.memproto import CoherenceAgent, PERM_MODIFIED, PERM_SHARED
 from repro.net import Network, Packet, build_star
 from repro.sim import Simulator, Timeout
 
+from .paths import uniform
+
 
 class TestCoherenceUpgrade:
     def _cluster(self, seed=81):
@@ -157,24 +159,24 @@ class TestPathLatency:
         net.add_host("b")
         net.connect("a", "sw", latency_us=100.0)
         net.connect("b", "sw", latency_us=7.0)
-        assert net.path_latency_us("a", "b") == pytest.approx(107.0)
+        assert net.path("a", "b").latency_us == pytest.approx(107.0)
 
     def test_zero_for_self(self, sim):
         net = build_star(sim, 1)
-        assert net.path_latency_us("h0", "h0") == 0.0
+        assert net.path("h0", "h0").latency_us == 0.0
 
 
 class TestFetchTransfer:
     def test_includes_request_leg(self):
         model = CostModel()
-        push = model.object_transfer(1_000_000, hops=3)
-        pull = model.fetch_transfer(1_000_000, hops=3)
-        assert pull.total_us == pytest.approx(
-            push.total_us + 3 * model.link_latency_us)
+        path = uniform(3)
+        push = model.object_transfer(1_000_000, path)
+        pull = model.fetch_transfer(1_000_000, path)
+        assert pull.total_us == pytest.approx(push.total_us + path.latency_us)
 
     def test_same_bytes_moved(self):
         model = CostModel()
-        assert model.fetch_transfer(5000).bytes_moved == 5000
+        assert model.fetch_transfer(5000, uniform(1)).bytes_moved == 5000
 
 
 class TestCoherenceDowngrade:

@@ -319,8 +319,8 @@ class TestRuntimeFailover:
         (_, _, first), (request, candidates, retry) = decided
         assert first.node == "n2"
         assert retry.considered["n3"] < first.considered["n3"]
-        fresh = PlacementEngine(runtime.placement.cost_model).decide(
-            request, candidates, runtime._effective_distance)
+        fresh = PlacementEngine().decide(
+            request, candidates, net.path)
         assert retry.considered == fresh.considered
 
     def test_late_reply_still_rehabilitates_a_suspected_holder(self):

@@ -8,7 +8,7 @@ from repro.sim import Simulator, Timeout
 
 def hybrid_bed(seed=101, **topology):
     net = build_paper_topology(Simulator(seed=seed), with_controller_host=True,
-                               **topology)
+                               switch_kwargs=topology)
     bed = Testbed(SCHEME_HYBRID, net, 256)
     return bed.sim, bed.net, bed.homes, bed.controller, bed.accessor
 

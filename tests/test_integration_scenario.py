@@ -135,7 +135,7 @@ class TestSerializationShare:
         from repro.core import CostModel
         from repro.workloads.inference import serving_compute_us
 
-        model = CostModel(link_bandwidth_gbps=10.0)
+        model = CostModel()
         nbytes = 10_000_000
         deserialize = model.deserialize_time_us(nbytes)
         compute = serving_compute_us(nbytes, model)
@@ -145,10 +145,12 @@ class TestSerializationShare:
     def test_object_path_eliminates_marshalling(self):
         from repro.core import CostModel
 
-        model = CostModel(link_bandwidth_gbps=10.0)
+        # Across the scenario's 10 Gbps edge-to-cloud route.
+        path = build_scenario().net.path("alice", "bob")
+        model = CostModel()
         nbytes = 10_000_000
-        rpc = model.rpc_transfer(nbytes)
-        obj = model.object_transfer(nbytes)
+        rpc = model.rpc_transfer(nbytes, path)
+        obj = model.object_transfer(nbytes, path)
         # "alleviating 100% of the loading overhead ... leaving only data
         # transfer costs, which are fundamental" (§3.1).
         assert obj.total_us < rpc.total_us / 2

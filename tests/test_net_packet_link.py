@@ -267,12 +267,12 @@ class TestSampledAtLastBit:
         for until in (100.0, 300.0, 500.0):
             sim.run(until=until)
             seen.append((end.bytes_carried, end.packets_carried,
-                         end.queue_depth, link.bytes_carried))
-        assert seen == [(0, 0, 1, 0), (1500, 1, 0, 1500), (3000, 2, 0, 3000)]
+                         link.bytes_carried))
+        assert seen == [(0, 0, 0), (1500, 1, 1500), (3000, 2, 3000)]
         assert arrivals == []
         sim.run()
         assert [t for t, _ in arrivals] == [1240.0, 1480.0]
-        assert (end.bytes_carried, end.packets_carried, end.queue_depth) == (3000, 2, 0)
+        assert (end.bytes_carried, end.packets_carried) == (3000, 2)
 
 
 class TestHostStamping:

@@ -1,11 +1,14 @@
 """Unit tests for topology builders, path queries, and host dispatch."""
 
+import math
+
 import pytest
 
 from repro.net import (
     Network,
     NodeError,
     Packet,
+    Path,
     build_line,
     build_paper_topology,
     build_star,
@@ -30,12 +33,12 @@ class TestBuilders:
         net = build_star(sim, 5)
         assert len(net.hosts) == 5
         assert len(net.switches) == 1
-        assert all(net.hop_distance(f"h{i}", f"h{j}") == 2
+        assert all(net.path(f"h{i}", f"h{j}").hops == 2
                    for i in range(5) for j in range(5) if i != j)
 
     def test_line_diameter(self, sim):
-        net = build_line(sim, 4, hosts_per_switch=1)
-        assert net.hop_distance("h0_0", "h3_0") == 5  # host+3 switch hops+host
+        net = build_line(sim, 4)
+        assert net.path("h0_0", "h3_0").hops == 5  # host+3 switch hops+host
 
     def test_two_tier_any_pair_within_four_hops(self, sim):
         net = build_two_tier(sim, n_leaves=3, hosts_per_leaf=2)
@@ -43,7 +46,7 @@ class TestBuilders:
         for a in hosts:
             for b in hosts:
                 if a != b:
-                    assert net.hop_distance(a, b) <= 4
+                    assert net.path(a, b).hops <= 4
 
     def test_builder_validation(self, sim):
         with pytest.raises(ValueError):
@@ -77,26 +80,25 @@ class TestNetworkQueries:
 
     def test_hop_distance_identity(self, sim):
         net = build_star(sim, 2)
-        assert net.hop_distance("h0", "h0") == 0
+        assert net.path("h0", "h0") == Path(0, 0.0, math.inf)
 
     def test_hop_distance_no_path(self, sim):
         net = Network(sim)
         net.add_host("a")
         net.add_host("b")
         with pytest.raises(NodeError):
-            net.hop_distance("a", "b")
+            net.path("a", "b")
 
     def test_paper_topology_distances(self, sim):
         net = build_paper_topology(sim)
-        assert net.hop_distance("driver", "resp1") == 3  # via the s1-s3 chord
-        assert net.hop_distance("driver", "resp2") == 3
+        assert net.path("driver", "resp1").hops == 3  # via the s1-s3 chord
+        assert net.path("driver", "resp2").hops == 3
 
     def test_path_endpoints(self, sim):
+        # Either endpoint may root the walk: three 5 us, 10 Gbps links.
         net = build_paper_topology(sim)
-        path = net.path("driver", "resp1")
-        assert path[0] == "driver"
-        assert path[-1] == "resp1"
-        assert len(path) == net.hop_distance("driver", "resp1") + 1
+        assert net.path("driver", "resp1") == Path(3, 15.0, 10.0)
+        assert net.path("resp1", "driver") == Path(3, 15.0, 10.0)
 
     def test_port_toward_reaches_target(self, sim):
         net = build_paper_topology(sim)
@@ -104,8 +106,8 @@ class TestNetworkQueries:
         for switch in net.switches:
             port = net.port_toward(switch.name, "resp1")
             neighbor = switch.neighbor(port)
-            assert (net.hop_distance(neighbor.name, "resp1")
-                    < net.hop_distance(switch.name, "resp1"))
+            assert (net.path(neighbor.name, "resp1").hops
+                    < net.path(switch.name, "resp1").hops)
 
     def test_port_toward_self_rejected(self, sim):
         net = build_paper_topology(sim)
@@ -113,17 +115,18 @@ class TestNetworkQueries:
             net.port_toward("s1", "s1")
 
     def test_path_latency_sums_the_links_of_the_path(self, sim):
+        # The bandwidth is the slowest link's, wherever on the path it is.
         net = build_line(sim, 3, default_latency_us=5.0)
         net.add_host("far")
-        net.connect("far", "s2", latency_us=200.0)
-        assert net.path("h0_0", "far") == ["h0_0", "s0", "s1", "s2", "far"]
-        assert net.path_latency_us("h0_0", "far") == 5.0 + 5.0 + 5.0 + 200.0
-        assert net.path_latency_us("far", "far") == 0.0
+        net.connect("far", "s2", bandwidth_gbps=0.5, latency_us=200.0)
+        assert net.path("h0_0", "far") == Path(4, 215.0, 0.5)
+        assert net.path("far", "h0_0") == Path(4, 215.0, 0.5)
+        assert net.path("h0_0", "h2_0") == Path(4, 20.0, 10.0)
+        assert net.path("far", "far") == Path(0, 0.0, math.inf)
 
 
 def _answers(net, a, b, switch):
-    return (net.hop_distance(a, b), net.path(a, b), net.path_latency_us(a, b),
-            net.port_toward(switch, b))
+    return net.path(a, b), net.port_toward(switch, b)
 
 
 class TestPathTable:
@@ -137,41 +140,50 @@ class TestPathTable:
         net._bfs = lambda root: walks.append(root) or bfs(root)
         for _ in range(3):
             _answers(net, "driver", "resp1", "s1")
-            net.hop_distance("resp2", "resp1")
+            net.path("resp2", "resp1")
         assert walks == ["resp1"]
 
     def test_new_host_is_reachable_after_earlier_queries(self, sim):
         net = build_star(sim, 2)
-        assert _answers(net, "h0", "h1", "s0") == (2, ["h0", "s0", "h1"], 10.0, 1)
+        assert _answers(net, "h0", "h1", "s0") == (Path(2, 10.0, 10.0), 1)
         version = net.version
         net.add_host("h2")
         with pytest.raises(NodeError):
-            net.hop_distance("h0", "h2")  # registered, not yet linked
+            net.path("h0", "h2")  # registered, not yet linked
         net.connect("h2", "s0", latency_us=7.0)
         assert net.version > version
-        assert _answers(net, "h0", "h2", "s0") == (2, ["h0", "s0", "h2"], 12.0, 2)
+        assert _answers(net, "h0", "h2", "s0") == (Path(2, 12.0, 10.0), 2)
 
     def test_shortcut_link_changes_every_answer(self, sim):
         net = build_line(sim, 4, default_latency_us=5.0)
         before = _answers(net, "h0_0", "h3_0", "s0")
-        assert before == (
-            5, ["h0_0", "s0", "s1", "s2", "s3", "h3_0"], 25.0,
-            net.port_toward("s0", "s1"))
+        assert before == (Path(5, 25.0, 10.0), net.port_toward("s0", "s1"))
         net.connect("s0", "s3", latency_us=1.0)
         after = _answers(net, "h0_0", "h3_0", "s0")
-        assert after == (3, ["h0_0", "s0", "s3", "h3_0"], 11.0,
-                         net.port_toward("s0", "s3"))
-        assert after[3] != before[3]
+        assert after == (Path(3, 11.0, 10.0), net.port_toward("s0", "s3"))
+        assert after[1] != before[1]
+
+    def test_a_latency_change_changes_every_answer(self, sim):
+        """Assigning a link's latency moves the version and drops the
+        table, and ``net.path`` is a new object for the new topology."""
+        net = build_line(sim, 2, default_latency_us=5.0)
+        path, version = net.path, net.version
+        assert path("h0_0", "h1_0") == Path(3, 15.0, 10.0)
+        assert net.path is path  # one object while the topology holds
+        net.link_between("s0", "s1").latency_us = 40.0
+        assert net.version > version
+        assert net.path is not path
+        assert net.path("h0_0", "h1_0") == Path(3, 50.0, 10.0)
+        assert path("h1_0", "h0_0") == Path(3, 50.0, 10.0)
 
     def test_unreachable_pairs_still_raise(self, sim):
         net = build_star(sim, 2)
         net.add_switch("island")
-        net.hop_distance("h0", "h1")  # fill the table first
-        for query in (net.hop_distance, net.path, net.path_latency_us):
-            with pytest.raises(NodeError):
-                query("h0", "island")
-            with pytest.raises(NodeError):
-                query("island", "h0")
+        net.path("h0", "h1")  # fill the table first
+        with pytest.raises(NodeError):
+            net.path("h0", "island")
+        with pytest.raises(NodeError):
+            net.path("island", "h0")
         with pytest.raises(NodeError):
             net.port_toward("island", "h0")
         with pytest.raises(NodeError):

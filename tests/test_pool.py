@@ -33,6 +33,8 @@ from repro.memproto import (
 from repro.net import build_star
 from repro.sim import Simulator
 
+from .paths import hops_apart, uniform
+
 # Shift every seed below by REPRO_SEED_OFFSET so CI's fault-seed matrix
 # exercises disjoint seed ranges.
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -231,9 +233,7 @@ class TestTierChoice:
             flops=1e3,
         )
 
-    @staticmethod
-    def _distance(a, b):
-        return 0 if a == b else 5
+    _distance = staticmethod(hops_apart(5))
 
     def _engine(self, pooled):
         engine = PlacementEngine()
@@ -249,7 +249,7 @@ class TestTierChoice:
                     self._request(size), [NodeProfile("here")],
                     self._distance)
                 expected_tier, expected_est = model.resolve_tier(
-                    size, hops=5, pooled=pooled)
+                    size, uniform(5), pooled=pooled)
                 move = decision.movements[0]
                 assert move.tier == expected_tier
                 assert move.transfer_us == pytest.approx(

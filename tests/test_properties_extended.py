@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    FunctionRegistry,
     GlobalRef,
     NodeProfile,
     ObjectID,
@@ -22,7 +23,12 @@ from repro.pubsub import (
     PacketFormat,
     compile_subscriptions,
 )
+from repro.net import Network
 from repro.net.pipeline import SramModel
+from repro.runtime import GlobalSpaceRuntime
+from repro.sim import Simulator
+
+from .paths import hops_apart, uniform
 
 FMT = PacketFormat("prop", [
     FormatField("a", 8),
@@ -125,8 +131,7 @@ requests = st.builds(
 )
 
 
-def _distance(a, b):
-    return 0 if a == b else 2
+_distance = hops_apart(2)
 
 
 class TestPlacementProperties:
@@ -216,14 +221,22 @@ tied_profiles = st.lists(
     min_size=2, max_size=5, unique_by=lambda p: p.name)
 
 # Hops between distinct hosts, one per ordered pair: uniform (so that
-# candidates tie) or drawn pair by pair.  The pool tier undercuts a
-# network fetch from three hops up.
+# candidates tie) or drawn pair by pair; each hop a 2 us, 100 Gbps link.
+# The pool tier undercuts a network fetch from three hops up.
 hop_tables = st.one_of(
     st.integers(1, 4).map(lambda h: [h] * 25),
     st.lists(st.integers(1, 4), min_size=25, max_size=25))
 # The hosts attached to a pool and the object numbers mapped into it.
 pool_maps = st.one_of(st.none(), st.tuples(
     st.sets(_hosts), st.sets(st.integers(1, 5))))
+
+
+def _table_distance(hops):
+    """Paths between ``_HOSTS`` of ``hops[from * 5 + to]`` links each."""
+    def distance(a, b):
+        return uniform(0 if a == b else hops[_HOSTS.index(a) * 5
+                                             + _HOSTS.index(b)])
+    return distance
 
 
 def _decide_building_every_candidate(engine, request, candidates, distance):
@@ -252,9 +265,7 @@ class TestScoreThenBuild:
     @settings(max_examples=400, deadline=None)
     def test_decide_matches_building_every_candidate(
             self, request, nodes, hops, pooled, blind):
-        def distance(a, b):
-            return 0 if a == b else hops[_HOSTS.index(a) * 5 + _HOSTS.index(b)]
-
+        distance = _table_distance(hops)
         oracle = None if pooled is None else (
             lambda node, oid: "rack0" if node in pooled[0]
             and oid.value in pooled[1] else None)
@@ -280,12 +291,6 @@ class TestScoreThenBuild:
 # candidate.  A long-lived engine must answer every decision of a
 # sequence exactly as a fresh engine does.
 # ---------------------------------------------------------------------------
-
-def _table_distance(hops):
-    def distance(a, b):
-        return 0 if a == b else hops[_HOSTS.index(a) * 5 + _HOSTS.index(b)]
-    return distance
-
 
 def _pool_oracle(pooled):
     hosts, numbers = pooled
@@ -367,8 +372,7 @@ class TestMemoNeverChangesADecision:
     def test_each_part_of_the_key_separates_entries(self, change):
         """One decision fills the memo; the same request and candidates
         with one part of the key changed must be priced afresh."""
-        def three_hops(a, b):
-            return 0 if a == b else 3
+        three_hops = hops_apart(3)
 
         def request(invoker="n0", flops=1e6, result_bytes=256, size=4096,
                     where=("n1",)):
@@ -401,8 +405,7 @@ class TestMemoNeverChangesADecision:
         elif change == "pool":
             engine.pool_oracle = lambda node, oid: "rack0"
         else:
-            def distance(a, b):
-                return 0 if a == b else 1
+            distance = hops_apart(1)
         fresh = PlacementEngine()
         fresh.pool_oracle = engine.pool_oracle
         expected = fresh.decide(changed, nodes, distance)
@@ -455,3 +458,89 @@ class TestMemoNeverChangesADecision:
         assert [m.ref for m in one.movements] == [_ref(10), _ref(11)]
         assert [m.ref for m in two.movements] == [_ref(20), _ref(21)]
         assert two == PlacementEngine().decide(request(20), nodes, _distance)
+
+
+# ---------------------------------------------------------------------------
+# One long-lived network and runtime against freshly built ones: after
+# any sequence of new links, link latency changes and invocations, every
+# path and every placement decision is what a network built afresh with
+# the same links (and an engine with an empty memo) answers.
+# ---------------------------------------------------------------------------
+
+_SWITCHES = ["s0", "s1", "s2"]
+_NET_HOSTS = ["h0", "h1", "h2", "h3"]
+# (a, b, latency) of the links every network starts with: a line of
+# switches, two hosts on s0 and one on each of the others.
+_FIRST_LINKS = [("s0", "s1", 5.0), ("s1", "s2", 5.0), ("h0", "s0", 5.0),
+                ("h1", "s0", 5.0), ("h2", "s1", 5.0), ("h3", "s2", 5.0)]
+_latencies = st.sampled_from([0.5, 5.0, 50.0, 200.0])
+network_steps = st.one_of(
+    st.tuples(st.just("connect"), st.sampled_from(_NET_HOSTS + _SWITCHES),
+              st.sampled_from(_SWITCHES), _latencies).filter(
+                  lambda step: step[1] != step[2]),
+    st.tuples(st.just("latency"), st.integers(0, 15), _latencies),
+    st.tuples(st.just("invoke"), st.sampled_from(_NET_HOSTS),
+              st.sampled_from(_NET_HOSTS), st.sampled_from([64, 1 << 16])))
+
+
+def _network(links):
+    net = Network(Simulator(seed=1))
+    for name in _SWITCHES:
+        net.add_switch(name)
+    for name in _NET_HOSTS:
+        net.add_host(name)
+    for a, b, latency_us in links:
+        net.connect(a, b, latency_us=latency_us)
+    return net
+
+
+class TestTopologyChangesReachEveryAnswer:
+    @given(st.lists(network_steps, min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_long_lived_network_answers_as_a_fresh_one(self, sequence):
+        links = list(_FIRST_LINKS)
+        net = _network(links)
+        registry = FunctionRegistry()
+        registry.register("noop")(lambda ctx, args: None)
+        runtime = GlobalSpaceRuntime(net, registry)
+        for name in _NET_HOSTS:
+            runtime.add_node(name)
+        _, code_ref = runtime.create_code("h0", "noop", text_size=512)
+        decided = []
+        decide = runtime.placement.decide
+
+        def recording(request, candidates, distance):
+            decision = decide(request, candidates, distance)
+            decided.append((request, candidates, decision))
+            return decision
+
+        runtime.placement.decide = recording
+        for step in sequence:
+            if step[0] == "connect":
+                _, a, b, latency_us = step
+                net.connect(a, b, latency_us=latency_us)
+                links.append((a, b, latency_us))
+            elif step[0] == "latency":
+                _, index, latency_us = step
+                index %= len(links)
+                net.links[index].latency_us = latency_us
+                links[index] = links[index][:2] + (latency_us,)
+            else:
+                _, invoker, holder, size = step
+                blob = runtime.create_object(holder, size=size)
+                net.sim.run_process(runtime.invoke(
+                    invoker, code_ref,
+                    data_refs={"blob": GlobalRef(blob.oid, 0, "read")}))
+            fresh = _network(links)
+            for a in fresh.nodes:
+                for b in fresh.nodes:
+                    assert net.path(a, b) == fresh.path(a, b)
+            for request, candidates, decision in decided:
+                expected = PlacementEngine().decide(
+                    request, candidates, fresh.path)
+                assert decision.node == expected.node
+                assert ({name: total.hex() for name, total
+                         in decision.considered.items()}
+                        == {name: total.hex() for name, total
+                            in expected.considered.items()})
+            decided.clear()

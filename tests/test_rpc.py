@@ -202,7 +202,7 @@ class TestRefRpc:
         server = RefRpcServer(
             net.host("h0"),
             locator=lambda o: ("h1", len(store[o])),
-            distance=lambda a, b: 0 if a == b else 2,
+            distance=net.path,
             fetch_object=lambda o: store[o],
         )
         client = RefRpcClient(net.host("h2"))

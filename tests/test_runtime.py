@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from repro.core import FunctionRegistry, GlobalRef, IDAllocator
-from repro.net import build_line, build_star
+from repro.core import FunctionRegistry, GlobalRef, IDAllocator, PlacementEngine
+from repro.net import Network, build_line, build_star
+from repro.obs.keys import SPAN_FETCH
 from repro.runtime import (
     GlobalSpaceRuntime,
     MODE_EAGER,
@@ -77,7 +78,7 @@ class TestClusterSetup:
         sim = Simulator(seed=2)
         from repro.net import build_line
 
-        net = build_line(sim, 3, hosts_per_switch=1)
+        net = build_line(sim, 3)
         runtime = GlobalSpaceRuntime(net, FunctionRegistry())
         for name in ("h0_0", "h1_0", "h2_0"):
             runtime.add_node(name)
@@ -120,19 +121,40 @@ class TestClusterSetup:
             answers.add(done.stdout.strip())
         assert answers == {"3 h1 h2 h3 h4 h5"}
 
-    def test_effective_distance_follows_topology_changes(self):
-        sim = Simulator(seed=2)
-        net = build_line(sim, 4, default_latency_us=2.0)
-        runtime = GlobalSpaceRuntime(net, FunctionRegistry())
-        # Five 2 us links at the cost model's 2 us per hop.
-        assert runtime._effective_distance("h0_0", "h3_0") == 5
-        assert runtime._effective_distance("h0_0", "h0_0") == 0
-        net.connect("s0", "s3", latency_us=2.0)
-        assert runtime._effective_distance("h0_0", "h3_0") == 3
-        net.add_host("edge")
-        net.connect("edge", "s0", latency_us=200.0)
-        assert runtime._effective_distance("edge", "h0_0") == 101
-        assert runtime._effective_distance("h0_0", "h3_0") == 3
+    def test_the_executor_fetches_from_the_replica_placement_priced(self):
+        # "uplink" is two hops from the executor, over a 200 us access
+        # link; "rack" is four 5 us hops away.  Placement prices the
+        # lower-latency replica, and the stage-in must fetch from it.
+        sim = Simulator(seed=2 + SEED_OFFSET)
+        net = Network(sim)
+        for name in ("s0", "s1", "s2"):
+            net.add_switch(name)
+        net.connect("s0", "s1")
+        net.connect("s1", "s2")
+        for name, switch, latency_us in (("exec", "s0", 5.0),
+                                         ("uplink", "s0", 200.0),
+                                         ("rack", "s2", 5.0)):
+            net.add_host(name)
+            net.connect(name, switch, latency_us=latency_us)
+        registry = FunctionRegistry()
+        registry.register("noop")(lambda ctx, args: None)
+        runtime = GlobalSpaceRuntime(net, registry)
+        for name in ("exec", "uplink", "rack"):
+            runtime.add_node(name)
+        blob = runtime.create_object("uplink", size=4096)
+        runtime.node("rack").space.insert(blob.clone())
+        runtime.note_copy(blob.oid, "rack")
+        _, code_ref = runtime.create_code("exec", "noop", text_size=256)
+        assert runtime.holders_by_distance(blob.oid, "exec") == [
+            "rack", "uplink"]
+        result = sim.run_process(runtime.invoke(
+            "exec", code_ref, data_refs={"blob": GlobalRef(blob.oid, 0, "read")},
+            candidates=["exec"]))
+        (move,) = result.decision.movements
+        assert move.source == "rack"
+        (fetch,) = [span for span in runtime.spans.spans()
+                    if span.name == SPAN_FETCH]
+        assert fetch.tags["source"] == move.source
 
     def test_placement_walks_each_root_once(self):
         # 500 decisions over a 6-host star used to run ~28 BFS walks
@@ -215,7 +237,12 @@ class TestInvocation:
         def noop(ctx, args):
             return None
 
-        _, code_ref = runtime.create_code("n0", "noop", text_size=512)
+        # The code is everywhere already, so wherever a decision runs it,
+        # the next request has the same shape.
+        code, code_ref = runtime.create_code("n0", "noop", text_size=512)
+        for name in ("n1", "n2"):
+            runtime.node(name).space.insert(code.clone())
+            runtime.note_copy(code.oid, name)
 
         def decide():
             blob = runtime.create_object("n1", size=4096)
@@ -226,10 +253,29 @@ class TestInvocation:
 
         before = decide()
         assert decide() == before
-        net.connect("n0", "n1", latency_us=0.1)  # n0 - n1 now one hop
+        link = net.connect("n0", "n1", latency_us=0.1)  # n0 - n1 now one hop
         after = decide()
         assert after != before
         assert after == decide()
+        # A latency change alone reaches it too, and prices as a fresh
+        # engine on a network built with that latency does.
+        link.latency_us = 50.0
+        seen = []
+        memoized = runtime.placement.decide
+
+        def recording(request, candidates, distance):
+            seen.append((request, candidates))
+            return memoized(request, candidates, distance)
+
+        runtime.placement.decide = recording
+        slower = decide()
+        assert slower != after
+        assert slower == decide()
+        fresh_net = build_star(Simulator(), 3, prefix="n")
+        fresh_net.connect("n0", "n1", latency_us=50.0)
+        for request, candidates in seen:
+            assert PlacementEngine().decide(
+                request, candidates, fresh_net.path).considered == slower
 
     def test_code_object_staged_at_executor(self):
         sim, net, registry, runtime = make_cluster()

@@ -12,6 +12,7 @@ or without the fold.
 
 import os
 import random
+from functools import partial
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,8 @@ from repro.net.switch import _DEDUPE_WINDOW
 from repro.net.topology import build_paper_topology
 from repro.netsync import KIND_SEQ_REQ, KIND_SEQ_RSP, SwitchSequencer
 from repro.sim import Simulator
+
+from .transport_script import serialisation_us
 
 # Shift every seed below by REPRO_SEED_OFFSET so CI's fault-seed matrix
 # reruns the module over disjoint seed ranges.
@@ -101,8 +104,8 @@ def _star(latency_us, bandwidth_gbps):
 
 def _paper(latency_us, bandwidth_gbps):
     def build(sim):
-        net = build_paper_topology(sim, bandwidth_gbps=bandwidth_gbps,
-                                   latency_us=latency_us)
+        net = build_paper_topology(sim, default_bandwidth_gbps=bandwidth_gbps,
+                                   default_latency_us=latency_us)
         return net, "s3", ("s1", "s3")
     return build
 
@@ -252,7 +255,7 @@ def test_a_destination_behind_another_switch_follows_a_repointed_entry():
     first.latency_us = 6.0
     plain = Packet(kind="repointed", src="a0", dst="b0", payload_bytes=64)
     flood = Packet(kind="moved", src="b0", dst=BROADCAST)
-    wire = first.transmission_time_us
+    wire = partial(serialisation_us, first)
     flood_at_sa = (wire(flood.size_bytes) + 5.0 + b.processing_delay_us
                    + wire(flood.size_bytes) + 5.0)
     plain_at_sa = wire(plain.size_bytes) + 5.0
@@ -300,7 +303,7 @@ def test_a_switch_as_destination_follows_a_repointed_entry():
     # so sB answers a1 over the second, and that reply re-points sA's
     # entry for sB 0.2 us into the delay of a0's next request.
     first.latency_us = 6.0
-    wire = first.transmission_time_us
+    wire = partial(serialisation_us, first)
     hop, flood_hop = wire(request(a0).size_bytes), wire(HEADER_BYTES)
     request_at_sb = hop + 5.0 + a.processing_delay_us + hop + 6.0
     flood_at_sb = flood_hop + 5.0 + a.processing_delay_us + flood_hop + 5.0

@@ -27,6 +27,12 @@ def seed_for(n: int) -> int:
     return n + SEED_OFFSET
 
 
+def serialisation_us(link, size_bytes: int) -> float:
+    """How long ``size_bytes`` take to leave onto ``link``'s wire: the
+    expression the link itself computes, so the float is the same."""
+    return size_bytes / (link.bandwidth_gbps * 1e9 / 8 / 1e6)
+
+
 class DropScript:
     """Stands in for ``Link._drop`` on every link of ``net``.
 
@@ -54,7 +60,7 @@ class DropScript:
         key = (packet.src, cls, seq)
         self.seen[key] += 1
         dropped = bool(self.lose(packet.src, cls, seq, self.seen[key], packet))
-        start = self.sim.now - link.transmission_time_us(packet.size_bytes)
+        start = self.sim.now - serialisation_us(link, packet.size_bytes)
         self.sent.append((start, packet.src, cls, seq, self.seen[key], dropped))
         return dropped
 
