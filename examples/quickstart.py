@@ -46,7 +46,7 @@ def part_two_byte_level_copy(space, doc, index, slot):
     wire = space.export_object(doc.oid)
     print(f"document exports as {len(wire)} bytes (header + FOT + pool)")
     other = ObjectSpace(host_name="beta")
-    arrived = other.import_object(wire)
+    arrived = other.import_object(doc.oid, wire)
     # The pointer still works on the other host: no swizzling happened.
     target_oid, target_offset = arrived.resolve(arrived.load_pointer(slot))
     assert target_oid == index.oid

@@ -7,11 +7,16 @@ and process-independent format: moving it to another host is *merely a
 byte-level copy* (:meth:`MemObject.to_wire`), with no per-field
 serialization walk.  That property is what experiment E4 measures against
 the RPC serializer.
+
+The FOT lists an object's *external* references, and an object with
+none needs no table: a :class:`MemObject` builds its :class:`FOT` on
+first use of :attr:`MemObject.fot`, and writes and reads an absent one
+as the empty table's 4 bytes.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .fot import FLAG_READ, FLAG_WRITE, FOT, FOTError
 from .objectid import NULL_ID, ObjectID
@@ -26,6 +31,8 @@ KIND_CODE = "code"
 # Wire header: 16B oid + 8B size + 8B version + 1B kind + 4B fot length.
 _WIRE_KINDS = {KIND_DATA: 0, KIND_CODE: 1}
 _WIRE_KINDS_REV = {v: k for k, v in _WIRE_KINDS.items()}
+# FOT.to_bytes() of a table with no external entry: its count, 1 (slot 0).
+_EMPTY_FOT = (1).to_bytes(4, "big")
 
 
 class ObjectError(Exception):
@@ -36,8 +43,13 @@ class MemObject:
     """A single object: ID + flat byte pool + FOT + version counter.
 
     The version counter increments on every mutation; the coherence and
-    discovery layers use it to detect staleness after movement.
+    discovery layers use it to detect staleness after movement.  The
+    FOT is built when :attr:`fot` is first read, so an object that never
+    points outside itself carries none.
     """
+
+    __slots__ = ("oid", "size", "kind", "label", "data", "_fot", "version",
+                 "_alloc_cursor")
 
     def __init__(
         self,
@@ -57,7 +69,7 @@ class MemObject:
         self.kind = kind
         self.label = label
         self.data = bytearray(size)
-        self.fot = FOT()
+        self._fot: Optional[FOT] = None
         self.version = 0
         self._alloc_cursor = 0
 
@@ -100,12 +112,15 @@ class MemObject:
         self._alloc_cursor = cursor + nbytes
         return cursor
 
-    @property
-    def bytes_allocated(self) -> int:
-        """Bytes handed out by the bump allocator so far."""
-        return self._alloc_cursor
-
     # -- pointers ----------------------------------------------------------
+    @property
+    def fot(self) -> FOT:
+        """This object's foreign-object table, built on first use."""
+        fot = self._fot
+        if fot is None:
+            fot = self._fot = FOT()
+        return fot
+
     def store_pointer(self, offset: int, pointer: InvariantPointer) -> None:
         """Write a 64-bit encoded pointer into the pool at ``offset``."""
         self.write(offset, pointer.to_bytes())
@@ -157,7 +172,7 @@ class MemObject:
         deserialization step.  This is the §3.1 claim that the global
         address space removes "100% of the loading overhead".
         """
-        fot_bytes = self.fot.to_bytes()
+        fot_bytes = _EMPTY_FOT if self._fot is None else self._fot.to_bytes()
         header = (
             self.oid.to_bytes()
             + self.size.to_bytes(8, "big")
@@ -168,41 +183,50 @@ class MemObject:
         return header + fot_bytes + bytes(self.data)
 
     @classmethod
-    def from_wire(cls, raw: bytes) -> "MemObject":
-        """Reconstruct an object from :meth:`to_wire` output."""
+    def from_wire(cls, raw: bytes, oid: ObjectID) -> "MemObject":
+        """Reconstruct object ``oid`` from :meth:`to_wire` output.
+
+        The object keeps the caller's ``oid``, checked once against the
+        image's; an empty FOT decodes to none.
+        """
         if len(raw) < 37:
             raise ObjectError("truncated object wire encoding")
-        oid = ObjectID.from_bytes(raw[:16])
+        if int.from_bytes(raw[:16], "big") != int(oid):
+            raise ObjectError(
+                f"wire image is of object {raw[:4].hex()}, not {oid.short()}")
         size = int.from_bytes(raw[16:24], "big")
         version = int.from_bytes(raw[24:32], "big")
         kind_code = raw[32]
         if kind_code not in _WIRE_KINDS_REV:
             raise ObjectError(f"unknown object kind code {kind_code}")
         fot_len = int.from_bytes(raw[33:37], "big")
-        body = raw[37:]
-        if len(body) != fot_len + size:
+        if len(raw) - 37 != fot_len + size:
             raise ObjectError(
-                f"object wire size mismatch: body {len(body)} != fot {fot_len} + data {size}"
-            )
+                f"object wire size mismatch: body {len(raw) - 37} != fot "
+                f"{fot_len} + data {size}")
         obj = cls(oid, size, kind=_WIRE_KINDS_REV[kind_code])
-        try:
-            obj.fot = FOT.from_bytes(body[:fot_len])
-        except FOTError as exc:
-            raise ObjectError(f"corrupt FOT in wire encoding: {exc}") from exc
-        obj.data[:] = body[fot_len:]
+        fot_bytes = raw[37:37 + fot_len]
+        if fot_bytes != _EMPTY_FOT:
+            try:
+                obj._fot = FOT.from_bytes(fot_bytes)
+            except FOTError as exc:
+                raise ObjectError(f"corrupt FOT in wire encoding: {exc}") from exc
+        obj.data[:] = raw[37 + fot_len:]
         obj.version = version
         return obj
 
     @property
     def wire_size(self) -> int:
         """Bytes a full byte-level copy of this object occupies."""
-        return 37 + len(self.fot.to_bytes()) + self.size
+        fot = self._fot
+        return 37 + (4 if fot is None else len(fot.to_bytes())) + self.size
 
     def clone(self) -> "MemObject":
         """Deep copy preserving identity, contents, FOT, and version."""
         twin = MemObject(self.oid, self.size, kind=self.kind, label=self.label)
         twin.data[:] = self.data
-        twin.fot = self.fot.clone()
+        if self._fot is not None:
+            twin._fot = self._fot.clone()
         twin.version = self.version
         twin._alloc_cursor = self._alloc_cursor
         return twin

@@ -9,11 +9,10 @@ by ID; this module only handles local residency, creation, import/export
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from .objectid import IDAllocator, ObjectID
 from .objects import DEFAULT_OBJECT_SIZE, KIND_DATA, MemObject
-from .pointers import InvariantPointer
 
 __all__ = ["ObjectSpace", "SpaceError"]
 
@@ -84,11 +83,6 @@ class ObjectSpace:
     def __len__(self) -> int:
         return len(self._objects)
 
-    @property
-    def resident_bytes(self) -> int:
-        """Total bytes of resident object pools."""
-        return sum(obj.size for obj in self._objects.values())
-
     # -- movement (byte-level copy) ----------------------------------------
     def export_object(self, oid: ObjectID) -> bytes:
         """Byte-level copy out; counts toward :attr:`bytes_exported`."""
@@ -96,42 +90,26 @@ class ObjectSpace:
         self.bytes_exported += len(wire)
         return wire
 
-    def import_object(self, wire: bytes, replace: bool = False) -> MemObject:
-        """Byte-level copy in; newer versions replace stale residents."""
-        obj = MemObject.from_wire(wire)
-        existing = self._objects.get(obj.oid)
+    def import_object(self, oid: ObjectID, wire: bytes,
+                      replace: bool = False) -> MemObject:
+        """Byte-level copy in of object ``oid``; newer versions replace
+        stale residents.  The space keys the copy by the caller's
+        ``oid``, which must be the image's."""
+        obj = MemObject.from_wire(wire, oid)
+        existing = self._objects.get(oid)
         if existing is not None and not replace:
             if existing.version >= obj.version:
                 raise SpaceError(
-                    f"object {obj.oid.short()} already resident at version "
+                    f"object {oid.short()} already resident at version "
                     f"{existing.version} >= incoming {obj.version}"
                 )
-        self._objects[obj.oid] = obj
+        self._objects[oid] = obj
         self.bytes_imported += len(wire)
         return obj
 
-    # -- pointer resolution -------------------------------------------------
-    def deref(self, oid: ObjectID, pointer: InvariantPointer) -> Tuple[ObjectID, int, bool]:
-        """Resolve ``pointer`` found inside object ``oid``.
-
-        Returns ``(target_oid, target_offset, resident)`` where
-        ``resident`` says whether the target currently lives here.  The
-        runtime layer uses a non-resident result to trigger a remote
-        fetch through discovery.
-        """
-        source = self.get(oid)
-        target_oid, target_offset = source.resolve(pointer)
-        return target_oid, target_offset, target_oid in self._objects
-
-    def follow(self, oid: ObjectID, pointer_offset: int) -> Tuple[ObjectID, int, bool]:
-        """Load the pointer stored at ``pointer_offset`` in ``oid`` and
-        resolve it — the one-step traversal primitive."""
-        source = self.get(oid)
-        pointer = source.load_pointer(pointer_offset)
-        return self.deref(oid, pointer)
-
     def __repr__(self) -> str:
+        resident = sum(obj.size for obj in self._objects.values())
         return (
             f"<ObjectSpace host={self.host_name!r} objects={len(self)} "
-            f"bytes={self.resident_bytes}>"
+            f"bytes={resident}>"
         )

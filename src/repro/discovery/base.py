@@ -186,6 +186,6 @@ def move_object(oid: ObjectID, src: ObjectHome, dst: ObjectHome) -> None:
     """
     wire = src.space.export_object(oid)
     src.space.evict(oid)
-    dst.space.import_object(wire, replace=True)
+    dst.space.import_object(oid, wire, replace=True)
     src.moved_to[oid] = dst.host.name
     dst.moved_to.pop(oid, None)

@@ -1,15 +1,20 @@
-"""Online tail-latency recording: a fixed-bucket log-linear histogram.
+"""Online tail-latency recording: a log-linear histogram.
 
 Open-loop load runs complete hundreds of thousands of operations; a
 per-op latency list (the :class:`~repro.sim.trace.SampleSeries` way)
 would grow without bound and make percentile queries O(n log n) at
 report time.  :class:`LatencyHistogram` is the HdrHistogram-style
-alternative: a fixed array of buckets that is **log-linear** — each
-power-of-two decade above ``min_us`` is split into ``subbuckets``
-linear buckets — so relative quantization error is bounded by
-``1/subbuckets`` (~3.1% at the default 32) across the whole dynamic
-range, memory is O(decades * subbuckets) regardless of sample count,
-and recording is a handful of integer ops.
+alternative: buckets that are **log-linear** — each power-of-two
+decade above ``min_us`` is split into ``subbuckets`` linear buckets —
+so relative quantization error is bounded by ``1/subbuckets`` (~3.1%
+at the default 32) across the whole dynamic range, and recording is a
+handful of integer ops.
+
+Only the buckets a sample has touched are stored (bucket index ->
+count), so memory is the touched buckets: bounded by the geometry's
+``1 + decades * subbuckets`` whatever the sample count, and in practice
+the few hundred a latency distribution spans.  A dense array of the
+whole geometry would hold 26,625 slots at 1,024 sub-buckets per decade.
 
 Percentile queries return the **upper edge** of the bucket holding the
 nearest-rank sample: deterministic, conservative (never under-reports a
@@ -20,7 +25,7 @@ percentiles on small traces.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
 from ..sim.trace import nearest_rank
 
@@ -28,7 +33,7 @@ __all__ = ["LatencyHistogram"]
 
 
 class LatencyHistogram:
-    """Fixed-size log-linear histogram of microsecond latencies.
+    """Log-linear histogram of microsecond latencies, touched buckets only.
 
     * bucket 0 holds everything below ``min_us`` (reported as ``min_us``);
     * above that, decade ``d`` spans ``[min_us * 2^d, min_us * 2^(d+1))``
@@ -52,7 +57,8 @@ class LatencyHistogram:
         while min_us * (2.0 ** decades) < max_us:
             decades += 1
         self._decades = decades
-        self._counts: List[int] = [0] * (1 + decades * subbuckets)
+        # Bucket index -> count, for the buckets a sample has touched.
+        self._counts: Dict[int, int] = {}
         self.count = 0
         self.total_us = 0.0
         self.max_recorded_us = 0.0
@@ -64,7 +70,7 @@ class LatencyHistogram:
         ratio = value_us / self.min_us
         decade = ratio.__trunc__().bit_length() - 1  # floor(log2(ratio))
         if decade >= self._decades:
-            return len(self._counts) - 1
+            return self._decades * self.subbuckets
         within = ratio / (1 << decade) - 1.0  # in [0, 1)
         sub = int(within * self.subbuckets)
         if sub >= self.subbuckets:  # guard the float edge at the decade top
@@ -72,10 +78,13 @@ class LatencyHistogram:
         return 1 + decade * self.subbuckets + sub
 
     def record(self, value_us: float) -> None:
-        """Add one latency sample (µs).  O(1), no allocation."""
+        """Add one latency sample (µs).  O(1); a bucket's first sample
+        adds its entry."""
         if value_us < 0:
             raise ValueError("latencies cannot be negative")
-        self._counts[self._index(value_us)] += 1
+        index = self._index(value_us)
+        counts = self._counts
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.total_us += value_us
         if value_us > self.max_recorded_us:
@@ -86,8 +95,9 @@ class LatencyHistogram:
         if (other.min_us, other.max_us, other.subbuckets) != (
                 self.min_us, self.max_us, self.subbuckets):
             raise ValueError("cannot merge histograms with different geometry")
-        for i, n in enumerate(other._counts):
-            self._counts[i] += n
+        counts = self._counts
+        for index, n in other._counts.items():
+            counts[index] = counts.get(index, 0) + n
         self.count += other.count
         self.total_us += other.total_us
         if other.max_recorded_us > self.max_recorded_us:
@@ -105,7 +115,8 @@ class LatencyHistogram:
 
         Returns the upper edge of the bucket containing that rank — at
         most ``1/subbuckets`` above the exact sample, never below it.
-        Returns 0.0 when empty.
+        Returns 0.0 when empty.  Walks the touched buckets in index
+        order.
         """
         if not 0.0 < p <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
@@ -113,15 +124,12 @@ class LatencyHistogram:
             return 0.0
         rank = nearest_rank(p, self.count)
         seen = 0
-        for index, n in enumerate(self._counts):
-            seen += n
+        counts = self._counts
+        for index in sorted(counts):
+            seen += counts[index]
             if seen >= rank:
                 return self._upper_edge(index)
-        return self._upper_edge(len(self._counts) - 1)  # pragma: no cover
-
-    def mean(self) -> float:
-        """Exact mean of recorded samples (0.0 when empty)."""
-        return self.total_us / self.count if self.count else 0.0
+        return self._upper_edge(self._decades * self.subbuckets)  # pragma: no cover
 
     def __repr__(self) -> str:
         return (f"<LatencyHistogram n={self.count} "

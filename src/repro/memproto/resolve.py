@@ -106,7 +106,7 @@ class CoherentProxyResolver:
 
     # -- internals -----------------------------------------------------------
     def _parse(self, oid: ObjectID, image: bytes) -> MemObject:
-        obj = MemObject.from_wire(image)
+        obj = MemObject.from_wire(image, oid)
         self._parsed[oid] = obj
         self._payload_at[oid] = len(image) - obj.size
         return obj

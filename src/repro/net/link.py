@@ -305,6 +305,9 @@ class Link:
     Construction wires both directions and registers a port on each
     node.  ``loss_rate`` drops packets independently per transmission
     using the simulator's seeded RNG (deterministic across runs).
+    ``latency_us``, ``loss_rate`` and ``failed`` may change on a live
+    link; ``bandwidth_gbps`` is fixed when it is built (assigning it
+    raises ``AttributeError``).
     """
 
     # The Network that connected this link, told when its latency changes.
@@ -349,6 +352,12 @@ class Link:
         self.b = b
 
     def __setattr__(self, name: str, value: object) -> None:
+        if name == "bandwidth_gbps" and name in self.__dict__:
+            # The wire rate and every path's bottleneck are computed
+            # from it once; latency_us is what a live link may change.
+            raise AttributeError(
+                "a link's bandwidth_gbps is fixed when it is built; "
+                "latency_us is the setting a live link can change")
         object.__setattr__(self, name, value)
         # Sampled when a packet's last bit leaves: the packets still
         # serialising must see the new value there (LinkEnd._unmerge).

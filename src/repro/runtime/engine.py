@@ -220,7 +220,9 @@ class GlobalSpaceRuntime:
         # profile's makes it stale.
         self._profile_cache: Dict[str, Tuple[NodeProfile, int, float]] = {}
         self.health.add_listener(self._invalidate_profile)
-        self.locations: Dict[ObjectID, Set[str]] = {}
+        # oid -> the names of its holders, a sorted tuple: placement
+        # takes it as an item's locations as it is.
+        self.locations: Dict[ObjectID, Tuple[str, ...]] = {}
         self._homes: Dict[ObjectID, str] = {}
         self._sizes: Dict[ObjectID, int] = {}
         self._invoke_ids = iter(range(1, 1 << 62))
@@ -307,7 +309,7 @@ class GlobalSpaceRuntime:
 
     def _register(self, obj: MemObject, home: str) -> None:
         """Enter a new object in the directory, held and homed at ``home``."""
-        self.locations[obj.oid] = {home}
+        self.locations[obj.oid] = (home,)
         self._homes[obj.oid] = home
         self._sizes[obj.oid] = obj.wire_size
 
@@ -339,7 +341,9 @@ class GlobalSpaceRuntime:
 
     def note_copy(self, oid: ObjectID, node_name: str) -> None:
         """Record that ``node_name`` now holds a replica of ``oid``."""
-        self.locations.setdefault(oid, set()).add(node_name)
+        holders = self.locations.get(oid, ())
+        if node_name not in holders:
+            self.locations[oid] = tuple(sorted((*holders, node_name)))
 
     def replicate(self, oid: ObjectID, to: str):
         """Process: copy ``oid`` to node ``to`` over the network (a real
@@ -368,7 +372,7 @@ class GlobalSpaceRuntime:
             if oid in node.space:
                 node.space.evict(oid)
             node.proxies.invalidate(oid)
-        self.locations[oid] = {owner}
+        self.locations[oid] = (owner,)
         self._homes[oid] = owner
 
     def peek_object(self, oid: ObjectID) -> MemObject:
@@ -534,7 +538,7 @@ class GlobalSpaceRuntime:
                         f"object {ref.oid.short()} unknown to the runtime")
                 items.append(PlacementItem(
                     ref=ref, size_bytes=max(1, int(size * scale)),
-                    locations=tuple(sorted(holders))))
+                    locations=holders))
                 if not eager_staging:
                     scale = self.LAZY_TOUCH_FRACTION
             request = PlacementRequest(

@@ -510,7 +510,7 @@ class ClusterNode:
             if fetch_span is not None:
                 spans.finish(fetch_span, error=True)
             raise
-        obj = self.space.import_object(reply.payload["wire"], replace=True)
+        obj = self.space.import_object(oid, reply.payload["wire"], replace=True)
         self._n_fetched[0] += 1
         self.runtime.note_copy(oid, self.name)
         if fetch_span is not None:

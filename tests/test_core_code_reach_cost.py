@@ -92,7 +92,7 @@ class TestCodeObjects:
         from repro.core import MemObject
 
         obj = write_code_object(space, "mobile_fn", text_size=512)
-        rebuilt = MemObject.from_wire(obj.to_wire())
+        rebuilt = MemObject.from_wire(obj.to_wire(), obj.oid)
         assert read_code_entry(rebuilt) == ("mobile_fn", 512)
 
 

@@ -88,8 +88,8 @@ class TestAllocation:
             obj.alloc(0)
 
     def test_bytes_allocated_tracks_cursor(self, obj):
-        obj.alloc(100)
-        assert obj.bytes_allocated >= 100
+        first = obj.alloc(100)
+        assert obj.alloc(8) >= first + 100
 
 
 class TestPointers:
@@ -133,7 +133,7 @@ class TestWireCopy:
         at = obj.alloc(8)
         obj.point_to(at, other, 16)
         obj.write(512, b"payload")
-        rebuilt = MemObject.from_wire(obj.to_wire())
+        rebuilt = MemObject.from_wire(obj.to_wire(), obj.oid)
         assert rebuilt.oid == obj.oid
         assert rebuilt.size == obj.size
         assert rebuilt.version == obj.version
@@ -141,20 +141,70 @@ class TestWireCopy:
         # The pointer still resolves identically: the invariance claim.
         assert rebuilt.resolve(rebuilt.load_pointer(at)) == (other.oid, 16)
 
+    # One pointer-free and one pointing object, encoded before the FOT
+    # was built only on first use: the wire has not moved.
+    POINTER_FREE_WIRE = bytes.fromhex(
+        "0123456789abcdef0011223344556677" "0000000000000018" "0000000000000001"
+        "00" "00000004" "00000001"
+        "000000706f6f6c0000000000000000000000000000000000")
+    POINTING_WIRE = bytes.fromhex(
+        "0123456789abcdef0011223344556677" "0000000000000018" "0000000000000001"
+        "00" "00000018" "00000002" "00000000000000000000000000000099" "00000003"
+        "000000000000000000010000000000100000000000000000")
+
+    def test_pointer_free_object_encodes_as_before_and_builds_no_fot(self):
+        oid = ObjectID(0x0123456789ABCDEF0011223344556677)
+        obj = MemObject(oid, size=24)
+        obj.write(3, b"pool")
+        assert obj.to_wire() == self.POINTER_FREE_WIRE
+        assert obj.wire_size == len(self.POINTER_FREE_WIRE)
+        rebuilt = MemObject.from_wire(self.POINTER_FREE_WIRE, oid)
+        assert rebuilt._fot is None
+        assert rebuilt.oid is oid
+        assert (rebuilt.version, rebuilt.read(3, 4)) == (1, b"pool")
+        assert rebuilt.to_wire() == self.POINTER_FREE_WIRE
+        assert rebuilt.clone()._fot is None
+        # A table that was built and stayed empty encodes the same.
+        assert len(rebuilt.fot) == 0
+        assert rebuilt.to_wire() == self.POINTER_FREE_WIRE
+
+    def test_object_with_pointers_round_trips_its_fot(self):
+        oid = ObjectID(0x0123456789ABCDEF0011223344556677)
+        obj = MemObject(oid, size=24)
+        at = obj.alloc(8)
+        obj.point_to(at, ObjectID(0x99), 16)
+        assert obj.to_wire() == self.POINTING_WIRE
+        assert obj.wire_size == len(self.POINTING_WIRE)
+        rebuilt = MemObject.from_wire(self.POINTING_WIRE, oid)
+        assert rebuilt.fot == obj.fot
+        assert [entry.target for entry in rebuilt.fot] == [ObjectID(0x99)]
+        assert rebuilt.resolve(rebuilt.load_pointer(at)) == (ObjectID(0x99), 16)
+        assert rebuilt.to_wire() == self.POINTING_WIRE
+
+    def test_an_image_of_another_object_is_rejected(self, obj):
+        with pytest.raises(ObjectError, match="not"):
+            MemObject.from_wire(obj.to_wire(), ObjectID(2))
+
+    def test_a_corrupt_empty_fot_is_rejected(self, obj):
+        wire = bytearray(obj.to_wire())
+        wire[37:41] = (2).to_bytes(4, "big")  # claims an entry it lacks
+        with pytest.raises(ObjectError, match="corrupt FOT"):
+            MemObject.from_wire(bytes(wire), obj.oid)
+
     def test_wire_size_matches(self, obj):
         assert len(obj.to_wire()) == obj.wire_size
 
     def test_truncated_wire_rejected(self, obj):
         with pytest.raises(ObjectError):
-            MemObject.from_wire(obj.to_wire()[:-1])
+            MemObject.from_wire(obj.to_wire()[:-1], obj.oid)
 
     def test_garbage_wire_rejected(self):
         with pytest.raises(ObjectError):
-            MemObject.from_wire(b"\x01" * 10)
+            MemObject.from_wire(b"\x01" * 10, ObjectID(1))
 
     def test_kind_preserved(self):
         code = MemObject(ObjectID(3), size=128, kind=KIND_CODE)
-        assert MemObject.from_wire(code.to_wire()).kind == KIND_CODE
+        assert MemObject.from_wire(code.to_wire(), code.oid).kind == KIND_CODE
 
     def test_clone_identity_and_independence(self, obj):
         obj.write(0, b"abc")

@@ -9,6 +9,7 @@ from repro.core import (
     InvariantPointer,
     LayoutError,
     MemObject,
+    ObjectError,
     ObjectID,
     ObjectSpace,
     SpaceError,
@@ -123,7 +124,7 @@ class TestStructView:
         view = RECORD.allocate_in(obj)
         view.set("count", 7)
         view.set("weight", -1.25)
-        rebuilt = MemObject.from_wire(obj.to_wire())
+        rebuilt = MemObject.from_wire(obj.to_wire(), obj.oid)
         copy_view = RECORD.view(rebuilt, view.offset)
         assert copy_view.get("count") == 7
         assert copy_view.get("weight") == -1.25
@@ -165,51 +166,61 @@ class TestObjectSpace:
         obj = space.create_object(size=128)
         obj.write(0, b"shared")
         other = ObjectSpace(host_name="beta")
-        imported = other.import_object(space.export_object(obj.oid))
+        imported = other.import_object(obj.oid, space.export_object(obj.oid))
         assert imported.oid == obj.oid
         assert imported.read(0, 6) == b"shared"
         assert space.bytes_exported == other.bytes_imported > 0
+
+    def test_import_keeps_the_callers_oid(self, space):
+        obj = space.create_object(size=64)
+        wire = space.export_object(obj.oid)
+        other = ObjectSpace(host_name="beta")
+        held = ObjectID(int(obj.oid))
+        assert other.import_object(held, wire).oid is held
+        with pytest.raises(ObjectError):
+            other.import_object(ObjectID(int(obj.oid) + 1), wire, replace=True)
+        assert len(other) == 1
 
     def test_import_stale_version_rejected(self, space):
         obj = space.create_object(size=64)
         obj.write(0, b"v1")
         wire_old = space.export_object(obj.oid)
         other = ObjectSpace(host_name="beta")
-        other.import_object(wire_old)
+        other.import_object(obj.oid, wire_old)
         with pytest.raises(SpaceError):
-            other.import_object(wire_old)  # same version, not newer
+            other.import_object(obj.oid, wire_old)  # same version, not newer
 
     def test_import_newer_version_replaces(self, space):
         obj = space.create_object(size=64)
         wire_old = space.export_object(obj.oid)
         other = ObjectSpace(host_name="beta")
-        other.import_object(wire_old)
+        other.import_object(obj.oid, wire_old)
         obj.write(0, b"newer")
-        other.import_object(space.export_object(obj.oid))
+        other.import_object(obj.oid, space.export_object(obj.oid))
         assert other.get(obj.oid).read(0, 5) == b"newer"
 
     def test_import_replace_flag_overrides(self, space):
         obj = space.create_object(size=64)
         wire = space.export_object(obj.oid)
         other = ObjectSpace(host_name="beta")
-        other.import_object(wire)
-        other.import_object(wire, replace=True)  # no error
+        other.import_object(obj.oid, wire)
+        other.import_object(obj.oid, wire, replace=True)  # no error
 
     def test_deref_local_and_remote(self, space):
         a = space.create_object(size=128)
         b = space.create_object(size=128)
         at = a.alloc(8)
         a.point_to(at, b, 64)
-        target, offset, resident = space.follow(a.oid, at)
-        assert (target, offset, resident) == (b.oid, 64, True)
+        target, offset = a.resolve(a.load_pointer(at))
+        assert (target, offset, target in space) == (b.oid, 64, True)
         space.evict(b.oid)
-        _, _, resident_after = space.follow(a.oid, at)
-        assert not resident_after
+        assert a.resolve(a.load_pointer(at)) == (b.oid, 64)
+        assert b.oid not in space
 
     def test_resident_bytes(self, space):
         space.create_object(size=100)
         space.create_object(size=200)
-        assert space.resident_bytes == 300
+        assert "bytes=300>" in repr(space)
 
     def test_len_and_iter(self, space):
         ids = {space.create_object(size=32).oid for _ in range(3)}

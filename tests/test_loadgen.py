@@ -14,6 +14,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.loadgen import (DeterministicArrivals, LatencyHistogram,
                            LoadGenerator, ParetoSampler, PoissonArrivals,
@@ -234,17 +235,22 @@ def test_histogram_mean_and_count_are_exact():
     for v in values:
         hist.record(v)
     assert hist.count == len(values)
-    assert hist.mean() == pytest.approx(sum(values) / len(values))
+    assert hist.total_us / hist.count == pytest.approx(
+        sum(values) / len(values))
     assert hist.max_recorded_us == 99_999.0
 
 
 def test_histogram_memory_is_fixed():
+    """Stored buckets never exceed the geometry's ``1 + decades *
+    subbuckets``, whatever the sample count: only touched buckets are
+    kept, and a sample never adds one outside the geometry."""
     hist = LatencyHistogram()
-    buckets = len(hist._counts)
+    bound = 1 + hist._decades * hist.subbuckets
     rng = random.Random(seed(2))
-    for _ in range(100_000):
-        hist.record(rng.uniform(0.0, 1e6))
-    assert len(hist._counts) == buckets  # no growth, ever
+    for n in range(100_000):
+        hist.record(rng.uniform(0.0, 1e6) if n % 2 else rng.uniform(0.0, 1e9))
+    assert len(hist._counts) <= bound
+    assert all(0 <= index < bound for index in hist._counts)
     assert hist.count == 100_000
 
 
@@ -265,10 +271,109 @@ def test_histogram_edges_and_merge():
         hist.percentile(0.0)
 
 
+class DenseHistogram:
+    """Reference for :class:`LatencyHistogram`: the same log-linear
+    geometry kept as one dense list of every bucket, walked whole."""
+
+    def __init__(self, min_us, max_us, subbuckets):
+        self.min_us, self.subbuckets = min_us, subbuckets
+        self.decades = 0
+        while min_us * (2.0 ** self.decades) < max_us:
+            self.decades += 1
+        self.counts = [0] * (1 + self.decades * subbuckets)
+        self.count, self.total_us, self.max_recorded_us = 0, 0.0, 0.0
+
+    def record(self, value):
+        if value < self.min_us:
+            index = 0
+        else:
+            ratio = value / self.min_us
+            decade = int(ratio).bit_length() - 1
+            if decade >= self.decades:
+                index = len(self.counts) - 1
+            else:
+                sub = min(int((ratio / (1 << decade) - 1.0) * self.subbuckets),
+                          self.subbuckets - 1)
+                index = 1 + decade * self.subbuckets + sub
+        self.counts[index] += 1
+        self.count += 1
+        self.total_us += value
+        self.max_recorded_us = max(self.max_recorded_us, value)
+
+    def merge(self, other):
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.total_us += other.total_us
+        self.max_recorded_us = max(self.max_recorded_us, other.max_recorded_us)
+
+    def percentile(self, p):
+        if self.count == 0:
+            return 0.0
+        rank = max(1, -(-(fractions.Fraction(p) * self.count) // 100))
+        seen = 0
+        for index, n in enumerate(self.counts):
+            seen += n
+            if seen >= rank:
+                break
+        if index == 0:
+            return self.min_us
+        decade, sub = divmod(index - 1, self.subbuckets)
+        return self.min_us * (1 << decade) * (1.0 + (sub + 1) / self.subbuckets)
+
+
+@st.composite
+def geometries(draw):
+    min_us = draw(st.sampled_from([0.25, 1.0, 3.0, 100.0]))
+    max_us = min_us * draw(st.floats(min_value=1.5, max_value=6e7))
+    subbuckets = draw(st.sampled_from([1, 2, 3, 7, 32, 1024]))
+    return min_us, max_us, subbuckets
+
+
+def _trace(geometry):
+    min_us, max_us, _ = geometry
+    return st.lists(st.one_of(
+        st.floats(min_value=0.0, max_value=max_us * 2.0),
+        st.floats(min_value=min_us * 0.5, max_value=min_us * 8.0),
+        st.sampled_from([0.0, min_us, max_us, max_us * 4.0])), max_size=60)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_histogram_answers_as_the_dense_reference(data):
+    """Over random traces and geometries (``subbuckets=1024`` among
+    them), keeping only touched buckets changes no answer: every
+    percentile, the count, the total (the mean's numerator), the
+    maximum, and each of these after a merge."""
+    geometry = data.draw(geometries())
+    pairs = []
+    for _ in range(2):
+        hist, dense = LatencyHistogram(*geometry), DenseHistogram(*geometry)
+        for value in data.draw(_trace(geometry)):
+            hist.record(value)
+            dense.record(value)
+        pairs.append((hist, dense))
+    (hist, dense), (other, other_dense) = pairs
+    ps = data.draw(st.lists(st.floats(min_value=1e-6, max_value=100.0),
+                            min_size=1, max_size=8)) + [100.0, 50.0, 99.9]
+
+    def same(hist, dense):
+        assert [hist.percentile(p) for p in ps] == [
+            dense.percentile(p) for p in ps]
+        assert (hist.count, hist.total_us, hist.max_recorded_us) == (
+            dense.count, dense.total_us, dense.max_recorded_us)
+        assert len(hist._counts) <= len(dense.counts)
+
+    same(hist, dense)
+    same(other, other_dense)
+    hist.merge(other)
+    dense.merge(other_dense)
+    same(hist, dense)
+
+
 def test_histogram_empty_reports_zero():
     hist = LatencyHistogram()
     assert hist.percentile(99.9) == 0.0
-    assert hist.mean() == 0.0
+    assert (hist.count, hist.total_us) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------

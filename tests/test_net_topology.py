@@ -176,6 +176,20 @@ class TestPathTable:
         assert net.path("h0_0", "h1_0") == Path(3, 50.0, 10.0)
         assert path("h1_0", "h0_0") == Path(3, 50.0, 10.0)
 
+    def test_a_link_bandwidth_cannot_change(self, sim):
+        """The wire rate and every path's bottleneck are computed from
+        ``bandwidth_gbps`` once, so assigning it would change neither:
+        it raises, naming ``latency_us`` as what a live link changes."""
+        net = build_star(sim, 2)
+        link = net.link_between("h0", "s0")
+        path, version = net.path, net.version
+        with pytest.raises(AttributeError, match="latency_us"):
+            link.bandwidth_gbps = 1.0
+        assert link.bandwidth_gbps == 10.0
+        assert link._bytes_per_us == 1250.0
+        assert (net.path, net.version) == (path, version)
+        assert net.path("h0", "h1") == Path(2, 10.0, 10.0)
+
     def test_unreachable_pairs_still_raise(self, sim):
         net = build_star(sim, 2)
         net.add_switch("island")

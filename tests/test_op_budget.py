@@ -59,6 +59,16 @@ generator frame fewer per leg) and after:
 * eager invocation 342 -> 155 at the client, 389 -> 192 on another node;
 * proxied invocation 323 -> 147 at the client, 381 -> 182 on another node.
 
+Pricing placement on ``Network.path`` then took a call off each op that
+places or reads remotely (remote load 57, eager 154 and 191, proxied
+146 and 181).  A fetch now keys the imported copy by the oid it asked
+for (no ``ObjectID.from_bytes`` and no Python ``ObjectID.__eq__`` in
+the space's dict) and neither builds nor serialises an empty FOT, so
+an op with a fetch lost 7 to 10 more:
+
+* eager invocation 154 -> 144 at the client, 191 -> 183 elsewhere;
+* proxied invocation 146 -> 139 at the client, 181 -> 173 elsewhere.
+
 The measured op's code object is new too, so the executor reads the
 function it names from its bytes; later ops of a tenant find it kept.
 """
@@ -79,13 +89,13 @@ from .test_packet_path_budget import _python_calls
 
 # Python calls of the measured op, by op: the CPython 3.11 figures.
 CALLS = {
-    "remote load": 58,
+    "remote load": 57,
     "local hit": 17,
     "remote store": 55,
-    "eager local": 155,
-    "eager remote": 192,
-    "proxied local": 147,
-    "proxied remote": 182,
+    "eager local": 144,
+    "eager remote": 183,
+    "proxied local": 139,
+    "proxied remote": 173,
 }
 
 

@@ -123,7 +123,7 @@ class TestObjectWireProperties:
         for i, target in enumerate(targets):
             at = obj.alloc(8)
             obj.point_to(at, target, i)
-        rebuilt = MemObject.from_wire(obj.to_wire())
+        rebuilt = MemObject.from_wire(obj.to_wire(), obj.oid)
         assert rebuilt.data == obj.data
         assert rebuilt.fot == obj.fot
         assert rebuilt.version == obj.version
@@ -133,8 +133,8 @@ class TestObjectWireProperties:
     def test_double_wire_copy_is_identity(self, payload):
         obj = MemObject(ObjectID(7), size=512)
         obj.write(0, payload)
-        once = MemObject.from_wire(obj.to_wire())
-        twice = MemObject.from_wire(once.to_wire())
+        once = MemObject.from_wire(obj.to_wire(), obj.oid)
+        twice = MemObject.from_wire(once.to_wire(), obj.oid)
         assert twice.to_wire() == once.to_wire()
 
 
