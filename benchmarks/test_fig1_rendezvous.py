@@ -121,6 +121,6 @@ def test_cost_model_ablation_transfer_blind():
     assert aware.node == "slowbox"
     assert blind.node == "fastbox"
     # And the blind choice really is worse once transfers are priced:
-    blind_true_cost = (blind.stage_in_us + blind.queue_us
+    blind_true_cost = (blind.request_us + blind.stage_in_us + blind.queue_us
                        + blind.compute_us + blind.result_return_us)
     assert blind_true_cost > aware.total_us

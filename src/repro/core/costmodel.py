@@ -6,7 +6,9 @@ This module pins those constants, provides the transfer/serialization
 cost functions every other layer shares, and exposes the placement cost
 estimator used by the rendezvous engine (experiment E5) — including the
 §3.1 point that once serialization is gone, *transfer* is the only cost
-a placement decision needs to model.
+a placement decision needs to model.  A transfer is priced as the
+simulated fabric charges it: each frame pays the path's latency and its
+own bytes once per link (:meth:`CostModel.wire_time_us`).
 """
 
 from __future__ import annotations
@@ -88,15 +90,18 @@ class CostModel:
 
     The wire is not one of them: every wire estimate takes the
     :class:`~repro.net.Path` it crosses, as ``Network.path`` answers it,
-    and prices its summed latency and its slowest link's bandwidth.
+    and charges a frame what the store-and-forward fabric does: the
+    path's latency (links and switch pipelines) plus the frame's bytes
+    at every link's rate in turn.  The rest are constants:
 
-    * ``serialize_ns_per_byte`` / ``deserialize_ns_per_byte`` — the RPC
+    * ``SERIALIZE_NS_PER_BYTE`` / ``DESERIALIZE_NS_PER_BYTE`` — the RPC
       marshalling walk.  Deserialization is costlier than serialization
-      (pointer fixup, allocation); the defaults are calibrated so that
+      (pointer fixup, allocation); the values are calibrated so that
       deserialize+load dominates sparse-model serving at ~70% (§2, E4).
-    * ``byte_copy_ns_per_byte`` — the global-address-space alternative: a
+    * ``BYTE_COPY_NS_PER_BYTE`` — the global-address-space alternative: a
       straight memcpy of the object image.
-    * ``pool_bandwidth_gbps`` — effective streaming rate of synchronous
+    * ``COMPUTE_NS_PER_FLOP`` — compute time at speed 1.0.
+    * ``POOL_BANDWIDTH_GBPS`` — effective streaming rate of synchronous
       load/store through an intra-rack shared-memory pool port.  Far
       lower than NIC line rate: pool accesses are CPU loads against far
       memory, which do not pipeline like DMA — so the pool tier wins on
@@ -105,47 +110,45 @@ class CostModel:
       measures.
     """
 
-    serialize_ns_per_byte: float = 2.0
-    deserialize_ns_per_byte: float = 6.0
-    byte_copy_ns_per_byte: float = 0.05
-    compute_ns_per_flop: float = 0.25
-    pool_bandwidth_gbps: float = 2.0
+    SERIALIZE_NS_PER_BYTE = 2.0
+    DESERIALIZE_NS_PER_BYTE = 6.0
+    BYTE_COPY_NS_PER_BYTE = 0.05
+    COMPUTE_NS_PER_FLOP = 0.25
+    POOL_BANDWIDTH_GBPS = 2.0
     hierarchy: LatencyHierarchy = field(default_factory=LatencyHierarchy)
-
-    def __post_init__(self) -> None:
-        if self.pool_bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if min(
-            self.serialize_ns_per_byte,
-            self.deserialize_ns_per_byte,
-            self.byte_copy_ns_per_byte,
-            self.compute_ns_per_flop,
-        ) < 0:
-            raise ValueError("cost parameters must be non-negative")
 
     # -- primitive costs ---------------------------------------------------
     def wire_time_us(self, nbytes: int, path: "Path") -> float:
-        """Propagation + transmission time for ``nbytes`` along ``path``."""
+        """When a frame of ``nbytes`` sent along ``path`` arrives,
+        uncontended: the path's latency plus its per-byte time (each
+        link serialises the whole frame again)."""
         if nbytes < 0:
             raise ValueError("bytes must be non-negative")
-        bytes_per_us = path.bandwidth_gbps * 1e9 / 8 / 1e6
-        return path.latency_us + nbytes / bytes_per_us
+        return path.latency_us + nbytes * path.us_per_byte
+
+    def fetch_time_us(self, nbytes: int, path: "Path", request_bytes: int,
+                      reply_bytes: int) -> float:
+        """A pull of an ``nbytes`` image along ``path``, uncontended: a
+        ``request_bytes`` frame to the holder, then a frame of the image
+        plus ``reply_bytes`` back.  The path serves both legs."""
+        return (self.wire_time_us(request_bytes, path)
+                + self.wire_time_us(reply_bytes + nbytes, path))
 
     def serialize_time_us(self, nbytes: int) -> float:
         """Simulated serialization walk time for ``nbytes``."""
-        return nbytes * self.serialize_ns_per_byte / 1000.0
+        return nbytes * self.SERIALIZE_NS_PER_BYTE / 1000.0
 
     def deserialize_time_us(self, nbytes: int) -> float:
         """Simulated deserialization walk time for ``nbytes``."""
-        return nbytes * self.deserialize_ns_per_byte / 1000.0
+        return nbytes * self.DESERIALIZE_NS_PER_BYTE / 1000.0
 
     def byte_copy_time_us(self, nbytes: int) -> float:
         """Simulated memcpy time for ``nbytes``."""
-        return nbytes * self.byte_copy_ns_per_byte / 1000.0
+        return nbytes * self.BYTE_COPY_NS_PER_BYTE / 1000.0
 
     def compute_time_us(self, flops: float) -> float:
         """Simulated compute time for ``flops``."""
-        return flops * self.compute_ns_per_flop / 1000.0
+        return flops * self.COMPUTE_NS_PER_FLOP / 1000.0
 
     # -- composite movement estimates ---------------------------------------
     def rpc_transfer(self, nbytes: int, path: "Path") -> TransferEstimate:
@@ -170,36 +173,16 @@ class CostModel:
         )
 
     def fetch_transfer(self, nbytes: int, path: "Path") -> TransferEstimate:
-        """A *pulled* object movement: a small request travels to the
-        holder (one propagation leg), then the object image comes back.
-        Placement stage-in estimates use this — an object fetch costs a
-        full round trip, not half of one."""
+        """A *pulled* object movement: an empty request frame travels to
+        the holder, then the object image comes back — an object fetch
+        costs a full round trip, not half of one."""
         copy_us = self.byte_copy_time_us(nbytes)
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=copy_us,
-            transfer_us=path.latency_us + self.wire_time_us(nbytes, path),
+            transfer_us=self.fetch_time_us(nbytes, path, 0, 0),
             deserialize_us=copy_us,
         )
-
-    # -- the same totals as bare floats ---------------------------------------
-    # Placement scores every candidate and builds one; these add the same
-    # terms in the same order as the estimate each names, building nothing.
-    def object_time_us(self, nbytes: int, path: "Path") -> float:
-        """``object_transfer(nbytes, path).total_us``."""
-        copy_us = self.byte_copy_time_us(nbytes)
-        return copy_us + self.wire_time_us(nbytes, path) + copy_us
-
-    def stage_in_time_us(self, nbytes: int, path: "Path",
-                         pooled: bool) -> float:
-        """``resolve_tier(nbytes, path, pooled)[1].total_us``."""
-        copy_us = self.byte_copy_time_us(nbytes)
-        total = copy_us + (path.latency_us
-                           + self.wire_time_us(nbytes, path)) + copy_us
-        if pooled:
-            total = min(total, self.hierarchy.remote_memory_us
-                        + nbytes / (self.pool_bandwidth_gbps * 1e9 / 8 / 1e6))
-        return total
 
     # -- staging tiers --------------------------------------------------------
     def pool_transfer(self, nbytes: int) -> TransferEstimate:
@@ -210,7 +193,7 @@ class CostModel:
         mapping is zero-copy."""
         if nbytes < 0:
             raise ValueError("bytes must be non-negative")
-        bytes_per_us = self.pool_bandwidth_gbps * 1e9 / 8 / 1e6
+        bytes_per_us = self.POOL_BANDWIDTH_GBPS * 1e9 / 8 / 1e6
         return TransferEstimate(
             bytes_moved=nbytes,
             serialize_us=0.0,
@@ -218,22 +201,21 @@ class CostModel:
             deserialize_us=0.0,
         )
 
-    def resolve_tier(self, nbytes: int, path: "Path",
-                     pooled: bool = False) -> Tuple[str, TransferEstimate]:
-        """Cheapest staging tier for a non-resident ``nbytes`` that the
-        network would fetch along ``path``: ``(tier, estimate)``.
+    def resolve_tier(self, nbytes: int, fetch_us: float,
+                     pooled: bool = False) -> Tuple[str, float]:
+        """Cheapest staging tier for a non-resident ``nbytes`` whose
+        network fetch takes ``fetch_us``: ``(tier, time)``.
 
         The network fetch competes with the pool tier when ``pooled``
         says a mapped copy is reachable.  The pool wins on small objects
-        (no request leg) and loses on bulk wherever its port streams below
-        the path's bottleneck, so the choice genuinely flips with size.
+        (no request leg) and loses on bulk wherever its port streams
+        slower than the path, so the choice genuinely flips with size.
         """
-        tier, estimate = TIER_NETWORK, self.fetch_transfer(nbytes, path)
         if pooled:
-            via_pool = self.pool_transfer(nbytes)
-            if via_pool.total_us < estimate.total_us:
-                tier, estimate = TIER_POOL, via_pool
-        return tier, estimate
+            pool_us = self.pool_transfer(nbytes).total_us
+            if pool_us < fetch_us:
+                return TIER_POOL, pool_us
+        return TIER_NETWORK, fetch_us
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -16,7 +16,7 @@ as the empty table's 4 bytes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .fot import FLAG_READ, FLAG_WRITE, FOT, FOTError
 from .objectid import NULL_ID, ObjectID
@@ -120,6 +120,12 @@ class MemObject:
         if fot is None:
             fot = self._fot = FOT()
         return fot
+
+    def targets(self) -> List[ObjectID]:
+        """The objects this one points to (its reachability edges), read
+        without building a table for an object that points nowhere."""
+        fot = self._fot
+        return [] if fot is None else fot.targets()
 
     def store_pointer(self, offset: int, pointer: InvariantPointer) -> None:
         """Write a 64-bit encoded pointer into the pool at ``offset``."""

@@ -387,9 +387,7 @@ class LoadGenerator:
         ref = state.refs.get(rank)
         if ref is None:
             home = state.homes[rank % len(state.homes)]
-            obj = self.runtime.create_object(
-                home, size=self.object_bytes,
-                label=f"lg-{state.spec.name}-r{rank}")
+            obj = self.runtime.create_object(home, size=self.object_bytes)
             ref = GlobalRef(obj.oid, 0, "write")
             state.refs[rank] = ref
             state.materialized += 1

@@ -49,7 +49,7 @@ __all__ = [
 #: one pool port.  Deliberately far below NIC line rate: pool accesses
 #: are CPU loads against far memory and do not pipeline like DMA, which
 #: is exactly why a size crossover against the packet path exists
-#: (matches ``CostModel.pool_bandwidth_gbps``).
+#: (matches ``CostModel.POOL_BANDWIDTH_GBPS``).
 POOL_BANDWIDTH_GBPS = 2.0
 
 

@@ -93,7 +93,7 @@ class CoherentProxyResolver:
         if not self.wire_images:
             return []
         obj = self._parsed.get(oid)
-        return obj.fot.targets() if obj is not None else []
+        return obj.targets() if obj is not None else []
 
     def resolve_pointer(self, oid: ObjectID, pointer: InvariantPointer,
                         image: bytes) -> Tuple[ObjectID, int]:

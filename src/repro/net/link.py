@@ -353,7 +353,7 @@ class Link:
 
     def __setattr__(self, name: str, value: object) -> None:
         if name == "bandwidth_gbps" and name in self.__dict__:
-            # The wire rate and every path's bottleneck are computed
+            # The wire rate and every path's per-byte time are computed
             # from it once; latency_us is what a live link may change.
             raise AttributeError(
                 "a link's bandwidth_gbps is fixed when it is built; "

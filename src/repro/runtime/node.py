@@ -132,7 +132,7 @@ class NodeProxyBackend:
     def successors(self, oid, image):
         """FOT targets of a resident object (the reachability edges)."""
         obj = self.node.space.try_get(oid)
-        return obj.fot.targets() if obj is not None else []
+        return obj.targets() if obj is not None else []
 
     def resolve_pointer(self, oid, pointer, image):
         """External-pointer resolution against the resident FOT."""

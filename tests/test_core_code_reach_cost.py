@@ -112,9 +112,10 @@ class TestCostModel:
         large = model.wire_time_us(1_000_000, uniform(1))
         assert large > small
         assert model.wire_time_us(1000, uniform(3)) > small
-        # The path's latency, then its bytes at the slowest link's rate
-        # (10 Gbps is 1,250 bytes a microsecond).
-        assert model.wire_time_us(2500, Path(2, 10.0, 10.0)) == 12.0
+        # The path's latency, then its bytes once per link: two 10 Gbps
+        # links (1,250 bytes a microsecond each) serialise 2,500 bytes in
+        # 2 us each, store-and-forward.
+        assert model.wire_time_us(2500, Path(2, 10.0, 16e-4)) == 14.0
 
     def test_wire_time_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -141,7 +142,8 @@ class TestCostModel:
         assert model.compute_time_us(4e6) == pytest.approx(1000.0)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        # The rates are class constants, not options: none can be set.
+        with pytest.raises(TypeError):
             CostModel(pool_bandwidth_gbps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CostModel(serialize_ns_per_byte=-1)

@@ -159,7 +159,8 @@ class TestPathLatency:
         net.add_host("b")
         net.connect("a", "sw", latency_us=100.0)
         net.connect("b", "sw", latency_us=7.0)
-        assert net.path("a", "b").latency_us == pytest.approx(107.0)
+        # Both links, and the switch's 0.5 us pipeline between them.
+        assert net.path("a", "b").latency_us == pytest.approx(107.5)
 
     def test_zero_for_self(self, sim):
         net = build_star(sim, 1)
@@ -168,10 +169,14 @@ class TestPathLatency:
 
 class TestFetchTransfer:
     def test_includes_request_leg(self):
+        # Three 2 us, 100 Gbps links: every link serialises the megabyte
+        # again (80 us each), and the pull first sends an empty request.
         model = CostModel()
         path = uniform(3)
         push = model.object_transfer(1_000_000, path)
         pull = model.fetch_transfer(1_000_000, path)
+        assert push.transfer_us == pytest.approx(6.0 + 240.0)
+        assert pull.transfer_us == pytest.approx(6.0 + 6.0 + 240.0)
         assert pull.total_us == pytest.approx(push.total_us + path.latency_us)
 
     def test_same_bytes_moved(self):

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro.core import GlobalRef
 from repro.workloads import STRATEGIES, build_scenario, run_strategy
+from repro.workloads.inference import partition_flops
 
 
 def _run_all(scenario, invoker="alice", strategies=STRATEGIES, repeats=1):
@@ -118,12 +120,26 @@ class TestDaveCase:
 
     def test_without_local_model_dave_uses_cloud(self):
         # With a large fragment, pulling it through Dave's slow edge
-        # uplink clearly loses to running in the cloud.
-        scenario = build_scenario(dave_has_local_model=False,
-                                  partition_entries=100_000)
-        result = _run_all(scenario, invoker="dave",
-                          strategies=("rendezvous",))[0]
-        assert result.executed_at == "carol"
+        # uplink clearly loses to running in the cloud; and the cloud
+        # host placement picks is the one that finishes first when each
+        # candidate is made to run the job alone.
+        def run(candidates):
+            scenario = build_scenario(dave_has_local_model=False,
+                                      partition_entries=100_000)
+            return scenario.sim.run_process(scenario.runtime.invoke(
+                "dave", scenario.code_ref,
+                data_refs={"partition": GlobalRef(
+                    scenario.partition_obj.oid, 0, "read")},
+                values={"activation": scenario.activation.values,
+                        "partition_bytes": scenario.partition_obj.size},
+                flops=partition_flops(scenario.partition),
+                candidates=candidates))
+
+        placed = run(["dave", "bob", "carol"]).executed_at
+        realized = {name: run([name]).latency_us
+                    for name in ("dave", "bob", "carol")}
+        assert placed != "dave"
+        assert placed == min(realized, key=realized.get)
 
 
 class TestSerializationShare:

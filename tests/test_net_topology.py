@@ -1,8 +1,8 @@
 """Unit tests for topology builders, path queries, and host dispatch."""
 
-import math
 
 import pytest
+from pytest import approx
 
 from repro.net import (
     Network,
@@ -80,7 +80,7 @@ class TestNetworkQueries:
 
     def test_hop_distance_identity(self, sim):
         net = build_star(sim, 2)
-        assert net.path("h0", "h0") == Path(0, 0.0, math.inf)
+        assert net.path("h0", "h0") == Path(0, 0.0, 0.0)
 
     def test_hop_distance_no_path(self, sim):
         net = Network(sim)
@@ -95,10 +95,11 @@ class TestNetworkQueries:
         assert net.path("driver", "resp2").hops == 3
 
     def test_path_endpoints(self, sim):
-        # Either endpoint may root the walk: three 5 us, 10 Gbps links.
+        # Either endpoint may root the walk: three 5 us, 10 Gbps links
+        # (0.0008 us a byte each) and two 0.5 us switch pipelines.
         net = build_paper_topology(sim)
-        assert net.path("driver", "resp1") == Path(3, 15.0, 10.0)
-        assert net.path("resp1", "driver") == Path(3, 15.0, 10.0)
+        assert net.path("driver", "resp1") == Path(3, 16.0, approx(0.0024))
+        assert net.path("resp1", "driver") == Path(3, 16.0, approx(0.0024))
 
     def test_port_toward_reaches_target(self, sim):
         net = build_paper_topology(sim)
@@ -115,14 +116,16 @@ class TestNetworkQueries:
             net.port_toward("s1", "s1")
 
     def test_path_latency_sums_the_links_of_the_path(self, sim):
-        # The bandwidth is the slowest link's, wherever on the path it is.
+        # Every link charges a frame's bytes again (store-and-forward),
+        # wherever the slow one is, and every switch its pipeline delay.
         net = build_line(sim, 3, default_latency_us=5.0)
         net.add_host("far")
         net.connect("far", "s2", bandwidth_gbps=0.5, latency_us=200.0)
-        assert net.path("h0_0", "far") == Path(4, 215.0, 0.5)
-        assert net.path("far", "h0_0") == Path(4, 215.0, 0.5)
-        assert net.path("h0_0", "h2_0") == Path(4, 20.0, 10.0)
-        assert net.path("far", "far") == Path(0, 0.0, math.inf)
+        slow = 3 * 8e-4 + 1 / 62.5
+        assert net.path("h0_0", "far") == Path(4, 216.5, approx(slow))
+        assert net.path("far", "h0_0") == Path(4, 216.5, approx(slow))
+        assert net.path("h0_0", "h2_0") == Path(4, 21.5, approx(4 * 8e-4))
+        assert net.path("far", "far") == Path(0, 0.0, 0.0)
 
 
 def _answers(net, a, b, switch):
@@ -145,22 +148,24 @@ class TestPathTable:
 
     def test_new_host_is_reachable_after_earlier_queries(self, sim):
         net = build_star(sim, 2)
-        assert _answers(net, "h0", "h1", "s0") == (Path(2, 10.0, 10.0), 1)
+        assert _answers(net, "h0", "h1", "s0") == (Path(2, 10.5, 16e-4), 1)
         version = net.version
         net.add_host("h2")
         with pytest.raises(NodeError):
             net.path("h0", "h2")  # registered, not yet linked
         net.connect("h2", "s0", latency_us=7.0)
         assert net.version > version
-        assert _answers(net, "h0", "h2", "s0") == (Path(2, 12.0, 10.0), 2)
+        assert _answers(net, "h0", "h2", "s0") == (Path(2, 12.5, 16e-4), 2)
 
     def test_shortcut_link_changes_every_answer(self, sim):
         net = build_line(sim, 4, default_latency_us=5.0)
         before = _answers(net, "h0_0", "h3_0", "s0")
-        assert before == (Path(5, 25.0, 10.0), net.port_toward("s0", "s1"))
+        assert before == (Path(5, 27.0, approx(5 * 8e-4)),
+                          net.port_toward("s0", "s1"))
         net.connect("s0", "s3", latency_us=1.0)
         after = _answers(net, "h0_0", "h3_0", "s0")
-        assert after == (Path(3, 11.0, 10.0), net.port_toward("s0", "s3"))
+        assert after == (Path(3, 12.0, approx(3 * 8e-4)),
+                         net.port_toward("s0", "s3"))
         assert after[1] != before[1]
 
     def test_a_latency_change_changes_every_answer(self, sim):
@@ -168,16 +173,16 @@ class TestPathTable:
         table, and ``net.path`` is a new object for the new topology."""
         net = build_line(sim, 2, default_latency_us=5.0)
         path, version = net.path, net.version
-        assert path("h0_0", "h1_0") == Path(3, 15.0, 10.0)
+        assert path("h0_0", "h1_0") == Path(3, 16.0, approx(3 * 8e-4))
         assert net.path is path  # one object while the topology holds
         net.link_between("s0", "s1").latency_us = 40.0
         assert net.version > version
         assert net.path is not path
-        assert net.path("h0_0", "h1_0") == Path(3, 50.0, 10.0)
-        assert path("h1_0", "h0_0") == Path(3, 50.0, 10.0)
+        assert net.path("h0_0", "h1_0") == Path(3, 51.0, approx(3 * 8e-4))
+        assert path("h1_0", "h0_0") == Path(3, 51.0, approx(3 * 8e-4))
 
     def test_a_link_bandwidth_cannot_change(self, sim):
-        """The wire rate and every path's bottleneck are computed from
+        """The wire rate and every path's per-byte time are computed from
         ``bandwidth_gbps`` once, so assigning it would change neither:
         it raises, naming ``latency_us`` as what a live link changes."""
         net = build_star(sim, 2)
@@ -188,7 +193,7 @@ class TestPathTable:
         assert link.bandwidth_gbps == 10.0
         assert link._bytes_per_us == 1250.0
         assert (net.path, net.version) == (path, version)
-        assert net.path("h0", "h1") == Path(2, 10.0, 10.0)
+        assert net.path("h0", "h1") == Path(2, 10.5, 16e-4)
 
     def test_unreachable_pairs_still_raise(self, sim):
         net = build_star(sim, 2)

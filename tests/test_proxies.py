@@ -428,6 +428,32 @@ def _runtime_cluster(seed, n=3):
     return sim, net, registry, runtime
 
 
+class TestPointerFreeWalk:
+    """Listing a pointer-free object's edges builds it no FOT."""
+
+    def test_node_walk_leaves_copies_without_a_table(self):
+        sim, net, registry, runtime = _runtime_cluster(22)
+        refs = [GlobalRef(runtime.create_object("n1", size=64).oid, 0, "read")
+                for _ in range(3)]
+        cache = runtime.node("n0").proxies
+        sim.run_process(_wait(cache.start_prefetch(refs)))
+        assert cache.tracer.counters.get("prefetch.issued") == 3
+        for ref in refs:
+            for name in ("n0", "n1"):
+                assert runtime.node(name).space.get(ref.oid)._fot is None
+
+    def test_coherent_walk_leaves_parsed_images_without_a_table(self):
+        sim, agents = _coherent_cluster(23)
+        objects, oids = _host_chain(agents, "h0", 1, 23)
+        resolver = CoherentProxyResolver(agents["h1"])
+        cache = ProxyCache(sim, resolver)
+        sim.run_process(_wait(cache.start_prefetch(
+            [GlobalRef(oids[0], 0, "read")])))
+        assert cache.lookup(oids[0]).resolved
+        assert cache.lookup(oids[0]).successors() == []
+        assert resolver._parsed[oids[0]]._fot is None
+
+
 class TestRuntimeBinding:
     def test_prefetch_requires_proxied_mode(self):
         sim, net, registry, runtime = _runtime_cluster(20)
