@@ -51,7 +51,7 @@ class PipelineSwitch(Switch):
         if packet.src:
             self.host_table[packet.src] = in_port
         self._in_pipeline += 1
-        self.sim.schedule(self.processing_delay_us, self._forward, packet, in_port)
+        self.sim.schedule(self.PROCESSING_DELAY_US, self._forward, packet, in_port)
 
 
 # -- exactness against the reference ---------------------------------------
@@ -256,7 +256,7 @@ def test_a_destination_behind_another_switch_follows_a_repointed_entry():
     plain = Packet(kind="repointed", src="a0", dst="b0", payload_bytes=64)
     flood = Packet(kind="moved", src="b0", dst=BROADCAST)
     wire = partial(serialisation_us, first)
-    flood_at_sa = (wire(flood.size_bytes) + 5.0 + b.processing_delay_us
+    flood_at_sa = (wire(flood.size_bytes) + 5.0 + b.PROCESSING_DELAY_US
                    + wire(flood.size_bytes) + 5.0)
     plain_at_sa = wire(plain.size_bytes) + 5.0
     start = sim.now
@@ -305,9 +305,9 @@ def test_a_switch_as_destination_follows_a_repointed_entry():
     first.latency_us = 6.0
     wire = partial(serialisation_us, first)
     hop, flood_hop = wire(request(a0).size_bytes), wire(HEADER_BYTES)
-    request_at_sb = hop + 5.0 + a.processing_delay_us + hop + 6.0
-    flood_at_sb = flood_hop + 5.0 + a.processing_delay_us + flood_hop + 5.0
-    reply_at_sa = request_at_sb + b.processing_delay_us + hop + 5.0
+    request_at_sb = hop + 5.0 + a.PROCESSING_DELAY_US + hop + 6.0
+    flood_at_sb = flood_hop + 5.0 + a.PROCESSING_DELAY_US + flood_hop + 5.0
+    reply_at_sa = request_at_sb + b.PROCESSING_DELAY_US + hop + 5.0
     start = sim.now
     b.arrivals.clear()
     sim.schedule_at(start, a1.send, request(a1))
